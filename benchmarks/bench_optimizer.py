@@ -30,9 +30,10 @@ Gates (the perf-smoke CI job runs the quick profile):
 * against the checked-in baseline (``results/BENCH_optimizer.json``):
   digests must match exactly (plan caching must never change results).
 
-The checked-in full profile also records the acceptance numbers for
-PR 4: ATC-FULL cumulative optimizer wall drops >= 3x with a
-repository hit rate >= 70%.
+The checked-in full profile also records the repository's effect:
+ATC-FULL cumulative optimizer wall drops ~2x at a repository hit rate
+>= 70% (>= 3x when PR 4 introduced it; hash-consed expressions have
+since halved the uncached pipeline it is compared against).
 
 Run as a script::
 

@@ -44,6 +44,10 @@ ScoreFactory = Callable[[SPJ, Federation], object]
 class CandidateNetworkGenerator:
     """Generates user queries (sets of CQs) from keyword queries."""
 
+    #: Cap on memoized Steiner trees, FIFO-evicted (a miss only costs
+    #: the BFS again).
+    MAX_STEINER_TREES = 8192
+
     def __init__(self, federation: Federation, index: InvertedIndex | None = None,
                  score_factory: ScoreFactory | None = None,
                  max_cqs: int = 20, max_tree_size: int = 7,
@@ -63,6 +67,11 @@ class CandidateNetworkGenerator:
         #: duplicates collapsed) instantiates the cached template under
         #: fresh query ids instead of re-enumerating join trees.
         self.repository = repository
+        #: The schema is static, so a Steiner tree is a pure function of
+        #: (relations, banned edges) and each relation's BFS edge order
+        #: is fixed: both are derived once per generator, not per query.
+        self._steiner_memo: dict[tuple, tuple[SchemaEdge, ...] | None] = {}
+        self._edge_order: dict[str, tuple[tuple[SchemaEdge, str], ...]] = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -114,12 +123,13 @@ class CandidateNetworkGenerator:
 
     # -- tree enumeration -------------------------------------------------------
 
-    def _enumerate_trees(self, matches: Mapping[str, list[KeywordMatch]]
-                         ) -> list[tuple[list[SchemaEdge], list[KeywordMatch]]]:
+    def _enumerate_trees(
+            self, matches: Mapping[str, list[KeywordMatch]]
+    ) -> list[tuple[tuple[SchemaEdge, ...], list[KeywordMatch]]]:
         """All (tree, match-combination) pairs, best combinations first.
 
-        A tree is represented by its list of schema edges (possibly
-        empty when one relation covers every keyword).
+        A tree is represented by its schema edges (none when one
+        relation covers every keyword).
         """
         keywords = sorted(matches)
         combos = []
@@ -128,7 +138,7 @@ class CandidateNetworkGenerator:
             combos.append((-strength, combo))
         combos.sort(key=lambda pair: (pair[0],
                                       tuple(m.relation for m in pair[1])))
-        out: list[tuple[list[SchemaEdge], list[KeywordMatch]]] = []
+        out: list[tuple[tuple[SchemaEdge, ...], list[KeywordMatch]]] = []
         seen: set[tuple] = set()
         budget = self.max_cqs * 3
         for _neg, combo in combos:
@@ -143,7 +153,7 @@ class CandidateNetworkGenerator:
         return out
 
     def _connect(self, combo: Sequence[KeywordMatch]
-                 ) -> list[list[SchemaEdge]]:
+                 ) -> list[tuple[SchemaEdge, ...]]:
         """Join trees connecting one match combination's relations.
 
         The base tree takes BFS-shortest connections; alternates
@@ -173,7 +183,20 @@ class CandidateNetworkGenerator:
 
     def _steiner_tree(self, relations: Sequence[str],
                       banned: frozenset[tuple[str, str, str, str]]
-                      ) -> list[SchemaEdge] | None:
+                      ) -> tuple[SchemaEdge, ...] | None:
+        """:meth:`_grow_steiner_tree`, memoized (FIFO-bounded)."""
+        memo = self._steiner_memo
+        key = (tuple(relations), banned)
+        if key not in memo:
+            tree = self._grow_steiner_tree(relations, banned)
+            memo[key] = None if tree is None else tuple(tree)
+            while len(memo) > self.MAX_STEINER_TREES:
+                memo.pop(next(iter(memo)))
+        return memo[key]
+
+    def _grow_steiner_tree(self, relations: Sequence[str],
+                           banned: frozenset[tuple[str, str, str, str]]
+                           ) -> list[SchemaEdge] | None:
         """Greedy Steiner approximation: grow the tree one shortest
         path at a time from the first relation."""
         tree_nodes = {relations[0]}
@@ -203,12 +226,9 @@ class CandidateNetworkGenerator:
         while frontier:
             next_frontier: list[str] = []
             for current in frontier:
-                edges = sorted(self.schema.edges_of(current),
-                               key=lambda e: (e.cost, e.other(current)))
-                for edge in edges:
+                for edge, nxt in self._edges_from(current):
                     if self._edge_key(edge) in banned:
                         continue
-                    nxt = edge.other(current)
                     if nxt in seen:
                         continue
                     seen.add(nxt)
@@ -218,6 +238,17 @@ class CandidateNetworkGenerator:
                     next_frontier.append(nxt)
             frontier = next_frontier
         return None
+
+    def _edges_from(self, relation: str
+                    ) -> tuple[tuple[SchemaEdge, str], ...]:
+        """``relation``'s (edge, far end) pairs, cheapest edge first."""
+        order = self._edge_order.get(relation)
+        if order is None:
+            edges = sorted(self.schema.edges_of(relation),
+                           key=lambda e: (e.cost, e.other(relation)))
+            order = self._edge_order[relation] = tuple(
+                (e, e.other(relation)) for e in edges)
+        return order
 
     def _unwind(self, parents: dict[str, tuple[str, SchemaEdge]],
                 sources: set[str], target: str
@@ -275,4 +306,4 @@ class CandidateNetworkGenerator:
             selection = match.selection(match.relation)
             if selection is not None:
                 selections.append(selection)
-        return SPJ(atoms, frozenset(joins), frozenset(selections))
+        return SPJ(atoms, joins, selections)

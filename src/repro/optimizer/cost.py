@@ -19,6 +19,7 @@ subexpressions pay off in the model, exactly as they do at runtime.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterable, Mapping
 
 from repro.common.config import ExecutionConfig
@@ -69,8 +70,12 @@ class CostModel:
         self.depth_factor = depth_factor
         self.min_depth = min_depth
         self.input_overhead = input_overhead
-        self._card_cache: dict[SPJ, float] = {}
-        self._read_cache: dict[tuple[SPJ, str], float] = {}
+        #: Keyed weakly: a cost model lives as long as its engine, and
+        #: a strong key would pin every expression it ever costed in
+        #: the (weak) intern table.  Expressions are interned, so an
+        #: entry serves every query that contains the expression.
+        self._card_cache: weakref.WeakKeyDictionary[SPJ, float] = \
+            weakref.WeakKeyDictionary()
 
     # -- cardinalities ------------------------------------------------------------
 
@@ -127,17 +132,11 @@ class CostModel:
     def expected_read(self, input_expr: SPJ, consumer: ConjunctiveQuery
                       ) -> float:
         """Tuples of ``input_expr`` one consumer needs streamed in."""
-        key = (input_expr, consumer.cq_id)
-        cached = self._read_cache.get(key)
-        if cached is not None:
-            return cached
         input_card = self.est_cardinality(input_expr)
         result_card = self.est_cardinality(consumer.expr)
         per_result = input_card / max(result_card, 1.0)
         depth = self.depth_budget() * max(1.0, per_result)
-        value = min(input_card, max(self.min_depth, depth))
-        self._read_cache[key] = value
-        return value
+        return min(input_card, max(self.min_depth, depth))
 
     def input_stream_cost(self, input_expr: SPJ,
                           consumers: Iterable[ConjunctiveQuery],

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.plan.expressions import SPJ
@@ -51,16 +52,62 @@ class OrNode:
     """An equivalence class of subexpressions across the query batch."""
 
     expr: SPJ
-    alternatives: list[AndNode] = field(default_factory=list)
     queries: set[str] = field(default_factory=set)
 
     @property
     def size(self) -> int:
         return self.expr.size
 
+    @cached_property
+    def alternatives(self) -> list[AndNode]:
+        """The AND alternatives: every way of building ``expr``.
+
+        Derived on first access -- candidate enumeration reads only
+        ``expr`` and ``queries`` off the memo, so a serving path never
+        pays for the bipartition enumeration.
+        """
+        expr = self.expr
+        if expr.size == 1:
+            return [AndNode("scan", (expr,))]
+        out: list[AndNode] = []
+        everything = frozenset(expr.aliases)
+        # Every connected bipartition (A, B) of the fragment yields a
+        # join alternative.  Enumerate connected subsets A containing
+        # the first alias to avoid the (A, B)/(B, A) double count.
+        for left_aliases in _connected_subsets_containing(
+                expr, expr.aliases[0]):
+            if len(left_aliases) == expr.size:
+                continue
+            right = expr.induced(everything - left_aliases)
+            if not right.is_connected():
+                continue
+            if not any((p.left_alias in left_aliases)
+                       != (p.right_alias in left_aliases)
+                       for p in expr.joins):
+                continue
+            out.append(AndNode("join", (expr.induced(left_aliases), right)))
+        return out
+
     def __repr__(self) -> str:
         return (f"Or({self.expr.describe()}, alts={len(self.alternatives)}, "
                 f"queries={sorted(self.queries)})")
+
+
+def _connected_subsets_containing(expr: SPJ, anchor: str
+                                  ) -> list[frozenset[str]]:
+    found: set[frozenset[str]] = {frozenset((anchor,))}
+    frontier = [frozenset((anchor,))]
+    while frontier:
+        subset = frontier.pop()
+        reachable: set[str] = set()
+        for alias in subset:
+            reachable.update(expr.adjacency[alias])
+        for alias in reachable - subset:
+            grown = subset | {alias}
+            if grown not in found:
+                found.add(grown)
+                frontier.append(grown)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 class AndOrGraph:
@@ -80,59 +127,8 @@ class AndOrGraph:
                     min_size=1, max_size=limit):
                 node = self._nodes.get(fragment)
                 if node is None:
-                    node = OrNode(fragment)
-                    self._nodes[fragment] = node
-                    self._expand_alternatives(node)
+                    node = self._nodes[fragment] = OrNode(fragment)
                 node.queries.add(cq.cq_id)
-
-    def _expand_alternatives(self, node: OrNode) -> None:
-        """Fill in the AND alternatives for one OR node."""
-        expr = node.expr
-        if expr.size == 1:
-            node.alternatives.append(AndNode("scan", (expr,)))
-            return
-        seen: set[frozenset[str]] = set()
-        aliases = list(expr.aliases)
-        # Every connected bipartition (A, B) of the fragment yields a
-        # join alternative.  Enumerate connected subsets A containing
-        # the first alias to avoid the (A, B)/(B, A) double count.
-        anchor = aliases[0]
-        for left_aliases in self._connected_subsets_containing(expr, anchor):
-            if len(left_aliases) == expr.size:
-                continue
-            right_aliases = frozenset(aliases) - left_aliases
-            left = expr.induced(left_aliases)
-            right_expr_aliases = frozenset(right_aliases)
-            if right_expr_aliases in seen:
-                continue
-            seen.add(right_expr_aliases)
-            right = expr.induced(right_aliases)
-            if not right.is_connected():
-                continue
-            crossing = [
-                p for p in expr.joins
-                if (p.left_alias in left_aliases)
-                != (p.right_alias in left_aliases)
-            ]
-            if not crossing:
-                continue
-            node.alternatives.append(AndNode("join", (left, right)))
-
-    def _connected_subsets_containing(self, expr: SPJ, anchor: str
-                                      ) -> list[frozenset[str]]:
-        found: set[frozenset[str]] = {frozenset((anchor,))}
-        frontier = [frozenset((anchor,))]
-        while frontier:
-            subset = frontier.pop()
-            reachable: set[str] = set()
-            for alias in subset:
-                reachable.update(expr.adjacency[alias])
-            for alias in reachable - subset:
-                grown = subset | {alias}
-                if grown not in found:
-                    found.add(grown)
-                    frontier.append(grown)
-        return sorted(found, key=lambda s: (len(s), sorted(s)))
 
     # -- queries over the memo ----------------------------------------------------
 

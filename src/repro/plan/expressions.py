@@ -6,7 +6,13 @@ relation *atoms* (alias -> relation), equality *join predicates* along
 schema-graph edges, and *selections* (the keyword-match conditions,
 e.g. ``T.name = 'plasma membrane'``).
 
-Two facilities matter for the paper's algorithms:
+Three facilities matter for the paper's algorithms:
+
+* **Hash-consing** (:class:`SPJ`): aliases are relation names in this
+  pipeline, so the sub-expressions of different queries are equal by
+  value; there is one object per distinct value, and whatever is
+  derived from it -- induced fragments, canonical keys, cardinality
+  estimates -- is derived once for every query that contains it.
 
 * **Canonicalization** (:meth:`SPJ.canonical_key`): subexpression sharing
   across conjunctive queries requires recognising that two SPJ fragments
@@ -25,7 +31,8 @@ Two facilities matter for the paper's algorithms:
 from __future__ import annotations
 
 import hashlib
-import itertools
+import threading
+import weakref
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -121,46 +128,99 @@ class JoinPred:
         return other_alias
 
 
+#: The process-wide intern table: canonical ``(atoms, joins,
+#: selections)`` -> the one live :class:`SPJ` with that value.  Weak, so
+#: an expression nobody references any more leaves the table with it.
+_INTERNED: weakref.WeakValueDictionary[tuple, SPJ] = \
+    weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
+
+
+def interned_count() -> int:
+    """How many distinct expressions are alive in this process."""
+    return len(_INTERNED)
+
+
 class SPJ:
-    """An immutable select-project-join expression.
+    """An immutable, hash-consed select-project-join expression.
 
     Instances are value objects: equality and hashing are structural
     (over atoms, joins, and selections, *not* canonicalized -- use
     :meth:`canonical_key` to compare modulo alias renaming).
+    Constructing a value that already exists returns the existing
+    object, so every per-instance memo below (``induced``, fragment
+    enumeration, adjacency, canonical renaming and key) and every table
+    keyed by expressions downstream is shared by all queries that
+    contain the expression, not rebuilt per query.
+
+    Because the object that answers is whichever was built first, its
+    behaviour must depend on its value alone: ``atoms``, ``joins`` and
+    ``selections`` are sorted tuples, so iteration order (which feeds
+    float arithmetic in the cost model and probe order in the m-join)
+    is the same whatever order the caller supplied and whatever
+    ``PYTHONHASHSEED`` is.
     """
 
-    __slots__ = ("atoms", "joins", "selections", "_hash", "__dict__")
+    __slots__ = ("atoms", "joins", "selections", "_hash", "__dict__",
+                 "__weakref__")
 
-    def __init__(self, atoms: Iterable[Atom],
-                 joins: Iterable[JoinPred] = (),
-                 selections: Iterable[Selection] = ()) -> None:
-        atoms = tuple(sorted(atoms))
-        if not atoms:
+    atoms: tuple[Atom, ...]
+    joins: tuple[JoinPred, ...]
+    selections: tuple[Selection, ...]
+    _hash: int
+
+    def __new__(cls, atoms: Iterable[Atom],
+                joins: Iterable[JoinPred] = (),
+                selections: Iterable[Selection] = ()) -> "SPJ":
+        atom_parts = tuple(sorted(atoms))
+        if not atom_parts:
             raise QueryError("an SPJ expression needs at least one atom")
-        aliases = [a.alias for a in atoms]
-        if len(set(aliases)) != len(aliases):
-            raise QueryError(f"duplicate aliases in expression: {aliases}")
+        aliases = [a.alias for a in atom_parts]
         alias_set = set(aliases)
-        joins = frozenset(joins)
-        selections = frozenset(selections)
-        for pred in joins:
+        if len(alias_set) != len(aliases):
+            raise QueryError(f"duplicate aliases in expression: {aliases}")
+        join_parts = tuple(sorted(set(joins)))
+        selection_parts = tuple(sorted(set(selections)))
+        for pred in join_parts:
             for alias in (pred.left_alias, pred.right_alias):
                 if alias not in alias_set:
                     raise QueryError(
                         f"join {pred} references unknown alias {alias!r}"
                     )
-        for sel in selections:
+        for sel in selection_parts:
             if sel.alias not in alias_set:
                 raise QueryError(
                     f"selection {sel} references unknown alias {sel.alias!r}"
                 )
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "joins", joins)
-        object.__setattr__(self, "selections", selections)
-        # SPJ objects are used as dict keys throughout the optimizer;
-        # the hash over three frozen collections is expensive enough to
-        # show up in profiles, so compute it once.
-        object.__setattr__(self, "_hash", hash((atoms, joins, selections)))
+        return cls._intern(atom_parts, join_parts, selection_parts)
+
+    @classmethod
+    def _intern(cls, atoms: tuple[Atom, ...], joins: tuple[JoinPred, ...],
+                selections: tuple[Selection, ...]) -> "SPJ":
+        """The expression with exactly these parts, which the caller
+        guarantees are already canonical: sorted, duplicate-free and
+        referencing only aliases of ``atoms``."""
+        key = (atoms, joins, selections)
+        found = _INTERNED.get(key)
+        if found is not None:
+            return found
+        with _INTERN_LOCK:
+            found = _INTERNED.get(key)
+            if found is None:
+                found = object.__new__(cls)
+                found.atoms = atoms
+                found.joins = joins
+                found.selections = selections
+                # SPJ objects are dict keys throughout the optimizer;
+                # hashing three tuples of dataclasses is expensive
+                # enough to show up in profiles, so compute it once.
+                found._hash = hash(key)
+                _INTERNED[key] = found
+        return found
+
+    def __reduce__(self) -> tuple:
+        # copy / deepcopy re-enter the intern table instead of cloning.
+        return (SPJ, (self.atoms, self.joins, self.selections))
 
     # -- basic structure ------------------------------------------------
 
@@ -182,10 +242,10 @@ class SPJ:
         return len(self.atoms)
 
     def selections_on(self, alias: str) -> tuple[Selection, ...]:
-        return tuple(sorted(s for s in self.selections if s.alias == alias))
+        return tuple(s for s in self.selections if s.alias == alias)
 
     def joins_on(self, alias: str) -> tuple[JoinPred, ...]:
-        return tuple(sorted(j for j in self.joins if j.touches(alias)))
+        return tuple(j for j in self.joins if j.touches(alias))
 
     @cached_property
     def adjacency(self) -> dict[str, tuple[str, ...]]:
@@ -215,26 +275,39 @@ class SPJ:
 
         Keeps every join and selection whose aliases all fall inside the
         subset.  Memoized per instance: the optimizer's plan search and
-        factorization induce the same fragments of the same (interned,
-        shared) expressions thousands of times per batch, and the
-        result is a pure function of the alias subset.
+        factorization induce the same fragments of the same interned
+        expressions thousands of times, and the result is a pure
+        function of the alias subset.  The memo never holds ``self``
+        (that would be a reference cycle through ``__dict__``, leaving
+        every expression to the cyclic collector), and a miss filters
+        the already sorted, already validated parts straight into the
+        intern table.
         """
         keep = frozenset(aliases)
         cache = self.__dict__.setdefault("_induced_cache", {})
         cached = cache.get(keep)
         if cached is not None:
             return cached
-        unknown = keep - set(self.aliases)
-        if unknown:
-            raise QueryError(f"cannot induce on unknown aliases {sorted(unknown)}")
-        atoms = [a for a in self.atoms if a.alias in keep]
-        joins = [j for j in self.joins
-                 if j.left_alias in keep and j.right_alias in keep]
-        selections = [s for s in self.selections if s.alias in keep]
-        result = self if keep == frozenset(self.aliases) \
-            else SPJ(atoms, joins, selections)
+        own = self._alias_set
+        if keep == own:
+            return self
+        if not keep <= own:
+            raise QueryError(
+                f"cannot induce on unknown aliases {sorted(keep - own)}")
+        if not keep:
+            raise QueryError("an SPJ expression needs at least one atom")
+        result = SPJ._intern(
+            tuple(a for a in self.atoms if a.alias in keep),
+            tuple(j for j in self.joins
+                  if j.left_alias in keep and j.right_alias in keep),
+            tuple(s for s in self.selections if s.alias in keep),
+        )
         cache[keep] = result
         return result
+
+    @cached_property
+    def _alias_set(self) -> frozenset[str]:
+        return frozenset(self.aliases)
 
     def connected_subexpressions(self, min_size: int = 1,
                                  max_size: int | None = None
@@ -244,23 +317,24 @@ class SPJ:
         Enumeration grows connected alias sets breadth-first and
         deduplicates by frozenset, so each subset is yielded exactly
         once.  ``max_size`` defaults to the full expression size.  The
-        enumerated fragment list is memoized per (min, max) window --
+        enumerated alias subsets are memoized per (min, max) window --
         the AND-OR construction re-enumerates the same interned query
-        expressions every batch.
+        expressions every batch -- and the fragments themselves live in
+        :meth:`induced`'s memo (subsets, not fragments, because the
+        full-size fragment is ``self``).
         """
         if max_size is None:
             max_size = self.size
         memo = self.__dict__.setdefault("_fragment_cache", {})
-        cached = memo.get((min_size, max_size))
-        if cached is not None:
-            yield from cached
-            return
-        fragments = list(self._enumerate_connected(min_size, max_size))
-        memo[(min_size, max_size)] = tuple(fragments)
-        yield from fragments
+        subsets = memo.get((min_size, max_size))
+        if subsets is None:
+            subsets = tuple(self._enumerate_connected(min_size, max_size))
+            memo[(min_size, max_size)] = subsets
+        for subset in subsets:
+            yield self.induced(subset)
 
-    def _enumerate_connected(self, min_size: int,
-                             max_size: int) -> Iterator["SPJ"]:
+    def _enumerate_connected(self, min_size: int, max_size: int
+                             ) -> Iterator[frozenset[str]]:
         seen: set[frozenset[str]] = set()
         frontier: list[frozenset[str]] = []
         for alias in self.aliases:
@@ -285,8 +359,7 @@ class SPJ:
             by_size[size + 1] = next_level
             size += 1
         for size in range(min_size, max_size + 1):
-            for subset in sorted(by_size.get(size, ()), key=sorted):
-                yield self.induced(subset)
+            yield from sorted(by_size.get(size, ()), key=sorted)
 
     def renamed(self, mapping: Mapping[str, str]) -> "SPJ":
         """The same expression with aliases renamed through ``mapping``.
@@ -404,9 +477,16 @@ class SPJ:
     # -- value semantics --------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, SPJ):
             return NotImplemented
-        return (self.atoms == other.atoms and self.joins == other.joins
+        # Identity is the fast path, structure stays the definition:
+        # the intern table is an economy, not part of the value, so a
+        # second copy of a value that ever got past it would cost a
+        # duplicate, never a wrong answer.
+        return (self._hash == other._hash and self.atoms == other.atoms
+                and self.joins == other.joins
                 and self.selections == other.selections)
 
     def __hash__(self) -> int:
@@ -418,7 +498,7 @@ class SPJ:
             parts.append(
                 "sel=" + ",".join(
                     f"{s.alias}.{s.attr}{s.op}{s.value!r}"
-                    for s in sorted(self.selections))
+                    for s in self.selections)
             )
         return f"SPJ({' '.join(parts)})"
 

@@ -126,6 +126,24 @@ class TestCandidateNetworks:
         uq2 = g2.generate(KeywordQuery("K", ("protein", "gene"), k=5))
         assert [cq.expr for cq in uq1.cqs] == [cq.expr for cq in uq2.cqs]
 
+    def test_memoized_trees_equal_fresh_ones(self, fig1_federation_module,
+                                             index):
+        """A generator that has served other queries (warm Steiner
+        memo and edge orders, evictions included) expands a keyword
+        set to the same networks, in the same order, as a new one."""
+        queries = [("protein", "gene"), ("protein", "plasma membrane"),
+                   ("gene", "membrane"), ("protein",)]
+        warm = CandidateNetworkGenerator(fig1_federation_module, index=index)
+        warm.MAX_STEINER_TREES = 5
+        for _round in range(2):
+            for keywords in queries:
+                fresh = CandidateNetworkGenerator(fig1_federation_module,
+                                                  index=index)
+                kq = KeywordQuery("K", keywords, k=5)
+                assert [cq.expr for cq in warm.generate(kq).cqs] \
+                    == [cq.expr for cq in fresh.generate(kq).cqs]
+        assert 0 < len(warm._steiner_memo) <= 5
+
     def test_triples_format(self, generator):
         uq = generator.generate(KeywordQuery("K", ("protein",), k=5))
         triples = uq.triples()

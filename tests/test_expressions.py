@@ -1,10 +1,17 @@
 """Tests for the SPJ expression layer, including canonicalization."""
 
+import copy
+import gc
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.config import DelayModel, ExecutionConfig
 from repro.common.errors import QueryError
+from repro.keyword.queries import KeywordQuery
 from repro.plan.expressions import (
     SPJ,
     Atom,
@@ -12,9 +19,11 @@ from repro.plan.expressions import (
     Selection,
     alias_isomorphism,
     cross_subexpression_pairs,
+    interned_count,
     make_chain,
     union_of,
 )
+from repro.service import QService, ServiceConfig
 
 
 def chain3(a="a", b="b", c="c") -> SPJ:
@@ -253,3 +262,137 @@ class TestHelpers:
         assert len(pairs) == 6
         for mine, theirs in pairs:
             assert mine.canonical_key == theirs.canonical_key
+
+
+class TestInterning:
+    """Deterministic cases; the permutation / duplication / shared
+    ``induced`` properties live in ``test_properties.py``."""
+
+    def test_equal_values_are_one_object(self):
+        sel = Selection("b", "name", "contains", "x")
+        first = SPJ(chain3().atoms, chain3().joins, [sel])
+        assert SPJ(reversed(first.atoms), first.joins[::-1] * 2,
+                   [sel, sel]) is first
+        assert first is not chain3()
+        assert first != chain3()
+
+    def test_renamed_and_union_of_intern(self):
+        expr = chain3()
+        assert expr.renamed({}) is expr
+        there = expr.renamed({"a": "p", "c": "r"})
+        assert there is chain3("p", "b", "r")
+        assert there.renamed({"p": "a", "r": "c"}) is expr
+        parts = [expr.induced({"a"}), expr.induced({"b", "c"})]
+        assert union_of(parts, [JoinPred.normalized("a", "x", "b", "x")]) \
+            is expr
+
+    def test_copies_are_the_same_object(self):
+        expr = chain3()
+        assert copy.copy(expr) is expr
+        assert copy.deepcopy([expr])[0] is expr
+
+    def test_invalid_input_leaves_no_entry(self):
+        gc.collect()
+        before = interned_count()
+        bad = [
+            lambda: SPJ([]),
+            lambda: SPJ([Atom("a", "R"), Atom("a", "S")]),
+            lambda: SPJ([Atom("a", "R")],
+                        [JoinPred.normalized("a", "x", "b", "x")]),
+            lambda: SPJ([Atom("a", "R")], [],
+                        [Selection("b", "x", "eq", 1)]),
+        ]
+        for build in bad:
+            with pytest.raises(QueryError):
+                build()
+        assert interned_count() == before
+        expr = chain3()
+        for subset in ({"nope"}, set()):
+            with pytest.raises(QueryError):
+                expr.induced(subset)
+        del expr
+        assert interned_count() == before
+
+    def test_unreferenced_expressions_die_without_the_cycle_collector(self):
+        """No memo may point back at its owner: dropping the last
+        reference must free the expression and every fragment it
+        derived by reference counting alone."""
+        gc.collect()
+        before = interned_count()
+        gc.disable()
+        try:
+            expr = chain3("u", "v", "w")
+            fragments = list(expr.connected_subexpressions())
+            assert fragments[-1] is expr
+            expr.induced(expr.aliases)
+            assert expr.canonical_key and expr.adjacency
+            assert interned_count() == before + 6
+            del expr, fragments
+            assert interned_count() == before
+        finally:
+            gc.enable()
+
+    def test_concurrent_construction_agrees(self):
+        """More threads than cores build the same values at once, none
+        kept alive by the main thread: whatever the interleaving, equal
+        values compare equal and hash equal."""
+        n_threads, n_values = 8, 150
+        barrier = threading.Barrier(n_threads)
+        built: list[list[SPJ]] = [[] for _ in range(n_threads)]
+
+        def work(slot: int) -> None:
+            barrier.wait(timeout=10)
+            for i in range(n_values):
+                built[slot].append(chain3(f"a{i}", f"b{i}", f"c{i}"))
+
+        threads = [threading.Thread(target=work, args=(slot,))
+                   for slot in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(len(row) == n_values for row in built)
+        for column in zip(*built):
+            assert all(e == column[0] for e in column)
+            assert len({hash(e) for e in column}) == 1
+            assert len(set(column)) == 1
+            assert column[0] is chain3(*column[0].aliases)
+
+
+class TestInternTableBounded:
+    """The table holds what the process still uses, nothing more."""
+
+    KEYWORDS = [("protein", "plasma membrane"), ("gene", "membrane"),
+                ("protein", "gene"), ("plasma membrane", "gene")]
+
+    def serve(self, service, tag):
+        handles = [
+            service.submit(KeywordQuery(f"{tag}{i}", keywords, k=5))
+            for i, keywords in enumerate(self.KEYWORDS)
+        ]
+        service.drain()
+        assert all(h.done for h in handles)
+
+    def test_shrinks_back_and_repeats_add_nothing(self, fig1_federation):
+        gc.collect()
+        before = interned_count()
+        service = QService(
+            fig1_federation,
+            ExecutionConfig(k=5, seed=1, batch_window=2.0,
+                            delays=DelayModel(deterministic=True)),
+            # Answer cache off: the repeat must reach the optimizer.
+            service=ServiceConfig(coalesce=False, cache_ttl=1e-9))
+        self.serve(service, "first")
+        served = interned_count()
+        assert served > before
+        self.serve(service, "again")
+        assert interned_count() == served
+        del service
+        gc.collect()
+        assert interned_count() == before

@@ -1,6 +1,8 @@
 """Tests for the optimizer stack: candidate enumeration heuristics,
 BestPlan (Algorithm 1), and the cost model."""
 
+import gc
+
 import pytest
 
 from repro.common.config import ExecutionConfig
@@ -12,7 +14,13 @@ from repro.optimizer.candidates import (
 )
 from repro.optimizer.cost import CostModel, ReuseOracle
 from repro.plan.andor import AndOrGraph
-from repro.plan.expressions import SPJ, Atom, JoinPred, Selection
+from repro.plan.expressions import (
+    SPJ,
+    Atom,
+    JoinPred,
+    Selection,
+    interned_count,
+)
 
 from tests.conftest import abc_expr, load_triple_federation, make_cq
 
@@ -192,6 +200,37 @@ class TestCostModel:
                                 {"cq0": cq}, {"cq0": ("B", "C")},
                                 oracle=Oracle())
         assert reused < fresh
+
+    def test_costing_pins_no_expression(self, fed, config):
+        """The model outlives queries (one per engine): its memo must
+        not keep the expressions of queries long gone alive."""
+        cost = CostModel(fed, config)
+        gc.collect()
+        before = interned_count()
+        for i in range(40):
+            cq = full_cq(fed, f"cq{i}", selections=(
+                Selection("A", "name", "contains", f"word{i}"),))
+            assert cost.expected_read(cq.expr.induced({"A"}), cq) > 0
+            assert cost.est_cardinality(cq.expr.induced({"A", "B"})) > 0
+        del cq
+        gc.collect()
+        assert interned_count() == before
+
+    def test_estimate_independent_of_construction_order(self, fed, config):
+        """The same value built from differently ordered parts (with
+        nothing keeping the first build alive) costs bit-identically."""
+        joins = list(abc_expr().joins)
+        selections = [Selection("A", "name", "contains", "protein"),
+                      Selection("C", "name", "eq", "x"),
+                      Selection("C", "s", "ge", 0.5)]
+        estimates = set()
+        for flip in (1, -1):
+            expr = SPJ(abc_expr().atoms[::flip], joins[::flip],
+                       selections[::flip])
+            assert expr.joins == tuple(sorted(joins))
+            estimates.add(CostModel(fed, config).est_cardinality(expr).hex())
+            del expr
+        assert len(estimates) == 1
 
 
 class TestBestPlan:

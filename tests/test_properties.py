@@ -23,7 +23,7 @@ from repro.keyword.queries import ConjunctiveQuery, UserQuery
 from repro.operators.access import AccessModule
 from repro.operators.nodes import InputUnit, MJoinNode
 from repro.operators.rankmerge import RankMerge
-from repro.plan.expressions import SPJ, Atom, JoinPred
+from repro.plan.expressions import SPJ, Atom, JoinPred, Selection, union_of
 from repro.scoring.base import MonotoneScore
 from repro.stats.metrics import Metrics
 
@@ -263,3 +263,70 @@ class TestScoreBoundProperties:
                     {"A": 0.3, "B": b_value, "C": c_value},
                 )
                 assert score.score(tup) <= bound + 1e-9
+
+
+@st.composite
+def spj_parts(draw):
+    """Atoms, joins and selections of an arbitrary small expression
+    (not necessarily connected), in the order drawn."""
+    aliases = [f"t{i}" for i in range(draw(st.integers(1, 5)))]
+    atoms = [Atom(a, draw(st.sampled_from("RST"))) for a in aliases]
+    attr = st.sampled_from("xy")
+    pairs = list(itertools.combinations(aliases, 2))
+    joins = [
+        JoinPred.normalized(a, draw(attr), b, draw(attr))
+        for a, b in (draw(st.lists(st.sampled_from(pairs), max_size=6))
+                     if pairs else [])
+    ]
+    selections = draw(st.lists(
+        st.builds(Selection, st.sampled_from(aliases), attr,
+                  st.sampled_from(["eq", "ge"]), st.integers(0, 3)),
+        max_size=4))
+    return atoms, joins, selections
+
+
+class TestInterningProperties:
+    """A hash-consed value answers for everyone who builds it, so what
+    it is may depend on its value only -- never on the order or
+    multiplicity of the parts it was built from, nor on its parent."""
+
+    @given(spj_parts(), st.randoms(use_true_random=False))
+    @settings(max_examples=120, deadline=None)
+    def test_any_arrangement_is_the_same_object(self, parts, rnd):
+        atoms, joins, selections = parts
+        first = SPJ(atoms, joins, selections)
+        rearranged = []
+        for items, may_repeat in ((atoms, False), (joins, True),
+                                  (selections, True)):
+            items = list(items)
+            if may_repeat and items:
+                items += rnd.choices(items, k=3)
+            rnd.shuffle(items)
+            rearranged.append(items)
+        again = SPJ(*rearranged)
+        assert again is first
+        assert again.joins == tuple(sorted(set(joins)))
+        assert again.selections == tuple(sorted(set(selections)))
+
+    @given(spj_parts(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_induced_is_shared_across_parents(self, parts, data):
+        atoms, joins, selections = parts
+        expr = SPJ(atoms, joins, selections)
+        anchor = data.draw(st.sampled_from(expr.aliases))
+        wider = union_of([expr, SPJ([Atom("zz", "U")])],
+                         [JoinPred.normalized(anchor, "x", "zz", "x")])
+        narrower = SPJ(atoms, joins, selections + [
+            Selection(anchor, "extra", "eq", 1)])
+        subset = frozenset(data.draw(st.sets(
+            st.sampled_from(expr.aliases), min_size=1)))
+        fragment = expr.induced(subset)
+        assert wider.induced(subset) is fragment
+        assert wider.induced(expr.aliases) is expr
+        if anchor not in subset:
+            assert narrower.induced(subset) is fragment
+        assert fragment == SPJ(
+            [a for a in atoms if a.alias in subset],
+            [j for j in joins
+             if {j.left_alias, j.right_alias} <= subset],
+            [s for s in selections if s.alias in subset])

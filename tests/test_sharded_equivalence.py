@@ -144,6 +144,14 @@ class TestShardCountInvariance:
             baselines[SharingMode.ATC_FULL]
 
 
+#: ``exact_answers`` comparisons need both runs on one virtual
+#: timeline.  The engine charges *measured* optimizer wall seconds to
+#: the virtual clock by default, so the cached run (a faster optimizer)
+#: would otherwise shift arrivals against execution and flip
+#: exact-score ties at the top-k cutoff.
+SAME_TIMELINE = {"optimizer_time_scale": 0.0}
+
+
 class TestPlanCacheInvariance:
     """The plan repository must be answer-invariant: byte-identical
     results with the cache enabled vs disabled, at every sharing mode
@@ -153,7 +161,8 @@ class TestPlanCacheInvariance:
     def test_single_engine_byte_identical(self, fed, index, load, mode):
         reports = {}
         for plan_cache in (True, False):
-            svc = QService(fed, config_for(mode, plan_cache=plan_cache),
+            svc = QService(fed, config_for(mode, plan_cache=plan_cache,
+                                           **SAME_TIMELINE),
                            index=index)
             reports[plan_cache] = svc.run(load)
         assert exact_answers(reports[True].tickets) == \
@@ -184,7 +193,8 @@ class TestPlanCacheInvariance:
         reports = {}
         for plan_cache in (True, False):
             svc = QService(
-                fed, config_for(mode, plan_cache=plan_cache),
+                fed, config_for(mode, plan_cache=plan_cache,
+                                **SAME_TIMELINE),
                 service=ServiceConfig(coalesce=False, cache_ttl=1e-9),
                 index=index)
             reports[plan_cache] = svc.run(load)
