@@ -269,10 +269,10 @@ def test_sharded_routing(benchmark, save_result, bench_shards, bench_routing):
                  "per-shard load", "spill-overs"],
     )
     for policy, report in reports.items():
-        metrics = report.merged_engine_metrics()
+        metrics = report.engine_metrics()
         table.add_row(
             policy, report.throughput,
-            report.fleet.latency_percentiles()["p95"],
+            report.telemetry.latency_percentiles()["p95"],
             report.cache_hit_rate, float(metrics.total_input_tuples),
             "/".join(str(n) for n in report.routing.routed),
             float(report.routing.spillovers),
@@ -280,7 +280,7 @@ def test_sharded_routing(benchmark, save_result, bench_shards, bench_routing):
     save_result("service_sharded", table.render())
 
     for policy, report in reports.items():
-        assert report.fleet.completed == LOAD.n_queries, policy
+        assert report.telemetry.completed == LOAD.n_queries, policy
         assert all(t.done for t in report.tickets), policy
         # Sharding must be real: more than one worker took traffic.
         if bench_shards > 1:
@@ -291,7 +291,7 @@ def test_sharded_routing(benchmark, save_result, bench_shards, bench_routing):
         # content-blind hashing: no less throughput, no more input
         # tuples for the identical answers.
         tput = {p: r.throughput for p, r in reports.items()}
-        work = {p: r.merged_engine_metrics().total_input_tuples
+        work = {p: r.engine_metrics().total_input_tuples
                 for p, r in reports.items()}
         assert tput["cluster"] >= tput["hash"]
         assert work["cluster"] <= work["hash"]

@@ -25,10 +25,11 @@ Batch quickstart::
     print(report.answers["KQ1"])
 
 Online service quickstart -- the continuously operating middleware of
-Section 2 behind the v2 client API: ``submit`` returns a streaming,
-cancellable :class:`QueryHandle`, and both the single-node
-:class:`QService` and the sharded :class:`ShardedQService` implement
-the same :class:`QueryServiceProtocol` (:mod:`repro.service`)::
+Section 2: ``submit`` returns a streaming, cancellable
+:class:`QueryHandle`, and both the single-node :class:`QService` and
+the sharded :class:`ShardedQService` implement the same
+:class:`QueryServiceProtocol` and return the same
+:class:`ServiceReport` (:mod:`repro.service`)::
 
     from repro import (
         ExecutionConfig, KeywordQuery, LoadConfig, QService, ServiceConfig,
@@ -73,8 +74,6 @@ from repro.service import (
     ServiceConfig,
     ServiceReport,
     ShardedQService,
-    ShardedReport,
-    Ticket,
     generate_abandonments,
     generate_load,
 )
@@ -100,9 +99,7 @@ __all__ = [
     "ServiceConfig",
     "ServiceReport",
     "ShardedQService",
-    "ShardedReport",
     "SharingMode",
-    "Ticket",
     "UserQuery",
     "biodb_federation",
     "figure1_federation",

@@ -432,17 +432,6 @@ class QueryStateManager:
             self.mark_state_dirty(graph.graph_id)
         return freed
 
-    def enforce_all_budgets(self) -> int:
-        """Enforce the memory budget on every graph; returns tuples freed.
-
-        The engine's ``drain`` sweeps every graph through this;
-        ``step`` enforces per *active* graph instead, which is what
-        makes eviction happen under sustained load rather than only
-        when a run finishes.
-        """
-        return sum(self.enforce_budget(graph)
-                   for graph in self.graphs.values())
-
     # -- aggregate views ---------------------------------------------------------------------
 
     def total_state_size(self) -> int:

@@ -125,12 +125,6 @@ class UserQuery:
             out.update(cq.relations)
         return frozenset(out)
 
-    @property
-    def max_bound(self) -> float:
-        if not self.cqs:
-            return float("-inf")
-        return self.cqs[0].upper_bound
-
     def triples(self) -> list[tuple[str, ConjunctiveQuery, MonotoneScore]]:
         """The batcher's input format: ``(UQ_j, CQ_i, C_i)`` triples in
         nonincreasing order of ``U(C_i)`` (Section 3)."""

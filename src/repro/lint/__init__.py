@@ -9,8 +9,7 @@ The rules (see ``repro lint --list-rules`` or
   stays versioned, pickle-free JSON over frozen dataclasses;
 * ``det-order`` -- no salted set order / ``id()`` ordering in the
   answer-affecting hot paths;
-* ``obs-guard`` / ``obs-counter-drift`` -- tracing stays free when
-  off and telemetry counters stay registry-listed.
+* ``obs-guard`` -- tracing stays free when off.
 
 Suppressions are explicit and *reasoned*::
 

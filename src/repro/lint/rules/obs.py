@@ -1,5 +1,4 @@
-"""Observability drift: tracing stays free when off, counters stay
-registry-backed.
+"""Observability drift: tracing stays free when off.
 
 * ``obs-guard``: every span-recording call on a tracer
   (``tracer.event(...)``, ``self.tracer.span_uq(...)``, ...) must sit
@@ -14,13 +13,6 @@ registry-backed.
   function, or a short-circuit ``tracer.enabled and ...``.  Dedicated
   emission helpers that are *only called* under a guard carry a
   function-scoped allow on their ``def`` line.
-
-* ``obs-counter-drift``: every ``_CounterField`` attribute of
-  ``Telemetry`` appears in ``COUNTER_FIELDS`` and vice versa.
-  ``merged`` and the wire ``state()`` iterate that tuple, so a counter
-  missing from it silently vanishes from every fleet merge and worker
-  snapshot -- the drift PR 6's audit test catches at runtime is caught
-  here at lint time.
 """
 
 from __future__ import annotations
@@ -36,8 +28,6 @@ RECORD_METHODS = frozenset({
     "start_query", "finish_query", "event", "event_uq", "span", "span_uq",
     "child", "alias", "adopt",
 })
-
-TELEMETRY_SUFFIX = "service/telemetry.py"
 
 
 def _mentions_enabled(node: ast.AST, guard_names: set[str]) -> bool:
@@ -143,59 +133,3 @@ class ObsGuard(Rule):
                     return True
         return False
 
-
-@register
-class ObsCounterDrift(Rule):
-    id = "obs-counter-drift"
-    summary = ("Telemetry._CounterField attributes and COUNTER_FIELDS "
-               "must list exactly the same counters")
-    contract = ("fleet merge/export fidelity: Telemetry.merged and the "
-                "worker wire state() iterate COUNTER_FIELDS, so a "
-                "counter missing there silently drops out of every "
-                "sharded report and process-worker snapshot")
-
-    def applies_to(self, module: LintModule) -> bool:
-        return module.path.as_posix().endswith(TELEMETRY_SUFFIX)
-
-    def check(self, module: LintModule) -> Iterable[Violation]:
-        telemetry = next(
-            (node for node in ast.walk(module.tree)
-             if isinstance(node, ast.ClassDef) and node.name == "Telemetry"),
-            None)
-        if telemetry is None:
-            yield module.violation(
-                self.id, module.tree,
-                "service/telemetry.py no longer defines class Telemetry "
-                "-- update the obs-counter-drift rule alongside the "
-                "refactor")
-            return
-        declared: dict[str, ast.AST] = {}
-        listed: dict[str, ast.AST] = {}
-        for stmt in telemetry.body:
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
-                    and isinstance(stmt.targets[0], ast.Name):
-                name = stmt.targets[0].id
-                value = stmt.value
-                if isinstance(value, ast.Call) \
-                        and isinstance(value.func, ast.Name) \
-                        and value.func.id == "_CounterField":
-                    declared[name] = stmt
-                elif name == "COUNTER_FIELDS" \
-                        and isinstance(value, (ast.Tuple, ast.List)):
-                    for elt in value.elts:
-                        if isinstance(elt, ast.Constant) \
-                                and isinstance(elt.value, str):
-                            listed[elt.value] = elt
-        for name, node in declared.items():
-            if name not in listed:
-                yield module.violation(
-                    self.id, node,
-                    f"counter {name!r} is a _CounterField but missing "
-                    f"from COUNTER_FIELDS -- it would silently vanish "
-                    f"from Telemetry.merged and the worker snapshot wire")
-        for name, node in listed.items():
-            if name not in declared:
-                yield module.violation(
-                    self.id, node,
-                    f"COUNTER_FIELDS lists {name!r} but Telemetry has "
-                    f"no matching _CounterField attribute")

@@ -1,4 +1,4 @@
-"""Execution metrics records (moved here from ``repro.stats.metrics``).
+"""Execution metrics records.
 
 One :class:`Metrics` instance accompanies each ATC (each query plan
 graph).  It accumulates exactly the quantities Section 7 reports:

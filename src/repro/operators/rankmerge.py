@@ -196,10 +196,6 @@ class RankMerge:
             self.activations += 1
         return entry
 
-    def drop_pending(self, cq_id: str) -> None:
-        self.pending = [p for p in self.pending if p.cq_id != cq_id]
-        self._recompute_pending_bound()
-
     def _recompute_pending_bound(self) -> None:
         self._pending_bound = max(
             (cq.upper_bound for cq in self.pending), default=-math.inf)

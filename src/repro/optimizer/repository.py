@@ -74,6 +74,7 @@ from repro.optimizer.factorize import (
     source_node_id,
 )
 from repro.plan.expressions import SPJ
+from repro.obs.instruments import MetricsRegistry
 from repro.obs.records import OptimizerRecord
 
 #: One cached expansion: (expr, score, matches) per conjunctive query,
@@ -266,6 +267,22 @@ class PlanRepository:
         #: (template signature, assignment) -> interaction keys, for
         #: the sharing-group partition.
         self._interaction_memo: dict[tuple, set] = {}
+
+    def publish_metrics(self, registry: MetricsRegistry) -> None:
+        """Republish the per-layer ledger as
+        ``repro_plan_repository_*`` instruments.  Called from the
+        collector of whichever service *owns* this repository (a
+        fleet-shared one is published by the front door alone);
+        absolute, hence idempotent."""
+        hits = registry.counter("repro_plan_repository_hits_total",
+                                "plan-repository lookups served, per layer")
+        misses = registry.counter(
+            "repro_plan_repository_misses_total",
+            "plan-repository lookups missed, per layer")
+        for layer in ("expansion", "template", "candidate", "plan",
+                      "fragment"):
+            hits.set(getattr(self.stats, f"{layer}_hits"), layer=layer)
+            misses.set(getattr(self.stats, f"{layer}_misses"), layer=layer)
 
     @staticmethod
     def _bounded_store(cache: dict, key, value, cap: int) -> None:

@@ -16,7 +16,6 @@ corner-bound-attaining supplier chain down to a readable input unit.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Union
 
@@ -189,14 +188,6 @@ class PlanGraph:
 
     def incomplete_rank_merges(self) -> list[RankMerge]:
         return [rm for rm in self.rank_merges.values() if not rm.complete]
-
-    def frontier_summary(self) -> dict[str, float]:
-        """Per-UQ emission frontier, for debugging and monitoring."""
-        out = {}
-        for uq_id, rm in self.rank_merges.items():
-            frontier = rm.frontier()
-            out[uq_id] = frontier if frontier != -math.inf else float("nan")
-        return out
 
     def __repr__(self) -> str:
         return (f"PlanGraph({self.graph_id!r}, units={len(self.units)}, "

@@ -1,10 +1,11 @@
 """The online serving layer: continuous admission over the Q System.
 
 This package turns the batch reproduction into the always-on middleware
-the paper describes, behind the v2 client API
+the paper describes, behind one client API
 (:mod:`~repro.service.handle`): one typed protocol,
 :class:`QueryServiceProtocol`, implemented by the single-node
-:class:`QService` and the sharded :class:`ShardedQService` alike.
+:class:`QService` and the sharded :class:`ShardedQService` alike, and
+one :class:`ServiceReport` from either.
 ``submit`` returns a live :class:`QueryHandle` whose ``results()``
 iterator streams ranked answers as the engine emits them; handles can
 be cancelled, and carry optional per-query deadlines.
@@ -16,11 +17,16 @@ telemetry (:mod:`~repro.service.telemetry`), and an open-loop
 Poisson/Zipf load generator with a client-abandonment model for
 heavy-traffic scenarios (:mod:`~repro.service.loadgen`).
 
-Scaling out, the sharded tier (:mod:`~repro.service.sharding`) runs N
-independent engine workers behind one shared answer cache, with
-pluggable shard routing (:mod:`~repro.service.routing`): round-robin,
-keyword-hash, or cluster-affinity placement that keeps queries over
-overlapping relations on the same worker.
+Three serving roles, one implementation each: :class:`QService` is the
+engine-side service (standalone, an in-process shard, or the core of a
+worker process); :class:`ShardedQService`
+(:mod:`~repro.service.sharding`) is the router in front of N of them,
+behind one shared answer cache, with pluggable shard routing
+(:mod:`~repro.service.routing`): round-robin, keyword-hash, or
+cluster-affinity placement that keeps queries over overlapping
+relations on the same worker; :class:`ProcessWorker`
+(:mod:`~repro.service.workers`) is the pipe to a shard in its own
+process.
 
 Time is pluggable (:mod:`repro.common.clock`): every service runs on a
 deterministic ``VirtualClock`` by default and on a ``WallClock`` for
@@ -49,7 +55,6 @@ from repro.service.handle import (
     QueryHandle,
     QueryServiceProtocol,
     QueryStatus,
-    Ticket,
     run_stream,
 )
 from repro.service.loadgen import (
@@ -57,11 +62,7 @@ from repro.service.loadgen import (
     generate_abandonments,
     generate_load,
 )
-from repro.service.reports import (
-    ServiceReport,
-    ServiceReportBase,
-    ShardedReport,
-)
+from repro.service.reports import ServiceReport
 from repro.service.routing import (
     ClusterAffinityRouter,
     KeywordHashRouter,
@@ -74,10 +75,7 @@ from repro.service.server import QService, ServiceConfig
 from repro.service.sharding import RoutingStats, ShardedQService
 from repro.service.telemetry import Telemetry, percentile
 from repro.service.workers import (
-    CacheBackend,
-    InprocWorker,
     ProcessWorker,
-    RepositoryBackend,
     ShardWorker,
     WorkerCrashed,
     WorkerSpec,
@@ -86,12 +84,10 @@ from repro.service.workers import (
 __all__ = [
     "AdmissionController",
     "AdmissionDecision",
-    "CacheBackend",
     "CacheStats",
     "ClusterAffinityRouter",
     "HttpQueryClient",
     "HttpServerThread",
-    "InprocWorker",
     "KeywordHashRouter",
     "LoadConfig",
     "ProcessWorker",
@@ -102,19 +98,15 @@ __all__ = [
     "QueryHandle",
     "QueryServiceProtocol",
     "QueryStatus",
-    "RepositoryBackend",
     "ResultCache",
     "RoundRobinRouter",
     "RoutingPolicy",
     "RoutingStats",
     "ServiceConfig",
     "ServiceReport",
-    "ServiceReportBase",
     "ShardWorker",
     "ShardedQService",
-    "ShardedReport",
     "Telemetry",
-    "Ticket",
     "WIRE_VERSION",
     "WorkerCrashed",
     "WorkerSpec",

@@ -22,6 +22,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.keyword.queries import RankedAnswer
+from repro.obs.instruments import MetricsRegistry
 
 #: A normalized query identity: (case-folded keyword set, k).
 CacheKey = tuple[frozenset[str], int]
@@ -169,6 +170,30 @@ class ResultCache:
             (entry.stored_at for entry in self._entries.values()),
             default=math.inf)
         return len(stale)
+
+    def publish_metrics(self, registry: MetricsRegistry) -> None:
+        """Republish the ledger as ``repro_answer_cache_*`` instruments.
+        Called from the collector of whichever service *owns* this
+        cache (a shared tier is published by the front door alone, so
+        fleet merges never double count); every publish is absolute,
+        so it is idempotent."""
+        r, cs = registry, self.stats
+        r.counter("repro_answer_cache_hits_total",
+                  "answer-cache lookups served").set(cs.hits)
+        r.counter("repro_answer_cache_misses_total",
+                  "answer-cache lookups missed").set(cs.misses)
+        r.counter("repro_answer_cache_insertions_total",
+                  "complete result sets admitted").set(cs.insertions)
+        r.counter("repro_answer_cache_evictions_total",
+                  "entries evicted under capacity pressure"
+                  ).set(cs.evictions)
+        r.counter("repro_answer_cache_expirations_total",
+                  "entries dropped past their TTL").set(cs.expirations)
+        r.counter("repro_answer_cache_overwrites_total",
+                  "entries replaced by a fresher completion"
+                  ).set(cs.overwrites)
+        r.gauge("repro_answer_cache_entries",
+                "resident answer-cache entries").set(len(self))
 
 
 class PurgeCadence:

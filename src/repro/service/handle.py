@@ -1,12 +1,10 @@
-"""The v2 client API: one streaming, cancellable query protocol.
+"""The client API: one streaming, cancellable query protocol.
 
 The Q System is *continuously operating* middleware (Section 2): ranked
 answers trickle out of the rank-merge operators while later queries are
 still arriving, and real keyword-search front ends (Mragyati's web
 gateway, Qunits' user-facing result units) deliver those answers
-incrementally and drop abandoned requests.  The v1 API was batch-shaped
--- submit, poll :meth:`step`, read a finished ``Ticket`` at ``drain`` --
-and could not express any of that.
+incrementally and drop abandoned requests.
 
 This module defines the service-facing protocol both
 :class:`~repro.service.server.QService` and
@@ -21,8 +19,6 @@ This module defines the service-facing protocol both
   :meth:`~QueryHandle.results` iterator (answers stream out as the
   rank-merge emits them, not only at harvest), :meth:`~QueryHandle.
   cancel`, and an optional per-query ``deadline``;
-* :class:`Ticket` -- the v1 name, kept for one release as a deprecated
-  alias view of :class:`QueryHandle`;
 * :func:`run_stream` -- drive one arrival stream (with an optional
   abandonment schedule) through any conforming service.
 
@@ -50,7 +46,6 @@ Terminal-state contract (see :meth:`QueryHandle.latency`):
 from __future__ import annotations
 
 import enum
-import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
@@ -63,9 +58,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class QueryStatus(str, enum.Enum):
     """Where one submitted query stands in its lifecycle.
 
-    A ``str`` subclass so v1 call sites (and tests) that compare
-    against the old string statuses -- ``handle.status == "done"`` --
-    keep working unchanged.
+    A ``str`` subclass, so comparing against the plain status strings
+    -- ``handle.status == "done"`` -- works, and a status travels over
+    the wire and into JSON as its value.
     """
 
     PENDING = "pending"
@@ -217,31 +212,11 @@ class QueryHandle:
         tracer (the zero-overhead default) or the handle is detached."""
         if self.service is None:
             return None
-        trace_of = getattr(self.service, "trace_of", None)
-        if trace_of is None:
-            return None
-        return trace_of(self)
+        return self.service.trace_of(self)
 
     def __repr__(self) -> str:
         return (f"QueryHandle({self.kq_id}, {self.status.value}"
                 f"{f' via {self.via}' if self.via else ''})")
-
-
-class Ticket(QueryHandle):
-    """Deprecated v1 alias of :class:`QueryHandle`.
-
-    Every service now returns :class:`QueryHandle`; ``Ticket`` remains
-    importable (and constructible) for one release so existing client
-    code keeps working.  ``isinstance(handle, Ticket)`` checks should
-    move to ``QueryHandle``.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        warnings.warn(
-            "Ticket is deprecated; use repro.QueryHandle (the v2 "
-            "client API) instead",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(*args, **kwargs)
 
 
 @runtime_checkable

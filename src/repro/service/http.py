@@ -60,6 +60,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import math
 import threading
 from collections.abc import Iterable, Iterator
 
@@ -163,6 +164,19 @@ def _sse_event(name: str, payload: dict, event_id: int | None = None) -> bytes:
 
 class _BadRequest(Exception):
     """Client error surfaced as a 400 with its message."""
+
+
+def _finite_number(value: object) -> bool:
+    """Whether a decoded JSON value is usable as an instant or a
+    duration.  ``true``/``false`` decode to ``bool`` (an ``int``
+    subclass) and ``json.loads`` admits ``NaN``/``Infinity``; neither
+    may reach the clock, the telemetry or a JSON reply."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an integer too large for a float
+        return False
 
 
 # -- the server --------------------------------------------------------------
@@ -371,7 +385,7 @@ class QueryServiceHTTP:
             raise _BadRequest(
                 '"keywords" must be a non-empty list of strings')
         k = payload.get("k", 10)
-        if not isinstance(k, int) or k <= 0:
+        if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
             raise _BadRequest(f'"k" must be a positive integer, got {k!r}')
         qid = payload.get("id")
         if qid is None:
@@ -388,8 +402,8 @@ class QueryServiceHTTP:
         timeout = payload.get("timeout")
         for name, value in (("arrival", arrival), ("deadline", deadline),
                             ("timeout", timeout)):
-            if value is not None and not isinstance(value, (int, float)):
-                raise _BadRequest(f'"{name}" must be a number')
+            if value is not None and not _finite_number(value):
+                raise _BadRequest(f'"{name}" must be a finite number')
         if timeout is not None:
             if deadline is not None:
                 raise _BadRequest(

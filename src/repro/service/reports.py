@@ -1,39 +1,47 @@
-"""Service reports: one report family for every serving topology.
+"""The service report: one type for every serving topology.
 
-v1 grew two near-identical report classes -- ``ServiceReport`` in the
-single-node server and ``ShardedReport`` in the fleet front door --
-with ``cache_hit_rate``, ``throughput``, and ``render`` copy-pasted
-between them.  The v2 client API unifies them: one shared base,
-:class:`ServiceReportBase`, owns everything both topologies present
-(telemetry block, answer-cache stats, engine work line, the handle
-list), and the sharded report adds an *optional routing section* on
-top.  Consumers that only need the protocol-level view can treat any
-report as a :class:`ServiceReportBase`.
+:class:`ServiceReport` is what ``drain()`` / ``report()`` return from
+the single-node :class:`~repro.service.server.QService` and the sharded
+:class:`~repro.service.sharding.ShardedQService` alike: the telemetry
+block, the answer-cache stats, the engine work line and the per-query
+handles.  A fleet report additionally carries one :class:`ServiceReport`
+per shard and the router's :class:`~repro.service.sharding.
+RoutingStats`, which add the ``fleet`` line and the per-shard trailer
+to :meth:`ServiceReport.render`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.atc.engine import EngineReport
+from repro.obs.records import Metrics
 from repro.service.handle import QueryHandle
 from repro.service.telemetry import Telemetry
-from repro.obs.records import Metrics
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.service.sharding import RoutingStats
 
 
 @dataclass
-class ServiceReportBase:
-    """What every serving run produces, whatever the topology."""
+class ServiceReport:
+    """One serving run.
+
+    For a fleet, ``telemetry`` is the merge of the front door's and
+    every shard's, ``cache_stats`` is the shared front-door cache (the
+    only cache tier whose effectiveness is meaningful fleet-wide), and
+    ``shard_reports`` / ``routing`` are set; ``admission_stats`` and
+    ``engine_report`` describe a single engine and stay per shard.
+    """
 
     telemetry: Telemetry
     cache_stats: dict[str, float]
     tickets: list[QueryHandle] = field(default_factory=list)
-
-    @property
-    def handles(self) -> list[QueryHandle]:
-        """The v2 name for the per-query receipts (``tickets`` remains
-        as the v1 alias)."""
-        return self.tickets
+    admission_stats: dict[str, float] = field(default_factory=dict)
+    engine_report: EngineReport | None = None
+    shard_reports: list[ServiceReport] = field(default_factory=list)
+    routing: RoutingStats | None = None
 
     @property
     def cache_hit_rate(self) -> float:
@@ -44,103 +52,46 @@ class ServiceReportBase:
         return self.telemetry.throughput()
 
     def engine_metrics(self) -> Metrics:
-        """Execution-work counters over every engine this report spans
-        (subclasses say which engines those are)."""
-        raise NotImplementedError
-
-    def routing_lines(self) -> list[str]:
-        """The optional routing section (empty for single-node runs)."""
-        return []
-
-    def detail_lines(self) -> list[str]:
-        """Optional per-worker trailer (empty for single-node runs)."""
-        return []
-
-    def render(self) -> str:
-        metrics = self.engine_metrics()
-        lines = [
-            self.telemetry.render(cache_hit_rate=self.cache_hit_rate),
-            *self.routing_lines(),
-            f"engine    : {metrics.stream_tuples_read} stream reads + "
-            f"{metrics.probes_performed} probes "
-            f"({metrics.probe_cache_hits} probe-cache hits, "
-            f"{metrics.evictions} evictions)",
-            *self.detail_lines(),
-        ]
-        return "\n".join(lines)
-
-
-@dataclass
-class ServiceReport(ServiceReportBase):
-    """One single-node serving run."""
-
-    admission_stats: dict[str, float] = field(default_factory=dict)
-    engine_report: EngineReport | None = None
-
-    def engine_metrics(self) -> Metrics:
+        """Execution-work counters over every engine this report spans:
+        its own engine's, or the sum across shards (the shared-work
+        gauge: fewer input tuples for the same answers means more
+        sharing)."""
+        if self.shard_reports:
+            merged = Metrics()
+            for report in self.shard_reports:
+                merged.merge_from(report.engine_metrics())
+            return merged
         if self.engine_report is None:
             return Metrics()
         return self.engine_report.metrics
 
-
-@dataclass
-class ShardedReport(ServiceReportBase):
-    """One fleet run: the aggregate view plus per-shard reports and
-    the routing section.
-
-    The answer cache is a single shared tier, so each shard report's
-    ``cache_stats`` is the same fleet-wide snapshot (also exposed here
-    as :attr:`cache_stats`); per-shard cache effectiveness is not a
-    meaningful quantity in this architecture.
-    """
-
-    shard_reports: list[ServiceReport] = field(default_factory=list)
-    routing: "RoutingStats | None" = None
-
-    @property
-    def fleet(self) -> Telemetry:
-        """The fleet-wide telemetry (v1 name for :attr:`telemetry`)."""
-        return self.telemetry
-
-    def merged_engine_metrics(self) -> Metrics:
-        """Execution-work counters summed across every shard's engine
-        (the bench's shared-work gauge: fewer input tuples for the same
-        answers means more sharing)."""
-        merged = Metrics()
-        for report in self.shard_reports:
-            merged.merge_from(report.engine_metrics())
-        return merged
-
-    def engine_metrics(self) -> Metrics:
-        return self.merged_engine_metrics()
-
-    def routing_lines(self) -> list[str]:
-        if self.routing is None:
-            return []
-        return [
-            f"fleet     : {len(self.shard_reports)} shards "
-            f"({self.routing.policy} routing), per-shard load "
-            f"{self.routing.routed}, "
-            f"{self.routing.spillovers} spill-overs, "
-            f"{self.routing.front_cache_hits} front-door cache hits",
-        ]
-
-    def detail_lines(self) -> list[str]:
-        lines = []
+    def render(self) -> str:
+        metrics = self.engine_metrics()
+        lines = [self.telemetry.render(cache_hit_rate=self.cache_hit_rate)]
+        if self.routing is not None:
+            lines.append(
+                f"fleet     : {len(self.shard_reports)} shards "
+                f"({self.routing.policy} routing), per-shard load "
+                f"{self.routing.routed}, "
+                f"{self.routing.spillovers} spill-overs, "
+                f"{self.routing.front_cache_hits} front-door cache hits")
+        lines.append(
+            f"engine    : {metrics.stream_tuples_read} stream reads + "
+            f"{metrics.probes_performed} probes "
+            f"({metrics.probe_cache_hits} probe-cache hits, "
+            f"{metrics.evictions} evictions)")
         for i, report in enumerate(self.shard_reports):
             tel = report.telemetry
-            extras = []
-            for label, count in (("coalesced", tel.coalesced),
-                                 ("cache", tel.served_from_cache),
-                                 ("deferred", tel.deferred),
-                                 ("cancelled", tel.cancelled),
-                                 ("expired", tel.expired),
-                                 ("rejected", tel.rejected)):
-                if count:
-                    extras.append(f"{count} {label}")
+            extras = [f"{count} {label}" for label, count in (
+                ("coalesced", tel.coalesced),
+                ("cache", tel.served_from_cache),
+                ("deferred", tel.deferred),
+                ("cancelled", tel.cancelled),
+                ("expired", tel.expired),
+                ("rejected", tel.rejected)) if count]
             trailer = f" ({', '.join(extras)})" if extras else ""
             lines.append(
                 f"  shard {i}: {tel.completed}/{tel.submitted} served, "
                 f"{report.engine_metrics().total_input_tuples} "
                 f"input tuples{trailer}")
-        return lines
+        return "\n".join(lines)

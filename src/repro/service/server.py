@@ -73,12 +73,7 @@ from repro.service.cache import (
     ResultCache,
     normalize_key,
 )
-from repro.service.handle import (
-    QueryHandle,
-    QueryStatus,
-    Ticket,
-    run_stream,
-)
+from repro.service.handle import QueryHandle, QueryStatus, run_stream
 from repro.service.reports import ServiceReport
 from repro.service.telemetry import Telemetry
 
@@ -88,7 +83,7 @@ __all__ = [
     "ServiceReport",
     "QueryHandle",
     "QueryStatus",
-    "Ticket",
+    "finish_done",
 ]
 
 
@@ -111,9 +106,60 @@ class ServiceConfig:
     default_deadline: float | None = None
 
 
+def _ttfa_of(handle: QueryHandle, answers: list,
+             first_emitted: float | None) -> float | None:
+    """Arrival-to-first-answer for one resolved handle (``None`` when
+    it never received any answer)."""
+    if not answers:
+        return None
+    if first_emitted is not None:
+        return max(first_emitted - handle.arrival, 0.0)
+    if handle.completed_at is not None:
+        return max(handle.completed_at - handle.arrival, 0.0)
+    return None
+
+
+def finish_done(handle: QueryHandle, at: float, answers: list, source: str,
+                telemetry: Telemetry, tracer, *,
+                first_emitted: float | None = None,
+                reason: str = "") -> None:
+    """Resolve ``handle`` as ``DONE`` at ``at``: the one place a full
+    answer is served, whatever produced it.  ``source`` says what did
+    -- ``cache``, ``empty`` (no candidate network; ``reason`` says
+    why), ``engine``, or ``coalesced`` (released with its leader) --
+    and becomes the handle's ``via`` unless admission already set one
+    (a promoted follower leads an engine execution but stays
+    ``coalesced``)."""
+    handle.status = QueryStatus.DONE
+    handle.via = handle.via or source
+    handle.answers = answers
+    handle.completed_at = at
+    if reason:
+        handle.reason = reason
+    telemetry.record_completion(
+        at, max(at - handle.arrival, 0.0),
+        ttfa=_ttfa_of(handle, answers, first_emitted))
+    if tracer.enabled:
+        if answers and first_emitted is not None:
+            tracer.event(handle.kq_id, "first_emission",
+                         max(first_emitted, handle.arrival),
+                         answers_so_far=1)
+        tracer.event(handle.kq_id, "harvest", at,
+                     answers=len(answers), source=source)
+        tracer.finish_query(handle.kq_id, at, "done", via=handle.via,
+                            **({"reason": reason} if reason else {}))
+
+
 class QService:
     """Continuous-admission facade over the Q System engine,
-    implementing :class:`~repro.service.handle.QueryServiceProtocol`."""
+    implementing :class:`~repro.service.handle.QueryServiceProtocol`
+    for clients and :class:`~repro.service.workers.ShardWorker` for the
+    sharded front door, which drives it directly as an in-process
+    shard; a worker process runs one too."""
+
+    #: The :class:`~repro.service.workers.ShardWorker` crash surface:
+    #: an in-process shard cannot die independently of its front door.
+    alive = True
 
     def __init__(self, federation: Federation, config: ExecutionConfig,
                  service: ServiceConfig | None = None,
@@ -278,18 +324,9 @@ class QService:
                 # The serve is real even though the poll was silent;
                 # count the hit itself.
                 self.cache.get(key, now=at)
-            handle.status = QueryStatus.DONE
-            handle.via = "cache"
-            handle.answers = list(cached)
-            handle.completed_at = at
-            latency = max(at - handle.arrival, 0.0)
             self.telemetry.record_cache_hit()
-            self.telemetry.record_completion(
-                at, latency, ttfa=latency if cached else None)
-            if tr.enabled:
-                tr.event(handle.kq_id, "harvest", at,
-                         answers=len(handle.answers), source="cache")
-                tr.finish_query(handle.kq_id, at, "done", via="cache")
+            finish_done(handle, at, list(cached), "cache",
+                        self.telemetry, tr)
             return True
         if self.service_config.coalesce and key in self._inflight_keys:
             leader_uq = self._inflight_keys[key]
@@ -339,18 +376,9 @@ class QService:
     def _finish_empty(self, handle: QueryHandle, at: float,
                       reason: str) -> None:
         """Serve a query no candidate network can answer: empty top-k."""
-        handle.status = QueryStatus.DONE
-        handle.via = "empty"
-        handle.answers = []
-        handle.completed_at = at
-        handle.reason = reason
         self.telemetry.record_no_results()
-        self.telemetry.record_completion(at, 0.0)
-        if self.tracer.enabled:
-            self.tracer.event(handle.kq_id, "harvest", at,
-                              answers=0, source="empty")
-            self.tracer.finish_query(handle.kq_id, at, "done",
-                                     via="empty", reason=reason)
+        finish_done(handle, at, [], "empty", self.telemetry, self.tracer,
+                    reason=reason)
 
     def _watch(self, handle: QueryHandle) -> None:
         if handle.deadline is not None:
@@ -397,11 +425,38 @@ class QService:
         self.clock.advance_to(until)
         self.engine.step(until)
         self._harvest()
+        self._groom()
+        self._retry_deferred(until)
+
+    def _groom(self) -> None:
+        """After any progress: enforce the deadlines only the service
+        watches (followers, promoted leaders) and keep an owned
+        cache's grooming cadence live."""
         if self._timed:
             self._sweep_deadlines()
         if self._owns_cache:
             self._cadence.fire(self._now)
-        self._retry_deferred(until)
+
+    # -- the ShardWorker face ---------------------------------------------------
+    # Split-phase step/drain with all the work in the start phase, so a
+    # fleet of in-process shards runs in sequential order, bit-for-bit.
+    # They *call* step/drain (never alias them): a class-level patch of
+    # ``step`` -- the e2e benchmark's tracer -- must see these too.
+
+    def start_step(self, until: float) -> None:
+        self.step(until)
+
+    def finish_step(self) -> None:
+        pass
+
+    def start_drain(self) -> None:
+        self.drain()
+
+    def finish_drain(self) -> None:
+        pass
+
+    def registry_view(self) -> MetricsRegistry:
+        return self.registry
 
     def drain(self) -> ServiceReport:
         """Finish every admitted query (deferred ones included) and
@@ -412,10 +467,7 @@ class QService:
             self.engine.drain()
             self._harvest()
             self.clock.advance_to(self.engine.virtual_now())
-            if self._timed:
-                self._sweep_deadlines()
-            if self._owns_cache:
-                self._cadence.fire(self._now)
+            self._groom()
             if not self._deferred:
                 break
             self._retry_deferred(self._now)
@@ -500,16 +552,11 @@ class QService:
         progressed = self.engine.drive_query(uq_id)
         self._harvest()
         # Streaming pulls virtual time forward just as stepping does:
-        # catch the service clock up, enforce the deadlines only the
-        # service watches (followers, promoted leaders), and keep the
-        # grooming cadence live, so a consumer who only ever pumps
-        # cannot outlive its deadline -- and cannot starve the cache
-        # sweep.
+        # catch the service clock up and groom, so a consumer who only
+        # ever pumps cannot outlive its deadline -- and cannot starve
+        # the cache sweep.
         self.clock.advance_to(self.engine.virtual_now())
-        if self._timed:
-            self._sweep_deadlines()
-        if self._owns_cache:
-            self._cadence.fire(self._now)
+        self._groom()
         return progressed or handle.terminal \
             or len(self.answers_so_far(handle)) > before
 
@@ -628,18 +675,6 @@ class QService:
             return None
         return max(deadlines)
 
-    def _ttfa_of(self, handle: QueryHandle, answers: list,
-                 first_emitted: float | None) -> float | None:
-        """Arrival-to-first-answer for one resolved handle (``None``
-        when it never received any answer)."""
-        if not answers:
-            return None
-        if first_emitted is not None:
-            return max(first_emitted - handle.arrival, 0.0)
-        if handle.completed_at is not None:
-            return max(handle.completed_at - handle.arrival, 0.0)
-        return None
-
     def _finish_terminated(self, handle: QueryHandle, how: str, at: float,
                            answers: list,
                            first_emitted: float | None) -> None:
@@ -657,7 +692,7 @@ class QService:
             handle.reason = f"deadline {handle.deadline:g} expired"
         else:
             handle.reason = "deadline expired"
-        ttfa = self._ttfa_of(handle, answers, first_emitted)
+        ttfa = _ttfa_of(handle, answers, first_emitted)
         if how == "expired":
             self.telemetry.record_expiry(at, ttfa)
         else:
@@ -710,43 +745,17 @@ class QService:
                 else graph.clock.now
             answers = list(rm.answers)
             del self._live[uq_id]
-            handle.status = QueryStatus.DONE
-            handle.answers = answers
-            handle.completed_at = completed_at
-            self.telemetry.record_completion(
-                completed_at, max(completed_at - handle.arrival, 0.0),
-                ttfa=self._ttfa_of(handle, answers, rm.first_emitted_at))
-            tr = self.tracer
-            if tr.enabled:
-                if answers and rm.first_emitted_at is not None:
-                    tr.event(handle.kq_id, "first_emission",
-                             max(rm.first_emitted_at, handle.arrival),
-                             answers_so_far=1)
-                tr.event(handle.kq_id, "harvest", completed_at,
-                         answers=len(answers), source="engine")
-                tr.finish_query(handle.kq_id, completed_at, "done",
-                                via=handle.via or "engine")
+            finish_done(handle, completed_at, answers, "engine",
+                        self.telemetry, self.tracer,
+                        first_emitted=rm.first_emitted_at)
             key = normalize_key(handle.keywords, handle.k)
             self.cache.put(key, answers, now=completed_at)
             if self._inflight_keys.get(key) == uq_id:
                 del self._inflight_keys[key]
             for follower in self._followers.pop(key, []):
-                follower.status = QueryStatus.DONE
-                follower.answers = list(answers)
-                follower.completed_at = completed_at
-                self.telemetry.record_completion(
-                    completed_at,
-                    max(completed_at - follower.arrival, 0.0),
-                    ttfa=self._ttfa_of(follower, answers, rm.first_emitted_at))
-                if tr.enabled:
-                    if answers and rm.first_emitted_at is not None:
-                        tr.event(follower.kq_id, "first_emission",
-                                 max(rm.first_emitted_at, follower.arrival),
-                                 answers_so_far=1)
-                    tr.event(follower.kq_id, "harvest", completed_at,
-                             answers=len(answers), source="coalesced")
-                    tr.finish_query(follower.kq_id, completed_at, "done",
-                                    via="coalesced")
+                finish_done(follower, completed_at, list(answers),
+                            "coalesced", self.telemetry, self.tracer,
+                            first_emitted=rm.first_emitted_at)
 
     def _sweep_deadlines(self) -> None:
         """Expire watched handles whose deadline has passed.  The
@@ -856,34 +865,9 @@ class QService:
                   "batches handed to the optimizer"
                   ).set(batcher.batches_closed)
         if self._owns_cache:
-            cs = self.cache.stats
-            r.counter("repro_answer_cache_hits_total",
-                      "answer-cache lookups served").set(cs.hits)
-            r.counter("repro_answer_cache_misses_total",
-                      "answer-cache lookups missed").set(cs.misses)
-            r.counter("repro_answer_cache_insertions_total",
-                      "complete result sets admitted").set(cs.insertions)
-            r.counter("repro_answer_cache_evictions_total",
-                      "entries evicted under capacity pressure"
-                      ).set(cs.evictions)
-            r.counter("repro_answer_cache_expirations_total",
-                      "entries dropped past their TTL").set(cs.expirations)
-            r.counter("repro_answer_cache_overwrites_total",
-                      "entries replaced by a fresher completion"
-                      ).set(cs.overwrites)
-            r.gauge("repro_answer_cache_entries",
-                    "resident answer-cache entries").set(len(self.cache))
+            self.cache.publish_metrics(r)
         if self._owns_repository:
-            stats = self.engine.repository.stats
-            layers = ("expansion", "template", "candidate", "plan",
-                      "fragment")
-            hits = r.counter("repro_plan_repository_hits_total",
-                             "plan-repository lookups served, per layer")
-            misses = r.counter("repro_plan_repository_misses_total",
-                               "plan-repository lookups missed, per layer")
-            for layer in layers:
-                hits.set(getattr(stats, f"{layer}_hits"), layer=layer)
-                misses.set(getattr(stats, f"{layer}_misses"), layer=layer)
+            self.engine.repository.publish_metrics(r)
         metrics = self.engine.report().metrics
         mode = self.engine.config.mode.value
         r.counter("repro_engine_stream_tuples_read_total",

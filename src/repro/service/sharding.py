@@ -1,14 +1,14 @@
 """The sharded serving tier: N independent engine workers, one router.
 
 A single :class:`~repro.service.server.QService` is one memory arena
-and one set of plan-graph clocks; the ROADMAP's "heavy traffic" target
-needs a *fleet*.  :class:`ShardedQService` runs ``n_shards`` fully
-independent workers (each its own :class:`~repro.atc.engine.
-QSystemEngine`, admission controller, and telemetry) behind a single
-front door, and speaks the same v2 client protocol
-(:class:`~repro.service.handle.QueryServiceProtocol`) as the
-single-node service -- handles, streaming results, cancellation, and
-deadlines all behave identically whichever topology serves the query:
+and one set of plan-graph clocks; heavy traffic needs a *fleet*.
+:class:`ShardedQService` is the router in front of ``n_shards`` fully
+independent shards (each its own :class:`~repro.atc.engine.
+QSystemEngine`, admission controller, and telemetry), and speaks the
+same client protocol (:class:`~repro.service.handle.
+QueryServiceProtocol`) as the single-node service -- handles,
+streaming results, cancellation, and deadlines all behave identically
+whichever topology serves the query:
 
 1. the **shared answer cache** sits in front of the router: a repeat of
    any query already answered by *any* shard is served at the front
@@ -37,21 +37,20 @@ clocks are mutually consistent by construction and the shared cache's
 TTL is meaningful fleet-wide.  Streaming one shard's handle (which
 pulls that worker's time forward) moves the *fleet* clock, so a
 deadline sweep at the front door can never observe an instant some
-worker's own clock has not reached -- the pre-PR-7 per-worker ``_now``
-copies could disagree after a pump, letting the same arrival clamp to
-different instants depending on routing.
+worker's own clock has not reached.
 
-Workers come in two transports behind one interface
-(:class:`~repro.service.workers.ShardWorker`): the default
-``workers="inproc"`` keeps every shard in this thread (the
-differential oracle -- byte-identical to the pre-transport service),
-while ``workers="process"`` runs each shard in its own OS process
-behind the serializable message protocol of
-:mod:`repro.service.protocol` -- true hardware parallelism, crash
-isolation (a dead worker fails its queries as ``FAILED``, is
-respawned warm, and traffic reroutes meanwhile), with the front door
-keeping the authoritative answer cache and mirroring completions to
-the sibling workers' local caches.
+Each shard is a :class:`~repro.service.workers.ShardWorker`, of one
+of two kinds.  With the default ``workers="inproc"`` the shards are
+:class:`~repro.service.server.QService` objects in this thread,
+sharing the fleet's clock, cache, plan repository and tracer (the
+differential oracle: deterministic, sequential).  With
+``workers="process"`` each is a :class:`~repro.service.workers.
+ProcessWorker`: a ``QService`` in its own OS process behind the
+serializable message protocol of :mod:`repro.service.protocol` -- true
+hardware parallelism, crash isolation (a dead worker fails its queries
+as ``FAILED``, is respawned warm, and traffic reroutes meanwhile),
+with the front door keeping the authoritative answer cache and
+mirroring completions to the sibling workers' local caches.
 
 Typical use::
 
@@ -72,6 +71,7 @@ Typical use::
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, replace
 
 from repro.common.clock import Clock, VirtualClock
@@ -86,13 +86,11 @@ from repro.obs.trace import NO_TRACER, QueryTrace, Span
 from repro.optimizer.repository import PlanRepository
 from repro.service.cache import PurgeCadence, ResultCache, normalize_key
 from repro.service.handle import QueryHandle, QueryStatus, run_stream
-from repro.service.reports import ServiceReport, ShardedReport
+from repro.service.reports import ServiceReport
 from repro.service.routing import RoutingPolicy, make_router
-from repro.service.server import QService, ServiceConfig
+from repro.service.server import QService, ServiceConfig, finish_done
 from repro.service.telemetry import Telemetry
 from repro.service.workers import (
-    CacheBackend,
-    InprocWorker,
     ProcessWorker,
     ShardWorker,
     WorkerCrashed,
@@ -105,7 +103,6 @@ from repro.service.workers import (
 __all__ = [
     "RoutingStats",
     "ShardedQService",
-    "ShardedReport",
 ]
 
 
@@ -134,15 +131,15 @@ class RoutingStats:
 
 
 class ShardedQService:
-    """Front door over ``n_shards`` independent :class:`QService`
-    workers with pluggable shard routing, implementing
+    """Front door over ``n_shards`` independent shards (each a
+    :class:`~repro.service.workers.ShardWorker`) with pluggable shard
+    routing, implementing
     :class:`~repro.service.handle.QueryServiceProtocol`."""
 
     def __init__(self, federation: Federation, config: ExecutionConfig,
                  n_shards: int = 2,
                  routing: str | RoutingPolicy = "cluster",
                  service: ServiceConfig | None = None,
-                 spill_over: bool = True,
                  generator: CandidateNetworkGenerator | None = None,
                  index: InvertedIndex | None = None,
                  registry: MetricsRegistry | None = None,
@@ -150,21 +147,18 @@ class ShardedQService:
                  clock: Clock | None = None,
                  workers: str = "inproc",
                  worker_spec: WorkerSpec | None = None,
-                 restart_workers: bool = True,
-                 start_method: str = "spawn") -> None:
+                 restart_workers: bool = True) -> None:
         if n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
         if workers not in ("inproc", "process"):
             raise ValueError(
                 f"workers must be 'inproc' or 'process', got {workers!r}")
         self.n_shards = n_shards
-        self.worker_transport = workers
         #: One clock for the whole fleet (see the module docstring):
         #: front door and every worker read -- and advance -- the same
         #: instance, so "now" is a fleet-wide fact.
         self.clock: Clock = clock if clock is not None else VirtualClock()
         self.service_config = service or ServiceConfig()
-        self.spill_over = spill_over
         #: One tracer for the whole fleet: the front door opens each
         #: query's trace and the owning worker joins it, so a routed
         #: query gets a single span tree spanning both tiers.
@@ -186,10 +180,9 @@ class ShardedQService:
         self.generator = generator or CandidateNetworkGenerator(
             federation, index=self.index, max_cqs=config.max_cqs_per_uq,
             repository=self.repository)
-        #: The authoritative answer cache (a :class:`~repro.service.
-        #: workers.CacheBackend`): consulted at the front door before
-        #: routing, written on every engine completion anywhere.
-        self.cache: CacheBackend = ResultCache(
+        #: The authoritative answer cache: consulted at the front door
+        #: before routing, written on every engine completion anywhere.
+        self.cache: ResultCache = ResultCache(
             ttl=self.service_config.cache_ttl,
             capacity=self.service_config.cache_capacity)
         self.router = make_router(
@@ -226,17 +219,15 @@ class ShardedQService:
                               service_ref=self,
                               on_completion=self._on_worker_completion,
                               warm_templates=self._warm_templates,
-                              restart=restart_workers,
-                              start_method=start_method)
+                              restart=restart_workers)
                 for i in range(n_shards)
             ]
         else:
             self.workers = [
-                InprocWorker(QService(
-                    federation, config, service=self.service_config,
-                    generator=self.generator, index=self.index,
-                    cache=self.cache, repository=self.repository,
-                    tracer=self.tracer, clock=self.clock))
+                QService(federation, config, service=self.service_config,
+                         generator=self.generator, index=self.index,
+                         cache=self.cache, repository=self.repository,
+                         tracer=self.tracer, clock=self.clock)
                 for _ in range(n_shards)
             ]
         self.registry.add_collector(self._publish_metrics)
@@ -357,19 +348,11 @@ class ShardedQService:
         front door's telemetry bookkeeping (zero latency -- the query
         never waited on any engine)."""
         handle = QueryHandle(kq_id=kq.kq_id, keywords=tuple(kq.keywords),
-                             k=kq.k, arrival=at, status=QueryStatus.DONE,
-                             via=via, answers=answers, completed_at=at,
-                             reason=reason, service=self)
+                             k=kq.k, arrival=at, service=self)
         self.tickets.append(handle)
         self.telemetry.record_arrival(at)
-        self.telemetry.record_completion(
-            at, 0.0, ttfa=0.0 if answers else None)
-        if self.tracer.enabled:
-            self.tracer.event(kq.kq_id, "harvest", at,
-                              answers=len(answers), source=via)
-            self.tracer.finish_query(
-                kq.kq_id, at, "done", via=via,
-                **({"reason": reason} if reason else {}))
+        finish_done(handle, at, answers, via, self.telemetry, self.tracer,
+                    reason=reason)
         return handle
 
     def _submit_to(self, shard: int, kq: KeywordQuery, at: float,
@@ -381,29 +364,34 @@ class ShardedQService:
         tried: set[int] = set()
         for _attempt in range(self.n_shards + 1):
             try:
-                handle = self.workers[shard].submit(kq, at,
-                                                    deadline=deadline, uq=uq)
+                handle = self.workers[shard].submit(
+                    kq, at, deadline=deadline, uq=uq, check_cache=False)
             except WorkerCrashed:
                 tried.add(shard)
-                candidates = [i for i in range(self.n_shards)
-                              if i not in tried and self.workers[i].alive]
-                if not candidates:
+                fallback = self._least_loaded(exclude=tried)
+                if fallback is None:
                     # Every shard crashed under this one query; a
                     # respawned worker (``alive`` again) gets one last
-                    # chance below, otherwise give up.
-                    candidates = [i for i in range(self.n_shards)
-                                  if self.workers[i].alive]
-                    if not candidates:
+                    # chance, otherwise give up.
+                    fallback = self._least_loaded()
+                    if fallback is None:
                         raise
                 self.routing_stats.crash_reroutes += 1
-                shard = min(candidates,
-                            key=lambda i:
-                            (self.workers[i].in_flight_count, i))
+                shard = fallback
                 continue
             handle.shard = shard
             return handle
         raise WorkerCrashed(
             f"submit of {kq.kq_id} crashed every worker it reached")
+
+    def _least_loaded(self, exclude: Collection[int] = ()) -> int | None:
+        """The live shard with the fewest queries in flight (lowest
+        index on ties), skipping ``exclude``; ``None`` when none is
+        alive."""
+        return min((i for i in range(self.n_shards)
+                    if i not in exclude and self.workers[i].alive),
+                   key=lambda i: (self.workers[i].in_flight_count, i),
+                   default=None)
 
     def _reroute_dead(self, shard: int) -> int:
         """Routing is crash-aware: a policy pick landing on a dead
@@ -411,13 +399,11 @@ class ShardedQService:
         least-loaded surviving shard."""
         if self.workers[shard].alive:
             return shard
-        candidates = [i for i in range(self.n_shards)
-                      if self.workers[i].alive]
-        if not candidates:
+        fallback = self._least_loaded()
+        if fallback is None:
             raise WorkerCrashed("every shard's worker is dead")
         self.routing_stats.crash_reroutes += 1
-        return min(candidates,
-                   key=lambda i: (self.workers[i].in_flight_count, i))
+        return fallback
 
     def _spill(self, shard: int) -> int:
         """Shard-aware admission: prefer the routed shard, but when its
@@ -426,16 +412,11 @@ class ShardedQService:
         shard unchanged when the whole fleet is saturated -- that
         worker's own policy then rejects or defers."""
         budget = self.service_config.max_in_flight
-        if not self.spill_over or budget is None:
+        if budget is None or self.workers[shard].in_flight_count < budget:
             return shard
-        if self.workers[shard].in_flight_count < budget:
-            return shard
-        alive = [i for i in range(self.n_shards) if self.workers[i].alive]
-        if not alive:
-            return shard
-        best = min(alive,
-                   key=lambda i: (self.workers[i].in_flight_count, i))
-        if best != shard and self.workers[best].in_flight_count < budget:
+        best = self._least_loaded()
+        if best is not None and best != shard \
+                and self.workers[best].in_flight_count < budget:
             self.routing_stats.spillovers += 1
             return best
         return shard
@@ -476,24 +457,7 @@ class ShardedQService:
         immediately, and the front door grooms that cache on its
         quarter-TTL cadence."""
         self.clock.advance_to(until)
-        now = self._now
-        # Split-phase broadcast: start every shard's step, then collect
-        # every shard's completion -- process workers genuinely overlap
-        # here, in-process workers do all the work in the start phase
-        # (preserving the sequential oracle's order bit-for-bit).  A
-        # worker crashing mid-step fails its own queries and is skipped;
-        # the surviving shards' steps complete normally.
-        for worker in self.workers:
-            if worker.alive:
-                try:
-                    worker.start_step(now)
-                except WorkerCrashed:
-                    pass
-        for worker in self.workers:
-            try:
-                worker.finish_step()
-            except WorkerCrashed:
-                pass
+        self._broadcast("step", self._now)
         self._cadence.fire(self._now)
         # Keep the in-flight registry proportional to what is actually
         # in flight: resolved leaders are pruned lazily on same-key
@@ -512,7 +476,7 @@ class ShardedQService:
                     is not None)
             }
 
-    def drain(self) -> ShardedReport:
+    def drain(self) -> ServiceReport:
         """Finish every admitted query on every shard and return the
         fleet report.  Shards drain in order, so a shard's completions
         populate the shared cache before later shards retry their
@@ -524,27 +488,35 @@ class ShardedQService:
         overlap (start all, then collect all) -- this is where the
         wall-clock scaling lives, since drain does the bulk of the
         engine work under saturation."""
+        self._broadcast("drain")
+        self._cadence.fire(self._now)
+        return self.report()
+
+    def _broadcast(self, verb: str, *args: float) -> None:
+        """Split-phase fan-out of ``step`` or ``drain``: start every
+        live shard, then collect every shard -- process workers
+        genuinely overlap here, in-process shards do all the work in
+        the start phase (sequentially, in shard order).  A worker
+        crashing mid-phase fails its own queries and is skipped; the
+        surviving shards complete normally."""
+        start, finish = f"start_{verb}", f"finish_{verb}"
         for worker in self.workers:
             if worker.alive:
                 try:
-                    worker.start_drain()
+                    getattr(worker, start)(*args)
                 except WorkerCrashed:
                     pass
         for worker in self.workers:
             try:
-                worker.finish_drain()
+                getattr(worker, finish)()
             except WorkerCrashed:
                 pass
-        self._cadence.fire(self._now)
-        return self.report()
 
-    def report(self) -> ShardedReport:
-        shard_reports: list[ServiceReport] = [
-            worker.report() for worker in self.workers]
-        fleet = Telemetry.merged(
-            [self.telemetry] + [r.telemetry for r in shard_reports])
-        return ShardedReport(
-            telemetry=fleet,
+    def report(self) -> ServiceReport:
+        shard_reports = [worker.report() for worker in self.workers]
+        return ServiceReport(
+            telemetry=Telemetry.merged(
+                [self.telemetry] + [r.telemetry for r in shard_reports]),
             cache_stats=self.cache.stats.snapshot(),
             tickets=list(self.tickets),
             shard_reports=shard_reports,
@@ -552,7 +524,7 @@ class ShardedQService:
         )
 
     def run(self, load: list[KeywordQuery],
-            cancellations: dict[str, float] | None = None) -> ShardedReport:
+            cancellations: dict[str, float] | None = None) -> ServiceReport:
         """Serve one open-loop arrival stream end to end (optionally
         with a client-abandonment schedule; see
         :func:`repro.service.handle.run_stream`)."""
@@ -574,17 +546,17 @@ class ShardedQService:
     def trace_of(self, handle: QueryHandle) -> QueryTrace | None:
         """The handle's span tree (``None`` when tracing is off).
 
-        In-process workers join the fleet's shared tracer, so the
+        In-process shards join the fleet's shared tracer, so the
         front-door trace already holds the worker spans.  A process
         worker records its spans in its own tracer; they are fetched
         on demand and merged under a fresh copy of the front-door
         root, leaving both recorders untouched."""
         front = self.tracer.trace(handle.kq_id)
-        if (self.worker_transport != "process" or handle.shard is None
-                or not self.tracer.enabled):
+        worker = None if handle.shard is None \
+            else self.workers[handle.shard]
+        if not isinstance(worker, ProcessWorker) or not self.tracer.enabled:
             return front
-        lines = self.workers[handle.shard].trace_lines(handle.kq_id)
-        worker_traces = traces_from_jsonl(lines)
+        worker_traces = traces_from_jsonl(worker.trace_lines(handle.kq_id))
         if not worker_traces:
             return front
         theirs = worker_traces[-1]
@@ -619,17 +591,18 @@ class ShardedQService:
         origin already has it in its local cache)."""
         self.cache.put(key, answers, now=completed_at)
         for worker in self.workers:
-            if worker is not origin and worker.alive:
+            if worker is not origin and isinstance(worker, ProcessWorker):
                 worker.enqueue_cache_put(key, answers, completed_at)
 
     def close(self) -> None:
         """Shut the worker fleet down.  Process workers first ship
         their recorded trace spans back (adopted into the fleet
         tracer, so ``--trace-dir`` exports include worker spans), then
-        exit; in-process workers are no-ops.  Idempotent."""
+        exit; in-process shards have nothing to release.  Idempotent."""
         for worker in self.workers:
-            if (self.tracer.enabled and worker.alive
-                    and worker.transport == "process"):
+            if not isinstance(worker, ProcessWorker):
+                continue
+            if self.tracer.enabled and worker.alive:
                 for trace in traces_from_jsonl(worker.trace_lines(None)):
                     self.tracer.adopt(trace)
             worker.close()
@@ -646,32 +619,8 @@ class ShardedQService:
         router.  Workers are constructed with both tiers handed in, so
         they never publish them -- one owner per component."""
         r = self.registry
-        cs = self.cache.stats
-        r.counter("repro_answer_cache_hits_total",
-                  "answer-cache lookups served").set(cs.hits)
-        r.counter("repro_answer_cache_misses_total",
-                  "answer-cache lookups missed").set(cs.misses)
-        r.counter("repro_answer_cache_insertions_total",
-                  "complete result sets admitted").set(cs.insertions)
-        r.counter("repro_answer_cache_evictions_total",
-                  "entries evicted under capacity pressure"
-                  ).set(cs.evictions)
-        r.counter("repro_answer_cache_expirations_total",
-                  "entries dropped past their TTL").set(cs.expirations)
-        r.counter("repro_answer_cache_overwrites_total",
-                  "entries replaced by a fresher completion"
-                  ).set(cs.overwrites)
-        r.gauge("repro_answer_cache_entries",
-                "resident answer-cache entries").set(len(self.cache))
-        stats = self.repository.stats
-        hits = r.counter("repro_plan_repository_hits_total",
-                         "plan-repository lookups served, per layer")
-        misses = r.counter("repro_plan_repository_misses_total",
-                           "plan-repository lookups missed, per layer")
-        for layer in ("expansion", "template", "candidate", "plan",
-                      "fragment"):
-            hits.set(getattr(stats, f"{layer}_hits"), layer=layer)
-            misses.set(getattr(stats, f"{layer}_misses"), layer=layer)
+        self.cache.publish_metrics(r)
+        self.repository.publish_metrics(r)
         rs = self.routing_stats
         routed = r.counter("repro_router_routed_total",
                            "queries routed, per shard")

@@ -48,28 +48,36 @@ def percentile(samples: Sequence[float], pct: float) -> float | None:
     return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
-class _CounterField:
-    """Expose one registry-backed counter as a plain numeric attribute.
+class _Counter:
+    """One telemetry counter, declared once in :class:`Telemetry`'s
+    body: its metric name, help string, and whether it reads back as a
+    ``float`` (``int`` otherwise).
 
-    Reads return the sample value (as ``int`` unless ``as_float``);
-    writes set the counter absolutely, so the pre-registry idioms --
-    ``out.submitted += part.submitted`` in :meth:`Telemetry.merged`,
-    the absolute overwrite in :meth:`Telemetry.sync_optimizer` -- keep
-    working unchanged on top of the instruments.
+    The attribute name is the one it is assigned to; the instrument
+    is registered per instance from this declaration, and
+    ``COUNTER_FIELDS`` -- hence :meth:`Telemetry.state`,
+    :meth:`Telemetry.from_state` and :meth:`Telemetry.merged` -- is the
+    list of these declarations, so a counter cannot exist in one of
+    them and be missing from another.  Reads return the sample value;
+    writes set the counter absolutely, so ``tel.submitted += 1`` and
+    the absolute overwrite in :meth:`Telemetry.sync_optimizer` both
+    work on top of the instruments.
     """
 
-    def __init__(self, instrument_attr: str, as_float: bool = False) -> None:
-        self._attr = instrument_attr
-        self._as_float = as_float
+    def __init__(self, metric: str, help: str,
+                 as_float: bool = False) -> None:
+        self.metric = metric
+        self.help = help
+        self.as_float = as_float
 
     def __get__(self, obj, objtype=None):
         if obj is None:
             return self
-        value = getattr(obj, self._attr).value()
-        return value if self._as_float else int(value)
+        value = obj._counters[self].value()
+        return value if self.as_float else int(value)
 
     def __set__(self, obj, value) -> None:
-        getattr(obj, self._attr).set(float(value))
+        obj._counters[self].set(float(value))
 
 
 class Telemetry:
@@ -100,91 +108,61 @@ class Telemetry:
     by a collector at snapshot time, never on the hot path.
     """
 
-    #: Every scalar counter, in one canonical tuple: :meth:`merged`
-    #: iterates this, so a counter added here can never be silently
-    #: dropped from the fleet merge again.
-    COUNTER_FIELDS = (
-        "submitted", "completed", "served_from_cache", "coalesced",
-        "rejected", "deferred", "cancelled", "expired", "no_results",
-        "failed", "worker_restarts",
-        "optimizer_wall", "optimizer_invocations", "plans_explored",
-        "plan_cache_hits", "plan_cache_misses", "plan_delta_grafts",
-    )
-
-    submitted = _CounterField("_submitted")
-    completed = _CounterField("_completed")
-    served_from_cache = _CounterField("_served_from_cache")
-    coalesced = _CounterField("_coalesced")
-    rejected = _CounterField("_rejected")
-    deferred = _CounterField("_deferred")
-    cancelled = _CounterField("_cancelled")
-    expired = _CounterField("_expired")
-    no_results = _CounterField("_no_results")
+    submitted = _Counter("repro_service_submitted_total", "queries admitted")
+    completed = _Counter("repro_service_completed_total",
+                         "queries fully served")
+    served_from_cache = _Counter("repro_service_cache_served_total",
+                                 "queries answered from the result cache")
+    coalesced = _Counter(
+        "repro_service_coalesced_total",
+        "queries attached to an identical in-flight execution")
+    rejected = _Counter("repro_service_rejected_total",
+                        "queries shed by admission")
+    deferred = _Counter("repro_service_deferred_total",
+                        "queries parked for retry")
+    cancelled = _Counter("repro_service_cancelled_total",
+                         "queries abandoned by clients")
+    expired = _Counter("repro_service_expired_total",
+                       "queries retired at deadline")
+    no_results = _Counter("repro_service_no_results_total",
+                          "queries no candidate network could answer")
     #: Queries lost to infrastructure failure (a worker process died
     #: with them in flight) -- a fifth terminal disposition, distinct
     #: from the four client-visible ones above because nothing the
     #: client did caused it.
-    failed = _CounterField("_failed")
-    #: Worker processes respawned after a crash.
-    worker_restarts = _CounterField("_worker_restarts")
+    failed = _Counter("repro_service_failed_total",
+                      "queries lost to a worker-process crash")
+    worker_restarts = _Counter("repro_service_worker_restarts_total",
+                               "worker processes respawned after a crash")
     #: Optimizer visibility, synced from the engine's per-invocation
     #: records (absolute totals, overwritten on every sync -- so the
     #: sync is idempotent and a merged fleet view simply sums shards).
-    optimizer_wall = _CounterField("_optimizer_wall", as_float=True)
-    optimizer_invocations = _CounterField("_optimizer_invocations")
-    plans_explored = _CounterField("_plans_explored")
-    plan_cache_hits = _CounterField("_plan_cache_hits")
-    plan_cache_misses = _CounterField("_plan_cache_misses")
-    plan_delta_grafts = _CounterField("_plan_delta_grafts")
+    optimizer_wall = _Counter("repro_optimizer_wall_seconds_total",
+                              "measured optimizer wall time", as_float=True)
+    optimizer_invocations = _Counter("repro_optimizer_invocations_total",
+                                     "optimizer invocations")
+    plans_explored = _Counter("repro_optimizer_plans_explored_total",
+                              "plans explored across invocations")
+    plan_cache_hits = _Counter("repro_optimizer_plan_cache_hits_total",
+                               "plan-repository lookups served from cache")
+    plan_cache_misses = _Counter("repro_optimizer_plan_cache_misses_total",
+                                 "plan-repository lookups that missed")
+    plan_delta_grafts = _Counter(
+        "repro_optimizer_delta_grafts_total",
+        "factorizations grafted from retained fragments")
+
+    _DECLARED = {name: value for name, value in list(vars().items())
+                 if isinstance(value, _Counter)}
+    #: Every scalar counter, in declaration order -- what
+    #: :meth:`state`, :meth:`from_state` and :meth:`merged` iterate.
+    COUNTER_FIELDS = tuple(_DECLARED)
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         r = self.registry
-        self._submitted = r.counter(
-            "repro_service_submitted_total", "queries admitted")
-        self._completed = r.counter(
-            "repro_service_completed_total", "queries fully served")
-        self._served_from_cache = r.counter(
-            "repro_service_cache_served_total",
-            "queries answered from the result cache")
-        self._coalesced = r.counter(
-            "repro_service_coalesced_total",
-            "queries attached to an identical in-flight execution")
-        self._rejected = r.counter(
-            "repro_service_rejected_total", "queries shed by admission")
-        self._deferred = r.counter(
-            "repro_service_deferred_total", "queries parked for retry")
-        self._cancelled = r.counter(
-            "repro_service_cancelled_total", "queries abandoned by clients")
-        self._expired = r.counter(
-            "repro_service_expired_total", "queries retired at deadline")
-        self._no_results = r.counter(
-            "repro_service_no_results_total",
-            "queries no candidate network could answer")
-        self._failed = r.counter(
-            "repro_service_failed_total",
-            "queries lost to a worker-process crash")
-        self._worker_restarts = r.counter(
-            "repro_service_worker_restarts_total",
-            "worker processes respawned after a crash")
-        self._optimizer_wall = r.counter(
-            "repro_optimizer_wall_seconds_total",
-            "measured optimizer wall time")
-        self._optimizer_invocations = r.counter(
-            "repro_optimizer_invocations_total", "optimizer invocations")
-        self._plans_explored = r.counter(
-            "repro_optimizer_plans_explored_total",
-            "plans explored across invocations")
-        self._plan_cache_hits = r.counter(
-            "repro_optimizer_plan_cache_hits_total",
-            "plan-repository lookups served from cache")
-        self._plan_cache_misses = r.counter(
-            "repro_optimizer_plan_cache_misses_total",
-            "plan-repository lookups that missed")
-        self._plan_delta_grafts = r.counter(
-            "repro_optimizer_delta_grafts_total",
-            "factorizations grafted from retained fragments")
+        self._counters = {decl: r.counter(decl.metric, decl.help)
+                          for decl in self._DECLARED.values()}
         self._latency_hist = r.histogram(
             "repro_service_latency_virtual_seconds",
             "arrival-to-answer latency, virtual seconds")

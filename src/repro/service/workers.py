@@ -1,35 +1,28 @@
-"""Shard workers: one interface, two transports.
+"""Shard workers: the interface the front door drives, and the pipe.
 
-The sharded front door (:mod:`repro.service.sharding`) used to *be*
-its workers -- a list of :class:`~repro.service.server.QService`
-instances it called directly, all in one Python thread, so ``--shards``
-bought isolation and routing policy but zero hardware parallelism.
-This module makes the shard boundary explicit:
-
-* :class:`ShardWorker` -- the narrow interface the front door drives:
-  submit / cancel / answers-so-far / pump / step / drain / report,
-  plus crash surface (``alive``) and observability views.  Step and
-  drain are *split-phase* (``start_step`` then ``finish_step``): the
-  front door first starts every shard, then collects every shard, so
-  process workers genuinely overlap while in-process workers preserve
-  the byte-identical sequential order of the differential oracle.
-* :class:`InprocWorker` -- the existing engine behind the interface
-  (default).  Shares the fleet clock, cache, plan repository, and
-  tracer exactly as before; the virtual-clock differential tests see
-  bit-for-bit identical behaviour.
-* :class:`ProcessWorker` -- a ``multiprocessing`` worker.  Spawn-safe:
-  the child rebuilds its engine from a serializable
-  :class:`WorkerSpec` (corpus recipe + configs + seed), never from
-  pickled object graphs, and speaks the versioned wire protocol of
-  :mod:`repro.service.protocol` over a pipe.  Time crosses the
-  boundary *by message*: every request carries the fleet's ``now``,
+* :class:`ShardWorker` -- the narrow surface
+  :class:`~repro.service.sharding.ShardedQService` drives on each
+  shard: submit / cancel / answers-so-far / pump / step / drain /
+  report, plus the crash surface (``alive``) and a registry view.
+  Step and drain are *split-phase* (``start_step`` then
+  ``finish_step``): the front door starts every shard, then collects
+  every shard.  Two implementations: :class:`~repro.service.server.
+  QService` itself (``workers="inproc"``: all work in the start phase,
+  sharing the fleet's clock, cache, plan repository and tracer -- the
+  sequential differential oracle) and :class:`ProcessWorker`.
+* :class:`ProcessWorker` -- one shard in its own OS process, so shards
+  genuinely overlap.  Spawn-safe: the child (:class:`_WorkerServer`)
+  rebuilds a :class:`~repro.service.server.QService` from a
+  serializable :class:`WorkerSpec` (corpus recipe + configs + seed),
+  never from pickled object graphs, and speaks the versioned wire
+  protocol of :mod:`repro.service.protocol` over a pipe.  Time crosses
+  the boundary *by message*: every request carries the fleet's ``now``,
   every reply the worker's, so the fleet's single-"now" invariant
   holds at message granularity under virtual and wall clocks alike.
 
 Cache and repository topology under process workers: the front door
-keeps the *authoritative* answer cache (a :class:`CacheBackend`) --
-it is consulted before routing, exactly as before -- while each worker
-owns a per-process cache and plan repository (:class:`RepositoryBackend`).
+keeps the *authoritative* answer cache -- consulted before routing --
+while each worker owns a per-process cache and plan repository.
 Engine completions ship back in each reply's piggy-backed
 :class:`~repro.service.protocol.WorkerUpdate`; the front door writes
 them into the authoritative cache and mirrors them to the *other*
@@ -102,10 +95,7 @@ from repro.service.server import QService, ServiceConfig
 from repro.service.telemetry import Telemetry
 
 __all__ = [
-    "CacheBackend",
-    "RepositoryBackend",
     "ShardWorker",
-    "InprocWorker",
     "ProcessWorker",
     "WorkerCrashed",
     "WorkerSpec",
@@ -125,45 +115,6 @@ class WorkerCrashed(ExecutionError):
     Raised to the front door mid-operation; the queries that were in
     flight on the dead worker are already failed (``FAILED``
     disposition) by the time this propagates."""
-
-
-# -- narrow backend interfaces ------------------------------------------------
-
-@runtime_checkable
-class CacheBackend(Protocol):
-    """What the serving tier needs from an answer cache.
-
-    :class:`~repro.service.cache.ResultCache` is the in-memory
-    implementation; the interface is what an external backend (the
-    ROADMAP's Redis-style tier) must provide.  ``ttl`` and
-    ``purge_expired`` exist so :class:`~repro.service.cache.
-    PurgeCadence` can groom any backend on the owner's schedule.
-    """
-
-    ttl: float
-
-    def get(self, key: CacheKey, now: float,
-            record: bool = True) -> list[RankedAnswer] | None: ...
-
-    def put(self, key: CacheKey, answers: list[RankedAnswer],
-            now: float) -> None: ...
-
-    def purge_expired(self, now: float) -> int: ...
-
-    def __len__(self) -> int: ...
-
-
-@runtime_checkable
-class RepositoryBackend(Protocol):
-    """What the intake/optimize pipeline needs from a plan repository
-    (:class:`~repro.optimizer.repository.PlanRepository` is the
-    in-memory implementation; ``stats`` feeds the owner's metrics)."""
-
-    def lookup_expansion(self, keywords: tuple[str, ...]): ...
-
-    def store_expansion(self, keywords: tuple[str, ...], value) -> None: ...
-
-    def optimize(self, uqs: list, scope: str, **kwargs): ...
 
 
 # -- serializable configuration ----------------------------------------------
@@ -325,23 +276,26 @@ def traces_from_jsonl(lines: Iterable[str]) -> list[QueryTrace]:
 
 @runtime_checkable
 class ShardWorker(Protocol):
-    """The narrow surface the sharded front door drives.
+    """The narrow surface the sharded front door drives, implemented
+    by :class:`~repro.service.server.QService` (the in-process shard)
+    and :class:`ProcessWorker`.
 
     ``start_step``/``finish_step`` (and the drain pair) are
     split-phase so N process workers overlap: the front door starts
     every shard's step, then collects every shard's completion.  The
-    in-process transport does all its work in the start phase, keeping
+    in-process shard does all its work in the start phase, keeping
     the sequential order of the single-threaded service bit-for-bit.
+    What only a process has -- a pipe to close, spans to ship back,
+    a local cache to mirror completions into -- is not part of the
+    interface; the front door asks for it by transport.
     """
-
-    transport: str
 
     @property
     def alive(self) -> bool: ...
 
-    def submit(self, kq: KeywordQuery, at: float, *,
-               deadline: float | None = None,
-               uq=None) -> QueryHandle: ...
+    def submit(self, kq: KeywordQuery, arrival: float, *,
+               deadline: float | None = None, uq=None,
+               check_cache: bool = True) -> QueryHandle: ...
 
     def cancel(self, handle: QueryHandle) -> bool: ...
 
@@ -365,98 +319,9 @@ class ShardWorker(Protocol):
     @property
     def deferred_count(self) -> int: ...
 
-    def enqueue_cache_put(self, key: CacheKey,
-                          answers: list[RankedAnswer],
-                          stored_at: float) -> None: ...
-
     def report(self) -> ServiceReport: ...
 
     def registry_view(self) -> MetricsRegistry: ...
-
-    def trace_lines(self, kq_id: str | None = None) -> tuple[str, ...]: ...
-
-    def close(self) -> None: ...
-
-
-class InprocWorker:
-    """The existing in-process engine behind the :class:`ShardWorker`
-    interface -- a thin veneer over one :class:`~repro.service.server.
-    QService` sharing the fleet's clock, cache, repository, and tracer.
-    Unknown attributes forward to the wrapped service, so everything
-    that reached into ``fleet.workers[i].engine`` keeps working."""
-
-    transport = "inproc"
-
-    def __init__(self, service: QService) -> None:
-        self.service = service
-
-    @property
-    def alive(self) -> bool:
-        return True
-
-    # -- the query surface ---------------------------------------------------
-
-    def submit(self, kq: KeywordQuery, at: float, *,
-               deadline: float | None = None, uq=None) -> QueryHandle:
-        return self.service.submit(kq, arrival=at, deadline=deadline,
-                                   uq=uq, check_cache=False)
-
-    def cancel(self, handle: QueryHandle) -> bool:
-        return self.service.cancel(handle)
-
-    def answers_so_far(self, handle: QueryHandle) -> list[RankedAnswer]:
-        return self.service.answers_so_far(handle)
-
-    def pump(self, handle: QueryHandle) -> bool:
-        return self.service.pump(handle)
-
-    def inflight_handle(self, key: CacheKey) -> QueryHandle | None:
-        return self.service.inflight_handle(key)
-
-    # -- split-phase progress (all work in the start phase: sequential) ------
-
-    def start_step(self, until: float) -> None:
-        self.service.step(until)
-
-    def finish_step(self) -> None:
-        pass
-
-    def start_drain(self) -> None:
-        self.service.drain()
-
-    def finish_drain(self) -> None:
-        pass
-
-    @property
-    def in_flight_count(self) -> int:
-        return self.service.in_flight_count
-
-    @property
-    def deferred_count(self) -> int:
-        return self.service.deferred_count
-
-    def enqueue_cache_put(self, key, answers, stored_at) -> None:
-        # The worker shares the fleet's authoritative cache: every
-        # completion is already visible, nothing to mirror.
-        pass
-
-    # -- observability -------------------------------------------------------
-
-    def report(self) -> ServiceReport:
-        return self.service.report()
-
-    def registry_view(self) -> MetricsRegistry:
-        return self.service.registry
-
-    def trace_lines(self, kq_id: str | None = None) -> tuple[str, ...]:
-        # Worker spans already live in the fleet's shared tracer.
-        return ()
-
-    def close(self) -> None:
-        pass
-
-    def __getattr__(self, name: str):
-        return getattr(self.service, name)
 
 
 # -- the worker process -------------------------------------------------------
@@ -629,8 +494,8 @@ class _WorkerServer:
 
 
 class ProcessWorker:
-    """One shard in its own OS process, behind the
-    :class:`ShardWorker` interface.
+    """One shard in its own OS process, implementing
+    :class:`ShardWorker`.
 
     The front door holds *proxy* :class:`QueryHandle` objects; the
     real handles live in the worker.  Every reply's piggy-backed
@@ -647,8 +512,6 @@ class ProcessWorker:
     :class:`WorkerCrashed` to the interrupted caller.
     """
 
-    transport = "process"
-
     def __init__(self, shard: int, spec: WorkerSpec, *, clock: Clock,
                  front_telemetry: Telemetry,
                  service_ref=None,
@@ -656,8 +519,7 @@ class ProcessWorker:
                      ["ProcessWorker", CacheKey, list[RankedAnswer],
                       float], None] | None = None,
                  warm_templates: Callable[[], Iterable] | None = None,
-                 restart: bool = True,
-                 start_method: str = "spawn") -> None:
+                 restart: bool = True) -> None:
         self.shard = shard
         self._spec = spec
         self._clock = clock
@@ -666,7 +528,7 @@ class ProcessWorker:
         self._on_completion = on_completion
         self._warm_templates = warm_templates
         self._restart = restart
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context("spawn")
         self._config = spec.execution_config()
         self._handles: dict[str, QueryHandle] = {}
         self._tickets: list[QueryHandle] = []
@@ -680,8 +542,6 @@ class ProcessWorker:
         self._retained: list[SnapshotReply] = []
         self._last_snapshot: SnapshotReply | None = None
         self._alive = False
-        self._proc = None
-        self._conn = None
         self._spawn()
 
     # -- process lifecycle ---------------------------------------------------
@@ -707,6 +567,18 @@ class ProcessWorker:
     def alive(self) -> bool:
         return self._alive
 
+    def _reap(self, timeout: float) -> None:
+        """Close the pipe and collect the process, terminating it if
+        it has not exited within ``timeout`` seconds."""
+        try:
+            self._conn.close()
+        except OSError:
+            pass
+        self._proc.join(timeout=timeout)
+        if self._proc.is_alive():
+            self._proc.terminate()
+            self._proc.join(timeout=1.0)
+
     def _crash(self, reason: str) -> None:
         """The shard's process is gone: fail its in-flight queries,
         retain its last snapshot, and respawn when allowed."""
@@ -715,18 +587,9 @@ class ProcessWorker:
         self._alive = False
         self._pending = None
         self._puts.clear()
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-        if self._proc is not None:
-            self._proc.join(timeout=1.0)
-            if self._proc.is_alive():
-                self._proc.terminate()
-                self._proc.join(timeout=1.0)
-            exitcode = self._proc.exitcode
-            if exitcode is not None:
-                reason = f"{reason} (exit code {exitcode})"
+        self._reap(timeout=1.0)
+        if self._proc.exitcode is not None:
+            reason = f"{reason} (exit code {self._proc.exitcode})"
         now = self._clock.now
         for handle in self._handles.values():
             if handle.terminal:
@@ -794,6 +657,14 @@ class ProcessWorker:
         self._send(msg)
         return self._recv(reply_cls)
 
+    def _ask(self, msg: Message, reply_cls: type) -> Message | None:
+        """:meth:`_request`, with a crash (already handled: queries
+        failed, worker respawned) reported as ``None``."""
+        try:
+            return self._request(msg, reply_cls)
+        except WorkerCrashed:
+            return None
+
     def _flush_puts(self) -> None:
         while self._puts:
             msg = self._puts.popleft()
@@ -831,14 +702,16 @@ class ProcessWorker:
 
     # -- the query surface ---------------------------------------------------
 
-    def submit(self, kq: KeywordQuery, at: float, *,
-               deadline: float | None = None, uq=None) -> QueryHandle:
+    def submit(self, kq: KeywordQuery, arrival: float, *,
+               deadline: float | None = None, uq=None,
+               check_cache: bool = False) -> QueryHandle:
         # ``uq`` (a front-door pre-expansion) never crosses the wire:
-        # the worker re-expands deterministically from the keywords.
+        # the worker re-expands deterministically from the keywords,
+        # and always skips the lookup the front door already made.
         reply = self._request(
-            SubmitQuery(now=at, kq_id=kq.kq_id,
-                        keywords=tuple(kq.keywords), k=kq.k, arrival=at,
-                        user=kq.user, deadline=deadline),
+            SubmitQuery(now=arrival, kq_id=kq.kq_id,
+                        keywords=tuple(kq.keywords), k=kq.k,
+                        arrival=arrival, user=kq.user, deadline=deadline),
             SubmitReply)
         state = reply.handle
         proxy = QueryHandle(
@@ -854,41 +727,29 @@ class ProcessWorker:
         return proxy
 
     def cancel(self, handle: QueryHandle) -> bool:
-        try:
-            reply = self._request(
-                CancelQuery(now=self._clock.now, kq_id=handle.kq_id),
-                BoolReply)
-        except WorkerCrashed:
-            return False
-        return reply.value
+        reply = self._ask(
+            CancelQuery(now=self._clock.now, kq_id=handle.kq_id), BoolReply)
+        return reply is not None and reply.value
 
     def answers_so_far(self, handle: QueryHandle) -> list[RankedAnswer]:
-        try:
-            reply = self._request(
-                AnswersSoFar(now=self._clock.now, kq_id=handle.kq_id),
-                AnswersReply)
-        except WorkerCrashed:
+        reply = self._ask(
+            AnswersSoFar(now=self._clock.now, kq_id=handle.kq_id),
+            AnswersReply)
+        if reply is None:
             return list(handle.answers or [])
         return decode_answers(reply.answers) or []
 
     def pump(self, handle: QueryHandle) -> bool:
-        try:
-            reply = self._request(
-                PumpQuery(now=self._clock.now, kq_id=handle.kq_id),
-                BoolReply)
-        except WorkerCrashed:
-            return False
-        return reply.value
+        reply = self._ask(
+            PumpQuery(now=self._clock.now, kq_id=handle.kq_id), BoolReply)
+        return reply is not None and reply.value
 
     def inflight_handle(self, key: CacheKey) -> QueryHandle | None:
-        try:
-            reply = self._request(
-                InflightLeader(now=self._clock.now,
-                               keywords=tuple(sorted(key[0])), k=key[1]),
-                LeaderReply)
-        except WorkerCrashed:
-            return None
-        if reply.kq_id is None:
+        reply = self._ask(
+            InflightLeader(now=self._clock.now,
+                           keywords=tuple(sorted(key[0])), k=key[1]),
+            LeaderReply)
+        if reply is None or reply.kq_id is None:
             return None
         return self._handles.get(reply.kq_id)
 
@@ -935,22 +796,20 @@ class ProcessWorker:
     def _snapshot(self) -> SnapshotReply | None:
         if not self._alive:
             return None
-        try:
-            reply = self._request(
-                TelemetrySnapshot(now=self._clock.now), SnapshotReply)
-        except WorkerCrashed:
-            return None
-        self._last_snapshot = reply
+        reply = self._ask(
+            TelemetrySnapshot(now=self._clock.now), SnapshotReply)
+        if reply is not None:
+            self._last_snapshot = reply
         return reply
 
-    def report(self) -> ServiceReport:
+    def _snapshots(self) -> list[SnapshotReply]:
+        """One snapshot per incarnation of this shard's process: those
+        retained from crashed (or closed) ones, then the live one's."""
         snapshot = self._snapshot()
-        states = list(self._retained)
-        if snapshot is not None:
-            states.append(snapshot)
-        telemetries = [Telemetry.from_state(s.telemetry) for s in states]
-        telemetry = telemetries[0] if len(telemetries) == 1 \
-            else Telemetry.merged(telemetries)
+        return self._retained + ([snapshot] if snapshot is not None else [])
+
+    def report(self) -> ServiceReport:
+        states = self._snapshots()
         metrics = Metrics()
         for state in states:
             metrics.merge_from(metrics_from_state(state.engine))
@@ -960,7 +819,8 @@ class ProcessWorker:
         cache_stats["hit_rate"] = (
             cache_stats.get("hits", 0.0) / lookups if lookups else 0.0)
         return ServiceReport(
-            telemetry=telemetry,
+            telemetry=Telemetry.merged(
+                Telemetry.from_state(s.telemetry) for s in states),
             cache_stats=cache_stats,
             tickets=list(self._tickets),
             admission_stats=_sum_stats([s.admission for s in states]),
@@ -969,26 +829,16 @@ class ProcessWorker:
         )
 
     def registry_view(self) -> MetricsRegistry:
-        snapshot = self._snapshot()
-        states = [s.registry for s in self._retained]
-        if snapshot is not None:
-            states.append(snapshot.registry)
-        registries = [MetricsRegistry.from_state(s) for s in states]
-        if not registries:
-            return MetricsRegistry()
-        if len(registries) == 1:
-            return registries[0]
-        return MetricsRegistry.merged([(r, {}) for r in registries])
+        return MetricsRegistry.merged(
+            (MetricsRegistry.from_state(s.registry), {})
+            for s in self._snapshots())
 
     def trace_lines(self, kq_id: str | None = None) -> tuple[str, ...]:
         if not self._alive:
             return ()
-        try:
-            reply = self._request(
-                TraceDump(now=self._clock.now, kq_id=kq_id), TraceReply)
-        except WorkerCrashed:
-            return ()
-        return tuple(reply.lines)
+        reply = self._ask(
+            TraceDump(now=self._clock.now, kq_id=kq_id), TraceReply)
+        return () if reply is None else tuple(reply.lines)
 
     def close(self) -> None:
         if self._alive:
@@ -999,21 +849,9 @@ class ProcessWorker:
             if snapshot is not None:
                 self._retained.append(snapshot)
                 self._last_snapshot = None
-            try:
-                self._request(Shutdown(now=self._clock.now), Ack)
-            except WorkerCrashed:
-                pass
+            self._ask(Shutdown(now=self._clock.now), Ack)
         self._alive = False
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-        if self._proc is not None:
-            self._proc.join(timeout=2.0)
-            if self._proc.is_alive():
-                self._proc.terminate()
-                self._proc.join(timeout=1.0)
+        self._reap(timeout=2.0)
 
 
 def _sum_stats(parts: list[dict]) -> dict[str, float]:

@@ -6,7 +6,7 @@ from repro.common.config import DelayModel, ExecutionConfig, SharingMode
 from repro.common.clock import VirtualClock
 from repro.common.rng import make_rng
 from repro.data.sources import RandomAccessSource
-from repro.stats.metrics import Metrics
+from repro.obs import Metrics
 
 from tests.conftest import abc_expr, load_triple_federation, make_cq
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.atc.batcher import QueryBatcher
 from repro.keyword.queries import UserQuery
-from repro.stats.metrics import Metrics, OptimizerRecord, UQRecord
+from repro.obs import Metrics, OptimizerRecord, UQRecord
 
 from tests.conftest import abc_expr, load_triple_federation, make_cq
 

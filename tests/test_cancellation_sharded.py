@@ -136,7 +136,7 @@ def check_run(report, load, schedule, baseline):
     expected_survivors = set(by_id) - set(cancels) - set(deadlines)
     assert set(survivors) == expected_survivors
     assert survivors == {k: baseline[k] for k in expected_survivors}
-    tel = report.telemetry if not hasattr(report, "fleet") else report.fleet
+    tel = report.telemetry
     assert tel.cancelled == len(cancels)
     assert tel.expired == len(deadlines)
     assert tel.completed == len(load) - len(cancels) - len(deadlines)
@@ -208,7 +208,7 @@ class TestCoalescedCancellationSharded:
         assert follower.status is QueryStatus.CANCELLED
         report = fleet.drain()
         assert leader.done and len(leader.answers) == K
-        assert report.fleet.cancelled == 1
+        assert report.telemetry.cancelled == 1
         # Shard 1 never executed anything: the cancel stayed local to
         # the leader's shard and killed no execution.
         shard1 = fleet.workers[1].engine.report()
@@ -226,8 +226,8 @@ class TestCoalescedCancellationSharded:
         assert follower.done and len(follower.answers) == K
         assert fleet.workers[0].engine.report() \
             .metrics.total_input_tuples > work_before
-        assert report.fleet.cancelled == 1
-        assert report.fleet.completed == 1
+        assert report.telemetry.cancelled == 1
+        assert report.telemetry.completed == 1
 
     def test_cancel_both_kills_execution(self, fed, index):
         fleet, leader, follower = self._leader_and_follower(fed, index)
@@ -242,7 +242,7 @@ class TestCoalescedCancellationSharded:
         # further work for it.
         assert fleet.workers[0].engine.report() \
             .metrics.total_input_tuples == work_at_cancel
-        assert report.fleet.completed == 0
+        assert report.telemetry.completed == 0
 
     def test_twin_after_promotion_still_coalesces(self, fed, index):
         """Cancelling a leader whose follower was promoted must not

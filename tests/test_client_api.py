@@ -1,13 +1,12 @@
-"""Tests for the v2 client API: handles, streaming, cancellation,
-deadlines, and the deprecation shim.
+"""Tests for the client API: handles, streaming, cancellation, and
+deadlines.
 
 Covers the :class:`QueryServiceProtocol` contract both services
 implement, the :class:`QueryHandle` lifecycle (status transitions,
 ``latency``/``done`` edge semantics), progressive consumption through
 ``answers_so_far``/``results()``, cancellation of engine queries,
 coalesced followers and their leaders, deadline enforcement at engine
-precision, the load generator's abandonment model, and the ``Ticket``
-alias kept for one release.
+precision, and the load generator's abandonment model.
 """
 
 import math
@@ -26,7 +25,6 @@ from repro.service import (
     ServiceConfig,
     ShardedQService,
     Telemetry,
-    Ticket,
     generate_abandonments,
     generate_load,
 )
@@ -598,22 +596,6 @@ class TestTicketEdgeCases:
         handle.cancel()
         assert handle.latency is None
         assert handle.completed_at is not None   # termination instant
-
-    def test_ticket_is_deprecated_alias_view(self):
-        assert issubclass(Ticket, QueryHandle)
-        with pytest.warns(DeprecationWarning, match="QueryHandle"):
-            ticket = Ticket(kq_id="T", keywords=KWS, k=5, arrival=0.0)
-        # The alias is a full view of the handle: same lifecycle API.
-        assert ticket.status is QueryStatus.PENDING
-        assert not ticket.done and ticket.latency is None
-        assert ticket.answers_so_far() == []
-        assert not ticket.cancel()   # detached from any service
-
-    def test_handles_alias_on_reports(self, fed, index):
-        svc = make_service(fed, index)
-        svc.submit(kq("Q1"))
-        report = svc.drain()
-        assert report.handles is report.tickets
 
 
 class TestAbandonmentModel:

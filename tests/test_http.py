@@ -212,12 +212,23 @@ class TestErrorPaths:
         finally:
             conn.close()
 
-    def test_bad_k_is_400(self, served):
-        _service, client = served
+    @pytest.mark.parametrize("field,value", [
+        ("k", -1), ("k", 0), ("k", 2.5), ("k", True), ("k", "3"),
+        ("arrival", True), ("arrival", float("nan")), ("arrival", "now"),
+        ("deadline", False), ("deadline", float("-inf")),
+        ("timeout", True), ("timeout", float("inf")),
+        pytest.param("timeout", 10 ** 400, id="timeout-overflows-float"),
+    ])
+    def test_bad_number_is_400(self, served, field, value):
+        """Booleans are ``int``s and ``json.loads`` admits NaN/Infinity:
+        none may be admitted as a ``k``, an instant or a duration."""
+        service, client = served
         status, body = client._request(
-            "POST", "/query", {"keywords": list(KWS), "k": -1})
+            "POST", "/query", {"keywords": list(KWS), field: value})
         assert status == 400
-        assert '"k"' in body["error"]
+        assert f'"{field}"' in body["error"]
+        assert service.report().telemetry.submitted == 0
+        assert client._request("GET", "/healthz")[0] == 200
 
     def test_deadline_and_timeout_together_is_400(self, served):
         _service, client = served

@@ -50,7 +50,6 @@ BAD_CASES = [
     ("rng_discipline.py", "rng-discipline", 5),
     ("wire_no_pickle.py", "wire-no-pickle", 3),
     ("service/protocol.py", "wire-message-shape", 3),
-    ("service/telemetry.py", "obs-counter-drift", 3),
     ("optimizer/det_order.py", "det-order", 5),
     ("repro/obs_guard.py", "obs-guard", 2),
 ]

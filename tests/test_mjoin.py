@@ -15,7 +15,7 @@ from repro.data.rows import Row, STuple
 from repro.data.sources import ListSource, RandomAccessSource
 from repro.operators.nodes import InputUnit, MJoinNode, ProbeTarget
 from repro.plan.expressions import SPJ, Atom, JoinPred
-from repro.stats.metrics import Metrics
+from repro.obs import Metrics
 
 from tests.conftest import load_triple_federation
 

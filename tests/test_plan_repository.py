@@ -37,7 +37,7 @@ from repro.optimizer.repository import PlanRepository
 from repro.plan.expressions import SPJ, Atom, JoinPred, Selection
 from repro.scoring.base import MonotoneScore
 from repro.service.telemetry import Telemetry
-from repro.stats.metrics import OptimizerRecord
+from repro.obs import OptimizerRecord
 
 from tests.conftest import TINY_FIG1_CARDS, abc_expr, load_triple_federation, make_cq
 

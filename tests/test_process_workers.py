@@ -296,7 +296,7 @@ def test_telemetry_state_round_trip(fed, load, cancels):
     fleet = make_fleet(fed, "inproc", 2, "hash")
     try:
         drive(fleet, load, cancels)
-        original = fleet.workers[0].service.telemetry
+        original = fleet.workers[0].telemetry
         back = Telemetry.from_state(original.state())
         assert back.summary() == original.summary()
     finally:

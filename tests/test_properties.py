@@ -25,7 +25,7 @@ from repro.operators.nodes import InputUnit, MJoinNode
 from repro.operators.rankmerge import RankMerge
 from repro.plan.expressions import SPJ, Atom, JoinPred, Selection, union_of
 from repro.scoring.base import MonotoneScore
-from repro.stats.metrics import Metrics
+from repro.obs import Metrics
 
 DELAYS = DelayModel(deterministic=True)
 

@@ -113,7 +113,7 @@ class TestShardCountInvariance:
         fleet = ShardedQService(fed, config_for(mode), n_shards=shards,
                                 routing="cluster", index=index)
         report = fleet.run(load)
-        assert report.fleet.completed == len(load)
+        assert report.telemetry.completed == len(load)
         assert answer_sets(report.tickets) == baselines[mode]
 
     @pytest.mark.parametrize("routing", ("roundrobin", "hash"))
@@ -139,7 +139,7 @@ class TestShardCountInvariance:
             service=ServiceConfig(max_in_flight=1,
                                   admission_policy="defer"))
         report = fleet.run(load)
-        assert report.fleet.completed == len(load)
+        assert report.telemetry.completed == len(load)
         assert answer_sets(report.tickets) == \
             baselines[SharingMode.ATC_FULL]
 
@@ -179,7 +179,7 @@ class TestPlanCacheInvariance:
                                 n_shards=shards, routing="cluster",
                                 index=index)
         report = fleet.run(load)
-        assert report.fleet.completed == len(load)
+        assert report.telemetry.completed == len(load)
         assert answer_sets(report.tickets) == baselines[mode]
 
     @pytest.mark.parametrize("mode", ALL_MODES, ids=str)
@@ -286,20 +286,20 @@ class TestShardedMechanics:
         assert tickets[2].status == "rejected"
         assert "budget" in tickets[2].reason
         report = fleet.drain()
-        assert report.fleet.rejected == 1
-        assert report.fleet.completed == 2
+        assert report.telemetry.rejected == 1
+        assert report.telemetry.completed == 2
 
     def test_fleet_telemetry_aggregates_all_arrivals(self, fed, index,
                                                      load):
         fleet = ShardedQService(fed, config_for(SharingMode.ATC_FULL),
                                 n_shards=4, routing="cluster", index=index)
         report = fleet.run(load)
-        assert report.fleet.submitted == len(load)
-        assert report.fleet.completed == len(load)
+        assert report.telemetry.submitted == len(load)
+        assert report.telemetry.completed == len(load)
         per_shard = sum(r.telemetry.submitted for r in report.shard_reports)
         assert per_shard + report.routing.front_cache_hits == len(load)
-        assert len(report.fleet.latencies) == len(load)
-        pcts = report.fleet.latency_percentiles()
+        assert len(report.telemetry.latencies) == len(load)
+        pcts = report.telemetry.latency_percentiles()
         assert 0.0 <= pcts["p50"] <= pcts["p95"] <= pcts["p99"]
 
     def test_rejects_nonpositive_shards(self, fed, index):

@@ -16,7 +16,7 @@ from repro.data.sources import (
     StreamingSource,
 )
 from repro.plan.expressions import SPJ, Atom, JoinPred
-from repro.stats.metrics import Metrics
+from repro.obs import Metrics
 
 
 def make_stream(federation, deterministic=True):

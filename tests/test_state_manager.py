@@ -11,7 +11,7 @@ from repro.optimizer.bestplan import BestPlanSearch
 from repro.optimizer.candidates import enumerate_candidates, streamable_aliases
 from repro.optimizer.cost import CostModel
 from repro.optimizer.factorize import factorize
-from repro.stats.metrics import UQRecord
+from repro.obs import UQRecord
 
 from tests.conftest import abc_expr, load_triple_federation, make_cq
 
