@@ -30,10 +30,13 @@ Gates (the perf-smoke CI job runs the quick profile):
 * against the checked-in baseline (``results/BENCH_optimizer.json``):
   digests must match exactly (plan caching must never change results).
 
-The checked-in full profile also records the repository's effect:
-ATC-FULL cumulative optimizer wall drops ~2x at a repository hit rate
->= 70% (>= 3x when PR 4 introduced it; hash-consed expressions have
-since halved the uncached pipeline it is compared against).
+The checked-in full profile also records the repository's effect,
+which has shrunk as the uncached pipeline it is compared against got
+cheaper: ATC-FULL cumulative optimizer wall dropped >= 3x at a
+repository hit rate >= 70% when PR 4 introduced it, ~2x once
+expressions were hash-consed, and ~1.0x since the miss path memoizes
+per expression, per search and per factorization (the per-query modes
+ATC-CQ / ATC-UQ still gain 2-4x).
 
 Run as a script::
 

@@ -22,6 +22,7 @@ score maxima) that the cost model consumes.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -484,14 +485,31 @@ class RankedSPJProducer:
             self._pull(preferred)
 
 
+#: Source of :attr:`Federation.stats_epoch` stamps: unique across every
+#: federation of the process, so a value memoized under one stamp is
+#: never mistaken for another corpus's.
+_STATS_EPOCHS = itertools.count(1)
+
+
 class Federation:
-    """All sites of the data-integration scenario behind one facade."""
+    """All sites of the data-integration scenario behind one facade.
+
+    Statistics are memoized per relation: the corpus is immutable while
+    serving, so the optimizer's cardinality estimates must not resolve
+    relation -> site -> table and recount the indexes per lookup.
+    Loading goes through :meth:`load`, which drops the relation's entry
+    and moves :attr:`stats_epoch` on -- whatever was derived from the
+    old statistics (the cost model's per-expression estimates) is
+    stamped with the epoch it was computed under and dies with it.
+    """
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
         self._sites: dict[str, Database] = {
             site: Database(site, schema) for site in schema.sites()
         }
+        self._stats: dict[str, RelationStats] = {}
+        self.stats_epoch = next(_STATS_EPOCHS)
 
     @property
     def sites(self) -> tuple[str, ...]:
@@ -507,10 +525,16 @@ class Federation:
         return self.database(self.schema.relation(relation).site)
 
     def load(self, relation: str, rows: Iterable[Mapping[str, Any]]) -> int:
+        self._stats.pop(relation, None)
+        self.stats_epoch = next(_STATS_EPOCHS)
         return self.database_for(relation).load(relation, rows)
 
     def stats(self, relation: str) -> RelationStats:
-        return self.database_for(relation).stats(relation)
+        stats = self._stats.get(relation)
+        if stats is None:
+            stats = self.database_for(relation).stats(relation)
+            self._stats[relation] = stats
+        return stats
 
     def cardinality(self, relation: str) -> int:
         return self.database_for(relation).cardinality(relation)

@@ -33,6 +33,30 @@ The search is exponential in the number of candidates -- that is
 Figure 11's observed behaviour -- so callers cap the searched set
 (``max_search``); overflow candidates are applied greedily at
 completion time instead of being branched on.
+
+What a leaf costs.  Completing an assignment is a per-CQ affair --
+which inputs and probes a CQ ends up with depends only on the
+committed candidates that list it as a consumer -- so one search
+memoizes, in plain dicts that die with the :class:`BestPlanSearch`:
+
+* per ``(CQ, committed candidates serving it)``: the CQ's completion,
+  carrying its pure addends (the depth it needs each input read to,
+  the random-access source key of each probed atom);
+* per CQ: its base-relation prelude ``(alias, induced base input,
+  selective, cardinality)`` and its join cost;
+* per input: the reuse oracle's reading.
+
+A conflict component can only change the completions of the CQs its
+candidates serve; the others are settled once per component.  A leaf
+then looks up the served CQs' completions and adds the memoized
+addends up *in the order* :meth:`CostModel.plan_cost` *would meet them
+in the assembled assignment*.  That order is not negotiable: leaves
+tie exactly in real arithmetic all the time (symmetric candidates,
+depths clamped to the same floor), the last bit of that particular
+sum is what decides between them, and a sum over the component's own
+addends -- the obvious next step -- rounds differently and picks
+different, equally cheap plans.  The whole-batch assignment itself is
+assembled once per search, for the plan that won.
 """
 
 from __future__ import annotations
@@ -43,7 +67,7 @@ from repro.common.clock import wall_timer
 from repro.common.config import ExecutionConfig
 from repro.keyword.queries import ConjunctiveQuery
 from repro.optimizer.candidates import CandidateSet, InputCandidate
-from repro.optimizer.cost import CostModel, ReuseOracle
+from repro.optimizer.cost import CostModel, ReuseOracle, probe_source_key
 from repro.plan.expressions import SPJ
 
 #: One (expression, consumer-set) pair inside the search.
@@ -103,9 +127,28 @@ class BestPlanResult:
                 )
 
 
+@dataclass(frozen=True)
+class _Completion:
+    """One CQ's share of a completed assignment -- a function of the
+    committed candidates that serve the CQ, nothing else in the batch."""
+
+    #: Committed, then automatic candidates, in the order applied.
+    picked: tuple[SPJ, ...]
+    #: Base-relation inputs for the streamable atoms left uncovered.
+    bases: tuple[SPJ, ...]
+    #: Atoms left to random-access probes.
+    probes: tuple[str, ...]
+    #: Every input above with the depth this CQ needs it read to.
+    reads: tuple[tuple[SPJ, float], ...]
+    #: The random-access source each probed atom resolves through.
+    probe_keys: tuple[tuple, ...]
+
+
 @dataclass
 class BestPlanSearch:
-    """One invocation of Algorithm 1 over a batch of CQs."""
+    """One invocation of Algorithm 1 over a batch of CQs (the module
+    docstring says what is memoized per search and why a leaf's sum
+    keeps ``plan_cost``'s order)."""
 
     cqs: list[ConjunctiveQuery]
     candidates: CandidateSet
@@ -123,7 +166,7 @@ class BestPlanSearch:
     def run(self) -> BestPlanResult:
         started = wall_timer()
         self._cq_by_id = {cq.cq_id: cq for cq in self.cqs}
-        cq_ids = frozenset(cq.cq_id for cq in self.cqs)
+        cq_ids = frozenset(self._cq_by_id)
         usable = [
             c for c in self.candidates.pushdowns if c.consumers & cq_ids
         ]
@@ -135,7 +178,20 @@ class BestPlanSearch:
                          usable[self.max_candidates:])
         searched_components, auto = self._partition(usable)
         self._auto = auto + spill
-        total_cost = 0.0
+        #: Per CQ, the automatic candidates that list it, in order.
+        self._auto_for: dict[str, list[InputCandidate]] = {
+            cq_id: [] for cq_id in self._cq_by_id
+        }
+        for candidate in self._auto:
+            for cq_id in candidate.consumers & cq_ids:
+                self._auto_for[cq_id].append(candidate)
+        self._auto_unread = {c.expr: 0.0 for c in self._auto}
+        self._preludes: dict[str, tuple] = {}
+        self._completion_memo: dict[tuple[str, tuple[SPJ, ...]],
+                                _Completion] = {}
+        self._already: dict[SPJ, int] = {}
+        self._join_costs = [self.cost_model.join_cpu_cost(cq)
+                            for cq in self.cqs]
         chosen: tuple[_Entry, ...] = ()
         searched_count = 0
         for component in searched_components:
@@ -144,19 +200,19 @@ class BestPlanSearch:
                 (c.expr, c.consumers & cq_ids) for c in component
             )
             self._memo.clear()
-            component_cost, component_chosen = self._search(initial, ())
-            total_cost += component_cost
+            self._settle(frozenset().union(
+                *(consumers for _expr, consumers in initial)))
+            _cost, component_chosen = self._search(initial, ())
             chosen = chosen + component_chosen
         if not searched_components:
             self._explored += 1
-        streams, probes = self._complete(chosen)
-        cost = self.cost_model.plan_cost(
-            streams, self._cq_by_id, probes, self.oracle,
-        )
+        self._settle(cq_ids)
+        done = self._completions_for(chosen)
+        streams, probes = self._assemble(chosen, done)
         result = BestPlanResult(
             streams=streams,
             probes=probes,
-            cost=cost,
+            cost=self._cost(chosen, done),
             plans_explored=self._explored,
             searched_candidates=searched_count,
             wall_time=wall_timer() - started,
@@ -223,12 +279,9 @@ class BestPlanSearch:
         if cached is not None:
             return cached
         if not s_list:
-            streams, probes = self._complete(chosen)
-            cost = self.cost_model.plan_cost(
-                streams, self._cq_by_id, probes, self.oracle,
-            )
             self._explored += 1
-            result = (cost, chosen)
+            done = self._completions_for(chosen)
+            result = (self._cost(chosen, done), chosen)
             self._memo[key] = result
             return result
         best_cost = float("inf")
@@ -254,71 +307,162 @@ class BestPlanSearch:
         self._memo[key] = (best_cost, best_chosen)
         return best_cost, best_chosen
 
-    # -- plan completion ---------------------------------------------------------------
+    # -- leaf costing -----------------------------------------------------------------
 
-    def _complete(self, chosen: tuple[_Entry, ...]
-                  ) -> tuple[dict[SPJ, frozenset[str]],
-                             dict[str, tuple[str, ...]]]:
-        """Turn a committed candidate set into a full valid assignment."""
-        coverage: dict[str, set[str]] = {cq.cq_id: set() for cq in self.cqs}
-        streams: dict[SPJ, set[str]] = {}
+    def _settle(self, served: frozenset[str]) -> None:
+        """Fix what the coming leaves cannot change: only the CQs in
+        ``served`` are listed by a candidate still to be committed, so
+        every other CQ completes the same way at each leaf."""
+        self._served_ids = [cq_id for cq_id in self._cq_by_id
+                            if cq_id in served]
+        self._settled = {
+            cq_id: self._completion(cq_id, ())
+            for cq_id in self._cq_by_id if cq_id not in served
+        }
+
+    def _completions_for(self, chosen: tuple[_Entry, ...]
+                         ) -> dict[str, _Completion]:
+        """Every CQ's completion under ``chosen``, in batch order."""
+        serving: dict[str, list[SPJ]] = {
+            cq_id: [] for cq_id in self._served_ids
+        }
         for expr, consumers in chosen:
             for cq_id in consumers:
-                if coverage[cq_id] & set(expr.aliases):
-                    # A completion-time conflict can only arise from
-                    # imprecise memo reuse; resolve by skipping.
-                    continue
-                coverage[cq_id].update(expr.aliases)
-                streams.setdefault(expr, set()).add(cq_id)
-        for candidate in self._auto:
-            eligible = {
-                cq_id for cq_id in candidate.consumers
-                if cq_id in coverage
-                and not (coverage[cq_id] & candidate.aliases)
-            }
-            if eligible:
-                for cq_id in eligible:
-                    coverage[cq_id].update(candidate.aliases)
-                streams.setdefault(candidate.expr, set()).update(eligible)
-        limit = self.cost_model.stream_preference_limit()
-        for cq in self.cqs:
-            streamed_bases: list[str] = []
-            deferred: list[tuple[float, str]] = []
-            for alias in cq.expr.aliases:
-                if alias in coverage[cq.cq_id]:
-                    continue
-                if alias not in self.streamable[cq.cq_id]:
-                    continue  # score-less and large: probe, period.
-                base = cq.expr.induced({alias})
-                selective = bool(cq.expr.selections_on(alias))
-                card = self.cost_model.est_cardinality(base)
-                if selective or card <= limit:
-                    streams.setdefault(base, set()).add(cq.cq_id)
-                    coverage[cq.cq_id].add(alias)
-                    streamed_bases.append(alias)
-                else:
-                    # Scored but unselected and large: a flat stream
-                    # descends the threshold too slowly -- access it by
-                    # key probes (Figure 4's TP_R / UP_R pattern).
-                    deferred.append((card, alias))
-            has_stream = streamed_bases or any(
-                cq.cq_id in consumers for consumers in streams.values()
-            )
-            if not has_stream:
-                # Every m-join needs at least one driving stream.
-                deferred.sort()
-                _card, anchor = deferred.pop(0)
-                base = cq.expr.induced({anchor})
-                streams.setdefault(base, set()).add(cq.cq_id)
-                coverage[cq.cq_id].add(anchor)
-        probes = {
-            cq.cq_id: tuple(
-                a for a in cq.expr.aliases
-                if a not in coverage[cq.cq_id]
-            )
-            for cq in self.cqs
+                serving[cq_id].append(expr)
+        settled = self._settled
+        return {
+            cq_id: settled.get(cq_id)
+            or self._completion(cq_id, tuple(serving[cq_id]))
+            for cq_id in self._cq_by_id
         }
+
+    def _cost(self, chosen: tuple[_Entry, ...],
+              done: dict[str, _Completion]) -> float:
+        """``plan_cost`` of the assignment ``chosen`` completes to --
+        the same addends, added in the same order (inputs as
+        :meth:`_assemble` lists them, probe sources by first use, then
+        joins per CQ), from what the completions already hold."""
+        depth: dict[SPJ, float] = {expr: 0.0 for expr, _ in chosen}
+        depth.update(self._auto_unread)
+        sources: dict[tuple, int] = {}
+        for completion in done.values():
+            for expr, read in completion.reads:
+                if read > depth.get(expr, 0.0):
+                    depth[expr] = read
+            for key in completion.probe_keys:
+                sources[key] = sources.get(key, 0) + 1
+        model = self.cost_model
+        total = 0.0
+        for expr, reach in depth.items():
+            if not reach:
+                continue  # offered, but every consumer declined it
+            already = self._already.get(expr)
+            if already is None:
+                already = self._already[expr] = (
+                    self.oracle.tuples_already_read(expr)
+                    if self.oracle else 0)
+            total += model.read_cost(reach, already)
+        for (relation, _sels), count in sources.items():
+            total += model.probe_source_cost(relation, count)
+        for join_cost in self._join_costs:
+            total += join_cost
+        return total
+
+    # -- plan completion ---------------------------------------------------------------
+
+    def _completion(self, cq_id: str, served: tuple[SPJ, ...]
+                    ) -> _Completion:
+        key = (cq_id, served)
+        done = self._completion_memo.get(key)
+        if done is None:
+            done = self._completion_memo[key] = self._complete_cq(
+                self._cq_by_id[cq_id], served)
+        return done
+
+    def _prelude(self, cq: ConjunctiveQuery
+                 ) -> tuple[tuple[str, SPJ, bool, float], ...]:
+        """``(alias, induced base input, selective, cardinality)`` per
+        streamable atom, in atom order -- what the base-relation
+        fallback consults, whatever the leaf."""
+        prelude = self._preludes.get(cq.cq_id)
+        if prelude is None:
+            streamable = self.streamable[cq.cq_id]
+            bases = [(alias, cq.expr.induced({alias}))
+                     for alias in cq.expr.aliases if alias in streamable]
+            prelude = self._preludes[cq.cq_id] = tuple(
+                (alias, base, bool(base.selections),
+                 self.cost_model.est_cardinality(base))
+                for alias, base in bases
+            )
+        return prelude
+
+    def _complete_cq(self, cq: ConjunctiveQuery, served: tuple[SPJ, ...]
+                     ) -> _Completion:
+        """Turn the committed candidates serving one CQ into its full
+        valid input assignment."""
+        coverage: set[str] = set()
+        picked: list[SPJ] = []
+        for expr in served:
+            # A completion-time conflict can only arise from imprecise
+            # memo reuse; resolve by skipping.
+            if coverage.isdisjoint(expr.aliases):
+                coverage.update(expr.aliases)
+                picked.append(expr)
+        for candidate in self._auto_for[cq.cq_id]:
+            if coverage.isdisjoint(candidate.expr.aliases):
+                coverage.update(candidate.expr.aliases)
+                picked.append(candidate.expr)
+        limit = self.cost_model.stream_preference_limit()
+        bases: list[SPJ] = []
+        deferred: list[tuple[float, str]] = []
+        for alias, base, selective, card in self._prelude(cq):
+            # Atoms outside the prelude are score-less and large:
+            # probe, period.
+            if alias in coverage:
+                continue
+            if selective or card <= limit:
+                bases.append(base)
+                coverage.add(alias)
+            else:
+                # Scored but unselected and large: a flat stream
+                # descends the threshold too slowly -- access it by
+                # key probes (Figure 4's TP_R / UP_R pattern).
+                deferred.append((card, alias))
+        if not picked and not bases:
+            # Every m-join needs at least one driving stream.
+            deferred.sort()
+            _card, anchor = deferred.pop(0)
+            bases.append(cq.expr.induced({anchor}))
+            coverage.add(anchor)
+        probes = tuple(a for a in cq.expr.aliases if a not in coverage)
+        return _Completion(
+            picked=tuple(picked),
+            bases=tuple(bases),
+            probes=probes,
+            reads=tuple((expr, self.cost_model.expected_read(expr, cq))
+                        for expr in picked + bases),
+            probe_keys=tuple(probe_source_key(cq.expr, alias)
+                             for alias in probes),
+        )
+
+    def _assemble(self, chosen: tuple[_Entry, ...],
+                  done: dict[str, _Completion]
+                  ) -> tuple[dict[SPJ, frozenset[str]],
+                             dict[str, tuple[str, ...]]]:
+        """The whole-batch assignment ``(I, I-map)``: committed inputs
+        first, then the automatic candidates, then base relations in
+        query order."""
+        streams: dict[SPJ, set[str]] = {}
+        offered = list(chosen) + [(c.expr, c.consumers) for c in self._auto]
+        for expr, consumers in offered:
+            users = {cq_id for cq_id in consumers
+                     if cq_id in done and expr in done[cq_id].picked}
+            if users:
+                streams.setdefault(expr, set()).update(users)
+        for cq_id, completion in done.items():
+            for base in completion.bases:
+                streams.setdefault(base, set()).add(cq_id)
         return (
             {expr: frozenset(consumers) for expr, consumers in streams.items()},
-            probes,
+            {cq_id: completion.probes for cq_id, completion in done.items()},
         )

@@ -15,11 +15,16 @@ full result has ``card(CQ)`` tuples, an input ``J`` contributes roughly
 ``[min_depth, card(J)]``.  Inputs shared by several queries are read
 once, at the deepest consumer's depth -- this is where shared
 subexpressions pay off in the model, exactly as they do at runtime.
+
+Cardinality estimates are memoized on the interned expression itself
+(see :meth:`CostModel.est_cardinality`); relation statistics on the
+federation (:meth:`~repro.data.database.Federation.stats`).  A miss
+therefore costs arithmetic, a hit one attribute read, and nothing here
+keeps an expression alive.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Iterable, Mapping
 
 from repro.common.config import ExecutionConfig
@@ -70,12 +75,6 @@ class CostModel:
         self.depth_factor = depth_factor
         self.min_depth = min_depth
         self.input_overhead = input_overhead
-        #: Keyed weakly: a cost model lives as long as its engine, and
-        #: a strong key would pin every expression it ever costed in
-        #: the (weak) intern table.  Expressions are interned, so an
-        #: entry serves every query that contains the expression.
-        self._card_cache: weakref.WeakKeyDictionary[SPJ, float] = \
-            weakref.WeakKeyDictionary()
 
     # -- cardinalities ------------------------------------------------------------
 
@@ -83,10 +82,20 @@ class CostModel:
         return self.federation.cardinality(relation)
 
     def est_cardinality(self, expr: SPJ) -> float:
-        """System-R style estimate for a select-project-join expression."""
-        cached = self._card_cache.get(expr)
-        if cached is not None:
-            return cached
+        """System-R style estimate for a select-project-join expression.
+
+        A function of the expression and the federation's statistics
+        alone, so it is memoized *on the interned expression*, stamped
+        with the statistics epoch it was computed under: one slot per
+        expression, shared by every cost model and every query that
+        contains the expression, dead with the expression (the memo
+        holds a float, never a reference), and void as soon as the
+        corpus -- or the federation asking -- is another.
+        """
+        epoch = self.federation.stats_epoch
+        cached = expr.__dict__.get("_cardinality")
+        if cached is not None and cached[0] == epoch:
+            return cached[1]
         total = 1.0
         for atom in expr.atoms:
             stats = self.federation.stats(atom.relation)
@@ -108,7 +117,7 @@ class CostModel:
             right = alias_stats[pred.right_alias].distinct_of(pred.right_attr)
             total /= max(left, right, 1)
         estimate = max(total, 0.01)
-        self._card_cache[expr] = estimate
+        expr.__dict__["_cardinality"] = (epoch, estimate)
         return estimate
 
     # -- depths ----------------------------------------------------------------------
@@ -150,6 +159,10 @@ class CostModel:
             (self.expected_read(input_expr, cq) for cq in consumers),
             default=0.0,
         )
+        return self.read_cost(depth, already_read)
+
+    def read_cost(self, depth: float, already_read: int = 0) -> float:
+        """Latency cost of one input read ``depth`` tuples deep."""
         billable = max(0.0, depth - already_read)
         return self.input_overhead + self.read_unit * billable
 
@@ -193,15 +206,21 @@ class CostModel:
         for cq_id, aliases in probe_atoms.items():
             cq = cq_by_id[cq_id]
             for alias in aliases:
-                relation = cq.expr.alias_to_relation[alias]
-                sel_key = tuple(sorted(
-                    (s.attr, s.op, repr(s.value))
-                    for s in cq.expr.selections_on(alias)
-                ))
-                key = (relation, sel_key)
+                key = probe_source_key(cq.expr, alias)
                 ra_sources[key] = ra_sources.get(key, 0) + 1
         for (relation, _sels), count in ra_sources.items():
             total += self.probe_source_cost(relation, count)
         for cq in cq_by_id.values():
             total += self.join_cpu_cost(cq)
         return total
+
+
+def probe_source_key(expr: SPJ, alias: str) -> tuple[str, tuple]:
+    """The identity of the random-access source one probed atom uses:
+    ``(relation, selections)``, alias-free, so atoms of different
+    queries that probe the same filtered relation share one source."""
+    return (
+        expr.alias_to_relation[alias],
+        tuple(sorted((s.attr, s.op, repr(s.value))
+                     for s in expr.selections_on(alias))),
+    )

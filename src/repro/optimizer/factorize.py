@@ -16,11 +16,24 @@ joins -- or creating a new component below a split when consumer sets
 diverge.  The loop ends when every query is computed by a single
 component (or directly by a source), which becomes the stream its
 rank-merge consumes.
+
+The loop is incremental (:class:`Factorization`).  Applying an op
+rewrites the regions of the queries in its support and of no one else,
+so the table of applicable ops is maintained, not rebuilt: each query
+keeps the list of ops it supports, and after an op only the queries in
+its support leave the table and are enumerated again.  An op's rank
+addends -- the cost model's cardinality estimate of the expression it
+builds and its tie-break -- are computed once, when the op enters the
+table.  The tie-break is total (kind, node ids, and the combined
+expression's :attr:`~repro.plan.expressions.SPJ.order_key`, which
+unlike ``repr`` spells out the join predicates), so which of two tied
+ops wins never depends on the order of the batch.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.common.errors import OptimizationError
@@ -110,6 +123,193 @@ class FactorizedPlan:
         return fanout
 
 
+#: op key forms: ("join", idA, idB, combined_expr) with idA < idB,
+#: or ("absorb", idA, probe_alias, combined_expr); without sharing the
+#: owning CQ's id is appended, so no op is ever common to two queries.
+_OpKey = tuple
+
+
+class Factorization:
+    """The region-merging state of one batch, maintained incrementally.
+
+    Per CQ: its regions (node id -> covered aliases) and pending probe
+    atoms.  Over the batch: the *op table*, every applicable
+    join/absorb op with the set of CQs it is common to (its support).
+    Applying an op rewrites the regions of the CQs in its support and
+    of nobody else, so only their ops are re-enumerated; an op's rank
+    addends -- the estimated cardinality of the expression it builds
+    and its tie-break string -- are computed once, when the op first
+    enters the table.
+    """
+
+    def __init__(self, result: BestPlanResult, cqs: list[ConjunctiveQuery],
+                 cost_model: CostModel, scope: str,
+                 sharing: bool = True) -> None:
+        self.cqs = cqs
+        self.cost_model = cost_model
+        self.scope = scope
+        self.sharing = sharing
+        self.plan = plan = FactorizedPlan(scope=scope)
+        self.regions: dict[str, dict[str, frozenset[str]]] = {}
+        self.pending_probes: dict[str, set[str]] = {}
+        for cq in cqs:
+            self.regions[cq.cq_id] = {}
+            self.pending_probes[cq.cq_id] = set(
+                result.probes.get(cq.cq_id, ()))
+            plan.cq_probe_atoms[cq.cq_id] = tuple(
+                sorted(result.probes.get(cq.cq_id, ())))
+
+        for expr, consumers in result.streams.items():
+            for cq_id in consumers:
+                if cq_id not in self.regions:
+                    continue
+                source_id = source_node_id(scope if sharing else cq_id, expr)
+                if source_id not in plan.sources:
+                    plan.sources[source_id] = SourceSpec(source_id, expr)
+                self.regions[cq_id][source_id] = frozenset(expr.aliases)
+        for cq in cqs:
+            plan.cq_stream_sources[cq.cq_id] = tuple(
+                sorted(self.regions[cq.cq_id]))
+
+        #: op -> the CQs it is common to.
+        self.ops: dict[_OpKey, set[str]] = {}
+        #: op -> (estimated cardinality, tie-break), fixed per op.
+        self._rank: dict[_OpKey, tuple[float, tuple]] = {}
+        #: CQ -> the ops it currently supports.
+        self._cq_ops: dict[str, list[_OpKey]] = {}
+        for cq in cqs:
+            self._enumerate(cq)
+
+    def work_left(self) -> list[str]:
+        """The CQs not yet computed by a single node."""
+        return [
+            cq.cq_id for cq in self.cqs
+            if len(self.regions[cq.cq_id]) > 1
+            or self.pending_probes[cq.cq_id]
+        ]
+
+    def best_op(self) -> _OpKey | None:
+        """The op common to the most queries, ties toward the most
+        selective, then by a total order on the op itself -- never by
+        where the op sits in the table."""
+        ops, rank = self.ops, self._rank
+        if not ops:
+            return None
+        return min(ops, key=lambda key: (-len(ops[key]), *rank[key]))
+
+    def apply(self, key: _OpKey) -> None:
+        """Apply one op for every CQ in its support and bring the op
+        table up to date: the support's CQs are the only ones whose
+        regions changed, so they alone leave the table and re-enter it."""
+        support = self.ops[key]
+        self._merge_regions(key, support)
+        members = [cq for cq in self.cqs if cq.cq_id in support]
+        for cq in members:
+            for stale in self._cq_ops[cq.cq_id]:
+                remaining = self.ops[stale]
+                remaining.discard(cq.cq_id)
+                if not remaining:
+                    del self.ops[stale]
+                    del self._rank[stale]
+        for cq in members:
+            self._enumerate(cq)
+
+    def _merge_regions(self, key: _OpKey, support: set[str]) -> None:
+        """Build (or grow) the component an op stands for and make it
+        the region of every supporting CQ."""
+        plan = self.plan
+        kind = key[0]
+        combined: SPJ = key[3]
+        children: list[str] = []
+        probe_atoms: list[str] = []
+        absorbed_ids: list[str]
+        if kind == "join":
+            absorbed_ids = [key[1], key[2]]
+        else:
+            absorbed_ids = [key[1]]
+            probe_atoms.append(key[2])
+        for node_id in absorbed_ids:
+            spec = plan.components.get(node_id)
+            if spec is not None and spec.cqs == support:
+                # Exclusive component: flatten its inputs into the grown
+                # m-join instead of stacking another operator (the paper's
+                # "as few factored components as possible").
+                children.extend(spec.stream_children)
+                probe_atoms.extend(spec.probe_atoms)
+                del plan.components[node_id]
+            else:
+                children.append(node_id)
+        comp_scope = self.scope if self.sharing \
+            else f"{self.scope}:{sorted(support)[0]}"
+        stream_children = tuple(sorted(set(children)))
+        probe_atom_set = tuple(sorted(set(probe_atoms)))
+        comp_id = component_node_id(comp_scope, combined, stream_children,
+                                    probe_atom_set)
+        existing = plan.components.get(comp_id)
+        if existing is not None:
+            existing.cqs.update(support)
+        else:
+            plan.components[comp_id] = ComponentSpec(
+                comp_id=comp_id,
+                expr=combined,
+                stream_children=stream_children,
+                probe_atoms=probe_atom_set,
+                cqs=set(support),
+            )
+        combined_aliases = frozenset(combined.aliases)
+        for cq_id in support:
+            cq_regions = self.regions[cq_id]
+            for node_id in absorbed_ids:
+                cq_regions.pop(node_id, None)
+            cq_regions[comp_id] = combined_aliases
+            if kind == "absorb":
+                self.pending_probes[cq_id].discard(key[2])
+
+    def _enumerate(self, cq: ConjunctiveQuery) -> None:
+        """Enter every op applicable to ``cq``'s current regions."""
+        keys = self._cq_ops[cq.cq_id] = []
+        expr = cq.expr
+        owner = () if self.sharing else (cq.cq_id,)
+        region_items = sorted(self.regions[cq.cq_id].items())
+        probes = sorted(self.pending_probes[cq.cq_id])
+        for i, (id_a, aliases_a) in enumerate(region_items):
+            for id_b, aliases_b in region_items[i + 1:]:
+                if _adjacent(expr, aliases_a, aliases_b):
+                    keys.append(("join", id_a, id_b,
+                                 expr.induced(aliases_a | aliases_b), *owner))
+            for probe_alias in probes:
+                if _adjacent(expr, aliases_a, (probe_alias,)):
+                    keys.append(("absorb", id_a, probe_alias,
+                                 expr.induced(aliases_a | {probe_alias}),
+                                 *owner))
+        for key in keys:
+            support = self.ops.get(key)
+            if support is None:
+                self.ops[key] = {cq.cq_id}
+                combined: SPJ = key[3]
+                self._rank[key] = (
+                    self.cost_model.est_cardinality(combined),
+                    (key[0], key[1], key[2], combined.order_key, *owner),
+                )
+            else:
+                support.add(cq.cq_id)
+
+    def finish(self) -> FactorizedPlan:
+        """Record which node computes each CQ."""
+        plan = self.plan
+        for cq in self.cqs:
+            (final_id, aliases), = self.regions[cq.cq_id].items()
+            if aliases != frozenset(cq.expr.aliases):
+                raise OptimizationError(
+                    f"{cq.cq_id}: final region covers {sorted(aliases)} != "
+                    f"query atoms {sorted(cq.expr.aliases)}"
+                )
+            plan.cq_final[cq.cq_id] = final_id
+            if final_id in plan.components:
+                plan.components[final_id].cqs.add(cq.cq_id)
+        return plan
+
+
 def factorize(result: BestPlanResult, cqs: list[ConjunctiveQuery],
               cost_model: CostModel, scope: str,
               sharing: bool = True) -> FactorizedPlan:
@@ -119,167 +319,28 @@ def factorize(result: BestPlanResult, cqs: list[ConjunctiveQuery],
     every conjunctive query gets a private component chain -- the
     ATC-CQ baseline.
     """
-    plan = FactorizedPlan(scope=scope)
-    cq_by_id = {cq.cq_id: cq for cq in cqs}
-
-    # Region state: per CQ, node_id -> covered aliases; plus pending
-    # probe atoms.
-    regions: dict[str, dict[str, frozenset[str]]] = {}
-    pending_probes: dict[str, set[str]] = {}
-    for cq in cqs:
-        regions[cq.cq_id] = {}
-        pending_probes[cq.cq_id] = set(result.probes.get(cq.cq_id, ()))
-        plan.cq_probe_atoms[cq.cq_id] = tuple(
-            sorted(result.probes.get(cq.cq_id, ())))
-
-    for expr, consumers in result.streams.items():
-        shared_scope = scope if sharing else None
-        for cq_id in consumers:
-            if cq_id not in cq_by_id:
-                continue
-            sid_scope = shared_scope if shared_scope is not None else cq_id
-            source_id = source_node_id(sid_scope, expr)
-            if source_id not in plan.sources:
-                plan.sources[source_id] = SourceSpec(source_id, expr)
-            regions[cq_id][source_id] = frozenset(expr.aliases)
-    for cq in cqs:
-        plan.cq_stream_sources[cq.cq_id] = tuple(sorted(
-            node_id for node_id in regions[cq.cq_id]
-        ))
-
-    def work_left(cq_id: str) -> bool:
-        return len(regions[cq_id]) > 1 or bool(pending_probes[cq_id])
-
+    state = Factorization(result, cqs, cost_model, scope, sharing)
     guard = 0
-    while any(work_left(cq.cq_id) for cq in cqs):
+    while state.work_left():
         guard += 1
         if guard > 10_000:
             raise OptimizationError(
                 "factorization did not converge; region state: "
-                f"{ {c: list(r) for c, r in regions.items()} }"
+                f"{ {c: list(r) for c, r in state.regions.items()} }"
             )
-        ops = _collect_ops(cqs, cq_by_id, regions, pending_probes, sharing)
-        if not ops:
-            stuck = [cq.cq_id for cq in cqs if work_left(cq.cq_id)]
+        key = state.best_op()
+        if key is None:
             raise OptimizationError(
-                f"no applicable factorization op for queries {stuck}; "
-                "their join graphs are likely disconnected"
+                f"no applicable factorization op for queries "
+                f"{state.work_left()}; their join graphs are likely "
+                "disconnected"
             )
-        key = min(
-            ops,
-            key=lambda k: (-len(ops[k]), cost_model.est_cardinality(k[3]),
-                           repr(k)),
-        )
-        support = ops[key]
-        _apply_op(key, support, plan, regions, pending_probes, scope,
-                  sharing)
-
-    for cq in cqs:
-        (final_id, aliases), = regions[cq.cq_id].items()
-        if aliases != frozenset(cq.expr.aliases):
-            raise OptimizationError(
-                f"{cq.cq_id}: final region covers {sorted(aliases)} != "
-                f"query atoms {sorted(cq.expr.aliases)}"
-            )
-        plan.cq_final[cq.cq_id] = final_id
-        if final_id in plan.components:
-            plan.components[final_id].cqs.add(cq.cq_id)
-    return plan
+        state.apply(key)
+    return state.finish()
 
 
-#: op key forms: ("join", idA, idB, combined_expr) with idA < idB,
-#: or ("absorb", idA, probe_alias, combined_expr).
-_OpKey = tuple
-
-
-def _collect_ops(cqs: list[ConjunctiveQuery],
-                 cq_by_id: dict[str, ConjunctiveQuery],
-                 regions: dict[str, dict[str, frozenset[str]]],
-                 pending_probes: dict[str, set[str]],
-                 sharing: bool) -> dict[_OpKey, set[str]]:
-    ops: dict[_OpKey, set[str]] = {}
-    for cq in cqs:
-        cq_regions = regions[cq.cq_id]
-        region_items = sorted(cq_regions.items())
-        for i, (id_a, aliases_a) in enumerate(region_items):
-            for id_b, aliases_b in region_items[i + 1:]:
-                if not _adjacent(cq.expr, aliases_a, aliases_b):
-                    continue
-                combined = cq.expr.induced(aliases_a | aliases_b)
-                first, second = sorted((id_a, id_b))
-                key = ("join", first, second, combined)
-                ops.setdefault(key, set()).add(cq.cq_id)
-            for probe_alias in sorted(pending_probes[cq.cq_id]):
-                if not _adjacent(cq.expr, aliases_a,
-                                 frozenset((probe_alias,))):
-                    continue
-                combined = cq.expr.induced(aliases_a | {probe_alias})
-                key = ("absorb", id_a, probe_alias, combined)
-                ops.setdefault(key, set()).add(cq.cq_id)
-    if not sharing:
-        # Per-query support only: split multi-query ops apart.
-        split: dict[_OpKey, set[str]] = {}
-        for key, support in ops.items():
-            for cq_id in support:
-                split.setdefault(key + (cq_id,), set()).add(cq_id)
-        return split
-    return ops
-
-
-def _adjacent(expr: SPJ, left: frozenset[str], right: frozenset[str]) -> bool:
-    return any(
-        (p.left_alias in left and p.right_alias in right)
-        or (p.right_alias in left and p.left_alias in right)
-        for p in expr.joins
-    )
-
-
-def _apply_op(key: _OpKey, support: set[str], plan: FactorizedPlan,
-              regions: dict[str, dict[str, frozenset[str]]],
-              pending_probes: dict[str, set[str]],
-              scope: str, sharing: bool) -> None:
-    kind = key[0]
-    combined: SPJ = key[3]
-    children: list[str] = []
-    probe_atoms: list[str] = []
-    absorbed_ids: list[str]
-    if kind == "join":
-        absorbed_ids = [key[1], key[2]]
-    else:
-        absorbed_ids = [key[1]]
-        probe_atoms.append(key[2])
-    for node_id in absorbed_ids:
-        spec = plan.components.get(node_id)
-        if spec is not None and spec.cqs == support:
-            # Exclusive component: flatten its inputs into the grown
-            # m-join instead of stacking another operator (the paper's
-            # "as few factored components as possible").
-            children.extend(spec.stream_children)
-            probe_atoms.extend(spec.probe_atoms)
-            del plan.components[node_id]
-        else:
-            children.append(node_id)
-    comp_scope = scope if sharing else f"{scope}:{sorted(support)[0]}"
-    stream_children = tuple(sorted(set(children)))
-    probe_atom_set = tuple(sorted(set(probe_atoms)))
-    comp_id = component_node_id(comp_scope, combined, stream_children,
-                                probe_atom_set)
-    existing = plan.components.get(comp_id)
-    if existing is not None:
-        existing.cqs.update(support)
-    else:
-        plan.components[comp_id] = ComponentSpec(
-            comp_id=comp_id,
-            expr=combined,
-            stream_children=stream_children,
-            probe_atoms=probe_atom_set,
-            cqs=set(support),
-        )
-    combined_aliases = frozenset(combined.aliases)
-    for cq_id in support:
-        cq_regions = regions[cq_id]
-        for node_id in absorbed_ids:
-            cq_regions.pop(node_id, None)
-        cq_regions[comp_id] = combined_aliases
-        if kind == "absorb":
-            pending_probes[cq_id].discard(key[2])
+def _adjacent(expr: SPJ, left: Iterable[str], right: Iterable[str]) -> bool:
+    """Whether a join predicate of ``expr`` links the two alias sets."""
+    adjacency = expr.adjacency
+    neighbours = {n for alias in left for n in adjacency[alias]}
+    return not neighbours.isdisjoint(right)

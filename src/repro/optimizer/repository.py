@@ -40,6 +40,29 @@ translation as exactly the cacheable step.  The
   graft makes the reused node ids land on the operators already in
   the plan graph.
 
+Below the layers sits the *miss path* -- the uncached pipeline every
+layer falls back to, and all there is for a batch of templates never
+seen before.  It memoizes too, but on the objects the work is about
+rather than in this repository, so those memos need no size policy and
+no invalidation beyond the lifetime of their owner:
+
+* the cardinality estimate of an expression -- on the interned
+  ``SPJ``, one slot stamped with the federation's statistics epoch;
+  void when the federation loads rows, gone with the expression;
+* ``order_key``, ``induced`` fragments, canonical renaming and key --
+  on the interned ``SPJ``, for as long as it lives;
+* relation statistics -- on the ``Federation``, dropped by
+  ``Federation.load``;
+* per-CQ completions, base-relation preludes and oracle readings --
+  on one ``BestPlanSearch``, gone when the search returns;
+* the op table and each op's rank -- on one ``Factorization``, gone
+  when ``factorize`` returns.
+
+With those in place the uncached pipeline costs about what a repository
+*hit* used to: ``benchmarks/results/BENCH_optimizer.json`` records the
+optimizer wall with ``plan_cache`` on and off per cell, and under
+ATC-FULL the two are now within noise of each other.
+
 Correctness contract: answers must be identical with the repository on
 or off.  Group-level hits replay a plan derived from a structurally
 identical batch under an identical reuse fingerprint; fragment grafts

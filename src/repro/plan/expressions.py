@@ -149,9 +149,13 @@ class SPJ:
     :meth:`canonical_key` to compare modulo alias renaming).
     Constructing a value that already exists returns the existing
     object, so every per-instance memo below (``induced``, fragment
-    enumeration, adjacency, canonical renaming and key) and every table
-    keyed by expressions downstream is shared by all queries that
-    contain the expression, not rebuilt per query.
+    enumeration, adjacency, canonical renaming and key, the order key),
+    the cost model's cardinality estimate -- kept in this object's
+    ``__dict__`` too, stamped with the statistics epoch it was computed
+    under -- and every table keyed by expressions downstream is shared
+    by all queries that contain the expression, not rebuilt per query.
+    None of those memos refers back to the expression, so it still dies
+    by reference counting with its last user.
 
     Because the object that answers is whichever was built first, its
     behaviour must depend on its value alone: ``atoms``, ``joins`` and
@@ -420,18 +424,22 @@ class SPJ:
                 for s in self.selections_on(atom.alias)
             )
             sig[atom.alias] = _digest((atom.relation, sels))
-        incident: dict[str, list[JoinPred]] = {a: [] for a in self.aliases}
+        #: alias -> (own attribute, neighbour's attribute, neighbour)
+        #: per incident join; only the neighbour's signature changes
+        #: from round to round.
+        incident: dict[str, list[tuple[str, str, str]]] = {
+            a: [] for a in self.aliases}
         for pred in self.joins:
-            incident[pred.left_alias].append(pred)
-            incident[pred.right_alias].append(pred)
+            incident[pred.left_alias].append(
+                (pred.left_attr, pred.right_attr, pred.right_alias))
+            incident[pred.right_alias].append(
+                (pred.right_attr, pred.left_attr, pred.left_alias))
         for _round in range(max(2, self.size)):
             new_sig: dict[str, str] = {}
             for alias in self.aliases:
                 neighbour_part = sorted(
-                    (pred.side_for(alias)[0],
-                     _attr_of(pred, pred.other(alias)),
-                     sig[pred.other(alias)])
-                    for pred in incident[alias]
+                    (own_attr, other_attr, sig[other])
+                    for own_attr, other_attr, other in incident[alias]
                 )
                 new_sig[alias] = _digest((sig[alias], tuple(neighbour_part)))
             sig = new_sig
@@ -502,6 +510,18 @@ class SPJ:
             )
         return f"SPJ({' '.join(parts)})"
 
+    @cached_property
+    def order_key(self) -> str:
+        """A total order over expressions that depends on the value
+        alone: ``repr`` (atoms and selections) extended by the join
+        predicates ``repr`` leaves out.  Tie-breaks that sorted by
+        ``repr`` were blind to two fragments joining the same atoms
+        on different attributes and fell back to insertion order."""
+        joins = ",".join(
+            f"{p.left_alias}.{p.left_attr}={p.right_alias}.{p.right_attr}"
+            for p in self.joins)
+        return f"{self!r} on {joins}"
+
     def describe(self) -> str:
         """A human-readable rendering, e.g. ``s(T) |X| G2G |X| GI``."""
         names = []
@@ -511,11 +531,6 @@ class SPJ:
             else:
                 names.append(atom.relation)
         return " |X| ".join(names)
-
-
-def _attr_of(pred: JoinPred, alias: str) -> str:
-    attr, _other = pred.side_for(alias)
-    return attr
 
 
 def canonical_digest(payload: object, digest_size: int = 10) -> str:

@@ -13,6 +13,7 @@ from repro.common.config import DelayModel, ExecutionConfig, SharingMode
 from repro.data.database import Federation
 from repro.data.figure1 import figure1_federation, figure1_schema
 from repro.data.generator import SyntheticDataGenerator
+from repro.data.gus import GUSConfig, gus_federation
 from repro.data.schema import Attribute, Relation, Schema, SchemaEdge
 from repro.keyword.queries import ConjunctiveQuery
 from repro.plan.expressions import SPJ, Atom, JoinPred, Selection
@@ -34,6 +35,16 @@ def fig1_schema():
 def fig1_federation():
     return figure1_federation(seed=7, cardinalities=dict(TINY_FIG1_CARDS),
                               domain_factor=0.7)
+
+
+def e2e_corpus() -> Federation:
+    """What ``repro serve --http --corpus gus --seed 7`` serves: the
+    corpus of ``benchmarks/e2e``, for tests that pin or cross-check the
+    optimizer on the batches the benchmark sends it."""
+    return gus_federation(GUSConfig(
+        n_hubs=8, links_per_extra_hub=2, synonym_every=3,
+        satellites_per_hub=1, n_sites=4, min_rows=80, max_rows=260,
+        domain_factor=0.45, seed=7))
 
 
 def make_triple_schema() -> Schema:

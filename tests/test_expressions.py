@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.common.config import DelayModel, ExecutionConfig
 from repro.common.errors import QueryError
 from repro.keyword.queries import KeywordQuery
+from repro.optimizer.cost import CostModel
 from repro.plan.expressions import (
     SPJ,
     Atom,
@@ -371,10 +372,10 @@ class TestInternTableBounded:
     KEYWORDS = [("protein", "plasma membrane"), ("gene", "membrane"),
                 ("protein", "gene"), ("plasma membrane", "gene")]
 
-    def serve(self, service, tag):
+    def serve(self, service, tag, keywords=KEYWORDS):
         handles = [
-            service.submit(KeywordQuery(f"{tag}{i}", keywords, k=5))
-            for i, keywords in enumerate(self.KEYWORDS)
+            service.submit(KeywordQuery(f"{tag}{i}", pair, k=5))
+            for i, pair in enumerate(keywords)
         ]
         service.drain()
         assert all(h.done for h in handles)
@@ -396,3 +397,53 @@ class TestInternTableBounded:
         del service
         gc.collect()
         assert interned_count() == before
+
+    def test_five_query_batch_leaves_no_memo_behind(self, fig1_federation):
+        """One multi-query batch walks every optimizer memo -- the
+        per-expression cardinality and tie-break slots, Algorithm 1's
+        per-CQ completions, the factorization op table -- and none of
+        them outlives the service.  The collector stays off while
+        serving, so no lucky pass hides a leak; the one explicit pass
+        is for the dropped service's own cycles (the plan graph)."""
+        gc.collect()
+        before = interned_count()
+        gc.disable()
+        try:
+            service = QService(
+                fig1_federation,
+                ExecutionConfig(k=5, seed=1, batch_window=2.0, batch_size=5,
+                                delays=DelayModel(deterministic=True)),
+                service=ServiceConfig(coalesce=False, cache_ttl=1e-9))
+            self.serve(service, "burst",
+                       self.KEYWORDS + [("protein", "membrane")])
+            records = [record
+                       for graph in service.engine.qs.graphs.values()
+                       for record in graph.metrics.optimizer_records]
+            assert [record.batch_size for record in records] == [5]
+            assert interned_count() > before
+            del service, records
+            gc.collect()
+            assert interned_count() == before
+        finally:
+            gc.enable()
+
+    def test_per_expression_memos_die_by_refcount(self, fig1_federation):
+        """What the optimizer memoizes *on* an expression holds no
+        reference back to it: with the collector off, dropping the last
+        user is enough."""
+        cost = CostModel(fig1_federation, ExecutionConfig(k=5))
+        gc.collect()
+        before = interned_count()
+        gc.disable()
+        try:
+            expr = make_chain(
+                [("TP", "TP", "", ""), ("E2M", "E2M", "meth_id", "id")],
+                [Selection("TP", "name", "contains", "refcount-only")])
+            assert cost.est_cardinality(expr) > 0
+            assert cost.est_cardinality(expr.induced({"TP"})) > 0
+            assert expr.order_key != expr.induced({"TP"}).order_key
+            assert interned_count() > before
+            del expr
+            assert interned_count() == before
+        finally:
+            gc.enable()

@@ -1,15 +1,23 @@
 """Tests for the Section 5.2 plan-graph factorization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.config import ExecutionConfig
-from repro.optimizer.bestplan import BestPlanSearch
+from repro.data.schema import Attribute, Relation, Schema, SchemaEdge
+from repro.optimizer.bestplan import BestPlanResult, BestPlanSearch
 from repro.optimizer.candidates import enumerate_candidates, streamable_aliases
 from repro.optimizer.cost import CostModel
-from repro.optimizer.factorize import factorize
-from repro.plan.expressions import Selection
+from repro.optimizer.factorize import Factorization, factorize
+from repro.plan.expressions import SPJ, Atom, JoinPred, Selection, make_chain
 
-from tests.conftest import abc_expr, load_triple_federation, make_cq
+from tests.conftest import (
+    abc_expr,
+    load_triple_federation,
+    make_cq,
+    populate_random,
+)
 
 
 @pytest.fixture()
@@ -148,3 +156,168 @@ class TestStructure:
         plan = plan_for(fed, config, [cq], scope="myscope")
         for comp_id in plan.components:
             assert ":myscope:" in comp_id
+
+
+class TestTieBreak:
+    def test_join_only_difference_does_not_fall_to_batch_order(self, fed,
+                                                              config):
+        """Two ops over the same regions whose combined expressions
+        differ only in the join predicate tie on support and
+        cardinality, and ``repr`` prints no joins: the winner used to
+        be whichever query came first in the batch."""
+        cost = CostModel(fed, config)
+
+        def joined_on(attr, cq_id):
+            expr = SPJ([Atom("A", "A"), Atom("B", "B")],
+                       [JoinPred.normalized("A", attr, "B", attr)])
+            return make_cq(expr, fed, cq_id, cq_id)
+
+        cqs = [joined_on("u", "cq1"), joined_on("v", "cq2")]
+        assert repr(cqs[0].expr) == repr(cqs[1].expr)
+        assert cqs[0].expr.order_key != cqs[1].expr.order_key
+        assert cost.est_cardinality(cqs[0].expr) == \
+            cost.est_cardinality(cqs[1].expr)
+        both = frozenset({"cq1", "cq2"})
+        result = BestPlanResult(
+            streams={cqs[0].expr.induced({"A"}): both,
+                     cqs[0].expr.induced({"B"}): both},
+            probes={}, cost=0.0)
+        forward = factorize(result, cqs, cost, "g")
+        backward = factorize(result, cqs[::-1], cost, "g")
+        assert len(forward.components) == 2
+        assert list(forward.components) == list(backward.components)
+
+
+# -- incremental op table == from-scratch enumeration ------------------------
+
+CHAIN = 6
+
+
+@pytest.fixture(scope="module")
+def chain_fed():
+    """R0 -n=p- R1 -n=p- ... -n=p- R5, every relation scored."""
+    relations = [
+        Relation(f"R{i}", (
+            Attribute("p", is_key=True),
+            Attribute("n", is_key=True),
+            Attribute("name", is_text=True),
+            Attribute("s", is_score=True),
+        ), site=f"s{i % 2}", node_cost=0.2)
+        for i in range(CHAIN)
+    ]
+    edges = [SchemaEdge(f"R{i}", "n", f"R{i + 1}", "p", cost=0.5, kind="fk")
+             for i in range(CHAIN - 1)]
+    return populate_random(
+        Schema(relations, edges),
+        {f"R{i}": 20 + 7 * i for i in range(CHAIN)}, seed=3)
+
+
+@st.composite
+def chain_batches(draw):
+    """2-5 CQs, each a window of the chain (aliases are relation names,
+    so windows that overlap share sub-expressions) with at most one
+    selection from a small pool, plus an input assignment for each:
+    the window cut into contiguous segments, every segment a streamed
+    input except that single atoms may be probed instead."""
+    batch = []
+    for _ in range(draw(st.integers(2, 5))):
+        size = draw(st.integers(2, 4))
+        lo = draw(st.integers(0, CHAIN - size))
+        selected = draw(st.sampled_from([None, "alpha", "beta"]))
+        cuts = draw(st.lists(st.booleans(), min_size=size - 1,
+                             max_size=size - 1))
+        probed = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        batch.append((lo, size, selected, cuts, probed))
+    return batch, draw(st.booleans())
+
+
+def build_batch(fed, batch):
+    """The CQs and the ``BestPlanResult`` a drawn batch describes."""
+    cqs = []
+    streams: dict = {}
+    probes: dict = {}
+    for number, (lo, size, selected, cuts, probed) in enumerate(batch):
+        names = [f"R{i}" for i in range(lo, lo + size)]
+        selections = [] if selected is None else [
+            Selection(names[0], "name", "contains", selected)]
+        expr = make_chain([(name, name, "p", "n") for name in names],
+                          selections)
+        cq = make_cq(expr, fed, f"cq{number}", f"uq{number}")
+        cqs.append(cq)
+        segments = [[names[0]]]
+        for name, cut in zip(names[1:], cuts):
+            if cut:
+                segments.append([name])
+            else:
+                segments[-1].append(name)
+        probes[cq.cq_id] = ()
+        streamed = 0
+        for position, segment in enumerate(segments):
+            last = position == len(segments) - 1
+            if (len(segment) == 1 and probed[position]
+                    and not (last and streamed == 0)):
+                probes[cq.cq_id] += (segment[0],)
+            else:
+                streamed += 1
+                streams.setdefault(expr.induced(segment), set()).add(cq.cq_id)
+    result = BestPlanResult(
+        streams={e: frozenset(ids) for e, ids in streams.items()},
+        probes=probes, cost=0.0)
+    return cqs, result
+
+
+def linked(expr, left, right):
+    return any(
+        (p.left_alias in left and p.right_alias in right)
+        or (p.right_alias in left and p.left_alias in right)
+        for p in expr.joins)
+
+
+def ops_from_scratch(state):
+    """Every applicable op with its support, enumerated over every CQ
+    of the batch -- the full rescan ``factorize`` used to do per op."""
+    ops: dict = {}
+    for cq in state.cqs:
+        owner = () if state.sharing else (cq.cq_id,)
+        regions = sorted(state.regions[cq.cq_id].items())
+        for i, (id_a, aliases_a) in enumerate(regions):
+            for id_b, aliases_b in regions[i + 1:]:
+                if linked(cq.expr, aliases_a, aliases_b):
+                    key = ("join", id_a, id_b,
+                           cq.expr.induced(aliases_a | aliases_b), *owner)
+                    ops.setdefault(key, set()).add(cq.cq_id)
+            for alias in state.pending_probes[cq.cq_id]:
+                if linked(cq.expr, aliases_a, {alias}):
+                    key = ("absorb", id_a, alias,
+                           cq.expr.induced(aliases_a | {alias}), *owner)
+                    ops.setdefault(key, set()).add(cq.cq_id)
+    return ops
+
+
+class TestIncrementalOpTable:
+    @given(chain_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_table_and_plan_match_a_from_scratch_loop(self, chain_fed, drawn):
+        batch, sharing = drawn
+        cost = CostModel(chain_fed, ExecutionConfig(k=5, seed=1))
+        cqs, result = build_batch(chain_fed, batch)
+
+        def rank(ops, key):
+            return (-len(ops[key]), cost.est_cardinality(key[3]),
+                    (key[0], key[1], key[2], key[3].order_key, *key[4:]))
+
+        state = Factorization(result, cqs, cost, "g", sharing)
+        while state.work_left():
+            ops = ops_from_scratch(state)
+            assert state.ops == ops
+            key = min(ops, key=lambda k: rank(ops, k))
+            assert state.best_op() == key
+            state.apply(key)
+        assert state.ops == ops_from_scratch(state)
+        reference = state.finish()
+        assert factorize(result, cqs, cost, "g", sharing=sharing) == reference
+        for cq in cqs:
+            final = reference.cq_final[cq.cq_id]
+            spec = reference.components.get(final)
+            covered = spec.expr if spec else reference.sources[final].expr
+            assert covered == cq.expr

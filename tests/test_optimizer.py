@@ -2,12 +2,19 @@
 BestPlan (Algorithm 1), and the cost model."""
 
 import gc
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.common.config import ExecutionConfig
+from repro.common.config import ExecutionConfig, SharingMode
+from repro.data.inverted import InvertedIndex
+from repro.keyword.candidates import CandidateNetworkGenerator
+from repro.keyword.queries import KeywordQuery
 from repro.optimizer.bestplan import BestPlanSearch
 from repro.optimizer.candidates import (
+    driving_stream_aliases,
     enumerate_candidates,
     probe_aliases,
     streamable_aliases,
@@ -22,7 +29,12 @@ from repro.plan.expressions import (
     interned_count,
 )
 
-from tests.conftest import abc_expr, load_triple_federation, make_cq
+from tests.conftest import (
+    abc_expr,
+    e2e_corpus,
+    load_triple_federation,
+    make_cq,
+)
 
 
 @pytest.fixture()
@@ -304,3 +316,77 @@ class TestBestPlan:
         inputs = result.inputs_for("cq0")
         sizes = [e.size for e in inputs]
         assert sizes == sorted(sizes, reverse=True)
+
+
+class BufferedSome(ReuseOracle):
+    """Claims a third of all inputs partly read, a third fully."""
+
+    def tuples_already_read(self, expr):
+        return (0, 30, 10_000)[len(expr.order_key) % 3]
+
+
+@pytest.fixture(scope="module")
+def burst_world():
+    fed = e2e_corpus()
+    index = InvertedIndex(fed)
+    config = ExecutionConfig(mode=SharingMode.ATC_FULL, k=10, seed=7)
+    pairs = list(itertools.combinations(index.vocabulary()[:12], 2))
+    return fed, CandidateNetworkGenerator(fed, index=index), config, pairs
+
+
+def burst_search(world, pairs, oracle=None):
+    """Algorithm 1 over one batch of keyword pairs, ready to run."""
+    fed, generator, config, _pairs = world
+    cqs = [
+        cq for number, pair in enumerate(pairs)
+        for cq in generator.generate(
+            KeywordQuery(f"q{number}", pair, k=10)).cqs
+    ]
+    cost = CostModel(fed, config)
+    return BestPlanSearch(
+        cqs=cqs,
+        candidates=enumerate_candidates(cqs, fed, cost, config),
+        cost_model=cost, config=config,
+        streamable={cq.cq_id: driving_stream_aliases(cq, fed, config)
+                    for cq in cqs},
+        probes={}, oracle=oracle)
+
+
+class TestLeafCosting:
+    """Algorithm 1 costs a leaf from memoized per-CQ completions; the
+    definition stays ``CostModel.plan_cost`` over the whole assembled
+    assignment.  Leaves tie exactly in real arithmetic all the time, so
+    nothing short of the same float picks the same plan."""
+
+    @given(st.lists(st.integers(0, 65), min_size=5, max_size=5, unique=True),
+           st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_every_leaf_costs_what_plan_cost_says(self, burst_world,
+                                                  picks, reuse):
+        pairs = burst_world[3]
+        oracle = BufferedSome() if reuse else None
+        search = burst_search(burst_world, [pairs[i] for i in picks], oracle)
+        by_id = {cq.cq_id: cq for cq in search.cqs}
+        costed = search._cost
+        leaves = []
+
+        def checked_cost(chosen, done):
+            value = costed(chosen, done)
+            streams, probes = search._assemble(chosen, done)
+            assert value == search.cost_model.plan_cost(
+                streams, by_id, probes, oracle)
+            leaves.append(value)
+            return value
+
+        search._cost = checked_cost
+        result = search.run()
+        # One costing per explored leaf, one for the plan that won.
+        explored = result.plans_explored if result.searched_candidates else 0
+        assert len(leaves) == explored + 1
+        assert result.cost == leaves[-1]
+
+    def test_the_bursts_do_branch(self, burst_world):
+        """The property above is not vacuous: a five-query burst has
+        conflict components with many leaves."""
+        result = burst_search(burst_world, burst_world[3][:5]).run()
+        assert result.plans_explored > 4
