@@ -1,0 +1,130 @@
+#!/usr/bin/env python
+"""Where the retained heap goes after an in-process ``cold_distinct`` replay.
+
+Usage: ``python scripts/heap_census.py [--seed 7] [--seconds 18]
+[--max-bytes-per-stuple N]``
+
+Builds the e2e benchmark's corpus and its ``cold_distinct`` op list --
+the ops ``benchmarks/e2e/run.py --workload cold_distinct --seed N
+--seconds S`` sends -- and replays them through ``harness.oracle_replay``
+(an in-process ``QService`` on a ``VirtualClock``) under ``tracemalloc``.
+The handles it returns keep the service, and so the whole plan graph,
+alive; after one ``gc.collect()`` the script prints
+
+* the retained heap by source module (where each block was allocated),
+* the live ``STuple`` count and bytes per ``STuple`` -- the bytes
+  allocated in ``data/rows.py`` that are still live, over that count,
+* the collector's per-generation collections during the replay and the
+  tracked-object count after it.
+
+With ``--max-bytes-per-stuple`` it exits 1 when the per-tuple figure is
+above the limit (the CI perf smoke).  It reads the benchmark's modules
+and changes none of them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import pathlib
+import sys
+import tracemalloc
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
+E2E = REPO / "benchmarks" / "e2e"
+sys.path[:0] = [str(SRC), str(E2E)]
+
+import harness  # noqa: E402
+import run  # noqa: E402
+import workloads  # noqa: E402
+
+from repro.data.rows import STuple  # noqa: E402
+
+ROWS_MODULE = "data/rows.py"
+TOP_MODULES = 12
+
+
+def module_name(filename: str) -> str:
+    path = pathlib.Path(filename)
+    for root in (SRC / "repro", REPO):
+        try:
+            return path.relative_to(root).as_posix()
+        except ValueError:
+            continue
+    return path.name
+
+
+def census(seed: int, seconds: float) -> dict:
+    gc.collect()
+    tracemalloc.start()
+    federation = harness.corpus()
+    workload = workloads.cold_distinct(
+        harness.vocabulary(federation), seed,
+        workloads.ops_for("cold_distinct", seconds, run.PASSES))
+    collections_before = [s["collections"] for s in gc.get_stats()]
+    handles = harness.oracle_replay(federation, workload)
+    collections = [s["collections"] - before for s, before
+                   in zip(gc.get_stats(), collections_before)]
+    gc.collect()
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(False, tracemalloc.__file__)])
+    tracemalloc.stop()
+    by_module: dict[str, int] = {}
+    for stat in snapshot.statistics("filename"):
+        name = module_name(stat.traceback[0].filename)
+        by_module[name] = by_module.get(name, 0) + stat.size
+    tracked = gc.get_objects()
+    stuples = sum(1 for obj in tracked if type(obj) is STuple)
+    rows_bytes = by_module.get(ROWS_MODULE, 0)
+    return {
+        "queries": len(handles),
+        "by_module": by_module,
+        "stuples": stuples,
+        "rows_bytes": rows_bytes,
+        "bytes_per_stuple": rows_bytes / stuples if stuples else 0.0,
+        "collections": collections,
+        "tracked": len(tracked),
+    }
+
+
+def render(result: dict) -> str:
+    mib = 1024 * 1024
+    total = sum(result["by_module"].values())
+    lines = [f"cold_distinct replay: {result['queries']} queries, "
+             f"retained {total / mib:.1f} MiB"]
+    ranked = sorted(result["by_module"].items(), key=lambda kv: -kv[1])
+    for name, size in ranked[:TOP_MODULES]:
+        lines.append(f"  {size / mib:8.1f} MiB  {name}")
+    lines += [
+        f"live STuples        {result['stuples']}",
+        f"{ROWS_MODULE} retained  {result['rows_bytes'] / mib:.1f} MiB",
+        f"bytes per STuple    {result['bytes_per_stuple']:.0f}",
+        "gc collections      gen0 {} / gen1 {} / gen2 {}".format(
+            *result["collections"]),
+        f"gc tracked objects  {result['tracked']}",
+    ]
+    return "\n".join(lines)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=7,
+                        help="workload seed (the corpus seed stays 7)")
+    parser.add_argument("--seconds", type=float, default=18.0,
+                        help="run length the op count is sized for")
+    parser.add_argument("--max-bytes-per-stuple", type=float,
+                        help="exit 1 above this many bytes per STuple")
+    args = parser.parse_args(argv)
+    result = census(args.seed, args.seconds)
+    print(render(result))
+    limit = args.max_bytes_per_stuple
+    if limit is not None and result["bytes_per_stuple"] > limit:
+        print(f"FAIL: {result['bytes_per_stuple']:.0f} B per STuple "
+              f"> {limit:g}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

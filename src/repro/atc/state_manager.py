@@ -326,7 +326,7 @@ class QueryStateManager:
         info = self._plan_info(graph, cq.cq_id)
         final = self.ensure_node(graph, info.final_node_id)
         module = final.module
-        snapshot = module.replay_list() if module is not None else []
+        snapshot = module.replay() if module is not None else []
         rm.register_stream(cq, final, kind="live")
         if snapshot:
             ordered = sorted(snapshot, key=lambda t: -t.intrinsic)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.errors import DataError, SchemaError
-from repro.data.rows import Row, STuple
+from repro.data.rows import Row, Shape, STuple
 from repro.data.schema import Relation, Schema
 from repro.plan.expressions import SPJ, Selection
 
@@ -218,28 +218,28 @@ class Database:
             STuple.single(first, row, first_contribs[row.tid])
             for row in candidates[first]
         ]
-        bound = {first}
-        for alias in order[1:]:
+        for depth, alias in enumerate(order[1:], start=1):
+            # Every partial binds order[:depth], in that order.
             preds = [
                 (pred.side_for(alias)[0],
-                 pred.other(alias),
+                 order.index(pred.other(alias)),
                  pred.side_for(pred.other(alias))[0])
                 for pred in expr.joins_on(alias)
-                if pred.other(alias) in bound
+                if pred.other(alias) in order[:depth]
             ]
             index: dict[tuple[Any, ...], list[Row]] = {}
             for row in candidates[alias]:
                 values = row.values
-                key = tuple(values[my_attr] for my_attr, _o, _oa in preds)
+                key = tuple(values[my_attr] for my_attr, _p, _oa in preds)
                 index.setdefault(key, []).append(row)
             alias_contribs = contrib_maps[alias]
             grown: list[STuple] = []
             append = grown.append
             for partial in partials:
-                bindings = partial.bindings
+                bound_rows = partial.rows
                 key = tuple(
-                    bindings[other_alias].values[other_attr]
-                    for _my, other_alias, other_attr in preds
+                    bound_rows[position].values[other_attr]
+                    for _my, position, other_attr in preds
                 )
                 rows = index.get(key)
                 if rows:
@@ -247,7 +247,6 @@ class Database:
                         append(partial.extend_one(
                             alias, row, alias_contribs[row.tid]))
             partials = grown
-            bound.add(alias)
             if not partials:
                 break
         partials.sort(key=lambda t: (-t.intrinsic, sorted(t.provenance)))
@@ -342,6 +341,7 @@ class RankedSPJProducer:
         #: The batch path's join order; results are canonicalized to it
         #: so intrinsic scores accumulate identically.
         self._build_order = database._join_order(expr, self._cands)
+        self._shape = Shape.of(tuple(self._build_order))
         self._pos = {alias: 0 for alias in self.aliases}
         #: An alias with no candidate rows can never contribute: the
         #: join is empty and no pull can change that.
@@ -363,8 +363,8 @@ class RankedSPJProducer:
         self._index_attrs: dict[str, set[str]] = {
             alias: set() for alias in self.aliases
         }
-        for plan in self._plans.values():
-            for target, (_o_alias, _o_attr, t_attr), verify in plan:
+        for steps, _perm in self._plans.values():
+            for target, (_o_pos, _o_attr, t_attr), _verify in steps:
                 self._index_attrs[target].add(t_attr)
         self._indexes: dict[str, dict[str, dict[Any, list[Row]]]] = {
             alias: {attr: {} for attr in attrs}
@@ -374,12 +374,14 @@ class RankedSPJProducer:
         self._buffer: list[tuple[float, tuple, STuple]] = []
 
     def _extension_plan(self, start: str
-                        ) -> list[tuple[str, tuple, list[tuple]]]:
-        """Connected probe order for results driven by ``start``:
-        per step the target alias, the probing predicate as
-        ``(partial_alias, partial_attr, target_attr)``, and the
-        remaining predicates to verify."""
-        bound = {start}
+                        ) -> tuple[list[tuple[str, tuple, list[tuple]]],
+                                   tuple[int, ...]]:
+        """Connected probe order for results driven by ``start``: per
+        step the target alias, the probing predicate as ``(partial
+        position, partial_attr, target_attr)``, and the remaining
+        predicates to verify; then the permutation that takes a result's
+        rows from this probe order to the build order."""
+        bound = [start]
         remaining = [a for a in self.aliases if a != start]
         steps: list[tuple[str, tuple, list[tuple]]] = []
         while remaining:
@@ -389,7 +391,8 @@ class RankedSPJProducer:
                 for pred in self.expr.joins_on(target):
                     other = pred.other(target)
                     if other in bound:
-                        cross.append((other, pred.side_for(other)[0],
+                        cross.append((bound.index(other),
+                                      pred.side_for(other)[0],
                                       pred.side_for(target)[0]))
                 if cross:
                     chosen = (target, cross[0], cross[1:])
@@ -400,9 +403,9 @@ class RankedSPJProducer:
                     "during ordering; this indicates a malformed expression"
                 )
             steps.append(chosen)
-            bound.add(chosen[0])
+            bound.append(chosen[0])
             remaining.remove(chosen[0])
-        return steps
+        return steps, tuple(bound.index(a) for a in self._build_order)
 
     def _preferred(self) -> tuple[str | None, float]:
         """The alias whose next pull attains the corner bound, plus the
@@ -426,26 +429,24 @@ class RankedSPJProducer:
         buffer the canonicalized results, then index the row."""
         row = self._cands[alias][self._pos[alias]]
         self._pos[alias] += 1
-        partials: list[dict[str, Row]] = [{alias: row}]
-        for target, (o_alias, o_attr, t_attr), verify in self._plans[alias]:
+        steps, to_build_order = self._plans[alias]
+        partials: list[tuple[Row, ...]] = [(row,)]
+        for target, (o_pos, o_attr, t_attr), verify in steps:
             index = self._indexes[target][t_attr]
-            grown: list[dict[str, Row]] = []
+            grown: list[tuple[Row, ...]] = []
             for partial in partials:
-                value = partial[o_alias].values[o_attr]
-                matches = index.get(value)
+                matches = index.get(partial[o_pos].values[o_attr])
                 if not matches:
                     continue
                 for candidate in matches:
                     ok = True
-                    for vo_alias, vo_attr, vt_attr in verify:
+                    for vo_pos, vo_attr, vt_attr in verify:
                         if candidate.values[vt_attr] \
-                                != partial[vo_alias].values[vo_attr]:
+                                != partial[vo_pos].values[vo_attr]:
                             ok = False
                             break
                     if ok:
-                        extended = dict(partial)
-                        extended[target] = candidate
-                        grown.append(extended)
+                        grown.append(partial + (candidate,))
             partials = grown
             if not partials:
                 break
@@ -455,18 +456,14 @@ class RankedSPJProducer:
         if not partials:
             return
         contribs_of = self._contribs
+        build_order = self._build_order
         for partial in partials:
-            bindings = {a: partial[a] for a in self._build_order}
-            tup = STuple._from_parts(
-                bindings,
-                {a: contribs_of[a][partial[a].tid]
-                 for a in self._build_order},
-                frozenset((a, r.relation, r.tid)
-                          for a, r in bindings.items()),
-            )
+            rows = tuple(partial[i] for i in to_build_order)
+            tup = STuple.of(self._shape, rows, tuple(
+                contribs_of[a][r.tid] for a, r in zip(build_order, rows)))
             heapq.heappush(
                 self._buffer,
-                (-tup._intrinsic, tuple(sorted(tup._provenance)), tup),
+                (-tup.intrinsic, tuple(sorted(tup.provenance)), tup),
             )
 
     def produce(self) -> STuple | None:

@@ -1,26 +1,36 @@
 """Tuple representations.
 
-Two levels exist:
-
 * :class:`Row` -- a base tuple as stored at a site: relation name, a
   site-local tuple id, and the attribute values.
-
 * :class:`STuple` -- a *scored* tuple flowing through the query plan
-  graph: an immutable set of bindings (alias -> Row) together with each
-  atom's intrinsic score contribution.  Joins merge STuples; the
-  rank-merge operator maps an STuple's contributions through a user
-  query's score function to obtain its final score.
+  graph: base rows bound to aliases, with each atom's intrinsic score
+  contribution.  Joins concatenate STuples; the rank-merge maps an
+  STuple's contributions through a user query's score function.
 
-STuples hash and compare by provenance (the set of (alias, relation,
-tid) triples), which is what duplicate elimination during state
-recovery (Section 6.2) relies on.
+Layout.  An STuple is four slots: its :class:`Shape`, the rows and the
+contributions as tuples in the shape's alias order, and the intrinsic
+score.  A shape is an ordered alias tuple interned in a weak table (as
+:class:`~repro.plan.expressions.SPJ` is): alias -> position, the alias
+set, and memos for ``shape + shape`` (merge) and ``shape + alias``
+(extend_one), so a join's overlap check is a memo hit.
+
+Bit identity.  The order is the order the tuple was built in -- a merge
+puts its left operand's aliases first, an extension appends -- and
+``intrinsic`` is ``sum()`` over the contributions in that order: the
+insertion order of the ``alias -> contribution`` dict this layout
+replaced, so every score, threshold comparison and tie is unchanged.
+
+Provenance -- the set of (alias, relation, tid) triples -- is computed
+on demand (recovery de-duplication in the rank-merge, Section 6.2;
+answer payloads; the site producer's tie-break).  STuples hash and
+compare by it; tuples of one shape compare rows position by position.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any
 
 from repro.common.errors import DataError
@@ -57,19 +67,77 @@ class Row:
         return f"Row({self.relation}#{self.tid})"
 
 
-class STuple:
-    """A scored composite tuple: bindings from aliases to base rows.
+#: Ordered alias tuple -> the live :class:`Shape` with that order.
+_SHAPES: weakref.WeakValueDictionary[tuple[str, ...], Shape] = \
+    weakref.WeakValueDictionary()
 
-    ``contribs`` maps each alias to that atom's intrinsic score
-    contribution (the sum of its score-attribute values; zero for
-    score-less relations).  The *intrinsic* score -- the sum of all
-    contributions -- is the sort key every source and operator uses, as
-    all supported user score functions are monotone transforms of it
-    (see :mod:`repro.scoring`).
+
+def shape_count() -> int:
+    """How many distinct tuple shapes are alive in this process."""
+    return len(_SHAPES)
+
+
+class Shape:
+    """An interned, ordered alias tuple: the layout of an STuple.
+
+    The memos are keyed by alias tuples and alias names and hold only
+    strictly larger shapes, so no shape keeps a smaller one alive.
     """
 
-    __slots__ = ("bindings", "contribs", "_provenance", "_intrinsic",
-                 "_aliases")
+    __slots__ = ("aliases", "index", "alias_set", "_merged", "_extended",
+                 "__weakref__")
+    aliases: tuple[str, ...]
+    index: dict[str, int]
+    alias_set: frozenset[str]
+    _merged: dict[tuple[str, ...], Shape]
+    _extended: dict[str, Shape]
+
+    @staticmethod
+    def of(aliases: tuple[str, ...]) -> Shape:
+        found = _SHAPES.get(aliases)
+        if found is None:
+            alias_set = frozenset(aliases)
+            if len(alias_set) != len(aliases):
+                overlap = sorted({a for a in aliases if aliases.count(a) > 1})
+                raise DataError(
+                    f"cannot merge STuples sharing aliases {overlap}")
+            found = object.__new__(Shape)
+            found.aliases = aliases
+            found.index = {alias: i for i, alias in enumerate(aliases)}
+            found.alias_set = alias_set
+            found._merged, found._extended = {}, {}
+            found = _SHAPES.setdefault(aliases, found)
+        return found
+
+    def merge(self, other: Shape) -> Shape:
+        found = self._merged.get(other.aliases)
+        if found is None:
+            found = self._merged[other.aliases] = Shape.of(
+                self.aliases + other.aliases)
+        return found
+
+    def extend(self, alias: str) -> Shape:
+        found = self._extended.get(alias)
+        if found is None:
+            found = self._extended[alias] = Shape.of(self.aliases + (alias,))
+        return found
+
+    def __repr__(self) -> str:
+        return f"Shape{self.aliases}"
+
+
+class STuple:
+    """A scored composite tuple: base rows bound to a shape's aliases.
+
+    ``contribs[i]`` is the intrinsic score contribution of the atom
+    bound at position ``i`` (the sum of its score-attribute values;
+    zero for score-less relations).  The *intrinsic* score -- the sum
+    of all contributions -- is the sort key every source and operator
+    uses, as all supported user score functions are monotone transforms
+    of it (see :mod:`repro.scoring`).
+    """
+
+    __slots__ = ("shape", "rows", "contribs", "intrinsic")
 
     def __init__(self, bindings: Mapping[str, Row],
                  contribs: Mapping[str, float]) -> None:
@@ -80,65 +148,41 @@ class STuple:
                 f"bindings {sorted(bindings)} and contributions "
                 f"{sorted(contribs)} must cover the same aliases"
             )
-        self.bindings: dict[str, Row] = dict(bindings)
-        self.contribs: dict[str, float] = dict(contribs)
-        self._provenance: frozenset[tuple[str, str, int]] = frozenset(
-            (alias, row.relation, row.tid)
-            for alias, row in self.bindings.items()
-        )
-        self._intrinsic: float = sum(self.contribs.values())
-        self._aliases: frozenset[str] | None = None
+        self.shape = Shape.of(tuple(contribs))
+        self.rows = tuple(bindings[a] for a in self.shape.aliases)
+        self.contribs = tuple(contribs[a] for a in self.shape.aliases)
+        self.intrinsic = sum(self.contribs)
 
     @classmethod
-    def _from_parts(cls, bindings: dict[str, Row],
-                    contribs: dict[str, float],
-                    provenance: frozenset) -> "STuple":
-        """Trusted-input constructor for the join hot paths.
-
-        Callers own the dicts they pass (no copying) and have already
-        guaranteed the alias sets agree.  The intrinsic score is
-        ``sum`` over ``contribs`` insertion order -- the one invariant
-        every caller relies on for bit-identical scores -- and lives
-        here so new slots need initializing in exactly one place.
-        """
-        tup = cls.__new__(cls)
-        tup.bindings = bindings
+    def of(cls, shape: Shape, rows: tuple[Row, ...],
+           contribs: tuple[float, ...]) -> STuple:
+        """Trusted constructor for the join hot paths: ``rows`` and
+        ``contribs`` are already in ``shape``'s order."""
+        tup = object.__new__(cls)
+        tup.shape = shape
+        tup.rows = rows
         tup.contribs = contribs
-        tup._provenance = provenance
-        tup._intrinsic = sum(contribs.values())
-        tup._aliases = None
+        tup.intrinsic = sum(contribs)
         return tup
 
     @classmethod
-    def single(cls, alias: str, row: Row, contrib: float) -> "STuple":
-        # Join probes build millions of one-atom tuples; skip the
-        # general constructor's validation and re-copying.
-        return cls._from_parts(
-            {alias: row}, {alias: contrib},
-            frozenset(((alias, row.relation, row.tid),)),
-        )
+    def single(cls, alias: str, row: Row, contrib: float) -> STuple:
+        return cls.of(Shape.of((alias,)), (row,), (contrib,))
 
-    # -- score access ------------------------------------------------------
-
-    @property
-    def intrinsic(self) -> float:
-        """Sum of all atoms' score contributions."""
-        return self._intrinsic
+    # -- access ----------------------------------------------------------------
 
     @property
     def aliases(self) -> frozenset[str]:
-        cached = self._aliases
-        if cached is None:
-            cached = self._aliases = frozenset(self.bindings)
-        return cached
+        return self.shape.alias_set
 
     @property
     def provenance(self) -> frozenset[tuple[str, str, int]]:
-        return self._provenance
+        return frozenset((alias, row.relation, row.tid)
+                         for alias, row in zip(self.shape.aliases, self.rows))
 
     def row(self, alias: str) -> Row:
         try:
-            return self.bindings[alias]
+            return self.rows[self.shape.index[alias]]
         except KeyError:
             raise DataError(f"STuple has no binding for alias {alias!r}") from None
 
@@ -147,78 +191,33 @@ class STuple:
 
     # -- composition ---------------------------------------------------------
 
-    def merge(self, other: "STuple") -> "STuple":
-        """Combine two tuples with disjoint aliases into one."""
-        if self.bindings.keys() & other.bindings.keys():
-            overlap = self.aliases & other.aliases
-            raise DataError(
-                f"cannot merge STuples sharing aliases {sorted(overlap)}"
-            )
-        bindings = dict(self.bindings)
-        bindings.update(other.bindings)
-        contribs = dict(self.contribs)
-        contribs.update(other.contribs)
-        # Join hot path: no re-validation, provenance by set union.
-        return STuple._from_parts(bindings, contribs,
-                                  self._provenance | other._provenance)
+    def merge(self, other: STuple) -> STuple:
+        """Concatenate two tuples with disjoint aliases."""
+        return STuple.of(self.shape.merge(other.shape),
+                         self.rows + other.rows,
+                         self.contribs + other.contribs)
 
-    def extend_one(self, alias: str, row: Row, contrib: float) -> "STuple":
-        """``merge`` specialized for adding a single new atom.
-
-        The site-side join and the m-join probe loop grow bindings one
-        atom at a time; going through ``single`` + ``merge`` built (and
-        immediately discarded) an intermediate STuple per extension.
-        Accumulation order matches ``merge`` exactly, so intrinsic
-        scores stay bit-identical.
-        """
-        if alias in self.bindings:
-            raise DataError(
-                f"cannot merge STuples sharing aliases [{alias!r}]"
-            )
-        bindings = dict(self.bindings)
-        bindings[alias] = row
-        contribs = dict(self.contribs)
-        contribs[alias] = contrib
-        return STuple._from_parts(
-            bindings, contribs,
-            self._provenance | {(alias, row.relation, row.tid)})
-
-    def rename(self, mapping: Mapping[str, str]) -> "STuple":
-        """Return a copy with aliases renamed through ``mapping``.
-
-        Aliases missing from the mapping keep their names.  Used when a
-        shared subexpression's output is consumed by a query that refers
-        to the same atoms under different aliases.
-        """
-        bindings = {mapping.get(a, a): row for a, row in self.bindings.items()}
-        contribs = {mapping.get(a, a): c for a, c in self.contribs.items()}
-        if len(bindings) != len(self.bindings):
-            raise DataError(f"alias renaming {dict(mapping)} collapses aliases")
-        return STuple(bindings, contribs)
-
-    def project(self, aliases: frozenset[str] | set[str]) -> "STuple":
-        """Restrict to a subset of aliases."""
-        missing = set(aliases) - set(self.bindings)
-        if missing:
-            raise DataError(f"cannot project on absent aliases {sorted(missing)}")
-        return STuple(
-            {a: self.bindings[a] for a in aliases},
-            {a: self.contribs[a] for a in aliases},
-        )
+    def extend_one(self, alias: str, row: Row, contrib: float) -> STuple:
+        """``merge`` with a one-atom tuple, without building it."""
+        return STuple.of(self.shape.extend(alias), self.rows + (row,),
+                         self.contribs + (contrib,))
 
     # -- value semantics ------------------------------------------------------
 
     def __hash__(self) -> int:
-        return hash(self._provenance)
+        return hash(self.provenance)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, STuple):
             return NotImplemented
-        return self._provenance == other._provenance
+        if self.shape is other.shape:
+            return self.rows == other.rows
+        return (self.shape.alias_set == other.shape.alias_set
+                and self.provenance == other.provenance)
 
     def __repr__(self) -> str:
         keys = ", ".join(
             f"{alias}={row.relation}#{row.tid}"
-            for alias, row in sorted(self.bindings.items())
+            for alias, row in sorted(zip(self.shape.aliases, self.rows))
         )
-        return f"STuple({keys}; intrinsic={self._intrinsic:.4f})"
+        return f"STuple({keys}; intrinsic={self.intrinsic:.4f})"

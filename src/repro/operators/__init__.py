@@ -1,6 +1,6 @@
 """Execution operators: access modules, m-joins, rank-merge."""
 
-from repro.operators.access import AccessModule, ModuleProbeView
+from repro.operators.access import AccessModule
 from repro.operators.nodes import (
     InputUnit,
     MJoinNode,
@@ -15,7 +15,6 @@ __all__ = [
     "CQStreamEntry",
     "InputUnit",
     "MJoinNode",
-    "ModuleProbeView",
     "ProbeTarget",
     "RankMerge",
     "RecoveryUnit",

@@ -1,4 +1,4 @@
-"""Access modules: shared, epoch-partitioned join state.
+"""Access modules: shared, insertion-ordered join state.
 
 Every streaming input (and every m-join's released output) owns one
 :class:`AccessModule` -- the "state module" of the STeM eddy [24] the
@@ -9,12 +9,16 @@ paper builds on.  A module is:
 * **insertion-ordered**: the paper threads a linked list through the
   hash table so state recovery can replay tuples "in the order they
   were received from the input stream" (Section 6.2) -- which is
-  nonincreasing score order, exactly what recovery queries need;
-* **epoch-partitioned**: each batch graft increments a logical
-  timestamp; tuples are stored in their arrival epoch's partition so a
-  recovery query ``CQ^e`` can restrict itself to tuples that arrived
-  before epoch ``e`` and thereby avoid duplicating the live query's
-  results (Algorithm 2).
+  nonincreasing score order, exactly what recovery needs.
+
+Recovery here is graft-time seeding: a new m-join materializes the
+join of its suppliers' *current* contents by replaying one module and
+probing the others (:meth:`~repro.operators.nodes.MJoinNode.seed_from_suppliers`),
+and a grafted query's recovery stream replays its final module.
+Neither needs to tell epochs apart, so a module keeps none.  (Postings
+are appended in arrival order, so if a recovery query ever needs "the
+tuples before epoch e" again, that is a prefix of each posting list: an
+index of epoch boundaries, not a per-probe set.)
 
 Modules are *shared*: several m-joins (from different conjunctive
 queries) probe the same module, which is how subexpression sharing
@@ -23,7 +27,6 @@ avoids duplicated state.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from typing import Any
 
 from repro.common.errors import StateError
@@ -31,19 +34,17 @@ from repro.data.rows import STuple
 
 
 class AccessModule:
-    """Epoch-partitioned, insertion-ordered, multi-indexed tuple store."""
+    """Insertion-ordered, multi-indexed tuple store."""
 
     def __init__(self, name: str, index_keys: tuple[tuple[str, str], ...] = ()
                  ) -> None:
         self.name = name
-        #: (alias, attr) -> value -> list of (epoch, position, tuple)
+        #: (alias, attr) -> value -> tuples in arrival order
         self._indexes: dict[tuple[str, str], dict[Any, list[STuple]]] = {
             key: {} for key in index_keys
         }
-        #: epoch -> tuples in arrival order (the "linked list").
-        self._partitions: dict[int, list[STuple]] = {}
-        #: Global arrival order across partitions.
-        self._arrival_log: list[tuple[int, STuple]] = []
+        #: Every stored tuple in arrival order (the "linked list").
+        self._arrival_log: list[STuple] = []
 
     # -- schema of the module -------------------------------------------------
 
@@ -58,61 +59,34 @@ class AccessModule:
         if key in self._indexes:
             return
         index: dict[Any, list[STuple]] = {}
-        for _epoch, tup in self._arrival_log:
-            value = tup.row(alias)[attr]
-            index.setdefault(value, []).append(tup)
+        for tup in self._arrival_log:
+            index.setdefault(tup.value(alias, attr), []).append(tup)
         self._indexes[key] = index
 
     # -- writes -----------------------------------------------------------------
 
-    def insert(self, tup: STuple, epoch: int) -> None:
-        """Store a tuple under ``epoch``; updates every index."""
-        self._partitions.setdefault(epoch, []).append(tup)
-        self._arrival_log.append((epoch, tup))
+    def insert(self, tup: STuple) -> None:
+        """Store a tuple; updates every index."""
+        self._arrival_log.append(tup)
         for (alias, attr), index in self._indexes.items():
-            value = tup.row(alias)[attr]
-            index.setdefault(value, []).append(tup)
+            index.setdefault(tup.value(alias, attr), []).append(tup)
 
-    # -- probes -----------------------------------------------------------------
+    # -- reads --------------------------------------------------------------------
 
-    def probe(self, alias: str, attr: str, value: Any,
-              before_epoch: int | None = None) -> list[STuple]:
-        """Tuples whose ``alias.attr == value``.
-
-        ``before_epoch`` restricts to partitions strictly earlier --
-        the recovery-query view.  Restriction requires scanning the
-        posting list, which is fine: recovery happens once per graft.
-        """
+    def probe(self, alias: str, attr: str, value: Any) -> list[STuple]:
+        """Tuples whose ``alias.attr == value``, in arrival order."""
         key = (alias, attr)
         if key not in self._indexes:
             raise StateError(
                 f"module {self.name!r} has no index on {alias}.{attr}; "
                 f"available: {sorted(self._indexes)}"
             )
-        postings = self._indexes[key].get(value, [])
-        if before_epoch is None:
-            return list(postings)
-        allowed = self._tuples_before(before_epoch)
-        return [t for t in postings if t in allowed]
+        return list(self._indexes[key].get(value, ()))
 
-    def _tuples_before(self, epoch: int) -> set[STuple]:
-        out: set[STuple] = set()
-        for partition_epoch, tuples in self._partitions.items():
-            if partition_epoch < epoch:
-                out.update(tuples)
-        return out
-
-    # -- ordered replay -----------------------------------------------------------
-
-    def replay(self, before_epoch: int | None = None) -> Iterator[STuple]:
-        """Tuples in arrival order, optionally restricted to earlier
-        epochs: the linked-list walk of Section 6.2."""
-        for epoch, tup in self._arrival_log:
-            if before_epoch is None or epoch < before_epoch:
-                yield tup
-
-    def replay_list(self, before_epoch: int | None = None) -> list[STuple]:
-        return list(self.replay(before_epoch))
+    def replay(self) -> list[STuple]:
+        """Every tuple in arrival order: the linked-list walk of
+        Section 6.2."""
+        return list(self._arrival_log)
 
     # -- accounting -----------------------------------------------------------------
 
@@ -121,43 +95,13 @@ class AccessModule:
         """Stored tuple count (the eviction unit of Section 6.3)."""
         return len(self._arrival_log)
 
-    def partition_sizes(self) -> dict[int, int]:
-        return {e: len(ts) for e, ts in self._partitions.items()}
-
-    def has_tuples_before(self, epoch: int) -> bool:
-        return any(e < epoch and ts for e, ts in self._partitions.items())
-
     def clear(self) -> int:
         """Drop all state; returns tuples freed (for eviction metrics)."""
         freed = self.size
-        self._partitions.clear()
         self._arrival_log.clear()
         for index in self._indexes.values():
             index.clear()
         return freed
 
     def __repr__(self) -> str:
-        return (f"AccessModule({self.name!r}, size={self.size}, "
-                f"partitions={sorted(self._partitions)})")
-
-
-class ModuleProbeView:
-    """A random-access facade over a module's pre-epoch partitions.
-
-    Recovery queries (Algorithm 2, lines 9-15) treat every non-driving
-    streaming input as a random-access source "since tuples from J'^e
-    are already indexed in a hash table".  Probes are free of network
-    delay -- the state is local.
-    """
-
-    def __init__(self, module: AccessModule, before_epoch: int) -> None:
-        self.module = module
-        self.before_epoch = before_epoch
-
-    def probe(self, alias: str, attr: str, value: Any) -> list[STuple]:
-        return self.module.probe(alias, attr, value,
-                                 before_epoch=self.before_epoch)
-
-    def __repr__(self) -> str:
-        return (f"ModuleProbeView({self.module.name!r}, "
-                f"before={self.before_epoch})")
+        return f"AccessModule({self.name!r}, size={self.size})"

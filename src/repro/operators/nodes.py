@@ -9,8 +9,8 @@ score-ordered tuple streams to downstream consumers:
   probe (the STeM of [24]).
 
 * :class:`RecoveryUnit` wraps the free replay stream of Algorithm 2 --
-  a module's pre-epoch linked list -- and deliberately does *not*
-  re-insert tuples into any module.
+  a module's linked list as it stood when the query was grafted -- and
+  deliberately does *not* re-insert tuples into any module.
 
 * :class:`MJoinNode` is the m-join / STeM-eddy operator: it consumes
   one or more supplier streams, probes the other suppliers' modules and
@@ -36,9 +36,9 @@ from typing import Any, Protocol
 from repro.common.clock import VirtualClock
 from repro.common.config import DelayModel
 from repro.common.errors import ExecutionError
-from repro.data.rows import STuple
+from repro.data.rows import Shape, STuple
 from repro.data.sources import EXHAUSTED, ListSource, RandomAccessSource, StreamingSource
-from repro.operators.access import AccessModule, ModuleProbeView
+from repro.operators.access import AccessModule
 from repro.plan.expressions import SPJ, JoinPred
 from repro.obs.records import Metrics
 
@@ -80,10 +80,10 @@ class Supplier(Protocol):
 class InputUnit:
     """One streaming input ``J``: source + shared state module.
 
-    Reading a tuple inserts it into the module (under the graph's
-    current epoch) and fans it out to every consumer -- the fan-out is
-    the split operator.  The module is shared by all m-joins that probe
-    this input, and it is the state that later queries reuse.
+    Reading a tuple inserts it into the module and fans it out to every
+    consumer -- the fan-out is the split operator.  The module is shared
+    by all m-joins that probe this input, and it is the state that later
+    queries reuse.
     """
 
     def __init__(self, name: str, expr: SPJ,
@@ -117,7 +117,7 @@ class InputUnit:
         tup = self.source.read()
         if tup is None:
             return None
-        self.module.insert(tup, epoch)
+        self.module.insert(tup)
         self.clock.advance(self.delays.cpu_insert)
         self.metrics.record_insert(self.delays.cpu_insert)
         self.last_used_epoch = epoch
@@ -179,36 +179,31 @@ class ProbeTarget:
     """One step of an m-join probe sequence: resolves a set of aliases.
 
     ``lookup`` answers "which stored/probe-able tuples join with this
-    partial binding" -- backed by a shared module (stream inputs), a
-    pre-epoch module view (recovery), or a remote random-access source
-    (probe atoms).
+    partial binding" -- backed by a shared module (stream inputs) or a
+    remote random-access source (probe atoms).
     """
 
     def __init__(self, name: str, aliases: frozenset[str],
                  kind: str,
                  module: AccessModule | None = None,
-                 before_epoch: int | None = None,
                  ra_source: RandomAccessSource | None = None,
-                 ra_alias: str | None = None,
-                 ra_contribution: float = 0.0) -> None:
-        if kind not in ("module", "view", "random"):
+                 ra_alias: str | None = None) -> None:
+        if kind not in ("module", "random"):
             raise ExecutionError(f"unknown probe target kind {kind!r}")
         self.name = name
         self.aliases = aliases
         self.kind = kind
         self.module = module
-        self.before_epoch = before_epoch
         self.ra_source = ra_source
         self.ra_alias = ra_alias
         self.probes = 0
         self.matches = 0
 
     def lookup(self, alias: str, attr: str, value: Any) -> list[STuple]:
-        if self.kind in ("module", "view"):
+        if self.kind == "module":
             assert self.module is not None
             self.module.ensure_index(alias, attr)
-            return self.module.probe(alias, attr, value,
-                                     before_epoch=self.before_epoch)
+            return self.module.probe(alias, attr, value)
         assert self.ra_source is not None and self.ra_alias is not None
         return self.ra_source.probe_stuples(self.ra_alias, attr, value)
 
@@ -252,7 +247,6 @@ class MJoinNode:
                  delays: DelayModel,
                  epoch_of: Any,
                  resequence_interval: int = 64,
-                 before_epoch: int | None = None,
                  adaptive: bool = True) -> None:
         self.name = name
         self.expr = expr
@@ -264,7 +258,6 @@ class MJoinNode:
         self.delays = delays
         self._epoch_of = epoch_of
         self.resequence_interval = resequence_interval
-        self.before_epoch = before_epoch
         self.adaptive = adaptive
         self.module = AccessModule(f"module:{name}")
         self.consumers: list[Consumer] = []
@@ -288,21 +281,21 @@ class MJoinNode:
             )
         # Supplier-module probe targets for stream inputs: when a tuple
         # arrives from one supplier, the others are probed via their
-        # shared modules (or pre-epoch views for recovery nodes).
+        # shared modules.
         self._supplier_targets: dict[int, ProbeTarget] = {}
         for idx, supplier in enumerate(self.suppliers):
             if supplier.module is None:
                 continue
-            kind = "module" if before_epoch is None else "view"
             self._supplier_targets[idx] = ProbeTarget(
                 f"{name}<-{supplier.name}",
                 frozenset(supplier.expr.aliases),
-                kind,
+                "module",
                 module=supplier.module,
-                before_epoch=before_epoch,
             )
         self._crossing_preds = self._compute_crossing_preds()
         self._ensure_indexes()
+        #: (target, partial shape) -> :meth:`_step_plan`'s resolution.
+        self._step_plans: dict[tuple[ProbeTarget, Shape], tuple] = {}
         self._buffer: list[tuple[float, int, STuple]] = []
         self._counter = itertools.count()
         self._arrivals = 0
@@ -443,7 +436,7 @@ class MJoinNode:
         targets = [
             t for i, t in self._supplier_targets.items() if i != driving_idx
         ] + self.probe_targets
-        order = self._probe_order(targets, frozenset(tup.aliases))
+        order = self._probe_order(targets, tup.aliases)
         partials = [tup]
         for target in order:
             if not partials:
@@ -496,52 +489,56 @@ class MJoinNode:
             remaining.remove(chosen)
         return order
 
+    def _step_plan(self, target: ProbeTarget, shape: Shape) -> tuple:
+        """How a partial of ``shape`` probes ``target``, resolved once
+        per (target, shape): the first applicable predicate as
+        ``(target alias, target attr, partial position, partial attr)``
+        and the rest as ``(candidate alias, candidate attr, partial
+        position, partial attr)`` to verify on each candidate."""
+        steps = []
+        for p in self._preds_for(target):
+            if p.left_alias in target.aliases \
+                    and p.right_alias in shape.alias_set:
+                steps.append((p.left_alias, p.left_attr,
+                              shape.index[p.right_alias], p.right_attr))
+            elif p.right_alias in target.aliases \
+                    and p.left_alias in shape.alias_set:
+                steps.append((p.right_alias, p.right_attr,
+                              shape.index[p.left_alias], p.left_attr))
+        if not steps:
+            raise ExecutionError(
+                f"{self.name}: no applicable predicate probing "
+                f"{target.name!r}"
+            )
+        return steps[0], steps[1:]
+
     def _extend(self, partials: list[STuple],
                 target: ProbeTarget) -> list[STuple]:
         """Join every partial binding against one probe target."""
         grown: list[STuple] = []
+        plans = self._step_plans
+        shape = None
         for partial in partials:
-            applicable = [
-                p for p in self._preds_for(target)
-                if (p.left_alias in partial.aliases
-                    and p.right_alias in target.aliases)
-                or (p.right_alias in partial.aliases
-                    and p.left_alias in target.aliases)
-            ]
-            if not applicable:
-                raise ExecutionError(
-                    f"{self.name}: no applicable predicate probing "
-                    f"{target.name!r}"
-                )
-            first = applicable[0]
-            if first.left_alias in target.aliases:
-                t_alias, t_attr = first.left_alias, first.left_attr
-                p_alias, p_attr = first.right_alias, first.right_attr
-            else:
-                t_alias, t_attr = first.right_alias, first.right_attr
-                p_alias, p_attr = first.left_alias, first.left_attr
-            value = partial.bindings[p_alias].values[p_attr]
+            if partial.shape is not shape:
+                shape = partial.shape
+                plan = plans.get((target, shape))
+                if plan is None:
+                    plan = plans[(target, shape)] = \
+                        self._step_plan(target, shape)
+                (t_alias, t_attr, p_pos, p_attr), rest = plan
+            value = partial.rows[p_pos].values[p_attr]
             self.clock.advance(self.delays.cpu_probe)
             self.metrics.record_join_probe(self.delays.cpu_probe)
             candidates = target.lookup(t_alias, t_attr, value)
             target.probes += 1
-            rest = applicable[1:]
             for candidate in candidates:
-                ok = True
-                for pred in rest:
-                    if pred.left_alias in target.aliases:
-                        c_alias, c_attr = pred.left_alias, pred.left_attr
-                        o_alias, o_attr = pred.right_alias, pred.right_attr
-                    else:
-                        c_alias, c_attr = pred.right_alias, pred.right_attr
-                        o_alias, o_attr = pred.left_alias, pred.left_attr
-                    if candidate.bindings[c_alias].values[c_attr] \
-                            != partial.bindings[o_alias].values[o_attr]:
-                        ok = False
-                        break
-                if ok:
-                    target.matches += 1
-                    grown.append(partial.merge(candidate))
+                if rest and any(
+                        candidate.value(c_alias, c_attr)
+                        != partial.rows[o_pos].values[o_attr]
+                        for c_alias, c_attr, o_pos, o_attr in rest):
+                    continue
+                target.matches += 1
+                grown.append(partial.merge(candidate))
         return grown
 
     def seed_from_suppliers(self) -> int:
@@ -574,16 +571,14 @@ class MJoinNode:
         for tup in driving.module.replay():
             partials = [tup]
             for target in self._probe_order(
-                    other_targets + self.probe_targets,
-                    frozenset(tup.aliases)):
+                    other_targets + self.probe_targets, tup.aliases):
                 if not partials:
                     break
                 partials = self._extend(partials, target)
             results.extend(partials)
         results.sort(key=lambda t: -t.intrinsic)
-        epoch = self._epoch_of()
         for tup in results:
-            self.module.insert(tup, epoch)
+            self.module.insert(tup)
             self.clock.advance(self.delays.cpu_insert)
             self.metrics.record_insert(self.delays.cpu_insert)
             self.metrics.tuples_reused += 1
@@ -609,7 +604,7 @@ class MJoinNode:
             if -top_neg + epsilon < corner:
                 break
             heapq.heappop(self._buffer)
-            self.module.insert(tup, self._epoch_of())
+            self.module.insert(tup)
             self.clock.advance(self.delays.cpu_insert)
             self.metrics.record_insert(self.delays.cpu_insert)
             self._released += 1

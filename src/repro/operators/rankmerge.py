@@ -206,7 +206,8 @@ class RankMerge:
         """Receive one result tuple from a CQ stream."""
         if self.complete:
             return
-        key = (entry.cq.cq_id, tup.provenance)
+        provenance = tup.provenance
+        key = (entry.cq.cq_id, provenance)
         if key in self._seen:
             return
         self._seen.add(key)
@@ -215,7 +216,7 @@ class RankMerge:
         candidate = _Candidate(
             score=score,
             answer=RankedAnswer(self.uq.uq_id, entry.cq.cq_id, score,
-                                tup.provenance),
+                                provenance),
             tup=tup,
         )
         heapq.heappush(self._heap, (-score, next(self._counter), candidate))

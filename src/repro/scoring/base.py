@@ -91,20 +91,19 @@ class MonotoneScore:
     def aliases(self) -> frozenset[str]:
         return frozenset(self.weights)
 
-    def raw(self, contribs: Mapping[str, float]) -> float:
-        """The pre-transform linear combination for full bindings."""
-        missing = self.aliases - set(contribs)
-        if missing:
-            raise ScoringError(
-                f"contributions missing for aliases {sorted(missing)}"
-            )
-        return self.static + sum(
-            self.weights[a] * contribs[a] for a in self.weights
-        )
-
     def score(self, tup: STuple) -> float:
         """The final score of a fully bound result tuple."""
-        return self._transform(self.raw(tup.contribs))
+        position = tup.shape.index
+        contribs = tup.contribs
+        try:
+            total = sum(weight * contribs[position[alias]]
+                        for alias, weight in self.weights.items())
+        except KeyError:
+            missing = self.aliases - tup.aliases
+            raise ScoringError(
+                f"contributions missing for aliases {sorted(missing)}"
+            ) from None
+        return self._transform(self.static + total)
 
     # -- bounds ------------------------------------------------------------------
 

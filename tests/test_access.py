@@ -1,10 +1,10 @@
-"""Tests for epoch-partitioned access modules."""
+"""Tests for insertion-ordered access modules."""
 
 import pytest
 
 from repro.common.errors import StateError
 from repro.data.rows import Row, STuple
-from repro.operators.access import AccessModule, ModuleProbeView
+from repro.operators.access import AccessModule
 
 
 def tup(tid, x, score=0.5, alias="a"):
@@ -13,90 +13,45 @@ def tup(tid, x, score=0.5, alias="a"):
 
 class TestAccessModule:
     def test_insert_and_probe(self):
-        module = AccessModule("m", ((("a", "x")),))
         module = AccessModule("m", (("a", "x"),))
-        module.insert(tup(1, 10), epoch=1)
-        module.insert(tup(2, 10), epoch=1)
-        module.insert(tup(3, 20), epoch=1)
+        module.insert(tup(1, 10))
+        module.insert(tup(2, 10))
+        module.insert(tup(3, 20))
         assert len(module.probe("a", "x", 10)) == 2
         assert len(module.probe("a", "x", 99)) == 0
 
     def test_probe_unindexed_rejected(self):
         module = AccessModule("m")
-        module.insert(tup(1, 10), epoch=1)
+        module.insert(tup(1, 10))
         with pytest.raises(StateError):
             module.probe("a", "x", 10)
 
     def test_ensure_index_retroactive(self):
         module = AccessModule("m")
-        module.insert(tup(1, 10), epoch=1)
-        module.insert(tup(2, 20), epoch=1)
+        module.insert(tup(1, 10))
+        module.insert(tup(2, 20))
         module.ensure_index("a", "x")
         assert len(module.probe("a", "x", 10)) == 1
 
     def test_ensure_index_idempotent(self):
         module = AccessModule("m", (("a", "x"),))
-        module.insert(tup(1, 10), epoch=1)
+        module.insert(tup(1, 10))
         module.ensure_index("a", "x")
         assert len(module.probe("a", "x", 10)) == 1
-
-    def test_epoch_restriction(self):
-        module = AccessModule("m", (("a", "x"),))
-        module.insert(tup(1, 10), epoch=1)
-        module.insert(tup(2, 10), epoch=2)
-        module.insert(tup(3, 10), epoch=3)
-        assert len(module.probe("a", "x", 10, before_epoch=3)) == 2
-        assert len(module.probe("a", "x", 10, before_epoch=1)) == 0
-        assert len(module.probe("a", "x", 10)) == 3
 
     def test_replay_order_is_arrival_order(self):
         module = AccessModule("m")
         order = [tup(3, 1, 0.9), tup(1, 2, 0.8), tup(2, 3, 0.7)]
-        for i, t in enumerate(order):
-            module.insert(t, epoch=i)
-        assert module.replay_list() == order
-
-    def test_replay_before_epoch(self):
-        module = AccessModule("m")
-        module.insert(tup(1, 1), epoch=1)
-        module.insert(tup(2, 2), epoch=5)
-        assert module.replay_list(before_epoch=5) == [tup(1, 1)]
-
-    def test_size_and_partitions(self):
-        module = AccessModule("m")
-        module.insert(tup(1, 1), epoch=1)
-        module.insert(tup(2, 2), epoch=1)
-        module.insert(tup(3, 3), epoch=4)
+        for t in order:
+            module.insert(t)
+        assert module.replay() == order
         assert module.size == 3
-        assert module.partition_sizes() == {1: 2, 4: 1}
-
-    def test_has_tuples_before(self):
-        module = AccessModule("m")
-        module.insert(tup(1, 1), epoch=2)
-        assert module.has_tuples_before(3)
-        assert not module.has_tuples_before(2)
 
     def test_clear(self):
         module = AccessModule("m", (("a", "x"),))
-        module.insert(tup(1, 10), epoch=1)
-        module.insert(tup(2, 10), epoch=1)
+        module.insert(tup(1, 10))
+        module.insert(tup(2, 10))
         assert module.clear() == 2
         assert module.size == 0
         assert module.probe("a", "x", 10) == []
-        assert module.replay_list() == []
-
-
-class TestModuleProbeView:
-    def test_view_restricts_epoch(self):
-        module = AccessModule("m", (("a", "x"),))
-        module.insert(tup(1, 10), epoch=1)
-        module.insert(tup(2, 10), epoch=2)
-        view = ModuleProbeView(module, before_epoch=2)
-        assert len(view.probe("a", "x", 10)) == 1
-
-    def test_view_sees_updates_in_old_epochs_only(self):
-        module = AccessModule("m", (("a", "x"),))
-        view = ModuleProbeView(module, before_epoch=5)
-        module.insert(tup(1, 10), epoch=1)
-        module.insert(tup(2, 10), epoch=6)
-        assert len(view.probe("a", "x", 10)) == 1
+        assert module.replay() == []

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.common.config import DelayModel, ExecutionConfig
 from repro.common.errors import QueryError
+from repro.data.rows import shape_count
 from repro.keyword.queries import KeywordQuery
 from repro.optimizer.cost import CostModel
 from repro.plan.expressions import (
@@ -381,8 +382,11 @@ class TestInternTableBounded:
         assert all(h.done for h in handles)
 
     def test_shrinks_back_and_repeats_add_nothing(self, fig1_federation):
+        """Expressions and tuple shapes alike (``Shape`` is interned the
+        same way, in ``repro.data.rows``)."""
         gc.collect()
         before = interned_count()
+        shapes_before = shape_count()
         service = QService(
             fig1_federation,
             ExecutionConfig(k=5, seed=1, batch_window=2.0,
@@ -394,9 +398,18 @@ class TestInternTableBounded:
         assert served > before
         self.serve(service, "again")
         assert interned_count() == served
+        # Shapes settle one round later: the repeat joins against a
+        # fuller plan graph, which builds some results in new alias
+        # orders (the join order, not the queries, fixes a shape).
+        shapes = shape_count()
+        assert shapes > shapes_before
+        self.serve(service, "third")
+        assert interned_count() == served
+        assert shape_count() == shapes
         del service
         gc.collect()
         assert interned_count() == before
+        assert shape_count() == shapes_before
 
     def test_five_query_batch_leaves_no_memo_behind(self, fig1_federation):
         """One multi-query batch walks every optimizer memo -- the

@@ -263,7 +263,7 @@ class TestSeeding:
         )
         seeded = node2.seed_from_suppliers()
         assert seeded == len(sink.received)
-        assert set(node2.module.replay_list()) == set(sink.received)
+        assert set(node2.module.replay()) == set(sink.received)
 
     def test_seed_results_sorted(self):
         unit_a, unit_b, node, _sink = two_way_setup(ROWS_A, ROWS_B)
@@ -275,7 +275,7 @@ class TestSeeding:
             epoch_of=lambda: 2,
         )
         node2.seed_from_suppliers()
-        scores = [t.intrinsic for t in node2.module.replay_list()]
+        scores = [t.intrinsic for t in node2.module.replay()]
         assert scores == sorted(scores, reverse=True)
 
     def test_seed_empty_supplier_produces_nothing(self):
@@ -316,14 +316,14 @@ class TestSeeding:
                     progressed = True
             while node2.release_ready() or node.release_ready():
                 progressed = True
-        total = set(node2.module.replay_list())
+        total = set(node2.module.replay())
         expected = set()
         for ta, tb in itertools.product(
                 stuples("A", "A", ROWS_A), stuples("B", "B", ROWS_B)):
             if ta.value("A", "x") == tb.value("B", "x"):
                 expected.add(ta.merge(tb))
         assert total == expected
-        assert len(node2.module.replay_list()) == len(expected)
+        assert len(node2.module.replay()) == len(expected)
 
     def test_clear_state(self):
         unit_a, unit_b, node, _sink = two_way_setup(ROWS_A, ROWS_B)

@@ -1,9 +1,14 @@
 """Tests for Row and STuple semantics."""
 
+import gc
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import DataError
-from repro.data.rows import Row, STuple
+from repro.data.rows import Row, Shape, STuple
 
 
 def rowa(tid=1):
@@ -77,24 +82,124 @@ class TestSTuple:
         assert t1 == t2
         assert len({t1, t2}) == 1
 
-    def test_rename(self):
-        t = STuple.single("a", rowa(), 0.5).rename({"a": "z"})
-        assert t.aliases == frozenset({"z"})
-        assert t.value("z", "x") == 1
-
-    def test_rename_collision_rejected(self):
-        t = STuple.single("a", rowa(), 0.5).merge(
+    def test_shapes_are_interned_and_ordered(self):
+        ab = STuple.single("a", rowa(), 0.5).merge(
             STuple.single("b", rowb(), 0.2))
-        with pytest.raises(DataError):
-            t.rename({"a": "b"})
+        ba = STuple.single("b", rowb(), 0.2).extend_one("a", rowa(), 0.5)
+        assert ab.shape is Shape.of(("a", "b"))
+        assert ba.shape is Shape.of(("b", "a"))
+        assert ab.shape.index == {"a": 0, "b": 1}
+        assert ab == ba and hash(ab) == hash(ba)
 
-    def test_project(self):
-        t = STuple.single("a", rowa(), 0.5).merge(
-            STuple.single("b", rowb(), 0.2))
-        p = t.project({"a"})
-        assert p.aliases == frozenset({"a"})
-        assert p.intrinsic == 0.5
+    def test_merged_tuple_retains_under_320_bytes(self):
+        """The layout's per-tuple cost, the rows and shapes (shared by
+        every tuple that binds them) excluded: ~690 B as two dicts and a
+        provenance frozenset, ~225 B as four slots over two tuples."""
+        n = 5000
+        left = [STuple.single("a", Row("A", i, {}), 0.5) for i in range(n)]
+        right = [STuple.single("b", Row("B", i, {}), 0.25)
+                 .extend_one("c", Row("C", i, {}), 0.125) for i in range(n)]
+        left[0].merge(right[0])  # the merged shape, memoized up front
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            merged = [a.merge(bc) for a, bc in zip(left, right)]
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(merged[0].rows) == 3
+        assert retained / n <= 320
 
-    def test_project_missing_rejected(self):
-        with pytest.raises(DataError):
-            STuple.single("a", rowa(), 0.5).project({"q"})
+
+class DictTuple:
+    """The dict-based layout STuple replaced, kept as the reference:
+    bindings and contributions as ``alias -> value`` dicts, intrinsic
+    summed in insertion order, provenance materialized."""
+
+    def __init__(self, bindings, contribs):
+        self.bindings = bindings
+        self.contribs = contribs
+        self.intrinsic = sum(contribs.values())
+        self.provenance = frozenset(
+            (alias, row.relation, row.tid) for alias, row in bindings.items())
+
+    def merge(self, other):
+        if self.bindings.keys() & other.bindings.keys():
+            raise DataError("overlap")
+        return DictTuple({**self.bindings, **other.bindings},
+                         {**self.contribs, **other.contribs})
+
+    def extend_one(self, alias, row, contrib):
+        return self.merge(DictTuple({alias: row}, {alias: contrib}))
+
+
+ALIASES = "abcde"
+#: Decimal fractions and magnitudes far apart, whose sums round
+#: differently under another association, plus any finite float.
+contributions = st.one_of(
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 1e16, 3.0]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def atoms(draw):
+    alias = draw(st.sampled_from(ALIASES))
+    row = Row(alias.upper(), draw(st.integers(0, 2)), {})
+    return alias, row, draw(contributions)
+
+
+class TestLayoutAgainstDictReference:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_dict_layout(self, data):
+        pool = []
+        for alias, row, contrib in data.draw(
+                st.lists(atoms(), min_size=1, max_size=4), label="singles"):
+            pool.append((STuple.single(alias, row, contrib),
+                         DictTuple({alias: row}, {alias: contrib})))
+        for _step in range(data.draw(st.integers(0, 12), label="steps")):
+            op = data.draw(st.sampled_from(["extend", "merge", "reorder"]))
+            tup, ref = data.draw(st.sampled_from(pool))
+            if op == "reorder":
+                # The same bindings, built in another alias order.
+                order = data.draw(st.permutations(list(ref.bindings)))
+                built = STuple.single(order[0], ref.bindings[order[0]],
+                                      ref.contribs[order[0]])
+                for alias in order[1:]:
+                    built = built.extend_one(alias, ref.bindings[alias],
+                                             ref.contribs[alias])
+                pool.append((built, DictTuple(
+                    {a: ref.bindings[a] for a in order},
+                    {a: ref.contribs[a] for a in order})))
+                continue
+            if op == "extend":
+                alias, row, contrib = data.draw(atoms())
+                ref_result = self.attempt(ref.extend_one, alias, row, contrib)
+                result = self.attempt(tup.extend_one, alias, row, contrib)
+            else:
+                other, other_ref = data.draw(st.sampled_from(pool))
+                ref_result = self.attempt(ref.merge, other_ref)
+                result = self.attempt(tup.merge, other)
+            if ref_result is None:
+                assert result is None  # both overlapped and raised
+            else:
+                pool.append((result, ref_result))
+        for tup, ref in pool:
+            assert tup.shape.aliases == tuple(ref.bindings)
+            assert tup.rows == tuple(ref.bindings.values())
+            assert tup.contribs == tuple(ref.contribs.values())
+            assert tup.intrinsic.hex() == float(ref.intrinsic).hex()
+            assert tup.provenance == ref.provenance
+            assert hash(tup) == hash(ref.provenance)
+        for tup, ref in pool:
+            for other, other_ref in pool:
+                assert (tup == other) == (ref.provenance
+                                          == other_ref.provenance)
+
+    @staticmethod
+    def attempt(build, *args):
+        try:
+            return build(*args)
+        except DataError:
+            return None

@@ -64,6 +64,15 @@ class TestMonotoneScore:
         with pytest.raises(ScoringError):
             score.score(bad)
 
+    def test_score_reads_contributions_by_alias(self):
+        score = MonotoneScore({"A": 1.0, "C": 4.0}, 0.0, "identity",
+                              {"A": 1.0, "C": 1.0})
+        rows = {"A": Row("A", 1, {}), "C": Row("C", 3, {})}
+        forward = STuple(rows, {"A": 0.5, "C": 0.25})
+        backward = STuple(rows, {"C": 0.25, "A": 0.5})
+        assert forward.shape is not backward.shape
+        assert score.score(forward) == score.score(backward) == 1.5
+
     def test_max_score_uses_caps(self):
         assert uniform_score().max_score() == pytest.approx(2.0)
 
