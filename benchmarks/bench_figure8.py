@@ -5,7 +5,7 @@ streams in absolute terms; in-memory join time is a thin slice
 everywhere (wide-area latency dominates); probing persists because
 score-less relations cannot be streamed usefully.
 
-One honest divergence (recorded in EXPERIMENTS.md): the paper's shared
+One honest divergence: the paper's shared
 configurations show a *larger probe fraction* than ATC-CQ, whereas ours
 show a smaller one -- our shared probe caches are scoped per plan
 graph, so in the shared configurations most repeat probes are free

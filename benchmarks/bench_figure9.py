@@ -4,11 +4,11 @@ Paper claim: "significant gains in performance for larger batch sizes,
 clearly indicating that it is advantageous to proactively identify
 opportunities for subexpression sharing."
 
-What we reproduce and what diverges (full discussion in
-EXPERIMENTS.md): batch optimization's *work* advantage reproduces
-strongly -- single-query optimization misses cross-query subexpressions
-and consumes several times more input tuples on some instances -- and
-it amortizes optimizer invocations 15 -> ~5.  The paper's *latency*
+What we reproduce and what diverges: batch optimization's *work*
+advantage reproduces strongly -- single-query optimization misses
+cross-query subexpressions and consumes several times more input tuples
+on some instances -- and it amortizes optimizer invocations 15 -> ~5.
+The paper's *latency*
 advantage inverts here, because this implementation's reactive reuse
 (free in-memory recovery replays grafted onto running plans) lets
 individually-optimized queries piggyback on earlier state almost as

@@ -2,8 +2,8 @@
 
 Every benchmark runs one experiment driver at the *quick* scale (see
 ``repro.experiments.harness.quick_scale``), prints the paper-style
-table, saves it under ``benchmarks/results/`` (EXPERIMENTS.md embeds
-those files), and asserts the qualitative shape the paper reports.
+table, saves it under ``benchmarks/results/``, and asserts the
+qualitative shape the paper reports.
 
 Benchmarks use ``benchmark.pedantic(rounds=1)``: the quantity of
 interest is the experiment's *output*, not the harness's wall time, and

@@ -2,7 +2,7 @@
 """Where the retained heap goes after an in-process ``cold_distinct`` replay.
 
 Usage: ``python scripts/heap_census.py [--seed 7] [--seconds 18]
-[--max-bytes-per-stuple N]``
+[--max-bytes-per-stuple N] [--max-module-mib MODULE=N ...]``
 
 Builds the e2e benchmark's corpus and its ``cold_distinct`` op list --
 the ops ``benchmarks/e2e/run.py --workload cold_distinct --seed N
@@ -18,8 +18,11 @@ alive; after one ``gc.collect()`` the script prints
   tracked-object count after it.
 
 With ``--max-bytes-per-stuple`` it exits 1 when the per-tuple figure is
-above the limit (the CI perf smoke).  It reads the benchmark's modules
-and changes none of them.
+above the limit; with ``--max-module-mib MODULE=N`` (repeatable) when
+that module retains more than N MiB -- e.g. ``optimizer/repository.py=1``,
+which holds the keyword-expansion intern table and nothing else.  Both
+are CI perf-smoke gates.  It reads the benchmark's modules and changes
+none of them.
 """
 
 from __future__ import annotations
@@ -53,6 +56,17 @@ def module_name(filename: str) -> str:
         except ValueError:
             continue
     return path.name
+
+
+def module_limit(text: str) -> tuple[str, float]:
+    """One ``MODULE=N`` argument: a module path and its limit in MiB."""
+    module, _, limit = text.rpartition("=")
+    try:
+        if module:
+            return module, float(limit)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected MODULE=MIB, got {text!r}")
 
 
 def census(seed: int, seconds: float) -> dict:
@@ -115,15 +129,31 @@ def main(argv: list[str] | None = None) -> int:
                         help="run length the op count is sized for")
     parser.add_argument("--max-bytes-per-stuple", type=float,
                         help="exit 1 above this many bytes per STuple")
+    parser.add_argument("--max-module-mib", type=module_limit,
+                        action="append", default=[], metavar="MODULE=N",
+                        help="exit 1 when MODULE (a path as printed, e.g. "
+                             "optimizer/repository.py) retains more than "
+                             "N MiB; repeatable")
     args = parser.parse_args(argv)
+    for module, _ in args.max_module_mib:
+        # A module that retains nothing is absent from the census, so a
+        # misspelt path would pass silently: require that it exists.
+        if not any((root / module).is_file() for root in (SRC / "repro", REPO)):
+            parser.error(f"--max-module-mib: no module {module!r}")
     result = census(args.seed, args.seconds)
     print(render(result))
+    failures = []
     limit = args.max_bytes_per_stuple
     if limit is not None and result["bytes_per_stuple"] > limit:
-        print(f"FAIL: {result['bytes_per_stuple']:.0f} B per STuple "
-              f"> {limit:g}", file=sys.stderr)
-        return 1
-    return 0
+        failures.append(f"{result['bytes_per_stuple']:.0f} B per STuple "
+                        f"> {limit:g}")
+    for module, mib in args.max_module_mib:
+        retained = result["by_module"].get(module, 0) / (1024 * 1024)
+        if retained > mib:
+            failures.append(f"{module} retains {retained:.1f} MiB > {mib:g}")
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -106,8 +106,8 @@ class QSystemEngine:
         self.index = index if index is not None else InvertedIndex(federation)
         #: The plan repository may be an externally owned, *shared*
         #: tier: the sharded service hands every shard worker the same
-        #: instance, because plans derived from the same federation are
-        #: shard-independent.
+        #: instance, because expansions derived from the same federation
+        #: are shard-independent.
         self.repository = repository if repository is not None \
             else PlanRepository(federation, config)
         self.generator = generator or CandidateNetworkGenerator(
@@ -518,8 +518,6 @@ class QSystemEngine:
             graph.clock.advance_to(batch.dispatch_time)
             dispatched = graph.clock.now
             tracing = self.tracer.enabled
-            layers_before = self.repository.stats.snapshot() if tracing \
-                else None
             wall_before = self.tracer.wall() if tracing else 0.0
             record = self._optimize_and_graft(graph, uqs)
             for uq in uqs:
@@ -531,7 +529,7 @@ class QSystemEngine:
                 ))
             if tracing:
                 self._trace_dispatch(graph, batch, uqs, dispatched, record,
-                                     layers_before, wall_before)
+                                     wall_before)
             if graph.clock.now > self._clock_high:
                 self._clock_high = graph.clock.now
 
@@ -556,12 +554,9 @@ class QSystemEngine:
     def _optimize_and_graft(self, graph: PlanGraph,
                             uqs: list[UserQuery]) -> OptimizerRecord:
         """Optimize one group through the plan repository and graft the
-        resulting plan; returns the invocation's record.  The repository serves candidate enumeration,
-        best-plan search, and factorization from its caches whenever
-        the group's templates (and the reuse oracle's fingerprint)
-        match earlier work; the measured wall time -- cache hits make
-        it small -- is charged to the graph's virtual clock exactly as
-        a fresh optimization would be.
+        resulting plan; returns the invocation's record.  The measured
+        optimizer wall time is charged to the graph's virtual clock
+        (scaled by ``optimizer_time_scale``).
         """
         scope = graph.graph_id if self.config.shares_across_uqs \
             else uqs[0].uq_id
@@ -580,19 +575,12 @@ class QSystemEngine:
     # its `tracing = self.tracer.enabled` guard, never unguarded
     def _trace_dispatch(self, graph: PlanGraph, batch: Batch,
                         uqs: list[UserQuery], dispatched: float, record,
-                        layers_before: dict, wall_before: float) -> None:
+                        wall_before: float) -> None:
         """Record one dispatch's spans for every query in the group:
-        the ``batch_window`` wait, the ``optimize`` span, and -- from
-        the repository ledger's deltas across this invocation -- the
-        template / plan-repository / candidate-enumeration /
-        factorization child events."""
+        the ``batch_window`` wait, the ``optimize`` span, and its
+        ``factorization`` child."""
         tracer = self.tracer
         wall_after = tracer.wall()
-        deltas = {
-            key: value - layers_before.get(key, 0.0)
-            for key, value in self.repository.stats.snapshot().items()
-            if key != "hit_rate" and value is not None
-        }
         for uq in uqs:
             tracer.span_uq(uq.uq_id, "batch_window", uq.arrival, dispatched,
                            batch=batch.index, batch_size=len(batch.uqs))
@@ -602,19 +590,6 @@ class QSystemEngine:
                 candidates=record.candidate_count,
                 plans_explored=record.plans_explored,
                 optimizer_wall_s=round(record.elapsed_wall, 6))
-            if opt is None:
-                continue
-            tracer.child(opt, "template_lookup", dispatched,
-                         hits=int(deltas["template_hits"]),
-                         misses=int(deltas["template_misses"]))
-            tracer.child(opt, "plan_repository", dispatched,
-                         outcome="hit" if deltas["plan_hits"] else "miss",
-                         hits=int(deltas["plan_hits"]),
-                         misses=int(deltas["plan_misses"]))
-            tracer.child(opt, "candidate_enumeration", dispatched,
-                         cached=int(deltas["candidate_hits"]),
-                         enumerated=int(deltas["candidate_misses"]))
-            tracer.child(opt, "factorization", dispatched, graph.clock.now,
-                         delta_grafts=record.delta_grafts,
-                         fragment_hits=int(deltas["fragment_hits"]),
-                         fragment_misses=int(deltas["fragment_misses"]))
+            if opt is not None:
+                tracer.child(opt, "factorization", dispatched,
+                             graph.clock.now)

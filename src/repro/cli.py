@@ -116,12 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=("roundrobin", "hash", "cluster"),
                        help="shard routing policy when --shards > 1 "
                             "(default cluster-affinity)")
-    serve.add_argument("--no-plan-cache", action="store_true",
-                       help="disable the plan repository: every batch "
-                            "pays full candidate enumeration, best-plan "
-                            "search, and factorization (debugging escape "
-                            "hatch; also useful when templates never "
-                            "repeat)")
     serve.add_argument("--cluster-jaccard", type=float, default=0.7,
                        help="Jaccard threshold for cluster formation "
                             "(ATC-CL graphs and the cluster router); "
@@ -284,8 +278,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ))
     config = ExecutionConfig(mode=_mode_from_name(args.mode), k=args.k,
                              batch_window=args.batch_window, seed=args.seed,
-                             cluster_jaccard=args.cluster_jaccard,
-                             plan_cache=not args.no_plan_cache)
+                             cluster_jaccard=args.cluster_jaccard)
     if args.deadline is not None and args.deadline <= 0:
         raise ValueError(f"--deadline must be positive, got {args.deadline}")
     service_config = ServiceConfig(

@@ -129,14 +129,6 @@ class ExecutionConfig:
         round-robin scheme worked best"; ``"priority"`` (always serve
         the rank-merge with the highest frontier) is the alternative
         the ablation compares against.
-    plan_cache:
-        Whether the plan repository memoizes optimization work
-        (keyword expansion interning, candidate enumeration, best-plan
-        search keyed on a reuse fingerprint, delta factorization).
-        Disable (``repro serve --no-plan-cache``) to force every batch
-        through full optimization -- the escape hatch for debugging
-        the repository itself, or for workloads whose templates never
-        repeat and would only fill the caches.
     seed:
         Master seed for all stochastic components of the run.
     """
@@ -157,7 +149,6 @@ class ExecutionConfig:
     probe_caching: bool = True
     optimizer_time_scale: float = 1.0
     scheduler: str = "round_robin"
-    plan_cache: bool = True
     delays: DelayModel = field(default_factory=DelayModel)
     seed: int = 42
 

@@ -155,8 +155,8 @@ def run_all_modes(bundle: WorkloadBundle, base: ExecutionConfig,
 class SeriesTable:
     """A printable table: one row per x value, one column per series.
 
-    Benchmarks print these in the paper's layout and EXPERIMENTS.md
-    embeds them verbatim.
+    Benchmarks print these in the paper's layout and save them under
+    ``benchmarks/results/``.
     """
 
     title: str

@@ -15,7 +15,7 @@ from functools import cached_property
 
 from repro.common.errors import QueryError
 from repro.data.inverted import KeywordMatch
-from repro.plan.expressions import SPJ, canonical_digest
+from repro.plan.expressions import SPJ
 from repro.scoring.base import MonotoneScore
 
 
@@ -42,31 +42,6 @@ class ConjunctiveQuery:
                 f"{self.cq_id}: score function aliases {sorted(score_aliases)} "
                 f"do not match expression aliases {sorted(expr_aliases)}"
             )
-
-    @cached_property
-    def template_signature(self) -> str:
-        """A structural identity for this CQ modulo alias renaming.
-
-        Covers the join topology, the selections, and the score
-        function (weights, caps, static term, transform), all expressed
-        through the expression's canonical alias renaming -- so two CQs
-        that differ only in alias names (or in the keyword order/case
-        that produced them) share a signature, and the plan repository
-        can serve one's optimization work to the other.  Anything that
-        could change the optimizer's or executor's view of the query
-        changes the signature.
-        """
-        rename = self.expr.canonical_renaming
-        score_part = (
-            self.score.transform_name,
-            repr(self.score.static),
-            tuple(sorted(
-                (rename[alias], repr(weight), repr(self.score.caps[alias]))
-                for alias, weight in self.score.weights.items()
-            )),
-        )
-        return canonical_digest((self.expr.canonical_key, score_part),
-                                digest_size=12)
 
     @property
     def upper_bound(self) -> float:
@@ -111,11 +86,6 @@ class UserQuery:
                 raise QueryError(
                     f"CQ {cq.cq_id} belongs to {cq.uq_id}, not {self.uq_id}"
                 )
-
-    @cached_property
-    def template_signature(self) -> tuple[str, ...]:
-        """Per-CQ template signatures, in activation (upper-bound) order."""
-        return tuple(cq.template_signature for cq in self.cqs)
 
     @cached_property
     def relation_set(self) -> frozenset[str]:

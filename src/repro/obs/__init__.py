@@ -2,8 +2,8 @@
 
 This package is the single substrate every serving-layer number flows
 through: the :class:`~repro.obs.trace.Tracer` records one span tree per
-query (admission, cache lookup, coalescing, batch window, plan
-repository, execution slices, first emission, harvest, terminal
+query (admission, cache lookup, coalescing, batch window, optimizer,
+execution slices, first emission, harvest, terminal
 disposition -- on both the virtual and wall clocks), and the
 :class:`~repro.obs.instruments.MetricsRegistry` owns the typed
 Counter/Gauge/Histogram instruments that the answer cache, admission
@@ -39,10 +39,10 @@ component prefixes are stable across releases:
 ``repro_state_*``
     State-manager eviction counter and stored-tuples gauge.
 ``repro_plan_repository_*``
-    Per-layer cache ledger, labelled ``layer=expansion|template|
-    candidate|plan|fragment``.
+    Keyword-expansion interning hits and misses, labelled
+    ``layer=expansion``.
 ``repro_optimizer_*``
-    Invocations, measured wall seconds, plans explored, delta grafts.
+    Invocations, measured wall seconds, plans explored.
 ``repro_router_*``
     Sharded front door only: routed (labelled ``shard=...``),
     spill-overs, front-door cache hits, affinity overrides.

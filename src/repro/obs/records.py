@@ -85,23 +85,12 @@ class UQRecord:
 
 @dataclass
 class OptimizerRecord:
-    """One optimizer invocation: search-space size vs time spent.
-
-    ``cache_hits`` / ``cache_misses`` count the plan repository's
-    lookups during this invocation (expansion templates, candidate
-    sets, best-plan results, factorization fragments); ``delta_grafts``
-    counts the conjunctive queries whose factorization was grafted from
-    a retained fragment instead of recomputed.  All three are zero when
-    the plan cache is disabled.
-    """
+    """One optimizer invocation: search-space size vs time spent."""
 
     candidate_count: int
     plans_explored: int
     elapsed_wall: float
     batch_size: int
-    cache_hits: int = 0
-    cache_misses: int = 0
-    delta_grafts: int = 0
 
 
 @dataclass

@@ -14,10 +14,7 @@ The span tree for a served query reads like the pipeline::
       admission                 accept / reject / defer
       batch_window              arrival -> batch dispatch
       optimize                  dispatch -> graft done
-        template_lookup         repository layer ledger deltas
-        plan_repository         hit / miss
-        candidate_enumeration
-        factorization           delta grafts
+        factorization
       execution                 one span per engine drive slice
       first_emission            the TTFA instant
       harvest                   answers delivered

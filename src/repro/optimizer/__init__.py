@@ -1,5 +1,6 @@
 """Multi-query optimization: candidates, BestPlan, factorization,
-clustering, cost model, and the incremental plan repository."""
+clustering, cost model, and the plan repository (the optimizer entry
+point plus keyword-expansion interning)."""
 
 from repro.optimizer.bestplan import BestPlanResult, BestPlanSearch
 from repro.optimizer.candidates import (

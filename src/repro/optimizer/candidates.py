@@ -100,7 +100,7 @@ def driving_stream_aliases(cq: ConjunctiveQuery, federation: Federation,
     smallest relation is promoted to a stream anyway (exhausting it is
     the cheapest way to drive the join).  This used to be patched up
     inline in the engine per CQ per batch; it is an optimizer-layer
-    decision and the plan repository memoizes it per CQ template.
+    decision, made once per CQ per optimizer invocation.
     """
     aliases = streamable_aliases(cq, federation, config)
     if not aliases:

@@ -64,9 +64,7 @@ def component_node_id(owner: str, expr: SPJ,
     """The graft identity of one m-join component.
 
     ``stream_children`` and ``probe_atoms`` must already be in the
-    spec's canonical (sorted, deduplicated) form.  Kept as a module
-    function so the plan repository can rebuild ids when it relabels a
-    cached plan onto fresh query identifiers.
+    spec's canonical (sorted, deduplicated) form.
     """
     return "cmp:%s:%s" % (
         owner, _digest((expr.canonical_key, stream_children, probe_atoms)),

@@ -370,8 +370,7 @@ class SPJ:
 
         Aliases absent from the mapping keep their names; the mapping
         must not collapse two aliases into one.  Renaming never changes
-        :attr:`canonical_key` -- that is the invariant the plan
-        repository's template signatures rest on.
+        :attr:`canonical_key`.
         """
         new_names = [mapping.get(a, a) for a in self.aliases]
         if len(set(new_names)) != len(new_names):
@@ -533,19 +532,10 @@ class SPJ:
         return " |X| ".join(names)
 
 
-def canonical_digest(payload: object, digest_size: int = 10) -> str:
-    """The repo-wide canonical-hash scheme: blake2s over ``repr``.
-
-    Shared so that every structural digest (expression canonical keys,
-    CQ template signatures) changes in one place if the scheme ever
-    needs to.
-    """
-    return hashlib.blake2s(repr(payload).encode(),
-                           digest_size=digest_size).hexdigest()
-
-
 def _digest(payload: object) -> str:
-    return canonical_digest(payload)
+    """The canonical-hash scheme of expression keys: blake2s over
+    ``repr``."""
+    return hashlib.blake2s(repr(payload).encode(), digest_size=10).hexdigest()
 
 
 def make_chain(relations: list[tuple[str, str, str, str]],

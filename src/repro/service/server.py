@@ -192,7 +192,7 @@ class QService:
             else MetricsRegistry()
         # ``repository`` may, like the cache, be a shared tier: the
         # sharded service hands every shard the same plan repository,
-        # so one shard's optimization work serves every shard's
+        # so one shard's keyword expansions serve every shard's
         # repeats.
         self._owns_repository = repository is None
         self.engine = QSystemEngine(federation, config,

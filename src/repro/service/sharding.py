@@ -170,9 +170,9 @@ class ShardedQService:
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self.index = index if index is not None else InvertedIndex(federation)
-        # One plan repository for the whole fleet: plans derived from
-        # the same federation are shard-independent, so without a
-        # shared tier N shards would each derive N identical plans.
+        # One plan repository for the whole fleet: expansions derived
+        # from the same federation are shard-independent, so without a
+        # shared tier N shards would each expand every keyword set.
         self.repository = PlanRepository(federation, config)
         # One expansion pipeline for the whole fleet: the router may
         # need the candidate networks before placement, and shards

@@ -143,13 +143,6 @@ class Telemetry:
                                      "optimizer invocations")
     plans_explored = _Counter("repro_optimizer_plans_explored_total",
                               "plans explored across invocations")
-    plan_cache_hits = _Counter("repro_optimizer_plan_cache_hits_total",
-                               "plan-repository lookups served from cache")
-    plan_cache_misses = _Counter("repro_optimizer_plan_cache_misses_total",
-                                 "plan-repository lookups that missed")
-    plan_delta_grafts = _Counter(
-        "repro_optimizer_delta_grafts_total",
-        "factorizations grafted from retained fragments")
 
     _DECLARED = {name: value for name, value in list(vars().items())
                  if isinstance(value, _Counter)}
@@ -255,9 +248,6 @@ class Telemetry:
         self.optimizer_invocations = len(records)
         self.optimizer_wall = sum(r.elapsed_wall for r in records)
         self.plans_explored = sum(r.plans_explored for r in records)
-        self.plan_cache_hits = sum(r.cache_hits for r in records)
-        self.plan_cache_misses = sum(r.cache_misses for r in records)
-        self.plan_delta_grafts = sum(r.delta_grafts for r in records)
 
     # -- wire state ----------------------------------------------------------
 
@@ -368,15 +358,6 @@ class Telemetry:
             return None
         return self.optimizer_wall / span
 
-    def plan_cache_hit_rate(self) -> float | None:
-        """Plan-repository hits over lookups; ``None`` before the
-        optimizer ran (or with the plan cache disabled, which performs
-        no lookups at all)."""
-        lookups = self.plan_cache_hits + self.plan_cache_misses
-        if not lookups:
-            return None
-        return self.plan_cache_hits / lookups
-
     def summary(self) -> dict[str, float | None]:
         out = {
             "submitted": float(self.submitted),
@@ -396,8 +377,6 @@ class Telemetry:
             "optimizer_wall_s": self.optimizer_wall,
             "optimizer_share": self.optimizer_share(),
             "plans_explored": float(self.plans_explored),
-            "plan_cache_hit_rate": self.plan_cache_hit_rate(),
-            "plan_delta_grafts": float(self.plan_delta_grafts),
         }
         out.update(self.latency_percentiles())
         out.update(self.ttfa_percentiles())
@@ -407,7 +386,6 @@ class Telemetry:
         """The operator's summary block (the ``serve`` command prints it)."""
         pcts = self.latency_percentiles()
         ttfa = self.ttfa_percentiles()
-        hit_rate = self.plan_cache_hit_rate()
         lines = [
             f"served    : {self.completed}/{self.submitted} queries "
             f"({self.served_from_cache} from cache, "
@@ -429,9 +407,7 @@ class Telemetry:
             f"optimizer : {self.optimizer_wall:.3f}s wall over "
             f"{self.optimizer_invocations} invocations "
             f"(share {fmt_stat(self.optimizer_share(), '', 3)}), "
-            f"{self.plans_explored} plans explored, plan cache "
-            + ("n/a" if hit_rate is None else f"{hit_rate:.1%} hits")
-            + f" ({self.plan_delta_grafts} delta grafts)",
+            f"{self.plans_explored} plans explored",
         ]
         if cache_hit_rate is not None:
             lines.append(f"cache     : {cache_hit_rate:.1%} hit rate")
