@@ -1,7 +1,7 @@
 """Benchmark-suite configuration.
 
-Every benchmark runs one experiment driver at the *quick* scale (see
-``repro.experiments.harness.quick_scale``), prints the paper-style
+Every figure benchmark runs one experiment driver at the *quick* scale
+(see ``repro.experiments.harness.quick_scale``), prints the paper-style
 table, saves it under ``benchmarks/results/``, and asserts the
 qualitative shape the paper reports.
 
@@ -17,49 +17,6 @@ import pathlib
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-def pytest_addoption(parser: pytest.Parser) -> None:
-    group = parser.getgroup("sharded service bench")
-    group.addoption(
-        "--shards", type=int, default=4,
-        help="worker count for the sharded service benchmark (default 4)")
-    group.addoption(
-        "--routing", default="hash,cluster",
-        help="comma-separated routing policies the sharded benchmark "
-             "runs and compares (default hash,cluster)")
-    group.addoption(
-        "--workers", default="inproc", choices=["inproc", "process"],
-        help="shard worker transport for the parallel-scaling "
-             "benchmark: 'process' spawns one OS process per shard "
-             "and gates on wall-clock speedup (default inproc)")
-    obs = parser.getgroup("observability bench")
-    obs.addoption(
-        "--trace-overhead", action="store_true", default=False,
-        help="run the tracing-overhead checks: tracing-off wall time "
-             "must stay within 2%% of a no-tracer build, and answers "
-             "must be byte-identical across no-tracer / off / on")
-
-
-@pytest.fixture(scope="session")
-def trace_overhead_enabled(request) -> bool:
-    return request.config.getoption("--trace-overhead")
-
-
-@pytest.fixture(scope="session")
-def bench_shards(request) -> int:
-    return request.config.getoption("--shards")
-
-
-@pytest.fixture(scope="session")
-def bench_workers(request) -> str:
-    return request.config.getoption("--workers")
-
-
-@pytest.fixture(scope="session")
-def bench_routing(request) -> list[str]:
-    return [p.strip() for p in
-            request.config.getoption("--routing").split(",") if p.strip()]
 
 
 @pytest.fixture(scope="session")

@@ -261,6 +261,16 @@ class QSystemEngine:
             tracer.span_uq(uq_id, "execution", v0, end, wall=(w0, w1),
                            graph=graph.graph_id)
 
+    def _settle(self, graph: PlanGraph, budget: bool = True) -> None:
+        """The epilogue of driving ``graph``: enforce the state budget
+        on it, then raise the clock high-water mark.  Batch dispatch
+        passes ``budget=False``: the budget waits for the graph's next
+        drive, which runs the freshly grafted queries."""
+        if budget:
+            self.qs.enforce_budget(graph)
+        if graph.clock.now > self._clock_high:
+            self._clock_high = graph.clock.now
+
     def _step_to(self, until: float) -> None:
         """One execution segment of :meth:`step`."""
         for batch in self.batcher.pop_ready(until):
@@ -268,9 +278,7 @@ class QSystemEngine:
         for graph_id in sorted(self._active_graphs):
             graph = self.qs.graphs[graph_id]
             self._drive_graph(graph, until)
-            self.qs.enforce_budget(graph)
-            if graph.clock.now > self._clock_high:
-                self._clock_high = graph.clock.now
+            self._settle(graph)
             if not graph.incomplete_rank_merges():
                 # Nothing left to drive; a later graft re-activates it.
                 self._active_graphs.discard(graph_id)
@@ -391,9 +399,7 @@ class QSystemEngine:
         # equivalent to stepping straight to this clock.
         for batch in self.batcher.pop_ready(graph.clock.now):
             self._run_batch(batch)
-        self.qs.enforce_budget(graph)
-        if graph.clock.now > self._clock_high:
-            self._clock_high = graph.clock.now
+        self._settle(graph)
         if not graph.incomplete_rank_merges():
             self._active_graphs.discard(graph_id)
         return rm.complete or len(rm.emitted) > before
@@ -430,16 +436,12 @@ class QSystemEngine:
             for graph_id in sorted(self._active_graphs):
                 graph = self.qs.graphs[graph_id]
                 self._drive_graph(graph, boundary)
-                self.qs.enforce_budget(graph)
-                if graph.clock.now > self._clock_high:
-                    self._clock_high = graph.clock.now
+                self._settle(graph)
             self._expire_due(boundary)
         for graph_id in sorted(self._active_graphs):
             graph = self.qs.graphs[graph_id]
             self._drive_graph(graph, None)
-            self.qs.enforce_budget(graph)
-            if graph.clock.now > self._clock_high:
-                self._clock_high = graph.clock.now
+            self._settle(graph)
         self._active_graphs.clear()
 
     def report(self) -> EngineReport:
@@ -530,8 +532,7 @@ class QSystemEngine:
             if tracing:
                 self._trace_dispatch(graph, batch, uqs, dispatched, record,
                                      wall_before)
-            if graph.clock.now > self._clock_high:
-                self._clock_high = graph.clock.now
+            self._settle(graph, budget=False)
 
     def _optimization_groups(self, batch: Batch
                              ) -> list[tuple[str, list[UserQuery]]]:

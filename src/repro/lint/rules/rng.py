@@ -2,9 +2,9 @@
 
 Every experiment, load trace, and synthetic corpus must replay
 bit-for-bit from its seed (the answer digests pinned in
-``benchmarks/results/`` and every hypothesis differential suite depend
-on it).  The module-level ``random.*`` functions draw from one hidden,
-process-global generator -- any call perturbs every other consumer --
+``benchmarks/bench_digests.py`` and every hypothesis differential suite
+depend on it).  The module-level ``random.*`` functions draw from one
+hidden, process-global generator -- any call perturbs every other consumer --
 and a ``random.Random()`` constructed without :func:`repro.common.rng.
 make_rng` either has no seed at all or couples unrelated streams to one
 raw integer.  Outside ``common/rng.py``, generators are *passed in*,
@@ -41,8 +41,8 @@ class RngDiscipline(Rule):
     id = "rng-discipline"
     summary = ("no module-level random.* calls and no random.Random() "
                "construction outside common/rng.py")
-    contract = ("seeded reproducibility: checked-in answer digests "
-                "(bench_hotpath/bench_optimizer baselines) and every "
+    contract = ("seeded reproducibility: pinned answer digests "
+                "(benchmarks/bench_digests.py) and every "
                 "differential suite replay synthetic data and load "
                 "traces bit-for-bit from make_rng streams")
 

@@ -251,18 +251,20 @@ class QueryServiceHTTP:
     async def _handle_conn(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
         try:
-            parsed = await self._read_request(reader)
-            if parsed is None:
-                return
-            method, path, body = parsed
             try:
+                parsed = await self._read_request(reader)
+                if parsed is None:
+                    return
+                method, path, body = parsed
                 await self._route(method, path, body, writer)
             except _BadRequest as exc:
                 writer.write(_response(
                     400, _json_body({"error": str(exc)}),
                     "application/json"))
                 await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, asyncio.TimeoutError):
+        except (ConnectionResetError, BrokenPipeError, asyncio.TimeoutError,
+                asyncio.IncompleteReadError):
+            # The client went away, possibly mid-body: nothing to answer.
             pass
         finally:
             with contextlib.suppress(Exception):
@@ -291,12 +293,16 @@ class QueryServiceHTTP:
                 break
             name, _sep, value = line.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    return None
+                value = value.strip()
+                # Digits only: int() would also take "-5", "+5" and "1_0".
+                if not (value.isascii() and value.isdigit()):
+                    raise _BadRequest(
+                        f"Content-Length must be a decimal integer, "
+                        f"got {value!r}")
+                content_length = int(value)
         if content_length > _MAX_REQUEST_BYTES:
-            return None
+            raise _BadRequest(f"Content-Length {content_length} exceeds "
+                              f"{_MAX_REQUEST_BYTES} bytes")
         body = await reader.readexactly(content_length) \
             if content_length else b""
         return method.upper(), target, body

@@ -11,6 +11,8 @@ byte-comparable to in-process serving.
 """
 
 import json
+import logging
+import socket
 
 import pytest
 
@@ -255,6 +257,42 @@ class TestErrorPaths:
             "POST", "/query", {"keywords": list(KWS), "id": "q1"})
         assert status == 409
         assert "q1" in body["error"]
+
+    @pytest.mark.parametrize("length", ["-5", "abc", str(2 << 20)])
+    def test_bad_content_length_is_400(self, served, length):
+        """A negative, non-numeric or over-cap Content-Length is
+        answered, not dropped with a bare close."""
+        service, client = served
+        reply = _raw_exchange(client.port, (
+            f"POST /query HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+        ).encode())
+        assert reply.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+        assert service.report().telemetry.submitted == 0
+        assert client.healthz()["queries"] == 0
+
+    def test_truncated_body_is_a_quiet_disconnect(self, fed, index, caplog):
+        """A client that half-closes before its declared body arrives
+        gets no reply, and the server logs no unhandled error."""
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with HttpServerThread(make_service(fed, index)) as srv:
+                reply = _raw_exchange(srv.port, (
+                    b'POST /query HTTP/1.1\r\nContent-Length: 100\r\n\r\n'
+                    b'{"keywords": '))
+                assert reply == b""
+                client = HttpQueryClient("127.0.0.1", srv.port)
+                assert client.healthz()["queries"] == 0
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+
+def _raw_exchange(port: int, request: bytes) -> bytes:
+    """Send raw bytes, half-close, and read the reply to EOF."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
 
 
 class TestDifferentialDigest:
