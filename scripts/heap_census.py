@@ -20,9 +20,10 @@ alive; after one ``gc.collect()`` the script prints
 With ``--max-bytes-per-stuple`` it exits 1 when the per-tuple figure is
 above the limit; with ``--max-module-mib MODULE=N`` (repeatable) when
 that module retains more than N MiB -- e.g. ``optimizer/repository.py=1``,
-which holds the keyword-expansion intern table and nothing else.  Both
-are CI perf-smoke gates.  It reads the benchmark's modules and changes
-none of them.
+which holds the keyword-expansion intern table and the keyword-level
+fragment sets, or ``plan/expressions.py=6``, which a finished query's
+pinned expressions would exceed.  Both are CI perf-smoke gates.  It
+reads the benchmark's modules and changes none of them.
 """
 
 from __future__ import annotations

@@ -3,12 +3,11 @@
 from repro.atc.batcher import Batch, QueryBatcher
 from repro.atc.controller import ATCController
 from repro.atc.engine import EngineReport, QSystemEngine
-from repro.atc.state_manager import CQPlanInfo, GraphReuseOracle, QueryStateManager
+from repro.atc.state_manager import GraphReuseOracle, QueryStateManager
 
 __all__ = [
     "ATCController",
     "Batch",
-    "CQPlanInfo",
     "EngineReport",
     "GraphReuseOracle",
     "QSystemEngine",

@@ -118,7 +118,6 @@ class QSystemEngine:
                                     window=config.batch_window)
         self.qs = QueryStateManager(federation, config)
         self.cost_model = CostModel(federation, config)
-        self._submitted: list[UserQuery] = []
         #: Graphs with (potentially) incomplete rank-merges.  step()
         #: and drain() only drive these, so per-arrival work under a
         #: sustained stream stays proportional to the *live* graphs,
@@ -152,7 +151,6 @@ class QSystemEngine:
         """Expand a keyword query into a user query and enqueue it."""
         uq = self.generator.generate(kq)
         self.batcher.submit(uq)
-        self._submitted.append(uq)
         return uq
 
     def submit_user_query(self, uq: UserQuery,
@@ -164,7 +162,6 @@ class QSystemEngine:
         expired (keeping its answers-so-far).
         """
         self.batcher.submit(uq)
-        self._submitted.append(uq)
         if deadline is not None:
             self._deadlines[uq.uq_id] = deadline
 
@@ -342,6 +339,18 @@ class QSystemEngine:
         retired = self._retired
         self._retired = {}
         return retired
+
+    def release(self, uq_id: str) -> None:
+        """Drop everything only ``uq_id`` held -- its rank-merge, graph
+        assignment, CQ plans, report snapshot and deadline -- once the
+        caller has taken its answers.  Operator state and the plan graph
+        stay, and so does its ``UQRecord``.  The serving layer calls
+        this at every terminal disposition; an engine driven by
+        :meth:`run` never does, so its report keeps every answer."""
+        self._deadlines.pop(uq_id, None)
+        graph_id = self.qs.release(uq_id)
+        if graph_id is not None:
+            self._answers_cache.get(graph_id, {}).pop(uq_id, None)
 
     def drive_query(self, uq_id: str) -> bool:
         """Run ``uq_id``'s plan graph -- on the normal round-robin

@@ -21,12 +21,14 @@ module owns:
 * **unlinking and eviction** (Section 6.3): completed queries are
   unlinked back to the nearest split; state is retained for reuse until
   the memory budget forces LRU (size-tiebreak) eviction, after which a
-  source must be re-streamed from the site.
+  source must be re-streamed from the site;
+* **release** (:meth:`QueryStateManager.release`): once the serving
+  layer has harvested a query, everything only that query held -- its
+  rank-merge, its graph assignment and its CQs' plans -- is dropped.
+  Operators and their state are the graph's, not the query's, and stay.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.common.config import ExecutionConfig, SharingMode
 from repro.common.errors import StateError
@@ -36,7 +38,7 @@ from repro.operators.nodes import InputUnit, MJoinNode, ProbeTarget, RecoveryUni
 from repro.operators.rankmerge import RankMerge
 from repro.optimizer.clustering import IncrementalClusterer
 from repro.optimizer.cost import ReuseOracle
-from repro.optimizer.factorize import ComponentSpec, FactorizedPlan, SourceSpec
+from repro.optimizer.factorize import FactorizedPlan, SourceSpec
 from repro.plan.graph import PlanGraph
 
 
@@ -61,17 +63,6 @@ def finalize_uq_record(graph: PlanGraph, rm: RankMerge,
     record.cqs_executed = rm.activations
     record.first_emitted = rm.first_emitted_at
     graph.metrics.tuples_output += len(rm.emitted)
-
-
-@dataclass
-class CQPlanInfo:
-    """Where one conjunctive query's plan lives inside a graph."""
-
-    cq: ConjunctiveQuery
-    final_node_id: str
-    stream_source_ids: tuple[str, ...]
-    probe_atoms: tuple[str, ...]
-    scope: str
 
 
 class GraphReuseOracle(ReuseOracle):
@@ -110,8 +101,11 @@ class QueryStateManager:
         self.federation = federation
         self.config = config
         self.graphs: dict[str, PlanGraph] = {}
-        self.specs: dict[str, dict[str, SourceSpec | ComponentSpec]] = {}
-        self.cq_plans: dict[str, dict[str, CQPlanInfo]] = {}
+        #: Per graph: conjunctive query id -> the factorized plan of the
+        #: batch it was optimized in.  The plan holds the specs its
+        #: operators are instantiated from, so it lives exactly as long
+        #: as one of its queries is registered.
+        self.cq_plans: dict[str, dict[str, FactorizedPlan]] = {}
         #: Which graph each registered user query runs on (the online
         #: service resolves completions per live query through this
         #: instead of rescanning every graph).
@@ -155,7 +149,6 @@ class QueryStateManager:
         if graph is None:
             graph = PlanGraph(graph_id, self.federation, self.config)
             self.graphs[graph_id] = graph
-            self.specs[graph_id] = {}
             self.cq_plans[graph_id] = {}
             self.mark_state_dirty(graph_id)
         return graph
@@ -181,33 +174,20 @@ class QueryStateManager:
 
     def register_plan(self, graph: PlanGraph, plan: FactorizedPlan,
                       uqs: list[UserQuery]) -> None:
-        """Merge a factorized plan's specs into the graph's registry and
+        """Record the plan of every conjunctive query in ``uqs`` and
         create the user queries' rank-merge operators.
 
-        Operators themselves are instantiated lazily on CQ activation;
-        matching is by node id (expression + input structure), so a
-        spec identical to an existing operator reuses it -- that is the
-        graft -- and only genuinely new segments will create operators.
+        Operators themselves are instantiated lazily on CQ activation,
+        from the activating CQ's plan; matching is by node id
+        (expression + input structure), so a spec identical to an
+        existing operator reuses it -- that is the graft -- and only
+        genuinely new segments will create operators.
         """
-        registry = self.specs[graph.graph_id]
-        for source_id, spec in plan.sources.items():
-            registry.setdefault(source_id, spec)
-        for comp_id, spec in plan.components.items():
-            registry.setdefault(comp_id, spec)
         plans = self.cq_plans[graph.graph_id]
-        cq_by_id = {
-            cq.cq_id: cq for uq in uqs for cq in uq.cqs
-        }
-        for cq_id, final_id in plan.cq_final.items():
-            if cq_id not in cq_by_id:
-                continue
-            plans[cq_id] = CQPlanInfo(
-                cq=cq_by_id[cq_id],
-                final_node_id=final_id,
-                stream_source_ids=plan.cq_stream_sources.get(cq_id, ()),
-                probe_atoms=plan.cq_probe_atoms.get(cq_id, ()),
-                scope=plan.scope,
-            )
+        for uq in uqs:
+            for cq in uq.cqs:
+                if cq.cq_id in plan.cq_final:
+                    plans[cq.cq_id] = plan
         for uq in uqs:
             if uq.uq_id in graph.rank_merges:
                 raise StateError(
@@ -224,35 +204,25 @@ class QueryStateManager:
 
     # -- node instantiation ------------------------------------------------------------
 
-    def ensure_node(self, graph: PlanGraph, node_id: str
-                    ) -> InputUnit | MJoinNode:
-        """Instantiate (or reuse, or revive) one plan-graph operator.
-
-        Revival of a detached node clears its stale module and re-seeds
-        it from the suppliers' current state -- the recomputation path
-        of Section 6.3's cache discussion.
-        """
+    def ensure_node(self, graph: PlanGraph, node_id: str,
+                    plan: FactorizedPlan) -> InputUnit | MJoinNode:
+        """Instantiate (or reuse, or revive) one plan-graph operator;
+        ``plan`` -- the activating CQ's -- supplies the specs of the
+        operators that do not exist yet."""
         if node_id in graph.units:
             return graph.units[node_id]
-        if node_id in graph.nodes:
-            node = graph.nodes[node_id]
-            if node_id in graph.detached:
-                for child_id in self._spec(graph, node_id).stream_children:
-                    child = self.ensure_node(graph, child_id)
-                    if not any(c is node for c in child.consumers):
-                        child.consumers.append(node)
-                node.clear_state()
-                node.seed_from_suppliers()
-                # Suppliers advanced while this node was detached from
-                # their consumer lists; its memoized bound is stale.
-                node.invalidate_bound()
-                graph.detached.discard(node_id)
-                self.mark_state_dirty(graph.graph_id)
+        node = graph.nodes.get(node_id)
+        if node is not None:
+            self._revive(graph, node)
             return node
-        spec = self._spec(graph, node_id)
+        spec = plan.sources.get(node_id) or plan.components.get(node_id)
+        if spec is None:
+            raise StateError(
+                f"{graph.graph_id}: no spec in the plan for node {node_id!r}"
+            )
         if isinstance(spec, SourceSpec):
             return graph.create_unit(node_id, spec.expr)
-        children = [self.ensure_node(graph, cid)
+        children = [self.ensure_node(graph, cid, plan)
                     for cid in spec.stream_children]
         targets = []
         scope = node_id.split(":", 2)[1]
@@ -290,15 +260,25 @@ class QueryStateManager:
         self.mark_state_dirty(graph.graph_id)
         return node
 
-    def _spec(self, graph: PlanGraph, node_id: str
-              ) -> SourceSpec | ComponentSpec:
-        registry = self.specs[graph.graph_id]
-        spec = registry.get(node_id)
-        if spec is None:
-            raise StateError(
-                f"{graph.graph_id}: no spec registered for node {node_id!r}"
-            )
-        return spec
+    def _revive(self, graph: PlanGraph, node: MJoinNode) -> None:
+        """Re-link a detached node below its suppliers (reviving
+        detached ones first), clear its stale module and re-seed it
+        from their current state -- the recomputation path of Section
+        6.3's cache discussion.  A no-op for a linked node."""
+        if node.name not in graph.detached:
+            return
+        for child in node.suppliers:
+            if isinstance(child, MJoinNode):
+                self._revive(graph, child)
+            if not any(c is node for c in child.consumers):
+                child.consumers.append(node)
+        node.clear_state()
+        node.seed_from_suppliers()
+        # Suppliers advanced while this node was detached from their
+        # consumer lists; its memoized bound is stale.
+        node.invalidate_bound()
+        graph.detached.discard(node.name)
+        self.mark_state_dirty(graph.graph_id)
 
     # -- activation -----------------------------------------------------------------
 
@@ -323,8 +303,12 @@ class QueryStateManager:
         the role of ``CQ^e`` in Algorithm 2.
         """
         epoch = graph.next_epoch()
-        info = self._plan_info(graph, cq.cq_id)
-        final = self.ensure_node(graph, info.final_node_id)
+        plan = self.cq_plans[graph.graph_id].get(cq.cq_id)
+        if plan is None:
+            raise StateError(
+                f"{graph.graph_id}: no plan registered for CQ {cq.cq_id!r}"
+            )
+        final = self.ensure_node(graph, plan.cq_final[cq.cq_id], plan)
         module = final.module
         snapshot = module.replay() if module is not None else []
         rm.register_stream(cq, final, kind="live")
@@ -333,17 +317,8 @@ class QueryStateManager:
             unit = RecoveryUnit(
                 f"rec:{cq.cq_id}:e{epoch}", cq.expr, ordered, graph.metrics,
             )
-            graph.recovery_units[unit.name] = unit
             rm.register_stream(cq, unit, kind="recovery")
             graph.metrics.recovery_queries += 1
-
-    def _plan_info(self, graph: PlanGraph, cq_id: str) -> CQPlanInfo:
-        info = self.cq_plans[graph.graph_id].get(cq_id)
-        if info is None:
-            raise StateError(
-                f"{graph.graph_id}: no plan registered for CQ {cq_id!r}"
-            )
-        return info
 
     # -- completion and unlinking ---------------------------------------------------------
 
@@ -377,6 +352,19 @@ class QueryStateManager:
             ]
             self._detach_if_orphan(graph, supplier)
 
+    def release(self, uq_id: str) -> str | None:
+        """Forget one terminal user query: its rank-merge, its graph
+        assignment and its CQs' plans.  Operators and their state stay.
+        Returns the graph it ran on (``None`` if it never dispatched)."""
+        graph_id = self.uq_graphs.pop(uq_id, None)
+        if graph_id is None:
+            return None
+        rm = self.graphs[graph_id].rank_merges.pop(uq_id)
+        plans = self.cq_plans[graph_id]
+        for cq in rm.uq.cqs:
+            plans.pop(cq.cq_id, None)
+        return graph_id
+
     def _detach_if_orphan(self, graph: PlanGraph, supplier) -> None:
         if supplier.consumers:
             return
@@ -387,8 +375,9 @@ class QueryStateManager:
                     c for c in child.consumers if c is not supplier
                 ]
                 self._detach_if_orphan(graph, child)
-        # InputUnits and RecoveryUnits with no consumers simply stop
-        # being read; their state stays cached until eviction.
+        # InputUnits with no consumers simply stop being read; their
+        # state stays cached until eviction.  A RecoveryUnit belongs to
+        # its rank-merge alone and goes with it.
 
     # -- eviction -----------------------------------------------------------------------
 

@@ -35,7 +35,7 @@ from repro.plan.expressions import SPJ, Atom, JoinPred, Selection
 from repro.scoring.models import qsystem_score
 
 if TYPE_CHECKING:  # avoid a runtime cycle with the optimizer package
-    from repro.optimizer.repository import ExpansionTemplate, PlanRepository
+    from repro.optimizer.repository import PlanRepository
 
 #: Signature of a scoring factory: (expr, federation) -> MonotoneScore.
 ScoreFactory = Callable[[SPJ, Federation], object]
@@ -81,9 +81,18 @@ class CandidateNetworkGenerator:
         if self.repository is not None:
             template = self.repository.lookup_expansion(kq.keywords)
         if template is None:
-            template = self._expand_template(kq)
+            expansion = self._expand(kq)
             if self.repository is not None:
-                self.repository.store_expansion(kq.keywords, template)
+                # The template stores each expression's value, not the
+                # interned object, so a cached expansion keeps no
+                # expression (nor anything memoized on one) alive.
+                self.repository.store_expansion(kq.keywords, tuple(
+                    ((expr.atoms, expr.joins, expr.selections), score,
+                     matches)
+                    for expr, score, matches in expansion))
+        else:
+            expansion = [(SPJ._intern(*parts), score, matches)
+                         for parts, score, matches in template]
         cqs = [
             ConjunctiveQuery(
                 cq_id=f"{kq.kq_id}-cq{i}",
@@ -92,12 +101,13 @@ class CandidateNetworkGenerator:
                 score=score,  # type: ignore[arg-type]
                 matches=matches,
             )
-            for i, (expr, score, matches) in enumerate(template)
+            for i, (expr, score, matches) in enumerate(expansion)
         ]
         return UserQuery(uq_id=kq.kq_id, keywords=kq.keywords, cqs=cqs,
                          k=kq.k, arrival=kq.arrival, user=kq.user)
 
-    def _expand_template(self, kq: KeywordQuery) -> "ExpansionTemplate":
+    def _expand(self, kq: KeywordQuery
+                ) -> list[tuple[SPJ, object, tuple[KeywordMatch, ...]]]:
         """The expensive half of :meth:`generate`: keyword matching,
         join-tree enumeration, and scoring.  Returns the (expr, score,
         matches) triples in enumeration order -- everything about the
@@ -114,12 +124,12 @@ class CandidateNetworkGenerator:
                 f"{kq.kq_id}: no relation matches keywords {empty}"
             )
         trees = self._enumerate_trees(matches)
-        template = []
+        expansion = []
         for tree, combo in trees[: self.max_cqs]:
             expr = self._tree_to_spj(tree, combo)
             score = self.score_factory(expr, self.federation)
-            template.append((expr, score, tuple(combo)))
-        return tuple(template)
+            expansion.append((expr, score, tuple(combo)))
+        return expansion
 
     # -- tree enumeration -------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""The plan repository: the optimizer entry point plus expansion interning.
+"""The plan repository: the optimizer entry point plus two derivation tables.
 
 :meth:`PlanRepository.optimize` runs the Figure 3 pipeline for one
 batch group, in full, every time -- the paper's accounting, which
@@ -8,14 +8,28 @@ conjunctive query, :func:`~repro.optimizer.candidates.
 enumerate_candidates`, Algorithm 1 (:class:`~repro.optimizer.bestplan.
 BestPlanSearch`) and :func:`~repro.optimizer.factorize.factorize`.
 
-The one thing the repository keeps is **expansion interning**.
-Mragyati (Sarda & Jain) identifies the keyword-to-structured-query
-translation as the cacheable step: the candidate-network generator's
-keyword-set -> user-query expansion is derived once per distinct
-keyword set (order- and duplicate-free, spelling-exact), and repeats
-are instantiated by renaming the template's conjunctive queries onto
-fresh query ids instead of re-enumerating join trees.  A process
-worker primes this table at spawn from the fleet's routed templates.
+The repository keeps two cross-query tables, both FIFO-bounded by
+:attr:`PlanRepository.MAX_EXPANSIONS`:
+
+* **expansion interning**.  Mragyati (Sarda & Jain) identifies the
+  keyword-to-structured-query translation as the cacheable step: the
+  candidate-network generator's keyword-set -> user-query expansion is
+  derived once per distinct keyword set (order- and duplicate-free,
+  spelling-exact), and repeats are instantiated from the stored
+  template under fresh query ids instead of re-enumerating join trees.
+  A template stores each expression's *value*, so it pins no
+  expression.  A process worker primes this table at spawn from the
+  fleet's routed templates.
+* **keyword-level fragments**.  A query's expressions die when the
+  serving layer releases it, and with them every fragment derived from
+  them.  The fragments whose selections carry a single keyword are
+  exactly the ones the next query naming that keyword derives again,
+  so after each batch the repository keeps them, per keyword -- and
+  the ones that carry no keyword (join paths any query may derive
+  again) under one more entry: their memos (canonical key, estimate,
+  sub-fragments) are then derived once per keyword, not once per
+  query.  The table is bounded by the keywords that match the corpus
+  and the schema's join paths, never by queries served.
 
 The optimizer itself memoizes, but on the objects the work is about
 rather than in this repository, so those memos need no size policy and
@@ -25,7 +39,8 @@ no invalidation beyond the lifetime of their owner:
   ``SPJ``, one slot stamped with the federation's statistics epoch;
   void when the federation loads rows, gone with the expression;
 * ``order_key``, ``induced`` fragments, canonical renaming and key --
-  on the interned ``SPJ``, for as long as it lives;
+  on the interned ``SPJ``, for as long as a live query, a plan-graph
+  operator or the keyword table above holds it;
 * relation statistics -- on the ``Federation``, dropped by
   ``Federation.load``;
 * per-CQ completions, base-relation preludes and oracle readings --
@@ -41,7 +56,7 @@ from dataclasses import dataclass
 from repro.common.clock import wall_timer
 from repro.common.config import ExecutionConfig
 from repro.data.database import Federation
-from repro.keyword.queries import UserQuery
+from repro.keyword.queries import ConjunctiveQuery, UserQuery
 from repro.optimizer.bestplan import BestPlanSearch
 from repro.optimizer.candidates import (
     driving_stream_aliases,
@@ -51,12 +66,15 @@ from repro.optimizer.cost import CostModel, ReuseOracle
 from repro.optimizer.factorize import FactorizedPlan, factorize
 from repro.obs.instruments import MetricsRegistry
 from repro.obs.records import OptimizerRecord
+from repro.plan.expressions import SPJ
 
-#: One cached expansion: (expr, score, matches) per conjunctive query,
-#: in the generator's enumeration order (pre upper-bound sort) -- the
-#: order that numbers the ``-cq{i}`` ids, so instantiating a template
-#: reproduces a fresh expansion's identifiers exactly.
-ExpansionTemplate = tuple[tuple[object, object, tuple], ...]
+#: One cached expansion: ((atoms, joins, selections), score, matches)
+#: per conjunctive query -- the expression as its canonical value, to be
+#: re-interned on a hit -- in the generator's enumeration order (pre
+#: upper-bound sort), the order that numbers the ``-cq{i}`` ids, so
+#: instantiating a template reproduces a fresh expansion's identifiers
+#: exactly.
+ExpansionTemplate = tuple[tuple[tuple, object, tuple], ...]
 
 
 @dataclass
@@ -82,16 +100,18 @@ class OptimizeOutcome:
 
 
 class PlanRepository:
-    """The optimizer entry point, plus the keyword-expansion intern table.
+    """The optimizer entry point, plus the keyword-expansion intern
+    table and the keyword-level fragments.
 
     One repository serves one (federation, config) pair and may be
     shared by any number of engines -- the sharded service hands every
-    shard worker the same instance, because expansions derived from the
-    same federation are shard-independent.
+    shard worker the same instance, because what it derives from the
+    same federation is shard-independent.
     """
 
-    #: Intern-table cap, FIFO-evicted: eviction only costs a future
-    #: re-expansion, never correctness.
+    #: Cap on each table (expansions; keywords with kept fragments),
+    #: FIFO-evicted: eviction only costs a future re-derivation, never
+    #: correctness.
     MAX_EXPANSIONS = 4096
 
     def __init__(self, federation: Federation,
@@ -100,6 +120,9 @@ class PlanRepository:
         self.config = config
         self.stats = RepositoryStats()
         self._expansions: dict[tuple[str, ...], ExpansionTemplate] = {}
+        #: keyword -> the fragments whose selections carry it alone;
+        #: ``None`` -> those that carry no keyword.
+        self._keyword_fragments: dict[object, set[SPJ]] = {}
 
     def publish_metrics(self, registry: MetricsRegistry) -> None:
         """Republish the ledger as ``repro_plan_repository_*``
@@ -174,6 +197,7 @@ class PlanRepository:
             oracle=oracle,
         ).run()
         plan = factorize(result, cqs, cost_model, scope, sharing=sharing)
+        self._keep_keyword_fragments(cqs)
         record = OptimizerRecord(
             candidate_count=(result.searched_candidates
                              + len(candidate_set.pushdowns)),
@@ -182,3 +206,24 @@ class PlanRepository:
             batch_size=len(uqs),
         )
         return OptimizeOutcome(plan=plan, record=record)
+
+    def _keep_keyword_fragments(self, cqs: list[ConjunctiveQuery]) -> None:
+        """Keep every fragment the batch derived from its conjunctive
+        queries whose selections carry at most one keyword: under that
+        keyword, or under ``None`` when they carry none (join paths
+        through the schema, which any query may derive again).
+        Fragments of two or more keywords are specific to their keyword
+        combination and die with its queries."""
+        table = self._keyword_fragments
+        for cq in cqs:
+            for fragment in cq.expr.induced_fragments():
+                selections = fragment.selections
+                keyword = selections[0].value if selections else None
+                if any(s.value != keyword for s in selections):
+                    continue
+                kept = table.get(keyword)
+                if kept is None:
+                    kept = table[keyword] = set()
+                    while len(table) > self.MAX_EXPANSIONS:
+                        table.pop(next(iter(table)))
+                kept.add(fragment)

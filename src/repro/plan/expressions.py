@@ -155,7 +155,13 @@ class SPJ:
     under -- and every table keyed by expressions downstream is shared
     by all queries that contain the expression, not rebuilt per query.
     None of those memos refers back to the expression, so it still dies
-    by reference counting with its last user.
+    by reference counting with its last user -- and, once its query is
+    released, the last user of a conjunctive query's expression is a
+    plan-graph operator built on it, if any.  What the next query will
+    derive again is kept deliberately, by its owner: the fragments that
+    carry at most one keyword live in the plan repository's keyword
+    table, and an expansion template stores expressions as values, not
+    objects.
 
     Because the object that answers is whichever was built first, its
     behaviour must depend on its value alone: ``atoms``, ``joins`` and
@@ -308,6 +314,10 @@ class SPJ:
         )
         cache[keep] = result
         return result
+
+    def induced_fragments(self) -> Iterable["SPJ"]:
+        """The fragments :meth:`induced` has derived and memoized so far."""
+        return self.__dict__.get("_induced_cache", {}).values()
 
     @cached_property
     def _alias_set(self) -> frozenset[str]:

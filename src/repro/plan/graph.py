@@ -3,11 +3,12 @@
 A :class:`PlanGraph` owns everything a single ATC coordinates (Figure 3
 of the paper): the input units (streaming sources + shared state
 modules), the m-join nodes, the shared random-access sources, and the
-rank-merge operators -- plus the graph's virtual clock, metrics, and
-epoch counter.  The ATC-CL configuration runs several plan graphs side
-by side on parallel clocks; every other configuration schedules all
-queries through the single middleware graph (they differ in sharing
-scope, not in parallelism).
+rank-merge operators of the queries it serves (each until the serving
+layer releases its query) -- plus the graph's virtual clock, metrics,
+and epoch counter.  The ATC-CL configuration runs several plan graphs
+side by side on parallel clocks; every other configuration schedules
+all queries through the single middleware graph (they differ in
+sharing scope, not in parallelism).
 
 The graph also implements the *descent* the ATC uses to turn a
 rank-merge's preferred stream into a base read: follow the
@@ -46,7 +47,6 @@ class PlanGraph:
         self.epoch = 0
         self.units: dict[str, InputUnit] = {}
         self.nodes: dict[str, MJoinNode] = {}
-        self.recovery_units: dict[str, RecoveryUnit] = {}
         self.ra_sources: dict[tuple, RandomAccessSource] = {}
         self.rank_merges: dict[str, RankMerge] = {}
         self.detached: set[str] = set()

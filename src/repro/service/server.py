@@ -636,6 +636,7 @@ class QService:
                 if self._inflight_keys.get(key) == uq_id:
                     del self._inflight_keys[key]
                 self._finish_terminated(handle, how, at, partial, first)
+                self.engine.release(uq_id)
             return True
         if handle in followers:
             followers.remove(handle)
@@ -715,10 +716,13 @@ class QService:
         under a long stream instead of rescanning every rank-merge
         ever created.  Only complete result sets reach the answer
         cache: a retired query's partial top-k must never serve a
-        later twin as if it were the answer.
+        later twin as if it were the answer.  Once its handles hold
+        their answers, every harvested query is released from the
+        engine, so nothing it alone held outlives it.
         """
         for uq_id, (how, at, answers, first) in \
                 self.engine.consume_retired().items():
+            self.engine.release(uq_id)
             handle = self._live.pop(uq_id, None)
             if handle is None:
                 continue
@@ -756,6 +760,7 @@ class QService:
                 finish_done(follower, completed_at, list(answers),
                             "coalesced", self.telemetry, self.tracer,
                             first_emitted=rm.first_emitted_at)
+            self.engine.release(uq_id)
 
     def _sweep_deadlines(self) -> None:
         """Expire watched handles whose deadline has passed.  The

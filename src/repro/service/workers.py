@@ -354,7 +354,8 @@ class _WorkerServer:
         #: for answers-so-far / pump replies).
         self._handles: dict[str, QueryHandle] = {}
         #: Non-terminal handles we owe events for, and the last state
-        #: fingerprint reported for each.
+        #: fingerprint reported for each; an entry leaves both with the
+        #: event that reports its handle terminal.
         self._watched: dict[str, QueryHandle] = {}
         self._reported: dict[str, tuple] = {}
 
@@ -398,10 +399,12 @@ class _WorkerServer:
             fp = self._fingerprint(handle)
             if fp == self._reported.get(kq_id):
                 continue
-            self._reported[kq_id] = fp
             events.append(self._state_of(handle))
             if handle.terminal:
                 del self._watched[kq_id]
+                del self._reported[kq_id]
+            else:
+                self._reported[kq_id] = fp
         svc = self.service
         return WorkerUpdate(now=svc.clock.now,
                             in_flight=svc.in_flight_count,
@@ -431,9 +434,9 @@ class _WorkerServer:
             handle = svc.submit(kq, arrival=msg.arrival,
                                 deadline=msg.deadline, check_cache=False)
             self._handles[handle.kq_id] = handle
-            self._reported[handle.kq_id] = self._fingerprint(handle)
             if not handle.terminal:
                 self._watched[handle.kq_id] = handle
+                self._reported[handle.kq_id] = self._fingerprint(handle)
             return SubmitReply(update=self._update(),
                                handle=self._state_of(handle))
         if isinstance(msg, CancelQuery):

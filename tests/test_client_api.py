@@ -429,11 +429,14 @@ class TestDeadlines:
                            cluster_jaccard=0.99)
         a = svc.submit(kq("A", keywords=STREAMY, k=12), deadline=2.15)
         b = svc.submit(kq("B", arrival=0.1), deadline=2.12)
-        consumed = list(a.results())
+        stream = a.results()
+        consumed = [next(stream)]
         # Distinct relation footprints land in distinct ATC-CL
-        # clusters -- the isolation scenario this test is about.
+        # clusters -- the isolation scenario this test is about.  Read
+        # while both are in flight: a terminal query is released.
         assert svc.engine.qs.uq_graphs[a.uq_id] != \
             svc.engine.qs.uq_graphs[b.uq_id]
+        consumed += list(stream)
         assert a.status is QueryStatus.EXPIRED
         assert 0 < len(consumed) < 12   # partial stream, then expiry
         # B's graph was not driven to 2.12 by A's pumping; its own

@@ -8,7 +8,9 @@ non-overlapping.  Those guarantees hold *by construction* (clamping in
 ``span``/``child``/``finish_query``) -- these tests drive the live
 service through arbitrary interleavings of submit / cancel / step /
 drain, with coalescing, deferral, and deadline expiry all reachable,
-and check the recorded trees rather than the clamping code.
+and check the recorded trees rather than the clamping code -- and,
+over the same sessions, that every terminal path released its query
+from the engine's per-query tables.
 
 A tiny keyword pool plus a small in-flight budget makes the
 interesting paths common: repeats coalesce (and promote when a leader
@@ -130,6 +132,16 @@ class TestTraceProperties:
         # The JSONL dump of the same trees passes the schema check CI
         # runs over exported artifacts.
         assert validate_trace_lines(tracer.jsonl_lines()) == []
+
+        # Every terminal path -- harvest, coalescing and promotion,
+        # deferral, expiry, cancellation -- released its query: no
+        # engine table still holds one.
+        engine = service.engine
+        assert engine.qs.uq_graphs == {}
+        assert all(not graph.rank_merges
+                   for graph in engine.qs.graphs.values())
+        assert all(not plans for plans in engine.qs.cq_plans.values())
+        assert engine._deadlines == {}
 
     @given(ops=ops, deadline=deadlines)
     @settings(max_examples=20, deadline=None)

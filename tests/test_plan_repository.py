@@ -1,12 +1,13 @@
-"""The plan repository: expansion interning and nothing else.
+"""The plan repository: expansion interning and keyword-level fragments.
 
 Three invariants:
 
 * expansion interning is transparent: a repeated keyword set yields the
   same user query under fresh ids, without re-enumerating join trees;
 * the repository keeps no other state: serving the same queries twice
-  leaves one expansion per distinct keyword set and every other table
-  empty, and optimizing one batch twice yields equal plans;
+  leaves one expansion per distinct keyword set, one keyword-fragment
+  entry per distinct keyword and every other table empty, and
+  optimizing one batch twice yields equal plans;
 * plan choice depends on the reuse oracle, so Algorithm 1 is re-run on
   every batch: prior reads can change the best plan.
 """
@@ -240,8 +241,11 @@ class TestNoHiddenState:
     def test_only_the_expansion_table_fills(self, fed, index):
         """Serve the same distinct queries twice with the answer cache
         and coalescing off, so every repeat reaches the optimizer: the
-        repository ends with one expansion per distinct keyword set and
-        every other table empty."""
+        repository ends with one expansion per distinct keyword set,
+        one keyword-table entry per distinct keyword -- holding only
+        fragments whose selections carry that keyword alone -- plus one
+        for the fragments that carry none, and every other table
+        empty."""
         svc = QService(fed, config_for(SharingMode.ATC_FULL),
                        ServiceConfig(coalesce=False, cache_ttl=1e-9),
                        index=index)
@@ -258,8 +262,16 @@ class TestNoHiddenState:
         tables = {name: value for name, value in vars(repo).items()
                   if isinstance(value, (dict, list, set, tuple))}
         assert [name for name, value in tables.items() if value] == \
-            ["_expansions"]
+            ["_expansions", "_keyword_fragments"]
         assert set(repo._expansions) == distinct
+        # One entry per keyword, plus ``None`` for the join paths that
+        # carry no keyword at all.
+        assert set(repo._keyword_fragments) == {None} | \
+            {kw for keywords in self.KEYWORD_SETS for kw in keywords}
+        for keyword, fragments in repo._keyword_fragments.items():
+            assert fragments and all(
+                s.value == keyword
+                for fragment in fragments for s in fragment.selections)
         assert repo.stats.expansion_misses == len(distinct)
         assert repo.stats.expansion_hits == \
             2 * len(self.KEYWORD_SETS) - len(distinct)

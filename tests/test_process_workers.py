@@ -278,6 +278,39 @@ def test_every_worker_dead_raises(fed, load):
         fleet.close()
 
 
+# -- worker-side bookkeeping --------------------------------------------------
+
+
+def test_worker_forgets_fingerprints_of_terminal_handles(load):
+    """The worker loop keeps a reported-state fingerprint only for the
+    handles it still watches: once the event reporting a handle
+    terminal has gone out, nothing per query is left but the handle
+    table, which keeps terminal handles addressable."""
+    from repro.service.protocol import DrainShard, SubmitQuery
+    from repro.service.workers import _WorkerServer
+
+    server = _WorkerServer(WorkerSpec.figure1(
+        exec_config(), seed=SEED, cardinalities=dict(CARDS),
+        domain_factor=DOMAIN))
+    # A reported state carries answers exactly when it is terminal.
+    reported_terminal = set()
+    for kq in load:
+        reply = server.dispatch(SubmitQuery(
+            now=kq.arrival, kq_id=kq.kq_id, keywords=tuple(kq.keywords),
+            k=kq.k, arrival=kq.arrival, user=kq.user, deadline=None))
+        states = [reply.handle, *reply.update.events]
+        reported_terminal |= {s.kq_id for s in states
+                              if s.answers is not None}
+        assert set(server._reported) == set(server._watched)
+    reply = server.dispatch(DrainShard(now=server.service.clock.now))
+    reported_terminal |= {s.kq_id for s in reply.update.events
+                          if s.answers is not None}
+    # Every handle was reported terminal before it was forgotten.
+    assert reported_terminal == {kq.kq_id for kq in load}
+    assert server._watched == {} and server._reported == {}
+    assert len(server._handles) == len(load)
+
+
 # -- wire-state round-trips ---------------------------------------------------
 
 

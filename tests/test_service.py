@@ -4,10 +4,14 @@ Covers the incremental engine API it is built on (step/drain,
 re-entrant run), continuous admission with submit-while-running
 interleaving, the answer cache (hit/miss, TTL expiry, LRU capacity),
 admission control under budget pressure (reject and defer), telemetry
-percentile math, the open-loop load generator, and the ``serve`` CLI.
+percentile math, the open-loop load generator, the ``serve`` CLI, and
+that a harvested query leaves no per-query engine state behind.
 """
 
+import gc
+import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -31,6 +35,8 @@ from repro.service import (
     percentile,
 )
 from repro.service.loadgen import build_templates, generate_arrivals
+
+from tests.conftest import e2e_corpus
 
 CARDS = {
     "UP": 60, "TP": 50, "E": 40, "E2M": 70, "I2G": 70,
@@ -738,6 +744,62 @@ class TestQServiceUnderLoad:
         for kq_id, scores in answers[SharingMode.ATC_CQ].items():
             assert answers[SharingMode.ATC_FULL][kq_id] == \
                 pytest.approx(scores)
+
+
+class TestNothingLeftBehind:
+    """Memory follows the plan graph, not the queries served: a
+    harvested query leaves no engine table behind, and once the graph
+    has settled, serving more queries adds only their handles and
+    records."""
+
+    ROUNDS = 5
+    #: Rounds 0-1 grow the plan graph; 2-4 are measured.
+    MEASURED = range(2, 5)
+
+    @staticmethod
+    def per_query_tables(engine) -> dict[str, int]:
+        qs = engine.qs
+        return {
+            "uq_graphs": len(qs.uq_graphs),
+            "rank_merges": sum(len(g.rank_merges)
+                               for g in qs.graphs.values()),
+            "cq_plans": sum(len(p) for p in qs.cq_plans.values()),
+            "deadlines": len(engine._deadlines),
+        }
+
+    def test_repeated_rounds_grow_by_handles_only(self):
+        federation = e2e_corpus()
+        index = InvertedIndex(federation)
+        pairs = list(itertools.combinations(index.vocabulary()[:6], 2))
+        assert len(pairs) == 15
+        svc = QService(federation,
+                       engine_config(optimizer_time_scale=0.0),
+                       ServiceConfig(cache_ttl=1e-9, coalesce=False),
+                       index=index)
+        empty = dict.fromkeys(self.per_query_tables(svc.engine), 0)
+        # Traced from the start: a block allocated before tracing began
+        # is not subtracted when it is freed, so a later start would
+        # count every container that merely grew in full.
+        tracemalloc.start()
+        try:
+            for round_ in range(self.ROUNDS):
+                if round_ == self.MEASURED.start:
+                    gc.collect()
+                    objects = len(gc.get_objects())
+                    traced = tracemalloc.get_traced_memory()[0]
+                for i, pair in enumerate(pairs):
+                    handle = svc.submit(KeywordQuery(f"r{round_}q{i}", pair,
+                                                     k=K))
+                    svc.drain()
+                    assert handle.done and handle.via == "engine"
+                    assert self.per_query_tables(svc.engine) == empty
+            gc.collect()
+            traced = tracemalloc.get_traced_memory()[0] - traced
+        finally:
+            tracemalloc.stop()
+        served = len(self.MEASURED) * len(pairs)
+        assert (len(gc.get_objects()) - objects) / served < 100
+        assert traced / served < 10_000
 
 
 class TestServeCLI:
