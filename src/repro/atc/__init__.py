@@ -3,7 +3,7 @@
 from repro.atc.batcher import Batch, QueryBatcher
 from repro.atc.controller import ATCController
 from repro.atc.engine import EngineReport, QSystemEngine
-from repro.atc.state_manager import GraphReuseOracle, QueryStateManager
+from repro.atc.state_manager import GraphReuseOracle, QueryStateManager, Terminal
 
 __all__ = [
     "ATCController",
@@ -13,4 +13,5 @@ __all__ = [
     "QSystemEngine",
     "QueryBatcher",
     "QueryStateManager",
+    "Terminal",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.atc.state_manager import QueryStateManager, finalize_uq_record
+from repro.atc.state_manager import QueryStateManager
 from repro.common.errors import ExecutionError
 from repro.operators.rankmerge import RankMerge
 from repro.plan.graph import PlanGraph
@@ -31,10 +31,6 @@ class ATCController:
     graph: PlanGraph
     qs: QueryStateManager
     max_steps: int = 5_000_000
-
-    def run_until_complete(self) -> None:
-        """Drive the graph until every rank-merge completes."""
-        self.run_until(None)
 
     def run_until(self, deadline: float | None,
                   stop: "Callable[[], bool] | None" = None) -> None:
@@ -49,8 +45,11 @@ class ATCController:
         ``stop`` is an optional extra pause predicate, checked at the
         same points as the deadline; the streaming client API uses it
         to run the normal round-robin schedule only until one query's
-        rank-merge emits.  Pausing never alters the schedule -- the
-        same deterministic step sequence resumes on the next call.
+        rank-merge emits.  A pause is not transparent: every call
+        restarts the round at its first incomplete rank-merge, so the
+        pause points shape the visit order, the work done and which of
+        several tied answers a query emits.  The score vectors do not
+        depend on them -- each is the exact top-k under any cadence.
         """
         # Anything this run reads, probes, releases, or grafts changes
         # the graph's stored-tuple count; invalidate the QS manager's
@@ -88,7 +87,7 @@ class ATCController:
                 # remaining candidate answer is final.
                 for rm in self.graph.incomplete_rank_merges():
                     rm.finalize()
-                    self._record_completion(rm)
+                    self.qs.finalize_uq_record(self.graph, rm)
                 return
 
     def _schedule(self, incomplete: list[RankMerge]) -> list[RankMerge]:
@@ -145,7 +144,4 @@ class ATCController:
 
     def _finish(self, rm: RankMerge) -> None:
         self.qs.on_complete(self.graph, rm)
-        self._record_completion(rm)
-
-    def _record_completion(self, rm: RankMerge) -> None:
-        finalize_uq_record(self.graph, rm)
+        self.qs.finalize_uq_record(self.graph, rm)

@@ -13,6 +13,15 @@ probes advance each plan graph's clock by simulated network delays,
 while measured optimizer wall time is added on top (the paper's
 timings "included query optimization as a component").
 
+Every query ends in exactly one frozen :class:`Terminal` record -- done,
+cancelled or expired -- made at its terminal instant.
+:meth:`QSystemEngine.take_terminals` hands the records over and, in the
+same call, releases each query's rank-merge, graph assignment, CQ plans
+and deadline; operator state stays with the plan graph.  Every driver
+consumes that one stream: :meth:`QSystemEngine.run` turns it into
+``EngineReport.answers`` and the serving layer resolves its handles
+from it, so no driver leaves finished queries behind.
+
 Typical use::
 
     engine = QSystemEngine(federation, ExecutionConfig(mode=SharingMode.ATC_FULL))
@@ -28,7 +37,7 @@ from dataclasses import dataclass, field
 
 from repro.atc.batcher import Batch, QueryBatcher
 from repro.atc.controller import ATCController
-from repro.atc.state_manager import QueryStateManager
+from repro.atc.state_manager import QueryStateManager, Terminal
 from repro.common.config import ExecutionConfig, SharingMode
 from repro.data.database import Federation
 from repro.data.inverted import InvertedIndex
@@ -121,29 +130,17 @@ class QSystemEngine:
         #: Graphs with (potentially) incomplete rank-merges.  step()
         #: and drain() only drive these, so per-arrival work under a
         #: sustained stream stays proportional to the *live* graphs,
-        #: not to every graph ever created (ATC-CQ makes one per user
-        #: query).
+        #: not to every graph ever created (ATC-CL makes one per query
+        #: cluster).
         self._active_graphs: set[str] = set()
         #: Per-query absolute virtual deadlines.  step()/drain()
         #: segment execution at these instants and retire overdue
         #: queries exactly there, so an expired query's answers-so-far
         #: are what had been emitted *by the deadline*.
         self._deadlines: dict[str, float] = {}
-        #: Queries retired early (cancelled/expired) since the last
-        #: :meth:`consume_retired` -- uq_id -> (how, instant, partial
-        #: answers, first-emission instant).  The serving layer
-        #: harvests terminations from here; completions keep flowing
-        #: through the rank-merges.
-        self._retired: dict[
-            str, tuple[str, float, list[RankedAnswer], float | None]] = {}
         #: High-water mark over all plan-graph clocks, maintained as
         #: graphs are driven so ``virtual_now`` does not rescan them.
         self._clock_high = 0.0
-        #: Incremental report state: per-graph answer/summary snapshots,
-        #: refreshed only for graphs the QS manager marked dirty.
-        self._answers_cache: dict[str, dict[str, list[RankedAnswer]]] = {}
-        self._summary_cache: dict[str, dict] = {}
-        self._merged_metrics: Metrics | None = None
 
     # -- intake ---------------------------------------------------------------
 
@@ -182,7 +179,8 @@ class QSystemEngine:
     # -- execution --------------------------------------------------------------
 
     def run(self) -> EngineReport:
-        """Process every submitted query to completion.
+        """Process every submitted query to completion: :meth:`drain`,
+        then :meth:`take_terminals`.
 
         Operation is continuous (Section 2: "we do not discard the
         query plan graph and its state -- rather, we take subsequent
@@ -191,14 +189,17 @@ class QSystemEngine:
         dispatch time, *while earlier queries may still be executing*;
         after the last batch, every graph drains to completion.
 
-        ``run`` is re-entrant: a second call processes whatever was
-        submitted since the first and returns the *cumulative* report
-        (plan graphs, their state, and all metrics persist across
-        calls).  Calling it with nothing new submitted simply rebuilds
-        the current report.
+        The report's ``answers`` map each query handed over by this
+        call -- every terminal record not taken before -- to its
+        answers, and those queries are released.  Plan graphs, their
+        state, the metrics and the ``UQRecord``s persist, so a second
+        call grafts whatever was submitted since and reports cumulative
+        metrics alongside only the new queries' answers.
         """
         self.drain()
-        return self.report()
+        report = self.report()
+        report.answers = {t.uq_id: t.answers for t in self.take_terminals()}
+        return report
 
     def step(self, until: float) -> None:
         """Advance the engine's virtual time to ``until``.
@@ -293,9 +294,10 @@ class QSystemEngine:
         """Common cancel/expire path: withdraw a batched query, or
         terminate its rank-merge and release its share of the plan
         graph through the state manager (operator state still feeding
-        other queries survives -- the unlink stops at live splits)."""
+        other queries survives -- the unlink stops at live splits).
+        Either way the query's terminal record goes to the outbox."""
         if self.batcher.remove(uq_id) is not None:
-            self._retired[uq_id] = (how, at, [], None)
+            self.qs.outbox.append(Terminal(uq_id, how, at, [], None))
             return True
         graph_id = self.qs.uq_graphs.get(uq_id)
         if graph_id is None:
@@ -305,8 +307,6 @@ class QSystemEngine:
         if rm is None or rm.complete:
             return False
         self.qs.retire(graph, rm, how, at=at)
-        self._retired[uq_id] = (how, at, list(rm.answers),
-                                rm.first_emitted_at)
         return True
 
     def retire_query(self, uq_id: str, how: str,
@@ -321,44 +321,35 @@ class QSystemEngine:
         return self._retire(uq_id, how,
                             at=self.virtual_now() if at is None else at)
 
-    def cancel(self, uq_id: str, at: float | None = None) -> bool:
-        """:meth:`retire_query` as client abandonment."""
-        return self.retire_query(uq_id, "cancelled", at=at)
+    def take_terminals(self) -> list[Terminal]:
+        """Hand over the terminal records made since the last call, in
+        the order their queries reached them, and release each query:
+        its rank-merge, graph assignment, CQ plans and deadline go.
+        Operator state and the plan graph stay, and so does its
+        ``UQRecord``.
 
-    def discard_retired(self, uq_id: str) -> None:
-        """Drop one entry from the retired ledger (the serving layer
-        uses this when it resolves a termination synchronously, so the
-        next harvest must not see it -- other entries stay queued)."""
-        self._retired.pop(uq_id, None)
-
-    def consume_retired(self) -> dict[
-            str, tuple[str, float, list[RankedAnswer], float | None]]:
-        """Hand the terminations since the last call to the caller:
-        uq_id -> (how, instant, answers emitted by then, first-emission
-        instant or None)."""
-        retired = self._retired
-        self._retired = {}
-        return retired
-
-    def release(self, uq_id: str) -> None:
-        """Drop everything only ``uq_id`` held -- its rank-merge, graph
-        assignment, CQ plans, report snapshot and deadline -- once the
-        caller has taken its answers.  Operator state and the plan graph
-        stay, and so does its ``UQRecord``.  The serving layer calls
-        this at every terminal disposition; an engine driven by
-        :meth:`run` never does, so its report keeps every answer."""
-        self._deadlines.pop(uq_id, None)
-        graph_id = self.qs.release(uq_id)
-        if graph_id is not None:
-            self._answers_cache.get(graph_id, {}).pop(uq_id, None)
+        Release waits for the hand-over, never the terminal instant:
+        :meth:`drain` reads a deadline without a graph assignment as a
+        query still in the batcher, and :meth:`drive_query` segments at
+        the deadlines of queries on the driven graph, so a finished
+        query's entries must outlive the engine call that finished it
+        for the schedule not to depend on who drives."""
+        terminals = self.qs.outbox
+        self.qs.outbox = []
+        for terminal in terminals:
+            self._deadlines.pop(terminal.uq_id, None)
+            self.qs.release(terminal.uq_id)
+        return terminals
 
     def drive_query(self, uq_id: str) -> bool:
         """Run ``uq_id``'s plan graph -- on the normal round-robin
         schedule -- until that query emits at least one new answer,
         completes, or hits its deadline.  The streaming client API's
         pull: returns whether the query's observable state changed.
-        Pausing between emissions never alters the schedule, so the
-        answers are the ones any other driving pattern produces.
+        Every pause restarts the round-robin (see :meth:`ATCController.
+        run_until`), so the visit order, the work and the choice among
+        tied answers follow the pause points; the score vectors are the
+        exact top-k under any cadence.
 
         Deadline enforcement is per *graph*, exactly as in
         :meth:`step`: driving is segmented at every deadline of a
@@ -420,10 +411,10 @@ class QSystemEngine:
 
         Settled graphs (no incomplete rank-merges) are left alone: they
         cannot make progress, and re-driving every graph ever created
-        made each drain O(history) under ATC-CQ's one-graph-per-query
-        regime.  Report construction lives in :meth:`report` -- callers
-        that drain in a loop (the service does, to flush deferred
-        queries) request the report once at the end.
+        would make each drain O(history) under ATC-CL's one graph per
+        query cluster.  Report construction lives in :meth:`report` --
+        callers that drain in a loop (the service does, to flush
+        deferred queries) request the report once at the end.
         """
         # Queries still collecting in the batcher may carry deadlines
         # that fall inside their open collection window.  Force-closing
@@ -454,24 +445,18 @@ class QSystemEngine:
         self._active_graphs.clear()
 
     def report(self) -> EngineReport:
-        """Snapshot the cumulative state of every plan graph.
+        """The cumulative metrics of every plan graph plus one summary
+        per graph, built afresh on each call.
 
         Usable at any point of a stepped execution; user queries still
-        in flight appear in the metrics with ``completed is None`` and
-        with their answers-so-far.  Built incrementally: only graphs
-        the QS manager marked dirty since the last report are
-        re-summarized; settled graphs reuse their cached snapshot.
+        in flight appear in the metrics with ``completed is None``.
+        Answers travel in terminal records (:meth:`take_terminals`), so
+        ``answers`` is left empty here; :meth:`run` fills it.
         """
-        dirty = self.qs.consume_report_dirty()
-        for graph_id in dirty:
-            graph = self.qs.graphs.get(graph_id)
-            if graph is None:
-                continue
-            self._answers_cache[graph_id] = {
-                uq_id: rm.answers
-                for uq_id, rm in graph.rank_merges.items()
-            }
-            self._summary_cache[graph_id] = {
+        report = EngineReport(config=self.config,
+                              metrics=self.qs.merged_metrics())
+        for graph_id, graph in self.qs.graphs.items():
+            report.graph_summaries[graph_id] = {
                 "clock": graph.clock.now,
                 "units": len(graph.units),
                 "nodes": len(graph.nodes),
@@ -479,13 +464,6 @@ class QSystemEngine:
                 "state_tuples": graph.state_size(),
                 "epoch": graph.epoch,
             }
-        if dirty or self._merged_metrics is None:
-            self._merged_metrics = self.qs.merged_metrics()
-        report = EngineReport(config=self.config)
-        report.metrics = self._merged_metrics
-        for graph_id in self.qs.graphs:
-            report.answers.update(self._answers_cache[graph_id])
-            report.graph_summaries[graph_id] = self._summary_cache[graph_id]
         return report
 
     def in_flight(self) -> list[str]:
@@ -502,7 +480,7 @@ class QSystemEngine:
 
         Maintained as a high-water mark while graphs are driven --
         settled clocks never move, so rescanning every graph per call
-        was pure overhead under ATC-CQ's graph-per-query regime.
+        (ATC-CL keeps one per query cluster) would be pure overhead.
         """
         return self._clock_high
 

@@ -4,8 +4,8 @@ Section 3: "The query state manager is responsible for managing the set
 of query plan graphs that occupy the CPU and memory."  Concretely, this
 module owns:
 
-* the plan graphs (one for ATC-FULL, one per cluster for ATC-CL, one
-  per user query for ATC-CQ/UQ);
+* the plan graphs (one per query cluster for ATC-CL, the single
+  ``"main"`` graph for every other mode);
 * **grafting** (Section 6.2): matching a new factorized plan against
   the operators already in a graph, node id by node id, creating only
   the missing operators and splicing split edges into existing ones;
@@ -22,18 +22,23 @@ module owns:
   unlinked back to the nearest split; state is retained for reuse until
   the memory budget forces LRU (size-tiebreak) eviction, after which a
   source must be re-streamed from the site;
-* **release** (:meth:`QueryStateManager.release`): once the serving
-  layer has harvested a query, everything only that query held -- its
-  rank-merge, its graph assignment and its CQs' plans -- is dropped.
+* **terminal records and release**: every query that completes or is
+  retired leaves one frozen :class:`Terminal` in :attr:`QueryStateManager.
+  outbox`, made at its terminal instant by :meth:`QueryStateManager.
+  finalize_uq_record`.  When the engine hands a record over, it drops
+  everything only that query held -- its rank-merge, its graph
+  assignment and its CQs' plans (:meth:`QueryStateManager.release`).
   Operators and their state are the graph's, not the query's, and stay.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.common.config import ExecutionConfig, SharingMode
 from repro.common.errors import StateError
 from repro.data.database import Federation
-from repro.keyword.queries import ConjunctiveQuery, UserQuery
+from repro.keyword.queries import ConjunctiveQuery, RankedAnswer, UserQuery
 from repro.operators.nodes import InputUnit, MJoinNode, ProbeTarget, RecoveryUnit
 from repro.operators.rankmerge import RankMerge
 from repro.optimizer.clustering import IncrementalClusterer
@@ -42,27 +47,19 @@ from repro.optimizer.factorize import FactorizedPlan, SourceSpec
 from repro.plan.graph import PlanGraph
 
 
-def finalize_uq_record(graph: PlanGraph, rm: RankMerge,
-                       at: float | None = None,
-                       outcome: str | None = None) -> None:
-    """Close out one user query's :class:`~repro.obs.records.
-    UQRecord` from its rank-merge's final state -- the single place
-    completion (the ATC) and early retirement (the QS manager) both
-    settle latency/work accounting, so the two paths cannot drift.
-    Answers emitted before a retirement were delivered, so they count
-    toward ``tuples_output`` either way."""
-    record = graph.metrics.uq_records.get(rm.uq.uq_id)
-    if record is None:
-        return
-    if outcome is not None:
-        record.outcome = outcome
-    if record.completed is None:
-        record.completed = at if at is not None else graph.clock.now
-    record.results_returned = len(rm.emitted)
-    record.cqs_total = len(rm.uq.cqs)
-    record.cqs_executed = rm.activations
-    record.first_emitted = rm.first_emitted_at
-    graph.metrics.tuples_output += len(rm.emitted)
+@dataclass(frozen=True)
+class Terminal:
+    """One user query's terminal disposition, made once, at the instant
+    it was reached: ``how`` is ``"done"``, ``"cancelled"`` or
+    ``"expired"``; ``answers`` are those emitted by ``at``, and
+    ``first_emitted`` is the first emission's instant (``None`` when
+    nothing was emitted)."""
+
+    uq_id: str
+    how: str
+    at: float
+    answers: list[RankedAnswer]
+    first_emitted: float | None
 
 
 class GraphReuseOracle(ReuseOracle):
@@ -123,9 +120,9 @@ class QueryStateManager:
         self._state_sizes: dict[str, int] = {}
         self._state_dirty: set[str] = set()
         self._total_state = 0
-        #: Graphs whose report snapshot (answers, summary) is stale.
-        #: Consumed by the engine's incremental ``report``.
-        self._report_dirty: set[str] = set()
+        #: Terminal records not yet handed over by the engine, in the
+        #: order their queries reached them.
+        self.outbox: list[Terminal] = []
 
     # -- graph routing -----------------------------------------------------------
 
@@ -154,18 +151,8 @@ class QueryStateManager:
         return graph
 
     def mark_state_dirty(self, graph_id: str) -> None:
-        """Note that ``graph_id``'s stored-tuple count may have changed.
-
-        The same events invalidate its report snapshot, so both dirty
-        sets are fed from this single choke point."""
+        """Note that ``graph_id``'s stored-tuple count may have changed."""
         self._state_dirty.add(graph_id)
-        self._report_dirty.add(graph_id)
-
-    def consume_report_dirty(self) -> set[str]:
-        """Hand the report-stale graph set to the caller and reset it."""
-        dirty = self._report_dirty
-        self._report_dirty = set()
-        return dirty
 
     def oracle_for(self, graph: PlanGraph) -> GraphReuseOracle:
         return GraphReuseOracle(graph)
@@ -336,8 +323,36 @@ class QueryStateManager:
         """
         rm.terminate(how)
         self.on_complete(graph, rm)
-        finalize_uq_record(graph, rm, at=at, outcome=how)
+        self.finalize_uq_record(graph, rm, at=at, outcome=how)
         self.mark_state_dirty(graph.graph_id)
+
+    def finalize_uq_record(self, graph: PlanGraph, rm: RankMerge,
+                           at: float | None = None,
+                           outcome: str | None = None) -> None:
+        """Close out one user query at its terminal instant (``at``,
+        default the graph's clock): settle its :class:`~repro.obs.
+        records.UQRecord` from the rank-merge's final state and post its
+        :class:`Terminal` to the outbox.  The single place completion
+        (the ATC) and early retirement (:meth:`retire`) both settle, so
+        the two paths cannot drift.  Answers emitted before a
+        retirement were delivered, so they count toward
+        ``tuples_output`` either way."""
+        if at is None:
+            at = graph.clock.now
+        record = graph.metrics.uq_records.get(rm.uq.uq_id)
+        if record is not None:
+            if outcome is not None:
+                record.outcome = outcome
+            if record.completed is None:
+                record.completed = at
+            at = record.completed
+            record.results_returned = len(rm.emitted)
+            record.cqs_total = len(rm.uq.cqs)
+            record.cqs_executed = rm.activations
+            record.first_emitted = rm.first_emitted_at
+            graph.metrics.tuples_output += len(rm.emitted)
+        self.outbox.append(Terminal(rm.uq.uq_id, outcome or "done", at,
+                                    rm.answers, rm.first_emitted_at))
 
     def on_complete(self, graph: PlanGraph, rm: RankMerge) -> None:
         """Unlink a finished user query (Section 6.3): remove its
@@ -352,18 +367,17 @@ class QueryStateManager:
             ]
             self._detach_if_orphan(graph, supplier)
 
-    def release(self, uq_id: str) -> str | None:
+    def release(self, uq_id: str) -> None:
         """Forget one terminal user query: its rank-merge, its graph
-        assignment and its CQs' plans.  Operators and their state stay.
-        Returns the graph it ran on (``None`` if it never dispatched)."""
+        assignment and its CQs' plans (nothing, if it never
+        dispatched).  Operators and their state stay."""
         graph_id = self.uq_graphs.pop(uq_id, None)
         if graph_id is None:
-            return None
+            return
         rm = self.graphs[graph_id].rank_merges.pop(uq_id)
         plans = self.cq_plans[graph_id]
         for cq in rm.uq.cqs:
             plans.pop(cq.cq_id, None)
-        return graph_id
 
     def _detach_if_orphan(self, graph: PlanGraph, supplier) -> None:
         if supplier.consumers:

@@ -21,7 +21,7 @@ The repository keeps two cross-query tables, both FIFO-bounded by
   expression.  A process worker primes this table at spawn from the
   fleet's routed templates.
 * **keyword-level fragments**.  A query's expressions die when the
-  serving layer releases it, and with them every fragment derived from
+  engine releases it, and with them every fragment derived from
   them.  The fragments whose selections carry a single keyword are
   exactly the ones the next query naming that keyword derives again,
   so after each batch the repository keeps them, per keyword -- and

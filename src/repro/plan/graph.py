@@ -3,8 +3,9 @@
 A :class:`PlanGraph` owns everything a single ATC coordinates (Figure 3
 of the paper): the input units (streaming sources + shared state
 modules), the m-join nodes, the shared random-access sources, and the
-rank-merge operators of the queries it serves (each until the serving
-layer releases its query) -- plus the graph's virtual clock, metrics,
+rank-merge operators of the queries it serves (each until the engine
+hands over the query's terminal record) -- plus the graph's virtual
+clock, metrics,
 and epoch counter.  The ATC-CL configuration runs several plan graphs
 side by side on parallel clocks; every other configuration schedules
 all queries through the single middleware graph (they differ in

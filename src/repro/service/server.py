@@ -578,12 +578,10 @@ class QService:
             self._deferred = kept
             self._finish_terminated(handle, "cancelled", at, [], None)
             return True
-        rm = self._rm_for(handle.uq_id)
-        if rm is not None and rm.complete and rm.terminated is None:
-            # Completed under the wire (e.g. the caller drove the
-            # engine directly): completion wins -- harvest the full
-            # answer instead of relabelling it a cancellation.
-            self._harvest()
+        # Whatever the engine finished since the last harvest (e.g. the
+        # caller drove it directly) resolves first: completion wins.
+        self._harvest()
+        if handle.terminal:
             return False
         return self._retire_handle(handle, "cancelled", at)
 
@@ -598,7 +596,8 @@ class QService:
         * the current *leader* (the ``_live`` entry) with followers
           left promotes the first of them, so the execution survives;
         * a sole-rider leader tears the execution down through the
-          engine (the state manager's refcounted unlink);
+          engine (the state manager's refcounted unlink), and the
+          harvest resolves it from its terminal record;
         * a *follower* just detaches from the leader's in-flight entry.
 
         Returns False when the handle holds no claim here (another
@@ -631,12 +630,7 @@ class QService:
                     uq_id, self._effective_deadline(key, uq_id))
             else:
                 self.engine.retire_query(uq_id, how, at=at)
-                self.engine.discard_retired(uq_id)   # resolved here,
-                del self._live[uq_id]                # not at harvest
-                if self._inflight_keys.get(key) == uq_id:
-                    del self._inflight_keys[key]
-                self._finish_terminated(handle, how, at, partial, first)
-                self.engine.release(uq_id)
+                self._harvest()
             return True
         if handle in followers:
             followers.remove(handle)
@@ -708,59 +702,40 @@ class QService:
                             reason=handle.reason, answers=len(answers))
 
     def _harvest(self) -> None:
-        """Resolve handles whose user query completed or was retired,
-        feed the cache, and release coalesced followers.
-
-        Walks only the *live* handles (resolved to their graph through
-        the QS manager's registry), so harvesting stays O(in-flight)
-        under a long stream instead of rescanning every rank-merge
-        ever created.  Only complete result sets reach the answer
-        cache: a retired query's partial top-k must never serve a
-        later twin as if it were the answer.  Once its handles hold
-        their answers, every harvested query is released from the
-        engine, so nothing it alone held outlives it.
-        """
-        for uq_id, (how, at, answers, first) in \
-                self.engine.consume_retired().items():
-            self.engine.release(uq_id)
+        """Resolve the handles of every query the engine handed over
+        since the last call (:meth:`~repro.atc.engine.QSystemEngine.
+        take_terminals`, which also releases them from the engine),
+        feed the cache, and release coalesced followers with their
+        leader.  Only complete result sets reach the answer cache: a
+        retired query's partial top-k must never serve a later twin as
+        if it were the answer."""
+        for terminal in self.engine.take_terminals():
+            uq_id = terminal.uq_id
             handle = self._live.pop(uq_id, None)
             if handle is None:
                 continue
             key = normalize_key(handle.keywords, handle.k)
             if self._inflight_keys.get(key) == uq_id:
                 del self._inflight_keys[key]
-            self._finish_terminated(handle, how, at, answers, first)
-            for follower in self._followers.pop(key, []):
+            followers = self._followers.pop(key, [])
+            at, answers = terminal.at, terminal.answers
+            first = terminal.first_emitted
+            if terminal.how == "done":
+                finish_done(handle, at, answers, "engine", self.telemetry,
+                            self.tracer, first_emitted=first)
+                self.cache.put(key, answers, now=at)
+                for follower in followers:
+                    finish_done(follower, at, list(answers), "coalesced",
+                                self.telemetry, self.tracer,
+                                first_emitted=first)
+                continue
+            self._finish_terminated(handle, terminal.how, at, answers, first)
+            for follower in followers:
                 # The shared execution is gone; its riders terminate
                 # with it (their personal deadlines were no earlier --
                 # the execution lived to the latest one).
-                self._finish_terminated(follower, how, at, list(answers), first)
-        for uq_id, handle in list(self._live.items()):
-            graph_id = self.engine.qs.uq_graphs.get(uq_id)
-            if graph_id is None:
-                continue   # still queued in the batcher
-            graph = self.engine.qs.graphs[graph_id]
-            rm = graph.rank_merges[uq_id]
-            if not rm.complete or rm.terminated is not None:
-                continue
-            record = graph.metrics.uq_records.get(uq_id)
-            completed_at = record.completed \
-                if record is not None and record.completed is not None \
-                else graph.clock.now
-            answers = list(rm.answers)
-            del self._live[uq_id]
-            finish_done(handle, completed_at, answers, "engine",
-                        self.telemetry, self.tracer,
-                        first_emitted=rm.first_emitted_at)
-            key = normalize_key(handle.keywords, handle.k)
-            self.cache.put(key, answers, now=completed_at)
-            if self._inflight_keys.get(key) == uq_id:
-                del self._inflight_keys[key]
-            for follower in self._followers.pop(key, []):
-                finish_done(follower, completed_at, list(answers),
-                            "coalesced", self.telemetry, self.tracer,
-                            first_emitted=rm.first_emitted_at)
-            self.engine.release(uq_id)
+                self._finish_terminated(follower, terminal.how, at,
+                                        list(answers), first)
 
     def _sweep_deadlines(self) -> None:
         """Expire watched handles whose deadline has passed.  The
@@ -768,11 +743,12 @@ class QService:
         instants; this sweep covers what only the service can see --
         followers and promoted leaders whose *personal* deadline is
         earlier than the shared execution's effective one.  Completion
-        always wins: a handle whose execution already finished is left
-        for the harvest.  Sweep expiries are stamped at the
-        *observation* instant (the current service clock), so a
-        handle's answers-so-far never postdate its ``completed_at``;
-        the missed deadline itself is recorded in ``reason``."""
+        always wins: sweeps run after the harvest, so a handle whose
+        execution already finished is DONE by now.  Sweep expiries are
+        stamped at the *observation* instant (the current service
+        clock), so a handle's answers-so-far never postdate its
+        ``completed_at``; the missed deadline itself is recorded in
+        ``reason``."""
         alive: list[QueryHandle] = []
         for handle in self._timed:
             if handle.terminal:
@@ -786,10 +762,8 @@ class QService:
 
     def _expire_handle(self, handle: QueryHandle) -> bool:
         """Retire one overdue handle; returns False to keep watching
-        (execution completed, or the engine owns the deadline)."""
-        rm = self._rm_for(handle.uq_id)
-        if rm is not None and rm.complete and rm.terminated is None:
-            return False   # completed under the wire: harvest serves it
+        (the engine owns the deadline).  Sweeps run only after a
+        harvest, so a completed execution has already served it."""
         if (handle.uq_id is not None
                 and self._live.get(handle.uq_id) is handle
                 and self.engine.deadline_of(handle.uq_id)

@@ -7,7 +7,10 @@ tens of rows per relation and fan-outs near 1.
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.common.config import DelayModel, ExecutionConfig, SharingMode
 from repro.data.database import Federation
@@ -18,6 +21,13 @@ from repro.data.schema import Attribute, Relation, Schema, SchemaEdge
 from repro.keyword.queries import ConjunctiveQuery
 from repro.plan.expressions import SPJ, Atom, JoinPred, Selection
 from repro.scoring.base import MonotoneScore
+
+#: CI's oracle leg runs ``tests/test_oracle_properties.py`` with
+#: ``HYPOTHESIS_PROFILE=deep``; otherwise hypothesis's default profile
+#: stays in force.  Tests that pin ``max_examples`` keep their own.
+settings.register_profile("deep", max_examples=2000)
+if os.environ.get("HYPOTHESIS_PROFILE") == "deep":
+    settings.load_profile("deep")
 
 #: Cardinalities small enough for oracle comparison.
 TINY_FIG1_CARDS = {

@@ -307,7 +307,19 @@ class TestCancellation:
 
     def test_engine_cancel_unknown_query(self, fed, index):
         svc = make_service(fed, index)
-        assert not svc.engine.cancel("nope")
+        assert not svc.engine.retire_query("nope", "cancelled")
+
+    def test_cancel_after_direct_engine_drain_loses_to_completion(
+            self, fed, index):
+        """A query the caller finished by driving the engine directly
+        is served, not relabelled: cancel harvests it first."""
+        svc = make_service(fed, index)
+        handle = svc.submit(kq("Q1"))
+        svc.engine.drain()
+        assert not svc.cancel(handle)
+        assert handle.status is QueryStatus.DONE
+        assert len(handle.answers) == K
+        assert not svc.cancel(handle)
 
     def test_promoted_follower_is_cancellable(self, fed, index):
         """A promoted follower keeps via == "coalesced" but now owns

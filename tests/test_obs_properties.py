@@ -142,6 +142,7 @@ class TestTraceProperties:
                    for graph in engine.qs.graphs.values())
         assert all(not plans for plans in engine.qs.cq_plans.values())
         assert engine._deadlines == {}
+        assert engine.qs.outbox == []
 
     @given(ops=ops, deadline=deadlines)
     @settings(max_examples=20, deadline=None)

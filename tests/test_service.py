@@ -15,6 +15,7 @@ import tracemalloc
 
 import pytest
 
+from repro.atc.engine import QSystemEngine
 from repro.cli import main
 from repro.common.config import DelayModel, ExecutionConfig, SharingMode
 from repro.data.figure1 import figure1_federation
@@ -427,20 +428,24 @@ class TestEngineIncrementalAPI:
         stepped.step(1.0)
         stepped.step(3.0)
         stepped.drain()
-        report_a = stepped.report()
+        stepped_answers = {t.uq_id: t.answers
+                           for t in stepped.take_terminals()}
         report_b = run_engine.run()
         for kq in queries:
-            got = [a.score for a in report_a.answers[kq.kq_id]]
+            got = [a.score for a in stepped_answers[kq.kq_id]]
             want = [a.score for a in report_b.answers[kq.kq_id]]
             assert got == pytest.approx(want)
 
     def test_run_twice_returns_cumulative_report(self, fed, index):
+        """Metrics and records are cumulative; answers are handed over
+        once, by the call that finished their query."""
         engine = make_service(fed, index).engine
         engine.submit(KeywordQuery("KQ1", ("protein", "plasma membrane"),
                                    k=K, arrival=0.0))
         first = engine.run()
         second = engine.run()
-        assert set(second.answers) == set(first.answers)
+        assert set(first.answers) == {"KQ1"}
+        assert second.answers == {}
         assert set(second.metrics.uq_records) == \
             set(first.metrics.uq_records)
         assert second.latencies() == first.latencies()
@@ -449,12 +454,14 @@ class TestEngineIncrementalAPI:
         engine = make_service(fed, index).engine
         uq1 = engine.submit(KeywordQuery(
             "KQ1", ("protein", "plasma membrane"), k=K, arrival=0.0))
-        engine.run()
+        first = engine.run()
         uq2 = engine.submit(KeywordQuery(
             "KQ2", ("membrane", "gene"), k=K, arrival=40.0))
-        report = engine.run()
-        assert set(report.answers) == {"KQ1", "KQ2"}
-        for uq in (uq1, uq2):
+        second = engine.run()
+        assert set(first.answers) == {"KQ1"}
+        assert set(second.answers) == {"KQ2"}
+        assert set(second.metrics.uq_records) == {"KQ1", "KQ2"}
+        for uq, report in ((uq1, first), (uq2, second)):
             got = [a.score for a in report.answers[uq.uq_id]]
             assert got == pytest.approx(topk_scores(fed, uq))
 
@@ -748,9 +755,9 @@ class TestQServiceUnderLoad:
 
 class TestNothingLeftBehind:
     """Memory follows the plan graph, not the queries served: a
-    harvested query leaves no engine table behind, and once the graph
-    has settled, serving more queries adds only their handles and
-    records."""
+    finished query leaves no engine table behind, whichever driver
+    took its terminal record, and once the graph has settled, serving
+    more queries adds only their handles and records."""
 
     ROUNDS = 5
     #: Rounds 0-1 grow the plan graph; 2-4 are measured.
@@ -765,18 +772,15 @@ class TestNothingLeftBehind:
                                for g in qs.graphs.values()),
             "cq_plans": sum(len(p) for p in qs.cq_plans.values()),
             "deadlines": len(engine._deadlines),
+            "outbox": len(qs.outbox),
         }
 
-    def test_repeated_rounds_grow_by_handles_only(self):
-        federation = e2e_corpus()
-        index = InvertedIndex(federation)
+    def assert_bounded(self, index, serve) -> None:
+        """Call ``serve(query_id, keywords)`` for every keyword pair of
+        the corpus's first six terms, ``ROUNDS`` times over, and bound
+        the growth per query over the measured rounds."""
         pairs = list(itertools.combinations(index.vocabulary()[:6], 2))
         assert len(pairs) == 15
-        svc = QService(federation,
-                       engine_config(optimizer_time_scale=0.0),
-                       ServiceConfig(cache_ttl=1e-9, coalesce=False),
-                       index=index)
-        empty = dict.fromkeys(self.per_query_tables(svc.engine), 0)
         # Traced from the start: a block allocated before tracing began
         # is not subtracted when it is freed, so a later start would
         # count every container that merely grew in full.
@@ -788,11 +792,7 @@ class TestNothingLeftBehind:
                     objects = len(gc.get_objects())
                     traced = tracemalloc.get_traced_memory()[0]
                 for i, pair in enumerate(pairs):
-                    handle = svc.submit(KeywordQuery(f"r{round_}q{i}", pair,
-                                                     k=K))
-                    svc.drain()
-                    assert handle.done and handle.via == "engine"
-                    assert self.per_query_tables(svc.engine) == empty
+                    serve(f"r{round_}q{i}", pair)
             gc.collect()
             traced = tracemalloc.get_traced_memory()[0] - traced
         finally:
@@ -800,6 +800,41 @@ class TestNothingLeftBehind:
         served = len(self.MEASURED) * len(pairs)
         assert (len(gc.get_objects()) - objects) / served < 100
         assert traced / served < 10_000
+
+    def test_repeated_rounds_grow_by_handles_only(self):
+        federation = e2e_corpus()
+        index = InvertedIndex(federation)
+        svc = QService(federation,
+                       engine_config(optimizer_time_scale=0.0),
+                       ServiceConfig(cache_ttl=1e-9, coalesce=False),
+                       index=index)
+        empty = dict.fromkeys(self.per_query_tables(svc.engine), 0)
+
+        def serve(kq_id, pair):
+            handle = svc.submit(KeywordQuery(kq_id, pair, k=K))
+            svc.drain()
+            assert handle.done and handle.via == "engine"
+            assert self.per_query_tables(svc.engine) == empty
+
+        self.assert_bounded(index, serve)
+
+    def test_run_driver_grows_by_records_only(self):
+        federation = e2e_corpus()
+        index = InvertedIndex(federation)
+        engine = QSystemEngine(federation,
+                               engine_config(optimizer_time_scale=0.0),
+                               index=index)
+        empty = dict.fromkeys(self.per_query_tables(engine), 0)
+
+        def serve(kq_id, pair):
+            engine.submit(KeywordQuery(kq_id, pair, k=K,
+                                       arrival=engine.virtual_now()))
+            report = engine.run()
+            assert list(report.answers) == [kq_id]
+            assert len(report.answers[kq_id]) == K
+            assert self.per_query_tables(engine) == empty
+
+        self.assert_bounded(index, serve)
 
 
 class TestServeCLI:

@@ -51,7 +51,7 @@ def run_uq(qs, fed, uq, graph):
     qs.register_plan(graph, plan, [uq])
     graph.metrics.record_uq(UQRecord(uq.uq_id, uq.arrival,
                                      graph.clock.now))
-    ATCController(graph, qs).run_until_complete()
+    ATCController(graph, qs).run_until(None)
     return graph.rank_merges[uq.uq_id]
 
 
@@ -180,7 +180,7 @@ class TestEviction:
         plan = build_plan(fed, uq.cqs)
         qs.register_plan(graph, plan, [uq])
         graph.metrics.record_uq(UQRecord("u1", 0.0, 0.0))
-        ATCController(graph, qs).run_until_complete()
+        ATCController(graph, qs).run_until(None)
         qs.enforce_budget(graph)
         assert graph.state_size() <= 5 or graph.metrics.evictions > 0
 
@@ -201,7 +201,7 @@ class TestEviction:
         plan = build_plan(fed, uq.cqs)
         qs.register_plan(graph, plan, [uq])
         graph.metrics.record_uq(UQRecord("u1", 0.0, 0.0))
-        ATCController(graph, qs).run_until_complete()
+        ATCController(graph, qs).run_until(None)
         for unit in graph.units.values():
             unit.pinned = True
         sizes = {
