@@ -51,7 +51,7 @@ def main() -> None:
           "keeps them\nand frees the query's plan share...")
     abandoned = service.submit(KeywordQuery(
         "KQ2", ("kinase", "pathway"), k=10,
-        arrival=service.engine.virtual_now() + 1.0))
+        arrival=service.clock.now + 1.0))
     for i, _answer in enumerate(abandoned.results(), start=1):
         if i == 3:
             abandoned.cancel()
@@ -59,7 +59,7 @@ def main() -> None:
 
     print("A deadline bounds a query's lifetime (here: expires before "
           "it can run):")
-    at = service.engine.virtual_now() + 2.0
+    at = service.clock.now + 2.0
     bounded = service.submit(
         KeywordQuery("KQ3", ("receptor", "binding"), k=10, arrival=at),
         deadline=at + 1e-4)

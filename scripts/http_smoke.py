@@ -1,15 +1,20 @@
 #!/usr/bin/env python
 """End-to-end smoke of ``repro serve --http`` as a real subprocess.
 
-Usage: ``python scripts/http_smoke.py [--port N] [--trace-dir DIR]``
+Usage: ``python scripts/http_smoke.py [--port N] [--trace-dir DIR]
+[-- SERVE_ARGS...]``
 
-Launches the CLI HTTP server exactly as an operator would, then drives
-it over the wire with the stdlib client:
+Launches the CLI HTTP server exactly as an operator would (any
+arguments after ``--`` are passed through to ``repro serve``, e.g.
+``-- --shards 2 --workers process``), then drives it over the wire
+with the stdlib client:
 
 1. wait for ``/healthz`` to answer (wall clock reported);
 2. submit several queries and stream each SSE feed, validating the
    event shape (``status``, rank-ordered ``answer`` events, ``end``
-   with a ``done`` disposition and the right answer count);
+   with a ``done`` disposition and the right answer count); with
+   ``--trace-dir``, also fetch each one's ``GET /query/<id>/trace``
+   and require a valid span tree whose root's disposition is ``done``;
 3. submit one more query and cancel it, asserting the ``cancelled``
    disposition propagates to its stream and snapshot;
 4. check ``/metrics`` renders Prometheus text;
@@ -18,12 +23,13 @@ it over the wire with the stdlib client:
    trace artifact (CI uploads it).
 
 Exits nonzero on the first violation.  CI runs this as the
-``http-smoke`` job.
+``http-smoke`` job, once single-node and once over a process fleet.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import pathlib
 import queue
 import re
@@ -35,6 +41,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
                        / "src"))
 
+from repro.obs.export import validate_trace_lines  # noqa: E402
 from repro.service import HttpQueryClient  # noqa: E402
 
 QUERIES = [
@@ -95,6 +102,18 @@ def check_stream(client: HttpQueryClient, qid: str,
     print(f"http_smoke: {qid}: {len(answers)} answers, done")
 
 
+def check_trace(client: HttpQueryClient, qid: str) -> None:
+    lines = client.trace(qid)
+    errors = validate_trace_lines(lines)
+    if errors:
+        fail(f"{qid}: trace endpoint: {errors[0]}")
+    root = json.loads(lines[0])
+    if root["attrs"].get("disposition") != "done":
+        fail(f"{qid}: trace root disposition "
+             f"{root['attrs'].get('disposition')!r}, wanted 'done'")
+    print(f"http_smoke: {qid}: trace OK ({len(lines)} spans)")
+
+
 def check_cancel(client: HttpQueryClient, qid: str) -> None:
     # A keyword combination no earlier query used: a repeat would be
     # served from the answer cache at submit and leave nothing to
@@ -140,12 +159,18 @@ def main() -> int:
                         help="TCP port to serve on; 0 (the default) "
                              "binds an OS-assigned ephemeral port")
     parser.add_argument("--trace-dir", default=None)
-    args = parser.parse_args()
+    argv = sys.argv[1:]
+    serve_args: list[str] = []
+    if "--" in argv:
+        cut = argv.index("--")
+        argv, serve_args = argv[:cut], argv[cut + 1:]
+    args = parser.parse_args(argv)
 
     cmd = [sys.executable, "-m", "repro", "serve", "--http",
            "--port", str(args.port)]
     if args.trace_dir:
         cmd += ["--trace-dir", args.trace_dir]
+    cmd += serve_args
     proc, ports = launch(cmd)
     try:
         try:
@@ -160,6 +185,8 @@ def main() -> int:
               f"({health['clock']}, now={health['now']:.3f})")
         for i, keywords in enumerate(QUERIES, start=1):
             check_stream(client, f"smoke-{i}", keywords)
+            if args.trace_dir:
+                check_trace(client, f"smoke-{i}")
         check_cancel(client, "smoke-cancel")
         metrics = client.metrics()
         if "# TYPE" not in metrics:
@@ -177,7 +204,6 @@ def main() -> int:
         traces = sorted(pathlib.Path(args.trace_dir).glob("*.jsonl"))
         if not traces:
             fail(f"no trace artifact written under {args.trace_dir}")
-        from repro.obs.export import validate_trace_lines
         for path in traces:
             lines = path.read_text().splitlines()
             errors = validate_trace_lines(lines)

@@ -26,10 +26,9 @@ Batch quickstart::
 
 Online service quickstart -- the continuously operating middleware of
 Section 2: ``submit`` returns a streaming, cancellable
-:class:`QueryHandle`, and both the single-node :class:`QService` and
-the sharded :class:`ShardedQService` implement the same
-:class:`QueryServiceProtocol` and return the same
-:class:`ServiceReport` (:mod:`repro.service`)::
+:class:`QueryHandle`, and the single-node :class:`QService` is the
+sharded :class:`ShardedQService` front door over one shard -- one
+serving path, one :class:`ServiceReport` (:mod:`repro.service`)::
 
     from repro import (
         ExecutionConfig, KeywordQuery, LoadConfig, QService, ServiceConfig,
@@ -69,7 +68,6 @@ from repro.service import (
     LoadConfig,
     QService,
     QueryHandle,
-    QueryServiceProtocol,
     QueryStatus,
     ServiceConfig,
     ServiceReport,
@@ -94,7 +92,6 @@ __all__ = [
     "QService",
     "QSystemEngine",
     "QueryHandle",
-    "QueryServiceProtocol",
     "QueryStatus",
     "ServiceConfig",
     "ServiceReport",

@@ -256,7 +256,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.data.gus import GUSConfig, gus_federation
     from repro.service import (
         LoadConfig,
-        QService,
         ServiceConfig,
         ShardedQService,
         generate_load,
@@ -298,25 +297,23 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.workers == "process" and args.shards < 2:
         raise ValueError("--workers process needs --shards > 1 "
                          "(one process per shard)")
+    worker_spec = None
+    if args.workers == "process":
+        from repro.service import WorkerSpec
+        worker_spec = (WorkerSpec.gus(config, gus_config)
+                       if args.corpus == "gus"
+                       else WorkerSpec.figure1(config))
+    # One front door for every topology: one shard is no routing.
+    service = ShardedQService(federation, config, n_shards=args.shards,
+                              routing=args.routing,
+                              service=service_config, tracer=tracer,
+                              clock=clock, workers=args.workers,
+                              worker_spec=worker_spec)
+    fleet_note = ""
     if args.shards > 1:
-        worker_spec = None
-        if args.workers == "process":
-            from repro.service import WorkerSpec
-            worker_spec = (WorkerSpec.gus(config, gus_config)
-                           if args.corpus == "gus"
-                           else WorkerSpec.figure1(config))
-        service = ShardedQService(federation, config, n_shards=args.shards,
-                                  routing=args.routing,
-                                  service=service_config, tracer=tracer,
-                                  clock=clock, workers=args.workers,
-                                  worker_spec=worker_spec)
         fleet_note = (f", {args.shards} shards via {args.routing}"
                       + (f", {args.workers} workers"
                          if args.workers != "inproc" else ""))
-    else:
-        service = QService(federation, config, service_config,
-                           tracer=tracer, clock=clock)
-        fleet_note = ""
     if args.http:
         _serve_http(args, service, clock_mode, fleet_note)
     else:
@@ -327,9 +324,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(report.render())
     # Shut the worker fleet down before exporting: process workers
     # ship their trace spans and final metric snapshots back at close.
-    close = getattr(service, "close", None)
-    if close is not None:
-        close()
+    service.close()
     if tracer is not None:
         from repro.obs.export import write_trace
         path = write_trace(tracer, args.trace_dir)

@@ -44,7 +44,7 @@ component prefixes are stable across releases:
 ``repro_optimizer_*``
     Invocations, measured wall seconds, plans explored.
 ``repro_router_*``
-    Sharded front door only: routed (labelled ``shard=...``),
+    Front door over two or more shards only: routed (``shard=...``),
     spill-overs, front-door cache hits, affinity overrides.
 
 Labels: ``mode`` carries the sharing configuration on engine-side

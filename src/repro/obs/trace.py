@@ -104,6 +104,31 @@ class QueryTrace:
     def disposition(self) -> str | None:
         return self.root.attrs.get("disposition")
 
+    def jsonl_lines(self) -> list[str]:
+        """One JSON object per span (see ``scripts/check_trace.py`` for
+        the schema): parents precede children, span ids are unique per
+        query, the root has ``parent: null`` and name ``query``."""
+        lines: list[str] = []
+
+        def walk(span: Span, parent_id: int | None) -> None:
+            span_id = len(lines)
+            lines.append(json.dumps({
+                "query": self.qid,
+                "span": span_id,
+                "parent": parent_id,
+                "name": span.name,
+                "virtual_start": span.v_start,
+                "virtual_end": span.v_end,
+                "wall_start": span.w_start,
+                "wall_end": span.w_end,
+                "attrs": span.attrs,
+            }, sort_keys=True, default=str))
+            for kid in span.children:
+                walk(kid, span_id)
+
+        walk(self.root, None)
+        return lines
+
     def render(self) -> str:
         """The ``repro explain`` tree: one line per span with virtual
         interval, virtual duration, wall duration, and attributes."""
@@ -288,32 +313,9 @@ class Tracer:
     # -- export -------------------------------------------------------------
 
     def jsonl_lines(self) -> list[str]:
-        """One JSON object per span (see ``scripts/check_trace.py`` for
-        the schema): parents precede children, span ids are unique per
-        query, the root has ``parent: null`` and name ``query``."""
-        lines: list[str] = []
-        for trace in self.traces():
-            counter = [0]
-
-            def walk(span: Span, parent_id: int | None) -> None:
-                span_id = counter[0]
-                counter[0] += 1
-                lines.append(json.dumps({
-                    "query": trace.qid,
-                    "span": span_id,
-                    "parent": parent_id,
-                    "name": span.name,
-                    "virtual_start": span.v_start,
-                    "virtual_end": span.v_end,
-                    "wall_start": span.w_start,
-                    "wall_end": span.w_end,
-                    "attrs": span.attrs,
-                }, sort_keys=True, default=str))
-                for kid in span.children:
-                    walk(kid, span_id)
-
-            walk(trace.root, None)
-        return lines
+        """Every trace's :meth:`QueryTrace.jsonl_lines`, in order."""
+        return [line for trace in self.traces()
+                for line in trace.jsonl_lines()]
 
     def dump_jsonl(self, fh: TextIO) -> int:
         """Write every span as JSONL; returns the line count."""

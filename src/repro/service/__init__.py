@@ -1,32 +1,29 @@
 """The online serving layer: continuous admission over the Q System.
 
 This package turns the batch reproduction into the always-on middleware
-the paper describes, behind one client API
-(:mod:`~repro.service.handle`): one typed protocol,
-:class:`QueryServiceProtocol`, implemented by the single-node
-:class:`QService` and the sharded :class:`ShardedQService` alike, and
-one :class:`ServiceReport` from either.
-``submit`` returns a live :class:`QueryHandle` whose ``results()``
-iterator streams ranked answers as the engine emits them; handles can
-be cancelled, and carry optional per-query deadlines.
+the paper describes, behind one client API and one serving path.
+``submit`` returns a live :class:`QueryHandle`
+(:mod:`~repro.service.handle`) whose ``results()`` iterator streams
+ranked answers as the engine emits them; handles can be cancelled, and
+carry optional per-query deadlines; ``drain()``/``report()`` return one
+:class:`ServiceReport`.
 
-Behind the protocol sit an answer cache for the workload's Zipf head
-(:mod:`~repro.service.cache`), admission control for overload
-(:mod:`~repro.service.admission`), tail-latency/TTFA/throughput
-telemetry (:mod:`~repro.service.telemetry`), and an open-loop
-Poisson/Zipf load generator with a client-abandonment model for
-heavy-traffic scenarios (:mod:`~repro.service.loadgen`).
-
-Three serving roles, one implementation each: :class:`QService` is the
-engine-side service (standalone, an in-process shard, or the core of a
-worker process); :class:`ShardedQService`
-(:mod:`~repro.service.sharding`) is the router in front of N of them,
-behind one shared answer cache, with pluggable shard routing
-(:mod:`~repro.service.routing`): round-robin, keyword-hash, or
-cluster-affinity placement that keeps queries over overlapping
-relations on the same worker; :class:`ProcessWorker`
-(:mod:`~repro.service.workers`) is the pipe to a shard in its own
-process.
+Two roles.  The *front door*, :class:`ShardedQService`
+(:mod:`~repro.service.sharding`), is what clients talk to: it owns the
+answer cache for the workload's Zipf head (:mod:`~repro.service.cache`),
+the handle table and the trace roots, and -- with more than one shard
+-- routes each miss (:mod:`~repro.service.routing`: round-robin,
+keyword-hash, or cluster-affinity placement that keeps queries over
+overlapping relations on the same shard).  The single-node
+:class:`QService` is that front door over one shard.  A *shard*
+(:mod:`~repro.service.shard`) is one engine with admission control for
+overload (:mod:`~repro.service.admission`), coalescing, deferral and
+deadlines; it runs in-process, or in its own process behind a
+:class:`ProcessWorker` (:mod:`~repro.service.workers`).
+Tail-latency/TTFA/throughput telemetry
+(:mod:`~repro.service.telemetry`) merges over both roles, and an
+open-loop Poisson/Zipf load generator with a client-abandonment model
+drives heavy-traffic scenarios (:mod:`~repro.service.loadgen`).
 
 Time is pluggable (:mod:`repro.common.clock`): every service runs on a
 deterministic ``VirtualClock`` by default and on a ``WallClock`` for
@@ -51,12 +48,7 @@ from repro.service.http import (
     answers_digest,
     handles_digest,
 )
-from repro.service.handle import (
-    QueryHandle,
-    QueryServiceProtocol,
-    QueryStatus,
-    run_stream,
-)
+from repro.service.handle import QueryHandle, QueryStatus
 from repro.service.loadgen import (
     LoadConfig,
     generate_abandonments,
@@ -71,7 +63,8 @@ from repro.service.routing import (
     make_router,
 )
 from repro.service.protocol import ProtocolError, WIRE_VERSION
-from repro.service.server import QService, ServiceConfig
+from repro.service.server import QService
+from repro.service.shard import ServiceConfig, Shard
 from repro.service.sharding import RoutingStats, ShardedQService
 from repro.service.telemetry import Telemetry, percentile
 from repro.service.workers import (
@@ -96,7 +89,6 @@ __all__ = [
     "QService",
     "QueryServiceHTTP",
     "QueryHandle",
-    "QueryServiceProtocol",
     "QueryStatus",
     "ResultCache",
     "RoundRobinRouter",
@@ -104,6 +96,7 @@ __all__ = [
     "RoutingStats",
     "ServiceConfig",
     "ServiceReport",
+    "Shard",
     "ShardWorker",
     "ShardedQService",
     "Telemetry",
@@ -118,5 +111,4 @@ __all__ = [
     "make_router",
     "normalize_key",
     "percentile",
-    "run_stream",
 ]

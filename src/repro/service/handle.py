@@ -6,21 +6,18 @@ still arriving, and real keyword-search front ends (Mragyati's web
 gateway, Qunits' user-facing result units) deliver those answers
 incrementally and drop abandoned requests.
 
-This module defines the service-facing protocol both
-:class:`~repro.service.server.QService` and
-:class:`~repro.service.sharding.ShardedQService` implement:
-
-* :class:`QueryServiceProtocol` -- the typed contract: ``submit``
-  returns a :class:`QueryHandle`, plus ``cancel``, ``step``, ``drain``,
-  ``report``, and ``run``;
-* :class:`QueryHandle` -- the client's receipt and remote control for
-  one query: a :class:`QueryStatus` lifecycle, progressive consumption
-  via :meth:`~QueryHandle.answers_so_far` and the incremental
-  :meth:`~QueryHandle.results` iterator (answers stream out as the
-  rank-merge emits them, not only at harvest), :meth:`~QueryHandle.
-  cancel`, and an optional per-query ``deadline``;
-* :func:`run_stream` -- drive one arrival stream (with an optional
-  abandonment schedule) through any conforming service.
+Clients talk to one front door
+(:class:`~repro.service.sharding.ShardedQService`; the single-node
+:class:`~repro.service.server.QService` is that front door over one
+shard), whichever shard -- in this process or in its own -- serves the
+query.  Its ``submit`` returns a :class:`QueryHandle`: the client's
+receipt and remote control for one query, with a :class:`QueryStatus`
+lifecycle, progressive consumption via
+:meth:`~QueryHandle.answers_so_far` and the incremental
+:meth:`~QueryHandle.results` iterator (answers stream out as the
+rank-merge emits them, not only at harvest), :meth:`~QueryHandle.
+cancel`, and an optional per-query ``deadline``.  Every handle answers
+to the front door, which forwards to the owning shard.
 
 Lifecycle::
 
@@ -46,13 +43,13 @@ Terminal-state contract (see :meth:`QueryHandle.latency`):
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.common.clock import Clock
-    from repro.keyword.queries import KeywordQuery, RankedAnswer
+    from repro.keyword.queries import RankedAnswer
+    from repro.service.sharding import ShardedQService
 
 
 class QueryStatus(str, enum.Enum):
@@ -105,16 +102,16 @@ class QueryHandle:
     arrival: float
     status: QueryStatus = QueryStatus.PENDING
     via: str | None = None   # engine | cache | coalesced | empty
-    shard: int | None = None  # set by the sharded service's router
+    shard: int | None = None  # serving shard; None: the front door
     uq_id: str | None = None
     answers: list["RankedAnswer"] | None = None
     completed_at: float | None = None
     reason: str = ""
     deadline: float | None = None
-    #: Back-reference to the owning service, set at submit; excluded
-    #: from comparison and repr (two handles are the same query if
-    #: their observable fields agree, whoever serves them).
-    service: "QueryServiceProtocol | None" = field(
+    #: Back-reference to the front door that issued it, set at submit;
+    #: excluded from comparison and repr (two handles are the same
+    #: query if their observable fields agree, whoever serves them).
+    service: "ShardedQService | None" = field(
         default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -217,90 +214,3 @@ class QueryHandle:
     def __repr__(self) -> str:
         return (f"QueryHandle({self.kq_id}, {self.status.value}"
                 f"{f' via {self.via}' if self.via else ''})")
-
-
-@runtime_checkable
-class QueryServiceProtocol(Protocol):
-    """The one serving contract, implemented by the single-node
-    :class:`~repro.service.server.QService` and the sharded
-    :class:`~repro.service.sharding.ShardedQService` alike.
-
-    A conforming service admits queries along an arrival stream, hands
-    back live :class:`QueryHandle` objects, streams per-query answers
-    progressively, honours ``cancel`` and per-query deadlines, and
-    renders one report type.  Arrival instants are read off the
-    service's ``clock`` -- a deterministic
-    :class:`~repro.common.clock.VirtualClock` by default, a
-    :class:`~repro.common.clock.WallClock` when serving real traffic
-    (the HTTP front end, :mod:`repro.service.http`)."""
-
-    #: The service's time source (shared fleet-wide when sharded).
-    clock: "Clock"
-
-    def submit(self, kq: "KeywordQuery", arrival: float | None = None, *,
-               deadline: float | None = None) -> QueryHandle:
-        """Admit one query; returns its live handle."""
-        ...
-
-    def cancel(self, handle: QueryHandle) -> bool:
-        """Retire ``handle``'s query without disturbing shared work."""
-        ...
-
-    def answers_so_far(self, handle: QueryHandle) -> list["RankedAnswer"]:
-        """The handle's progressive emission (empty if none yet)."""
-        ...
-
-    def pump(self, handle: QueryHandle) -> bool:
-        """Drive the service until ``handle`` gains an answer or ends;
-        returns whether anything changed (the ``results()`` engine)."""
-        ...
-
-    def step(self, until: float) -> None:
-        """Advance virtual time: execute, harvest, enforce deadlines."""
-        ...
-
-    def drain(self):
-        """Finish every admitted query; returns the service report."""
-        ...
-
-    def report(self):
-        """Snapshot the current service report."""
-        ...
-
-    def trace_of(self, handle: QueryHandle):
-        """The handle's span tree, or ``None`` when tracing is off."""
-        ...
-
-    def metrics_registry(self):
-        """The service's metric namespace with collectors refreshed
-        (the sharded service returns the shard-labelled fleet merge)."""
-        ...
-
-
-def run_stream(service: QueryServiceProtocol,
-               load: Iterable["KeywordQuery"],
-               cancellations: dict[str, float] | None = None):
-    """Serve one open-loop arrival stream end to end.
-
-    ``cancellations`` maps ``kq_id`` to the virtual instant the client
-    abandons that query (the load generator's abandonment model emits
-    such a schedule); each due cancellation is applied at its instant,
-    interleaved with the arrivals.  Returns the drained report.
-    """
-    cancels = sorted((cancellations or {}).items(), key=lambda kv: kv[1])
-    handles: dict[str, QueryHandle] = {}
-
-    def fire_due(now: float | None) -> None:
-        while cancels and (now is None or cancels[0][1] <= now):
-            kq_id, at = cancels.pop(0)
-            handle = handles.get(kq_id)
-            if handle is None or handle.terminal:
-                continue
-            service.step(at)
-            handle.cancel()
-
-    for kq in sorted(load, key=lambda q: q.arrival):
-        fire_due(kq.arrival)
-        handles[kq.kq_id] = service.submit(kq)
-    fire_due(None)
-    return service.drain()

@@ -2,12 +2,14 @@
 
 The paper's middleware is an *online* service -- Mragyati frames
 keyword search as a network service over an operational database --
-but everything below this module speaks the in-process
-:class:`~repro.service.handle.QueryServiceProtocol`.  This module puts
-that protocol on the wire with nothing beyond the standard library:
-an :mod:`asyncio` stream server parses a minimal slice of HTTP/1.1 and
-maps :meth:`QueryHandle.results` onto Server-Sent Events, so top-k
-answers stream to a browser-grade client incrementally, exactly as the
+but everything below this module speaks the in-process client API of
+the front door (:class:`~repro.service.sharding.ShardedQService`, or
+the single-node :class:`~repro.service.server.QService`, which is that
+front door over one shard).  This module puts that API on the wire
+with nothing beyond the standard library: an :mod:`asyncio` stream
+server parses a minimal slice of HTTP/1.1 and maps
+:meth:`QueryHandle.results` onto Server-Sent Events, so top-k answers
+stream to a browser-grade client incrementally, exactly as the
 in-process iterator delivers them.
 
 Endpoints (all JSON unless noted):
@@ -63,9 +65,13 @@ import json
 import math
 import threading
 from collections.abc import Iterable, Iterator
+from typing import TYPE_CHECKING
 
 from repro.keyword.queries import KeywordQuery, RankedAnswer
-from repro.service.handle import QueryHandle, QueryServiceProtocol
+from repro.service.handle import QueryHandle
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.service.sharding import ShardedQService
 
 __all__ = [
     "HttpQueryClient",
@@ -182,14 +188,14 @@ def _finite_number(value: object) -> bool:
 # -- the server --------------------------------------------------------------
 
 class QueryServiceHTTP:
-    """Serve one :class:`QueryServiceProtocol` implementation over
-    HTTP/SSE on an asyncio stream server (stdlib only, no framework).
+    """Serve one front door (single-node or sharded) over HTTP/SSE on
+    an asyncio stream server (stdlib only, no framework).
 
     ``tick``: real-second housekeeping period for wall-clock services
     (``None``, the default, never advances time behind the clients'
     backs -- required for deterministic virtual-clock serving)."""
 
-    def __init__(self, service: QueryServiceProtocol,
+    def __init__(self, service: "ShardedQService",
                  host: str = "127.0.0.1", port: int = 0,
                  tick: float | None = None) -> None:
         self.service = service
@@ -486,14 +492,14 @@ class QueryServiceHTTP:
 
     async def _send_trace(self, handle: QueryHandle,
                           writer: asyncio.StreamWriter) -> None:
-        tracer = getattr(self.service, "tracer", None)
+        # ``trace_of`` is the whole tree: a process worker's spans live
+        # in the child and only it merges them under the front root.
         trace = self.service.trace_of(handle)
-        if tracer is None or not tracer.enabled or trace is None:
+        if trace is None:
             return await self._send_json(
                 writer, 404,
                 {"error": "tracing is off (serve with a tracer)"})
-        lines = [line for line in tracer.jsonl_lines()
-                 if json.loads(line)["query"] == handle.kq_id]
+        lines = trace.jsonl_lines()
         writer.write(_response(200, ("\n".join(lines) + "\n").encode(),
                                "application/x-ndjson"))
         await writer.drain()
@@ -511,7 +517,7 @@ class HttpServerThread:
             ...
     """
 
-    def __init__(self, service: QueryServiceProtocol,
+    def __init__(self, service: "ShardedQService",
                  host: str = "127.0.0.1", port: int = 0,
                  tick: float | None = None) -> None:
         self.server = QueryServiceHTTP(service, host=host, port=port,

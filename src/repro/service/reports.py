@@ -1,13 +1,14 @@
 """The service report: one type for every serving topology.
 
-:class:`ServiceReport` is what ``drain()`` / ``report()`` return from
-the single-node :class:`~repro.service.server.QService` and the sharded
-:class:`~repro.service.sharding.ShardedQService` alike: the telemetry
-block, the answer-cache stats, the engine work line and the per-query
-handles.  A fleet report additionally carries one :class:`ServiceReport`
-per shard and the router's :class:`~repro.service.sharding.
-RoutingStats`, which add the ``fleet`` line and the per-shard trailer
-to :meth:`ServiceReport.render`.
+:class:`ServiceReport` is what the front door's ``drain()`` /
+``report()`` return (:class:`~repro.service.sharding.ShardedQService`,
+and so the single-node :class:`~repro.service.server.QService`): the
+telemetry block, the answer-cache stats, the engine work line and the
+per-query handles.  With one shard the report has that shard's engine
+report and admission stats; a fleet report carries one
+:class:`ServiceReport` per shard and the router's
+:class:`~repro.service.sharding.RoutingStats` instead, which add the
+``fleet`` line and the per-shard trailer to :meth:`ServiceReport.render`.
 """
 
 from __future__ import annotations

@@ -1,35 +1,18 @@
-"""The online query service.
+"""The single-node query service: the front door over one shard.
 
 The Q System is a *continuously operating* middleware: "we do not
 discard the query plan graph and its state; rather, we take subsequent
 queries and attempt to graft them onto the existing graph."
-:class:`QService` is that serving layer.  Where :class:`~repro.atc.
-engine.QSystemEngine` alone exposes a closed batch lifecycle (submit
-everything, then run), the service admits queries one at a time along a
-virtual-time arrival stream while earlier queries are still executing,
-and speaks the v2 client protocol (:mod:`repro.service.handle`):
-
-* :meth:`submit` returns a live :class:`~repro.service.handle.
-  QueryHandle`; answers stream out of the handle's ``results()``
-  iterator as the engine's rank-merge emits them, not only at harvest;
-* handles are **cancellable** (:meth:`cancel` releases the query's
-  share of the plan graph through the state manager's refcounted
-  unlink -- operator state other queries still ride survives) and
-  carry an optional **deadline** the engine enforces mid-step;
-* each :meth:`submit` first *steps* the engine up to the new arrival's
-  instant (grafting any batch the batcher closed, executing every plan
-  graph to that time, harvesting completions into the answer cache);
-* the **answer cache** (:mod:`repro.service.cache`) serves repeated
-  popular queries -- the Zipf head of a realistic keyword workload --
-  without touching the optimizer at all, and identical queries already
-  in flight are *coalesced* onto the running one (only *complete*
-  result sets are admitted to the cache: a cancelled or expired
-  query's partial top-k never serves a later twin);
-* **admission control** (:mod:`repro.service.admission`) sheds or
-  defers queries when the in-flight or state budget is exhausted;
-* **telemetry** (:mod:`repro.service.telemetry`) tracks the tail
-  latencies, time-to-first-answer, throughput, and hit/abandonment
-  rates a serving system is judged by.
+:class:`QService` serves it on one engine.  It is not a second
+implementation: it is the front door
+(:class:`~repro.service.sharding.ShardedQService`) over exactly one
+in-process :class:`~repro.service.shard.Shard`, so every topology
+serves through the same code -- the answer cache, handle table and
+trace roots at the front door; admission, coalescing, deferral,
+deadlines and the engine in the shard.  With one shard there is no
+routing: the report has the shard's own shape and the metrics carry no
+``shard`` label.  The engine-side state lives on
+``service.workers[0]``.
 
 Typical use::
 
@@ -39,856 +22,35 @@ Typical use::
         show(answer)
     report = service.drain()                      # finish everything else
     print(report.render())
-
-Deadline semantics: a deadline on a query the engine executes fires at
-its exact virtual instant (the engine segments execution there).  A
-deadline on a *parked* query (deferred) or a *coalesced follower* is
-observed at the service's next step, and the expiry is stamped at that
-observation instant (the missed deadline is kept in ``reason``); if
-the shared execution has already completed by then, completion wins
-and the full answer is served.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, replace
-
-from repro.atc.engine import QSystemEngine
-from repro.common.clock import Clock, VirtualClock
+from repro.common.clock import Clock
 from repro.common.config import ExecutionConfig
-from repro.common.errors import QueryError
 from repro.data.database import Federation
 from repro.data.inverted import InvertedIndex
 from repro.keyword.candidates import CandidateNetworkGenerator
-from repro.keyword.queries import KeywordQuery, RankedAnswer, UserQuery
 from repro.obs.instruments import MetricsRegistry
-from repro.obs.trace import NO_TRACER, QueryTrace
-from repro.operators.rankmerge import RankMerge
-from repro.optimizer.repository import PlanRepository
-from repro.service.admission import AdmissionController
-from repro.service.cache import (
-    CacheKey,
-    PurgeCadence,
-    ResultCache,
-    normalize_key,
-)
-from repro.service.handle import QueryHandle, QueryStatus, run_stream
-from repro.service.reports import ServiceReport
-from repro.service.telemetry import Telemetry
+from repro.service.shard import ServiceConfig
+from repro.service.sharding import ShardedQService
 
 __all__ = [
     "QService",
     "ServiceConfig",
-    "ServiceReport",
-    "QueryHandle",
-    "QueryStatus",
-    "finish_done",
 ]
 
 
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Serving-layer tunables (the engine keeps its own
-    :class:`~repro.common.config.ExecutionConfig`).
-
-    ``default_deadline`` is a *relative* budget in virtual seconds: if
-    set, every query that does not bring its own deadline gets
-    ``arrival + default_deadline``.
-    """
-
-    cache_ttl: float = 300.0
-    cache_capacity: int = 1024
-    max_in_flight: int | None = 64
-    max_state_tuples: int | None = None
-    admission_policy: str = "reject"
-    coalesce: bool = True
-    default_deadline: float | None = None
-
-
-def _ttfa_of(handle: QueryHandle, answers: list,
-             first_emitted: float | None) -> float | None:
-    """Arrival-to-first-answer for one resolved handle (``None`` when
-    it never received any answer)."""
-    if not answers:
-        return None
-    if first_emitted is not None:
-        return max(first_emitted - handle.arrival, 0.0)
-    if handle.completed_at is not None:
-        return max(handle.completed_at - handle.arrival, 0.0)
-    return None
-
-
-def finish_done(handle: QueryHandle, at: float, answers: list, source: str,
-                telemetry: Telemetry, tracer, *,
-                first_emitted: float | None = None,
-                reason: str = "") -> None:
-    """Resolve ``handle`` as ``DONE`` at ``at``: the one place a full
-    answer is served, whatever produced it.  ``source`` says what did
-    -- ``cache``, ``empty`` (no candidate network; ``reason`` says
-    why), ``engine``, or ``coalesced`` (released with its leader) --
-    and becomes the handle's ``via`` unless admission already set one
-    (a promoted follower leads an engine execution but stays
-    ``coalesced``)."""
-    handle.status = QueryStatus.DONE
-    handle.via = handle.via or source
-    handle.answers = answers
-    handle.completed_at = at
-    if reason:
-        handle.reason = reason
-    telemetry.record_completion(
-        at, max(at - handle.arrival, 0.0),
-        ttfa=_ttfa_of(handle, answers, first_emitted))
-    if tracer.enabled:
-        if answers and first_emitted is not None:
-            tracer.event(handle.kq_id, "first_emission",
-                         max(first_emitted, handle.arrival),
-                         answers_so_far=1)
-        tracer.event(handle.kq_id, "harvest", at,
-                     answers=len(answers), source=source)
-        tracer.finish_query(handle.kq_id, at, "done", via=handle.via,
-                            **({"reason": reason} if reason else {}))
-
-
-class QService:
-    """Continuous-admission facade over the Q System engine,
-    implementing :class:`~repro.service.handle.QueryServiceProtocol`
-    for clients and :class:`~repro.service.workers.ShardWorker` for the
-    sharded front door, which drives it directly as an in-process
-    shard; a worker process runs one too."""
-
-    #: The :class:`~repro.service.workers.ShardWorker` crash surface:
-    #: an in-process shard cannot die independently of its front door.
-    alive = True
+class QService(ShardedQService):
+    """The front door over one in-process shard."""
 
     def __init__(self, federation: Federation, config: ExecutionConfig,
-                 service: ServiceConfig | None = None,
+                 service: ServiceConfig | None = None, *,
                  generator: CandidateNetworkGenerator | None = None,
                  index: InvertedIndex | None = None,
-                 cache: ResultCache | None = None,
-                 repository: PlanRepository | None = None,
                  registry: MetricsRegistry | None = None,
                  tracer=None,
                  clock: Clock | None = None) -> None:
-        self.service_config = service or ServiceConfig()
-        #: The service's time source.  The default ``VirtualClock``
-        #: replays simulated arrival streams deterministically (the
-        #: correctness oracle); a ``WallClock`` serves real arrivals
-        #: (the HTTP front end).  The sharded front door hands every
-        #: worker one *shared* clock, so the fleet observes a single
-        #: "now" -- a worker must never write the clock backwards,
-        #: which ``advance_to`` guarantees by construction.
-        self.clock: Clock = clock if clock is not None else VirtualClock()
-        #: Per-query trace recorder; the no-op default keeps every
-        #: instrumentation site behind one ``enabled`` check.
-        self.tracer = tracer if tracer is not None else NO_TRACER
-        #: The service's metric namespace.  Components this service
-        #: *owns* publish into it via collectors (refreshed only at
-        #: snapshot/export time); shared tiers handed in from outside
-        #: (the sharded front door's cache and plan repository) are
-        #: published by their owner, so fleet merges never double
-        #: count.
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
-        # ``repository`` may, like the cache, be a shared tier: the
-        # sharded service hands every shard the same plan repository,
-        # so one shard's keyword expansions serve every shard's
-        # repeats.
-        self._owns_repository = repository is None
-        self.engine = QSystemEngine(federation, config,
-                                    generator=generator, index=index,
-                                    repository=repository,
-                                    tracer=self.tracer)
-        # ``cache`` may be an externally owned, *shared* tier: the
-        # sharded service hands every shard the same instance, so one
-        # shard's completions serve every shard's repeats.
-        self._owns_cache = cache is None
-        self.cache = cache if cache is not None else ResultCache(
-            ttl=self.service_config.cache_ttl,
-            capacity=self.service_config.cache_capacity)
-        self.admission = AdmissionController(
-            max_in_flight=self.service_config.max_in_flight,
-            max_state_tuples=self.service_config.max_state_tuples,
-            policy=self.service_config.admission_policy,
-        )
-        self.telemetry = Telemetry(self.registry)
-        self.registry.add_collector(self._publish_metrics)
-        self.tickets: list[QueryHandle] = []
-        self._live: dict[str, QueryHandle] = {}       # uq_id -> handle
-        self._inflight_keys: dict[CacheKey, str] = {}  # key -> leading uq_id
-        self._followers: dict[CacheKey, list[QueryHandle]] = {}
-        #: Parked queries awaiting budget: (kq, handle, pre-expanded uq
-        #: if the caller supplied one -- retries must not re-expand).
-        self._deferred: deque[tuple[KeywordQuery, QueryHandle,
-                                    UserQuery | None]] = deque()
-        #: Non-terminal handles carrying a deadline the *service* must
-        #: watch (followers and promoted leaders; the engine watches
-        #: the execution's own effective deadline).
-        self._timed: list[QueryHandle] = []
-        #: Proactive cache grooming: sweep expired entries every
-        #: quarter-TTL on a monotone grid (:class:`PurgeCadence`), so
-        #: stale entries cannot sit resident (and push live ones out
-        #: under capacity pressure) just because nobody happened to
-        #: look them up.  Only the cache's *owner* grooms: a worker
-        #: handed a shared tier leaves the sweep to the front door, so
-        #: N shards never purge N times per period.
-        self._cadence = PurgeCadence(self.cache)
-
-    # -- intake ---------------------------------------------------------------
-
-    def submit(self, kq: KeywordQuery, arrival: float | None = None, *,
-               deadline: float | None = None,
-               uq: UserQuery | None = None,
-               check_cache: bool = True) -> QueryHandle:
-        """Admit one keyword query at its (virtual) arrival instant;
-        returns its live :class:`QueryHandle`.
-
-        Execution first advances to the arrival -- queries admitted
-        earlier keep running and completing in the meantime -- then the
-        new query is served from the cache, coalesced onto an identical
-        in-flight query, admitted to the engine, deferred, or shed,
-        in that order of preference.
-
-        ``deadline`` is an *absolute* virtual instant (defaults to
-        ``arrival + ServiceConfig.default_deadline`` when that is
-        configured); ``uq`` passes a pre-expanded user query (the
-        sharded router expands once to read the relation footprint);
-        ``check_cache=False`` skips the answer-cache lookup when a
-        front tier already performed it, so one user-facing lookup is
-        counted exactly once.
-        """
-        at = kq.arrival if arrival is None else arrival
-        at = max(at, self._now)
-        if deadline is None and self.service_config.default_deadline \
-                is not None:
-            deadline = at + self.service_config.default_deadline
-        handle = QueryHandle(kq_id=kq.kq_id, keywords=tuple(kq.keywords),
-                             k=kq.k, arrival=at, deadline=deadline,
-                             service=self)
-        self.tickets.append(handle)
-        self.telemetry.record_arrival(at)
-        tr = self.tracer
-        if tr.enabled:
-            tr.start_query(handle.kq_id, at,
-                           keywords=" ".join(handle.keywords), k=handle.k)
-        self.step(at)
-
-        if self._serve_fast(handle, at, check_cache=check_cache):
-            return handle
-
-        decision = self.admission.decide(
-            in_flight=len(self._live),
-            state_tuples=self.engine.total_state_size(),
-        )
-        if tr.enabled:
-            tr.event(handle.kq_id, "admission", at, action=decision.action,
-                     **({"reason": decision.reason}
-                        if decision.reason else {}))
-        if decision.action == "reject":
-            handle.status = QueryStatus.REJECTED
-            handle.reason = decision.reason
-            self.telemetry.record_rejection()
-            if tr.enabled:
-                tr.finish_query(handle.kq_id, at, "rejected",
-                                reason=decision.reason)
-            return handle
-        if decision.action == "defer":
-            handle.status = QueryStatus.DEFERRED
-            handle.reason = decision.reason
-            self._deferred.append((kq, handle, uq))
-            self.telemetry.record_deferral()
-            return handle
-        self._start(kq, handle, at, uq=uq)
-        return handle
-
-    def _serve_fast(self, handle: QueryHandle, at: float,
-                    record: bool = True, check_cache: bool = True) -> bool:
-        """Try the two no-execution paths: answer cache, then
-        coalescing onto an identical in-flight query.
-
-        Used on first admission and again on every deferred retry (a
-        parked query's twin may have completed meanwhile).  Retries
-        pass ``record=False`` so their per-step polling does not
-        inflate the cache's user-facing miss count; a front tier that
-        already looked the key up passes ``check_cache=False``.
-        """
-        tr = self.tracer
-        key = normalize_key(handle.keywords, handle.k)
-        cached = self.cache.get(key, now=at, record=record) \
-            if check_cache else None
-        if tr.enabled and check_cache and record:
-            tr.event(handle.kq_id, "cache_lookup", at,
-                     result="hit" if cached is not None else "miss")
-        if cached is not None:
-            if not record:
-                # The serve is real even though the poll was silent;
-                # count the hit itself.
-                self.cache.get(key, now=at)
-            self.telemetry.record_cache_hit()
-            finish_done(handle, at, list(cached), "cache",
-                        self.telemetry, tr)
-            return True
-        if self.service_config.coalesce and key in self._inflight_keys:
-            leader_uq = self._inflight_keys[key]
-            handle.status = QueryStatus.IN_FLIGHT
-            handle.via = "coalesced"
-            handle.uq_id = leader_uq
-            self._followers.setdefault(key, []).append(handle)
-            self.telemetry.record_coalesced()
-            if tr.enabled:
-                tr.event(handle.kq_id, "coalesce_attach", at,
-                         leader=leader_uq)
-            self._watch(handle)
-            # The shared execution must now outlive its longest rider.
-            self.engine.set_deadline(
-                leader_uq, self._effective_deadline(key, leader_uq))
-            return True
-        return False
-
-    def _start(self, kq: KeywordQuery, handle: QueryHandle, at: float,
-               uq: UserQuery | None = None) -> None:
-        """Expand (unless pre-expanded) and hand one admitted query to
-        the engine."""
-        try:
-            if uq is None:
-                uq = self.engine.generator.generate(replace(kq, arrival=at))
-            elif uq.arrival != at:
-                uq = replace(uq, arrival=at, cqs=list(uq.cqs))
-        except QueryError as exc:
-            self._finish_empty(handle, at, str(exc))
-            return
-        if not uq.cqs:
-            self._finish_empty(handle, at, "no candidate networks")
-            return
-        if self.tracer.enabled:
-            # The engine attributes batch-window / optimize / execution
-            # spans to this execution's owning query through the alias.
-            self.tracer.alias(uq.uq_id, handle.kq_id)
-        self.engine.submit_user_query(uq, deadline=handle.deadline)
-        handle.status = QueryStatus.IN_FLIGHT
-        handle.via = "engine"
-        handle.uq_id = uq.uq_id
-        self._live[uq.uq_id] = handle
-        key = normalize_key(handle.keywords, handle.k)
-        self._inflight_keys.setdefault(key, uq.uq_id)
-        self._watch(handle)
-
-    def _finish_empty(self, handle: QueryHandle, at: float,
-                      reason: str) -> None:
-        """Serve a query no candidate network can answer: empty top-k."""
-        self.telemetry.record_no_results()
-        finish_done(handle, at, [], "empty", self.telemetry, self.tracer,
-                    reason=reason)
-
-    def _watch(self, handle: QueryHandle) -> None:
-        if handle.deadline is not None:
-            self._timed.append(handle)
-
-    # -- progress --------------------------------------------------------------
-
-    @property
-    def _now(self) -> float:
-        """The service's current instant, read off its clock.  Every
-        former ``self._now = ...`` write became a ``clock.advance_to``,
-        so a clock shared across a fleet stays mutually consistent."""
-        return self.clock.now
-
-    @property
-    def in_flight_count(self) -> int:
-        """Queries admitted to the engine and not yet completed (the
-        router's load gauge, and the admission controller's)."""
-        return len(self._live)
-
-    @property
-    def deferred_count(self) -> int:
-        """Queries parked awaiting budget (unresolved, like in-flight)."""
-        return len(self._deferred)
-
-    def inflight_handle(self, key: CacheKey) -> QueryHandle | None:
-        """The live handle currently leading ``key``'s in-flight
-        execution on this worker, or ``None``.  The sharded front door
-        consults this when its own registry entry resolved -- a
-        promotion may have handed the execution to a newer handle."""
-        uq_id = self._inflight_keys.get(key)
-        if uq_id is None:
-            return None
-        handle = self._live.get(uq_id)
-        if handle is None or handle.terminal:
-            return None
-        return handle
-
-    def step(self, until: float) -> None:
-        """Advance virtual time: execute (the engine enforces query
-        deadlines mid-step), harvest completions and terminations,
-        sweep service-side deadlines, groom the answer cache, retry
-        deferred queries against the freed budget."""
-        self.clock.advance_to(until)
-        self.engine.step(until)
-        self._harvest()
-        self._groom()
-        self._retry_deferred(until)
-
-    def _groom(self) -> None:
-        """After any progress: enforce the deadlines only the service
-        watches (followers, promoted leaders) and keep an owned
-        cache's grooming cadence live."""
-        if self._timed:
-            self._sweep_deadlines()
-        if self._owns_cache:
-            self._cadence.fire(self._now)
-
-    # -- the ShardWorker face ---------------------------------------------------
-    # Split-phase step/drain with all the work in the start phase, so a
-    # fleet of in-process shards runs in sequential order, bit-for-bit.
-    # They *call* step/drain (never alias them): a class-level patch of
-    # ``step`` -- the e2e benchmark's tracer -- must see these too.
-
-    def start_step(self, until: float) -> None:
-        self.step(until)
-
-    def finish_step(self) -> None:
-        pass
-
-    def start_drain(self) -> None:
-        self.drain()
-
-    def finish_drain(self) -> None:
-        pass
-
-    def registry_view(self) -> MetricsRegistry:
-        return self.registry
-
-    def drain(self) -> ServiceReport:
-        """Finish every admitted query (deferred ones included) and
-        return the serving report.  The service clock catches up to the
-        drained engine's, so later submissions cannot arrive in the
-        past of already-recorded completions."""
-        while True:
-            self.engine.drain()
-            self._harvest()
-            self.clock.advance_to(self.engine.virtual_now())
-            self._groom()
-            if not self._deferred:
-                break
-            self._retry_deferred(self._now)
-            if self._deferred and not self._live:
-                # Budget still exhausted with nothing running: the
-                # state gauge alone is over budget, so deferral can
-                # never clear -- shed the stragglers rather than spin.
-                while self._deferred:
-                    kq, handle, _uq = self._deferred.popleft()
-                    handle.status = QueryStatus.REJECTED
-                    handle.reason = "deferred past drain; state budget " \
-                                    "never freed"
-                    self.telemetry.record_rejection()
-                    if self.tracer.enabled:
-                        self.tracer.finish_query(
-                            handle.kq_id, self._now, "rejected",
-                            reason=handle.reason)
-        return self.report()
-
-    def report(self) -> ServiceReport:
-        engine_report = self.engine.report()
-        self.telemetry.sync_optimizer(engine_report.metrics.optimizer_records)
-        return ServiceReport(
-            telemetry=self.telemetry,
-            cache_stats=self.cache.stats.snapshot(),
-            tickets=list(self.tickets),
-            admission_stats=self.admission.snapshot(),
-            engine_report=engine_report,
-        )
-
-    def run(self, load: list[KeywordQuery],
-            cancellations: dict[str, float] | None = None) -> ServiceReport:
-        """Serve one open-loop arrival stream end to end.
-
-        ``cancellations`` optionally schedules client abandonment
-        (kq_id -> virtual cancel instant), as produced by
-        :func:`repro.service.loadgen.generate_abandonments`.
-        """
-        return run_stream(self, load, cancellations)
-
-    # -- the v2 protocol: streaming and cancellation ---------------------------
-
-    def answers_so_far(self, handle: QueryHandle) -> list[RankedAnswer]:
-        """The handle's progressive emission: its final answers once
-        terminal, else whatever its rank-merge has emitted."""
-        if handle.answers is not None:
-            return list(handle.answers)
-        rm = self._rm_for(handle.uq_id)
-        if rm is None:
-            return []
-        return list(rm.answers)
-
-    def pump(self, handle: QueryHandle) -> bool:
-        """Drive the service until ``handle`` gains an answer, reaches
-        a terminal state, or provably cannot progress right now.
-        Returns whether its observable state changed (the engine
-        behind :meth:`QueryHandle.results`)."""
-        if handle.terminal:
-            return False
-        if handle.status is QueryStatus.DEFERRED:
-            # Parked: only the passage of time (completions freeing
-            # budget) can help.  Run one batch window forward (at
-            # least one virtual second, so a zero-window batcher still
-            # makes progress) and keep reporting progress while
-            # in-flight work remains that could free the budget; with
-            # nothing running, pumping can never clear the gauge.
-            self.step(self._now + max(self.engine.batcher.window, 1.0))
-            if handle.status is not QueryStatus.DEFERRED:
-                return True
-            return bool(self._live)
-        uq_id = handle.uq_id
-        if uq_id is None:
-            return False
-        if self.engine.qs.uq_graphs.get(uq_id) is None:
-            # Still collecting in the batcher: run past the collection
-            # window so the batch closes and the query dispatches.
-            self.step(max(self._now, handle.arrival)
-                      + self.engine.batcher.window + 1e-9)
-            return handle.terminal \
-                or self.engine.qs.uq_graphs.get(uq_id) is not None
-        before = len(self.answers_so_far(handle))
-        progressed = self.engine.drive_query(uq_id)
-        self._harvest()
-        # Streaming pulls virtual time forward just as stepping does:
-        # catch the service clock up and groom, so a consumer who only
-        # ever pumps cannot outlive its deadline -- and cannot starve
-        # the cache sweep.
-        self.clock.advance_to(self.engine.virtual_now())
-        self._groom()
-        return progressed or handle.terminal \
-            or len(self.answers_so_far(handle)) > before
-
-    def cancel(self, handle: QueryHandle) -> bool:
-        """Abandon one query.  The engine's shared execution is killed
-        only when no other query rides it: cancelling a coalesced
-        follower detaches just that follower, and cancelling a leader
-        with followers *promotes* one of them instead of tearing the
-        execution down.  Returns False when already terminal (or not
-        this service's handle)."""
-        if handle.terminal:
-            return False
-        at = self._now
-        if handle.status is QueryStatus.DEFERRED:
-            kept = deque(
-                entry for entry in self._deferred if entry[1] is not handle)
-            if len(kept) == len(self._deferred):
-                return False   # not parked here (another service's handle)
-            self._deferred = kept
-            self._finish_terminated(handle, "cancelled", at, [], None)
-            return True
-        # Whatever the engine finished since the last harvest (e.g. the
-        # caller drove it directly) resolves first: completion wins.
-        self._harvest()
-        if handle.terminal:
-            return False
-        return self._retire_handle(handle, "cancelled", at)
-
-    def _retire_handle(self, handle: QueryHandle, how: str,
-                       at: float) -> bool:
-        """Release one in-flight handle's claim on its (possibly
-        shared) engine execution and finish it as cancelled/expired.
-
-        Dispatches on actual membership -- not on the handle's ``via``
-        route label, which a promoted follower keeps as "coalesced":
-
-        * the current *leader* (the ``_live`` entry) with followers
-          left promotes the first of them, so the execution survives;
-        * a sole-rider leader tears the execution down through the
-          engine (the state manager's refcounted unlink), and the
-          harvest resolves it from its terminal record;
-        * a *follower* just detaches from the leader's in-flight entry.
-
-        Returns False when the handle holds no claim here (another
-        service's handle, or a not-yet-dispatched query whose deadline
-        the engine owns).
-        """
-        uq_id = handle.uq_id
-        if uq_id is None:
-            return False
-        key = normalize_key(handle.keywords, handle.k)
-        rm = self._rm_for(uq_id)
-        partial = list(rm.answers) if rm is not None else []
-        first = rm.first_emitted_at if rm is not None else None
-        followers = self._followers.get(key, [])
-        if self._live.get(uq_id) is handle:
-            if followers:
-                promoted = followers.pop(0)
-                if not followers:
-                    self._followers.pop(key, None)
-                self._live[uq_id] = promoted
-                if self.tracer.enabled:
-                    # Execution spans attribute to the new leader from
-                    # here on: re-point the uq alias before finishing
-                    # the departing handle's trace.
-                    self.tracer.event(promoted.kq_id, "coalesce_promote",
-                                      at, execution=uq_id)
-                    self.tracer.alias(uq_id, promoted.kq_id)
-                self._finish_terminated(handle, how, at, partial, first)
-                self.engine.set_deadline(
-                    uq_id, self._effective_deadline(key, uq_id))
-            else:
-                self.engine.retire_query(uq_id, how, at=at)
-                self._harvest()
-            return True
-        if handle in followers:
-            followers.remove(handle)
-            if not followers:
-                self._followers.pop(key, None)
-            self._finish_terminated(handle, how, at, partial, first)
-            self.engine.set_deadline(
-                uq_id, self._effective_deadline(key, uq_id))
-            return True
-        return False
-
-    # -- internals ----------------------------------------------------------------
-
-    def _rm_for(self, uq_id: str | None) -> RankMerge | None:
-        if uq_id is None:
-            return None
-        graph_id = self.engine.qs.uq_graphs.get(uq_id)
-        if graph_id is None:
-            return None
-        return self.engine.qs.graphs[graph_id].rank_merges.get(uq_id)
-
-    def _effective_deadline(self, key: CacheKey,
-                            uq_id: str | None) -> float | None:
-        """The deadline of a (possibly shared) engine execution: the
-        latest deadline over every query riding it -- ``None`` (no
-        deadline) as soon as one rider has none."""
-        holders: list[QueryHandle] = []
-        if uq_id is not None:
-            leader = self._live.get(uq_id)
-            if leader is not None:
-                holders.append(leader)
-        holders.extend(self._followers.get(key, ()))
-        if not holders:
-            return None
-        deadlines = [h.deadline for h in holders]
-        if any(d is None for d in deadlines):
-            return None
-        return max(deadlines)
-
-    def _finish_terminated(self, handle: QueryHandle, how: str, at: float,
-                           answers: list,
-                           first_emitted: float | None) -> None:
-        """Resolve one cancelled/expired handle: partial answers, the
-        termination instant, and the telemetry counter."""
-        handle.status = QueryStatus.EXPIRED if how == "expired" \
-            else QueryStatus.CANCELLED
-        handle.answers = list(answers)
-        handle.completed_at = at
-        # The terminal cause replaces any interim note (e.g. the
-        # admission gauge message a deferred query carried).
-        if how != "expired":
-            handle.reason = "cancelled by client"
-        elif handle.deadline is not None:
-            handle.reason = f"deadline {handle.deadline:g} expired"
-        else:
-            handle.reason = "deadline expired"
-        ttfa = _ttfa_of(handle, answers, first_emitted)
-        if how == "expired":
-            self.telemetry.record_expiry(at, ttfa)
-        else:
-            self.telemetry.record_cancellation(at, ttfa)
-        tr = self.tracer
-        if tr.enabled:
-            if answers and first_emitted is not None:
-                tr.event(handle.kq_id, "first_emission",
-                         max(first_emitted, handle.arrival),
-                         answers_so_far=len(answers))
-            tr.finish_query(handle.kq_id, at, how,
-                            reason=handle.reason, answers=len(answers))
-
-    def _harvest(self) -> None:
-        """Resolve the handles of every query the engine handed over
-        since the last call (:meth:`~repro.atc.engine.QSystemEngine.
-        take_terminals`, which also releases them from the engine),
-        feed the cache, and release coalesced followers with their
-        leader.  Only complete result sets reach the answer cache: a
-        retired query's partial top-k must never serve a later twin as
-        if it were the answer."""
-        for terminal in self.engine.take_terminals():
-            uq_id = terminal.uq_id
-            handle = self._live.pop(uq_id, None)
-            if handle is None:
-                continue
-            key = normalize_key(handle.keywords, handle.k)
-            if self._inflight_keys.get(key) == uq_id:
-                del self._inflight_keys[key]
-            followers = self._followers.pop(key, [])
-            at, answers = terminal.at, terminal.answers
-            first = terminal.first_emitted
-            if terminal.how == "done":
-                finish_done(handle, at, answers, "engine", self.telemetry,
-                            self.tracer, first_emitted=first)
-                self.cache.put(key, answers, now=at)
-                for follower in followers:
-                    finish_done(follower, at, list(answers), "coalesced",
-                                self.telemetry, self.tracer,
-                                first_emitted=first)
-                continue
-            self._finish_terminated(handle, terminal.how, at, answers, first)
-            for follower in followers:
-                # The shared execution is gone; its riders terminate
-                # with it (their personal deadlines were no earlier --
-                # the execution lived to the latest one).
-                self._finish_terminated(follower, terminal.how, at,
-                                        list(answers), first)
-
-    def _sweep_deadlines(self) -> None:
-        """Expire watched handles whose deadline has passed.  The
-        engine already fires execution deadlines at their exact
-        instants; this sweep covers what only the service can see --
-        followers and promoted leaders whose *personal* deadline is
-        earlier than the shared execution's effective one.  Completion
-        always wins: sweeps run after the harvest, so a handle whose
-        execution already finished is DONE by now.  Sweep expiries are
-        stamped at the *observation* instant (the current service
-        clock), so a handle's answers-so-far never postdate its
-        ``completed_at``; the missed deadline itself is recorded in
-        ``reason``."""
-        alive: list[QueryHandle] = []
-        for handle in self._timed:
-            if handle.terminal:
-                continue
-            if handle.deadline is None or handle.deadline > self._now:
-                alive.append(handle)
-                continue
-            if not self._expire_handle(handle):
-                alive.append(handle)
-        self._timed = alive
-
-    def _expire_handle(self, handle: QueryHandle) -> bool:
-        """Retire one overdue handle; returns False to keep watching
-        (the engine owns the deadline).  Sweeps run only after a
-        harvest, so a completed execution has already served it."""
-        if (handle.uq_id is not None
-                and self._live.get(handle.uq_id) is handle
-                and self.engine.deadline_of(handle.uq_id)
-                == handle.deadline):
-            # The engine enforces exactly this instant by segmenting
-            # the query's own execution there; expiring it from the
-            # sweep -- whose clock may have been pulled ahead by some
-            # *other* graph's streaming -- would retire it before its
-            # graph was ever driven to the deadline.
-            return False
-        # False here likewise means the handle holds no claim on any
-        # execution yet (not dispatched, with the engine holding its
-        # deadline) -- the engine's segmentation owns the expiry.
-        return self._retire_handle(handle, "expired", self._now)
-
-    def _retry_deferred(self, at: float) -> None:
-        """Re-try parked queries: expire the overdue, serve from cache
-        / coalesce if a twin finished (or is running) meanwhile, admit
-        if the budget has freed, keep parked otherwise.  Uses the
-        admission controller's silent gauge check, so retry attempts
-        never inflate its per-query decision counters."""
-        still: deque[tuple[KeywordQuery, QueryHandle,
-                           UserQuery | None]] = deque()
-        while self._deferred:
-            kq, handle, uq = self._deferred.popleft()
-            if handle.terminal:
-                continue   # cancelled while parked
-            if handle.deadline is not None and at >= handle.deadline:
-                self._finish_terminated(
-                    handle, "expired", handle.deadline, [], None)
-                continue
-            if self._serve_fast(handle, at, record=False):
-                continue
-            if not self.admission.would_admit(
-                    in_flight=len(self._live),
-                    state_tuples=self.engine.total_state_size()):
-                still.append((kq, handle, uq))
-                continue
-            if self.tracer.enabled:
-                self.tracer.event(handle.kq_id, "admission", at,
-                                  action="accept", retry=True)
-            self._start(kq, handle, at, uq=uq)
-        self._deferred = still
-
-    # -- observability ---------------------------------------------------------
-
-    def metrics_registry(self) -> MetricsRegistry:
-        """This service's registry with every collector refreshed --
-        the exporters' entry point."""
-        self.registry.collect()
-        return self.registry
-
-    def trace_of(self, handle: QueryHandle) -> QueryTrace | None:
-        """The handle's span tree (``None`` when tracing is off or the
-        query was served before tracing was enabled)."""
-        return self.tracer.trace(handle.kq_id)
-
-    def _publish_metrics(self) -> None:
-        """Collector: republish the owned components' plain counters as
-        registry instruments.  Runs only at snapshot/export time, so
-        the hot paths keep their untyped attribute increments; every
-        publish is *absolute* (``set``), making the collector
-        idempotent no matter how often a snapshot is taken.
-        """
-        r = self.registry
-        adm = self.admission.snapshot()
-        r.counter("repro_admission_accepted_total",
-                  "queries accepted on first decision").set(adm["accepted"])
-        r.counter("repro_admission_rejected_total",
-                  "queries shed on first decision").set(adm["rejected"])
-        r.counter("repro_admission_deferred_total",
-                  "queries parked on first decision").set(adm["deferred"])
-        batcher = self.engine.batcher
-        r.gauge("repro_batcher_pending_queries",
-                "user queries collecting in the batch window"
-                ).set(batcher.pending_count)
-        r.counter("repro_batcher_batches_closed_total",
-                  "batches handed to the optimizer"
-                  ).set(batcher.batches_closed)
-        if self._owns_cache:
-            self.cache.publish_metrics(r)
-        if self._owns_repository:
-            self.engine.repository.publish_metrics(r)
-        metrics = self.engine.report().metrics
-        mode = self.engine.config.mode.value
-        r.counter("repro_engine_stream_tuples_read_total",
-                  "tuples consumed from streaming sources"
-                  ).set(metrics.stream_tuples_read, mode=mode)
-        r.counter("repro_engine_probes_total",
-                  "remote random-access probes performed"
-                  ).set(metrics.probes_performed, mode=mode)
-        r.counter("repro_engine_probe_cache_hits_total",
-                  "probes served from the probe cache"
-                  ).set(metrics.probe_cache_hits, mode=mode)
-        r.counter("repro_engine_join_probes_total",
-                  "in-memory join probes performed"
-                  ).set(metrics.join_probes, mode=mode)
-        r.counter("repro_engine_tuples_inserted_total",
-                  "tuples inserted into operator state"
-                  ).set(metrics.tuples_inserted, mode=mode)
-        r.counter("repro_engine_splits_routed_total",
-                  "tuples routed through split operators"
-                  ).set(metrics.splits_routed, mode=mode)
-        r.counter("repro_engine_recovery_queries_total",
-                  "recovery queries issued after state eviction"
-                  ).set(metrics.recovery_queries, mode=mode)
-        r.counter("repro_engine_stream_read_seconds_total",
-                  "virtual seconds spent reading streams"
-                  ).set(metrics.stream_read_time, mode=mode)
-        r.counter("repro_engine_random_access_seconds_total",
-                  "virtual seconds spent on remote probes"
-                  ).set(metrics.random_access_time, mode=mode)
-        r.counter("repro_engine_join_seconds_total",
-                  "virtual seconds spent joining in memory"
-                  ).set(metrics.join_time, mode=mode)
-        reads = r.counter("repro_engine_source_reads_total",
-                          "stream reads per data source")
-        for source, count in sorted(metrics.per_source_reads.items()):
-            reads.set(count, source=source)
-        r.counter("repro_rankmerge_answers_emitted_total",
-                  "ranked answers emitted across all rank-merges"
-                  ).set(metrics.tuples_output, mode=mode)
-        r.counter("repro_state_evictions_total",
-                  "operator-state tuples evicted by the state manager"
-                  ).set(metrics.evictions, mode=mode)
-        r.gauge("repro_state_tuples",
-                "tuples currently stored across all plan graphs"
-                ).set(self.engine.total_state_size(), mode=mode)
+        super().__init__(federation, config, n_shards=1, service=service,
+                         generator=generator, index=index,
+                         registry=registry, tracer=tracer, clock=clock)

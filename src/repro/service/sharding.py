@@ -1,27 +1,29 @@
-"""The sharded serving tier: N independent engine workers, one router.
+"""The front door: the one serving path, for any number of shards.
 
-A single :class:`~repro.service.server.QService` is one memory arena
-and one set of plan-graph clocks; heavy traffic needs a *fleet*.
-:class:`ShardedQService` is the router in front of ``n_shards`` fully
-independent shards (each its own :class:`~repro.atc.engine.
-QSystemEngine`, admission controller, and telemetry), and speaks the
-same client protocol (:class:`~repro.service.handle.
-QueryServiceProtocol`) as the single-node service -- handles,
-streaming results, cancellation, and deadlines all behave identically
-whichever topology serves the query:
+The serving layer has two roles.  A *shard*
+(:class:`~repro.service.shard.Shard`) is one engine with its admission
+controller, coalescing, deferral and deadline sweep; it runs either
+in this process or in its own (:class:`~repro.service.workers.
+ProcessWorker`).  :class:`ShardedQService` is the *front door* in
+front of ``n_shards`` of them, and the only thing clients talk to --
+the single-node :class:`~repro.service.server.QService` is this front
+door over one in-process shard.  Handles, streaming results,
+cancellation and deadlines therefore behave identically whichever
+topology serves the query:
 
-1. the **shared answer cache** sits in front of the router: a repeat of
-   any query already answered by *any* shard is served at the front
-   door without routing, expansion, or engine work;
-2. on a miss, the **router** (:mod:`repro.service.routing`) picks the
-   shard -- round-robin, keyword-hash, or cluster-affinity placement,
-   which keeps queries over overlapping core relations on the same
-   worker so ATC sharing keeps paying across the fleet;
-3. **shard-aware admission**: each worker carries its own in-flight
+1. the **answer cache** sits at the front door: a repeat of any query
+   already answered by *any* shard is served without routing,
+   expansion, or engine work;
+2. on a miss, with more than one shard, the **router**
+   (:mod:`repro.service.routing`) picks the shard -- round-robin,
+   keyword-hash, or cluster-affinity placement, which keeps queries
+   over overlapping core relations on the same worker so ATC sharing
+   keeps paying across the fleet;
+3. **shard-aware admission**: each shard carries its own in-flight
    budget; when the routed shard is saturated the front door *spills
    over* to the least-loaded shard with headroom (affinity is a
    preference, shedding load is not), and only when the whole fleet is
-   saturated does the worker's configured policy reject or defer;
+   saturated does the shard's configured policy reject or defer;
 4. **cancellation routes to the owning shard**: the handle remembers
    where it ran, and a coalesced twin -- pinned to its leader's shard
    by the front door -- detaches from the leader's in-flight entry
@@ -30,27 +32,29 @@ whichever topology serves the query:
    TTFA, and throughput over the union of all latency samples
    (:meth:`~repro.service.telemetry.Telemetry.merged`).
 
-All workers advance on the same arrival clock *instance*: the front
-door creates one :class:`~repro.common.clock.Clock` (virtual by
-default, wall for real serving) and hands it to every worker, so shard
-clocks are mutually consistent by construction and the shared cache's
-TTL is meaningful fleet-wide.  Streaming one shard's handle (which
-pulls that worker's time forward) moves the *fleet* clock, so a
-deadline sweep at the front door can never observe an instant some
-worker's own clock has not reached.
+With one shard there is no routing decision, so steps 2-3, the pinning
+of twins in step 4, and the routing report, trace event and
+``repro_router_*`` series do not exist; the report has the shard's own
+shape and its metrics merge in unlabelled.
 
-Each shard is a :class:`~repro.service.workers.ShardWorker`, of one
-of two kinds.  With the default ``workers="inproc"`` the shards are
-:class:`~repro.service.server.QService` objects in this thread,
-sharing the fleet's clock, cache, plan repository and tracer (the
+All shards advance on the same arrival clock *instance*: the front
+door creates one :class:`~repro.common.clock.Clock` (virtual by
+default, wall for real serving) and hands it to every shard, so shard
+clocks are mutually consistent by construction and the cache's TTL is
+meaningful fleet-wide.  Streaming one shard's handle (which pulls that
+shard's time forward) moves the *fleet* clock, so a deadline sweep can
+never observe an instant some shard's own clock has not reached.
+
+With the default ``workers="inproc"`` the shards live in this thread,
+sharing the front door's clock, cache, plan repository and tracer (the
 differential oracle: deterministic, sequential).  With
 ``workers="process"`` each is a :class:`~repro.service.workers.
-ProcessWorker`: a ``QService`` in its own OS process behind the
-serializable message protocol of :mod:`repro.service.protocol` -- true
-hardware parallelism, crash isolation (a dead worker fails its queries
-as ``FAILED``, is respawned warm, and traffic reroutes meanwhile),
-with the front door keeping the authoritative answer cache and
-mirroring completions to the sibling workers' local caches.
+ProcessWorker`: a shard in its own OS process behind the serializable
+message protocol of :mod:`repro.service.protocol` -- true hardware
+parallelism, crash isolation (a dead worker fails its queries as
+``FAILED``, is respawned, and traffic reroutes meanwhile), with the
+front door keeping the authoritative answer cache and mirroring
+completions to the sibling workers' local caches.
 
 Typical use::
 
@@ -82,13 +86,13 @@ from repro.data.inverted import InvertedIndex
 from repro.keyword.candidates import CandidateNetworkGenerator
 from repro.keyword.queries import KeywordQuery, RankedAnswer
 from repro.obs.instruments import MetricsRegistry
-from repro.obs.trace import NO_TRACER, QueryTrace, Span
+from repro.obs.trace import NO_TRACER, QueryTrace
 from repro.optimizer.repository import PlanRepository
 from repro.service.cache import PurgeCadence, ResultCache, normalize_key
-from repro.service.handle import QueryHandle, QueryStatus, run_stream
+from repro.service.handle import QueryHandle, QueryStatus
 from repro.service.reports import ServiceReport
 from repro.service.routing import RoutingPolicy, make_router
-from repro.service.server import QService, ServiceConfig, finish_done
+from repro.service.shard import ServiceConfig, Shard, finish_done
 from repro.service.telemetry import Telemetry
 from repro.service.workers import (
     ProcessWorker,
@@ -115,26 +119,16 @@ class RoutingStats:
     spillovers: int = 0
     front_cache_hits: int = 0
     #: Queries pinned to an in-flight twin's shard instead of the
-    #: policy's pick, so the worker-level coalescing can catch them.
+    #: policy's pick, so the shard-level coalescing can catch them.
     affinity_overrides: int = 0
     #: Queries moved off a dead worker's shard to a surviving one.
     crash_reroutes: int = 0
 
-    def snapshot(self) -> dict[str, float]:
-        out = {f"shard{i}_routed": float(n)
-               for i, n in enumerate(self.routed)}
-        out["spillovers"] = float(self.spillovers)
-        out["front_cache_hits"] = float(self.front_cache_hits)
-        out["affinity_overrides"] = float(self.affinity_overrides)
-        out["crash_reroutes"] = float(self.crash_reroutes)
-        return out
-
 
 class ShardedQService:
-    """Front door over ``n_shards`` independent shards (each a
-    :class:`~repro.service.workers.ShardWorker`) with pluggable shard
-    routing, implementing
-    :class:`~repro.service.handle.QueryServiceProtocol`."""
+    """The front door over ``n_shards`` shards (each a
+    :class:`~repro.service.workers.ShardWorker`), with pluggable shard
+    routing when there is more than one."""
 
     def __init__(self, federation: Federation, config: ExecutionConfig,
                  n_shards: int = 2,
@@ -155,17 +149,22 @@ class ShardedQService:
                 f"workers must be 'inproc' or 'process', got {workers!r}")
         self.n_shards = n_shards
         #: One clock for the whole fleet (see the module docstring):
-        #: front door and every worker read -- and advance -- the same
-        #: instance, so "now" is a fleet-wide fact.
+        #: front door and every shard read -- and advance -- the same
+        #: instance, so "now" is a fleet-wide fact.  The default
+        #: ``VirtualClock`` replays simulated arrival streams
+        #: deterministically (the correctness oracle); a ``WallClock``
+        #: serves real arrivals (the HTTP front end).
         self.clock: Clock = clock if clock is not None else VirtualClock()
         self.service_config = service or ServiceConfig()
         #: One tracer for the whole fleet: the front door opens each
-        #: query's trace and the owning worker joins it, so a routed
-        #: query gets a single span tree spanning both tiers.
+        #: query's trace and the owning shard adds to it, so a query
+        #: gets a single span tree spanning both tiers.  The no-op
+        #: default keeps every instrumentation site behind one
+        #: ``enabled`` check.
         self.tracer = tracer if tracer is not None else NO_TRACER
-        #: The front door's own metric namespace (router, shared cache,
-        #: shared plan repository -- the tiers only it owns); worker
-        #: registries are merged in, shard-labelled, by
+        #: The front door's own metric namespace (shared cache, shared
+        #: plan repository, router, front-door telemetry -- the tiers
+        #: only it owns); shard registries are merged in by
         #: :meth:`metrics_registry`.
         self.registry = registry if registry is not None \
             else MetricsRegistry()
@@ -185,20 +184,11 @@ class ShardedQService:
         self.cache: ResultCache = ResultCache(
             ttl=self.service_config.cache_ttl,
             capacity=self.service_config.cache_capacity)
-        self.router = make_router(
-            routing,
-            merge_threshold=config.cluster_jaccard,
-            min_refs=config.cluster_min_refs,
-        )
-        #: Front-door telemetry: arrivals served by the shared cache
-        #: tier never reach a shard, so their latencies live here --
-        #: plus the fleet's ``failed``/``worker_restarts`` crash
-        #: counters (worker snapshots can lag a crash; the front door
-        #: cannot).
+        #: Front-door telemetry: arrivals served by the cache never
+        #: reach a shard, so their latencies live here -- plus the
+        #: fleet's ``failed``/``worker_restarts`` crash counters (worker
+        #: snapshots can lag a crash; the front door cannot).
         self.telemetry = Telemetry(self.registry)
-        #: Every (keywords, k) template routed so far, for warm-up
-        #: shipping to (re)spawned process workers.
-        self._seen_templates: set[tuple[tuple[str, ...], int]] = set()
         self.workers: list[ShardWorker]
         if workers == "process":
             spec = worker_spec
@@ -216,46 +206,65 @@ class ShardedQService:
             self.workers = [
                 ProcessWorker(i, spec, clock=self.clock,
                               front_telemetry=self.telemetry,
-                              service_ref=self,
                               on_completion=self._on_worker_completion,
-                              warm_templates=self._warm_templates,
                               restart=restart_workers)
                 for i in range(n_shards)
             ]
         else:
             self.workers = [
-                QService(federation, config, service=self.service_config,
-                         generator=self.generator, index=self.index,
-                         cache=self.cache, repository=self.repository,
-                         tracer=self.tracer, clock=self.clock)
+                Shard(federation, config, self.service_config,
+                      generator=self.generator, index=self.index,
+                      cache=self.cache, repository=self.repository,
+                      tracer=self.tracer, clock=self.clock)
                 for _ in range(n_shards)
             ]
+        #: No router (and no routing stats) with a single shard: there
+        #: is nothing to decide.
+        self.router: RoutingPolicy | None = None
+        self.routing_stats: RoutingStats | None = None
+        if n_shards > 1:
+            self.router = make_router(
+                routing,
+                merge_threshold=config.cluster_jaccard,
+                min_refs=config.cluster_min_refs,
+            )
+            self.routing_stats = RoutingStats(policy=self.router.name,
+                                              routed=[0] * n_shards)
         self.registry.add_collector(self._publish_metrics)
-        self.routing_stats = RoutingStats(policy=self.router.name,
-                                          routed=[0] * n_shards)
         self.tickets: list[QueryHandle] = []
         #: Front-door in-flight registry: cache key -> the leading
         #: unresolved handle.  A repeat of an in-flight key is pinned to
-        #: its leader's shard, where the worker's ``_serve_fast``
-        #: coalesces it -- without this, content-blind policies (round
-        #: robin) scatter identical in-flight queries across shards and
-        #: every copy executes the full plan, losing the coalescing the
-        #: single-shard service guarantees.
+        #: its leader's shard, where the shard coalesces it -- without
+        #: this, content-blind policies (round robin) scatter identical
+        #: in-flight queries across shards and every copy executes the
+        #: full plan, losing the coalescing one shard guarantees.
         self._inflight_leaders: dict[tuple, QueryHandle] = {}
-        #: The shared cache is the front door's tier, so the front door
-        #: grooms it (workers skip grooming on handed-in caches).
+        #: The cache is the front door's tier, so the front door grooms
+        #: it: every quarter-TTL on a monotone grid, so stale entries
+        #: cannot sit resident (and push live ones out under capacity
+        #: pressure) just because nobody happened to look them up.
         self._cadence = PurgeCadence(self.cache)
 
     # -- intake ---------------------------------------------------------------
 
     def submit(self, kq: KeywordQuery, arrival: float | None = None, *,
                deadline: float | None = None) -> QueryHandle:
-        """Admit one query at its virtual arrival: advance every shard
-        to that instant, try the shared cache, then route.  The
-        returned handle's streaming/cancellation surface is served by
-        the owning shard, transparently."""
+        """Admit one keyword query at its (virtual) arrival instant;
+        returns its live :class:`QueryHandle`.
+
+        Every shard first advances to the arrival -- queries admitted
+        earlier keep running and completing in the meantime -- then
+        the query is served from the cache or handed to a shard, which
+        coalesces, admits, defers or sheds it.
+
+        ``deadline`` is an *absolute* virtual instant (defaults to
+        ``arrival + ServiceConfig.default_deadline`` when that is
+        configured)."""
         at = kq.arrival if arrival is None else arrival
-        at = max(at, self._now)
+        at = max(at, self.clock.now)
+        if deadline is None and self.service_config.default_deadline \
+                is not None:
+            deadline = at + self.service_config.default_deadline
         tr = self.tracer
         if tr.enabled:
             tr.start_query(kq.kq_id, at,
@@ -265,49 +274,49 @@ class ShardedQService:
         key = normalize_key(kq.keywords, kq.k)
         cached = self.cache.get(key, now=at)
         if tr.enabled:
-            tr.event(kq.kq_id, "cache_lookup", at, tier="front",
+            tr.event(kq.kq_id, "cache_lookup", at,
                      result="hit" if cached is not None else "miss")
         if cached is not None:
-            self.routing_stats.front_cache_hits += 1
+            if self.routing_stats is not None:
+                self.routing_stats.front_cache_hits += 1
             self.telemetry.record_cache_hit()
-            return self._serve_at_front_door(kq, at, via="cache",
+            return self._serve_at_front_door(kq, at, deadline, via="cache",
                                              answers=list(cached))
+        if self.router is None:
+            return self._hand_to(0, kq, at, deadline, None)
 
         leader_shard = self._leader_shard(key)
+        uq = None
         if leader_shard is not None:
             # An identical query is in flight on ``leader_shard``: pin
             # this one there (skipping the policy *and* spill-over --
             # coalescing happens before admission, so saturation is
-            # moot) and let the worker's ``_serve_fast`` coalesce it.
+            # moot) and let the shard coalesce it.
             self.routing_stats.affinity_overrides += 1
             shard = leader_shard
-            uq = None
         else:
-            uq = None
             if self.router.needs_expansion:
                 try:
                     uq = self.generator.generate(replace(kq, arrival=at))
                 except QueryError as exc:
                     # Unmatchable keywords: serve the empty answer at
                     # the front door rather than routing a query the
-                    # worker would only re-expand to re-discover the
+                    # shard would only re-expand to re-discover the
                     # failure.
                     self.telemetry.record_no_results()
-                    return self._serve_at_front_door(kq, at, via="empty",
-                                                     answers=[],
-                                                     reason=str(exc))
+                    return self._serve_at_front_door(
+                        kq, at, deadline, via="empty", answers=[],
+                        reason=str(exc))
             shard = self.router.route(kq, uq, self.n_shards)
             shard = self._reroute_dead(shard)
             shard = self._spill(shard)
-        self._seen_templates.add((tuple(sorted(kq.keywords)), kq.k))
         if tr.enabled:
             tr.event(kq.kq_id, "route", at, shard=shard,
                      policy=self.router.name,
                      **({"coalesce_pin": True}
                         if leader_shard is not None else {}))
-        handle = self._submit_to(shard, kq, at, deadline, uq)
+        handle = self._hand_to(shard, kq, at, deadline, uq)
         self.routing_stats.routed[handle.shard] += 1
-        self.tickets.append(handle)
         if (self.service_config.coalesce
                 and key not in self._inflight_leaders
                 and handle.status in (QueryStatus.IN_FLIGHT,
@@ -322,7 +331,7 @@ class ShardedQService:
 
         A terminal registry entry does not always mean the execution
         died: cancelling/expiring a leader with followers *promotes*
-        one of them on the worker.  Ask the worker before pruning, so
+        one of them on the shard.  Ask the shard before pruning, so
         later twins keep coalescing onto the promoted handle instead
         of re-executing the identical plan on another shard."""
         if not self.service_config.coalesce:
@@ -341,31 +350,34 @@ class ShardedQService:
             leader = promoted
         return leader.shard
 
-    def _serve_at_front_door(self, kq: KeywordQuery, at: float, via: str,
+    def _serve_at_front_door(self, kq: KeywordQuery, at: float,
+                             deadline: float | None, via: str,
                              answers: list[RankedAnswer],
                              reason: str = "") -> QueryHandle:
-        """Resolve one arrival without routing: a done handle with the
-        front door's telemetry bookkeeping (zero latency -- the query
-        never waited on any engine)."""
+        """Resolve one arrival without any shard: a done handle with
+        the front door's telemetry bookkeeping (zero latency -- the
+        query never waited on any engine)."""
         handle = QueryHandle(kq_id=kq.kq_id, keywords=tuple(kq.keywords),
-                             k=kq.k, arrival=at, service=self)
+                             k=kq.k, arrival=at, deadline=deadline,
+                             service=self)
         self.tickets.append(handle)
         self.telemetry.record_arrival(at)
         finish_done(handle, at, answers, via, self.telemetry, self.tracer,
                     reason=reason)
         return handle
 
-    def _submit_to(self, shard: int, kq: KeywordQuery, at: float,
-                   deadline: float | None, uq) -> QueryHandle:
+    def _hand_to(self, shard: int, kq: KeywordQuery, at: float,
+                 deadline: float | None, uq) -> QueryHandle:
         """Hand the query to ``shard``, rerouting to a surviving shard
         if the worker crashes mid-submit (its in-flight queries are
         already failed by then; this arrival is not among them and
-        deserves a live worker)."""
+        deserves a live worker).  The handle joins the front door's
+        table, and answers to it."""
         tried: set[int] = set()
         for _attempt in range(self.n_shards + 1):
             try:
                 handle = self.workers[shard].submit(
-                    kq, at, deadline=deadline, uq=uq, check_cache=False)
+                    kq, at, deadline=deadline, uq=uq)
             except WorkerCrashed:
                 tried.add(shard)
                 fallback = self._least_loaded(exclude=tried)
@@ -376,10 +388,13 @@ class ShardedQService:
                     fallback = self._least_loaded()
                     if fallback is None:
                         raise
-                self.routing_stats.crash_reroutes += 1
+                if self.routing_stats is not None:
+                    self.routing_stats.crash_reroutes += 1
                 shard = fallback
                 continue
             handle.shard = shard
+            handle.service = self
+            self.tickets.append(handle)
             return handle
         raise WorkerCrashed(
             f"submit of {kq.kq_id} crashed every worker it reached")
@@ -410,7 +425,7 @@ class ShardedQService:
         in-flight budget is exhausted hand the query to the least-loaded
         shard with headroom instead of shedding it.  Returns the routed
         shard unchanged when the whole fleet is saturated -- that
-        worker's own policy then rejects or defers."""
+        shard's own policy then rejects or defers."""
         budget = self.service_config.max_in_flight
         if budget is None or self.workers[shard].in_flight_count < budget:
             return shard
@@ -421,18 +436,21 @@ class ShardedQService:
             return best
         return shard
 
-    # -- the v2 protocol: streaming and cancellation ---------------------------
+    # -- streaming and cancellation ----------------------------------------------
 
     def cancel(self, handle: QueryHandle) -> bool:
         """Route the cancellation to the shard that owns the query.
-        A coalesced twin (pinned to its leader's shard by the front
-        door) detaches from the leader's in-flight entry there; the
-        leader's execution is only torn down once nothing rides it."""
+        A coalesced twin detaches from the leader's in-flight entry
+        there; the leader's execution is only torn down once nothing
+        rides it.  Returns False when already terminal (or not this
+        front door's handle)."""
         if handle.terminal or handle.shard is None:
             return False
         return self.workers[handle.shard].cancel(handle)
 
     def answers_so_far(self, handle: QueryHandle) -> list[RankedAnswer]:
+        """The handle's progressive emission: its final answers once
+        terminal, else whatever its rank-merge has emitted."""
         if handle.answers is not None:
             return list(handle.answers)
         if handle.shard is None:
@@ -440,25 +458,28 @@ class ShardedQService:
         return self.workers[handle.shard].answers_so_far(handle)
 
     def pump(self, handle: QueryHandle) -> bool:
+        """Drive the owning shard until ``handle`` gains an answer,
+        reaches a terminal state, or provably cannot progress right
+        now; returns whether anything changed (the engine behind
+        :meth:`QueryHandle.results`).  Streaming moves the clock as
+        stepping does, so a consumer who only ever pumps still keeps
+        the cache's grooming cadence."""
         if handle.terminal or handle.shard is None:
             return False
-        return self.workers[handle.shard].pump(handle)
+        progressed = self.workers[handle.shard].pump(handle)
+        self._cadence.fire(self.clock.now)
+        return progressed
 
     # -- progress --------------------------------------------------------------
 
-    @property
-    def _now(self) -> float:
-        """The fleet's current instant, read off the shared clock."""
-        return self.clock.now
-
     def step(self, until: float) -> None:
         """Advance every shard in lockstep on the shared clock;
-        completions harvested anywhere land in the shared cache
-        immediately, and the front door grooms that cache on its
-        quarter-TTL cadence."""
+        completions harvested anywhere land in the cache immediately,
+        and the front door grooms that cache on its quarter-TTL
+        cadence."""
         self.clock.advance_to(until)
-        self._broadcast("step", self._now)
-        self._cadence.fire(self._now)
+        self._broadcast("step", self.clock.now)
+        self._cadence.fire(self.clock.now)
         # Keep the in-flight registry proportional to what is actually
         # in flight: resolved leaders are pruned lazily on same-key
         # access, but keys never repeated would otherwise accumulate
@@ -478,18 +499,17 @@ class ShardedQService:
 
     def drain(self) -> ServiceReport:
         """Finish every admitted query on every shard and return the
-        fleet report.  Shards drain in order, so a shard's completions
-        populate the shared cache before later shards retry their
-        deferred queries.  Each worker's drain advances the *shared*
-        clock to its drained engine's time, so post-drain submissions
-        are clamped past everything already recorded (and past the
-        shared cache's newest entries) without any front-door
-        aggregation step.  Under process workers the drains genuinely
-        overlap (start all, then collect all) -- this is where the
-        wall-clock scaling lives, since drain does the bulk of the
-        engine work under saturation."""
+        report.  Shards drain in order, so a shard's completions
+        populate the cache before later shards retry their deferred
+        queries.  Each shard's drain advances the *shared* clock to its
+        drained engine's time, so post-drain submissions are clamped
+        past everything already recorded (and past the cache's newest
+        entries).  Under process workers the drains genuinely overlap
+        (start all, then collect all) -- this is where the wall-clock
+        scaling lives, since drain does the bulk of the engine work
+        under saturation."""
         self._broadcast("drain")
-        self._cadence.fire(self._now)
+        self._cadence.fire(self.clock.now)
         return self.report()
 
     def _broadcast(self, verb: str, *args: float) -> None:
@@ -513,44 +533,76 @@ class ShardedQService:
                 pass
 
     def report(self) -> ServiceReport:
+        """The serving report: telemetry merged over the front door and
+        every shard, the cache's stats, and every handle.  A fleet adds
+        one report per shard and the routing stats; one shard lends
+        its engine report and admission stats instead."""
         shard_reports = [worker.report() for worker in self.workers]
-        return ServiceReport(
+        report = ServiceReport(
             telemetry=Telemetry.merged(
                 [self.telemetry] + [r.telemetry for r in shard_reports]),
             cache_stats=self.cache.stats.snapshot(),
             tickets=list(self.tickets),
-            shard_reports=shard_reports,
-            routing=self.routing_stats,
         )
+        if self.routing_stats is None:
+            report.admission_stats = shard_reports[0].admission_stats
+            report.engine_report = shard_reports[0].engine_report
+        else:
+            report.shard_reports = shard_reports
+            report.routing = self.routing_stats
+        return report
 
     def run(self, load: list[KeywordQuery],
             cancellations: dict[str, float] | None = None) -> ServiceReport:
-        """Serve one open-loop arrival stream end to end (optionally
-        with a client-abandonment schedule; see
-        :func:`repro.service.handle.run_stream`)."""
-        return run_stream(self, load, cancellations)
+        """Serve one open-loop arrival stream end to end; returns the
+        drained report.
+
+        ``cancellations`` optionally schedules client abandonment
+        (``kq_id`` -> virtual cancel instant, as produced by
+        :func:`repro.service.loadgen.generate_abandonments`); each due
+        cancellation is applied at its instant, interleaved with the
+        arrivals.
+        """
+        cancels = sorted((cancellations or {}).items(), key=lambda kv: kv[1])
+        handles: dict[str, QueryHandle] = {}
+
+        def fire_due(now: float | None) -> None:
+            while cancels and (now is None or cancels[0][1] <= now):
+                kq_id, at = cancels.pop(0)
+                handle = handles.get(kq_id)
+                if handle is None or handle.terminal:
+                    continue
+                self.step(at)
+                handle.cancel()
+
+        for kq in sorted(load, key=lambda q: q.arrival):
+            fire_due(kq.arrival)
+            handles[kq.kq_id] = self.submit(kq)
+        fire_due(None)
+        return self.drain()
 
     # -- observability ---------------------------------------------------------
 
     def metrics_registry(self) -> MetricsRegistry:
-        """The fleet-wide registry: the front door's own instruments
-        (router, shared cache, shared plan repository, front-door
-        telemetry) unlabelled, every worker's instruments stamped with
-        its ``shard`` label.  Because each component is published by
+        """The service-wide registry with every collector refreshed --
+        the exporters' entry point: the front door's own instruments
+        unlabelled, merged with every shard's, which a fleet stamps
+        with a ``shard`` label.  Because each component is published by
         exactly one owner, the merge never double counts."""
+        labelled = self.n_shards > 1
         return MetricsRegistry.merged(
             [(self.registry, {})]
-            + [(worker.registry_view(), {"shard": str(i)})
+            + [(worker.registry_view(), {"shard": str(i)} if labelled else {})
                for i, worker in enumerate(self.workers)])
 
     def trace_of(self, handle: QueryHandle) -> QueryTrace | None:
         """The handle's span tree (``None`` when tracing is off).
 
-        In-process shards join the fleet's shared tracer, so the
-        front-door trace already holds the worker spans.  A process
-        worker records its spans in its own tracer; they are fetched
-        on demand and merged under a fresh copy of the front-door
-        root, leaving both recorders untouched."""
+        In-process shards join the front door's tracer, so its trace
+        already holds the shard spans.  A process worker records its
+        spans in its own tracer; they are fetched on demand and merged
+        under a fresh copy of the front-door root, leaving both
+        recorders untouched."""
         front = self.tracer.trace(handle.kq_id)
         worker = None if handle.shard is None \
             else self.workers[handle.shard]
@@ -562,12 +614,9 @@ class ShardedQService:
         theirs = worker_traces[-1]
         if front is None:
             return theirs
-        root = front.root
-        merged_root = Span(name=root.name, v_start=root.v_start,
-                           v_end=root.v_end, w_start=root.w_start,
-                           w_end=root.w_end, attrs=dict(root.attrs),
-                           children=list(root.children))
-        merged_root.children.extend(theirs.root.children)
+        merged_root = replace(front.root, attrs=dict(front.root.attrs),
+                              children=front.root.children
+                              + theirs.root.children)
         for key, value in theirs.root.attrs.items():
             merged_root.attrs.setdefault(key, value)
         if merged_root.v_end is None:
@@ -578,11 +627,6 @@ class ShardedQService:
         return merged
 
     # -- worker-fleet plumbing -------------------------------------------------
-
-    def _warm_templates(self) -> list[tuple[tuple[str, ...], int]]:
-        """Every (keywords, k) template routed so far -- a respawned
-        worker pre-expands these to re-prime its plan repository."""
-        return sorted(self._seen_templates)
 
     def _on_worker_completion(self, origin, key, answers,
                               completed_at: float) -> None:
@@ -615,13 +659,15 @@ class ShardedQService:
 
     def _publish_metrics(self) -> None:
         """Collector for the tiers only the front door owns: the
-        shared answer cache, the shared plan repository, and the
-        router.  Workers are constructed with both tiers handed in, so
-        they never publish them -- one owner per component."""
+        answer cache, the shared plan repository, and the router.
+        Shards are constructed with both tiers handed in, so they
+        never publish them -- one owner per component."""
         r = self.registry
         self.cache.publish_metrics(r)
         self.repository.publish_metrics(r)
         rs = self.routing_stats
+        if rs is None:
+            return
         routed = r.counter("repro_router_routed_total",
                            "queries routed, per shard")
         for i, n in enumerate(rs.routed):

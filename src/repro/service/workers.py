@@ -1,44 +1,47 @@
 """Shard workers: the interface the front door drives, and the pipe.
 
-* :class:`ShardWorker` -- the narrow surface
-  :class:`~repro.service.sharding.ShardedQService` drives on each
-  shard: submit / cancel / answers-so-far / pump / step / drain /
+The serving layer has two roles: the front door
+(:class:`~repro.service.sharding.ShardedQService`, which the
+single-node :class:`~repro.service.server.QService` is with one shard)
+and the shards behind it, each in this process or in its own:
+
+* :class:`ShardWorker` -- the narrow surface the front door drives on
+  each shard: submit / cancel / answers-so-far / pump / step / drain /
   report, plus the crash surface (``alive``) and a registry view.
   Step and drain are *split-phase* (``start_step`` then
   ``finish_step``): the front door starts every shard, then collects
-  every shard.  Two implementations: :class:`~repro.service.server.
-  QService` itself (``workers="inproc"``: all work in the start phase,
-  sharing the fleet's clock, cache, plan repository and tracer -- the
-  sequential differential oracle) and :class:`ProcessWorker`.
+  every shard.  Two implementations: :class:`~repro.service.shard.
+  Shard` itself (``workers="inproc"``: all work in the start phase,
+  sharing the front door's clock, cache, plan repository and tracer --
+  the sequential differential oracle) and :class:`ProcessWorker`.
 * :class:`ProcessWorker` -- one shard in its own OS process, so shards
   genuinely overlap.  Spawn-safe: the child (:class:`_WorkerServer`)
-  rebuilds a :class:`~repro.service.server.QService` from a
-  serializable :class:`WorkerSpec` (corpus recipe + configs + seed),
-  never from pickled object graphs, and speaks the versioned wire
-  protocol of :mod:`repro.service.protocol` over a pipe.  Time crosses
-  the boundary *by message*: every request carries the fleet's ``now``,
+  rebuilds a :class:`~repro.service.shard.Shard` from a serializable
+  :class:`WorkerSpec` (corpus recipe + configs + seed), never from
+  pickled object graphs, and speaks the versioned wire protocol of
+  :mod:`repro.service.protocol` over a pipe.  Time crosses the
+  boundary *by message*: every request carries the fleet's ``now``,
   every reply the worker's, so the fleet's single-"now" invariant
   holds at message granularity under virtual and wall clocks alike.
 
 Cache and repository topology under process workers: the front door
 keeps the *authoritative* answer cache -- consulted before routing --
-while each worker owns a per-process cache and plan repository.
-Engine completions ship back in each reply's piggy-backed
-:class:`~repro.service.protocol.WorkerUpdate`; the front door writes
-them into the authoritative cache and mirrors them to the *other*
-workers as :class:`~repro.service.protocol.CachePut` messages (flushed
-before each worker's next request), so deferred retries observe
-fleet-wide completions just as a shared in-process cache would.  Plan
-warm-up is template-keyed: the front door remembers every
-``(keywords, k)`` template it routed, and a (re)spawned worker
-pre-expands them to prime its local repository.
+while each worker owns, grooms and publishes a per-process cache and
+plan repository.  Engine completions ship back in each reply's
+piggy-backed :class:`~repro.service.protocol.WorkerUpdate`; the front
+door writes them into the authoritative cache and mirrors them to the
+*other* workers as :class:`~repro.service.protocol.CachePut` messages
+(flushed before each worker's next request), so deferred retries
+observe fleet-wide completions just as a shared in-process cache
+would.
 
 Crash surface: a worker process dying (broken pipe, nonzero exit)
 fails that shard's in-flight queries with a ``FAILED`` disposition
 (reason names the crash) instead of hanging the harvest loop, counts
 ``worker_restarts`` in the front door's telemetry, respawns the worker
-(warm templates included) when restarts are enabled, and the front
-door reroutes subsequent traffic to surviving shards meanwhile.
+(with a fresh plan repository, which expands on demand) when restarts
+are enabled, and the front door reroutes subsequent traffic to
+surviving shards meanwhile.
 """
 
 from __future__ import annotations
@@ -47,20 +50,28 @@ import json
 import multiprocessing as mp
 from collections import deque
 from collections.abc import Callable, Iterable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.atc.engine import EngineReport
 from repro.common.clock import Clock, VirtualClock
 from repro.common.config import DelayModel, ExecutionConfig, SharingMode
-from repro.common.errors import ExecutionError, ReproError
+from repro.common.errors import ExecutionError
 from repro.data.figure1 import figure1_federation
 from repro.data.gus import GUSConfig, gus_federation
+from repro.data.inverted import InvertedIndex
+from repro.keyword.candidates import CandidateNetworkGenerator
 from repro.keyword.queries import KeywordQuery, RankedAnswer
 from repro.obs.instruments import MetricsRegistry
 from repro.obs.records import Metrics
-from repro.obs.trace import QueryTrace, Span, Tracer
-from repro.service.cache import CacheKey, normalize_key
+from repro.obs.trace import NO_TRACER, QueryTrace, Span, Tracer
+from repro.optimizer.repository import PlanRepository
+from repro.service.cache import (
+    CacheKey,
+    PurgeCadence,
+    ResultCache,
+    normalize_key,
+)
 from repro.service.handle import QueryHandle, QueryStatus
 from repro.service.protocol import (
     Ack,
@@ -91,7 +102,7 @@ from repro.service.protocol import (
     encode_answers,
 )
 from repro.service.reports import ServiceReport
-from repro.service.server import QService, ServiceConfig
+from repro.service.shard import ServiceConfig, Shard
 from repro.service.telemetry import Telemetry
 
 __all__ = [
@@ -146,8 +157,7 @@ def decode_service_config(payload: dict) -> ServiceConfig:
 class WorkerSpec:
     """Everything a worker *process* needs to rebuild its engine,
     as plain data: a corpus recipe (never a pickled federation), the
-    execution and service configs, a tracing flag, and the warm-up
-    templates to pre-expand into the fresh plan repository.
+    execution and service configs, and a tracing flag.
 
     The corpus recipe names one of the deterministic generators --
     ``{"kind": "gus", ...GUSConfig fields}`` or ``{"kind": "figure1",
@@ -160,10 +170,6 @@ class WorkerSpec:
     config: dict
     service: dict | None = None
     trace: bool = False
-    #: ``(keywords, k)`` templates to pre-expand at boot (template-
-    #: keyed warm-up shipping: primes the per-process plan repository
-    #: with the fleet's already-seen templates after a respawn).
-    warm_templates: tuple = ()
 
     @classmethod
     def gus(cls, config: ExecutionConfig,
@@ -216,11 +222,7 @@ class WorkerSpec:
 
     @classmethod
     def from_wire(cls, data: bytes) -> "WorkerSpec":
-        payload = json.loads(data.decode("utf-8"))
-        payload["warm_templates"] = tuple(
-            (tuple(keywords), int(k))
-            for keywords, k in payload.get("warm_templates", ()))
-        return cls(**payload)
+        return cls(**json.loads(data.decode("utf-8")))
 
 
 # -- engine-metrics wire state ------------------------------------------------
@@ -276,9 +278,9 @@ def traces_from_jsonl(lines: Iterable[str]) -> list[QueryTrace]:
 
 @runtime_checkable
 class ShardWorker(Protocol):
-    """The narrow surface the sharded front door drives, implemented
-    by :class:`~repro.service.server.QService` (the in-process shard)
-    and :class:`ProcessWorker`.
+    """The narrow surface the front door drives, implemented by
+    :class:`~repro.service.shard.Shard` (the in-process shard) and
+    :class:`ProcessWorker`.
 
     ``start_step``/``finish_step`` (and the drain pair) are
     split-phase so N process workers overlap: the front door starts
@@ -294,8 +296,7 @@ class ShardWorker(Protocol):
     def alive(self) -> bool: ...
 
     def submit(self, kq: KeywordQuery, arrival: float, *,
-               deadline: float | None = None, uq=None,
-               check_cache: bool = True) -> QueryHandle: ...
+               deadline: float | None = None, uq=None) -> QueryHandle: ...
 
     def cancel(self, handle: QueryHandle) -> bool: ...
 
@@ -338,18 +339,33 @@ def _worker_main(conn, spec_wire: bytes) -> None:
 
 class _WorkerServer:
     """The worker-process side of the protocol: one local
-    :class:`QService` on a private virtual clock (mirroring fleet
-    instants carried by messages), plus the dirty-handle tracker that
-    turns status changes into piggy-backed events."""
+    :class:`~repro.service.shard.Shard` on a private virtual clock
+    (mirroring fleet instants carried by messages), with the tiers a
+    front door would own -- a per-process answer cache (groomed after
+    every request) and plan repository, both published in the shard's
+    registry -- plus the dirty-handle tracker that turns status changes
+    into piggy-backed events."""
 
     def __init__(self, spec: WorkerSpec) -> None:
         federation = spec.build_federation()
         config = spec.execution_config()
-        self.tracer = Tracer() if spec.trace else None
-        self.service = QService(federation, config,
-                                service=spec.service_config(),
-                                tracer=self.tracer, clock=VirtualClock())
-        self._warm(spec.warm_templates)
+        service = spec.service_config() or ServiceConfig()
+        self.tracer = Tracer() if spec.trace else NO_TRACER
+        index = InvertedIndex(federation)
+        repository = PlanRepository(federation, config)
+        cache = ResultCache(ttl=service.cache_ttl,
+                            capacity=service.cache_capacity)
+        self.service = Shard(
+            federation, config, service,
+            generator=CandidateNetworkGenerator(
+                federation, index=index, max_cqs=config.max_cqs_per_uq,
+                repository=repository),
+            index=index, cache=cache, repository=repository,
+            tracer=self.tracer, clock=VirtualClock())
+        self._cadence = PurgeCadence(cache)
+        registry = self.service.registry
+        registry.add_collector(lambda: cache.publish_metrics(registry))
+        registry.add_collector(lambda: repository.publish_metrics(registry))
         #: Every handle ever admitted (terminal ones stay addressable
         #: for answers-so-far / pump replies).
         self._handles: dict[str, QueryHandle] = {}
@@ -358,17 +374,6 @@ class _WorkerServer:
         #: event that reports its handle terminal.
         self._watched: dict[str, QueryHandle] = {}
         self._reported: dict[str, tuple] = {}
-
-    def _warm(self, templates: Iterable) -> None:
-        for i, (keywords, k) in enumerate(templates):
-            if not keywords:
-                continue
-            try:
-                self.service.engine.generator.generate(
-                    KeywordQuery(kq_id=f"warm-{i}",
-                                 keywords=tuple(keywords), k=int(k)))
-            except ReproError:
-                continue
 
     # -- event tracking ------------------------------------------------------
 
@@ -393,6 +398,8 @@ class _WorkerServer:
         )
 
     def _update(self) -> WorkerUpdate:
+        svc = self.service
+        self._cadence.fire(svc.clock.now)
         events = []
         for kq_id in list(self._watched):
             handle = self._watched[kq_id]
@@ -405,7 +412,6 @@ class _WorkerServer:
                 del self._reported[kq_id]
             else:
                 self._reported[kq_id] = fp
-        svc = self.service
         return WorkerUpdate(now=svc.clock.now,
                             in_flight=svc.in_flight_count,
                             deferred=svc.deferred_count,
@@ -431,8 +437,13 @@ class _WorkerServer:
             kq = KeywordQuery(kq_id=msg.kq_id,
                               keywords=tuple(msg.keywords), k=msg.k,
                               user=msg.user, arrival=msg.arrival)
-            handle = svc.submit(kq, arrival=msg.arrival,
-                                deadline=msg.deadline, check_cache=False)
+            if self.tracer.enabled:
+                # The front door opened this query's trace in its own
+                # tracer; the worker's spans need a root here too.
+                self.tracer.start_query(
+                    kq.kq_id, msg.arrival,
+                    keywords=" ".join(kq.keywords), k=kq.k)
+            handle = svc.submit(kq, msg.arrival, deadline=msg.deadline)
             self._handles[handle.kq_id] = handle
             if not handle.terminal:
                 self._watched[handle.kq_id] = handle
@@ -479,17 +490,15 @@ class _WorkerServer:
                 cache=svc.cache.stats.snapshot(),
                 admission=svc.admission.snapshot(),
                 engine=metrics_state(report.engine_report.metrics),
-                registry=svc.metrics_registry().state(),
+                registry=svc.registry.state(),
             )
         if isinstance(msg, TraceDump):
-            lines: tuple[str, ...] = ()
-            if self.tracer is not None:
-                lines = tuple(self.tracer.jsonl_lines())
-                if msg.kq_id is not None:
-                    lines = tuple(
-                        line for line in lines
-                        if json.loads(line).get("query") == msg.kq_id)
-            return TraceReply(update=self._update(), lines=lines)
+            if msg.kq_id is None:
+                lines = self.tracer.jsonl_lines()
+            else:
+                trace = self.tracer.trace(msg.kq_id)
+                lines = [] if trace is None else trace.jsonl_lines()
+            return TraceReply(update=self._update(), lines=tuple(lines))
         if isinstance(msg, Shutdown):
             return Ack(update=self._update())
         raise ProtocolError(
@@ -511,30 +520,25 @@ class ProcessWorker:
     Crash handling: any pipe failure or process death fails the
     shard's non-terminal proxies with a ``FAILED`` disposition, counts
     each in the front door's telemetry, and (when ``restart`` is on)
-    respawns the worker with the fleet's warm templates before raising
-    :class:`WorkerCrashed` to the interrupted caller.
+    respawns the worker before raising :class:`WorkerCrashed` to the
+    interrupted caller.
     """
 
     def __init__(self, shard: int, spec: WorkerSpec, *, clock: Clock,
                  front_telemetry: Telemetry,
-                 service_ref=None,
                  on_completion: Callable[
                      ["ProcessWorker", CacheKey, list[RankedAnswer],
                       float], None] | None = None,
-                 warm_templates: Callable[[], Iterable] | None = None,
                  restart: bool = True) -> None:
         self.shard = shard
         self._spec = spec
         self._clock = clock
         self._front_telemetry = front_telemetry
-        self._service_ref = service_ref
         self._on_completion = on_completion
-        self._warm_templates = warm_templates
         self._restart = restart
         self._ctx = mp.get_context("spawn")
         self._config = spec.execution_config()
         self._handles: dict[str, QueryHandle] = {}
-        self._tickets: list[QueryHandle] = []
         self._puts: deque[CachePut] = deque()
         self._in_flight = 0
         self._deferred = 0
@@ -550,14 +554,9 @@ class ProcessWorker:
     # -- process lifecycle ---------------------------------------------------
 
     def _spawn(self) -> None:
-        spec = self._spec
-        if self._warm_templates is not None:
-            spec = replace(spec, warm_templates=tuple(
-                (tuple(keywords), int(k))
-                for keywords, k in self._warm_templates()))
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(target=_worker_main,
-                                 args=(child_conn, spec.to_wire()),
+                                 args=(child_conn, self._spec.to_wire()),
                                  daemon=True,
                                  name=f"repro-shard-{self.shard}")
         proc.start()
@@ -706,11 +705,9 @@ class ProcessWorker:
     # -- the query surface ---------------------------------------------------
 
     def submit(self, kq: KeywordQuery, arrival: float, *,
-               deadline: float | None = None, uq=None,
-               check_cache: bool = False) -> QueryHandle:
+               deadline: float | None = None, uq=None) -> QueryHandle:
         # ``uq`` (a front-door pre-expansion) never crosses the wire:
-        # the worker re-expands deterministically from the keywords,
-        # and always skips the lookup the front door already made.
+        # the worker re-expands deterministically from the keywords.
         reply = self._request(
             SubmitQuery(now=arrival, kq_id=kq.kq_id,
                         keywords=tuple(kq.keywords), k=kq.k,
@@ -723,10 +720,8 @@ class ProcessWorker:
             via=state.via, uq_id=state.uq_id,
             answers=decode_answers(state.answers),
             completed_at=state.completed_at, reason=state.reason,
-            deadline=state.deadline, shard=self.shard,
-            service=self._service_ref)
+            deadline=state.deadline)
         self._handles[kq.kq_id] = proxy
-        self._tickets.append(proxy)
         return proxy
 
     def cancel(self, handle: QueryHandle) -> bool:
@@ -825,7 +820,6 @@ class ProcessWorker:
             telemetry=Telemetry.merged(
                 Telemetry.from_state(s.telemetry) for s in states),
             cache_stats=cache_stats,
-            tickets=list(self._tickets),
             admission_stats=_sum_stats([s.admission for s in states]),
             engine_report=EngineReport(config=self._config,
                                        metrics=metrics),

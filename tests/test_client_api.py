@@ -1,8 +1,8 @@
 """Tests for the client API: handles, streaming, cancellation, and
 deadlines.
 
-Covers the :class:`QueryServiceProtocol` contract both services
-implement, the :class:`QueryHandle` lifecycle (status transitions,
+Covers the one front door every topology serves through, the
+:class:`QueryHandle` lifecycle (status transitions,
 ``latency``/``done`` edge semantics), progressive consumption through
 ``answers_so_far``/``results()``, cancellation of engine queries,
 coalesced followers and their leaders, deadline enforcement at engine
@@ -20,7 +20,6 @@ from repro.service import (
     LoadConfig,
     QService,
     QueryHandle,
-    QueryServiceProtocol,
     QueryStatus,
     ServiceConfig,
     ShardedQService,
@@ -70,10 +69,16 @@ def kq(kq_id, keywords=KWS, arrival=0.0, k=K):
 
 class TestProtocolConformance:
     def test_both_services_implement_the_protocol(self, fed, index):
+        """The single-node service *is* the front door, over one
+        shard, and every handle answers to the front door."""
         svc = make_service(fed, index)
         fleet = ShardedQService(fed, config(), n_shards=2, index=index)
-        assert isinstance(svc, QueryServiceProtocol)
-        assert isinstance(fleet, QueryServiceProtocol)
+        assert isinstance(svc, ShardedQService)
+        assert len(svc.workers) == 1 and svc.router is None
+        for service in (svc, fleet):
+            handle = service.submit(kq("Q1"))
+            assert handle.service is service
+            assert handle.shard is not None
 
     def test_submit_returns_query_handle(self, fed, index):
         svc = make_service(fed, index)
@@ -87,7 +92,6 @@ class TestProtocolConformance:
         import repro
         assert repro.QueryHandle is QueryHandle
         assert repro.QueryStatus is QueryStatus
-        assert repro.QueryServiceProtocol is QueryServiceProtocol
 
 
 class TestStatusLifecycle:
@@ -179,12 +183,13 @@ class TestStreaming:
         svc = make_service(fed, index, batch_window=0.5)
         a = svc.submit(kq("A"))                 # dispatches at 0.5
         b = svc.submit(kq("B", keywords=STREAMY, k=12, arrival=0.6))
-        assert svc.engine.qs.uq_graphs.get(a.uq_id) is not None
-        assert svc.engine.qs.uq_graphs.get(b.uq_id) is None  # collecting
+        graphs = svc.workers[0].engine.qs.uq_graphs
+        assert graphs.get(a.uq_id) is not None
+        assert graphs.get(b.uq_id) is None      # collecting
         list(a.results())                       # drives the clock past 1.1
         assert a.done
         # B's batch fell due under A's streaming and was dispatched.
-        assert svc.engine.qs.uq_graphs.get(b.uq_id) is not None
+        assert graphs.get(b.uq_id) is not None
         svc.drain()
         assert b.done and len(b.answers) == 12
 
@@ -247,9 +252,9 @@ class TestCancellation:
     def test_cancel_before_dispatch_withdraws_from_batcher(self, fed, index):
         svc = make_service(fed, index)
         handle = svc.submit(kq("Q1"))   # batch still collecting
-        assert svc.engine.batcher.pending_count == 1
+        assert svc.workers[0].engine.batcher.pending_count == 1
         assert handle.cancel()
-        assert svc.engine.batcher.pending_count == 0
+        assert svc.workers[0].engine.batcher.pending_count == 0
         report = svc.drain()
         assert handle.status is QueryStatus.CANCELLED
         assert handle.answers == []
@@ -266,7 +271,7 @@ class TestCancellation:
         assert h2.status is QueryStatus.DEFERRED
         assert h2.cancel()
         assert h2.status is QueryStatus.CANCELLED
-        assert svc.deferred_count == 0
+        assert svc.workers[0].deferred_count == 0
         svc.drain()
         assert h1.done
 
@@ -298,16 +303,17 @@ class TestCancellation:
         svc = make_service(fed, index)
         handle = svc.submit(kq("Q1"))
         svc.step(2.05)
-        work_at_cancel = svc.engine.report().metrics.total_input_tuples
+        engine = svc.workers[0].engine
+        work_at_cancel = engine.report().metrics.total_input_tuples
         assert handle.cancel()
         svc.drain()
         # Nothing drove the dead query after the cancel.
-        assert svc.engine.report().metrics.total_input_tuples == \
+        assert engine.report().metrics.total_input_tuples == \
             work_at_cancel
 
     def test_engine_cancel_unknown_query(self, fed, index):
         svc = make_service(fed, index)
-        assert not svc.engine.retire_query("nope", "cancelled")
+        assert not svc.workers[0].engine.retire_query("nope", "cancelled")
 
     def test_cancel_after_direct_engine_drain_loses_to_completion(
             self, fed, index):
@@ -315,7 +321,7 @@ class TestCancellation:
         is served, not relabelled: cancel harvests it first."""
         svc = make_service(fed, index)
         handle = svc.submit(kq("Q1"))
-        svc.engine.drain()
+        svc.workers[0].engine.drain()
         assert not svc.cancel(handle)
         assert handle.status is QueryStatus.DONE
         assert len(handle.answers) == K
@@ -446,8 +452,8 @@ class TestDeadlines:
         # Distinct relation footprints land in distinct ATC-CL
         # clusters -- the isolation scenario this test is about.  Read
         # while both are in flight: a terminal query is released.
-        assert svc.engine.qs.uq_graphs[a.uq_id] != \
-            svc.engine.qs.uq_graphs[b.uq_id]
+        assert svc.workers[0].engine.qs.uq_graphs[a.uq_id] != \
+            svc.workers[0].engine.qs.uq_graphs[b.uq_id]
         consumed += list(stream)
         assert a.status is QueryStatus.EXPIRED
         assert 0 < len(consumed) < 12   # partial stream, then expiry
@@ -495,7 +501,7 @@ class TestDeadlines:
         svc = make_service(fed, index)
         svc.submit(kq("Q1"), deadline=0.05)
         svc.drain()
-        assert svc.engine._deadlines == {}
+        assert svc.workers[0].engine._deadlines == {}
 
 
 class TestDeadlineAtArrival:
@@ -516,7 +522,7 @@ class TestDeadlineAtArrival:
         assert report.telemetry.expired == 1
         # Zero work: no plan graph ever ran, so the engine's
         # furthest-ahead graph clock never left its initial mark.
-        assert svc.engine.virtual_now() == 0.0
+        assert svc.workers[0].engine.virtual_now() == 0.0
         trace = handle.trace()
         assert trace is not None and trace.finished
         assert trace.disposition == "expired"
@@ -592,7 +598,7 @@ class TestTicketEdgeCases:
         svc = make_service(fed, index)
         h1 = svc.submit(kq("Q1"))
         svc.drain()
-        at = svc.engine.virtual_now() + 1.0
+        at = svc.workers[0].engine.virtual_now() + 1.0
         h2 = svc.submit(kq("Q2", arrival=at))
         assert h2.via == "cache"
         assert h2.done and h2.latency == 0.0

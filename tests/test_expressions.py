@@ -433,7 +433,7 @@ class TestInternTableBounded:
             self.serve(service, "burst",
                        self.KEYWORDS + [("protein", "membrane")])
             records = [record
-                       for graph in service.engine.qs.graphs.values()
+                       for graph in service.workers[0].engine.qs.graphs.values()
                        for record in graph.metrics.optimizer_records]
             assert [record.batch_size for record in records] == [5]
             assert interned_count() > before

@@ -128,6 +128,34 @@ class TestEndpoints:
             for line in lines:
                 assert json.loads(line)["query"] == "q1"
 
+    def test_trace_over_a_process_fleet_holds_the_worker_spans(self, fed):
+        """A process worker records its spans in its own tracer; the
+        endpoint serves the merged tree, terminal disposition included,
+        not just the front door's ``cache_lookup`` and ``route``."""
+        from repro.obs.export import validate_trace_lines
+        from repro.service import WorkerSpec
+
+        spec = WorkerSpec.figure1(config(), seed=7, cardinalities=dict(CARDS),
+                                  domain_factor=0.7)
+        service = ShardedQService(fed, config(), n_shards=2,
+                                  tracer=Tracer(), workers="process",
+                                  worker_spec=spec)
+        try:
+            with HttpServerThread(service) as srv:
+                client = HttpQueryClient("127.0.0.1", srv.port)
+                client.submit(KWS, k=K, query_id="q1")
+                _answers, end = client.stream("q1")
+                assert end["disposition"] == "done"
+                lines = client.trace("q1")
+        finally:
+            service.close()
+        assert validate_trace_lines(lines) == []
+        spans = [json.loads(line) for line in lines]
+        names = [span["name"] for span in spans]
+        assert "optimize" in names
+        terminal = [span for span in spans if span["name"] == "terminal"]
+        assert [t["attrs"]["disposition"] for t in terminal] == ["done"]
+
 
 class TestSseStream:
     def test_event_shape_status_answers_end(self, served):

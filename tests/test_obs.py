@@ -352,7 +352,7 @@ class TestServiceObservability:
         assert registry.get("repro_service_completed_total").value() \
             == report.telemetry.completed
         # Engine work is published under the sharing-mode label.
-        mode = str(service.engine.config.mode)
+        mode = str(service.workers[0].engine.config.mode)
         assert registry.get("repro_engine_stream_tuples_read_total") \
             .value(mode=mode) \
             == report.engine_report.metrics.stream_tuples_read

@@ -136,7 +136,7 @@ class TestTraceProperties:
         # Every terminal path -- harvest, coalescing and promotion,
         # deferral, expiry, cancellation -- released its query: no
         # engine table still holds one.
-        engine = service.engine
+        engine = service.workers[0].engine
         assert engine.qs.uq_graphs == {}
         assert all(not graph.rank_merges
                    for graph in engine.qs.graphs.values())

@@ -140,7 +140,7 @@ def serve(seed, schedule, mode, k, budget, posture, sharded):
         engines = [worker.engine for worker in service.workers]
     else:
         service = QService(federation, config, posture, index=index)
-        engines = [service.engine]
+        engines = [service.workers[0].engine]
     handles = []
     now = 0.0
     for i, (kind, arg, gap, deadline) in enumerate(schedule):

@@ -82,7 +82,7 @@ def replay() -> list[dict]:
                         seed=7, cluster_jaccard=0.7,
                         optimizer_time_scale=0.0),
         ServiceConfig(), clock=VirtualClock())
-    repository = service.engine.repository
+    repository = service.workers[0].engine.repository
     optimize = repository.optimize
     batches: list[dict] = []
 

@@ -256,7 +256,7 @@ class TestNoHiddenState:
         report = svc.run(load)
         assert report.telemetry.completed == len(load)
         assert report.telemetry.served_from_cache == 0
-        repo = svc.engine.repository
+        repo = svc.workers[0].engine.repository
         distinct = {PlanRepository.expansion_key(kw)
                     for kw in self.KEYWORD_SETS}
         tables = {name: value for name, value in vars(repo).items()

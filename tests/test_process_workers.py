@@ -18,8 +18,8 @@ query's top-k is a deterministic function of data and query.)
 Also here: worker-crash semantics (satellite: robustness).  Killing a
 shard's process mid-flight must fail its in-flight queries with the
 ``failed`` disposition, reroute subsequent arrivals to survivors, and
--- when restarts are enabled -- respawn the worker with the fleet's
-warm templates and count ``worker_restarts``.
+-- when restarts are enabled -- respawn the worker, serve from it
+again, and count ``worker_restarts``.
 """
 
 import os
@@ -232,7 +232,7 @@ def test_crash_fails_inflight_and_reroutes(fed, index, load):
         fleet.close()
 
 
-def test_crash_restart_respawns_with_warm_templates(fed, index, load):
+def test_crash_restart_respawns_and_serves_again(fed, index, load):
     fleet = make_fleet(fed, "process", 2, "roundrobin",
                        restart_workers=True)
     try:

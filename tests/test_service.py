@@ -415,13 +415,13 @@ class TestEngineIncrementalAPI:
 
     def test_step_then_drain_matches_run(self, fed, index):
         svc = make_service(fed, index)
-        run_engine = make_service(fed, index).engine
+        run_engine = make_service(fed, index).workers[0].engine
         queries = [
             KeywordQuery("KQ1", ("protein", "plasma membrane"), k=K,
                          arrival=0.0),
             KeywordQuery("KQ2", ("membrane", "gene"), k=K, arrival=2.0),
         ]
-        stepped = svc.engine
+        stepped = svc.workers[0].engine
         for kq in queries:
             stepped.submit(kq)
             run_engine.submit(kq)
@@ -439,7 +439,7 @@ class TestEngineIncrementalAPI:
     def test_run_twice_returns_cumulative_report(self, fed, index):
         """Metrics and records are cumulative; answers are handed over
         once, by the call that finished their query."""
-        engine = make_service(fed, index).engine
+        engine = make_service(fed, index).workers[0].engine
         engine.submit(KeywordQuery("KQ1", ("protein", "plasma membrane"),
                                    k=K, arrival=0.0))
         first = engine.run()
@@ -451,7 +451,7 @@ class TestEngineIncrementalAPI:
         assert second.latencies() == first.latencies()
 
     def test_submit_between_runs_grafts_incrementally(self, fed, index):
-        engine = make_service(fed, index).engine
+        engine = make_service(fed, index).workers[0].engine
         uq1 = engine.submit(KeywordQuery(
             "KQ1", ("protein", "plasma membrane"), k=K, arrival=0.0))
         first = engine.run()
@@ -466,7 +466,7 @@ class TestEngineIncrementalAPI:
             assert got == pytest.approx(topk_scores(fed, uq))
 
     def test_in_flight_and_virtual_now(self, fed, index):
-        engine = make_service(fed, index).engine
+        engine = make_service(fed, index).workers[0].engine
         assert engine.in_flight() == []
         assert engine.virtual_now() == 0.0
         engine.submit(KeywordQuery("KQ1", ("protein", "plasma membrane"),
@@ -487,19 +487,19 @@ class TestQServiceInterleaving:
         # Nudge time past the batch window so KQ1 is dispatched and
         # starts executing, but nowhere near completion.
         svc.step(2.1)
-        assert svc.engine.in_flight() == ["KQ1"]
+        assert svc.workers[0].engine.in_flight() == ["KQ1"]
         t2 = svc.submit(KeywordQuery("KQ2", ("membrane", "gene"), k=K,
                                      arrival=2.5))
         assert t2.status in ("in-flight", "pending")
         svc.drain()
         assert t1.done and t2.done
         for ticket in (t1, t2):
-            uq = svc.engine.generator.generate(
+            uq = svc.workers[0].engine.generator.generate(
                 KeywordQuery(ticket.kq_id, ticket.keywords, k=K))
             got = [a.score for a in ticket.answers]
             assert got == pytest.approx(topk_scores(fed, uq))
         assert t2.via == "engine"
-        assert svc.telemetry.completed == 2
+        assert svc.report().telemetry.completed == 2
 
     def test_repeat_query_hits_cache(self, fed, index):
         svc = make_service(fed, index)
@@ -507,9 +507,9 @@ class TestQServiceInterleaving:
                                      k=K, arrival=0.0))
         svc.drain()
         assert t1.via == "engine"
+        at = svc.workers[0].engine.virtual_now() + 1.0
         t2 = svc.submit(KeywordQuery("KQ1b", ("plasma membrane", "Protein"),
-                                     k=K,
-                                     arrival=svc.engine.virtual_now() + 1.0))
+                                     k=K, arrival=at))
         assert t2.done and t2.via == "cache"
         assert [a.score for a in t2.answers] == \
             [a.score for a in t1.answers]
@@ -521,7 +521,7 @@ class TestQServiceInterleaving:
         svc.submit(KeywordQuery("KQ1", ("protein", "plasma membrane"), k=K,
                                 arrival=0.0))
         svc.drain()
-        late = svc.engine.virtual_now() + 100.0   # far past the TTL
+        late = svc.workers[0].engine.virtual_now() + 100.0   # past the TTL
         t2 = svc.submit(KeywordQuery("KQ2", ("protein", "plasma membrane"),
                                      k=K, arrival=late))
         assert t2.via != "cache"
@@ -538,8 +538,26 @@ class TestQServiceInterleaving:
                                 arrival=0.0))
         svc.drain()
         assert len(svc.cache) == 1
-        svc.step(svc.engine.virtual_now() + 50.0)   # far past the TTL
+        svc.step(svc.workers[0].engine.virtual_now() + 50.0)   # past the TTL
         assert len(svc.cache) == 0                  # swept without a get
+        assert svc.cache.stats.expirations == 1
+
+    def test_streaming_alone_keeps_the_purge_cadence(self, fed, index):
+        """A consumer who only pumps moves the clock as ``step`` does,
+        so the cache is groomed on that clock too."""
+        svc = make_service(fed, index, service=ServiceConfig(cache_ttl=5.0))
+        first = svc.submit(KeywordQuery(
+            "KQ1", ("protein", "plasma membrane"), k=K, arrival=0.0))
+        svc.drain()
+        # Arrive just before KQ1's entry lapses; streaming KQ2 through
+        # its batch window carries the clock past that instant.
+        second = svc.submit(KeywordQuery(
+            "KQ2", ("membrane", "gene"), k=K,
+            arrival=first.completed_at + 4.9))
+        assert len(svc.cache) == 1
+        list(second.results())
+        assert second.done and svc.clock.now > first.completed_at + 5.0
+        assert len(svc.cache) == 1                  # KQ1 swept, KQ2 stored
         assert svc.cache.stats.expirations == 1
 
     def test_drain_requests_engine_report_once(self, fed, index,
@@ -549,18 +567,19 @@ class TestQServiceInterleaving:
         the one report is built by ``report()`` on request."""
         svc = make_service(fed, index)
         calls = []
-        original = type(svc.engine).report
+        engine = svc.workers[0].engine
+        original = type(engine).report
 
         def counting(engine_self):
             calls.append(1)
             return original(engine_self)
 
-        monkeypatch.setattr(type(svc.engine), "report", counting)
+        monkeypatch.setattr(type(engine), "report", counting)
         svc.submit(KeywordQuery("KQ1", ("protein", "plasma membrane"),
                                 k=K, arrival=0.0))
         svc.submit(KeywordQuery("KQ2", ("membrane", "gene"), k=K,
                                 arrival=0.5))
-        assert svc.engine.drain() is None   # drain is now report-free
+        assert engine.drain() is None   # drain is now report-free
         report = svc.drain()
         assert report.engine_report is not None
         assert len(calls) == 1
@@ -579,7 +598,7 @@ class TestQServiceInterleaving:
             [a.score for a in t1.answers]
         # The follower arrived later, so it waited strictly less.
         assert t2.latency < t1.latency
-        assert svc.telemetry.coalesced == 1
+        assert svc.report().telemetry.coalesced == 1
 
     def test_unmatchable_keywords_served_empty(self, fed, index):
         svc = make_service(fed, index)
@@ -587,7 +606,7 @@ class TestQServiceInterleaving:
                                          arrival=0.0))
         assert ticket.done and ticket.via == "empty"
         assert ticket.answers == []
-        assert svc.telemetry.no_results == 1
+        assert svc.report().telemetry.no_results == 1
 
 
 class TestQServiceAdmission:
@@ -645,7 +664,7 @@ class TestQServiceAdmission:
         for j in range(10):
             svc.step(1.0 + 0.1 * j)
         svc.drain()
-        stats = svc.admission.snapshot()
+        stats = svc.workers[0].admission.snapshot()
         assert stats["accepted"] + stats["deferred"] == len(keywords)
         assert stats["deferred"] <= len(keywords) - 1
 
@@ -660,7 +679,7 @@ class TestQServiceAdmission:
         svc.submit(KeywordQuery("KQ1", ("protein", "plasma membrane"), k=K,
                                 arrival=0.0))
         svc.drain()   # leaves retained state > budget in the FULL graph
-        later = svc.engine.virtual_now()
+        later = svc.workers[0].engine.virtual_now()
         t2 = svc.submit(KeywordQuery("KQ2", ("membrane", "gene"), k=K,
                                      arrival=later + 1.0))
         t3 = svc.submit(KeywordQuery("KQ3", ("plasma membrane", "gene"),
@@ -697,8 +716,9 @@ class TestQServiceAdmission:
         svc.submit(KeywordQuery("KQ1", ("protein", "plasma membrane"), k=K,
                                 arrival=0.0))
         svc.drain()   # leaves retained state in the FULL-mode graph
+        at = svc.workers[0].engine.virtual_now() + 1.0
         t2 = svc.submit(KeywordQuery("KQ2", ("membrane", "gene"), k=K,
-                                     arrival=svc.engine.virtual_now() + 1.0))
+                                     arrival=at))
         assert t2.status == "rejected"
         assert "state budget" in t2.reason
 
@@ -808,13 +828,13 @@ class TestNothingLeftBehind:
                        engine_config(optimizer_time_scale=0.0),
                        ServiceConfig(cache_ttl=1e-9, coalesce=False),
                        index=index)
-        empty = dict.fromkeys(self.per_query_tables(svc.engine), 0)
+        empty = dict.fromkeys(self.per_query_tables(svc.workers[0].engine), 0)
 
         def serve(kq_id, pair):
             handle = svc.submit(KeywordQuery(kq_id, pair, k=K))
             svc.drain()
             assert handle.done and handle.via == "engine"
-            assert self.per_query_tables(svc.engine) == empty
+            assert self.per_query_tables(svc.workers[0].engine) == empty
 
         self.assert_bounded(index, serve)
 

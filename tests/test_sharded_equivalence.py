@@ -175,7 +175,7 @@ class TestPlanCacheInvariance:
                        service=ServiceConfig(coalesce=False, cache_ttl=1e-9),
                        index=index)
         report = svc.run(load)
-        assert svc.engine.repository.stats.expansion_hits > 0, \
+        assert svc.workers[0].engine.repository.stats.expansion_hits > 0, \
             "scenario must exercise expansion interning"
         assert answer_sets(report.tickets) == baselines[mode]
 
