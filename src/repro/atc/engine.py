@@ -107,10 +107,10 @@ class QSystemEngine:
                  tracer=None) -> None:
         self.federation = federation
         self.config = config
-        #: Per-query trace recorder (:mod:`repro.obs.trace`).  The
-        #: default no-op tracer keeps every instrumentation site behind
-        #: one ``enabled`` check; tracing only reads clocks that
-        #: already advanced, so answers are identical either way.
+        #: Per-query trace recorder (:mod:`repro.obs.trace`).  Record
+        #: sites call it unconditionally; the no-op default is the off
+        #: switch.  Tracing only reads clocks that already advanced, so
+        #: answers are identical either way.
         self.tracer = tracer if tracer is not None else NO_TRACER
         self.index = index if index is not None else InvertedIndex(federation)
         #: The plan repository may be an externally owned, *shared*
@@ -506,8 +506,7 @@ class QSystemEngine:
             self._drive_graph(graph, batch.dispatch_time)
             graph.clock.advance_to(batch.dispatch_time)
             dispatched = graph.clock.now
-            tracing = self.tracer.enabled
-            wall_before = self.tracer.wall() if tracing else 0.0
+            wall_before = self.tracer.wall()
             record = self._optimize_and_graft(graph, uqs)
             for uq in uqs:
                 graph.metrics.record_uq(UQRecord(
@@ -516,9 +515,8 @@ class QSystemEngine:
                     dispatched=dispatched,
                     started=graph.clock.now,
                 ))
-            if tracing:
-                self._trace_dispatch(graph, batch, uqs, dispatched, record,
-                                     wall_before)
+            self._trace_dispatch(graph, batch, uqs, dispatched, record,
+                                 wall_before)
             self._settle(graph, budget=False)
 
     def _optimization_groups(self, batch: Batch
@@ -559,8 +557,6 @@ class QSystemEngine:
         self.qs.unpin_all(graph)
         return outcome.record
 
-    # repro: allow[obs-guard] -- emission helper: step() calls it under
-    # its `tracing = self.tracer.enabled` guard, never unguarded
     def _trace_dispatch(self, graph: PlanGraph, batch: Batch,
                         uqs: list[UserQuery], dispatched: float, record,
                         wall_before: float) -> None:
@@ -578,6 +574,4 @@ class QSystemEngine:
                 candidates=record.candidate_count,
                 plans_explored=record.plans_explored,
                 optimizer_wall_s=round(record.elapsed_wall, 6))
-            if opt is not None:
-                tracer.child(opt, "factorization", dispatched,
-                             graph.clock.now)
+            tracer.child(opt, "factorization", dispatched, graph.clock.now)

@@ -125,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--trace-dir", default=None, metavar="DIR",
                        help="record a span tree per query and write them "
                             "as JSONL under DIR after the run (tracing is "
-                            "off, and zero-overhead, without this flag)")
+                            "off without this flag)")
     serve.add_argument("--metrics-out", default=None, metavar="FILE",
                        help="export the metrics registry after the run: "
                             "Prometheus text when FILE ends in .prom/.txt, "

@@ -3,7 +3,6 @@
 from repro.common.clock import StopWatch, VirtualClock
 from repro.common.config import DelayModel, ExecutionConfig, SharingMode
 from repro.common.errors import (
-    BudgetExceededError,
     DataError,
     ExecutionError,
     OptimizationError,
@@ -16,7 +15,6 @@ from repro.common.errors import (
 from repro.common.rng import ZipfSampler, make_rng, poisson_delay, zipf_scores
 
 __all__ = [
-    "BudgetExceededError",
     "DataError",
     "DelayModel",
     "ExecutionConfig",

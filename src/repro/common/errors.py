@@ -55,19 +55,3 @@ class ExecutionError(ReproError):
 class StateError(ExecutionError):
     """Query-state management failure: grafting onto a missing node,
     evicting pinned state, or recovering state for an unknown epoch."""
-
-
-class BudgetExceededError(ExecutionError):
-    """The execution exceeded its configured resource budget.
-
-    Carries the budget name so harnesses can distinguish memory budgets
-    from step budgets.
-    """
-
-    def __init__(self, budget: str, limit: float, used: float) -> None:
-        self.budget = budget
-        self.limit = limit
-        self.used = used
-        super().__init__(
-            f"{budget} budget exceeded: used {used} of allowed {limit}"
-        )

@@ -152,15 +152,6 @@ class StreamingSource:
             return mean
         return poisson_delay(self._rng, mean)
 
-    def rebind(self, clock: VirtualClock, metrics: Metrics) -> None:
-        """Point this source at a different ATC's clock and metrics.
-
-        Needed when the QS manager moves a cached stream into a new plan
-        graph (e.g. after clustering changes which graph owns it).
-        """
-        self.clock = clock
-        self.metrics = metrics
-
     def __repr__(self) -> str:
         return (f"StreamingSource({self.name!r}, read={self._position}, "
                 f"bound={self.bound():.4f})")
@@ -239,10 +230,6 @@ class RandomAccessSource:
         self._cache.clear()
         self._cached_rows = 0
         return freed
-
-    def rebind(self, clock: VirtualClock, metrics: Metrics) -> None:
-        self.clock = clock
-        self.metrics = metrics
 
     def _delay(self, mean: float) -> float:
         if self.delays.deterministic:
@@ -323,10 +310,6 @@ class ListSource:
 
     def remaining(self) -> int:
         return len(self._tuples) - self._position
-
-    def rebind(self, clock: VirtualClock, metrics: Metrics) -> None:
-        self.clock = clock
-        self.metrics = metrics
 
     def __repr__(self) -> str:
         return f"ListSource({self.name!r}, read={self._position})"

@@ -8,8 +8,7 @@ The rules (see ``repro lint --list-rules`` or
 * ``wire-no-pickle`` / ``wire-message-shape`` -- the shard-worker wire
   stays versioned, pickle-free JSON over frozen dataclasses;
 * ``det-order`` -- no salted set order / ``id()`` ordering in the
-  answer-affecting hot paths;
-* ``obs-guard`` -- tracing stays free when off.
+  answer-affecting hot paths.
 
 Suppressions are explicit and *reasoned*::
 

@@ -6,4 +6,4 @@ suite that would catch (far too late, and flakily) what the rule
 catches at lint time.
 """
 
-from repro.lint.rules import clock, determinism, obs, rng, wire  # noqa: F401
+from repro.lint.rules import clock, determinism, rng, wire  # noqa: F401

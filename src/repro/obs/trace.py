@@ -26,9 +26,11 @@ parent's), every finished query carries exactly one ``terminal`` child,
 and virtual time is monotone along every root-to-leaf path, with
 sibling ``execution`` slices ordered and non-overlapping.
 
-Tracing is opt-in and zero-overhead when off: every instrumentation
-site is guarded by ``tracer.enabled``, and the default
-:data:`NO_TRACER` is a :class:`NullTracer` whose methods are no-ops.
+Tracing is opt-in and cheap when off: record sites call the tracer
+unconditionally, and the default :data:`NO_TRACER` is a
+:class:`NullTracer` whose methods are no-ops.  ``enabled`` is read only
+where it skips work beyond a record call (a drive's wall reads, a
+worker's trace flag, a pipe round-trip for worker spans).
 Tracing never perturbs execution -- it only reads clocks that already
 advanced, so answers (and their digests) are byte-identical with
 tracing on or off.
@@ -37,7 +39,7 @@ tracing on or off.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TextIO
 
 from repro.common.clock import wall_timer
@@ -103,6 +105,23 @@ class QueryTrace:
     @property
     def disposition(self) -> str | None:
         return self.root.attrs.get("disposition")
+
+    def merged_with(self, other: "QueryTrace") -> "QueryTrace":
+        """A new trace of this query: ``other``'s root children grafted
+        after this root's, ``other``'s root attrs filling the keys this
+        root lacks, its end filling an open end, finished when either
+        is.  Neither input is changed.
+
+        This is how a process worker's spans (recorded in the worker's
+        own tracer) join the front door's trace of the same query."""
+        root = replace(self.root,
+                       attrs={**other.root.attrs, **self.root.attrs},
+                       children=self.root.children + other.root.children)
+        if root.v_end is None:
+            root.v_end, root.w_end = other.root.v_end, other.root.w_end
+        merged = QueryTrace(self.qid, root)
+        merged.finished = self.finished or other.finished
+        return merged
 
     def jsonl_lines(self) -> list[str]:
         """One JSON object per span (see ``scripts/check_trace.py`` for
@@ -283,23 +302,15 @@ class Tracer:
         The process-worker transport records each routed query's worker
         spans in the worker's *own* tracer; at fleet close they are
         shipped back and adopted here.  When this tracer already holds
-        an (unfinished) trace for the same query -- the front door
-        opened it at submit -- the adopted root's children are grafted
-        under the local root and its terminal disposition fills in the
-        local one; an unknown query is archived whole.
+        a trace for the same query -- the front door opened it at
+        submit -- the merge (:meth:`QueryTrace.merged_with`) replaces
+        it; an unknown query is archived whole.
         """
         mine = self._traces.get(trace.qid)
         if mine is None:
             self._archive.append(trace)
-            return
-        root, other = mine.root, trace.root
-        root.children.extend(other.children)
-        for key, value in other.attrs.items():
-            root.attrs.setdefault(key, value)
-        if root.v_end is None and other.v_end is not None:
-            root.v_end = other.v_end
-            root.w_end = other.w_end
-        mine.finished = mine.finished or trace.finished
+        else:
+            self._traces[trace.qid] = mine.merged_with(trace)
 
     # -- reading ------------------------------------------------------------
 
@@ -326,8 +337,10 @@ class Tracer:
 
 
 class NullTracer:
-    """The zero-overhead default: every hook is a no-op behind a single
-    ``enabled`` check that instrumentation sites guard on."""
+    """The off switch, and the default: every method of
+    :class:`Tracer` is here as a no-op, so record sites call it
+    unconditionally.  ``enabled`` is ``False`` for the few sites that
+    skip work beyond the record call itself."""
 
     enabled = False
 

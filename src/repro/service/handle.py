@@ -206,7 +206,7 @@ class QueryHandle:
     def trace(self):
         """This query's span tree (:class:`~repro.obs.trace.
         QueryTrace`), or ``None`` when the serving side ran without a
-        tracer (the zero-overhead default) or the handle is detached."""
+        tracer (the no-op default) or the handle is detached."""
         if self.service is None:
             return None
         return self.service.trace_of(self)

@@ -43,7 +43,6 @@ from repro.keyword.queries import RankedAnswer
 
 __all__ = [
     "WIRE_VERSION",
-    "PROTOCOL_VERSION",
     "ProtocolError",
     "Message",
     "SubmitQuery",
@@ -81,9 +80,6 @@ __all__ = [
 #: golden snapshot (``python scripts/update_protocol_schema.py``) that
 #: ``tests/test_protocol_schema.py`` locks the schema against.
 WIRE_VERSION = 1
-
-#: The documented name for the version-bump rule; same constant.
-PROTOCOL_VERSION = WIRE_VERSION
 
 
 class ProtocolError(ValueError):

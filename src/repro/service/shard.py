@@ -110,15 +110,13 @@ def finish_done(handle: QueryHandle, at: float, answers: list, source: str,
     telemetry.record_completion(
         at, max(at - handle.arrival, 0.0),
         ttfa=_ttfa_of(handle, answers, first_emitted))
-    if tracer.enabled:
-        if answers and first_emitted is not None:
-            tracer.event(handle.kq_id, "first_emission",
-                         max(first_emitted, handle.arrival),
-                         answers_so_far=1)
-        tracer.event(handle.kq_id, "harvest", at,
-                     answers=len(answers), source=source)
-        tracer.finish_query(handle.kq_id, at, "done", via=handle.via,
-                            **({"reason": reason} if reason else {}))
+    if answers and first_emitted is not None:
+        tracer.event(handle.kq_id, "first_emission",
+                     max(first_emitted, handle.arrival), answers_so_far=1)
+    tracer.event(handle.kq_id, "harvest", at,
+                 answers=len(answers), source=source)
+    tracer.finish_query(handle.kq_id, at, "done", via=handle.via,
+                        **({"reason": reason} if reason else {}))
 
 
 class Shard:
@@ -205,18 +203,16 @@ class Shard:
             in_flight=len(self._live),
             state_tuples=self.engine.total_state_size(),
         )
-        tr = self.tracer
-        if tr.enabled:
-            tr.event(handle.kq_id, "admission", at, action=decision.action,
-                     **({"reason": decision.reason}
-                        if decision.reason else {}))
+        self.tracer.event(handle.kq_id, "admission", at,
+                          action=decision.action,
+                          **({"reason": decision.reason}
+                             if decision.reason else {}))
         if decision.action == "reject":
             handle.status = QueryStatus.REJECTED
             handle.reason = decision.reason
             self.telemetry.record_rejection()
-            if tr.enabled:
-                tr.finish_query(handle.kq_id, at, "rejected",
-                                reason=decision.reason)
+            self.tracer.finish_query(handle.kq_id, at, "rejected",
+                                     reason=decision.reason)
             return handle
         if decision.action == "defer":
             handle.status = QueryStatus.DEFERRED
@@ -240,9 +236,8 @@ class Shard:
         handle.uq_id = leader_uq
         self._followers.setdefault(key, []).append(handle)
         self.telemetry.record_coalesced()
-        if self.tracer.enabled:
-            self.tracer.event(handle.kq_id, "coalesce_attach", at,
-                              leader=leader_uq)
+        self.tracer.event(handle.kq_id, "coalesce_attach", at,
+                          leader=leader_uq)
         self._watch(handle)
         # The shared execution must now outlive its longest rider.
         self.engine.set_deadline(
@@ -264,10 +259,9 @@ class Shard:
         if not uq.cqs:
             self._finish_empty(handle, at, "no candidate networks")
             return
-        if self.tracer.enabled:
-            # The engine attributes batch-window / optimize / execution
-            # spans to this execution's owning query through the alias.
-            self.tracer.alias(uq.uq_id, handle.kq_id)
+        # The engine attributes batch-window / optimize / execution
+        # spans to this execution's owning query through the alias.
+        self.tracer.alias(uq.uq_id, handle.kq_id)
         self.engine.submit_user_query(uq, deadline=handle.deadline)
         handle.status = QueryStatus.IN_FLIGHT
         handle.via = "engine"
@@ -361,10 +355,9 @@ class Shard:
                     handle.reason = "deferred past drain; state budget " \
                                     "never freed"
                     self.telemetry.record_rejection()
-                    if self.tracer.enabled:
-                        self.tracer.finish_query(
-                            handle.kq_id, self.clock.now, "rejected",
-                            reason=handle.reason)
+                    self.tracer.finish_query(
+                        handle.kq_id, self.clock.now, "rejected",
+                        reason=handle.reason)
 
     start_drain = drain
 
@@ -487,13 +480,12 @@ class Shard:
                 if not followers:
                     self._followers.pop(key, None)
                 self._live[uq_id] = promoted
-                if self.tracer.enabled:
-                    # Execution spans attribute to the new leader from
-                    # here on: re-point the uq alias before finishing
-                    # the departing handle's trace.
-                    self.tracer.event(promoted.kq_id, "coalesce_promote",
-                                      at, execution=uq_id)
-                    self.tracer.alias(uq_id, promoted.kq_id)
+                # Execution spans attribute to the new leader from
+                # here on: re-point the uq alias before finishing the
+                # departing handle's trace.
+                self.tracer.event(promoted.kq_id, "coalesce_promote",
+                                  at, execution=uq_id)
+                self.tracer.alias(uq_id, promoted.kq_id)
                 self._finish_terminated(handle, how, at, partial, first)
                 self.engine.set_deadline(
                     uq_id, self._effective_deadline(key, uq_id))
@@ -561,14 +553,12 @@ class Shard:
             self.telemetry.record_expiry(at, ttfa)
         else:
             self.telemetry.record_cancellation(at, ttfa)
-        tr = self.tracer
-        if tr.enabled:
-            if answers and first_emitted is not None:
-                tr.event(handle.kq_id, "first_emission",
-                         max(first_emitted, handle.arrival),
-                         answers_so_far=len(answers))
-            tr.finish_query(handle.kq_id, at, how,
-                            reason=handle.reason, answers=len(answers))
+        if answers and first_emitted is not None:
+            self.tracer.event(handle.kq_id, "first_emission",
+                              max(first_emitted, handle.arrival),
+                              answers_so_far=len(answers))
+        self.tracer.finish_query(handle.kq_id, at, how,
+                                 reason=handle.reason, answers=len(answers))
 
     def _harvest(self) -> None:
         """Resolve the handles of every query the engine handed over
@@ -672,9 +662,8 @@ class Shard:
                     state_tuples=self.engine.total_state_size()):
                 still.append((kq, handle, uq))
                 continue
-            if self.tracer.enabled:
-                self.tracer.event(handle.kq_id, "admission", at,
-                                  action="accept", retry=True)
+            self.tracer.event(handle.kq_id, "admission", at,
+                              action="accept", retry=True)
             self._start(kq, handle, at, uq=uq)
         self._deferred = still
 

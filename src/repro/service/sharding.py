@@ -159,8 +159,8 @@ class ShardedQService:
         #: One tracer for the whole fleet: the front door opens each
         #: query's trace and the owning shard adds to it, so a query
         #: gets a single span tree spanning both tiers.  The no-op
-        #: default keeps every instrumentation site behind one
-        #: ``enabled`` check.
+        #: default is the off switch: record sites call it
+        #: unconditionally.
         self.tracer = tracer if tracer is not None else NO_TRACER
         #: The front door's own metric namespace (shared cache, shared
         #: plan repository, router, front-door telemetry -- the tiers
@@ -265,17 +265,14 @@ class ShardedQService:
         if deadline is None and self.service_config.default_deadline \
                 is not None:
             deadline = at + self.service_config.default_deadline
-        tr = self.tracer
-        if tr.enabled:
-            tr.start_query(kq.kq_id, at,
-                           keywords=" ".join(kq.keywords), k=kq.k)
+        self.tracer.start_query(kq.kq_id, at,
+                                keywords=" ".join(kq.keywords), k=kq.k)
         self.step(at)
 
         key = normalize_key(kq.keywords, kq.k)
         cached = self.cache.get(key, now=at)
-        if tr.enabled:
-            tr.event(kq.kq_id, "cache_lookup", at,
-                     result="hit" if cached is not None else "miss")
+        self.tracer.event(kq.kq_id, "cache_lookup", at,
+                          result="hit" if cached is not None else "miss")
         if cached is not None:
             if self.routing_stats is not None:
                 self.routing_stats.front_cache_hits += 1
@@ -310,11 +307,10 @@ class ShardedQService:
             shard = self.router.route(kq, uq, self.n_shards)
             shard = self._reroute_dead(shard)
             shard = self._spill(shard)
-        if tr.enabled:
-            tr.event(kq.kq_id, "route", at, shard=shard,
-                     policy=self.router.name,
-                     **({"coalesce_pin": True}
-                        if leader_shard is not None else {}))
+        self.tracer.event(kq.kq_id, "route", at, shard=shard,
+                          policy=self.router.name,
+                          **({"coalesce_pin": True}
+                             if leader_shard is not None else {}))
         handle = self._hand_to(shard, kq, at, deadline, uq)
         self.routing_stats.routed[handle.shard] += 1
         if (self.service_config.coalesce
@@ -601,8 +597,8 @@ class ShardedQService:
         In-process shards join the front door's tracer, so its trace
         already holds the shard spans.  A process worker records its
         spans in its own tracer; they are fetched on demand and merged
-        under a fresh copy of the front-door root, leaving both
-        recorders untouched."""
+        by :meth:`QueryTrace.merged_with`, leaving both recorders
+        untouched."""
         front = self.tracer.trace(handle.kq_id)
         worker = None if handle.shard is None \
             else self.workers[handle.shard]
@@ -614,17 +610,7 @@ class ShardedQService:
         theirs = worker_traces[-1]
         if front is None:
             return theirs
-        merged_root = replace(front.root, attrs=dict(front.root.attrs),
-                              children=front.root.children
-                              + theirs.root.children)
-        for key, value in theirs.root.attrs.items():
-            merged_root.attrs.setdefault(key, value)
-        if merged_root.v_end is None:
-            merged_root.v_end = theirs.root.v_end
-            merged_root.w_end = theirs.root.w_end
-        merged = QueryTrace(handle.kq_id, merged_root)
-        merged.finished = front.finished or theirs.finished
-        return merged
+        return front.merged_with(theirs)
 
     # -- worker-fleet plumbing -------------------------------------------------
 

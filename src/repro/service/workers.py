@@ -366,12 +366,10 @@ class _WorkerServer:
         registry = self.service.registry
         registry.add_collector(lambda: cache.publish_metrics(registry))
         registry.add_collector(lambda: repository.publish_metrics(registry))
-        #: Every handle ever admitted (terminal ones stay addressable
-        #: for answers-so-far / pump replies).
-        self._handles: dict[str, QueryHandle] = {}
-        #: Non-terminal handles we owe events for, and the last state
-        #: fingerprint reported for each; an entry leaves both with the
-        #: event that reports its handle terminal.
+        #: Non-terminal handles we owe events for (the only ones the
+        #: front door still addresses), and the last state fingerprint
+        #: reported for each; an entry leaves both with the event that
+        #: reports its handle terminal.
         self._watched: dict[str, QueryHandle] = {}
         self._reported: dict[str, tuple] = {}
 
@@ -437,21 +435,18 @@ class _WorkerServer:
             kq = KeywordQuery(kq_id=msg.kq_id,
                               keywords=tuple(msg.keywords), k=msg.k,
                               user=msg.user, arrival=msg.arrival)
-            if self.tracer.enabled:
-                # The front door opened this query's trace in its own
-                # tracer; the worker's spans need a root here too.
-                self.tracer.start_query(
-                    kq.kq_id, msg.arrival,
-                    keywords=" ".join(kq.keywords), k=kq.k)
+            # The front door opened this query's trace in its own
+            # tracer; the worker's spans need a root here too.
+            self.tracer.start_query(kq.kq_id, msg.arrival,
+                                    keywords=" ".join(kq.keywords), k=kq.k)
             handle = svc.submit(kq, msg.arrival, deadline=msg.deadline)
-            self._handles[handle.kq_id] = handle
             if not handle.terminal:
                 self._watched[handle.kq_id] = handle
                 self._reported[handle.kq_id] = self._fingerprint(handle)
             return SubmitReply(update=self._update(),
                                handle=self._state_of(handle))
         if isinstance(msg, CancelQuery):
-            handle = self._handles.get(msg.kq_id)
+            handle = self._watched.get(msg.kq_id)
             value = bool(handle is not None and not handle.terminal
                          and svc.cancel(handle))
             return BoolReply(update=self._update(), value=value)
@@ -462,12 +457,12 @@ class _WorkerServer:
             svc.drain()
             return Ack(update=self._update())
         if isinstance(msg, PumpQuery):
-            handle = self._handles.get(msg.kq_id)
+            handle = self._watched.get(msg.kq_id)
             value = bool(handle is not None and not handle.terminal
                          and svc.pump(handle))
             return BoolReply(update=self._update(), value=value)
         if isinstance(msg, AnswersSoFar):
-            handle = self._handles.get(msg.kq_id)
+            handle = self._watched.get(msg.kq_id)
             answers = svc.answers_so_far(handle) \
                 if handle is not None else []
             return AnswersReply(update=self._update(),
@@ -538,6 +533,8 @@ class ProcessWorker:
         self._restart = restart
         self._ctx = mp.get_context("spawn")
         self._config = spec.execution_config()
+        #: Proxies of this shard's non-terminal queries; each leaves
+        #: with its terminal event (or the crash that fails it).
         self._handles: dict[str, QueryHandle] = {}
         self._puts: deque[CachePut] = deque()
         self._in_flight = 0
@@ -594,14 +591,13 @@ class ProcessWorker:
             reason = f"{reason} (exit code {self._proc.exitcode})"
         now = self._clock.now
         for handle in self._handles.values():
-            if handle.terminal:
-                continue
             handle.status = QueryStatus.FAILED
             handle.completed_at = now
             handle.reason = f"worker crashed: {reason}"
             if handle.answers is None:
                 handle.answers = []
             self._front_telemetry.record_failure(now)
+        self._handles.clear()
         self._in_flight = 0
         self._deferred = 0
         if self._last_snapshot is not None:
@@ -693,6 +689,8 @@ class ProcessWorker:
             proxy.deadline = event.deadline
         if event.answers is not None:
             proxy.answers = decode_answers(event.answers)
+        if proxy.terminal:
+            del self._handles[event.kq_id]
         if (proxy.status is QueryStatus.DONE and event.via == "engine"
                 and proxy.answers is not None
                 and self._on_completion is not None):
@@ -721,7 +719,8 @@ class ProcessWorker:
             answers=decode_answers(state.answers),
             completed_at=state.completed_at, reason=state.reason,
             deadline=state.deadline)
-        self._handles[kq.kq_id] = proxy
+        if not proxy.terminal:
+            self._handles[kq.kq_id] = proxy
         return proxy
 
     def cancel(self, handle: QueryHandle) -> bool:

@@ -51,7 +51,6 @@ BAD_CASES = [
     ("wire_no_pickle.py", "wire-no-pickle", 3),
     ("service/protocol.py", "wire-message-shape", 3),
     ("optimizer/det_order.py", "det-order", 5),
-    ("repro/obs_guard.py", "obs-guard", 2),
 ]
 
 GOOD_FILES = sorted(

@@ -9,6 +9,7 @@ service in ``tests/test_obs_properties.py``; this module pins the unit
 behaviour of each piece.
 """
 
+import inspect
 import json
 
 import pytest
@@ -24,7 +25,7 @@ from repro.obs.instruments import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.trace import NO_TRACER, Tracer
+from repro.obs.trace import NO_TRACER, NullTracer, Tracer
 from repro.service import (
     QService,
     ServiceConfig,
@@ -230,6 +231,22 @@ class TestTracer:
         assert NO_TRACER.event("Q", "x", 0.0) is None
         assert NO_TRACER.traces() == []
         assert NO_TRACER.jsonl_lines() == []
+
+    def test_null_tracer_mirrors_every_tracer_method(self):
+        """Record sites call the tracer unconditionally, so a method
+        missing from the null object fails every untraced run."""
+        def params(fn):
+            return list(inspect.signature(fn).parameters)
+
+        methods = [name for name, fn in inspect.getmembers(
+            Tracer, inspect.isfunction) if not name.startswith("_")]
+        assert methods
+        for name in methods:
+            null = getattr(NullTracer, name, None)
+            assert callable(null), f"NullTracer lacks {name}"
+            assert params(null) == params(getattr(Tracer, name)), name
+        assert isinstance(Tracer().wall(), float)
+        assert NO_TRACER.wall() == 0.0
 
 
 class TestExportAndValidation:

@@ -153,6 +153,10 @@ def test_process_matches_inproc(fed, load, cancels, n_shards, routing):
         fleet = make_fleet(fed, workers, n_shards, routing)
         try:
             results[workers] = observable(drive(fleet, load, cancels))
+            if workers == "process":
+                # A drained fleet owes no query anything: no proxy stays.
+                assert [w._handles for w in fleet.workers] \
+                    == [{}] * n_shards
         finally:
             fleet.close()
     assert results["process"] == results["inproc"]
@@ -282,10 +286,10 @@ def test_every_worker_dead_raises(fed, load):
 
 
 def test_worker_forgets_fingerprints_of_terminal_handles(load):
-    """The worker loop keeps a reported-state fingerprint only for the
-    handles it still watches: once the event reporting a handle
-    terminal has gone out, nothing per query is left but the handle
-    table, which keeps terminal handles addressable."""
+    """The worker loop keeps a handle and its reported-state
+    fingerprint only while it still watches it: once the event
+    reporting a handle terminal has gone out, nothing per query is
+    left."""
     from repro.service.protocol import DrainShard, SubmitQuery
     from repro.service.workers import _WorkerServer
 
@@ -308,7 +312,36 @@ def test_worker_forgets_fingerprints_of_terminal_handles(load):
     # Every handle was reported terminal before it was forgotten.
     assert reported_terminal == {kq.kq_id for kq in load}
     assert server._watched == {} and server._reported == {}
-    assert len(server._handles) == len(load)
+    assert [name for name, value in vars(server).items()
+            if isinstance(value, dict) and value] == []
+
+
+# -- worker spans -------------------------------------------------------------
+
+
+def test_trace_of_agrees_with_close_time_adoption(fed, load):
+    """A process worker's spans reach the front door two ways: on
+    demand through ``trace_of`` and at ``close()`` by adoption into the
+    fleet tracer.  Both graft the worker's tree onto the front door's
+    the same way, so each query's exported spans must agree."""
+    from repro.obs.export import validate_trace_lines
+    from repro.obs.trace import Tracer
+
+    fleet = make_fleet(fed, "process", 2, "roundrobin", tracer=Tracer())
+    try:
+        handles = [fleet.submit(kq) for kq in load]
+        fleet.drain()
+        before = {h.kq_id: fleet.trace_of(h).jsonl_lines()
+                  for h in handles}
+    finally:
+        fleet.close()
+    assert {h.shard for h in handles} >= {0, 1}
+    for kq_id, lines in before.items():
+        assert validate_trace_lines(lines) == []
+        assert fleet.tracer.trace(kq_id).jsonl_lines() == lines
+    # The worker-side pipeline spans really arrived.
+    assert any('"name": "execution"' in line
+               for lines in before.values() for line in lines)
 
 
 # -- wire-state round-trips ---------------------------------------------------

@@ -16,12 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.service.protocol import (
-    _KINDS,
-    PROTOCOL_VERSION,
-    WIRE_VERSION,
-    wire_schema,
-)
+from repro.service.protocol import _KINDS, wire_schema
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden" / "protocol_schema.json"
@@ -73,9 +68,6 @@ class TestSchemaLock:
             raise AssertionError(STALE_RULE)
         assert live["protocol_version"] == golden["protocol_version"], \
             STALE_RULE
-
-    def test_alias_tracks_wire_version(self):
-        assert PROTOCOL_VERSION == WIRE_VERSION
 
     def test_updater_check_mode_agrees(self):
         """The regeneration script's --check mode is the CI entry
