@@ -17,7 +17,9 @@ with the stdlib client:
    and require a valid span tree whose root's disposition is ``done``;
 3. submit one more query and cancel it, asserting the ``cancelled``
    disposition propagates to its stream and snapshot;
-4. check ``/metrics`` renders Prometheus text;
+4. check ``/metrics`` renders Prometheus text, and that its connection
+   counters show the client's calls riding persistent connections
+   (more than one request per connection);
 5. ``POST /admin/shutdown`` and require a clean exit -- then, when
    ``--trace-dir`` is given, require the server wrote a validatable
    trace artifact (CI uploads it).
@@ -129,6 +131,23 @@ def check_cancel(client: HttpQueryClient, qid: str) -> None:
     print(f"http_smoke: {qid}: cancelled cleanly")
 
 
+def check_connection_reuse(metrics: str) -> None:
+    """The server's own counters: every call above went over one
+    keep-alive client, so connections must carry several requests."""
+    totals = {}
+    for name in ("repro_http_connections_total", "repro_http_requests_total"):
+        match = re.search(rf"^{name} (\S+)$", metrics, re.MULTILINE)
+        if match is None:
+            fail(f"/metrics has no {name}")
+        totals[name] = float(match.group(1))
+    conns = totals["repro_http_connections_total"]
+    requests = totals["repro_http_requests_total"]
+    if not requests > conns:
+        fail(f"{requests:g} requests over {conns:g} connections: "
+             f"connections are not reused")
+    print(f"http_smoke: {requests:g} requests over {conns:g} connections")
+
+
 def launch(cmd: list[str]) -> tuple[subprocess.Popen, "queue.Queue"]:
     """Start the server subprocess and watch its stdout for the
     ``listening on http://host:port`` line -- with ``--port 0`` the OS
@@ -192,6 +211,7 @@ def main() -> int:
         if "# TYPE" not in metrics:
             fail("/metrics did not render Prometheus text")
         print(f"http_smoke: metrics: {len(metrics.splitlines())} lines")
+        check_connection_reuse(metrics)
         client.shutdown()
         if proc.wait(timeout=30.0) != 0:
             fail(f"server exited with code {proc.returncode}")

@@ -46,6 +46,14 @@ run a housekeeping loop that steps the service every ``tick`` real
 seconds, so batch windows close and deadlines fire even while no
 client is pumping.
 
+Connections persist (HTTP/1.1 keep-alive): one connection serves its
+client's requests one after another, and an SSE reply is sent with
+``Transfer-Encoding: chunked`` -- one chunk per event, a zero-length
+chunk after ``end`` -- so the connection outlives the stream.  The
+server closes a connection after a ``400`` (which says ``Connection:
+close``), after a request that says ``Connection: close`` or speaks
+HTTP/1.0, on EOF, and at shutdown.
+
 The service object is single-threaded and not thread-safe; every call
 into it happens on the event loop (each synchronous service call runs
 atomically between await points), so no additional locking is needed.
@@ -65,12 +73,14 @@ import json
 import math
 import threading
 from collections.abc import Iterable, Iterator
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.keyword.queries import KeywordQuery, RankedAnswer
 from repro.service.handle import QueryHandle
 
 if TYPE_CHECKING:  # pragma: no cover
+    import http.client
+
     from repro.service.sharding import ShardedQService
 
 __all__ = [
@@ -144,12 +154,22 @@ _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             500: "Internal Server Error"}
 
 
-def _response(status: int, body: bytes, content_type: str) -> bytes:
+def _response(status: int, body: bytes, content_type: str,
+              close: bool = False) -> bytes:
     head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n\r\n")
+            + ("Connection: close\r\n" if close else "") + "\r\n")
     return head.encode() + body
+
+
+def _chunk(data: bytes) -> bytes:
+    """``data`` as one chunk of a ``Transfer-Encoding: chunked`` body."""
+    return b"%x\r\n%s\r\n" % (len(data), data)
+
+
+#: The zero-length chunk that ends a chunked body (no trailers).
+_LAST_CHUNK = b"0\r\n\r\n"
 
 
 def _json_body(payload: dict) -> bytes:
@@ -169,7 +189,63 @@ def _sse_event(name: str, payload: dict, event_id: int | None = None) -> bytes:
 
 
 class _BadRequest(Exception):
-    """Client error surfaced as a 400 with its message."""
+    """Client error surfaced as a 400 with its message; the connection
+    closes after it."""
+
+
+class _Request(NamedTuple):
+    method: str
+    path: str
+    body: bytes
+    #: The client speaks HTTP/1.1, so a reply may be chunked.
+    http11: bool
+    #: The connection serves another request after this one.
+    keep_alive: bool
+
+
+class _Reply:
+    """The writing side of one exchange: frames each reply for the
+    request it answers -- ``Connection: close`` when the connection
+    ends after it, and SSE events as chunks for an HTTP/1.1 client (an
+    HTTP/1.0 stream is delimited by the close instead)."""
+
+    def __init__(self, writer: asyncio.StreamWriter,
+                 request: _Request) -> None:
+        self.writer = writer
+        self.closing = not request.keep_alive
+        self.chunked = request.http11
+        self._streaming = False
+
+    async def send(self, status: int, body: bytes,
+                   content_type: str) -> None:
+        self.writer.write(_response(status, body, content_type,
+                                    close=self.closing))
+        await self.writer.drain()
+
+    async def json(self, status: int, payload: dict) -> None:
+        await self.send(status, _json_body(payload), "application/json")
+
+    def events(self, frames: list[bytes], last: bool = False) -> None:
+        """SSE frames, one chunk each, in a single write (the first
+        call puts the reply's head in front); ``last`` ends the body."""
+        out = []
+        if not self._streaming:
+            self._streaming = True
+            out.append(b"HTTP/1.1 200 OK\r\n"
+                       b"Content-Type: text/event-stream\r\n"
+                       b"Cache-Control: no-cache\r\n"
+                       + (b"Transfer-Encoding: chunked\r\n"
+                          if self.chunked else b"")
+                       + (b"Connection: close\r\n" if self.closing
+                          else b"")
+                       + b"\r\n")
+        if self.chunked:
+            out.extend(_chunk(frame) for frame in frames)
+            if last:
+                out.append(_LAST_CHUNK)
+        else:
+            out.extend(frames)
+        self.writer.write(b"".join(out))
 
 
 def _finite_number(value: object) -> bool:
@@ -193,7 +269,11 @@ class QueryServiceHTTP:
 
     ``tick``: real-second housekeeping period for wall-clock services
     (``None``, the default, never advances time behind the clients'
-    backs -- required for deterministic virtual-clock serving)."""
+    backs -- required for deterministic virtual-clock serving).
+
+    Publishes ``repro_http_connections_total`` and
+    ``repro_http_requests_total`` into the front door's registry, so
+    ``/metrics`` shows how many requests each connection carried."""
 
     def __init__(self, service: "ShardedQService",
                  host: str = "127.0.0.1", port: int = 0,
@@ -208,6 +288,21 @@ class QueryServiceHTTP:
         self._server: asyncio.AbstractServer | None = None
         self._shutdown: asyncio.Event | None = None
         self._ticker: asyncio.Task | None = None
+        #: The task serving each open connection, so shutdown can end
+        #: the ones a keep-alive client holds open between requests.
+        self._conns: set[asyncio.Task] = set()
+        self.connections = 0
+        self.requests = 0
+        service.registry.add_collector(self._publish_metrics)
+
+    def _publish_metrics(self) -> None:
+        r = self.service.registry
+        r.counter("repro_http_connections_total",
+                  "TCP connections the HTTP front end accepted"
+                  ).set(self.connections)
+        r.counter("repro_http_requests_total",
+                  "HTTP requests the front end read, over all "
+                  "connections").set(self.requests)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -216,7 +311,7 @@ class QueryServiceHTTP:
         port (useful with the ephemeral-port default)."""
         self._shutdown = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle_conn, self.host, self._requested_port)
+            self._serve_conn, self.host, self._requested_port)
         self.port = self._server.sockets[0].getsockname()[1]
         if self.tick is not None:
             self._ticker = asyncio.create_task(self._housekeeping())
@@ -241,6 +336,13 @@ class QueryServiceHTTP:
             self._ticker = None
         if self._server is not None:
             self._server.close()
+            # Stop accepting, then end every open connection -- idle
+            # between requests or mid-stream -- and wait for its task,
+            # so none is left for the loop's teardown to cancel.
+            conns = list(self._conns)
+            for task in conns:
+                task.cancel()
+            await asyncio.gather(*conns, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
 
@@ -254,71 +356,119 @@ class QueryServiceHTTP:
 
     # -- connection handling ------------------------------------------------
 
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
+    async def _serve_conn(self, reader: asyncio.StreamReader,
+                          writer: asyncio.StreamWriter) -> None:
+        """One persistent connection: wait for each request line and
+        hand the exchange to :meth:`_handle_conn`, until the client
+        closes, an exchange ends the connection, or the server shuts
+        down.  The wait sits outside the exchange, so the time a client
+        takes before its next request is not spent in the handler."""
+        self.connections += 1
+        task = asyncio.current_task()
+        self._conns.add(task)
         try:
-            try:
-                parsed = await self._read_request(reader)
-                if parsed is None:
-                    return
-                method, path, body = parsed
-                await self._route(method, path, body, writer)
-            except _BadRequest as exc:
-                writer.write(_response(
-                    400, _json_body({"error": str(exc)}),
-                    "application/json"))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, asyncio.TimeoutError,
-                asyncio.IncompleteReadError):
-            # The client went away, possibly mid-body: nothing to answer.
+            while True:
+                try:
+                    request_line = await reader.readline()
+                except (ConnectionResetError, ValueError):
+                    # Reset between requests, or a request line over
+                    # the stream's line limit: nothing to answer.
+                    break
+                if not request_line:
+                    break
+                if not await self._handle_conn(request_line, reader,
+                                               writer):
+                    break
+        except asyncio.CancelledError:
+            # Shutdown ends the connection (see aclose).  Finish the
+            # task normally: the stream server's done-callback would
+            # log a cancelled one as an unhandled error.
             pass
         finally:
+            self._conns.discard(task)
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
 
-    async def _read_request(
-            self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, bytes] | None:
-        request_line = await reader.readline()
-        if not request_line:
-            return None
+    async def _handle_conn(self, request_line: bytes,
+                           reader: asyncio.StreamReader,
+                           writer: asyncio.StreamWriter) -> bool:
+        """One exchange: read the request ``request_line`` opens and
+        answer it.  Returns whether the connection serves another."""
+        self.requests += 1
         try:
-            method, target, _version = request_line.decode(
-                "latin-1").split(None, 2)
+            try:
+                request = await self._read_request(request_line, reader)
+                await self._route(request, _Reply(writer, request))
+                return request.keep_alive
+            except _BadRequest as exc:
+                writer.write(_response(
+                    400, _json_body({"error": str(exc)}),
+                    "application/json", close=True))
+                await writer.drain()
+                return False
+        except (ConnectionResetError, BrokenPipeError, asyncio.TimeoutError,
+                asyncio.IncompleteReadError):
+            # The client went away, possibly mid-body: nothing to answer.
+            return False
+
+    async def _read_request(self, request_line: bytes,
+                            reader: asyncio.StreamReader) -> _Request:
+        try:
+            method, target, version = request_line.decode("latin-1").split()
         except ValueError:
-            return None
-        content_length = 0
+            raise _BadRequest(
+                f"malformed request line {request_line[:80]!r}") from None
+        if version not in ("HTTP/1.0", "HTTP/1.1"):
+            raise _BadRequest(f"unsupported protocol {version[:16]!r}")
+        http11 = keep_alive = version == "HTTP/1.1"
+        lengths: set[int] = set()
         total = len(request_line)
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:      # one line over the stream's limit
+                raise _BadRequest("request head too large") from None
             total += len(line)
             if total > _MAX_REQUEST_BYTES:
-                return None
+                raise _BadRequest("request head too large")
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _sep, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                value = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length":
                 # Digits only: int() would also take "-5", "+5" and "1_0".
                 if not (value.isascii() and value.isdigit()):
                     raise _BadRequest(
                         f"Content-Length must be a decimal integer, "
                         f"got {value!r}")
-                content_length = int(value)
+                lengths.add(int(value))
+            elif name == "transfer-encoding":
+                # Only Content-Length frames a body here.  Reading a
+                # coded body as empty would parse its bytes as the next
+                # request on this connection (RFC 9112 6.3).
+                raise _BadRequest("Transfer-Encoding is not supported; "
+                                  "send Content-Length")
+            elif name == "connection" and "close" in (
+                    token.strip().lower() for token in value.split(",")):
+                keep_alive = False
+        if len(lengths) > 1:
+            raise _BadRequest(
+                f"conflicting Content-Length values {sorted(lengths)}")
+        content_length = lengths.pop() if lengths else 0
         if content_length > _MAX_REQUEST_BYTES:
             raise _BadRequest(f"Content-Length {content_length} exceeds "
                               f"{_MAX_REQUEST_BYTES} bytes")
         body = await reader.readexactly(content_length) \
             if content_length else b""
-        return method.upper(), target, body
+        return _Request(method.upper(), target, body, http11, keep_alive)
 
-    async def _route(self, method: str, path: str, body: bytes,
-                     writer: asyncio.StreamWriter) -> None:
-        path = path.split("?", 1)[0]
+    async def _route(self, request: _Request, reply: _Reply) -> None:
+        method = request.method
+        path = request.path.split("?", 1)[0]
         parts = [p for p in path.split("/") if p]
         if method == "GET" and parts == ["healthz"]:
-            return await self._send_json(writer, 200, {
+            return await reply.json(200, {
                 "status": "ok",
                 "clock": type(self.service.clock).__name__,
                 "now": self.service.clock.now,
@@ -326,42 +476,33 @@ class QueryServiceHTTP:
             })
         if method == "GET" and parts == ["metrics"]:
             text = self.service.metrics_registry().render_prometheus()
-            writer.write(_response(200, text.encode(),
-                                   "text/plain; version=0.0.4"))
-            return await writer.drain()
+            return await reply.send(200, text.encode(),
+                                    "text/plain; version=0.0.4")
         if method == "POST" and parts == ["admin", "shutdown"]:
-            await self._send_json(writer, 200, {"status": "shutting-down"})
+            await reply.json(200, {"status": "shutting-down"})
             self.request_shutdown()
             return None
         if method == "POST" and parts == ["query"]:
-            return await self._submit(body, writer)
+            return await self._submit(request.body, reply)
         if len(parts) >= 2 and parts[0] == "query":
             handle = self._handles.get(parts[1])
             if handle is None:
-                return await self._send_json(
-                    writer, 404, {"error": f"unknown query {parts[1]!r}"})
+                return await reply.json(
+                    404, {"error": f"unknown query {parts[1]!r}"})
             if method == "GET" and len(parts) == 2:
-                return await self._send_json(
-                    writer, 200, self._snapshot(handle))
+                return await reply.json(200, self._snapshot(handle))
             if method == "GET" and parts[2:] == ["events"]:
-                return await self._stream_events(handle, writer)
+                return await self._stream_events(handle, reply)
             if method == "POST" and parts[2:] == ["cancel"]:
                 cancelled = self.service.cancel(handle)
-                return await self._send_json(writer, 200, {
+                return await reply.json(200, {
                     "query_id": handle.kq_id,
                     "cancelled": cancelled,
                     "status": handle.status.value,
                 })
             if method == "GET" and parts[2:] == ["trace"]:
-                return await self._send_trace(handle, writer)
-        await self._send_json(
-            writer, 404, {"error": f"no route {method} {path}"})
-
-    async def _send_json(self, writer: asyncio.StreamWriter, status: int,
-                         payload: dict) -> None:
-        writer.write(_response(status, _json_body(payload),
-                               "application/json"))
-        await writer.drain()
+                return await self._send_trace(handle, reply)
+        await reply.json(404, {"error": f"no route {method} {path}"})
 
     # -- endpoints ----------------------------------------------------------
 
@@ -383,8 +524,7 @@ class QueryServiceHTTP:
                               for i, a in enumerate(answers)]
         return out
 
-    async def _submit(self, body: bytes,
-                      writer: asyncio.StreamWriter) -> None:
+    async def _submit(self, body: bytes, reply: _Reply) -> None:
         try:
             payload = json.loads(body.decode() or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -405,8 +545,8 @@ class QueryServiceHTTP:
         elif not isinstance(qid, str) or not qid:
             raise _BadRequest('"id" must be a non-empty string')
         if qid in self._handles:
-            return await self._send_json(
-                writer, 409, {"error": f"query id {qid!r} already exists"})
+            return await reply.json(
+                409, {"error": f"query id {qid!r} already exists"})
         arrival = payload.get("arrival")
         if arrival is None:
             arrival = self.service.clock.now
@@ -428,10 +568,10 @@ class QueryServiceHTTP:
         self._handles[qid] = handle
         out = self._snapshot(handle)
         out["events"] = f"/query/{qid}/events"
-        await self._send_json(writer, 202, out)
+        await reply.json(202, out)
 
     async def _stream_events(self, handle: QueryHandle,
-                             writer: asyncio.StreamWriter) -> None:
+                             reply: _Reply) -> None:
         """Map :meth:`QueryHandle.results` onto SSE.
 
         Mirrors the in-process iterator's drive loop exactly -- drain
@@ -439,28 +579,28 @@ class QueryServiceHTTP:
         digests) a client receives over the wire are the ones the
         iterator yields in-process.  A disconnected client cancels the
         query, exactly like abandoning the iterator."""
-        writer.write(b"HTTP/1.1 200 OK\r\n"
-                     b"Content-Type: text/event-stream\r\n"
-                     b"Cache-Control: no-cache\r\n"
-                     b"Connection: close\r\n\r\n")
-        writer.write(_sse_event("status", {
+        writer = reply.writer
+        # Frames ready at once go out in one write: everything a cache
+        # hit streams is ready at once.
+        frames = [_sse_event("status", {
             "query_id": handle.kq_id,
             "status": handle.status.value,
             "via": handle.via,
-        }))
+        })]
         cursor = 0
         try:
-            await writer.drain()
             while True:
                 snapshot = handle.answers_so_far()
                 while cursor < len(snapshot):
-                    writer.write(_sse_event(
+                    frames.append(_sse_event(
                         "answer", answer_payload(snapshot[cursor], cursor),
                         event_id=cursor))
                     cursor += 1
-                    await writer.drain()
                 if handle.terminal:
                     break
+                reply.events(frames)
+                frames = []
+                await writer.drain()
                 progressed = self.service.pump(handle)
                 if (not progressed and not handle.terminal
                         and len(handle.answers_so_far()) == cursor):
@@ -475,34 +615,34 @@ class QueryServiceHTTP:
                     continue
                 # Yield between pumps so concurrent streams interleave.
                 await asyncio.sleep(0)
-            writer.write(_sse_event("end", {
+            frames.append(_sse_event("end", {
                 "query_id": handle.kq_id,
                 "disposition": handle.status.value,
                 "answers": cursor,
                 "completed_at": handle.completed_at,
                 "reason": handle.reason,
             }))
+            reply.events(frames, last=True)
             await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             # The client went away mid-stream: HTTP disconnection is
             # client abandonment -- release the query's claim on its
-            # (possibly shared) execution.
+            # (possibly shared) execution.  The connection is done.
             if not handle.terminal:
                 self.service.cancel(handle)
+            raise
 
     async def _send_trace(self, handle: QueryHandle,
-                          writer: asyncio.StreamWriter) -> None:
+                          reply: _Reply) -> None:
         # ``trace_of`` is the whole tree: a process worker's spans live
         # in the child and only it merges them under the front root.
         trace = self.service.trace_of(handle)
         if trace is None:
-            return await self._send_json(
-                writer, 404,
-                {"error": "tracing is off (serve with a tracer)"})
+            return await reply.json(
+                404, {"error": "tracing is off (serve with a tracer)"})
         lines = trace.jsonl_lines()
-        writer.write(_response(200, ("\n".join(lines) + "\n").encode(),
-                               "application/x-ndjson"))
-        await writer.drain()
+        await reply.send(200, ("\n".join(lines) + "\n").encode(),
+                         "application/x-ndjson")
 
 
 # -- blocking wrappers -------------------------------------------------------
@@ -563,33 +703,72 @@ class HttpServerThread:
 
 class HttpQueryClient:
     """A blocking stdlib client for :class:`QueryServiceHTTP`: JSON
-    requests plus an SSE parser, one connection per call."""
+    requests plus an SSE parser, over one persistent connection.
+
+    The connection opens on the first call and serves every later one.
+    It is dropped -- and the next call reconnects -- after any error,
+    after a reply the server closes the connection behind
+    (``http.client`` drops those itself), and when an :meth:`events`
+    iterator is abandoned before its stream ended.  Not thread-safe:
+    use one client per thread.  :meth:`close` (or a ``with`` block)
+    releases the connection."""
 
     def __init__(self, host: str, port: int, timeout: float = 60.0) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._conn: http.client.HTTPConnection | None = None
+
+    def close(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def __enter__(self) -> "HttpQueryClient":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+    def _send(self, method: str, path: str, body: bytes | None = None,
+              headers: dict[str, str] | None = None
+              ) -> http.client.HTTPResponse:
+        """Send one request on the persistent connection and read the
+        reply's head; the caller reads (or abandons) its body."""
+        if self._conn is None:
+            # Imported here: the server side never needs http.client.
+            import http.client
+            self._conn = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout)
+        try:
+            self._conn.request(method, path, body=body,
+                               headers=headers or {})
+            return self._conn.getresponse()
+        except BaseException:
+            self.close()
+            raise
+
+    def _fetch(self, method: str, path: str,
+               payload: dict | None = None) -> tuple[int, bytes]:
+        """One whole exchange: the reply's status and body."""
+        body = json.dumps(payload).encode() if payload is not None else None
+        headers = {"Content-Type": "application/json"} \
+            if body is not None else None
+        resp = self._send(method, path, body, headers)
+        try:
+            return resp.status, resp.read()
+        except BaseException:
+            self.close()
+            raise
 
     def _request(self, method: str, path: str,
                  payload: dict | None = None) -> tuple[int, dict]:
-        import http.client
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
+        status, raw = self._fetch(method, path, payload)
         try:
-            body = json.dumps(payload).encode() \
-                if payload is not None else None
-            headers = {"Content-Type": "application/json"} \
-                if body is not None else {}
-            conn.request(method, path, body=body, headers=headers)
-            resp = conn.getresponse()
-            raw = resp.read()
-            try:
-                decoded = json.loads(raw.decode() or "{}")
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                decoded = {"raw": raw.decode("latin-1")}
-            return resp.status, decoded
-        finally:
-            conn.close()
+            decoded = json.loads(raw.decode() or "{}")
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            decoded = {"raw": raw.decode("latin-1")}
+        return status, decoded
 
     def submit(self, keywords: Iterable[str], k: int = 10, *,
                query_id: str | None = None, arrival: float | None = None,
@@ -619,62 +798,50 @@ class HttpQueryClient:
         return self._request("GET", "/healthz")[1]
 
     def metrics(self) -> str:
-        import http.client
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
-        try:
-            conn.request("GET", "/metrics")
-            return conn.getresponse().read().decode()
-        finally:
-            conn.close()
+        return self._fetch("GET", "/metrics")[1].decode()
 
     def trace(self, query_id: str) -> list[str]:
-        import http.client
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
-        try:
-            conn.request("GET", f"/query/{query_id}/trace")
-            resp = conn.getresponse()
-            text = resp.read().decode()
-            if resp.status != 200:
-                raise RuntimeError(f"trace failed ({resp.status}): {text}")
-            return [line for line in text.splitlines() if line]
-        finally:
-            conn.close()
+        status, raw = self._fetch("GET", f"/query/{query_id}/trace")
+        text = raw.decode()
+        if status != 200:
+            raise RuntimeError(f"trace failed ({status}): {text}")
+        return [line for line in text.splitlines() if line]
 
     def shutdown(self) -> dict:
         return self._request("POST", "/admin/shutdown")[1]
 
     def events(self, query_id: str) -> Iterator[tuple[str, dict]]:
         """Iterate ``(event_name, payload)`` off the query's SSE
-        stream until the server closes it."""
-        import http.client
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
+        stream until the reply ends."""
+        resp = self._send("GET", f"/query/{query_id}/events")
         try:
-            conn.request("GET", f"/query/{query_id}/events")
-            resp = conn.getresponse()
             if resp.status != 200:
                 raise RuntimeError(
                     f"events failed ({resp.status}): {resp.read()!r}")
             event: str | None = None
             data_lines: list[str] = []
-            while True:
-                raw = resp.readline()
-                if not raw:
-                    break
-                line = raw.decode().rstrip("\r\n")
-                if not line:
-                    if event is not None:
-                        yield event, json.loads("\n".join(data_lines))
-                    event, data_lines = None, []
-                elif line.startswith("event:"):
-                    event = line[len("event:"):].strip()
-                elif line.startswith("data:"):
-                    data_lines.append(line[len("data:"):].strip())
-                # ``id:`` and comment lines need no handling here.
+            partial = b""
+            # read1 hands over what has arrived (at most one chunk):
+            # whole events at a time, not one line per call.
+            while block := resp.read1(1 << 16):
+                *lines, partial = (partial + block).split(b"\n")
+                for raw in lines:
+                    line = raw.decode().rstrip("\r")
+                    if not line:
+                        if event is not None:
+                            yield event, json.loads("\n".join(data_lines))
+                        event, data_lines = None, []
+                    elif line.startswith("event:"):
+                        event = line[len("event:"):].strip()
+                    elif line.startswith("data:"):
+                        data_lines.append(line[len("data:"):].strip())
+                    # ``id:`` and comment lines need no handling here.
         finally:
-            conn.close()
+            # A reply read to its end is closed; anything else (an
+            # error, an iterator dropped mid-stream) leaves unread
+            # bytes on the connection, so it cannot carry the next call.
+            if not resp.isclosed():
+                self.close()
 
     def stream(self, query_id: str) -> tuple[list[dict], dict | None]:
         """Consume the SSE stream to its ``end`` event; returns the

@@ -10,11 +10,17 @@ pumping move it -- HTTP serving stays fully deterministic and
 byte-comparable to in-process serving.
 """
 
+import contextlib
+import io
 import json
 import logging
+import re
 import socket
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.config import DelayModel, ExecutionConfig, SharingMode
 from repro.data.figure1 import figure1_federation
@@ -321,6 +327,322 @@ def _raw_exchange(port: int, request: bytes) -> bytes:
         while chunk := sock.recv(65536):
             chunks.append(chunk)
     return b"".join(chunks)
+
+
+def _read_reply(stream) -> tuple[int, dict[str, str], list[bytes]]:
+    """One HTTP reply off a binary stream: the status, the headers
+    (names lower-cased) and the body as its chunks -- one element for a
+    ``Content-Length`` body, everything up to EOF for a reply framed by
+    the close."""
+    status_line = stream.readline()
+    if not status_line:
+        raise EOFError("the connection closed before a reply")
+    status = int(status_line.split()[1])
+    headers = {}
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _sep, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    if headers.get("transfer-encoding") == "chunked":
+        chunks = []
+        while size := int(stream.readline(), 16):
+            chunks.append(stream.read(size))
+            assert stream.readline() == b"\r\n"
+        assert stream.readline() == b"\r\n"     # no trailers
+        return status, headers, chunks
+    if "content-length" in headers:
+        return status, headers, [stream.read(int(headers["content-length"]))]
+    return status, headers, [stream.read()]
+
+
+@contextlib.contextmanager
+def _connection(port: int):
+    """A raw socket to the server and a binary reader over it."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        with sock.makefile("rb") as stream:
+            yield sock, stream
+
+
+def _post_query(payload: dict) -> bytes:
+    body = json.dumps(payload).encode()
+    return (b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+            % (len(body), body))
+
+
+def _metric(text: str, name: str) -> float:
+    match = re.search(rf"^{name} (\S+)$", text, re.MULTILINE)
+    assert match is not None, f"/metrics has no {name}"
+    return float(match.group(1))
+
+
+class TestKeepAlive:
+    """Persistent connections, byte for byte on a raw socket: each test
+    first shows the connection outliving an exchange."""
+
+    def test_pipelined_requests_get_replies_in_order(self, served):
+        _service, client = served
+        with _connection(client.port) as (sock, stream):
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: a\r\n\r\n"
+                         b"GET /query/nope HTTP/1.1\r\nHost: a\r\n\r\n")
+            first = _read_reply(stream)
+            second = _read_reply(stream)
+        assert first[0] == 200
+        assert json.loads(first[2][0])["status"] == "ok"
+        assert "connection" not in first[1]
+        assert second[0] == 404
+        assert "nope" in json.loads(second[2][0])["error"]
+
+    def test_sse_stream_is_chunked_and_the_connection_serves_on(
+            self, served):
+        _service, client = served
+        with _connection(client.port) as (sock, stream):
+            sock.sendall(_post_query(
+                {"keywords": list(KWS), "k": K, "id": "q1"}))
+            assert _read_reply(stream)[0] == 202
+            sock.sendall(b"GET /query/q1/events HTTP/1.1\r\n\r\n")
+            status, headers, chunks = _read_reply(stream)
+            assert status == 200
+            assert headers["content-type"] == "text/event-stream"
+            assert headers["transfer-encoding"] == "chunked"
+            assert "connection" not in headers
+            # One chunk per event, the zero-length chunk after ``end``.
+            assert [c.split(b"\n", 1)[0] for c in chunks] == (
+                [b"event: status"] + [b"event: answer"] * K
+                + [b"event: end"])
+            assert all(c.endswith(b"\n\n") for c in chunks)
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert _read_reply(stream)[0] == 200
+
+    @pytest.mark.parametrize("closing", [
+        b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nConnection: TE, Close\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+    ], ids=["connection-close", "close-in-a-token-list", "http-1.0",
+            "http-1.0-keep-alive"])
+    def test_close_and_http_1_0_are_honoured(self, served, closing):
+        _service, client = served
+        with _connection(client.port) as (sock, stream):
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert _read_reply(stream)[0] == 200
+            sock.sendall(closing)
+            status, headers, _body = _read_reply(stream)
+            assert status == 200
+            assert headers["connection"] == "close"
+            assert stream.read() == b""
+
+    def test_http_1_0_stream_is_delimited_by_the_close(self, served):
+        """Chunked coding is HTTP/1.1: an HTTP/1.0 client gets the
+        event stream unframed, ended by the close."""
+        _service, client = served
+        client.submit(KWS, k=K, query_id="q1")
+        with _connection(client.port) as (sock, stream):
+            sock.sendall(b"GET /query/q1/events HTTP/1.0\r\n\r\n")
+            status, headers, (body,) = _read_reply(stream)
+        assert status == 200
+        assert "transfer-encoding" not in headers
+        assert body.startswith(b"event: status\n")
+        assert body.count(b"event: answer\n") == K
+        assert body.endswith(b"\n\n") and b"event: end\n" in body
+
+    def test_a_400_closes_the_connection(self, served):
+        service, client = served
+        with _connection(client.port) as (sock, stream):
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert _read_reply(stream)[0] == 200
+            # The pipelined request after the 400 is never answered.
+            sock.sendall(_post_query({"keywords": []})
+                         + b"GET /healthz HTTP/1.1\r\n\r\n")
+            status, headers, _body = _read_reply(stream)
+            assert status == 400
+            assert headers["connection"] == "close"
+            assert stream.read() == b""
+        assert service.report().telemetry.submitted == 0
+
+    def test_one_client_runs_a_query_over_one_connection(self, served):
+        """The server's own counters: ``submit``, ``events``,
+        ``status``, ``cancel`` and ``metrics`` are five requests on one
+        connection."""
+        _service, client = served
+        client.submit(KWS, k=K, query_id="q1")
+        _answers, end = client.stream("q1")
+        assert end["disposition"] == "done"
+        assert client.status("q1")["status"] == "done"
+        assert client.cancel("q1")["cancelled"] is False
+        metrics = client.metrics()
+        assert _metric(metrics, "repro_http_connections_total") == 1
+        assert _metric(metrics, "repro_http_requests_total") == 5
+
+    def test_client_reconnects_after_a_dropped_connection(self, served):
+        """An abandoned stream, a reply the server closes behind and
+        :meth:`close` each cost the next call a new connection."""
+        _service, client = served
+        client.submit(KWS, k=K, query_id="q1")
+        events = client.events("q1")
+        assert next(events)[0] == "status"
+        events.close()
+        status, _body = client._request("POST", "/query", {"keywords": []})
+        assert status == 400
+        assert client.healthz()["status"] == "ok"
+        with HttpQueryClient("127.0.0.1", client.port) as other:
+            assert other.healthz()["status"] == "ok"
+        assert other.healthz()["status"] == "ok"
+        other.close()
+        metrics = client.metrics()
+        # client: submit+events, the 400, healthz+metrics; other: 2 x 1.
+        assert _metric(metrics, "repro_http_connections_total") == 5
+        assert _metric(metrics, "repro_http_requests_total") == 7
+
+
+class TestRequestFraming:
+    """Only ``Content-Length`` frames a request body.  Anything that
+    leaves the body's end in doubt is a 400 and the connection closes:
+    on a kept-alive connection, misread body bytes would be parsed as
+    the next request (RFC 9112 6.3)."""
+
+    SMUGGLED = b"GET /healthz HTTP/1.1\r\n\r\n"
+
+    @pytest.mark.parametrize("framing", [
+        b"Transfer-Encoding: chunked\r\n",
+        b"Transfer-Encoding: chunked\r\nContent-Length: 3\r\n",
+    ], ids=["chunked", "chunked-and-content-length"])
+    def test_transfer_encoding_is_400(self, served, framing):
+        service, client = served
+        body = b"%x\r\n%s\r\n0\r\n\r\n" % (len(self.SMUGGLED), self.SMUGGLED)
+        reply = io.BytesIO(_raw_exchange(
+            client.port, b"POST /query HTTP/1.1\r\n" + framing + b"\r\n"
+            + body))
+        status, headers, (payload,) = _read_reply(reply)
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert "Transfer-Encoding" in json.loads(payload)["error"]
+        assert reply.read() == b"", "the smuggled request was answered"
+        assert service.report().telemetry.submitted == 0
+
+    def test_conflicting_content_lengths_are_400(self, served):
+        service, client = served
+        reply = io.BytesIO(_raw_exchange(
+            client.port, b"POST /query HTTP/1.1\r\nContent-Length: 2\r\n"
+            b"Content-Length: 27\r\n\r\n{}" + self.SMUGGLED))
+        status, headers, (payload,) = _read_reply(reply)
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert "Content-Length" in json.loads(payload)["error"]
+        assert reply.read() == b""
+        assert service.report().telemetry.submitted == 0
+
+    def test_repeated_equal_content_length_is_one_length(self, served):
+        _service, client = served
+        body = json.dumps({"keywords": list(KWS), "k": K}).encode()
+        reply = io.BytesIO(_raw_exchange(
+            client.port, b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), len(body), body)))
+        assert _read_reply(reply)[0] == 202
+
+
+def _mostly(common, rare):
+    """``common`` three draws in four, ``rare`` the fourth."""
+    return st.sampled_from((common, common, common, rare)).flatmap(
+        lambda strategy: strategy)
+
+
+_TOKEN = st.text(alphabet=string.ascii_letters + string.digits + "-_.",
+                 min_size=1, max_size=12)
+_JSON_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(max_size=12), st.lists(st.text(max_size=12), max_size=3))
+_QUERY_ID = st.sampled_from([f"f{i}" for i in range(1, 7)])
+#: The routes a client uses, a submit and a stream weighted up.
+_ROUTE = st.tuples(
+    st.sampled_from([
+        ("POST", "/query"), ("POST", "/query"), ("GET", "/query/{}/events"),
+        ("GET", "/query/{}/events"), ("GET", "/query/{}"),
+        ("POST", "/query/{}/cancel"), ("GET", "/query/{}/trace"),
+        ("GET", "/healthz"), ("GET", "/metrics?x=1"), ("GET", "/query/nope"),
+    ]),
+    _QUERY_ID,
+).map(lambda route: f"{route[0][0]} {route[0][1].format(route[1])}")
+_REQUEST_LINE = _mostly(
+    st.tuples(
+        _mostly(_ROUTE, st.tuples(
+            st.sampled_from(["PUT", "DELETE", "HEAD", "GET"]) | _TOKEN,
+            _TOKEN.map(lambda t: f"/{t}")).map(" ".join)),
+        _mostly(st.sampled_from(["HTTP/1.1", "HTTP/1.1", "HTTP/1.0"]),
+                st.sampled_from(["HTTP/2.0", "http/1.1", "HTTP/1.1x"])),
+    ).map(" ".join),
+    # Arbitrary text for a request line, CR and LF aside.
+    st.text(alphabet=st.characters(codec="latin-1",
+                                   exclude_characters="\r\n"),
+            min_size=1, max_size=40),
+)
+_SUBMIT = st.fixed_dictionaries(
+    {"keywords": st.lists(st.sampled_from(
+        ["protein", "plasma membrane", "gene", "zzz"]),
+        min_size=1, max_size=3), "id": _QUERY_ID},
+    optional={"k": st.integers(1, 12), "arrival": st.floats(0, 50),
+              "timeout": st.floats(0, 10)})
+_BODY = _mostly(
+    _SUBMIT.map(lambda d: json.dumps(d).encode()),
+    st.one_of(
+        st.just(b""), st.binary(max_size=40),
+        st.fixed_dictionaries({}, optional={
+            name: _JSON_VALUE for name in (
+                "keywords", "k", "id", "arrival", "deadline", "timeout")
+        }).map(lambda d: json.dumps(d).encode())),
+)
+
+
+@st.composite
+def _fuzzed_request(draw) -> tuple[bytes, bool]:
+    """Raw request bytes, correctly framed by ``Content-Length``, and
+    whether the request itself asks for the connection to close."""
+    line = draw(_REQUEST_LINE)
+    headers = draw(st.lists(
+        st.tuples(_TOKEN.filter(lambda n: n.lower() not in (
+            "content-length", "transfer-encoding", "connection")),
+            st.text(alphabet=string.printable.strip(), max_size=16)),
+        max_size=3))
+    close = draw(st.booleans())
+    body = draw(_BODY)
+    head = [line] + [f"{name}: {value}" for name, value in headers]
+    if close:
+        head.append("Connection: close")
+    head.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body, close
+
+
+class TestFuzz:
+    def test_fuzzed_requests_get_a_2xx_or_4xx_and_never_hang(
+            self, fed, index):
+        """Request lines, headers and bodies from hypothesis, several
+        on one persistent connection: every request is answered with a
+        2xx or a 4xx before the socket timeout; the connection closes
+        exactly after a 400, a ``Connection: close`` or an HTTP/1.0
+        request, and the reply says so; and the server still answers a
+        fresh ``GET /healthz`` afterwards."""
+        service = make_service(fed, index)
+        with HttpServerThread(service) as srv:
+
+            @settings(max_examples=60, deadline=None, database=None)
+            @given(st.lists(_fuzzed_request(), min_size=1, max_size=4))
+            def exchange(requests):
+                with _connection(srv.port) as (sock, stream):
+                    sock.settimeout(5)
+                    for raw, close in requests:
+                        sock.sendall(raw)
+                        status, headers, _body = _read_reply(stream)
+                        assert 200 <= status < 500, status
+                        http10 = raw.split(b"\r\n", 1)[0].endswith(
+                            b" HTTP/1.0")
+                        closing = headers.get("connection") == "close"
+                        assert closing == (close or http10
+                                           or status == 400)
+                        if closing:
+                            assert stream.read() == b""
+                            return
+
+            exchange()
+            health = HttpQueryClient("127.0.0.1", srv.port).healthz()
+        assert health["status"] == "ok"
 
 
 class TestDifferentialDigest:
