@@ -248,13 +248,6 @@ class LintModule:
             yield cur
             cur = self.parent(cur)
 
-    def enclosing_function(
-            self, node: ast.AST) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-        for anc in self.ancestors(node):
-            if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return anc
-        return None
-
     def resolve(self, node: ast.AST) -> str | None:
         """Dotted name of a ``Name``/``Attribute`` chain with import
         aliases folded in, or ``None`` for anything else."""

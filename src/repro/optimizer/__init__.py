@@ -4,12 +4,9 @@ point plus keyword-expansion interning)."""
 
 from repro.optimizer.bestplan import BestPlanResult, BestPlanSearch
 from repro.optimizer.candidates import (
-    CandidateSet,
     InputCandidate,
-    base_input_expr,
     driving_stream_aliases,
     enumerate_candidates,
-    probe_aliases,
     streamable_aliases,
 )
 from repro.optimizer.clustering import (
@@ -35,7 +32,6 @@ from repro.optimizer.repository import (
 __all__ = [
     "BestPlanResult",
     "BestPlanSearch",
-    "CandidateSet",
     "ComponentSpec",
     "CostModel",
     "FactorizedPlan",
@@ -46,14 +42,12 @@ __all__ = [
     "RepositoryStats",
     "ReuseOracle",
     "SourceSpec",
-    "base_input_expr",
     "cluster_user_queries",
     "component_node_id",
     "driving_stream_aliases",
     "enumerate_candidates",
     "factorize",
     "jaccard",
-    "probe_aliases",
     "source_node_id",
     "streamable_aliases",
 ]

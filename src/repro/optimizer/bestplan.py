@@ -24,15 +24,16 @@ Two notes on fidelity:
   candidates are decomposed into connected components of the overlap
   graph and each component is searched independently -- the exact
   search inside each component, a product across components.  Components
-  are capped at ``max_search`` members (overflow candidates are applied
-  greedily at completion), which keeps the worst case at
-  ``O(k * 2^max_search)`` while preserving the exponential-in-candidates
+  are capped at :data:`MAX_SEARCH` members (overflow candidates are
+  applied greedily at completion), which keeps the worst case at
+  ``O(k * 2^MAX_SEARCH)`` while preserving the exponential-in-candidates
   growth the paper observes (Figure 11).
 
 The search is exponential in the number of candidates -- that is
-Figure 11's observed behaviour -- so callers cap the searched set
-(``max_search``); overflow candidates are applied greedily at
-completion time instead of being branched on.
+Figure 11's observed behaviour -- so the searched set is capped
+(:data:`MAX_CANDIDATES` in all, :data:`MAX_SEARCH` per component);
+overflow candidates are applied greedily at completion time instead of
+being branched on.
 
 What a leaf costs.  Completing an assignment is a per-CQ affair --
 which inputs and probes a CQ ends up with depends only on the
@@ -63,15 +64,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.clock import wall_timer
 from repro.common.config import ExecutionConfig
 from repro.keyword.queries import ConjunctiveQuery
-from repro.optimizer.candidates import CandidateSet, InputCandidate
+from repro.optimizer.candidates import InputCandidate
 from repro.optimizer.cost import CostModel, ReuseOracle, probe_source_key
 from repro.plan.expressions import SPJ
 
 #: One (expression, consumer-set) pair inside the search.
 _Entry = tuple[SPJ, frozenset[str]]
+
+#: Cap on the candidates one search considers, most useful first; the
+#: rest are applied greedily at completion.
+MAX_CANDIDATES = 24
+#: Cap on the members of one conflict component that are branched on.
+MAX_SEARCH = 8
 
 
 @dataclass
@@ -83,14 +89,6 @@ class BestPlanResult:
     cost: float
     plans_explored: int = 0
     searched_candidates: int = 0
-    wall_time: float = 0.0
-
-    def inputs_for(self, cq_id: str) -> list[SPJ]:
-        """The streaming inputs serving one CQ, largest first."""
-        out = [expr for expr, consumers in self.streams.items()
-               if cq_id in consumers]
-        out.sort(key=lambda e: (-e.size, e.describe()))
-        return out
 
     def validate(self, cqs: list[ConjunctiveQuery],
                  streamable: dict[str, set[str]]) -> None:
@@ -151,31 +149,22 @@ class BestPlanSearch:
     keeps ``plan_cost``'s order)."""
 
     cqs: list[ConjunctiveQuery]
-    candidates: CandidateSet
+    #: Most useful first, as :func:`~repro.optimizer.candidates.
+    #: enumerate_candidates` orders them.
+    candidates: list[InputCandidate]
     cost_model: CostModel
     config: ExecutionConfig
     streamable: dict[str, set[str]]
-    probes: dict[str, tuple[str, ...]]
     oracle: ReuseOracle | None = None
-    max_search: int = 8
-    max_candidates: int = 24
     _memo: dict[frozenset[_Entry], tuple[float, tuple[_Entry, ...]]] = \
         field(default_factory=dict)
     _explored: int = 0
 
     def run(self) -> BestPlanResult:
-        started = wall_timer()
         self._cq_by_id = {cq.cq_id: cq for cq in self.cqs}
         cq_ids = frozenset(self._cq_by_id)
-        usable = [
-            c for c in self.candidates.pushdowns if c.consumers & cq_ids
-        ]
-        usable.sort(
-            key=lambda c: (-len(c.consumers), c.est_cardinality,
-                           c.expr.describe())
-        )
-        usable, spill = (usable[: self.max_candidates],
-                         usable[self.max_candidates:])
+        usable = [c for c in self.candidates if c.consumers & cq_ids]
+        usable, spill = usable[:MAX_CANDIDATES], usable[MAX_CANDIDATES:]
         searched_components, auto = self._partition(usable)
         self._auto = auto + spill
         #: Per CQ, the automatic candidates that list it, in order.
@@ -215,7 +204,6 @@ class BestPlanSearch:
             cost=self._cost(chosen, done),
             plans_explored=self._explored,
             searched_candidates=searched_count,
-            wall_time=wall_timer() - started,
         )
         result.validate(self.cqs, self.streamable)
         return result
@@ -230,7 +218,7 @@ class BestPlanSearch:
         Ordering only matters among candidates that overlap each other
         with shared consumers (the subtraction of Algorithm 1 line 14);
         independent candidates are always used.  Each component is
-        capped at ``max_search`` members by utility -- the rest are
+        capped at :data:`MAX_SEARCH` members by utility -- the rest are
         applied greedily at completion time."""
         conflicted: list[InputCandidate] = []
         independent: list[InputCandidate] = []
@@ -265,8 +253,8 @@ class BestPlanSearch:
         overflow: list[InputCandidate] = []
         capped: list[list[InputCandidate]] = []
         for component in components:
-            capped.append(component[: self.max_search])
-            overflow.extend(component[self.max_search:])
+            capped.append(component[:MAX_SEARCH])
+            overflow.extend(component[MAX_SEARCH:])
         return capped, independent + overflow
 
     # -- Algorithm 1 ---------------------------------------------------------------

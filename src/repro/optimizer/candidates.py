@@ -15,8 +15,9 @@ so the paper prunes:
    under ``tau(R)``.
 3. **Filter subexpressions by estimated utility** -- keep those shared
    by a minimum number of CQs or with low cardinality; prune those that
-   are expensive at the source (joins that do not follow schema edges);
-   always keep base streaming relations.
+   are expensive at the source (joins that do not follow schema edges).
+   Base streaming relations are not candidates: Algorithm 1 falls back
+   to them whenever it completes an assignment.
 4. **Do not consider overlapping pushed-down subexpressions** -- no
    query may stream the same base relation through two inputs; this is
    enforced structurally by :mod:`repro.optimizer.bestplan`'s
@@ -25,23 +26,24 @@ so the paper prunes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.config import ExecutionConfig
 from repro.data.database import Federation
 from repro.keyword.queries import ConjunctiveQuery
 from repro.optimizer.cost import CostModel
-from repro.plan.andor import AndOrGraph
 from repro.plan.expressions import SPJ
+
+#: Largest push-down fragment, in atoms.
+MAX_PUSHDOWN_SIZE = 3
 
 
 @dataclass(frozen=True)
 class InputCandidate:
-    """One entry of the candidate assignment ``(S, S-map)``."""
+    """One push-down entry of the candidate assignment ``(S, S-map)``."""
 
     expr: SPJ
     consumers: frozenset[str]
-    is_base: bool
     est_cardinality: float
 
     @property
@@ -53,24 +55,7 @@ class InputCandidate:
 
     def __repr__(self) -> str:
         return (f"Candidate({self.expr.describe()}, "
-                f"consumers={sorted(self.consumers)}, base={self.is_base})")
-
-
-@dataclass
-class CandidateSet:
-    """The optimizer's working set for one batch."""
-
-    pushdowns: list[InputCandidate] = field(default_factory=list)
-    bases: list[InputCandidate] = field(default_factory=list)
-    andor: AndOrGraph | None = None
-
-    @property
-    def all(self) -> list[InputCandidate]:
-        return self.pushdowns + self.bases
-
-    @property
-    def candidate_count(self) -> int:
-        return len(self.pushdowns)
+                f"consumers={sorted(self.consumers)})")
 
 
 def streamable_aliases(cq: ConjunctiveQuery, federation: Federation,
@@ -112,18 +97,6 @@ def driving_stream_aliases(cq: ConjunctiveQuery, federation: Federation,
     return aliases
 
 
-def probe_aliases(cq: ConjunctiveQuery, federation: Federation,
-                  config: ExecutionConfig) -> tuple[str, ...]:
-    """The complement of :func:`streamable_aliases`, in atom order."""
-    streamable = streamable_aliases(cq, federation, config)
-    return tuple(a for a in cq.expr.aliases if a not in streamable)
-
-
-def base_input_expr(cq: ConjunctiveQuery, alias: str) -> SPJ:
-    """The single-atom input for one alias, with its selections."""
-    return cq.expr.induced({alias})
-
-
 def _pushable(expr: SPJ, federation: Federation) -> bool:
     """Whether the sites can evaluate ``expr``: co-located, connected,
     and every join following a schema edge (heuristic 3's "expensive to
@@ -163,51 +136,41 @@ def enumerate_candidates(cqs: list[ConjunctiveQuery],
                          federation: Federation,
                          cost_model: CostModel,
                          config: ExecutionConfig,
-                         sharing: bool = True,
-                         max_pushdown_size: int = 3) -> CandidateSet:
-    """Build the candidate assignment ``(S, S-map)`` for one batch.
+                         sharing: bool = True) -> list[InputCandidate]:
+    """The push-down candidates ``(S, S-map)`` of one batch, most
+    shared first, then most selective.
 
-    With ``sharing`` disabled (the ATC-CQ baseline) only base-relation
-    inputs are produced, one per CQ atom, and the optimizer degenerates
-    to per-CQ planning.
+    Base-relation inputs are not candidates: Algorithm 1 falls back to
+    them per CQ when it completes an assignment.  With ``sharing``
+    disabled (the ATC-CQ baseline) there are no candidates at all, and
+    the optimizer degenerates to per-CQ planning.
     """
-    out = CandidateSet()
-    cq_by_id = {cq.cq_id: cq for cq in cqs}
-
-    # Base inputs: group CQs whose single-atom induced expressions are
-    # identical (same relation + same selections).  Always useful.
-    base_groups: dict[SPJ, set[str]] = {}
-    for cq in cqs:
-        for alias in streamable_aliases(cq, federation, config):
-            expr = base_input_expr(cq, alias)
-            base_groups.setdefault(expr, set()).add(cq.cq_id)
-    for expr, consumers in sorted(base_groups.items(),
-                                  key=lambda kv: kv[0].describe()):
-        out.bases.append(InputCandidate(
-            expr, frozenset(consumers), is_base=True,
-            est_cardinality=cost_model.est_cardinality(expr),
-        ))
     if not sharing:
-        return out
-
-    andor = AndOrGraph(max_fragment_size=max_pushdown_size)
-    andor.add_queries(cqs)
-    out.andor = andor
+        return []
+    # The OR level of Section 5.1.2's AND-OR memo: every connected
+    # fragment of 2..MAX_PUSHDOWN_SIZE atoms, with the CQs it occurs in.
+    # Singletons are enumerated, then skipped: every enumerated
+    # fragment lands in its query's ``induced`` memo, which is what the
+    # plan repository's keyword table keeps.
+    fragments: dict[SPJ, set[str]] = {}
+    for cq in cqs:
+        for fragment in cq.expr.connected_subexpressions(
+                min_size=1, max_size=min(MAX_PUSHDOWN_SIZE, cq.expr.size)):
+            if fragment.size > 1:
+                fragments.setdefault(fragment, set()).add(cq.cq_id)
 
     small_result_cqs = {
         cq.cq_id for cq in cqs
         if cost_model.est_cardinality(cq.expr) < config.k
     }
 
-    for node in andor.nodes:
-        expr = node.expr
-        if expr.size < 2:
-            continue
+    out: list[InputCandidate] = []
+    for expr, queries in fragments.items():
         if not _pushable(expr, federation):
             continue
         if not _has_score(expr, federation):
             continue
-        consumers = frozenset(node.queries)
+        consumers = frozenset(queries)
         # Heuristic 1: small-result queries do not contribute their
         # subexpressions unless a larger shared set exists.
         effective = consumers - small_result_cqs
@@ -236,20 +199,9 @@ def enumerate_candidates(cqs: list[ConjunctiveQuery],
             c for c in consumers
             if c in effective or len(effective) >= config.min_sharing_queries
         )
-        out.pushdowns.append(InputCandidate(
-            expr, kept_consumers, is_base=False, est_cardinality=card,
-        ))
-
-    # Deterministic order: most shared first, then most selective.
-    out.pushdowns.sort(
-        key=lambda c: (-len(c.consumers), c.est_cardinality,
-                       c.expr.describe())
-    )
-    # Sanity: every consumer id refers to a CQ of this batch.
-    for candidate in out.pushdowns:
-        unknown = candidate.consumers - set(cq_by_id)
-        if unknown:
-            raise AssertionError(
-                f"candidate {candidate} references unknown CQs {unknown}"
-            )
+        out.append(InputCandidate(expr, kept_consumers, card))
+    # ``order_key`` last: ties then break by value, not by the order
+    # the batch listed its CQs in.
+    out.sort(key=lambda c: (-len(c.consumers), c.est_cardinality,
+                            c.expr.describe(), c.expr.order_key))
     return out

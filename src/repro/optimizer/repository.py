@@ -18,8 +18,8 @@ The repository keeps two cross-query tables, both FIFO-bounded by
   spelling-exact), and repeats are instantiated from the stored
   template under fresh query ids instead of re-enumerating join trees.
   A template stores each expression's *value*, so it pins no
-  expression.  A process worker primes this table at spawn from the
-  fleet's routed templates.
+  expression.  Nothing primes the table: a respawned process worker
+  starts it empty and fills it as it expands.
 * **keyword-level fragments**.  A query's expressions die when the
   engine releases it, and with them every fragment derived from
   them.  The fragments whose selections carry a single keyword are
@@ -185,22 +185,20 @@ class PlanRepository:
             cq.cq_id: driving_stream_aliases(cq, self.federation, config)
             for cq in cqs
         }
-        candidate_set = enumerate_candidates(
+        candidates = enumerate_candidates(
             cqs, self.federation, cost_model, config, sharing=sharing)
         result = BestPlanSearch(
             cqs=cqs,
-            candidates=candidate_set,
+            candidates=candidates,
             cost_model=cost_model,
             config=config,
             streamable=streamable,
-            probes={},
             oracle=oracle,
         ).run()
         plan = factorize(result, cqs, cost_model, scope, sharing=sharing)
         self._keep_keyword_fragments(cqs)
         record = OptimizerRecord(
-            candidate_count=(result.searched_candidates
-                             + len(candidate_set.pushdowns)),
+            candidate_count=result.searched_candidates + len(candidates),
             plans_explored=result.plans_explored,
             elapsed_wall=wall_timer() - started,
             batch_size=len(uqs),

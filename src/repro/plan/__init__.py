@@ -1,9 +1,8 @@
-"""Logical expressions, AND-OR memo, and the physical plan graph.
+"""Logical expressions and the physical plan graph.
 
 Only the dependency-free expression layer is imported eagerly;
-``PlanGraph`` and ``AndOrGraph`` are loaded lazily because they depend
-on the data and operator layers, which themselves import
-``repro.plan.expressions``.
+``PlanGraph`` is loaded lazily because it depends on the data and
+operator layers, which themselves import ``repro.plan.expressions``.
 """
 
 from typing import Any
@@ -21,11 +20,8 @@ from repro.plan.expressions import (
 )
 
 __all__ = [
-    "AndNode",
-    "AndOrGraph",
     "Atom",
     "JoinPred",
-    "OrNode",
     "PlanGraph",
     "SELECTION_OPS",
     "SPJ",
@@ -38,9 +34,6 @@ __all__ = [
 
 _LAZY = {
     "PlanGraph": ("repro.plan.graph", "PlanGraph"),
-    "AndOrGraph": ("repro.plan.andor", "AndOrGraph"),
-    "AndNode": ("repro.plan.andor", "AndNode"),
-    "OrNode": ("repro.plan.andor", "OrNode"),
 }
 
 

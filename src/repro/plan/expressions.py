@@ -22,10 +22,10 @@ Three facilities matter for the paper's algorithms:
   candidate-network generation.
 
 * **Connected subexpression enumeration**
-  (:meth:`SPJ.connected_subexpressions`): the AND-OR candidate
-  enumeration of Section 5.1.2 and the "do not consider overlapping
-  pushed-down subexpressions" heuristic both iterate over the connected
-  induced fragments of each query.
+  (:meth:`SPJ.connected_subexpressions`): push-down candidate
+  enumeration (the fragment table that stands in for Section 5.1.2's
+  AND-OR memo) iterates over the connected induced fragments of each
+  query.
 """
 
 from __future__ import annotations
@@ -332,7 +332,7 @@ class SPJ:
         deduplicates by frozenset, so each subset is yielded exactly
         once.  ``max_size`` defaults to the full expression size.  The
         enumerated alias subsets are memoized per (min, max) window --
-        the AND-OR construction re-enumerates the same interned query
+        candidate enumeration re-enumerates the same interned query
         expressions every batch -- and the fragments themselves live in
         :meth:`induced`'s memo (subsets, not fragments, because the
         full-size fragment is ``self``).
@@ -399,19 +399,6 @@ class SPJ:
         ]
         return SPJ(atoms, joins, selections)
 
-    def overlaps(self, other: "SPJ") -> bool:
-        """Whether the two expressions share any alias."""
-        return bool(set(self.aliases) & set(other.aliases))
-
-    def contains_aliases(self, other: "SPJ") -> bool:
-        """Whether ``other``'s alias set is a subset of ours with the
-        same induced structure (used for within-query subexpression
-        tests where aliases are drawn from the same namespace)."""
-        keep = set(other.aliases)
-        if not keep <= set(self.aliases):
-            return False
-        return self.induced(keep) == other
-
     # -- canonicalization --------------------------------------------------
 
     @cached_property
@@ -474,22 +461,6 @@ class SPJ:
             for s in self.selections
         ))
         return _digest((atoms, joins, selections))
-
-    def is_equivalent(self, other: "SPJ") -> bool:
-        """Structural equality modulo alias renaming."""
-        return self.canonical_key == other.canonical_key
-
-    def is_subexpression_of(self, container: "SPJ") -> bool:
-        """Whether this expression occurs (modulo renaming) inside
-        ``container`` as a connected induced fragment."""
-        if self.size > container.size:
-            return False
-        target = self.canonical_key
-        for candidate in container.connected_subexpressions(
-                min_size=self.size, max_size=self.size):
-            if candidate.canonical_key == target:
-                return True
-        return False
 
     # -- value semantics --------------------------------------------------
 

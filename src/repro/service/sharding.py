@@ -206,6 +206,7 @@ class ShardedQService:
             self.workers = [
                 ProcessWorker(i, spec, clock=self.clock,
                               front_telemetry=self.telemetry,
+                              front_tracer=self.tracer,
                               on_completion=self._on_worker_completion,
                               restart=restart_workers)
                 for i in range(n_shards)

@@ -64,7 +64,7 @@ from repro.keyword.candidates import CandidateNetworkGenerator
 from repro.keyword.queries import KeywordQuery, RankedAnswer
 from repro.obs.instruments import MetricsRegistry
 from repro.obs.records import Metrics
-from repro.obs.trace import NO_TRACER, QueryTrace, Span, Tracer
+from repro.obs.trace import NO_TRACER, NullTracer, QueryTrace, Span, Tracer
 from repro.optimizer.repository import PlanRepository
 from repro.service.cache import (
     CacheKey,
@@ -514,13 +514,14 @@ class ProcessWorker:
 
     Crash handling: any pipe failure or process death fails the
     shard's non-terminal proxies with a ``FAILED`` disposition, counts
-    each in the front door's telemetry, and (when ``restart`` is on)
-    respawns the worker before raising :class:`WorkerCrashed` to the
-    interrupted caller.
+    each in the front door's telemetry, closes its trace in the front
+    door's tracer, and (when ``restart`` is on) respawns the worker
+    before raising :class:`WorkerCrashed` to the interrupted caller.
     """
 
     def __init__(self, shard: int, spec: WorkerSpec, *, clock: Clock,
                  front_telemetry: Telemetry,
+                 front_tracer: Tracer | NullTracer,
                  on_completion: Callable[
                      ["ProcessWorker", CacheKey, list[RankedAnswer],
                       float], None] | None = None,
@@ -529,6 +530,7 @@ class ProcessWorker:
         self._spec = spec
         self._clock = clock
         self._front_telemetry = front_telemetry
+        self._front_tracer = front_tracer
         self._on_completion = on_completion
         self._restart = restart
         self._ctx = mp.get_context("spawn")
@@ -597,6 +599,8 @@ class ProcessWorker:
             if handle.answers is None:
                 handle.answers = []
             self._front_telemetry.record_failure(now)
+            self._front_tracer.finish_query(handle.kq_id, now, "failed",
+                                            reason=handle.reason)
         self._handles.clear()
         self._in_flight = 0
         self._deferred = 0

@@ -39,7 +39,7 @@ def plan_for(fed, config, cqs, sharing=True, scope="g"):
     }
     result = BestPlanSearch(
         cqs=cqs, candidates=candidates, cost_model=cost, config=config,
-        streamable=streamable, probes={},
+        streamable=streamable,
     ).run()
     return factorize(result, cqs, cost, scope, sharing=sharing)
 

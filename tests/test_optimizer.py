@@ -14,13 +14,12 @@ from repro.keyword.candidates import CandidateNetworkGenerator
 from repro.keyword.queries import KeywordQuery
 from repro.optimizer.bestplan import BestPlanSearch
 from repro.optimizer.candidates import (
+    MAX_PUSHDOWN_SIZE,
     driving_stream_aliases,
     enumerate_candidates,
-    probe_aliases,
     streamable_aliases,
 )
 from repro.optimizer.cost import CostModel, ReuseOracle
-from repro.plan.andor import AndOrGraph
 from repro.plan.expressions import (
     SPJ,
     Atom,
@@ -51,6 +50,18 @@ def full_cq(fed, cq_id="cq0", uq_id="uq0", selections=()):
     return make_cq(abc_expr(tuple(selections)), fed, cq_id, uq_id)
 
 
+def best_plan(fed, config, cqs, sharing=True):
+    """Algorithm 1 over ``cqs``, run."""
+    cost = CostModel(fed, config)
+    return BestPlanSearch(
+        cqs=cqs, cost_model=cost, config=config,
+        candidates=enumerate_candidates(cqs, fed, cost, config,
+                                        sharing=sharing),
+        streamable={cq.cq_id: streamable_aliases(cq, fed, config)
+                    for cq in cqs},
+    ).run()
+
+
 class TestStreamableAliases:
     def test_scored_relations_streamable(self, fed, config):
         cq = full_cq(fed)
@@ -61,7 +72,6 @@ class TestStreamableAliases:
         cq = full_cq(fed)
         # B has 4 rows >= tau=2 and no score: probe-only.
         assert "B" not in streamable_aliases(cq, fed, config)
-        assert probe_aliases(cq, fed, config) == ("B",)
 
     def test_scoreless_small_relation_streamable(self, fed):
         config = ExecutionConfig(k=5, tau_probe_threshold=100)
@@ -70,67 +80,68 @@ class TestStreamableAliases:
 
 
 class TestAndOrGraph:
-    def test_enumerates_all_fragments(self, fed):
-        cq = full_cq(fed)
-        graph = AndOrGraph(max_fragment_size=3)
-        graph.add_queries([cq])
-        assert len(graph) == 6  # A,B,C,AB,BC,ABC (AC is disconnected)
+    """The OR level of Section 5.1.2's AND-OR memo, which
+    :func:`enumerate_candidates` keeps as a fragment table: with every
+    utility heuristic opened up, each pushable connected fragment of
+    2..``MAX_PUSHDOWN_SIZE`` atoms is a candidate, with every CQ it
+    occurs in as a consumer."""
 
-    def test_join_alternatives_are_bipartitions(self, fed):
-        cq = full_cq(fed)
-        graph = AndOrGraph(max_fragment_size=3)
-        graph.add_queries([cq])
-        node = graph.node(cq.expr)
-        assert node is not None
-        for alt in node.alternatives:
-            assert alt.kind == "join"
-            left, right = alt.children
-            assert set(left.aliases) | set(right.aliases) == {"A", "B", "C"}
-            assert not set(left.aliases) & set(right.aliases)
+    @pytest.fixture()
+    def open_config(self):
+        return ExecutionConfig(k=1, tau_probe_threshold=2, seed=1,
+                               low_cardinality_bonus=10_000,
+                               min_sharing_queries=1)
 
-    def test_scan_alternative_for_singletons(self, fed):
+    def test_enumerates_all_fragments(self, fed, open_config):
+        # Only A and B share a site: of the connected fragments A-B,
+        # B-C and A-B-C (A-C is disconnected), A-B alone is pushable.
         cq = full_cq(fed)
-        graph = AndOrGraph()
-        graph.add_queries([cq])
-        single = graph.node(cq.expr.induced({"A"}))
-        assert single.alternatives[0].kind == "scan"
+        result = enumerate_candidates([cq], fed, CostModel(fed, open_config),
+                                      open_config)
+        assert [c.expr for c in result] == [cq.expr.induced({"A", "B"})]
 
-    def test_shared_nodes_tracks_queries(self, fed):
+    def test_shared_nodes_tracks_queries(self, fed, open_config):
         cq1 = full_cq(fed, "cq1")
         cq2 = full_cq(fed, "cq2")
-        graph = AndOrGraph()
-        graph.add_queries([cq1, cq2])
-        shared = graph.shared_nodes(min_queries=2)
-        assert any(n.expr == cq1.expr for n in shared)
+        result = enumerate_candidates([cq1, cq2], fed,
+                                      CostModel(fed, open_config), open_config)
+        assert [c.consumers for c in result] == [{"cq1", "cq2"}]
 
-    def test_max_fragment_size_respected(self, fed):
-        cq = full_cq(fed)
-        graph = AndOrGraph(max_fragment_size=2)
-        graph.add_queries([cq])
-        assert all(n.size <= 2 for n in graph.nodes)
+    def test_max_fragment_size_respected(self, burst_world, open_config):
+        fed, generator, _config, pairs = burst_world
+        cqs = [cq for n, pair in enumerate(pairs[:5])
+               for cq in generator.generate(
+                   KeywordQuery(f"q{n}", pair, k=10)).cqs]
+        assert max(cq.expr.size for cq in cqs) > MAX_PUSHDOWN_SIZE
+        result = enumerate_candidates(cqs, fed, CostModel(fed, open_config),
+                                      open_config)
+        assert {c.expr.size for c in result} \
+            == set(range(2, MAX_PUSHDOWN_SIZE + 1))
 
 
 class TestEnumerateCandidates:
     def test_base_candidates_always_present(self, fed, config):
+        """Base relations are not candidates: Algorithm 1 streams them
+        itself for every streamable atom no candidate covers."""
         cq = full_cq(fed)
-        cost = CostModel(fed, config)
-        result = enumerate_candidates([cq], fed, cost, config)
-        base_exprs = {c.expr for c in result.bases}
-        assert cq.expr.induced({"A"}) in base_exprs
-        assert cq.expr.induced({"C"}) in base_exprs
+        assert enumerate_candidates([cq], fed, CostModel(fed, config),
+                                    config, sharing=False) == []
+        result = best_plan(fed, config, [cq], sharing=False)
+        assert cq.expr.induced({"A"}) in result.streams
+        assert cq.expr.induced({"C"}) in result.streams
 
     def test_no_sharing_mode_skips_pushdowns(self, fed, config):
         cq = full_cq(fed)
         cost = CostModel(fed, config)
         result = enumerate_candidates([cq], fed, cost, config,
                                       sharing=False)
-        assert result.pushdowns == []
+        assert result == []
 
     def test_pushdowns_single_site_only(self, fed, config):
         cq = full_cq(fed)
         cost = CostModel(fed, config)
         result = enumerate_candidates([cq], fed, cost, config)
-        for candidate in result.pushdowns:
+        for candidate in result:
             assert fed.site_of_expression(candidate.expr) is not None
 
     def test_pushdown_requires_score(self, fed):
@@ -141,7 +152,7 @@ class TestEnumerateCandidates:
         cq = full_cq(fed)
         cost = CostModel(fed, config)
         result = enumerate_candidates([cq], fed, cost, config)
-        for candidate in result.pushdowns:
+        for candidate in result:
             has_score = any(
                 fed.schema.relation(a.relation).has_score
                 for a in candidate.expr.atoms
@@ -149,23 +160,51 @@ class TestEnumerateCandidates:
             assert has_score
 
     def test_selection_distinguishes_base_groups(self, fed, config):
+        """A selected and an unselected atom of one relation never
+        share a stream: s(A) and A are different inputs."""
         sel = Selection("A", "name", "contains", "protein")
         cq1 = full_cq(fed, "cq1", selections=[sel])
         cq2 = full_cq(fed, "cq2")
-        cost = CostModel(fed, config)
-        result = enumerate_candidates([cq1, cq2], fed, cost, config)
-        a_bases = [c for c in result.bases
-                   if c.expr.relations == ("A",)]
-        assert len(a_bases) == 2  # s(A) and A are different inputs
+        result = best_plan(fed, config, [cq1, cq2])
+        a_streams = {expr: consumers
+                     for expr, consumers in result.streams.items()
+                     if expr.relations == ("A",)}
+        assert a_streams == {cq1.expr.induced({"A"}): {"cq1"},
+                             cq2.expr.induced({"A"}): {"cq2"}}
 
     def test_shared_base_groups_merge_consumers(self, fed, config):
+        """Identical base inputs are one stream even without sharing
+        candidates (the ATC-CQ baseline)."""
         cq1 = full_cq(fed, "cq1")
         cq2 = full_cq(fed, "cq2")
+        result = best_plan(fed, config, [cq1, cq2], sharing=False)
+        assert result.streams[cq1.expr.induced({"A"})] \
+            == frozenset({"cq1", "cq2"})
+
+    @given(st.lists(st.integers(0, 65), min_size=1, max_size=6, unique=True),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=25, deadline=None)
+    def test_depends_only_on_the_set_of_cqs(self, burst_world, picks, rnd):
+        """Candidates are a function of the batch's set of CQs: every
+        permutation gives the same list, and each candidate is a
+        connected fragment of 2..MAX_PUSHDOWN_SIZE atoms induced from
+        every one of its consumers."""
+        fed, generator, config, pairs = burst_world
+        cqs = [cq for number in picks
+               for cq in generator.generate(KeywordQuery(
+                   f"q{number}", pairs[number], k=10)).cqs]
         cost = CostModel(fed, config)
-        result = enumerate_candidates([cq1, cq2], fed, cost, config)
-        a_base = next(c for c in result.bases
-                      if c.expr.relations == ("A",))
-        assert a_base.consumers == frozenset({"cq1", "cq2"})
+        result = enumerate_candidates(cqs, fed, cost, config)
+        shuffled = list(cqs)
+        rnd.shuffle(shuffled)
+        assert enumerate_candidates(shuffled, fed, cost, config) == result
+        by_id = {cq.cq_id: cq for cq in cqs}
+        for candidate in result:
+            expr = candidate.expr
+            assert expr.is_connected()
+            assert 2 <= expr.size <= MAX_PUSHDOWN_SIZE
+            for cq_id in candidate.consumers:
+                assert by_id[cq_id].expr.induced(expr.aliases) == expr
 
 
 class TestCostModel:
@@ -246,22 +285,9 @@ class TestCostModel:
 
 
 class TestBestPlan:
-    def run_search(self, fed, config, cqs, sharing=True):
-        cost = CostModel(fed, config)
-        candidates = enumerate_candidates(cqs, fed, cost, config,
-                                          sharing=sharing)
-        streamable = {
-            cq.cq_id: streamable_aliases(cq, fed, config) for cq in cqs
-        }
-        search = BestPlanSearch(
-            cqs=cqs, candidates=candidates, cost_model=cost,
-            config=config, streamable=streamable, probes={},
-        )
-        return search.run()
-
     def test_result_is_valid_single_query(self, fed, config):
         cq = full_cq(fed)
-        result = self.run_search(fed, config, [cq])
+        result = best_plan(fed, config, [cq])
         assert result.probes.get("cq0") == ("B",)
         covered = set()
         for expr, consumers in result.streams.items():
@@ -271,7 +297,7 @@ class TestBestPlan:
 
     def test_no_overlapping_inputs_per_query(self, fed, config):
         cqs = [full_cq(fed, f"cq{i}") for i in range(3)]
-        result = self.run_search(fed, config, cqs)
+        result = best_plan(fed, config, cqs)
         for cq in cqs:
             seen: list[str] = []
             for expr, consumers in result.streams.items():
@@ -281,13 +307,13 @@ class TestBestPlan:
 
     def test_identical_queries_share_every_input(self, fed, config):
         cqs = [full_cq(fed, f"cq{i}") for i in range(3)]
-        result = self.run_search(fed, config, cqs)
+        result = best_plan(fed, config, cqs)
         for expr, consumers in result.streams.items():
             assert consumers == frozenset(cq.cq_id for cq in cqs)
 
     def test_no_sharing_still_valid(self, fed, config):
         cqs = [full_cq(fed, f"cq{i}") for i in range(2)]
-        result = self.run_search(fed, config, cqs, sharing=False)
+        result = best_plan(fed, config, cqs, sharing=False)
         assert result.cost > 0
         # each query fully covered
         for cq in cqs:
@@ -299,23 +325,15 @@ class TestBestPlan:
 
     def test_explored_counts_recorded(self, fed, config):
         cq = full_cq(fed)
-        result = self.run_search(fed, config, [cq])
+        result = best_plan(fed, config, [cq])
         assert result.plans_explored >= 1
-        assert result.wall_time >= 0.0
 
     def test_deterministic(self, fed, config):
         cqs = [full_cq(fed, f"cq{i}") for i in range(2)]
-        r1 = self.run_search(fed, config, cqs)
-        r2 = self.run_search(fed, config, cqs)
+        r1 = best_plan(fed, config, cqs)
+        r2 = best_plan(fed, config, cqs)
         assert r1.streams == r2.streams
         assert r1.cost == pytest.approx(r2.cost)
-
-    def test_inputs_for_ordering(self, fed, config):
-        cq = full_cq(fed)
-        result = self.run_search(fed, config, [cq])
-        inputs = result.inputs_for("cq0")
-        sizes = [e.size for e in inputs]
-        assert sizes == sorted(sizes, reverse=True)
 
 
 class BufferedSome(ReuseOracle):
@@ -349,7 +367,7 @@ def burst_search(world, pairs, oracle=None):
         cost_model=cost, config=config,
         streamable={cq.cq_id: driving_stream_aliases(cq, fed, config)
                     for cq in cqs},
-        probes={}, oracle=oracle)
+        oracle=oracle)
 
 
 class TestLeafCosting:

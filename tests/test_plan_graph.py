@@ -97,7 +97,7 @@ class TestDescent:
         streamable = {"c1": streamable_aliases(cq, fed, CONFIG)}
         result = BestPlanSearch(
             cqs=[cq], candidates=cands, cost_model=cost, config=CONFIG,
-            streamable=streamable, probes={},
+            streamable=streamable,
         ).run()
         plan = factorize(result, [cq], cost, "main")
         uq = UserQuery("u1", ("kw",), [cq], k=3)

@@ -221,7 +221,7 @@ class TestReuseOracle:
                 config=config,
                 streamable={cq.cq_id: driving_stream_aliases(cq, fed,
                                                              config)},
-                probes={}, oracle=ReadingOracle(readings)).run()
+                oracle=ReadingOracle(readings)).run()
 
         cold = best({})
         warm = best({read_expr: 5000})

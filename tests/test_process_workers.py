@@ -268,6 +268,32 @@ def test_crash_restart_respawns_and_serves_again(fed, index, load):
         fleet.close()
 
 
+def test_crash_closes_the_traces_of_the_queries_it_fails(fed, load):
+    """A query lost to a worker crash reaches its terminal disposition
+    in the trace too: ``failed``, stamped once, root closed."""
+    from repro.obs.trace import TERMINAL, Tracer
+
+    fleet = make_fleet(fed, "process", 2, "roundrobin",
+                       restart_workers=False, tracer=Tracer())
+    try:
+        handles = [fleet.submit(kq) for kq in load[:6]]
+        kill_worker(fleet, 0)
+        fleet.drain()
+        victims = [h for h in handles if h.status.value == "failed"]
+        assert victims
+        for h in victims:
+            trace = fleet.trace_of(h)
+            assert trace.finished
+            assert trace.root.attrs["disposition"] == "failed"
+            assert trace.root.v_end is not None
+            terminals = [s for s in trace.root.children
+                         if s.name == TERMINAL]
+            assert len(terminals) == 1
+            assert terminals[0].attrs["reason"] == h.reason
+    finally:
+        fleet.close()
+
+
 def test_every_worker_dead_raises(fed, load):
     from repro.service import WorkerCrashed
 

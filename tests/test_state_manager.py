@@ -41,7 +41,7 @@ def build_plan(fed, cqs, scope="g", sharing=True):
     }
     result = BestPlanSearch(
         cqs=cqs, candidates=candidates, cost_model=cost, config=CONFIG,
-        streamable=streamable, probes={},
+        streamable=streamable,
     ).run()
     return factorize(result, cqs, cost, scope, sharing=sharing)
 
