@@ -4,10 +4,17 @@ The sharded front door used to call its workers' Python methods
 directly; running a worker in its own OS process means every
 interaction must cross a pipe instead.  This module defines that
 boundary as an explicit, *serializable* message protocol: one small
-frozen dataclass per operation -- submit / cancel / step-to / pump /
-harvest / telemetry-snapshot / trace-dump / shutdown, plus the cache
-mirroring and leadership queries the front door's coalescing tier
-needs -- with a versioned, pickle-free JSON wire encoding.
+frozen dataclass per operation -- submit / cancel / step-to / drain /
+pump / cache-put / telemetry-snapshot / trace-dump / shutdown -- with
+a versioned, pickle-free JSON wire encoding.
+
+One rule decides which requests exist: a worker changes state only
+while serving a request, and every reply reports what changed (a
+:class:`WorkerUpdate`), so a request that only reads state the last
+reply already reported does not exist -- answers-so-far ride the
+handle events, and in-flight leadership is read off the front door's
+proxies -- and a request that changes nothing the front door reads
+(:class:`CachePut`) gets no reply.
 
 Design rules:
 
@@ -50,8 +57,6 @@ __all__ = [
     "StepTo",
     "DrainShard",
     "PumpQuery",
-    "AnswersSoFar",
-    "InflightLeader",
     "CachePut",
     "TelemetrySnapshot",
     "TraceDump",
@@ -60,7 +65,6 @@ __all__ = [
     "SubmitReply",
     "BoolReply",
     "AnswersReply",
-    "LeaderReply",
     "SnapshotReply",
     "TraceReply",
     "Ack",
@@ -79,7 +83,7 @@ __all__ = [
 #: protocol change and MUST bump this number, then regenerate the
 #: golden snapshot (``python scripts/update_protocol_schema.py``) that
 #: ``tests/test_protocol_schema.py`` locks the schema against.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 
 class ProtocolError(ValueError):
@@ -150,7 +154,10 @@ class HandleState(Message):
     The worker reports these both as direct replies (submit) and as
     *events* piggy-backed on every reply (:class:`WorkerUpdate`), so
     the front door's proxy handles track the worker's without any
-    polling.  ``answers`` is ``None`` until the handle is terminal;
+    polling.  ``emitted`` holds the answers the handle's rank-merge
+    emitted since its previous state (a delta: emission is
+    append-only), so the proxy's answers-so-far need no request of
+    their own.  ``answers`` is ``None`` until the handle is terminal;
     a terminal state carries the final (possibly partial) answer list
     in canonical form.
     """
@@ -164,6 +171,7 @@ class HandleState(Message):
     reason: str = ""
     deadline: float | None = None
     arrival: float = 0.0
+    emitted: tuple[dict, ...] = ()
 
 
 @_register
@@ -172,7 +180,8 @@ class WorkerUpdate(Message):
     """Piggy-backed worker state carried on every reply: the worker's
     clock, its load gauges, and the handle-state events since the last
     message.  Harvest, in protocol terms, *is* this update: the front
-    door never polls for completions, they ride the next reply."""
+    door never polls for completions or answers, they ride the next
+    reply."""
 
     now: float = 0.0
     in_flight: int = 0
@@ -234,29 +243,12 @@ class PumpQuery(Message):
 
 @_register
 @dataclass(frozen=True)
-class AnswersSoFar(Message):
-    now: float
-    kq_id: str
-
-
-@_register
-@dataclass(frozen=True)
-class InflightLeader(Message):
-    """Who (if anyone) currently leads this cache key's in-flight
-    execution on the worker -- the coalescing tier's promotion probe."""
-
-    now: float
-    keywords: tuple[str, ...]
-    k: int
-
-
-@_register
-@dataclass(frozen=True)
 class CachePut(Message):
     """Mirror one authoritative-cache insertion into the worker's
     local answer cache, so deferred retries and worker-side lookups
     observe fleet-wide completions just as a shared in-process cache
-    would."""
+    would.  One-way: it changes nothing the front door reads, so the
+    worker sends no reply."""
 
     now: float
     keywords: tuple[str, ...]
@@ -310,15 +302,13 @@ class BoolReply(Message):
 @_register
 @dataclass(frozen=True)
 class AnswersReply(Message):
+    """No worker sends this: answers ride :attr:`HandleState.emitted`.
+    It stays registered only because the end-to-end benchmark's codec
+    micro-measurement (``benchmarks/e2e/reduce.py``) encodes one per
+    query; it goes when that measurement moves to a live kind."""
+
     update: WorkerUpdate
     answers: tuple[dict, ...]
-
-
-@_register
-@dataclass(frozen=True)
-class LeaderReply(Message):
-    update: WorkerUpdate
-    kq_id: str | None
 
 
 @_register

@@ -31,9 +31,11 @@ plan repository.  Engine completions ship back in each reply's
 piggy-backed :class:`~repro.service.protocol.WorkerUpdate`; the front
 door writes them into the authoritative cache and mirrors them to the
 *other* workers as :class:`~repro.service.protocol.CachePut` messages
-(flushed before each worker's next request), so deferred retries
-observe fleet-wide completions just as a shared in-process cache
-would.
+(sent one-way, ahead of each worker's next request, which the pipe
+orders after them), so deferred retries observe fleet-wide completions
+just as a shared in-process cache would.  Answers emitted so far ride
+the same events, as deltas, so the proxies answer answers-so-far and
+in-flight leadership without a round trip.
 
 Crash surface: a worker process dying (broken pipe, nonzero exit)
 fails that shard's in-flight queries with a ``FAILED`` disposition
@@ -50,7 +52,7 @@ import json
 import multiprocessing as mp
 from collections import deque
 from collections.abc import Callable, Iterable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Protocol, runtime_checkable
 
 from repro.atc.engine import EngineReport
@@ -75,15 +77,11 @@ from repro.service.cache import (
 from repro.service.handle import QueryHandle, QueryStatus
 from repro.service.protocol import (
     Ack,
-    AnswersReply,
-    AnswersSoFar,
     BoolReply,
     CachePut,
     CancelQuery,
     DrainShard,
     HandleState,
-    InflightLeader,
-    LeaderReply,
     Message,
     ProtocolError,
     PumpQuery,
@@ -227,25 +225,22 @@ class WorkerSpec:
 
 # -- engine-metrics wire state ------------------------------------------------
 
-_METRIC_SCALARS = (
-    "stream_read_time", "random_access_time", "join_time",
-    "stream_tuples_read", "probes_performed", "probe_cache_hits",
-    "join_probes", "tuples_inserted", "tuples_output", "tuples_reused",
-    "splits_routed", "evictions", "recovery_queries",
-)
+#: Every int/float counter of :class:`Metrics`, read off the dataclass
+#: so a new engine counter cannot silently drop out of the fleet view.
+_SCALARS = tuple(f.name for f in fields(Metrics)
+                 if f.type in ("int", "float"))
 
 
 def metrics_state(metrics: Metrics) -> dict:
     """The engine work counters as plain data (per-query records stay
     on the worker; the fleet view needs the totals)."""
-    state = {name: getattr(metrics, name) for name in _METRIC_SCALARS}
+    state = {name: getattr(metrics, name) for name in _SCALARS}
     state["per_source_reads"] = dict(metrics.per_source_reads)
     return state
 
 
 def metrics_from_state(state: dict) -> Metrics:
-    metrics = Metrics(**{name: state.get(name, 0)
-                         for name in _METRIC_SCALARS})
+    metrics = Metrics(**{name: state.get(name, 0) for name in _SCALARS})
     metrics.per_source_reads.update(state.get("per_source_reads", {}))
     return metrics
 
@@ -344,7 +339,7 @@ class _WorkerServer:
     front door would own -- a per-process answer cache (groomed after
     every request) and plan repository, both published in the shard's
     registry -- plus the dirty-handle tracker that turns status changes
-    into piggy-backed events."""
+    and new answers into piggy-backed events."""
 
     def __init__(self, spec: WorkerSpec) -> None:
         federation = spec.build_federation()
@@ -375,13 +370,25 @@ class _WorkerServer:
 
     # -- event tracking ------------------------------------------------------
 
-    @staticmethod
-    def _fingerprint(handle: QueryHandle) -> tuple:
-        return (handle.status.value, handle.via, handle.uq_id,
-                handle.completed_at, handle.reason)
-
-    @staticmethod
-    def _state_of(handle: QueryHandle) -> HandleState:
+    def _report(self, handle: QueryHandle) -> HandleState | None:
+        """The handle's state if it changed since last reported, else
+        ``None``.  A live state carries the answers emitted since the
+        last report (all of them on the first); a terminal one its
+        final answers, and the handle is forgotten."""
+        so_far = self.service.answers_so_far(handle)
+        fp = (handle.status.value, handle.via, handle.uq_id,
+              handle.completed_at, handle.reason, len(so_far))
+        last = self._reported.get(handle.kq_id)
+        if fp == last:
+            return None
+        if handle.terminal:
+            self._watched.pop(handle.kq_id, None)
+            self._reported.pop(handle.kq_id, None)
+            so_far = []
+        else:
+            self._watched[handle.kq_id] = handle
+            self._reported[handle.kq_id] = fp
+            so_far = so_far[0 if last is None else last[-1]:]
         return HandleState(
             kq_id=handle.kq_id,
             status=handle.status.value,
@@ -393,23 +400,15 @@ class _WorkerServer:
             reason=handle.reason,
             deadline=handle.deadline,
             arrival=handle.arrival,
+            emitted=encode_answers(so_far),
         )
 
     def _update(self) -> WorkerUpdate:
         svc = self.service
         self._cadence.fire(svc.clock.now)
-        events = []
-        for kq_id in list(self._watched):
-            handle = self._watched[kq_id]
-            fp = self._fingerprint(handle)
-            if fp == self._reported.get(kq_id):
-                continue
-            events.append(self._state_of(handle))
-            if handle.terminal:
-                del self._watched[kq_id]
-                del self._reported[kq_id]
-            else:
-                self._reported[kq_id] = fp
+        events = [state for state in map(self._report,
+                                         list(self._watched.values()))
+                  if state is not None]
         return WorkerUpdate(now=svc.clock.now,
                             in_flight=svc.in_flight_count,
                             deferred=svc.deferred_count,
@@ -425,11 +424,12 @@ class _WorkerServer:
                 return  # front door went away; nothing left to serve
             msg = decode(data)
             reply = self.dispatch(msg)
-            conn.send_bytes(encode(reply))
+            if reply is not None:
+                conn.send_bytes(encode(reply))
             if isinstance(msg, Shutdown):
                 return
 
-    def dispatch(self, msg: Message) -> Message:
+    def dispatch(self, msg: Message) -> Message | None:
         svc = self.service
         if isinstance(msg, SubmitQuery):
             kq = KeywordQuery(kq_id=msg.kq_id,
@@ -440,11 +440,8 @@ class _WorkerServer:
             self.tracer.start_query(kq.kq_id, msg.arrival,
                                     keywords=" ".join(kq.keywords), k=kq.k)
             handle = svc.submit(kq, msg.arrival, deadline=msg.deadline)
-            if not handle.terminal:
-                self._watched[handle.kq_id] = handle
-                self._reported[handle.kq_id] = self._fingerprint(handle)
-            return SubmitReply(update=self._update(),
-                               handle=self._state_of(handle))
+            state = self._report(handle)
+            return SubmitReply(update=self._update(), handle=state)
         if isinstance(msg, CancelQuery):
             handle = self._watched.get(msg.kq_id)
             value = bool(handle is not None and not handle.terminal
@@ -461,22 +458,10 @@ class _WorkerServer:
             value = bool(handle is not None and not handle.terminal
                          and svc.pump(handle))
             return BoolReply(update=self._update(), value=value)
-        if isinstance(msg, AnswersSoFar):
-            handle = self._watched.get(msg.kq_id)
-            answers = svc.answers_so_far(handle) \
-                if handle is not None else []
-            return AnswersReply(update=self._update(),
-                                answers=encode_answers(answers))
-        if isinstance(msg, InflightLeader):
-            leader = svc.inflight_handle(
-                normalize_key(msg.keywords, msg.k))
-            return LeaderReply(update=self._update(),
-                               kq_id=None if leader is None
-                               else leader.kq_id)
         if isinstance(msg, CachePut):
             svc.cache.put(normalize_key(msg.keywords, msg.k),
                           decode_answers(msg.answers), now=msg.stored_at)
-            return Ack(update=self._update())
+            return None
         if isinstance(msg, TelemetrySnapshot):
             report = svc.report()  # syncs optimizer telemetry
             return SnapshotReply(
@@ -508,7 +493,8 @@ class ProcessWorker:
     real handles live in the worker.  Every reply's piggy-backed
     :class:`~repro.service.protocol.WorkerUpdate` advances the fleet
     clock and replays the worker's handle-state events onto the
-    proxies, so harvest needs no polling.  DONE-via-engine events
+    proxies, so harvest, answers-so-far and in-flight leadership need
+    no polling.  DONE-via-engine events
     trigger ``on_completion`` (the front door's authoritative cache
     write plus mirroring to sibling workers).
 
@@ -538,6 +524,8 @@ class ProcessWorker:
         #: Proxies of this shard's non-terminal queries; each leaves
         #: with its terminal event (or the crash that fails it).
         self._handles: dict[str, QueryHandle] = {}
+        #: Each non-terminal proxy's answers emitted so far.
+        self._so_far: dict[str, list[RankedAnswer]] = {}
         self._puts: deque[CachePut] = deque()
         self._in_flight = 0
         self._deferred = 0
@@ -602,6 +590,7 @@ class ProcessWorker:
             self._front_tracer.finish_query(handle.kq_id, now, "failed",
                                             reason=handle.reason)
         self._handles.clear()
+        self._so_far.clear()
         self._in_flight = 0
         self._deferred = 0
         if self._last_snapshot is not None:
@@ -669,9 +658,7 @@ class ProcessWorker:
 
     def _flush_puts(self) -> None:
         while self._puts:
-            msg = self._puts.popleft()
-            self._send_raw(msg)
-            self._recv(Ack)
+            self._send_raw(self._puts.popleft())
 
     def _apply_update(self, update: WorkerUpdate) -> None:
         self._clock.advance_to(update.now)
@@ -693,8 +680,12 @@ class ProcessWorker:
             proxy.deadline = event.deadline
         if event.answers is not None:
             proxy.answers = decode_answers(event.answers)
+        if event.emitted:
+            self._so_far.setdefault(event.kq_id, []).extend(
+                decode_answers(event.emitted))
         if proxy.terminal:
             del self._handles[event.kq_id]
+            self._so_far.pop(event.kq_id, None)
         if (proxy.status is QueryStatus.DONE and event.via == "engine"
                 and proxy.answers is not None
                 and self._on_completion is not None):
@@ -715,16 +706,10 @@ class ProcessWorker:
                         keywords=tuple(kq.keywords), k=kq.k,
                         arrival=arrival, user=kq.user, deadline=deadline),
             SubmitReply)
-        state = reply.handle
-        proxy = QueryHandle(
-            kq_id=kq.kq_id, keywords=tuple(kq.keywords), k=kq.k,
-            arrival=state.arrival, status=QueryStatus(state.status),
-            via=state.via, uq_id=state.uq_id,
-            answers=decode_answers(state.answers),
-            completed_at=state.completed_at, reason=state.reason,
-            deadline=state.deadline)
-        if not proxy.terminal:
-            self._handles[kq.kq_id] = proxy
+        proxy = QueryHandle(kq_id=kq.kq_id, keywords=tuple(kq.keywords),
+                            k=kq.k, arrival=reply.handle.arrival)
+        self._handles[kq.kq_id] = proxy
+        self._apply_event(reply.handle)
         return proxy
 
     def cancel(self, handle: QueryHandle) -> bool:
@@ -733,12 +718,9 @@ class ProcessWorker:
         return reply is not None and reply.value
 
     def answers_so_far(self, handle: QueryHandle) -> list[RankedAnswer]:
-        reply = self._ask(
-            AnswersSoFar(now=self._clock.now, kq_id=handle.kq_id),
-            AnswersReply)
-        if reply is None:
-            return list(handle.answers or [])
-        return decode_answers(reply.answers) or []
+        if handle.answers is not None:
+            return list(handle.answers)
+        return list(self._so_far.get(handle.kq_id, ()))
 
     def pump(self, handle: QueryHandle) -> bool:
         reply = self._ask(
@@ -746,13 +728,15 @@ class ProcessWorker:
         return reply is not None and reply.value
 
     def inflight_handle(self, key: CacheKey) -> QueryHandle | None:
-        reply = self._ask(
-            InflightLeader(now=self._clock.now,
-                           keywords=tuple(sorted(key[0])), k=key[1]),
-            LeaderReply)
-        if reply is None or reply.kq_id is None:
-            return None
-        return self._handles.get(reply.kq_id)
+        """An in-flight proxy with cache key ``key``, or ``None``.  The
+        shard has a live leader for a key exactly when some handle with
+        that key is in flight there (a leader, a promoted follower, or
+        a follower, which ends with the execution), and the proxies
+        mirror the shard's states as of the last reply."""
+        return next((proxy for proxy in self._handles.values()
+                     if proxy.status is QueryStatus.IN_FLIGHT
+                     and normalize_key(proxy.keywords, proxy.k) == key),
+                    None)
 
     # -- split-phase progress ------------------------------------------------
 
@@ -784,8 +768,8 @@ class ProcessWorker:
                           answers: list[RankedAnswer],
                           stored_at: float) -> None:
         """Queue one authoritative-cache insertion for mirroring; the
-        queue flushes before this worker's next request (a reply must
-        never be outstanding when a new request goes down the pipe)."""
+        queue goes down the pipe one-way ahead of this worker's next
+        request (never while a split-phase reply is outstanding)."""
         if not self._alive:
             return
         self._puts.append(CachePut(

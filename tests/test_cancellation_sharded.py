@@ -25,6 +25,7 @@ from repro.service import (
     QService,
     QueryStatus,
     ShardedQService,
+    WorkerSpec,
     generate_load,
     normalize_key,
 )
@@ -189,10 +190,14 @@ class TestCoalescedCancellationSharded:
 
     KWS = ("protein", "plasma membrane")
 
-    def _leader_and_follower(self, fed, index):
-        fleet = ShardedQService(fed, config_for(SharingMode.ATC_FULL),
-                                n_shards=2, routing="roundrobin",
-                                index=index)
+    def _leader_and_follower(self, fed, index, workers="inproc"):
+        config = config_for(SharingMode.ATC_FULL)
+        spec = WorkerSpec.figure1(config, seed=7, cardinalities=dict(CARDS),
+                                  domain_factor=0.7) \
+            if workers == "process" else None
+        fleet = ShardedQService(fed, config, n_shards=2,
+                                routing="roundrobin", index=index,
+                                workers=workers, worker_spec=spec)
         leader = fleet.submit(KeywordQuery("L", self.KWS, k=K, arrival=0.0))
         fleet.step(2.05)   # dispatched on shard 0, mid-execution
         follower = fleet.submit(KeywordQuery("F", self.KWS, k=K,
@@ -245,33 +250,50 @@ class TestCoalescedCancellationSharded:
             .metrics.total_input_tuples == work_at_cancel
         assert report.telemetry.completed == 0
 
-    def test_twin_after_promotion_still_coalesces(self, fed, index):
+    # The two tests below exercise the front door's leadership probe
+    # (``inflight_handle``), which a process worker answers from its
+    # proxies: both run over both transports.
+
+    @pytest.mark.parametrize("workers", ("inproc", "process"))
+    def test_twin_after_promotion_still_coalesces(self, fed, index,
+                                                  workers):
         """Cancelling a leader whose follower was promoted must not
         cost later twins their coalescing: the front-door registry
         follows the promotion instead of pruning the key, so a third
         identical arrival is pinned to the promoted handle's shard."""
-        fleet, leader, follower = self._leader_and_follower(fed, index)
-        assert leader.cancel()
-        t3 = fleet.submit(KeywordQuery("T3", self.KWS, k=K, arrival=2.2))
-        assert t3.via == "coalesced"
-        assert t3.shard == 0
-        assert fleet.routing_stats.affinity_overrides == 2   # F and T3
-        fleet.drain()
-        assert follower.done and t3.done
-        assert [a.score for a in t3.answers] == \
-            [a.score for a in follower.answers]
-        # Shard 1 never executed anything.
-        shard1 = fleet.workers[1].engine.report()
-        assert shard1.metrics.total_input_tuples == 0
+        fleet, leader, follower = self._leader_and_follower(
+            fed, index, workers)
+        try:
+            assert leader.cancel()
+            t3 = fleet.submit(KeywordQuery("T3", self.KWS, k=K,
+                                           arrival=2.2))
+            assert t3.via == "coalesced"
+            assert t3.shard == 0
+            assert fleet.routing_stats.affinity_overrides == 2  # F, T3
+            fleet.drain()
+            assert follower.done and t3.done
+            assert [a.score for a in t3.answers] == \
+                [a.score for a in follower.answers]
+            # Shard 1 never executed anything.
+            shard1 = fleet.workers[1].report().engine_report
+            assert shard1.metrics.total_input_tuples == 0
+        finally:
+            fleet.close()
 
-    def test_front_door_prunes_cancelled_leader(self, fed, index):
+    @pytest.mark.parametrize("workers", ("inproc", "process"))
+    def test_front_door_prunes_cancelled_leader(self, fed, index, workers):
         """A twin arriving after its leader was cancelled must not be
         pinned to a dead entry -- it routes (and executes) normally."""
-        fleet, leader, follower = self._leader_and_follower(fed, index)
-        follower.cancel()
-        leader.cancel()
-        t3 = fleet.submit(KeywordQuery("T3", self.KWS, k=K, arrival=3.0))
-        assert t3.via == "engine"
-        assert fleet.routing_stats.affinity_overrides == 1  # F only
-        fleet.drain()
-        assert t3.done and len(t3.answers) == K
+        fleet, leader, follower = self._leader_and_follower(
+            fed, index, workers)
+        try:
+            follower.cancel()
+            leader.cancel()
+            t3 = fleet.submit(KeywordQuery("T3", self.KWS, k=K,
+                                           arrival=3.0))
+            assert t3.via == "engine"
+            assert fleet.routing_stats.affinity_overrides == 1  # F only
+            fleet.drain()
+            assert t3.done and len(t3.answers) == K
+        finally:
+            fleet.close()

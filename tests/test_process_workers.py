@@ -38,6 +38,7 @@ from repro.service import (
     generate_abandonments,
     generate_load,
     handles_digest,
+    normalize_key,
 )
 
 CARDS = {
@@ -179,6 +180,43 @@ def test_deferral_answers_match(fed, load):
         finally:
             fleet.close()
     assert digests["process"] == digests["inproc"]
+
+
+def test_streaming_over_the_wire_sends_only_pumps(fed, load):
+    """``results()`` through a process fleet streams the in-process
+    fleet's answer sequences, and once a query is submitted its owning
+    worker sees nothing but ``PumpQuery`` frames: the answers emitted
+    so far ride each reply's events instead of a request of their
+    own."""
+    keys, queries = set(), []
+    for kq in load:
+        key = normalize_key(kq.keywords, kq.k)
+        if key not in keys and len(queries) < 4:
+            keys.add(key)
+            queries.append(kq)
+    streams = {}
+    for workers in ("inproc", "process"):
+        fleet = make_fleet(fed, workers, 2, "roundrobin")
+        sent = []
+        for worker in fleet.workers if workers == "process" else ():
+            def record(msg, worker=worker, send=worker._send_raw):
+                sent.append((worker.shard, msg.kind))
+                send(msg)
+            worker._send_raw = record
+        try:
+            streams[workers] = []
+            for kq in queries:
+                handle = fleet.submit(kq)
+                sent.clear()
+                streams[workers].append(list(handle.results()))
+                assert handle.done
+                if workers == "process":
+                    assert sent, "a cold query's stream must pump"
+                    assert set(sent) == {(handle.shard, "PumpQuery")}
+        finally:
+            fleet.close()
+    assert all(streams["inproc"])
+    assert streams["process"] == streams["inproc"]
 
 
 # -- crash semantics ---------------------------------------------------------
@@ -380,6 +418,30 @@ def test_worker_spec_wire_round_trip():
     back = WorkerSpec.from_wire(spec.to_wire())
     assert back == spec
     assert back.execution_config() == exec_config()
+
+
+def test_metrics_state_round_trip():
+    """Every int/float counter of ``Metrics`` crosses the wire in the
+    fleet view's engine state, so a new engine counter cannot silently
+    drop out of a process fleet's report."""
+    import json
+    from dataclasses import fields
+
+    from repro.obs.records import Metrics
+    from repro.service.workers import metrics_from_state, metrics_state
+
+    metrics = Metrics()
+    scalars = [f.name for f in fields(Metrics)
+               if type(getattr(metrics, f.name)) in (int, float)]
+    assert len(scalars) >= 13
+    for i, name in enumerate(scalars, start=1):
+        setattr(metrics, name, i if isinstance(getattr(metrics, name), int)
+                else i + 0.25)
+    metrics.per_source_reads.update({"UP": 3, "TP": 5})
+    back = metrics_from_state(json.loads(json.dumps(metrics_state(metrics))))
+    assert {name: getattr(back, name) for name in scalars} \
+        == {name: getattr(metrics, name) for name in scalars}
+    assert back.per_source_reads == metrics.per_source_reads
 
 
 def test_telemetry_state_round_trip(fed, load, cancels):

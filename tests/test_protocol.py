@@ -27,14 +27,11 @@ from repro.service.protocol import (
     WIRE_VERSION,
     Ack,
     AnswersReply,
-    AnswersSoFar,
     BoolReply,
     CachePut,
     CancelQuery,
     DrainShard,
     HandleState,
-    InflightLeader,
-    LeaderReply,
     ProtocolError,
     PumpQuery,
     Shutdown,
@@ -88,6 +85,7 @@ handle_states = st.builds(
     reason=texts,
     deadline=opt_finites,
     arrival=finites,
+    emitted=answer_tuples,
 )
 
 updates = st.builds(
@@ -112,10 +110,6 @@ MESSAGES = {
     "StepTo": st.builds(StepTo, now=finites, until=finites),
     "DrainShard": st.builds(DrainShard, now=finites),
     "PumpQuery": st.builds(PumpQuery, now=finites, kq_id=ids),
-    "AnswersSoFar": st.builds(AnswersSoFar, now=finites, kq_id=ids),
-    "InflightLeader": st.builds(
-        InflightLeader, now=finites, keywords=keywords,
-        k=st.integers(min_value=1, max_value=64)),
     "CachePut": st.builds(
         CachePut, now=finites, keywords=keywords,
         k=st.integers(min_value=1, max_value=64),
@@ -130,8 +124,6 @@ MESSAGES = {
         BoolReply, update=updates, value=st.booleans()),
     "AnswersReply": st.builds(
         AnswersReply, update=updates, answers=answer_tuples),
-    "LeaderReply": st.builds(
-        LeaderReply, update=updates, kq_id=st.none() | ids),
     "SnapshotReply": st.builds(
         SnapshotReply, update=updates, telemetry=stat_dicts,
         cache=stat_dicts, admission=stat_dicts, engine=stat_dicts,
