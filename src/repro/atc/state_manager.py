@@ -208,7 +208,7 @@ class QueryStateManager:
                 f"{graph.graph_id}: no spec in the plan for node {node_id!r}"
             )
         if isinstance(spec, SourceSpec):
-            return graph.create_unit(node_id, spec.expr)
+            return graph.create_unit(node_id, spec.expr, spec.value_key)
         children = [self.ensure_node(graph, cid, plan)
                     for cid in spec.stream_children]
         targets = []
@@ -239,6 +239,7 @@ class QueryStateManager:
             delays=self.config.delays,
             epoch_of=graph.epoch_of,
             adaptive=self.config.adaptive_probe_ordering,
+            value_key=spec.value_key,
         )
         node.seed_from_suppliers()
         for child in children:
@@ -405,18 +406,18 @@ class QueryStateManager:
         remaining = graph.state_size()
         if remaining <= budget:
             return 0
-        victims: list[tuple[int, int, str, object]] = []
+        victims: list[tuple[int, int, tuple, object]] = []
         for node_id in graph.detached:
             node = graph.nodes[node_id]
             victims.append((node.last_used_epoch, -node.state_size(),
-                            f"node:{node_id}", node))
-        for unit_id, unit in graph.units.items():
+                            ("node", node.value_key), node))
+        for unit in graph.units.values():
             if unit.pinned or unit.consumers:
                 continue
             victims.append((unit.last_used_epoch, -unit.module.size,
-                            f"unit:{unit_id}", unit))
+                            ("unit", unit.value_key), unit))
         for key, source in graph.ra_sources.items():
-            victims.append((0, -source.cache_size, f"ra:{key}", source))
+            victims.append((0, -source.cache_size, ("ra", key), source))
         victims.sort()
         for _epoch, _size, label, victim in victims:
             if remaining <= budget:

@@ -89,8 +89,9 @@ class InputUnit:
     def __init__(self, name: str, expr: SPJ,
                  source: StreamingSource | ListSource,
                  clock: VirtualClock, metrics: Metrics,
-                 delays: DelayModel) -> None:
+                 delays: DelayModel, value_key: object = None) -> None:
         self.name = name
+        self.value_key = name if value_key is None else value_key
         self.expr = expr
         self.source = source
         self.module = AccessModule(f"module:{name}")
@@ -237,6 +238,11 @@ class MJoinNode:
     resequence_interval:
         Re-derive the probe order from monitored selectivities every
         this many arrivals (the runtime adaptivity of [24]).
+    value_key:
+        What orderings over nodes read instead of ``name``, which is a
+        digest (see :mod:`repro.optimizer.factorize`); defaults to
+        ``name`` in hand-built graphs.  A supplier's probe target is
+        named by it, so tied targets are probed in value order.
     """
 
     def __init__(self, name: str, expr: SPJ,
@@ -247,8 +253,10 @@ class MJoinNode:
                  delays: DelayModel,
                  epoch_of: Any,
                  resequence_interval: int = 64,
-                 adaptive: bool = True) -> None:
+                 adaptive: bool = True,
+                 value_key: object = None) -> None:
         self.name = name
+        self.value_key = name if value_key is None else value_key
         self.expr = expr
         self.suppliers = list(suppliers)
         self.probe_targets = list(probe_targets)
@@ -287,7 +295,7 @@ class MJoinNode:
             if supplier.module is None:
                 continue
             self._supplier_targets[idx] = ProbeTarget(
-                f"{name}<-{supplier.name}",
+                f"{name}<-{supplier.value_key}",
                 frozenset(supplier.expr.aliases),
                 "module",
                 module=supplier.module,
@@ -401,15 +409,20 @@ class MJoinNode:
 
     def preferred_supplier(self) -> Supplier | None:
         """The supplier whose next read drops this node's corner bound
-        the most: the one attaining the corner maximum.  ``None`` when
-        every supplier is exhausted."""
+        the most: the one attaining the corner maximum, and of several
+        that tie, the one holding the fewest tuples -- so tied suppliers
+        take turns, and a stream whose many tuples share its top score
+        is not drained while the others' are still unread.  ``None``
+        when every supplier is exhausted."""
         best: Supplier | None = None
-        best_value = -math.inf
+        best_value = (-math.inf, 0)
         for idx, supplier in enumerate(self.suppliers):
             s_i = supplier.bound()
             if s_i == EXHAUSTED:
                 continue
-            value = s_i + self._tops_total - self._supplier_tops[idx]
+            stored = supplier.module.size if supplier.module else 0
+            value = (s_i + self._tops_total - self._supplier_tops[idx],
+                     -stored)
             if value > best_value:
                 best_value = value
                 best = supplier
@@ -547,8 +560,8 @@ class MJoinNode:
 
         This is Algorithm 2's recovery join applied at node-creation
         time: drive the replay of one supplier's linked list (we pick
-        the smallest) and treat the other suppliers' hash tables as
-        random-access inputs.  Results are inserted in nonincreasing
+        the smallest, ties by value key) and treat the other suppliers'
+        hash tables as random-access inputs.  Results are inserted in nonincreasing
         intrinsic order so that module replays remain sorted streams.
         In-memory work only -- no network cost -- which is what makes
         state reuse nearly free.
@@ -562,7 +575,7 @@ class MJoinNode:
             return 0  # recovery-style nodes never seed
         if any(s.module.size == 0 for s in moduled):
             return 0  # every result needs one tuple from every stream
-        driving = min(moduled, key=lambda s: (s.module.size, s.name))
+        driving = min(moduled, key=lambda s: (s.module.size, s.value_key))
         other_targets = [
             target for idx, target in self._supplier_targets.items()
             if self.suppliers[idx] is not driving

@@ -24,10 +24,19 @@ keeps the list of ops it supports, and after an op only the queries in
 its support leave the table and are enumerated again.  An op's rank
 addends -- the cost model's cardinality estimate of the expression it
 builds and its tie-break -- are computed once, when the op enters the
-table.  The tie-break is total (kind, node ids, and the combined
-expression's :attr:`~repro.plan.expressions.SPJ.order_key`, which
-unlike ``repr`` spells out the join predicates), so which of two tied
-ops wins never depends on the order of the batch.
+table.  The tie-break is total and reads values only: the op's kind,
+the value keys of the nodes it merges, and the combined expression's
+:attr:`~repro.plan.expressions.SPJ.order_key`, which unlike ``repr``
+spells out the join predicates.  So which of two tied ops wins depends
+neither on the order of the batch nor on how node ids are digested.
+
+Every node gets a *value key* when it is created -- its kind, its
+expression's ``order_key``, its owner, then its children's value keys
+and its probe atoms -- and every ordering over nodes reads it: the
+regions an op is enumerated from, a component's ``stream_children``
+(which become the m-join's supplier order), and each query's
+``cq_stream_sources``.  A node id is a digest and only ever an
+identity: two equal ids are the graft.
 """
 
 from __future__ import annotations
@@ -71,28 +80,37 @@ def component_node_id(owner: str, expr: SPJ,
     )
 
 
+#: A node's value key: ``("src", order_key, owner)`` for a streaming
+#: input, ``("cmp", order_key, owner, children's value keys, probe
+#: atoms)`` for a component.  Every ordering over nodes reads it, never
+#: the id: an id is a digest, so its order is a hash's.
+ValueKey = tuple
+
+
 @dataclass(frozen=True)
 class SourceSpec:
     """One streaming input of the assignment, to become an InputUnit."""
 
     source_id: str
     expr: SPJ
+    value_key: ValueKey
 
 
 @dataclass
 class ComponentSpec:
     """One m-join component of the factorized plan.
 
-    ``stream_children`` reference source or component ids;
-    ``probe_atoms`` are resolved by random-access sources.  ``cqs`` is
-    the set of conjunctive queries whose plans flow through this
-    component.
+    ``stream_children`` reference source or component ids, in the
+    order of their value keys; ``probe_atoms`` are resolved by
+    random-access sources.  ``cqs`` is the set of conjunctive queries
+    whose plans flow through this component.
     """
 
     comp_id: str
     expr: SPJ
     stream_children: tuple[str, ...]
     probe_atoms: tuple[str, ...]
+    value_key: ValueKey
     cqs: set[str] = field(default_factory=set)
 
 
@@ -121,9 +139,10 @@ class FactorizedPlan:
         return fanout
 
 
-#: op key forms: ("join", idA, idB, combined_expr) with idA < idB,
-#: or ("absorb", idA, probe_alias, combined_expr); without sharing the
-#: owning CQ's id is appended, so no op is ever common to two queries.
+#: op key forms: ("join", idA, idB, combined_expr) with idA's value key
+#: below idB's, or ("absorb", idA, probe_alias, combined_expr); without
+#: sharing the owning CQ's id is appended, so no op is ever common to
+#: two queries.
 _OpKey = tuple
 
 
@@ -136,7 +155,7 @@ class Factorization:
     Applying an op rewrites the regions of the CQs in its support and
     of nobody else, so only their ops are re-enumerated; an op's rank
     addends -- the estimated cardinality of the expression it builds
-    and its tie-break string -- are computed once, when the op first
+    and its tie-break by value -- are computed once, when the op first
     enters the table.
     """
 
@@ -149,6 +168,8 @@ class Factorization:
         self.sharing = sharing
         self.plan = plan = FactorizedPlan(scope=scope)
         self.regions: dict[str, dict[str, frozenset[str]]] = {}
+        #: node id -> its value key.
+        self.keys: dict[str, ValueKey] = {}
         self.pending_probes: dict[str, set[str]] = {}
         for cq in cqs:
             self.regions[cq.cq_id] = {}
@@ -161,13 +182,17 @@ class Factorization:
             for cq_id in consumers:
                 if cq_id not in self.regions:
                     continue
-                source_id = source_node_id(scope if sharing else cq_id, expr)
+                owner = scope if sharing else cq_id
+                source_id = source_node_id(owner, expr)
                 if source_id not in plan.sources:
-                    plan.sources[source_id] = SourceSpec(source_id, expr)
+                    value_key = ("src", expr.order_key, owner)
+                    plan.sources[source_id] = SourceSpec(source_id, expr,
+                                                         value_key)
+                    self.keys[source_id] = value_key
                 self.regions[cq_id][source_id] = frozenset(expr.aliases)
         for cq in cqs:
             plan.cq_stream_sources[cq.cq_id] = tuple(
-                sorted(self.regions[cq.cq_id]))
+                sorted(self.regions[cq.cq_id], key=self.keys.__getitem__))
 
         #: op -> the CQs it is common to.
         self.ops: dict[_OpKey, set[str]] = {}
@@ -239,7 +264,8 @@ class Factorization:
                 children.append(node_id)
         comp_scope = self.scope if self.sharing \
             else f"{self.scope}:{sorted(support)[0]}"
-        stream_children = tuple(sorted(set(children)))
+        keys = self.keys
+        stream_children = tuple(sorted(set(children), key=keys.__getitem__))
         probe_atom_set = tuple(sorted(set(probe_atoms)))
         comp_id = component_node_id(comp_scope, combined, stream_children,
                                     probe_atom_set)
@@ -247,11 +273,16 @@ class Factorization:
         if existing is not None:
             existing.cqs.update(support)
         else:
+            value_key = ("cmp", combined.order_key, comp_scope,
+                         tuple(keys[c] for c in stream_children),
+                         probe_atom_set)
+            keys[comp_id] = value_key
             plan.components[comp_id] = ComponentSpec(
                 comp_id=comp_id,
                 expr=combined,
                 stream_children=stream_children,
                 probe_atoms=probe_atom_set,
+                value_key=value_key,
                 cqs=set(support),
             )
         combined_aliases = frozenset(combined.aliases)
@@ -268,7 +299,9 @@ class Factorization:
         keys = self._cq_ops[cq.cq_id] = []
         expr = cq.expr
         owner = () if self.sharing else (cq.cq_id,)
-        region_items = sorted(self.regions[cq.cq_id].items())
+        node_keys = self.keys
+        region_items = sorted(self.regions[cq.cq_id].items(),
+                              key=lambda item: node_keys[item[0]])
         probes = sorted(self.pending_probes[cq.cq_id])
         for i, (id_a, aliases_a) in enumerate(region_items):
             for id_b, aliases_b in region_items[i + 1:]:
@@ -285,9 +318,14 @@ class Factorization:
             if support is None:
                 self.ops[key] = {cq.cq_id}
                 combined: SPJ = key[3]
+                # Ranked by value: a join's regions by their value
+                # keys (already in that order), an absorb's by its
+                # region's value key and the probed alias.
                 self._rank[key] = (
                     self.cost_model.est_cardinality(combined),
-                    (key[0], key[1], key[2], combined.order_key, *owner),
+                    (key[0], node_keys[key[1]],
+                     node_keys[key[2]] if key[0] == "join" else key[2],
+                     combined.order_key, *owner),
                 )
             else:
                 support.add(cq.cq_id)

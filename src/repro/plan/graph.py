@@ -65,8 +65,11 @@ class PlanGraph:
 
     # -- construction helpers ------------------------------------------------
 
-    def create_unit(self, unit_id: str, expr: SPJ) -> InputUnit:
-        """Create (or return) the input unit streaming ``expr``."""
+    def create_unit(self, unit_id: str, expr: SPJ,
+                    value_key: object = None) -> InputUnit:
+        """Create (or return) the input unit streaming ``expr``.  Its
+        delays are drawn from a stream named by ``value_key`` (default:
+        the id), so they do not depend on how ids are digested."""
         existing = self.units.get(unit_id)
         if existing is not None:
             return existing
@@ -83,10 +86,11 @@ class PlanGraph:
             clock=self.clock,
             metrics=self.metrics,
             delays=self.config.delays,
-            rng=self._source_rng(unit_id),
+            rng=self._source_rng(unit_id if value_key is None
+                                 else value_key),
         )
         unit = InputUnit(unit_id, expr, source, self.clock, self.metrics,
-                         self.config.delays)
+                         self.config.delays, value_key=value_key)
         self.units[unit_id] = unit
         return unit
 
@@ -120,7 +124,7 @@ class PlanGraph:
         self.ra_sources[key] = source
         return source
 
-    def _source_rng(self, name: str) -> random.Random:
+    def _source_rng(self, name: object) -> random.Random:
         return make_rng(self.config.seed, "delays", self.graph_id, name)
 
     # -- flow control -------------------------------------------------------------

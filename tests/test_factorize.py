@@ -279,7 +279,8 @@ def ops_from_scratch(state):
     ops: dict = {}
     for cq in state.cqs:
         owner = () if state.sharing else (cq.cq_id,)
-        regions = sorted(state.regions[cq.cq_id].items())
+        regions = sorted(state.regions[cq.cq_id].items(),
+                         key=lambda item: state.keys[item[0]])
         for i, (id_a, aliases_a) in enumerate(regions):
             for id_b, aliases_b in regions[i + 1:]:
                 if linked(cq.expr, aliases_a, aliases_b):
@@ -303,8 +304,10 @@ class TestIncrementalOpTable:
         cqs, result = build_batch(chain_fed, batch)
 
         def rank(ops, key):
+            second = state.keys[key[2]] if key[0] == "join" else key[2]
             return (-len(ops[key]), cost.est_cardinality(key[3]),
-                    (key[0], key[1], key[2], key[3].order_key, *key[4:]))
+                    (key[0], state.keys[key[1]], second, key[3].order_key,
+                     *key[4:]))
 
         state = Factorization(result, cqs, cost, "g", sharing)
         while state.work_left():
