@@ -103,68 +103,68 @@ class Pin(NamedTuple):
 
 PINS = [
     Pin("large", "shared", "ATC-CQ", 200, 60.0,
-        "c770a92b636b9e10f73dcb03f3f3d53fb1e0e021ed4e5f37b46287769cf2e97c",
+        "0d463dfcf4c8a6af3003a84911ca1f90e799cc0a6258172550a682570891359b",
         298, 1938, 16, 16),
     Pin("large", "shared", "ATC-UQ", 200, 60.0,
-        "23907ae4e659841bc9603c3a34e25a87f7e21f27ca1184f78087f9d521305060",
-        324, 105, 16, 22),
+        "a6d07451ce79a9d55d122cfcfb38276aaf50676e5d746ddfcafd776ca3c324a2",
+        321, 99, 16, 22),
     Pin("large", "shared", "ATC-FULL", 200, 60.0,
-        "24f668a235ce834f72c0914de568b9755c5a9161e3a433d989d07d4469cf910c",
-        419, 90, 4, 29),
+        "b2ebdbd41c50c9d13058c4d0fd12e3cc25c9089f5cec70cb26754152d81a5267",
+        421, 90, 4, 29),
     Pin("large", "shared", "ATC-CL", 200, 60.0,
-        "24f668a235ce834f72c0914de568b9755c5a9161e3a433d989d07d4469cf910c",
-        419, 90, 6, 27),
+        "b2ebdbd41c50c9d13058c4d0fd12e3cc25c9089f5cec70cb26754152d81a5267",
+        421, 90, 6, 27),
     Pin("large", "shared", "ATC-FULL", 80, 60.0,
-        "95b1a0e51a0f06ff1f2098714d1675730295093ab67dc7e327f244e97e6b6ed7",
-        419, 90, 4, 29),
+        "0f0e61a084d2c51beb0c53b37a5b21fb3c64e6c1461b97d6627b4204cfea57e2",
+        421, 90, 4, 29),
     Pin("large", "solo", "ATC-FULL", 200, 20.0,
-        "725f765a12a96b47114cc9265eb038dce5ff31325532a446bea22bf6d0af9250",
+        "9dd5a3eab6a0caa363617ccd85c69d60b99ab51c6de1c5e8dce9170383c05a67",
         715, 1632, 40, 495),
     Pin("large", "solo", "ATC-CQ", 200, 60.0,
-        "c770a92b636b9e10f73dcb03f3f3d53fb1e0e021ed4e5f37b46287769cf2e97c",
-        3031, 10713, 196, 196),
+        "0d463dfcf4c8a6af3003a84911ca1f90e799cc0a6258172550a682570891359b",
+        3103, 10715, 198, 198),
     Pin("large", "solo", "ATC-UQ", 200, 60.0,
-        "23907ae4e659841bc9603c3a34e25a87f7e21f27ca1184f78087f9d521305060",
-        3245, 1562, 199, 270),
+        "a6d07451ce79a9d55d122cfcfb38276aaf50676e5d746ddfcafd776ca3c324a2",
+        3230, 1532, 199, 270),
     Pin("large", "solo", "ATC-FULL", 200, 60.0,
-        "c82e72f2bc053ba1c79735218bf08a4dddf689c2e97f235df18c4baa5c81da70",
-        715, 1186, 40, 495),
+        "25ec3565cedc77774be0d887f625f5caa8e42eca90c96b1c4ba0f8f659629811",
+        646, 1175, 40, 525),
     Pin("large", "solo", "ATC-CL", 200, 60.0,
-        "83d5beaf00ffedc02b8680bf7cab426908d23c2ccd98bbbc1ce56498ba69c579",
-        715, 1632, 100, 548),
+        "45ca9d692affe5da145b5328c59804442e0a0883d18a53a2fa0c4bb35ec66cf1",
+        503, 1577, 99, 577),
     Pin("large", "solo", "ATC-FULL", 200, 180.0,
-        "e184b82e678eb55f9cddedb8c33125fe63e9a8c1ae49f936321e25d0e6c641e1",
-        582, 334, 40, 495),
+        "aa8c3a7f0f30426388df746f62f6cd507245a152b155c66005c8c7a1e270f974",
+        594, 318, 40, 510),
     Pin("large", "solo", "ATC-FULL", 80, 60.0,
-        "e62b8476ba302d77dae876af650cfc5feb8d77944657d13f181d3b2cff9984d9",
-        529, 231, 16, 178),
+        "7404a26dd43e855cc5dc462c8ddca3a99e0b90d84f06633dfaaa841a08d5fef4",
+        527, 259, 16, 192),
     Pin("small", "shared", "ATC-CQ", 200, 60.0,
-        "aac010ade4e8c210d8c22d1a29bc02cf36355f29b47a9a9e9538d8ff8bfa83a0",
-        2869, 227, 16, 16),
+        "49e0369fabd467a8a2fb84a2913cc0f2d2d1bbc4a6d22842066a246be15d6ccc",
+        2759, 228, 16, 16),
     Pin("small", "shared", "ATC-UQ", 200, 60.0,
-        "b9fbf6e90e8ba2d5779fdbb48a1b5e1b1d808f82b0bead70acccbc477f9b6b58",
-        2562, 91, 16, 23),
+        "005531551c596935b014d003c24f3111bed2d175953365dc8ec8d86af4ec2012",
+        2537, 61, 16, 23),
     Pin("small", "shared", "ATC-FULL", 200, 60.0,
-        "2e5392b9c6ab7926fd6c665f67b2aafbb808cc1858161d794caef9b70b2b6bb6",
-        2201, 91, 4, 141),
+        "f2a34505ea0bab1307cdeb17c42278dfa2f22fe3da1e5c23e57e9ba770da424a",
+        2202, 61, 4, 141),
     Pin("small", "shared", "ATC-CL", 200, 60.0,
-        "4b184e1500ad6153db6193cd1abaca38bf298bdbd56f1e23b46d075c515cf19c",
-        2279, 91, 6, 100),
+        "568680a9d23e7bb0d44d28355d4b983d1c1a07c912bfa2f204f6e8c0879236fd",
+        2277, 61, 6, 100),
     Pin("small", "shared/reneging", "ATC-FULL", 200, 60.0,
-        "189f2b30f47ebb6f4d43da1cebf70eea8d139b7ab10d2e71d7919da390d78530",
-        2201, 91, 4, 141),
+        "b681bfbd317e2dcd8be703758b0ec1bf77a812a4572e4add1d0734a4bb3d8f1b",
+        2202, 61, 4, 141),
     Pin("small", "solo", "ATC-FULL", 200, 60.0,
-        "ab874a26ec78be14075d889029e1fee3b32924093d7b7aae4e742526b4b3e9b5",
-        2743, 500, 40, 1378),
+        "e0715d0d2a08be00da4e515945efd63ad28233f87a5763cbdd1b1159457aaff6",
+        2667, 289, 40, 1378),
     Pin("small", "solo/reneging", "ATC-FULL", 200, 60.0,
-        "f099abb0f3a46d5614307eb414bf513f3351cab1b20d4a34ffb323c9ca3e7300",
-        2744, 319, 40, 1441),
+        "0772acd75cf57b243b58d496fe2b8634b8060734867c2577c1d9fd3988a84291",
+        2679, 109, 40, 1441),
     Pin("small", "hash/4", "ATC-FULL", 200, 60.0,
-        "21f9168580a8625997e872e1194d00f9d61c71019b173ea6f8b60281d209c379",
-        2642, 180, 5, 113),
+        "bbf13ed523162ae9770310b28dfe728033d632b256198331b92b61ed19de3456",
+        2465, 180, 5, 113),
     Pin("small", "cluster/4", "ATC-FULL", 200, 60.0,
-        "2221a81b570ee66e39c78b93966b023d187236225663435bba25373e9cec91f8",
-        2345, 213, 4, 88),
+        "e7ea6a18c1768a3c63cc0e86b131b96a574b848b0d1426178e26f10b8e06b500",
+        2320, 183, 4, 88),
 ]
 
 
