@@ -17,9 +17,11 @@ Three facilities matter for the paper's algorithms:
 * **Canonicalization** (:meth:`SPJ.canonical_key`): subexpression sharing
   across conjunctive queries requires recognising that two SPJ fragments
   are *the same expression* even when their atoms carry different
-  aliases.  We canonicalize with a Weisfeiler-Leman style relabeling,
-  which fully distinguishes the tree-shaped join graphs produced by
-  candidate-network generation.
+  aliases.  We name the atoms by colour refinement over canonical ranks
+  (:attr:`SPJ.canonical_renaming`), which is exact for the tree-shaped
+  join graphs candidate-network generation produces and, because those
+  never repeat a relation, costs one sort and no refinement round; the
+  key is then one digest of the renamed expression.
 
 * **Connected subexpression enumeration**
   (:meth:`SPJ.connected_subexpressions`): push-down candidate
@@ -33,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import weakref
+from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -405,24 +408,25 @@ class SPJ:
     def canonical_renaming(self) -> dict[str, str]:
         """Map each alias to its canonical name (``q0``, ``q1``, ...).
 
-        Computed by iterated Weisfeiler-Leman refinement: each atom's
-        signature starts as (relation, its selections) and repeatedly
-        absorbs the multiset of (edge attribute pair, neighbour
-        signature).  Tree-shaped join graphs -- which is what candidate
-        networks produce -- are fully distinguished after ``size``
-        rounds.  Two equivalent expressions get renamings that compose
-        into an isomorphism between them (see :func:`alias_isomorphism`).
+        Colour refinement over canonical ranks.  An atom's first colour
+        is (relation, its selections); a round recolours every atom with
+        (its colour, the sorted (own attribute, neighbour's attribute,
+        neighbour's colour) of its joins), and colours are always the
+        ranks of the distinct values, so they compare as values.
+        Refinement stops when a round splits no class -- before the
+        first round when every atom already has a colour of its own,
+        which is the case for every expression whose atoms are told
+        apart by relation and selections.  While a class still holds
+        several aliases, the alias-first member of the lowest such class
+        gets a colour of its own and refinement resumes.  In a forest,
+        which every candidate network is, refinement leaves only atoms
+        an automorphism swaps in one class, so which one is picked does
+        not change the key.  Two equivalent expressions get renamings
+        that compose into an isomorphism between them (see
+        :func:`alias_isomorphism`).
         """
-        sig: dict[str, str] = {}
-        for atom in self.atoms:
-            sels = tuple(
-                (s.attr, s.op, repr(s.value))
-                for s in self.selections_on(atom.alias)
-            )
-            sig[atom.alias] = _digest((atom.relation, sels))
         #: alias -> (own attribute, neighbour's attribute, neighbour)
-        #: per incident join; only the neighbour's signature changes
-        #: from round to round.
+        #: per incident join.
         incident: dict[str, list[tuple[str, str, str]]] = {
             a: [] for a in self.aliases}
         for pred in self.joins:
@@ -430,16 +434,31 @@ class SPJ:
                 (pred.left_attr, pred.right_attr, pred.right_alias))
             incident[pred.right_alias].append(
                 (pred.right_attr, pred.left_attr, pred.left_alias))
-        for _round in range(max(2, self.size)):
-            new_sig: dict[str, str] = {}
-            for alias in self.aliases:
-                neighbour_part = sorted(
-                    (own_attr, other_attr, sig[other])
-                    for own_attr, other_attr, other in incident[alias]
-                )
-                new_sig[alias] = _digest((sig[alias], tuple(neighbour_part)))
-            sig = new_sig
-        order = sorted(self.aliases, key=lambda a: (sig[a], a))
+        colour = _ranks({
+            atom.alias: (atom.relation, tuple(
+                (s.attr, s.op, repr(s.value))
+                for s in self.selections_on(atom.alias)))
+            for atom in self.atoms})
+        while True:
+            classes = len(set(colour.values()))
+            while classes < self.size:
+                colour = _ranks({
+                    alias: (colour[alias], tuple(sorted(
+                        (own, theirs, colour[other])
+                        for own, theirs, other in incident[alias])))
+                    for alias in self.aliases})
+                split = len(set(colour.values()))
+                if split == classes:
+                    break
+                classes = split
+            if classes == self.size:
+                break
+            counts = Counter(colour.values())
+            tied = min(c for c, n in counts.items() if n > 1)
+            chosen = next(a for a in self.aliases if colour[a] == tied)
+            colour = _ranks({a: (c, a != chosen)
+                             for a, c in colour.items()})
+        order = sorted(self.aliases, key=colour.__getitem__)
         return {alias: f"q{i}" for i, alias in enumerate(order)}
 
     @cached_property
@@ -517,6 +536,12 @@ def _digest(payload: object) -> str:
     """The canonical-hash scheme of expression keys: blake2s over
     ``repr``."""
     return hashlib.blake2s(repr(payload).encode(), digest_size=10).hexdigest()
+
+
+def _ranks(values: Mapping[str, tuple]) -> dict[str, int]:
+    """Each key's value replaced by its rank among the distinct values."""
+    rank = {value: i for i, value in enumerate(sorted(set(values.values())))}
+    return {key: rank[value] for key, value in values.items()}
 
 
 def make_chain(relations: list[tuple[str, str, str, str]],

@@ -224,11 +224,63 @@ class TestCanonicalization:
         )
         assert star.canonical_key == renamed.canonical_key
 
+    def test_crosswise_star_canonicalizes(self):
+        """A hub with two S-T spokes: which S each T hangs off is only
+        a naming, so both namings get one key."""
+        def star(s1_partner, s2_partner):
+            return SPJ(
+                [Atom("h", "H"), Atom("s1", "S"), Atom("s2", "S"),
+                 Atom("t1", "T"), Atom("t2", "T")],
+                [JoinPred.normalized("h", "x", "s1", "x"),
+                 JoinPred.normalized("h", "x", "s2", "x"),
+                 JoinPred.normalized("s1", "y", s1_partner, "y"),
+                 JoinPred.normalized("s2", "y", s2_partner, "y")],
+            )
+        straight, crosswise = star("t1", "t2"), star("t2", "t1")
+        assert straight.canonical_key == crosswise.canonical_key
+        mapping = alias_isomorphism(straight, crosswise)
+        assert straight.renamed(mapping) == crosswise
+
+    def test_distinct_atoms_need_no_refinement(self):
+        """Atoms told apart by relation and selections are named in
+        the order of (relation, selections), whatever their aliases."""
+        expr = SPJ([Atom("z", "R"), Atom("a", "T"), Atom("m", "S")],
+                   [JoinPred.normalized("z", "x", "m", "x"),
+                    JoinPred.normalized("m", "y", "a", "y")])
+        assert expr.canonical_renaming == {"z": "q0", "m": "q1", "a": "q2"}
+
     @given(st.permutations(["a", "b", "c"]))
     @settings(max_examples=6, deadline=None)
     def test_canonical_key_invariant_under_renaming(self, names):
         a, b, c = names
         assert chain3(a, b, c).canonical_key == chain3().canonical_key
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_tree_key_invariant_under_alias_permutation(self, data):
+        """Random trees of up to six atoms over few relations, so
+        relations repeat and automorphisms abound: permuting the
+        aliases never changes the key, and the renamings compose into
+        an isomorphism."""
+        size = data.draw(st.integers(1, 6))
+        aliases = [f"a{i}" for i in range(size)]
+        relations = data.draw(st.lists(st.sampled_from("RS"),
+                                       min_size=size, max_size=size))
+        atoms = [Atom(a, r) for a, r in zip(aliases, relations)]
+        joins = []
+        for child in range(1, size):
+            parent = data.draw(st.integers(0, child - 1))
+            joins.append(JoinPred.normalized(
+                aliases[parent], data.draw(st.sampled_from("xy")),
+                aliases[child], "x"))
+        selections = [
+            Selection(a, "name", "eq", "p")
+            for a in aliases if data.draw(st.booleans())]
+        expr = SPJ(atoms, joins, selections)
+        permuted = data.draw(st.permutations(aliases))
+        twin = expr.renamed(dict(zip(aliases, permuted)))
+        assert twin.canonical_key == expr.canonical_key
+        assert expr.renamed(alias_isomorphism(expr, twin)) == twin
 
 
 class TestHelpers:
