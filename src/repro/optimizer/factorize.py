@@ -24,19 +24,15 @@ keeps the list of ops it supports, and after an op only the queries in
 its support leave the table and are enumerated again.  An op's rank
 addends -- the cost model's cardinality estimate of the expression it
 builds and its tie-break -- are computed once, when the op enters the
-table.  The tie-break is total and reads values only: the op's kind,
-the value keys of the nodes it merges, and the combined expression's
-:attr:`~repro.plan.expressions.SPJ.order_key`, which unlike ``repr``
-spells out the join predicates.  So which of two tied ops wins depends
-neither on the order of the batch nor on how node ids are digested.
-
-Every node gets a *value key* when it is created -- its kind, its
-expression's ``order_key``, its owner, then its children's value keys
-and its probe atoms -- and every ordering over nodes reads it: the
-regions an op is enumerated from, a component's ``stream_children``
-(which become the m-join's supplier order), and each query's
-``cq_stream_sources``.  A node id is a digest and only ever an
-identity: two equal ids are the graft.
+table.  The tie-break is total and reads values only (kind, the value
+keys of the nodes merged, and the combined expression's
+:attr:`~repro.plan.expressions.SPJ.order_key`), so which of two tied
+ops wins depends neither on the order of the batch nor on how node ids
+are digested.  Every node gets its value key when it is created --
+(kind, ``order_key``, owner, then its children's value keys and probe
+atoms) -- and every ordering over nodes reads it, ``stream_children``
+(the m-join's supplier order) too.  An id is only an identity: two
+equal ids are the graft.
 """
 
 from __future__ import annotations
@@ -80,20 +76,13 @@ def component_node_id(owner: str, expr: SPJ,
     )
 
 
-#: A node's value key: ``("src", order_key, owner)`` for a streaming
-#: input, ``("cmp", order_key, owner, children's value keys, probe
-#: atoms)`` for a component.  Every ordering over nodes reads it, never
-#: the id: an id is a digest, so its order is a hash's.
-ValueKey = tuple
-
-
 @dataclass(frozen=True)
 class SourceSpec:
     """One streaming input of the assignment, to become an InputUnit."""
 
     source_id: str
     expr: SPJ
-    value_key: ValueKey
+    value_key: tuple
 
 
 @dataclass
@@ -110,7 +99,7 @@ class ComponentSpec:
     expr: SPJ
     stream_children: tuple[str, ...]
     probe_atoms: tuple[str, ...]
-    value_key: ValueKey
+    value_key: tuple
     cqs: set[str] = field(default_factory=set)
 
 
@@ -122,27 +111,12 @@ class FactorizedPlan:
     sources: dict[str, SourceSpec] = field(default_factory=dict)
     components: dict[str, ComponentSpec] = field(default_factory=dict)
     cq_final: dict[str, str] = field(default_factory=dict)
-    cq_stream_sources: dict[str, tuple[str, ...]] = field(default_factory=dict)
     cq_probe_atoms: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
-    def node_ids(self) -> set[str]:
-        return set(self.sources) | set(self.components)
 
-    def split_degree(self) -> dict[str, int]:
-        """Fan-out per node id (>= 2 implies a split operator)."""
-        fanout: dict[str, int] = {}
-        for comp in self.components.values():
-            for child in comp.stream_children:
-                fanout[child] = fanout.get(child, 0) + 1
-        for final in self.cq_final.values():
-            fanout[final] = fanout.get(final, 0) + 1
-        return fanout
-
-
-#: op key forms: ("join", idA, idB, combined_expr) with idA's value key
-#: below idB's, or ("absorb", idA, probe_alias, combined_expr); without
-#: sharing the owning CQ's id is appended, so no op is ever common to
-#: two queries.
+#: op key forms: ("join", idA, idB, combined_expr), idA's value key
+#: first, or ("absorb", idA, probe_alias, combined_expr); without sharing
+#: the owning CQ's id is appended, so no op is common to two queries.
 _OpKey = tuple
 
 
@@ -169,7 +143,7 @@ class Factorization:
         self.plan = plan = FactorizedPlan(scope=scope)
         self.regions: dict[str, dict[str, frozenset[str]]] = {}
         #: node id -> its value key.
-        self.keys: dict[str, ValueKey] = {}
+        self.keys: dict[str, tuple] = {}
         self.pending_probes: dict[str, set[str]] = {}
         for cq in cqs:
             self.regions[cq.cq_id] = {}
@@ -190,9 +164,6 @@ class Factorization:
                                                          value_key)
                     self.keys[source_id] = value_key
                 self.regions[cq_id][source_id] = frozenset(expr.aliases)
-        for cq in cqs:
-            plan.cq_stream_sources[cq.cq_id] = tuple(
-                sorted(self.regions[cq.cq_id], key=self.keys.__getitem__))
 
         #: op -> the CQs it is common to.
         self.ops: dict[_OpKey, set[str]] = {}
@@ -318,9 +289,6 @@ class Factorization:
             if support is None:
                 self.ops[key] = {cq.cq_id}
                 combined: SPJ = key[3]
-                # Ranked by value: a join's regions by their value
-                # keys (already in that order), an absorb's by its
-                # region's value key and the probed alias.
                 self._rank[key] = (
                     self.cost_model.est_cardinality(combined),
                     (key[0], node_keys[key[1]],

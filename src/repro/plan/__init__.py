@@ -14,7 +14,6 @@ from repro.plan.expressions import (
     JoinPred,
     Selection,
     alias_isomorphism,
-    cross_subexpression_pairs,
     make_chain,
     union_of,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "SPJ",
     "Selection",
     "alias_isomorphism",
-    "cross_subexpression_pairs",
     "make_chain",
     "union_of",
 ]

@@ -17,11 +17,9 @@ Three facilities matter for the paper's algorithms:
 * **Canonicalization** (:meth:`SPJ.canonical_key`): subexpression sharing
   across conjunctive queries requires recognising that two SPJ fragments
   are *the same expression* even when their atoms carry different
-  aliases.  We name the atoms by colour refinement over canonical ranks
-  (:attr:`SPJ.canonical_renaming`), which is exact for the tree-shaped
-  join graphs candidate-network generation produces and, because those
-  never repeat a relation, costs one sort and no refinement round; the
-  key is then one digest of the renamed expression.
+  aliases.  Colour refinement over canonical ranks names the atoms
+  exactly for the tree-shaped join graphs of candidate networks, at the
+  cost of one sort when no relation repeats; the key is one digest.
 
 * **Connected subexpression enumeration**
   (:meth:`SPJ.connected_subexpressions`): push-down candidate
@@ -408,56 +406,40 @@ class SPJ:
     def canonical_renaming(self) -> dict[str, str]:
         """Map each alias to its canonical name (``q0``, ``q1``, ...).
 
-        Colour refinement over canonical ranks.  An atom's first colour
-        is (relation, its selections); a round recolours every atom with
-        (its colour, the sorted (own attribute, neighbour's attribute,
-        neighbour's colour) of its joins), and colours are always the
-        ranks of the distinct values, so they compare as values.
-        Refinement stops when a round splits no class -- before the
-        first round when every atom already has a colour of its own,
-        which is the case for every expression whose atoms are told
-        apart by relation and selections.  While a class still holds
-        several aliases, the alias-first member of the lowest such class
-        gets a colour of its own and refinement resumes.  In a forest,
-        which every candidate network is, refinement leaves only atoms
-        an automorphism swaps in one class, so which one is picked does
-        not change the key.  Two equivalent expressions get renamings
-        that compose into an isomorphism between them (see
-        :func:`alias_isomorphism`).
+        Colour refinement over canonical ranks: an atom's first colour
+        ranks (relation, its selections); a round, run only while
+        colours tie, re-ranks (colour, the sorted (own attribute,
+        neighbour's attribute, neighbour's colour) of its joins).  When
+        a round splits no class, the alias-first atom of the lowest
+        tied class gets a colour of its own: in a forest, atoms that
+        still tie are swapped by an automorphism, so the pick does not
+        change the key.  Equivalent expressions get renamings that
+        compose into an isomorphism (see :func:`alias_isomorphism`).
         """
-        #: alias -> (own attribute, neighbour's attribute, neighbour)
-        #: per incident join.
-        incident: dict[str, list[tuple[str, str, str]]] = {
-            a: [] for a in self.aliases}
-        for pred in self.joins:
-            incident[pred.left_alias].append(
-                (pred.left_attr, pred.right_attr, pred.right_alias))
-            incident[pred.right_alias].append(
-                (pred.right_attr, pred.left_attr, pred.left_alias))
         colour = _ranks({
             atom.alias: (atom.relation, tuple(
                 (s.attr, s.op, repr(s.value))
                 for s in self.selections_on(atom.alias)))
             for atom in self.atoms})
-        while True:
-            classes = len(set(colour.values()))
-            while classes < self.size:
-                colour = _ranks({
-                    alias: (colour[alias], tuple(sorted(
-                        (own, theirs, colour[other])
-                        for own, theirs, other in incident[alias])))
-                    for alias in self.aliases})
-                split = len(set(colour.values()))
-                if split == classes:
-                    break
-                classes = split
-            if classes == self.size:
-                break
-            counts = Counter(colour.values())
-            tied = min(c for c, n in counts.items() if n > 1)
-            chosen = next(a for a in self.aliases if colour[a] == tied)
-            colour = _ranks({a: (c, a != chosen)
-                             for a, c in colour.items()})
+        classes = len(set(colour.values()))
+        while classes < self.size:
+            edges: dict[str, list[tuple]] = {a: [] for a in self.aliases}
+            for p in self.joins:
+                edges[p.left_alias].append(
+                    (p.left_attr, p.right_attr, colour[p.right_alias]))
+                edges[p.right_alias].append(
+                    (p.right_attr, p.left_attr, colour[p.left_alias]))
+            refined = _ranks({alias: (colour[alias], tuple(sorted(mine)))
+                              for alias, mine in edges.items()})
+            split = len(set(refined.values()))
+            if split == classes:
+                counts = Counter(refined.values())
+                tied = min(c for c, n in counts.items() if n > 1)
+                chosen = next(a for a in self.aliases if refined[a] == tied)
+                refined = _ranks({a: (c, a != chosen)
+                                  for a, c in refined.items()})
+                split += 1
+            colour, classes = refined, split
         order = sorted(self.aliases, key=colour.__getitem__)
         return {alias: f"q{i}" for i, alias in enumerate(order)}
 
@@ -597,17 +579,3 @@ def alias_isomorphism(source: SPJ, target: SPJ) -> dict[str, str]:
         for alias, canon in source.canonical_renaming.items()
     }
 
-
-def cross_subexpression_pairs(left: SPJ, right: SPJ
-                              ) -> Iterator[tuple[SPJ, SPJ]]:
-    """Yield pairs of equivalent connected fragments, one from each query.
-
-    Used by tests and by the optimizer's sharing diagnostics; pairs are
-    produced smallest-first.
-    """
-    right_by_key: dict[str, list[SPJ]] = {}
-    for fragment in right.connected_subexpressions():
-        right_by_key.setdefault(fragment.canonical_key, []).append(fragment)
-    for fragment in left.connected_subexpressions():
-        for twin in right_by_key.get(fragment.canonical_key, ()):
-            yield fragment, twin

@@ -67,9 +67,8 @@ class PlanGraph:
 
     def create_unit(self, unit_id: str, expr: SPJ,
                     value_key: object = None) -> InputUnit:
-        """Create (or return) the input unit streaming ``expr``.  Its
-        delays are drawn from a stream named by ``value_key`` (default:
-        the id), so they do not depend on how ids are digested."""
+        """Create (or return) the input unit streaming ``expr``, its
+        delays drawn from a stream named by its value key, not its id."""
         existing = self.units.get(unit_id)
         if existing is not None:
             return existing
@@ -86,8 +85,7 @@ class PlanGraph:
             clock=self.clock,
             metrics=self.metrics,
             delays=self.config.delays,
-            rng=self._source_rng(unit_id if value_key is None
-                                 else value_key),
+            rng=self._source_rng(value_key or unit_id),
         )
         unit = InputUnit(unit_id, expr, source, self.clock, self.metrics,
                          self.config.delays, value_key=value_key)

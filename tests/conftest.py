@@ -22,7 +22,8 @@ from repro.keyword.queries import ConjunctiveQuery
 from repro.plan.expressions import SPJ, Atom, JoinPred, Selection
 from repro.scoring.base import MonotoneScore
 
-#: CI's oracle leg runs ``tests/test_oracle_properties.py`` with
+#: CI's oracle leg runs ``tests/test_oracle_properties.py`` and
+#: ``tests/test_id_salt_properties.py`` with
 #: ``HYPOTHESIS_PROFILE=deep``; otherwise hypothesis's default profile
 #: stays in force.  Tests that pin ``max_examples`` keep their own.
 settings.register_profile("deep", max_examples=2000)

@@ -20,7 +20,6 @@ from repro.plan.expressions import (
     JoinPred,
     Selection,
     alias_isomorphism,
-    cross_subexpression_pairs,
     interned_count,
     make_chain,
     union_of,
@@ -34,6 +33,16 @@ def chain3(a="a", b="b", c="c") -> SPJ:
         [JoinPred.normalized(a, "x", b, "x"),
          JoinPred.normalized(b, "y", c, "y")],
     )
+
+
+def cross_subexpression_pairs(left: SPJ, right: SPJ):
+    """Pairs of equivalent connected fragments, one from each query."""
+    right_by_key: dict[str, list[SPJ]] = {}
+    for fragment in right.connected_subexpressions():
+        right_by_key.setdefault(fragment.canonical_key, []).append(fragment)
+    for fragment in left.connected_subexpressions():
+        for twin in right_by_key.get(fragment.canonical_key, ()):
+            yield fragment, twin
 
 
 def fragment_keys(expr: SPJ, size: int) -> set[str]:

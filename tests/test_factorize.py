@@ -44,6 +44,29 @@ def plan_for(fed, config, cqs, sharing=True, scope="g"):
     return factorize(result, cqs, cost, scope, sharing=sharing)
 
 
+def split_degree(plan) -> dict[str, int]:
+    """Fan-out per node id (>= 2 implies a split operator)."""
+    fanout: dict[str, int] = {}
+    for comp in plan.components.values():
+        for child in comp.stream_children:
+            fanout[child] = fanout.get(child, 0) + 1
+    for final in plan.cq_final.values():
+        fanout[final] = fanout.get(final, 0) + 1
+    return fanout
+
+
+def stream_sources(plan, cq_id) -> set[str]:
+    """The streaming inputs under a CQ's final node."""
+    todo, found = [plan.cq_final[cq_id]], set()
+    while todo:
+        node_id = todo.pop()
+        if node_id in plan.sources:
+            found.add(node_id)
+        else:
+            todo.extend(plan.components[node_id].stream_children)
+    return found
+
+
 def full_cq(fed, cq_id="cq0", uq_id="uq0", selections=()):
     return make_cq(abc_expr(tuple(selections)), fed, cq_id, uq_id)
 
@@ -97,8 +120,7 @@ class TestSharing:
             plan.components[whole_final].stream_children
         )
         shared = sub_final in whole_children or bool(
-            set(plan.cq_stream_sources["sub"])
-            & set(plan.cq_stream_sources["whole"])
+            stream_sources(plan, "sub") & stream_sources(plan, "whole")
         )
         assert shared
 
@@ -106,7 +128,7 @@ class TestSharing:
         whole = full_cq(fed, "whole")
         sub = make_cq(abc_expr().induced({"A", "B"}), fed, "sub")
         plan = plan_for(fed, config, [whole, sub])
-        fanout = plan.split_degree()
+        fanout = split_degree(plan)
         assert any(count >= 2 for count in fanout.values())
 
     def test_different_selections_not_shared(self, fed, config):
@@ -130,8 +152,8 @@ class TestNoSharing:
     def test_private_sources_per_query(self, fed, config):
         cq1, cq2 = full_cq(fed, "cq1"), full_cq(fed, "cq2")
         plan = plan_for(fed, config, [cq1, cq2], sharing=False)
-        assert not (set(plan.cq_stream_sources["cq1"])
-                    & set(plan.cq_stream_sources["cq2"]))
+        assert not (stream_sources(plan, "cq1")
+                    & stream_sources(plan, "cq2"))
 
 
 class TestStructure:
@@ -139,7 +161,7 @@ class TestStructure:
         cqs = [full_cq(fed, f"cq{i}") for i in range(2)]
         sub = make_cq(abc_expr().induced({"A", "B"}), fed, "sub")
         plan = plan_for(fed, config, cqs + [sub])
-        known = plan.node_ids()
+        known = set(plan.sources) | set(plan.components)
         for comp in plan.components.values():
             for child in comp.stream_children:
                 assert child in known
