@@ -420,7 +420,8 @@ class MJoinNode:
             s_i = supplier.bound()
             if s_i == EXHAUSTED:
                 continue
-            stored = supplier.module.size if supplier.module else 0
+            module = supplier.module
+            stored = module.size if module is not None else 0
             value = (s_i + self._tops_total - self._supplier_tops[idx],
                      -stored)
             if value > best_value:
@@ -561,8 +562,9 @@ class MJoinNode:
         This is Algorithm 2's recovery join applied at node-creation
         time: drive the replay of one supplier's linked list (we pick
         the smallest, ties by value key) and treat the other suppliers'
-        hash tables as random-access inputs.  Results are inserted in nonincreasing
-        intrinsic order so that module replays remain sorted streams.
+        hash tables as random-access inputs.  Results are inserted in
+        nonincreasing intrinsic order so that module replays remain
+        sorted streams.
         In-memory work only -- no network cost -- which is what makes
         state reuse nearly free.
 
