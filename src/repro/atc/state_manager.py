@@ -19,8 +19,10 @@ module owns:
   and the rank-merge receives a free, score-ordered replay stream of
   the final node's existing output as an additional ranked input;
 * **unlinking and eviction** (Section 6.3): completed queries are
-  unlinked back to the nearest split; state is retained for reuse until
-  the memory budget forces LRU (size-tiebreak) eviction, after which a
+  unlinked back to the nearest split.  An m-join left without consumers
+  is detached and drops its state -- revival re-seeds it from its
+  suppliers -- while input units keep theirs for reuse until the
+  memory budget forces LRU (size-tiebreak) eviction, after which a
   source must be re-streamed from the site;
 * **terminal records and release**: every query that completes or is
   retired leaves one frozen :class:`Terminal` in :attr:`QueryStateManager.
@@ -250,9 +252,10 @@ class QueryStateManager:
 
     def _revive(self, graph: PlanGraph, node: MJoinNode) -> None:
         """Re-link a detached node below its suppliers (reviving
-        detached ones first), clear its stale module and re-seed it
-        from their current state -- the recomputation path of Section
-        6.3's cache discussion.  A no-op for a linked node."""
+        detached ones first) and re-seed it from their current state --
+        the recomputation path of Section 6.3's cache discussion; it
+        holds nothing since it was detached.  A no-op for a linked
+        node."""
         if node.name not in graph.detached:
             return
         for child in node.suppliers:
@@ -260,7 +263,6 @@ class QueryStateManager:
                 self._revive(graph, child)
             if not any(c is node for c in child.consumers):
                 child.consumers.append(node)
-        node.clear_state()
         node.seed_from_suppliers()
         # Suppliers advanced while this node was detached from their
         # consumer lists; its memoized bound is stale.
@@ -359,7 +361,9 @@ class QueryStateManager:
         """Unlink a finished user query (Section 6.3): remove its
         rank-merge taps, then walk backwards detaching operators that no
         longer route tuples anywhere (stopping at splits that still
-        serve other queries).  State is retained for reuse."""
+        serve other queries).  A detached m-join drops its state:
+        nothing reads it before a revival re-seeds it.  Input units
+        keep theirs for reuse."""
         for entry in rm.entries.values():
             supplier = entry.supplier
             supplier.consumers = [
@@ -385,6 +389,7 @@ class QueryStateManager:
             return
         if isinstance(supplier, MJoinNode):
             graph.detached.add(supplier.name)
+            supplier.clear_state()
             for child in supplier.suppliers:
                 child.consumers = [
                     c for c in child.consumers if c is not supplier
@@ -407,10 +412,6 @@ class QueryStateManager:
         if remaining <= budget:
             return 0
         victims: list[tuple[int, int, tuple, object]] = []
-        for node_id in graph.detached:
-            node = graph.nodes[node_id]
-            victims.append((node.last_used_epoch, -node.state_size(),
-                            ("node", node.value_key), node))
         for unit in graph.units.values():
             if unit.pinned or unit.consumers:
                 continue
@@ -422,9 +423,7 @@ class QueryStateManager:
         for _epoch, _size, label, victim in victims:
             if remaining <= budget:
                 break
-            if isinstance(victim, MJoinNode):
-                dropped = victim.clear_state()
-            elif isinstance(victim, InputUnit):
+            if isinstance(victim, InputUnit):
                 dropped = victim.module.clear()
                 victim.source.reset()
             else:

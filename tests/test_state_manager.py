@@ -1,11 +1,15 @@
 """Tests for the QS manager: grafting, recovery, unlinking, eviction."""
 
+import itertools
+
 import pytest
 
 from repro.atc.controller import ATCController
+from repro.atc.engine import QSystemEngine
 from repro.atc.state_manager import QueryStateManager
 from repro.common.config import DelayModel, ExecutionConfig, SharingMode
-from repro.keyword.queries import UserQuery
+from repro.data.inverted import InvertedIndex
+from repro.keyword.queries import KeywordQuery, UserQuery
 from repro.operators.rankmerge import RankMerge
 from repro.optimizer.bestplan import BestPlanSearch
 from repro.optimizer.candidates import enumerate_candidates, streamable_aliases
@@ -13,7 +17,12 @@ from repro.optimizer.cost import CostModel
 from repro.optimizer.factorize import factorize
 from repro.obs import UQRecord
 
-from tests.conftest import abc_expr, load_triple_federation, make_cq
+from tests.conftest import (
+    abc_expr,
+    e2e_corpus,
+    load_triple_federation,
+    make_cq,
+)
 
 CONFIG = ExecutionConfig(
     k=3, seed=1, tau_probe_threshold=2,
@@ -148,14 +157,36 @@ class TestUnlinking:
                 for c in entry.supplier.consumers
             )
 
-    def test_orphan_nodes_detached_with_state(self, qs, fed):
+    def test_orphan_nodes_detached_without_state(self, qs, fed):
         graph = qs.get_or_create_graph("main")
         uq = UserQuery("u1", ("kw",),
                        [make_cq(abc_expr(), fed, "c1", "u1")], k=3)
         run_uq(qs, fed, uq, graph)
         assert graph.detached  # the final m-join has no consumers left
         for node_id in graph.detached:
-            assert graph.nodes[node_id].module.size >= 0  # state kept
+            node = graph.nodes[node_id]
+            assert node.module.size == 0
+            assert node.buffered == 0
+
+    def test_distinct_traffic_leaves_only_inputs_and_caches(self):
+        """Once every query is served, the m-joins hold nothing: the
+        graph's state is its input modules and probe caches."""
+        federation = e2e_corpus()
+        index = InvertedIndex(federation)
+        engine = QSystemEngine(federation, CONFIG.with_overrides(
+            k=8, batch_window=2.0, optimizer_time_scale=0.0), index=index)
+        pairs = list(itertools.combinations(index.vocabulary()[:6], 2))
+        assert len(pairs) == 15
+        for round_ in range(2):
+            for i, pair in enumerate(pairs):
+                engine.submit(KeywordQuery(f"r{round_}q{i}", pair, k=8,
+                                           arrival=engine.virtual_now()))
+                assert len(engine.run().answers[f"r{round_}q{i}"]) == 8
+        for graph in engine.qs.graphs.values():
+            assert graph.nodes
+            assert graph.state_size() == (
+                sum(u.module.size for u in graph.units.values())
+                + sum(s.cache_size for s in graph.ra_sources.values()))
 
     def test_detached_node_revived_for_new_query(self, qs, fed):
         graph = qs.get_or_create_graph("main")
