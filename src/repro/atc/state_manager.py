@@ -13,11 +13,13 @@ module owns:
   what keeps the number of executed CQs per user query small (Table 4);
 * **state recovery** (Algorithm 2): when an activated CQ's plan touches
   state that predates it, the missed results are recomputed from the
-  modules' insertion-ordered linked lists -- new m-join nodes are
-  *seeded* from their suppliers' stored tuples (the recovery join:
-  replay one input, treat the others as indexed random-access inputs),
-  and the rank-merge receives a free, score-ordered replay stream of
-  the final node's existing output as an additional ranked input;
+  modules' insertion-ordered linked lists -- each new m-join node gets
+  a *seed*, the recovery join over its suppliers' stored tuples
+  (replay one input, treat the others as indexed random-access
+  inputs), and the rank-merge receives the final node's existing
+  output merged with its pending seed as one more ranked input, read
+  only as deep as its threshold demands.  A seed is run into its
+  node's module before anything reads the node as a supplier;
 * **unlinking and eviction** (Section 6.3): completed queries are
   unlinked back to the nearest split.  An m-join left without consumers
   is detached and drops its state -- revival re-seeds it from its
@@ -213,6 +215,7 @@ class QueryStateManager:
             return graph.create_unit(node_id, spec.expr, spec.value_key)
         children = [self.ensure_node(graph, cid, plan)
                     for cid in spec.stream_children]
+        self._materialize_seeds(children)
         targets = []
         scope = node_id.split(":", 2)[1]
         for alias in spec.probe_atoms:
@@ -263,12 +266,21 @@ class QueryStateManager:
                 self._revive(graph, child)
             if not any(c is node for c in child.consumers):
                 child.consumers.append(node)
+        self._materialize_seeds(node.suppliers)
         node.seed_from_suppliers()
         # Suppliers advanced while this node was detached from their
         # consumer lists; its memoized bound is stale.
         node.invalidate_bound()
         graph.detached.discard(node.name)
         self.mark_state_dirty(graph.graph_id)
+
+    @staticmethod
+    def _materialize_seeds(children) -> None:
+        """Run every m-join child's pending seed into its module: its
+        new parent is about to index, probe and seed from it."""
+        for child in children:
+            if isinstance(child, MJoinNode):
+                child.materialize_seed()
 
     # -- activation -----------------------------------------------------------------
 
@@ -288,9 +300,9 @@ class QueryStateManager:
         Bumps the epoch (Section 6.2), instantiates the CQ's component
         chain (new nodes seed themselves from existing supplier state),
         registers the live stream, and -- when the final operator
-        already holds produced results -- registers a free recovery
-        replay of those results as an additional ranked input, exactly
-        the role of ``CQ^e`` in Algorithm 2.
+        already holds produced results or a pending seed -- registers a
+        free recovery replay of both as an additional ranked input,
+        exactly the role of ``CQ^e`` in Algorithm 2.
         """
         epoch = graph.next_epoch()
         plan = self.cq_plans[graph.graph_id].get(cq.cq_id)
@@ -299,14 +311,14 @@ class QueryStateManager:
                 f"{graph.graph_id}: no plan registered for CQ {cq.cq_id!r}"
             )
         final = self.ensure_node(graph, plan.cq_final[cq.cq_id], plan)
-        module = final.module
-        snapshot = module.replay() if module is not None else []
         rm.register_stream(cq, final, kind="live")
-        if snapshot:
-            ordered = sorted(snapshot, key=lambda t: -t.intrinsic)
-            unit = RecoveryUnit(
-                f"rec:{cq.cq_id}:e{epoch}", cq.expr, ordered, graph.metrics,
-            )
+        unit = RecoveryUnit(
+            f"rec:{cq.cq_id}:e{epoch}", cq.expr,
+            sorted(final.module.replay(), key=lambda t: -t.intrinsic),
+            graph.metrics,
+            seed=final.seed if isinstance(final, MJoinNode) else None,
+        )
+        if not unit.exhausted:
             rm.register_stream(cq, unit, kind="recovery")
             graph.metrics.recovery_queries += 1
 

@@ -11,14 +11,15 @@ paper builds on.  A module is:
   were received from the input stream" (Section 6.2) -- which is
   nonincreasing score order, exactly what recovery needs.
 
-Recovery here is graft-time seeding: a new m-join materializes the
-join of its suppliers' *current* contents by replaying one module and
-probing the others (:meth:`~repro.operators.nodes.MJoinNode.seed_from_suppliers`),
-and a grafted query's recovery stream replays its final module.
-Neither needs to tell epochs apart, so a module keeps none.  (Postings
-are appended in arrival order, so if a recovery query ever needs "the
-tuples before epoch e" again, that is a prefix of each posting list: an
-index of epoch boundaries, not a per-probe set.)
+Recovery is a ranked stream: a new m-join's recovery join drives the
+prefix one supplier's module held at graft time, in nonincreasing
+order (:meth:`ranked_replay`), and probes the other inputs only as deep
+as the reader pulls (:class:`~repro.operators.nodes.SeedStream`).
+Modules are append-only, so that prefix is just the module's length at
+graft: no module keeps epochs.  (Postings are appended in arrival
+order too, so if a recovery join ever had to *probe* "the tuples before
+epoch e", that would be a prefix of each posting list: an index of
+epoch boundaries, not a per-probe set.)
 
 Modules are *shared*: several m-joins (from different conjunctive
 queries) probe the same module, which is how subexpression sharing
@@ -27,6 +28,7 @@ avoids duplicated state.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Any
 
 from repro.common.errors import StateError
@@ -45,6 +47,10 @@ class AccessModule:
         }
         #: Every stored tuple in arrival order (the "linked list").
         self._arrival_log: list[STuple] = []
+        #: Whether the log is in nonincreasing intrinsic order (stream
+        #: inputs always are; an m-join's log stops being once a seed
+        #: is appended after its releases).
+        self._ranked = True
 
     # -- schema of the module -------------------------------------------------
 
@@ -67,7 +73,10 @@ class AccessModule:
 
     def insert(self, tup: STuple) -> None:
         """Store a tuple; updates every index."""
-        self._arrival_log.append(tup)
+        log = self._arrival_log
+        if self._ranked and log and tup.intrinsic > log[-1].intrinsic:
+            self._ranked = False
+        log.append(tup)
         for (alias, attr), index in self._indexes.items():
             index.setdefault(tup.value(alias, attr), []).append(tup)
 
@@ -88,6 +97,16 @@ class AccessModule:
         Section 6.2."""
         return list(self._arrival_log)
 
+    def ranked_replay(self) -> Sequence[STuple]:
+        """The stored tuples in nonincreasing intrinsic order: the log
+        itself while it is ranked, else a sorted copy.  Inserts only
+        append, so the first :attr:`size` entries of either never
+        change -- a reader that remembers the size at the time of the
+        call reads exactly what was stored then."""
+        if self._ranked:
+            return self._arrival_log
+        return sorted(self._arrival_log, key=lambda t: -t.intrinsic)
+
     # -- accounting -----------------------------------------------------------------
 
     @property
@@ -99,6 +118,7 @@ class AccessModule:
         """Drop all state; returns tuples freed (for eviction metrics)."""
         freed = self.size
         self._arrival_log.clear()
+        self._ranked = True
         for index in self._indexes.values():
             index.clear()
         return freed

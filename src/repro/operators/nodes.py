@@ -9,8 +9,12 @@ score-ordered tuple streams to downstream consumers:
   probe (the STeM of [24]).
 
 * :class:`RecoveryUnit` wraps the free replay stream of Algorithm 2 --
-  a module's linked list as it stood when the query was grafted -- and
-  deliberately does *not* re-insert tuples into any module.
+  a module's linked list as it stood when the query was grafted, merged
+  with the final node's pending :class:`SeedStream` -- and deliberately
+  does *not* re-insert tuples into any module.
+
+* :class:`SeedStream` is a grafted m-join's recovery join, evaluated
+  lazily in nonincreasing intrinsic order under an exact bound.
 
 * :class:`MJoinNode` is the m-join / STeM-eddy operator: it consumes
   one or more supplier streams, probes the other suppliers' modules and
@@ -136,7 +140,9 @@ class InputUnit:
 
 
 class RecoveryUnit:
-    """The replay stream ``J^e`` of Algorithm 2.
+    """The replay stream ``J^e`` of Algorithm 2: the final module's
+    results at graft time, ranked, merged with the final node's pending
+    :class:`SeedStream` when it has one (ties go to the seed).
 
     Reads are free (the tuples are already in memory, already paid
     for), and nothing is re-inserted into modules -- the state already
@@ -144,36 +150,147 @@ class RecoveryUnit:
     """
 
     def __init__(self, name: str, expr: SPJ, tuples: Sequence[STuple],
-                 metrics: Metrics) -> None:
+                 metrics: Metrics, seed: SeedStream | None = None) -> None:
         self.name = name
         self.expr = expr
         self.source = ListSource(name, tuples, charge_free=True,
                                  metrics=metrics)
+        self.seed = seed
+        self._seed_read = 0
         self.module: AccessModule | None = None
         self.consumers: list[Consumer] = []
         self.metrics = metrics
 
+    def _seed_bound(self) -> float:
+        if self.seed is None:
+            return EXHAUSTED
+        return self.seed.bound_at(self._seed_read)
+
     def bound(self) -> float:
-        return self.source.bound()
+        return max(self._seed_bound(), self.source.bound())
 
     @property
     def exhausted(self) -> bool:
-        return self.source.exhausted
+        return self.bound() == EXHAUSTED
 
     def read_and_route(self, epoch: int) -> STuple | None:
-        tup = self.source.read()  # counts as reuse inside the source
-        if tup is None:
-            return None
+        seed_bound = self._seed_bound()
+        if seed_bound != EXHAUSTED and seed_bound >= self.source.bound():
+            assert self.seed is not None
+            tup = self.seed.emitted[self._seed_read]
+            self._seed_read += 1
+            self.metrics.tuples_reused += 1
+        else:
+            tup = self.source.read()  # counts as reuse inside the source
+            if tup is None:
+                return None
         notify_bound_dirty(self.consumers)
         for consumer in list(self.consumers):
             consumer.on_arrival(self, tup)
         return tup
 
     def readable(self) -> bool:
-        return not self.source.exhausted
+        return not self.exhausted
 
     def __repr__(self) -> str:
-        return f"RecoveryUnit({self.name!r}, remaining={self.source.remaining()})"
+        return (f"RecoveryUnit({self.name!r}, replayed="
+                f"{self.source.tuples_read}, seeded={self._seed_read})")
+
+
+class SeedStream:
+    """One grafted m-join's recovery join as a ranked stream.
+
+    The join of what the suppliers held at graft time, computed as
+    Algorithm 2 does: replay one supplier's module -- the *driving*
+    one, ranked, and only the prefix it held at graft -- and probe the
+    node's other inputs with each replayed tuple, exactly as a live
+    arrival does.  Results wait in a heap, and the head is emitted once
+    no unproduced result can beat it: once it reaches the corner bound,
+    the next driving tuple's intrinsic score plus the caps of
+    everything it is probed against.  So :meth:`bound_at` is exact, and
+    a reader pulls only as deep as its rank-merge's threshold demands.
+
+    Emitted results are memoized in :attr:`emitted`, so every reader --
+    each CQ grafted onto the node while the seed is pending -- reads
+    the stream from the top.  :meth:`drain` produces the rest; the node
+    runs it into its module before anything probes the module.
+    """
+
+    def __init__(self, node: MJoinNode, driving: Supplier) -> None:
+        assert driving.module is not None
+        self._node = node
+        self._drive: Sequence[STuple] | None = driving.module.ranked_replay()
+        self._end = driving.module.size
+        self._pos = 0
+        idx = node.suppliers.index(driving)
+        self._targets = [t for i, t in node._supplier_targets.items()
+                         if i != idx] + node.probe_targets
+        #: Caps of every alias a driving tuple is joined with.
+        self._rest = (node._tops_total - node._supplier_tops[idx]
+                      + node._probe_cap)
+        self._heap: list[tuple[float, int, STuple]] = []
+        self._counter = itertools.count()
+        self.emitted: list[STuple] = []
+
+    def _corner(self) -> float:
+        if self._pos >= self._end:
+            return EXHAUSTED
+        assert self._drive is not None
+        return self._drive[self._pos].intrinsic + self._rest
+
+    def _join_next(self) -> list[STuple]:
+        """Join the next driving tuple against the other inputs."""
+        assert self._drive is not None
+        tup = self._drive[self._pos]
+        self._pos += 1
+        if self._pos >= self._end:
+            self._drive = None  # nothing left to drive: let the log go
+        node = self._node
+        partials = [tup]
+        for target in node._probe_order(self._targets, tup.aliases):
+            if not partials:
+                break
+            partials = node._extend(partials, target)
+        return partials
+
+    def _emit_through(self, index: int) -> bool:
+        """Emit until :attr:`emitted` holds ``index``; False when the
+        stream ends first."""
+        heap, emitted = self._heap, self.emitted
+        while len(emitted) <= index:
+            corner = self._corner()
+            if heap and -heap[0][0] >= corner:
+                emitted.append(heapq.heappop(heap)[2])
+            elif corner == EXHAUSTED:
+                return False
+            else:
+                for result in self._join_next():
+                    heapq.heappush(heap, (-result.intrinsic,
+                                          next(self._counter), result))
+        return True
+
+    def bound_at(self, index: int) -> float:
+        """Intrinsic score of the ``index``-th result, ``-inf`` past
+        the end."""
+        if not self._emit_through(index):
+            return EXHAUSTED
+        return self.emitted[index].intrinsic
+
+    def drain(self) -> list[STuple]:
+        """Every result, in stream order (produces the rest)."""
+        heap = self._heap
+        while self._pos < self._end:
+            heap.extend((-result.intrinsic, next(self._counter), result)
+                        for result in self._join_next())
+        heap.sort()  # one sort, not a pop per result: the same order
+        self.emitted.extend(entry[2] for entry in heap)
+        heap.clear()
+        return self.emitted
+
+    @property
+    def held(self) -> int:
+        """Results produced and held (emitted or waiting)."""
+        return len(self.emitted) + len(self._heap)
 
 
 class ProbeTarget:
@@ -271,6 +388,8 @@ class MJoinNode:
         self.consumers: list[Consumer] = []
         self.pinned = False
         self.last_used_epoch = 0
+        #: The pending recovery join (:meth:`seed_from_suppliers`).
+        self.seed: SeedStream | None = None
 
         covered: set[str] = set()
         for supplier in self.suppliers:
@@ -556,42 +675,43 @@ class MJoinNode:
         return grown
 
     def seed_from_suppliers(self) -> int:
-        """Materialize every join result derivable from the suppliers'
-        *current* module contents straight into this node's module.
+        """Start the recovery join of Algorithm 2 at graft time: every
+        join result derivable from the suppliers' *current* module
+        contents, as a :class:`SeedStream` that drives the replay of one
+        supplier's module (the smallest, ties by value key) and treats
+        the other inputs as random-access ones.  In-memory work only on
+        the stream side, which is what makes state reuse nearly free.
 
-        This is Algorithm 2's recovery join applied at node-creation
-        time: drive the replay of one supplier's linked list (we pick
-        the smallest, ties by value key) and treat the other suppliers'
-        hash tables as random-access inputs.  Results are inserted in
-        nonincreasing intrinsic order so that module replays remain
-        sorted streams.
-        In-memory work only -- no network cost -- which is what makes
-        state reuse nearly free.
+        With one stream supplier the seed stays pending in :attr:`seed`
+        and is read as a ranked input, only as deep as the reader's
+        threshold demands.  With several, the other suppliers keep
+        growing, so a later pull would join tuples that arrived after
+        the graft: the seed runs into the module now.  Nodes with an
+        empty supplier seed nothing -- every result needs one tuple
+        from every stream.
 
-        Returns the number of seeded results.  Newly created nodes with
-        empty suppliers seed nothing; nodes whose *every* streaming
-        supplier has history seed the full old-x-old cross-section.
+        Returns the number of results materialized into the module.
         """
         moduled = [s for s in self.suppliers if s.module is not None]
         if len(moduled) != len(self.suppliers):
             return 0  # recovery-style nodes never seed
         if any(s.module.size == 0 for s in moduled):
-            return 0  # every result needs one tuple from every stream
+            return 0
         driving = min(moduled, key=lambda s: (s.module.size, s.value_key))
-        other_targets = [
-            target for idx, target in self._supplier_targets.items()
-            if self.suppliers[idx] is not driving
-        ]
-        results: list[STuple] = []
-        for tup in driving.module.replay():
-            partials = [tup]
-            for target in self._probe_order(
-                    other_targets + self.probe_targets, tup.aliases):
-                if not partials:
-                    break
-                partials = self._extend(partials, target)
-            results.extend(partials)
-        results.sort(key=lambda t: -t.intrinsic)
+        self.seed = SeedStream(self, driving)
+        if len(moduled) == 1:
+            return 0
+        return self.materialize_seed()
+
+    def materialize_seed(self) -> int:
+        """Run the pending seed to exhaustion into the module, as the
+        suppliers' state must be complete before anything probes it
+        (a new parent's construction, seed or revival).  Readers of the
+        seed keep reading its memo.  Returns the results inserted."""
+        seed, self.seed = self.seed, None
+        if seed is None:
+            return 0
+        results = seed.drain()
         for tup in results:
             self.module.insert(tup)
             self.clock.advance(self.delays.cpu_insert)
@@ -600,10 +720,12 @@ class MJoinNode:
         return len(results)
 
     def clear_state(self) -> int:
-        """Drop module contents and the unreleased buffer (eviction /
-        detach support).  Returns tuples freed."""
-        freed = self.module.clear() + len(self._buffer)
+        """Drop module contents, the unreleased buffer and the pending
+        seed (eviction / detach support).  Returns tuples freed."""
+        freed = self.state_size()
+        self.module.clear()
         self._buffer.clear()
+        self.seed = None
         self._corner_cache = None
         notify_bound_dirty(self.consumers)
         return freed
@@ -638,7 +760,8 @@ class MJoinNode:
         return self._released
 
     def state_size(self) -> int:
-        return self.module.size + len(self._buffer)
+        held = self.seed.held if self.seed is not None else 0
+        return self.module.size + len(self._buffer) + held
 
     def __repr__(self) -> str:
         return (f"MJoinNode({self.name!r}, suppliers="

@@ -55,3 +55,24 @@ class TestAccessModule:
         assert module.size == 0
         assert module.probe("a", "x", 10) == []
         assert module.replay() == []
+
+    def test_ranked_replay_is_the_log_while_ranked(self):
+        module = AccessModule("m")
+        for tid, score in ((1, 0.9), (2, 0.5), (3, 0.5)):
+            module.insert(tup(tid, 10, score))
+        ranked = module.ranked_replay()
+        module.insert(tup(4, 10, 0.1))
+        # Inserts only append: the prefix a reader took stays as it was.
+        assert [t.intrinsic for t in ranked[:3]] == [0.9, 0.5, 0.5]
+
+    def test_ranked_replay_sorts_an_unranked_log(self):
+        module = AccessModule("m")
+        for tid, score in ((1, 0.2), (2, 0.9), (3, 0.5)):
+            module.insert(tup(tid, 10, score))
+        assert [t.intrinsic for t in module.ranked_replay()] \
+            == [0.9, 0.5, 0.2]
+        assert [t.intrinsic for t in module.replay()] == [0.2, 0.9, 0.5]
+        module.clear()
+        module.insert(tup(4, 10, 0.3))
+        assert module.ranked_replay() == module.replay()
+

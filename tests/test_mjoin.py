@@ -1,6 +1,7 @@
 """Tests for the adaptive m-join node: correctness of the symmetric
 hash join, bounded release order, corner-bound validity, probing, and
-state seeding (the Algorithm 2 recovery join)."""
+state seeding (the Algorithm 2 recovery join) -- eager with several
+stream suppliers, a ranked stream with one."""
 
 import itertools
 import math
@@ -12,8 +13,9 @@ from repro.common.config import DelayModel
 from repro.common.errors import ExecutionError
 from repro.common.rng import make_rng
 from repro.data.rows import Row, STuple
-from repro.data.sources import ListSource, RandomAccessSource
-from repro.operators.nodes import InputUnit, MJoinNode, ProbeTarget
+from repro.data.sources import EXHAUSTED, ListSource, RandomAccessSource
+from repro.operators.access import AccessModule
+from repro.operators.nodes import InputUnit, MJoinNode, ProbeTarget, RecoveryUnit
 from repro.plan.expressions import SPJ, Atom, JoinPred
 from repro.obs import Metrics
 
@@ -331,3 +333,132 @@ class TestSeeding:
         freed = node.clear_state()
         assert freed > 0
         assert node.module.size == 0
+
+
+#: A's rows for ranked recovery: x values collide, so several driving
+#: tuples join the same B rows and their results interleave in score.
+ROWS_RA = [(1, {"x": 1}, 0.9), (2, {"x": 2}, 0.85), (3, {"x": 1}, 0.5),
+           (4, {"x": 2}, 0.4), (5, {"x": 1}, 0.3), (6, {"x": 2}, 0.1)]
+ROWS_RB = [(1, {"x": 1}, 0.05), (2, {"x": 1}, 0.7), (3, {"x": 2}, 0.6),
+           (4, {"x": 2}, 0.2), (5, {"x": 9}, 1.0)]
+
+
+def probe_setup(read_before_graft):
+    """A |X| B over one stream supplier (A) and a probe target on B,
+    grafted after ``read_before_graft`` A tuples were stored."""
+    clock, metrics = VirtualClock(), Metrics()
+    unit_a = make_unit("uA", "A", "A", ROWS_RA, clock, metrics)
+    for _ in range(read_before_graft):
+        unit_a.read_and_route(1)
+    module_b = AccessModule("module:B")
+    for tup in stuples("B", "B", ROWS_RB):
+        module_b.insert(tup)
+    node = MJoinNode(
+        "ab", SPJ([Atom("A", "A"), Atom("B", "B")],
+                  [JoinPred.normalized("A", "x", "B", "x")]),
+        [unit_a], [ProbeTarget("tB", frozenset({"B"}), "module",
+                               module=module_b)],
+        caps={"A": 1.0, "B": 1.0},
+        clock=clock, metrics=metrics, delays=DELAYS, epoch_of=lambda: 2,
+    )
+    unit_a.consumers.append(node)
+    node.seed_from_suppliers()
+    return unit_a, node
+
+
+def joined(rows_a):
+    """Every A |X| B result over ``rows_a`` (the eager seed's multiset)."""
+    return sorted(
+        (ta.merge(tb) for ta in stuples("A", "A", rows_a)
+         for tb in stuples("B", "B", ROWS_RB)
+         if ta.value("A", "x") == tb.value("B", "x")),
+        key=lambda t: -t.intrinsic)
+
+
+class TestRankedRecovery:
+    def test_single_supplier_seed_stays_pending(self):
+        _unit, node = probe_setup(4)
+        assert node.seed is not None
+        assert node.module.size == 0
+
+    def test_stream_is_the_eager_multiset_in_order(self):
+        _unit, node = probe_setup(4)
+        results = node.seed.drain()
+        assert set(results) == set(joined(ROWS_RA[:4]))
+        assert len(results) == len(joined(ROWS_RA[:4]))
+        scores = [t.intrinsic for t in results]
+        assert scores == sorted(scores, reverse=True)
+
+    def test_bound_is_the_next_read_at_every_step(self):
+        _unit, node = probe_setup(len(ROWS_RA))
+        recovery = RecoveryUnit("rec", node.expr, [], node.metrics,
+                                seed=node.seed)
+        sink = Collector()
+        recovery.consumers.append(sink)
+        while True:
+            bound = recovery.bound()
+            tup = recovery.read_and_route(2)
+            if tup is None:
+                assert bound == EXHAUSTED
+                break
+            assert bound == tup.intrinsic
+        assert [t.intrinsic for t in sink.received] \
+            == [t.intrinsic for t in joined(ROWS_RA)]
+
+    def test_reads_only_as_deep_as_pulled(self):
+        _unit, node = probe_setup(len(ROWS_RA))
+        assert node.seed.bound_at(0) == joined(ROWS_RA)[0].intrinsic
+        # The top result needs the top A tuple, and the corner of the
+        # next one (0.85 + 1.0) is above it, so that one is joined too;
+        # nothing below is.
+        assert node.seed.held < len(joined(ROWS_RA))
+
+    def test_seed_covers_the_graft_prefix_and_live_the_rest(self):
+        unit_a, node = probe_setup(3)
+        sink = Collector()
+        node.consumers.append(sink)
+        while unit_a.read_and_route(2) is not None:
+            node.release_ready()
+        node.release_ready()
+        seeded = node.seed.drain()
+        assert set(seeded) == set(joined(ROWS_RA[:3]))
+        assert set(seeded).isdisjoint(sink.received)
+        assert set(seeded) | set(sink.received) == set(joined(ROWS_RA))
+
+    def test_readers_share_the_memo_from_the_top(self):
+        _unit, node = probe_setup(len(ROWS_RA))
+        first = RecoveryUnit("r1", node.expr, [], node.metrics,
+                             seed=node.seed)
+        for _ in range(3):
+            first.read_and_route(2)
+        second = RecoveryUnit("r2", node.expr, [], node.metrics,
+                              seed=node.seed)
+        sink = Collector()
+        second.consumers.append(sink)
+        while second.read_and_route(2) is not None:
+            pass
+        assert sink.received == node.seed.emitted
+        assert len(sink.received) == len(joined(ROWS_RA))
+
+    def test_materialize_runs_the_rest_into_the_module(self):
+        _unit, node = probe_setup(len(ROWS_RA))
+        seed = node.seed
+        reader = RecoveryUnit("r", node.expr, [], node.metrics, seed=seed)
+        reader.read_and_route(2)
+        assert node.materialize_seed() == len(joined(ROWS_RA))
+        assert node.seed is None
+        assert set(node.module.replay()) == set(joined(ROWS_RA))
+        # A reader that started before keeps reading the memo.
+        rest = []
+        while (tup := reader.read_and_route(2)) is not None:
+            rest.append(tup)
+        assert len(rest) == len(joined(ROWS_RA)) - 1
+
+    def test_clear_state_drops_the_pending_seed(self):
+        _unit, node = probe_setup(len(ROWS_RA))
+        node.seed.bound_at(0)
+        assert node.state_size() > 0
+        freed = node.clear_state()
+        assert freed > 0
+        assert node.seed is None
+        assert node.state_size() == 0

@@ -14,8 +14,15 @@ from repro.operators.rankmerge import RankMerge
 from repro.optimizer.bestplan import BestPlanSearch
 from repro.optimizer.candidates import enumerate_candidates, streamable_aliases
 from repro.optimizer.cost import CostModel
-from repro.optimizer.factorize import factorize
+from repro.optimizer.factorize import (
+    ComponentSpec,
+    FactorizedPlan,
+    SourceSpec,
+    factorize,
+)
 from repro.obs import UQRecord
+from repro.plan.expressions import SPJ, Atom, JoinPred
+from repro.reference import evaluate_spj
 
 from tests.conftest import (
     abc_expr,
@@ -167,6 +174,7 @@ class TestUnlinking:
             node = graph.nodes[node_id]
             assert node.module.size == 0
             assert node.buffered == 0
+            assert node.seed is None
 
     def test_distinct_traffic_leaves_only_inputs_and_caches(self):
         """Once every query is served, the m-joins hold nothing: the
@@ -199,6 +207,93 @@ class TestUnlinking:
         rm2 = run_uq(qs, fed, uq2, graph)
         assert rm2.complete
         assert detached_before  # something was revived or replayed
+
+
+def chain_plan(fed):
+    """A hand-built plan: ``ab`` joins stream A with B probed remotely
+    (one stream supplier, so its seed stays pending), and ``abc`` joins
+    ``ab`` with stream C (two, so its seed runs at graft)."""
+    ab = SPJ([Atom("A", "A"), Atom("B", "B")],
+             [JoinPred.normalized("A", "x", "B", "x")])
+    plan = FactorizedPlan("g")
+    for alias in ("A", "C"):
+        plan.sources[f"s:g:{alias}"] = SourceSpec(
+            f"s:g:{alias}", SPJ([Atom(alias, alias)]), (alias,))
+    plan.components["c:g:ab"] = ComponentSpec(
+        "c:g:ab", ab, ("s:g:A",), ("B",), ("ab",))
+    plan.components["c:g:abc"] = ComponentSpec(
+        "c:g:abc", abc_expr(), ("c:g:ab", "s:g:C"), (), ("abc",))
+    return plan
+
+
+class TestRankedRecovery:
+    """A pending seed runs into its node's module before the node is
+    read as a supplier -- by a new parent, or by a parent's revival."""
+
+    @staticmethod
+    def stored_units(qs, graph, plan):
+        for unit_id in ("s:g:A", "s:g:C"):
+            unit = qs.ensure_node(graph, unit_id, plan)
+            while unit.read_and_route(graph.epoch) is not None:
+                pass
+
+    @staticmethod
+    def assert_complete(fed, graph):
+        ab, abc = graph.nodes["c:g:ab"], graph.nodes["c:g:abc"]
+        assert ab.seed is None
+        assert set(ab.module.replay()) == set(evaluate_spj(fed, ab.expr))
+        assert set(abc.module.replay()) == set(evaluate_spj(fed, abc.expr))
+        assert abc.module.size == len(evaluate_spj(fed, abc.expr))
+
+    def test_graft_seed_pends_on_one_stream_supplier(self, qs, fed):
+        graph = qs.get_or_create_graph("main")
+        plan = chain_plan(fed)
+        self.stored_units(qs, graph, plan)
+        ab = qs.ensure_node(graph, "c:g:ab", plan)
+        assert ab.seed is not None
+        assert ab.module.size == 0
+
+    def test_new_parent_materializes_child_seed(self, qs, fed):
+        graph = qs.get_or_create_graph("main")
+        plan = chain_plan(fed)
+        self.stored_units(qs, graph, plan)
+        qs.ensure_node(graph, "c:g:ab", plan)
+        qs.ensure_node(graph, "c:g:abc", plan)
+        self.assert_complete(fed, graph)
+
+    def test_parent_revival_materializes_child_seed(self, qs, fed):
+        graph = qs.get_or_create_graph("main")
+        plan = chain_plan(fed)
+        self.stored_units(qs, graph, plan)
+        abc = qs.ensure_node(graph, "c:g:abc", plan)
+        qs._detach_if_orphan(graph, abc)
+        assert graph.detached == {"c:g:ab", "c:g:abc"}
+        # The child comes back on its own first, as some CQ's final
+        # node: its seed pends.  Then the parent is revived over it.
+        ab = qs.ensure_node(graph, "c:g:ab", plan)
+        assert ab.seed is not None
+        assert qs.ensure_node(graph, "c:g:abc", plan) is abc
+        assert not graph.detached
+        self.assert_complete(fed, graph)
+
+    def test_recovery_stream_merges_snapshot_and_seed(self, qs, fed):
+        graph = qs.get_or_create_graph("main")
+        plan = chain_plan(fed)
+        self.stored_units(qs, graph, plan)
+        cq = make_cq(plan.components["c:g:ab"].expr, fed, "c1", "u1")
+        plan.cq_final["c1"] = "c:g:ab"
+        uq = UserQuery("u1", ("kw",), [cq], k=3)
+        qs.register_plan(graph, plan, [uq])
+        rm = graph.rank_merges["u1"]
+        qs.activate(graph, rm, cq)
+        (recovery,) = [e.supplier for e in rm.entries.values()
+                       if e.kind == "recovery"]
+        ab = graph.nodes["c:g:ab"]
+        assert recovery.seed is ab.seed is not None
+        read = []
+        while (tup := recovery.read_and_route(graph.epoch)) is not None:
+            read.append(tup)
+        assert set(read) == set(evaluate_spj(fed, ab.expr))
 
 
 class TestEviction:
