@@ -119,7 +119,7 @@ PINS = [
         421, 90, 4, 29),
     Pin("large", "solo", "ATC-FULL", 200, 20.0,
         "9dd5a3eab6a0caa363617ccd85c69d60b99ab51c6de1c5e8dce9170383c05a67",
-        715, 1632, 40, 495),
+        715, 1139, 40, 495),
     Pin("large", "solo", "ATC-CQ", 200, 60.0,
         "0d463dfcf4c8a6af3003a84911ca1f90e799cc0a6258172550a682570891359b",
         3103, 10715, 198, 198),
@@ -127,17 +127,17 @@ PINS = [
         "a6d07451ce79a9d55d122cfcfb38276aaf50676e5d746ddfcafd776ca3c324a2",
         3230, 1532, 199, 270),
     Pin("large", "solo", "ATC-FULL", 200, 60.0,
-        "25ec3565cedc77774be0d887f625f5caa8e42eca90c96b1c4ba0f8f659629811",
-        646, 1175, 40, 525),
+        "9f3c5d85f58e576d7d9c8474bdcd0f5ae6b29d36a4384a9b759815d836c79ea4",
+        646, 733, 40, 525),
     Pin("large", "solo", "ATC-CL", 200, 60.0,
         "45ca9d692affe5da145b5328c59804442e0a0883d18a53a2fa0c4bb35ec66cf1",
-        503, 1577, 99, 577),
+        503, 1089, 99, 577),
     Pin("large", "solo", "ATC-FULL", 200, 180.0,
-        "aa8c3a7f0f30426388df746f62f6cd507245a152b155c66005c8c7a1e270f974",
-        594, 318, 40, 510),
+        "f4d9d9504efa82a442496bafeb343bac20990d0a869cbbde62e0d2098b9c7388",
+        593, 243, 40, 523),
     Pin("large", "solo", "ATC-FULL", 80, 60.0,
-        "7404a26dd43e855cc5dc462c8ddca3a99e0b90d84f06633dfaaa841a08d5fef4",
-        527, 259, 16, 192),
+        "a3df9febf055479afb7572c8366ede2ab96ab201538de06e2d060c420078de7b",
+        527, 193, 16, 192),
     Pin("small", "shared", "ATC-CQ", 200, 60.0,
         "49e0369fabd467a8a2fb84a2913cc0f2d2d1bbc4a6d22842066a246be15d6ccc",
         2759, 228, 16, 16),
