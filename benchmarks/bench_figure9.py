@@ -5,14 +5,17 @@ clearly indicating that it is advantageous to proactively identify
 opportunities for subexpression sharing."
 
 What we reproduce and what diverges: batch optimization's *work*
-advantage reproduces strongly -- single-query optimization misses
-cross-query subexpressions and consumes several times more input tuples
-on some instances -- and it amortizes optimizer invocations 15 -> ~5.
-The paper's *latency*
-advantage inverts here, because this implementation's reactive reuse
-(free in-memory recovery replays grafted onto running plans) lets
-individually-optimized queries piggyback on earlier state almost as
-well as proactive batching, without waiting for a batch to fill.
+advantage reproduces -- single-query optimization misses cross-query
+subexpressions and consumes about twice the input tuples at the quick
+scale (1 058 against 476) -- and it amortizes optimizer invocations.
+The paper's *latency* advantage inverts here, because this
+implementation's reactive reuse lets individually-optimized queries
+piggyback on earlier state without waiting for a batch to fill: a query
+grafted onto a running plan recovers what that plan already produced
+through an in-memory recovery join that is read as one more ranked
+input, only as deep as the query's threshold demands.  (When that join
+was computed in full at graft time, SINGLE-OPT read 3 360 input tuples
+and took 1.50 virtual seconds instead of 0.94; the shape was the same.)
 """
 
 from repro.experiments import figure9
