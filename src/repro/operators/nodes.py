@@ -679,8 +679,8 @@ class MJoinNode:
         join result derivable from the suppliers' *current* module
         contents, as a :class:`SeedStream` that drives the replay of one
         supplier's module (the smallest, ties by value key) and treats
-        the other inputs as random-access ones.  In-memory work only on
-        the stream side, which is what makes state reuse nearly free.
+        the other inputs as random-access ones.  Nothing is re-read
+        from a site, which is what makes state reuse nearly free.
 
         With one stream supplier the seed stays pending in :attr:`seed`
         and is read as a ranked input, only as deep as the reader's
