@@ -34,6 +34,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
 from collections.abc import Mapping, Sequence
 from typing import Any, Protocol
 
@@ -278,13 +279,7 @@ class SeedStream:
 
     def drain(self) -> list[STuple]:
         """Every result, in stream order (produces the rest)."""
-        heap = self._heap
-        while self._pos < self._end:
-            heap.extend((-result.intrinsic, next(self._counter), result)
-                        for result in self._join_next())
-        heap.sort()  # one sort, not a pop per result: the same order
-        self.emitted.extend(entry[2] for entry in heap)
-        heap.clear()
+        self._emit_through(sys.maxsize)
         return self.emitted
 
     @property
