@@ -13,7 +13,9 @@ alive; after one ``gc.collect()`` the script prints
 
 * the retained heap by source module (where each block was allocated),
 * the live ``STuple`` count and bytes per ``STuple`` -- the bytes
-  allocated in ``data/rows.py`` that are still live, over that count,
+  allocated in ``data/rows.py`` that are still live, less the answers'
+  provenance ``frozenset``s (built by ``STuple.provenance``, held by
+  answers, not by tuples; printed apart), over that count,
 * the collector's per-generation collections during the replay and the
   tracked-object count after it.
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import inspect
 import pathlib
 import sys
 import tracemalloc
@@ -70,6 +73,13 @@ def module_limit(text: str) -> tuple[str, float]:
     raise argparse.ArgumentTypeError(f"expected MODULE=MIB, got {text!r}")
 
 
+def provenance_lines() -> range:
+    """The source lines of ``STuple.provenance``, where the answers'
+    provenance ``frozenset``s are allocated."""
+    lines, first = inspect.getsourcelines(STuple.provenance.fget)
+    return range(first, first + len(lines))
+
+
 def census(seed: int, seconds: float) -> dict:
     gc.collect()
     tracemalloc.start()
@@ -89,15 +99,22 @@ def census(seed: int, seconds: float) -> dict:
     for stat in snapshot.statistics("filename"):
         name = module_name(stat.traceback[0].filename)
         by_module[name] = by_module.get(name, 0) + stat.size
+    provenance = provenance_lines()
+    provenance_bytes = sum(
+        stat.size for stat in snapshot.statistics("lineno")
+        if module_name(stat.traceback[0].filename) == ROWS_MODULE
+        and stat.traceback[0].lineno in provenance)
     tracked = gc.get_objects()
     stuples = sum(1 for obj in tracked if type(obj) is STuple)
     rows_bytes = by_module.get(ROWS_MODULE, 0)
+    tuple_bytes = rows_bytes - provenance_bytes
     return {
         "queries": len(handles),
         "by_module": by_module,
         "stuples": stuples,
         "rows_bytes": rows_bytes,
-        "bytes_per_stuple": rows_bytes / stuples if stuples else 0.0,
+        "provenance_bytes": provenance_bytes,
+        "bytes_per_stuple": tuple_bytes / stuples if stuples else 0.0,
         "collections": collections,
         "tracked": len(tracked),
     }
@@ -113,7 +130,8 @@ def render(result: dict) -> str:
         lines.append(f"  {size / mib:8.1f} MiB  {name}")
     lines += [
         f"live STuples        {result['stuples']}",
-        f"{ROWS_MODULE} retained  {result['rows_bytes'] / mib:.1f} MiB",
+        f"{ROWS_MODULE} retained  {result['rows_bytes'] / mib:.1f} MiB, "
+        f"{result['provenance_bytes'] / mib:.1f} MiB of it answer provenance",
         f"bytes per STuple    {result['bytes_per_stuple']:.0f}",
         "gc collections      gen0 {} / gen1 {} / gen2 {}".format(
             *result["collections"]),
