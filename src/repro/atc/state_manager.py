@@ -22,10 +22,11 @@ module owns:
   node's module before anything reads the node as a supplier;
 * **unlinking and eviction** (Section 6.3): completed queries are
   unlinked back to the nearest split.  An m-join left without consumers
-  is detached and drops its state -- revival re-seeds it from its
-  suppliers -- while input units keep theirs for reuse until the
-  memory budget forces LRU (size-tiebreak) eviction, after which a
-  source must be re-streamed from the site;
+  leaves the graph with its state -- a later query that needs it
+  grafts a new one, seeded from its suppliers -- while input units
+  keep theirs for reuse until the memory budget forces LRU
+  (size-tiebreak) eviction, after which a source must be re-streamed
+  from the site;
 * **terminal records and release**: every query that completes or is
   retired leaves one frozen :class:`Terminal` in :attr:`QueryStateManager.
   outbox`, made at its terminal instant by :meth:`QueryStateManager.
@@ -197,15 +198,12 @@ class QueryStateManager:
 
     def ensure_node(self, graph: PlanGraph, node_id: str,
                     plan: FactorizedPlan) -> InputUnit | MJoinNode:
-        """Instantiate (or reuse, or revive) one plan-graph operator;
-        ``plan`` -- the activating CQ's -- supplies the specs of the
-        operators that do not exist yet."""
-        if node_id in graph.units:
-            return graph.units[node_id]
-        node = graph.nodes.get(node_id)
-        if node is not None:
-            self._revive(graph, node)
-            return node
+        """Instantiate (or reuse) one plan-graph operator; ``plan`` --
+        the activating CQ's -- supplies the specs of the operators that
+        do not exist yet."""
+        existing = graph.units.get(node_id) or graph.nodes.get(node_id)
+        if existing is not None:
+            return existing
         spec = plan.sources.get(node_id) or plan.components.get(node_id)
         if spec is None:
             raise StateError(
@@ -242,7 +240,6 @@ class QueryStateManager:
             clock=graph.clock,
             metrics=graph.metrics,
             delays=self.config.delays,
-            epoch_of=graph.epoch_of,
             adaptive=self.config.adaptive_probe_ordering,
             value_key=spec.value_key,
         )
@@ -252,27 +249,6 @@ class QueryStateManager:
         graph.nodes[node_id] = node
         self.mark_state_dirty(graph.graph_id)
         return node
-
-    def _revive(self, graph: PlanGraph, node: MJoinNode) -> None:
-        """Re-link a detached node below its suppliers (reviving
-        detached ones first) and re-seed it from their current state --
-        the recomputation path of Section 6.3's cache discussion; it
-        holds nothing since it was detached.  A no-op for a linked
-        node."""
-        if node.name not in graph.detached:
-            return
-        for child in node.suppliers:
-            if isinstance(child, MJoinNode):
-                self._revive(graph, child)
-            if not any(c is node for c in child.consumers):
-                child.consumers.append(node)
-        self._materialize_seeds(node.suppliers)
-        node.seed_from_suppliers()
-        # Suppliers advanced while this node was detached from their
-        # consumer lists; its memoized bound is stale.
-        node.invalidate_bound()
-        graph.detached.discard(node.name)
-        self.mark_state_dirty(graph.graph_id)
 
     @staticmethod
     def _materialize_seeds(children) -> None:
@@ -314,7 +290,7 @@ class QueryStateManager:
         rm.register_stream(cq, final, kind="live")
         unit = RecoveryUnit(
             f"rec:{cq.cq_id}:e{epoch}", cq.expr,
-            sorted(final.module.replay(), key=lambda t: -t.intrinsic),
+            final.module.ranked_replay(),
             graph.metrics,
             seed=final.seed if isinstance(final, MJoinNode) else None,
         )
@@ -332,7 +308,7 @@ class QueryStateManager:
 
         The rank-merge is terminated with its answers-so-far, then the
         normal completion unlink runs: the query's taps are removed and
-        operators are detached *only* when their consumer list empties
+        operators are unlinked *only* when their consumer list empties
         -- the same refcounted release that reuse bookkeeping relies
         on, so a split still feeding another query survives intact.
         """
@@ -371,11 +347,11 @@ class QueryStateManager:
 
     def on_complete(self, graph: PlanGraph, rm: RankMerge) -> None:
         """Unlink a finished user query (Section 6.3): remove its
-        rank-merge taps, then walk backwards detaching operators that no
+        rank-merge taps, then walk backwards unlinking operators that no
         longer route tuples anywhere (stopping at splits that still
-        serve other queries).  A detached m-join drops its state:
-        nothing reads it before a revival re-seeds it.  Input units
-        keep theirs for reuse."""
+        serve other queries).  An unlinked m-join leaves the graph with
+        its state: nothing references it, and a later query that needs
+        it grafts a new one.  Input units keep their state for reuse."""
         for entry in rm.entries.values():
             supplier = entry.supplier
             supplier.consumers = [
@@ -399,9 +375,8 @@ class QueryStateManager:
     def _detach_if_orphan(self, graph: PlanGraph, supplier) -> None:
         if supplier.consumers:
             return
-        if isinstance(supplier, MJoinNode):
-            graph.detached.add(supplier.name)
-            supplier.clear_state()
+        if graph.nodes.get(supplier.name) is supplier:
+            del graph.nodes[supplier.name]
             for child in supplier.suppliers:
                 child.consumers = [
                     c for c in child.consumers if c is not supplier
@@ -409,7 +384,8 @@ class QueryStateManager:
                 self._detach_if_orphan(graph, child)
         # InputUnits with no consumers simply stop being read; their
         # state stays cached until eviction.  A RecoveryUnit belongs to
-        # its rank-merge alone and goes with it.
+        # its rank-merge alone and goes with it.  An m-join no longer in
+        # the graph was unlinked already.
 
     # -- eviction -----------------------------------------------------------------------
 

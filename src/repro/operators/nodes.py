@@ -347,9 +347,6 @@ class MJoinNode:
         Targets for the aliases not covered by any supplier.
     caps:
         Per-alias intrinsic contribution caps (for corner bounds).
-    resequence_interval:
-        Re-derive the probe order from monitored selectivities every
-        this many arrivals (the runtime adaptivity of [24]).
     value_key:
         What orderings over nodes read instead of ``name``, which is a
         digest (see :mod:`repro.optimizer.factorize`); defaults to
@@ -363,8 +360,6 @@ class MJoinNode:
                  caps: Mapping[str, float],
                  clock: VirtualClock, metrics: Metrics,
                  delays: DelayModel,
-                 epoch_of: Any,
-                 resequence_interval: int = 64,
                  adaptive: bool = True,
                  value_key: object = None) -> None:
         self.name = name
@@ -376,13 +371,9 @@ class MJoinNode:
         self.clock = clock
         self.metrics = metrics
         self.delays = delays
-        self._epoch_of = epoch_of
-        self.resequence_interval = resequence_interval
         self.adaptive = adaptive
         self.module = AccessModule(f"module:{name}")
         self.consumers: list[Consumer] = []
-        self.pinned = False
-        self.last_used_epoch = 0
         #: The pending recovery join (:meth:`seed_from_suppliers`).
         self.seed: SeedStream | None = None
 
@@ -420,8 +411,6 @@ class MJoinNode:
         self._step_plans: dict[tuple[ProbeTarget, Shape], tuple] = {}
         self._buffer: list[tuple[float, int, STuple]] = []
         self._counter = itertools.count()
-        self._arrivals = 0
-        self._released = 0
         # Corner bounds are evaluated on every scheduling step; cache
         # the per-supplier cap totals so each evaluation is O(streams).
         self._supplier_tops = [
@@ -482,15 +471,6 @@ class MJoinNode:
         were notified the first time and have not recomputed since."""
         if self._corner_cache is None:
             return
-        self._corner_cache = None
-        notify_bound_dirty(self.consumers)
-
-    def invalidate_bound(self) -> None:
-        """Force a recompute on the next query, and tell consumers.
-
-        Needed when this node re-attaches to suppliers it was detached
-        from (revival): invalidations sent while detached were missed.
-        """
         self._corner_cache = None
         notify_bound_dirty(self.consumers)
 
@@ -559,8 +539,6 @@ class MJoinNode:
             raise ExecutionError(
                 f"{self.name}: arrival from unknown supplier {supplier.name!r}"
             ) from None
-        self._arrivals += 1
-        self.last_used_epoch = self._epoch_of()
         targets = [
             t for i, t in self._supplier_targets.items() if i != driving_idx
         ] + self.probe_targets
@@ -701,8 +679,8 @@ class MJoinNode:
     def materialize_seed(self) -> int:
         """Run the pending seed to exhaustion into the module, as the
         suppliers' state must be complete before anything probes it
-        (a new parent's construction, seed or revival).  Readers of the
-        seed keep reading its memo.  Returns the results inserted."""
+        (a new parent's construction and seed).  Readers of the seed
+        keep reading its memo.  Returns the results inserted."""
         seed, self.seed = self.seed, None
         if seed is None:
             return 0
@@ -713,17 +691,6 @@ class MJoinNode:
             self.metrics.record_insert(self.delays.cpu_insert)
             self.metrics.tuples_reused += 1
         return len(results)
-
-    def clear_state(self) -> int:
-        """Drop module contents, the unreleased buffer and the pending
-        seed (eviction / detach support).  Returns tuples freed."""
-        freed = self.state_size()
-        self.module.clear()
-        self._buffer.clear()
-        self.seed = None
-        self._corner_cache = None
-        notify_bound_dirty(self.consumers)
-        return freed
 
     def release_ready(self) -> int:
         """Release buffered results whose score no future result can
@@ -739,7 +706,6 @@ class MJoinNode:
             self.module.insert(tup)
             self.clock.advance(self.delays.cpu_insert)
             self.metrics.record_insert(self.delays.cpu_insert)
-            self._released += 1
             released += 1
             notify_bound_dirty(self.consumers)
             for consumer in list(self.consumers):
@@ -750,10 +716,6 @@ class MJoinNode:
     def buffered(self) -> int:
         return len(self._buffer)
 
-    @property
-    def released(self) -> int:
-        return self._released
-
     def state_size(self) -> int:
         held = self.seed.held if self.seed is not None else 0
         return self.module.size + len(self._buffer) + held
@@ -761,4 +723,4 @@ class MJoinNode:
     def __repr__(self) -> str:
         return (f"MJoinNode({self.name!r}, suppliers="
                 f"{[s.name for s in self.suppliers]}, "
-                f"buffered={len(self._buffer)}, released={self._released})")
+                f"buffered={len(self._buffer)})")

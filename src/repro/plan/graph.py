@@ -50,7 +50,6 @@ class PlanGraph:
         self.nodes: dict[str, MJoinNode] = {}
         self.ra_sources: dict[tuple, RandomAccessSource] = {}
         self.rank_merges: dict[str, RankMerge] = {}
-        self.detached: set[str] = set()
         self._rng = make_rng(config.seed, "graph", graph_id)
 
     # -- epochs ------------------------------------------------------------
@@ -58,9 +57,6 @@ class PlanGraph:
     def next_epoch(self) -> int:
         """Increment the logical timestamp (one per graft, Section 6.2)."""
         self.epoch += 1
-        return self.epoch
-
-    def epoch_of(self) -> int:
         return self.epoch
 
     # -- construction helpers ------------------------------------------------

@@ -62,7 +62,6 @@ def two_way_setup(rows_a, rows_b):
         "join", expr, [unit_a, unit_b], [],
         caps={"A": 1.0, "B": 1.0},
         clock=clock, metrics=metrics, delays=DELAYS,
-        epoch_of=lambda: 1,
     )
     unit_a.consumers.append(node)
     unit_b.consumers.append(node)
@@ -163,7 +162,7 @@ class TestValidation:
         expr = SPJ([Atom("A", "A")])
         with pytest.raises(ExecutionError):
             MJoinNode("bad", expr, [unit1, unit2], [], {"A": 1.0},
-                      clock, metrics, DELAYS, lambda: 1)
+                      clock, metrics, DELAYS)
 
     def test_uncovered_alias_rejected(self):
         clock, metrics = VirtualClock(), Metrics()
@@ -174,7 +173,7 @@ class TestValidation:
         )
         with pytest.raises(ExecutionError):
             MJoinNode("bad", expr, [unit], [], {"A": 1.0, "B": 1.0},
-                      clock, metrics, DELAYS, lambda: 1)
+                      clock, metrics, DELAYS)
 
     def test_disconnected_target_rejected(self):
         clock, metrics = VirtualClock(), Metrics()
@@ -183,8 +182,7 @@ class TestValidation:
         expr = SPJ([Atom("A", "A"), Atom("B", "B")])  # no join pred
         with pytest.raises(ExecutionError):
             MJoinNode("bad", expr, [unit_a, unit_b], [],
-                      {"A": 1.0, "B": 1.0}, clock, metrics, DELAYS,
-                      lambda: 1)
+                      {"A": 1.0, "B": 1.0}, clock, metrics, DELAYS)
 
 
 class TestProbeTargets:
@@ -217,7 +215,6 @@ class TestProbeTargets:
             "abc", expr, [unit_a, unit_c], [target],
             caps={"A": 0.9, "B": 0.0, "C": 0.8},
             clock=clock, metrics=metrics, delays=DELAYS,
-            epoch_of=lambda: 1,
         )
         unit_a.consumers.append(node)
         unit_c.consumers.append(node)
@@ -261,7 +258,6 @@ class TestSeeding:
             "join2", node.expr, [unit_a, unit_b], [],
             caps={"A": 1.0, "B": 1.0},
             clock=clock, metrics=metrics, delays=DELAYS,
-            epoch_of=lambda: 2,
         )
         seeded = node2.seed_from_suppliers()
         assert seeded == len(sink.received)
@@ -274,7 +270,6 @@ class TestSeeding:
             "join2", node.expr, [unit_a, unit_b], [],
             caps={"A": 1.0, "B": 1.0},
             clock=node.clock, metrics=Metrics(), delays=DELAYS,
-            epoch_of=lambda: 2,
         )
         node2.seed_from_suppliers()
         scores = [t.intrinsic for t in node2.module.replay()]
@@ -287,7 +282,6 @@ class TestSeeding:
             "join2", node.expr, [unit_a, unit_b], [],
             caps={"A": 1.0, "B": 1.0},
             clock=node.clock, metrics=Metrics(), delays=DELAYS,
-            epoch_of=lambda: 2,
         )
         assert node2.seed_from_suppliers() == 0
 
@@ -303,7 +297,6 @@ class TestSeeding:
             "join2", node.expr, [unit_a, unit_b], [],
             caps={"A": 1.0, "B": 1.0},
             clock=node.clock, metrics=Metrics(), delays=DELAYS,
-            epoch_of=lambda: 2,
         )
         node2.seed_from_suppliers()
         sink2 = Collector()
@@ -326,13 +319,6 @@ class TestSeeding:
                 expected.add(ta.merge(tb))
         assert total == expected
         assert len(node2.module.replay()) == len(expected)
-
-    def test_clear_state(self):
-        unit_a, unit_b, node, _sink = two_way_setup(ROWS_A, ROWS_B)
-        drain([unit_a, unit_b], node)
-        freed = node.clear_state()
-        assert freed > 0
-        assert node.module.size == 0
 
 
 #: A's rows for ranked recovery: x values collide, so several driving
@@ -359,7 +345,7 @@ def probe_setup(read_before_graft):
         [unit_a], [ProbeTarget("tB", frozenset({"B"}), "module",
                                module=module_b)],
         caps={"A": 1.0, "B": 1.0},
-        clock=clock, metrics=metrics, delays=DELAYS, epoch_of=lambda: 2,
+        clock=clock, metrics=metrics, delays=DELAYS,
     )
     unit_a.consumers.append(node)
     node.seed_from_suppliers()
@@ -453,12 +439,3 @@ class TestRankedRecovery:
         while (tup := reader.read_and_route(2)) is not None:
             rest.append(tup)
         assert len(rest) == len(joined(ROWS_RA)) - 1
-
-    def test_clear_state_drops_the_pending_seed(self):
-        _unit, node = probe_setup(len(ROWS_RA))
-        node.seed.bound_at(0)
-        assert node.state_size() > 0
-        freed = node.clear_state()
-        assert freed > 0
-        assert node.seed is None
-        assert node.state_size() == 0

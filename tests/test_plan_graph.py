@@ -66,7 +66,7 @@ class TestEpochs:
     def test_next_epoch_increments(self, graph):
         assert graph.next_epoch() == 1
         assert graph.next_epoch() == 2
-        assert graph.epoch_of() == 2
+        assert graph.epoch == 2
 
 
 class TestDescent:

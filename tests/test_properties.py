@@ -60,7 +60,7 @@ def build_join(rows_a, rows_b):
     )
     node = MJoinNode(
         "j", expr, [unit_a, unit_b], [], {"A": 1.0, "B": 1.0},
-        clock, metrics, DELAYS, lambda: 1,
+        clock, metrics, DELAYS,
     )
     unit_a.consumers.append(node)
     unit_b.consumers.append(node)

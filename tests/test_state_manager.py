@@ -164,17 +164,14 @@ class TestUnlinking:
                 for c in entry.supplier.consumers
             )
 
-    def test_orphan_nodes_detached_without_state(self, qs, fed):
+    def test_unlinked_mjoins_leave_the_graph(self, qs, fed):
         graph = qs.get_or_create_graph("main")
         uq = UserQuery("u1", ("kw",),
                        [make_cq(abc_expr(), fed, "c1", "u1")], k=3)
         run_uq(qs, fed, uq, graph)
-        assert graph.detached  # the final m-join has no consumers left
-        for node_id in graph.detached:
-            node = graph.nodes[node_id]
-            assert node.module.size == 0
-            assert node.buffered == 0
-            assert node.seed is None
+        assert not graph.nodes  # no m-join has a consumer left
+        assert graph.units
+        assert all(unit.module.size for unit in graph.units.values())
 
     def test_distinct_traffic_leaves_only_inputs_and_caches(self):
         """Once every query is served, the m-joins hold nothing: the
@@ -191,22 +188,28 @@ class TestUnlinking:
                                            arrival=engine.virtual_now()))
                 assert len(engine.run().answers[f"r{round_}q{i}"]) == 8
         for graph in engine.qs.graphs.values():
-            assert graph.nodes
+            assert not graph.nodes
             assert graph.state_size() == (
                 sum(u.module.size for u in graph.units.values())
                 + sum(s.cache_size for s in graph.ra_sources.values()))
 
-    def test_detached_node_revived_for_new_query(self, qs, fed):
+    def test_unlinked_mjoin_regrafted_for_new_query(self, qs, fed):
         graph = qs.get_or_create_graph("main")
-        uq1 = UserQuery("u1", ("kw",),
-                        [make_cq(abc_expr(), fed, "c1", "u1")], k=3)
-        run_uq(qs, fed, uq1, graph)
-        detached_before = set(graph.detached)
-        uq2 = UserQuery("u2", ("kw",),
-                        [make_cq(abc_expr(), fed, "c2", "u2")], k=3)
-        rm2 = run_uq(qs, fed, uq2, graph)
-        assert rm2.complete
-        assert detached_before  # something was revived or replayed
+        finals = []
+        emitted = []
+        for n in (1, 2):
+            uq = UserQuery(f"u{n}", ("kw",),
+                           [make_cq(abc_expr(), fed, f"c{n}", f"u{n}")], k=3)
+            rm = run_uq(qs, fed, uq, graph)
+            assert rm.complete
+            (final,) = [e.supplier for e in rm.entries.values()
+                        if e.kind == "live"]
+            finals.append(final)
+            emitted.append([(c.score, c.answer.provenance)
+                            for c in rm.emitted])
+        assert finals[0].name == finals[1].name
+        assert finals[0] is not finals[1]
+        assert emitted[0] == emitted[1]
 
 
 def chain_plan(fed):
@@ -228,7 +231,7 @@ def chain_plan(fed):
 
 class TestRankedRecovery:
     """A pending seed runs into its node's module before the node is
-    read as a supplier -- by a new parent, or by a parent's revival."""
+    read as a supplier by a new parent -- also one re-grafted over it."""
 
     @staticmethod
     def stored_units(qs, graph, plan):
@@ -267,13 +270,12 @@ class TestRankedRecovery:
         self.stored_units(qs, graph, plan)
         abc = qs.ensure_node(graph, "c:g:abc", plan)
         qs._detach_if_orphan(graph, abc)
-        assert graph.detached == {"c:g:ab", "c:g:abc"}
-        # The child comes back on its own first, as some CQ's final
-        # node: its seed pends.  Then the parent is revived over it.
+        assert not graph.nodes
+        # The child is grafted on its own first, as some CQ's final
+        # node: its seed pends.  Then the parent is grafted over it.
         ab = qs.ensure_node(graph, "c:g:ab", plan)
         assert ab.seed is not None
-        assert qs.ensure_node(graph, "c:g:abc", plan) is abc
-        assert not graph.detached
+        assert qs.ensure_node(graph, "c:g:abc", plan) is not abc
         self.assert_complete(fed, graph)
 
     def test_recovery_stream_merges_snapshot_and_seed(self, qs, fed):
