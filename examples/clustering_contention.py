@@ -51,8 +51,10 @@ def main() -> None:
     clustered = run_mode(federation, index, SharingMode.ATC_CL)
 
     print(f"{'query':8s} {'ATC-FULL (s)':>13s} {'ATC-CL (s)':>11s}")
-    full_times = full.execution_times()
-    cl_times = clustered.execution_times()
+    full_times, cl_times = (
+        {uq_id: record.execution_time
+         for uq_id, record in report.metrics.uq_records.items()}
+        for report in (full, clustered))
     for name, _keywords, _arrival in SESSION:
         print(f"{name:8s} {full_times[name]:13.3f} {cl_times[name]:11.3f}")
 
@@ -61,7 +63,8 @@ def main() -> None:
     print("ATC-CL cluster assignment:")
     for graph_id, summary in sorted(clustered.graph_summaries.items()):
         print(f"  {graph_id}: {summary['units']} inputs, "
-              f"{summary['nodes']} m-joins, epoch {summary['epoch']}")
+              f"{summary['state_tuples']} stored tuples, "
+              f"epoch {summary['epoch']}")
 
     full_work = full.metrics.total_input_tuples
     cl_work = clustered.metrics.total_input_tuples

@@ -56,10 +56,6 @@ class Batch:
             return self.closed_at
         return max((uq.arrival for uq in self.uqs), default=0.0)
 
-    @property
-    def cq_count(self) -> int:
-        return sum(len(uq.cqs) for uq in self.uqs)
-
     def __repr__(self) -> str:
         return (f"Batch({self.index}, uqs={[u.uq_id for u in self.uqs]}, "
                 f"dispatch={self.dispatch_time:.2f}s)")
@@ -76,9 +72,6 @@ class QueryBatcher:
 
     def submit(self, uq: UserQuery) -> None:
         self._pending.append(uq)
-
-    def submit_all(self, uqs: list[UserQuery]) -> None:
-        self._pending.extend(uqs)
 
     @property
     def pending_count(self) -> int:

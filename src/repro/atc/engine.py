@@ -71,15 +71,6 @@ class EngineReport:
             if record.latency is not None
         }
 
-    def execution_times(self) -> dict[str, float]:
-        """Scheduling-to-completion per user query (pure execution,
-        excluding both the batcher wait and query optimization)."""
-        return {
-            uq_id: record.execution_time
-            for uq_id, record in sorted(self.metrics.uq_records.items())
-            if record.execution_time is not None
-        }
-
     def processing_times(self) -> dict[str, float]:
         """Dispatch-to-completion per user query: optimization plus
         execution -- the paper's "running time to return the top-k
@@ -459,6 +450,7 @@ class QSystemEngine:
             report.graph_summaries[graph_id] = {
                 "clock": graph.clock.now,
                 "units": len(graph.units),
+                # Linked m-joins only: an unlinked one leaves the graph.
                 "nodes": len(graph.nodes),
                 "splits": graph.split_count(),
                 "state_tuples": graph.state_size(),

@@ -58,9 +58,10 @@ class TestBatcher:
 
     def test_cq_count(self, fed):
         batcher = QueryBatcher(batch_size=5)
-        batcher.submit_all([make_uq("u1", 0.0, fed),
-                            make_uq("u2", 1.0, fed)])
-        assert batcher.drain()[0].cq_count == 2
+        for uq_id, arrival in (("u1", 0.0), ("u2", 1.0)):
+            batcher.submit(make_uq(uq_id, arrival, fed))
+        (batch,) = batcher.drain()
+        assert sum(len(uq.cqs) for uq in batch.uqs) == 2
 
     def test_empty_drain(self):
         assert QueryBatcher().drain() == []
