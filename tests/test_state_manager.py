@@ -174,8 +174,8 @@ class TestUnlinking:
         assert all(unit.module.size for unit in graph.units.values())
 
     def test_distinct_traffic_leaves_only_inputs_and_caches(self):
-        """Once every query is served, the m-joins hold nothing: the
-        graph's state is its input modules and probe caches."""
+        """Once every query is served, no m-join is left: the graph's
+        state is its input modules and probe caches."""
         federation = e2e_corpus()
         index = InvertedIndex(federation)
         engine = QSystemEngine(federation, CONFIG.with_overrides(
