@@ -57,52 +57,42 @@ serving path, one :class:`ServiceReport` (:mod:`repro.service`)::
     print(report.render())   # p50/p95/p99, TTFA, throughput, hit rates
 """
 
-from repro.atc.engine import EngineReport, QSystemEngine
-from repro.common.config import DelayModel, ExecutionConfig, SharingMode
-from repro.data.biodb import BioDBConfig, biodb_federation
-from repro.data.database import Database, Federation
-from repro.data.figure1 import figure1_federation, figure1_schema
-from repro.data.gus import GUSConfig, gus_federation
-from repro.keyword.queries import ConjunctiveQuery, KeywordQuery, UserQuery
-from repro.service import (
-    LoadConfig,
-    QService,
-    QueryHandle,
-    QueryStatus,
-    ServiceConfig,
-    ServiceReport,
-    ShardedQService,
-    generate_abandonments,
-    generate_load,
-)
+import importlib
 
 __version__ = "2.0.0"
 
-__all__ = [
-    "BioDBConfig",
-    "ConjunctiveQuery",
-    "Database",
-    "DelayModel",
-    "EngineReport",
-    "ExecutionConfig",
-    "Federation",
-    "GUSConfig",
-    "KeywordQuery",
-    "LoadConfig",
-    "QService",
-    "QSystemEngine",
-    "QueryHandle",
-    "QueryStatus",
-    "ServiceConfig",
-    "ServiceReport",
-    "ShardedQService",
-    "SharingMode",
-    "UserQuery",
-    "biodb_federation",
-    "figure1_federation",
-    "figure1_schema",
-    "generate_abandonments",
-    "generate_load",
-    "gus_federation",
-    "__version__",
-]
+#: Each public name and the module that defines it.  A name is
+#: imported on first access (PEP 562), so ``import repro.service.workers``
+#: in a shard's worker process loads the engine, not the web server.
+_EXPORTS = {
+    name: module for module, names in {
+        "repro.atc.engine": ("EngineReport", "QSystemEngine"),
+        "repro.common.config": ("DelayModel", "ExecutionConfig",
+                                "SharingMode"),
+        "repro.data.biodb": ("BioDBConfig", "biodb_federation"),
+        "repro.data.database": ("Database", "Federation"),
+        "repro.data.figure1": ("figure1_federation", "figure1_schema"),
+        "repro.data.gus": ("GUSConfig", "gus_federation"),
+        "repro.keyword.queries": ("ConjunctiveQuery", "KeywordQuery",
+                                  "UserQuery"),
+        "repro.service": ("LoadConfig", "QService", "QueryHandle",
+                          "QueryStatus", "ServiceConfig", "ServiceReport",
+                          "ShardedQService", "generate_abandonments",
+                          "generate_load"),
+    }.items() for name in names
+}
+
+__all__ = [*sorted(_EXPORTS), "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -254,12 +254,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.common.clock import VirtualClock, WallClock
     from repro.data.figure1 import figure1_federation
     from repro.data.gus import GUSConfig, gus_federation
-    from repro.service import (
-        LoadConfig,
-        ServiceConfig,
-        ShardedQService,
-        generate_load,
-    )
+    from repro.service.loadgen import LoadConfig, generate_load
+    from repro.service.shard import ServiceConfig
+    from repro.service.sharding import ShardedQService
 
     if args.corpus == "gus":
         gus_config = GUSConfig(n_hubs=8, links_per_extra_hub=2,
@@ -299,7 +296,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                          "(one process per shard)")
     worker_spec = None
     if args.workers == "process":
-        from repro.service import WorkerSpec
+        from repro.service.workers import WorkerSpec
         worker_spec = (WorkerSpec.gus(config, gus_config)
                        if args.corpus == "gus"
                        else WorkerSpec.figure1(config))
@@ -369,7 +366,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from repro.data.figure1 import figure1_federation
     from repro.keyword.queries import KeywordQuery
     from repro.obs.trace import Tracer
-    from repro.service import QService
+    from repro.service.server import QService
 
     federation = figure1_federation()
     config = ExecutionConfig(mode=_mode_from_name(args.mode), k=args.k)

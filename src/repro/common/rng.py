@@ -82,10 +82,6 @@ class ZipfSampler:
                 hi = mid
         return lo
 
-    def sample_many(self, count: int) -> list[int]:
-        """Return ``count`` independent draws."""
-        return [self.sample() for _ in range(count)]
-
     def choice(self, items: Sequence[T]) -> T:
         """Draw an element of ``items`` Zipf-weighted by its position."""
         if len(items) != self.n:

@@ -27,7 +27,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from repro.common.errors import DataError, SchemaError
+from repro.common.errors import DataError
 from repro.data.rows import Row, Shape, STuple
 from repro.data.schema import Relation, Schema
 from repro.plan.expressions import SPJ, Selection
@@ -555,12 +555,3 @@ class Federation:
                 "executed by a single remote database"
             )
         return self.database(site).execute_spj(expr)
-
-    def validate_against_schema(self) -> None:
-        """Check that every schema relation is hosted somewhere."""
-        for relation in self.schema.relations:
-            if relation.site not in self._sites:
-                raise SchemaError(
-                    f"relation {relation.name!r} claims unknown site "
-                    f"{relation.site!r}"
-                )

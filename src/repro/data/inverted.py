@@ -120,7 +120,3 @@ class InvertedIndex:
             for token, relations in self._postings.items()
         }
         return tuple(sorted(totals, key=lambda t: (-totals[t], t)))
-
-    def document_frequency(self, token: str) -> int:
-        relations = self._postings.get(token.lower(), {})
-        return sum(sum(attrs.values()) for attrs in relations.values())

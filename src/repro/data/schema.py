@@ -111,14 +111,6 @@ class SchemaEdge:
             return self.left_relation
         raise SchemaError(f"{relation!r} is not part of edge {self}")
 
-    def attrs_for(self, relation: str) -> tuple[str, str]:
-        """Return ``(attr on relation, attr on the other relation)``."""
-        if relation == self.left_relation:
-            return self.left_attr, self.right_attr
-        if relation == self.right_relation:
-            return self.right_attr, self.left_attr
-        raise SchemaError(f"{relation!r} is not part of edge {self}")
-
 
 class Schema:
     """The federation's schema graph: relations plus join edges."""
@@ -217,53 +209,6 @@ class Schema:
                     seen.add(nxt)
                     frontier.append(nxt)
         return seen == keep
-
-    def shortest_path(self, source: str, target: str) -> list[SchemaEdge]:
-        """BFS path between two relations; raises if unreachable."""
-        if source == target:
-            return []
-        parents: dict[str, tuple[str, SchemaEdge]] = {}
-        seen = {source}
-        frontier = [source]
-        while frontier:
-            next_frontier: list[str] = []
-            for current in frontier:
-                for edge in self._adjacency[current]:
-                    nxt = edge.other(current)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        parents[nxt] = (current, edge)
-                        if nxt == target:
-                            return self._unwind(parents, source, target)
-                        next_frontier.append(nxt)
-            frontier = next_frontier
-        raise SchemaError(f"no path between {source!r} and {target!r}")
-
-    def _unwind(self, parents: dict[str, tuple[str, SchemaEdge]],
-                source: str, target: str) -> list[SchemaEdge]:
-        path: list[SchemaEdge] = []
-        node = target
-        while node != source:
-            node, edge = parents[node]
-            path.append(edge)
-        path.reverse()
-        return path
-
-    def expand_neighbourhood(self, seeds: Iterable[str], hops: int
-                             ) -> set[str]:
-        """Every relation within ``hops`` edges of any seed."""
-        current = set(seeds)
-        for name in current:
-            if name not in self._relations:
-                raise SchemaError(f"unknown relation {name!r}")
-        for _ in range(hops):
-            grown = set(current)
-            for name in current:
-                grown.update(self.neighbours(name))
-            if grown == current:
-                break
-            current = grown
-        return current
 
     def validate(self) -> None:
         """Re-check internal consistency; raises SchemaError on failure."""

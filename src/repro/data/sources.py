@@ -129,10 +129,6 @@ class StreamingSource:
         self.metrics.record_stream_read(self.name, delay)
         return tup
 
-    def peek_all_read(self) -> list[STuple]:
-        """The prefix already consumed (used by state-recovery tests)."""
-        return list(self._results[: self._position])
-
     def remaining(self) -> int:
         """Unread tuples left; forces full production (test/debug use)."""
         import sys

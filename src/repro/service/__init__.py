@@ -33,82 +33,44 @@ real serving, and the HTTP/SSE front end
 Server-Sent Events.
 """
 
-from repro.service.admission import AdmissionController, AdmissionDecision
-from repro.service.cache import (
-    CacheStats,
-    PurgeCadence,
-    ResultCache,
-    normalize_key,
-)
-from repro.service.http import (
-    HttpQueryClient,
-    HttpServerThread,
-    QueryServiceHTTP,
-    answer_payload,
-    answers_digest,
-    handles_digest,
-)
-from repro.service.handle import QueryHandle, QueryStatus
-from repro.service.loadgen import (
-    LoadConfig,
-    generate_abandonments,
-    generate_load,
-)
-from repro.service.reports import ServiceReport
-from repro.service.routing import (
-    ClusterAffinityRouter,
-    KeywordHashRouter,
-    RoundRobinRouter,
-    RoutingPolicy,
-    make_router,
-)
-from repro.service.protocol import ProtocolError, WIRE_VERSION
-from repro.service.server import QService
-from repro.service.shard import ServiceConfig, Shard
-from repro.service.sharding import RoutingStats, ShardedQService
-from repro.service.telemetry import Telemetry, percentile
-from repro.service.workers import (
-    ProcessWorker,
-    ShardWorker,
-    WorkerCrashed,
-    WorkerSpec,
-)
+import importlib
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "CacheStats",
-    "ClusterAffinityRouter",
-    "HttpQueryClient",
-    "HttpServerThread",
-    "KeywordHashRouter",
-    "LoadConfig",
-    "ProcessWorker",
-    "ProtocolError",
-    "PurgeCadence",
-    "QService",
-    "QueryServiceHTTP",
-    "QueryHandle",
-    "QueryStatus",
-    "ResultCache",
-    "RoundRobinRouter",
-    "RoutingPolicy",
-    "RoutingStats",
-    "ServiceConfig",
-    "ServiceReport",
-    "Shard",
-    "ShardWorker",
-    "ShardedQService",
-    "Telemetry",
-    "WIRE_VERSION",
-    "WorkerCrashed",
-    "WorkerSpec",
-    "answer_payload",
-    "answers_digest",
-    "generate_abandonments",
-    "generate_load",
-    "handles_digest",
-    "make_router",
-    "normalize_key",
-    "percentile",
-]
+#: Each public name and the module under ``repro.service`` that defines
+#: it, imported on first access (PEP 562): a worker process imports
+#: :mod:`~repro.service.workers` without the HTTP front end.
+_EXPORTS = {
+    name: f"repro.service.{module}" for module, names in {
+        "admission": ("AdmissionController", "AdmissionDecision"),
+        "cache": ("CacheStats", "PurgeCadence", "ResultCache",
+                  "normalize_key"),
+        "handle": ("QueryHandle", "QueryStatus"),
+        "http": ("HttpQueryClient", "HttpServerThread", "QueryServiceHTTP",
+                 "answer_payload", "answers_digest", "handles_digest"),
+        "loadgen": ("LoadConfig", "generate_abandonments", "generate_load"),
+        "protocol": ("ProtocolError", "WIRE_VERSION"),
+        "reports": ("ServiceReport",),
+        "routing": ("ClusterAffinityRouter", "KeywordHashRouter",
+                    "RoundRobinRouter", "RoutingPolicy", "make_router"),
+        "server": ("QService",),
+        "shard": ("ServiceConfig", "Shard"),
+        "sharding": ("RoutingStats", "ShardedQService"),
+        "telemetry": ("Telemetry", "percentile"),
+        "workers": ("ProcessWorker", "ShardWorker", "WorkerCrashed",
+                    "WorkerSpec"),
+    }.items() for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

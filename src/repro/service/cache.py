@@ -220,11 +220,6 @@ class PurgeCadence:
                 f"purge interval must be positive, got {self.interval}")
         self._next = self.interval
 
-    @property
-    def next_fire(self) -> float:
-        """The earliest instant the next :meth:`fire` will purge at."""
-        return self._next
-
     def fire(self, now: float) -> int:
         """Purge if a grid instant has been reached; returns how many
         entries went (0 when the period has not elapsed)."""

@@ -15,14 +15,17 @@ and the shards behind it, each in this process or in its own:
   sharing the front door's clock, cache, plan repository and tracer --
   the sequential differential oracle) and :class:`ProcessWorker`.
 * :class:`ProcessWorker` -- one shard in its own OS process, so shards
-  genuinely overlap.  Spawn-safe: the child (:class:`_WorkerServer`)
-  rebuilds a :class:`~repro.service.shard.Shard` from a serializable
-  :class:`WorkerSpec` (corpus recipe + configs + seed), never from
-  pickled object graphs, and speaks the versioned wire protocol of
-  :mod:`repro.service.protocol` over a pipe.  Time crosses the
-  boundary *by message*: every request carries the fleet's ``now``,
-  every reply the worker's, so the fleet's single-"now" invariant
-  holds at message granularity under virtual and wall clocks alike.
+  genuinely overlap.  The child is a plain subprocess that imports
+  this module and the engine, nothing of the front door's.  It gets
+  one end of a socket pair, reads a serializable :class:`WorkerSpec`
+  (corpus recipe + configs + seed) as the first frame, never a pickled
+  object graph, rebuilds a :class:`~repro.service.shard.Shard` from it
+  (:class:`_WorkerServer`), and then speaks the versioned wire
+  protocol of :mod:`repro.service.protocol` over the pair.  Time
+  crosses the boundary *by message*: every request carries the fleet's
+  ``now``, every reply the worker's, so the fleet's single-"now"
+  invariant holds at message granularity under virtual and wall clocks
+  alike.
 
 Cache and repository topology under process workers: the front door
 keeps the *authoritative* answer cache -- consulted before routing --
@@ -49,7 +52,10 @@ surviving shards meanwhile.
 from __future__ import annotations
 
 import json
-import multiprocessing as mp
+import os
+import socket
+import subprocess
+import sys
 from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, fields
@@ -155,13 +161,14 @@ def decode_service_config(payload: dict) -> ServiceConfig:
 class WorkerSpec:
     """Everything a worker *process* needs to rebuild its engine,
     as plain data: a corpus recipe (never a pickled federation), the
-    execution and service configs, and a tracing flag.
+    execution and service configs, and a tracing flag.  It travels as
+    the first frame on the worker's socket (:meth:`to_wire`).
 
     The corpus recipe names one of the deterministic generators --
     ``{"kind": "gus", ...GUSConfig fields}`` or ``{"kind": "figure1",
     "seed": ..., "cardinalities": ..., "domain_factor": ...}`` -- so a
-    spawned worker reconstructs *exactly* the federation the front
-    door serves (same generator, same seed, same rows).
+    worker reconstructs *exactly* the federation the front door serves
+    (same generator, same seed, same rows).
     """
 
     corpus: dict
@@ -322,14 +329,36 @@ class ShardWorker(Protocol):
 
 # -- the worker process -------------------------------------------------------
 
-def _worker_main(conn, spec_wire: bytes) -> None:
-    """Spawn entry point: rebuild the engine from the spec and serve
-    the wire protocol until shutdown or front-door death."""
+def _worker_main() -> None:
+    """A worker process's entry point: ``argv[1]`` is its end of the
+    socket pair.  The first frame is the :class:`WorkerSpec`; rebuild
+    the engine from it and serve the wire protocol until shutdown or
+    front-door death."""
+    from multiprocessing.connection import Connection
+
+    conn = Connection(int(sys.argv[1]))
     try:
-        server = _WorkerServer(WorkerSpec.from_wire(spec_wire))
+        server = _WorkerServer(WorkerSpec.from_wire(conn.recv_bytes()))
         server.serve(conn)
     finally:
         conn.close()
+
+
+#: What a worker process runs: the engine's imports and nothing of the
+#: front door's (no HTTP server, no CLI, no parent ``__main__``).
+_CHILD = "from repro.service.workers import _worker_main; _worker_main()"
+
+
+def _child_env() -> dict[str, str]:
+    """The front door's environment, with the directory holding this
+    ``repro`` first on ``PYTHONPATH``, so a worker runs the same tree."""
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                  if p])
+    return env
 
 
 class _WorkerServer:
@@ -489,6 +518,11 @@ class ProcessWorker:
     """One shard in its own OS process, implementing
     :class:`ShardWorker`.
 
+    The process is a plain ``python -c`` subprocess running
+    :func:`_worker_main`, with one end of a socket pair as its only
+    channel; the spec goes down it as the first frame.  Liveness and
+    exit status are read off the :class:`subprocess.Popen`.
+
     The front door holds *proxy* :class:`QueryHandle` objects; the
     real handles live in the worker.  Every reply's piggy-backed
     :class:`~repro.service.protocol.WorkerUpdate` advances the fleet
@@ -519,7 +553,6 @@ class ProcessWorker:
         self._front_tracer = front_tracer
         self._on_completion = on_completion
         self._restart = restart
-        self._ctx = mp.get_context("spawn")
         self._config = spec.execution_config()
         #: Proxies of this shard's non-terminal queries; each leaves
         #: with its terminal event (or the crash that fails it).
@@ -541,32 +574,37 @@ class ProcessWorker:
     # -- process lifecycle ---------------------------------------------------
 
     def _spawn(self) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(target=_worker_main,
-                                 args=(child_conn, self._spec.to_wire()),
-                                 daemon=True,
-                                 name=f"repro-shard-{self.shard}")
-        proc.start()
-        child_conn.close()
-        self._proc, self._conn = proc, parent_conn
+        # Imported here, so that a front door that never starts a
+        # worker never loads ``multiprocessing``.
+        from multiprocessing.connection import Connection
+
+        parent, child = socket.socketpair()
+        with parent, child:
+            self._proc = subprocess.Popen(
+                [sys.executable, "-c", _CHILD, str(child.fileno())],
+                pass_fds=(child.fileno(),), stdin=subprocess.DEVNULL,
+                env=_child_env())
+            self._conn = Connection(parent.detach())
         self._alive = True
         self._pending = None
+        self._conn.send_bytes(self._spec.to_wire())
 
     @property
     def alive(self) -> bool:
         return self._alive
 
     def _reap(self, timeout: float) -> None:
-        """Close the pipe and collect the process, terminating it if
+        """Close the pipe and collect the process, killing it if
         it has not exited within ``timeout`` seconds."""
         try:
             self._conn.close()
         except OSError:
             pass
-        self._proc.join(timeout=timeout)
-        if self._proc.is_alive():
-            self._proc.terminate()
-            self._proc.join(timeout=1.0)
+        try:
+            self._proc.wait(timeout)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
 
     def _crash(self, reason: str) -> None:
         """The shard's process is gone: fail its in-flight queries,
@@ -577,8 +615,7 @@ class ProcessWorker:
         self._pending = None
         self._puts.clear()
         self._reap(timeout=1.0)
-        if self._proc.exitcode is not None:
-            reason = f"{reason} (exit code {self._proc.exitcode})"
+        reason = f"{reason} (exit code {self._proc.returncode})"
         now = self._clock.now
         for handle in self._handles.values():
             handle.status = QueryStatus.FAILED
@@ -619,7 +656,8 @@ class ProcessWorker:
     def _recv(self, reply_cls: type) -> Message:
         try:
             while not self._conn.poll(0.05):
-                if not self._proc.is_alive() and not self._conn.poll(0.2):
+                if (self._proc.poll() is not None
+                        and not self._conn.poll(0.2)):
                     self._crash("process died")
                     raise WorkerCrashed(
                         f"shard {self.shard}: worker process died")

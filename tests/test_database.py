@@ -243,4 +243,6 @@ class TestExecuteSPJ:
         assert results[0].intrinsic == 0.9
 
     def test_validate_against_schema(self, triple_federation):
-        triple_federation.validate_against_schema()
+        """Every schema relation is hosted at one of the sites."""
+        sites = set(triple_federation.sites)
+        assert {r.site for r in triple_federation.schema.relations} <= sites

@@ -24,8 +24,13 @@ again, and count ``worker_restarts``.
 
 import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.common.config import DelayModel, ExecutionConfig, SharingMode
 from repro.data.figure1 import figure1_federation
@@ -225,7 +230,71 @@ def test_streaming_over_the_wire_sends_only_pumps(fed, load):
 def kill_worker(fleet, shard):
     proc = fleet.workers[shard]._proc
     os.kill(proc.pid, signal.SIGKILL)
-    proc.join(10.0)
+    proc.wait(10.0)
+
+
+#: A front door with a 2-shard process fleet serving one query; prints
+#: the query's status and how many child processes the front door has
+#: while the fleet is live (-1 where there is no ``/proc`` to scan).
+FLEET_PROGRAM = """
+import os
+from repro.common.config import ExecutionConfig
+from repro.data.figure1 import figure1_federation
+from repro.keyword.queries import KeywordQuery
+from repro.service import ShardedQService, WorkerSpec
+
+def children():
+    if not os.path.isdir("/proc/self"):
+        return -1
+    count = 0
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, ValueError, IndexError):
+            continue
+        count += ppid == os.getpid()
+    return count
+
+config = ExecutionConfig(k=3)
+fleet = ShardedQService(figure1_federation(), config, n_shards=2,
+                        workers="process",
+                        worker_spec=WorkerSpec.figure1(config))
+try:
+    handle = fleet.submit(KeywordQuery("Q1", ("protein", "gene"), k=3))
+    fleet.drain()
+    print(handle.status.value, children())
+finally:
+    fleet.close()
+"""
+
+
+def run_fleet_program(argv, **kwargs):
+    """Run :data:`FLEET_PROGRAM` in a fresh interpreter on this tree;
+    returns its ``(status, children)`` line."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src}, **kwargs)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    status, children = proc.stdout.split()
+    return status, int(children)
+
+
+def test_a_program_read_on_stdin_runs_a_process_fleet():
+    """The workers import the engine by module name, never the front
+    door's ``__main__``, so a program with no file behind it (here
+    ``python -``) can still start them."""
+    status, _ = run_fleet_program(["-"], input=FLEET_PROGRAM)
+    assert status == "done"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="counts children through /proc")
+def test_a_two_shard_fleet_has_exactly_two_child_processes():
+    """One process per shard and no helper process beside them."""
+    status, children = run_fleet_program(["-c", FLEET_PROGRAM])
+    assert (status, children) == ("done", 2)
 
 
 def fresh_queries(fed, index):

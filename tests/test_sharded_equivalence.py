@@ -463,7 +463,7 @@ class TestSharedFleetClock:
             return orig(now)
 
         fleet.cache.purge_expired = wrapped
-        boundary = fleet._cadence.next_fire
+        boundary = fleet._cadence._next
         fleet.step(boundary)
         fleet.step(boundary)             # same instant: no re-fire
         fleet.step(boundary + 0.001)     # same period: no re-fire
@@ -481,5 +481,5 @@ class TestSharedFleetClock:
             return orig(now)
 
         fleet.cache.purge_expired = wrapped
-        fleet.step(fleet._cadence.next_fire + 1.0)
+        fleet.step(fleet._cadence._next + 1.0)
         assert len(calls) == 1
