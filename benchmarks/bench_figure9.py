@@ -16,6 +16,17 @@ through an in-memory recovery join that is read as one more ranked
 input, only as deep as the query's threshold demands.  (When that join
 was computed in full at graft time, SINGLE-OPT read 3 360 input tuples
 and took 1.50 virtual seconds instead of 0.94; the shape was the same.)
+
+Making every recovery join lazy -- those of m-joins with two or more
+stream suppliers were still run in full at graft -- leaves the figure
+where it was.  Work is unchanged (SINGLE-OPT 1 058 input tuples,
+BATCH-OPT 476), and so is latency: with the optimizer's wall time kept
+out of the virtual clock, SINGLE-OPT totals 0.833 virtual seconds
+before and after, BATCH-OPT 6.954 before and 6.951 after.  With it
+(this benchmark's default, so the totals vary run to run), four
+alternating runs each read SINGLE-OPT 1.03-1.11 before and 1.07-1.29
+after, BATCH-OPT 7.30-7.53 before and 7.34-7.39 after.  The
+inversion stands.
 """
 
 from repro.experiments import figure9

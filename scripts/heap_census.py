@@ -11,6 +11,10 @@ the ops ``benchmarks/e2e/run.py --workload cold_distinct --seed N
 The handles it returns keep the service, and so the whole plan graph,
 alive; after one ``gc.collect()`` the script prints
 
+* the peak traced heap during the replay, next to the retained total:
+  no m-join outlives the replay, so only the mid-run figure shows what
+  operators -- a pending recovery join among them -- held while they
+  ran;
 * the retained heap by source module (where each block was allocated),
 * the live ``STuple`` count and bytes per ``STuple`` -- the bytes
   allocated in ``data/rows.py`` that are still live, less the answers'
@@ -88,7 +92,9 @@ def census(seed: int, seconds: float) -> dict:
         harness.vocabulary(federation), seed,
         workloads.ops_for("cold_distinct", seconds, run.PASSES))
     collections_before = [s["collections"] for s in gc.get_stats()]
+    tracemalloc.reset_peak()
     handles = harness.oracle_replay(federation, workload)
+    peak = tracemalloc.get_traced_memory()[1]
     collections = [s["collections"] - before for s, before
                    in zip(gc.get_stats(), collections_before)]
     gc.collect()
@@ -110,6 +116,7 @@ def census(seed: int, seconds: float) -> dict:
     tuple_bytes = rows_bytes - provenance_bytes
     return {
         "queries": len(handles),
+        "peak_bytes": peak,
         "by_module": by_module,
         "stuples": stuples,
         "rows_bytes": rows_bytes,
@@ -124,7 +131,8 @@ def render(result: dict) -> str:
     mib = 1024 * 1024
     total = sum(result["by_module"].values())
     lines = [f"cold_distinct replay: {result['queries']} queries, "
-             f"retained {total / mib:.1f} MiB"]
+             f"retained {total / mib:.1f} MiB, "
+             f"peak {result['peak_bytes'] / mib:.1f} MiB during the replay"]
     ranked = sorted(result["by_module"].items(), key=lambda kv: -kv[1])
     for name, size in ranked[:TOP_MODULES]:
         lines.append(f"  {size / mib:8.1f} MiB  {name}")

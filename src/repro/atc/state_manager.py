@@ -44,7 +44,8 @@ from repro.common.config import ExecutionConfig, SharingMode
 from repro.common.errors import StateError
 from repro.data.database import Federation
 from repro.keyword.queries import ConjunctiveQuery, RankedAnswer, UserQuery
-from repro.operators.nodes import InputUnit, MJoinNode, ProbeTarget, RecoveryUnit
+from repro.operators.nodes import InputUnit, MJoinNode, RecoveryUnit
+from repro.operators.ranked_join import ProbeTarget
 from repro.operators.rankmerge import RankMerge
 from repro.optimizer.clustering import IncrementalClusterer
 from repro.optimizer.cost import ReuseOracle

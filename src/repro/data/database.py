@@ -9,10 +9,13 @@ that contract for one *site* of the federation, entirely in memory:
   (with optional selections), the basis of streaming sources;
 * :meth:`Database.probe` -- indexed key lookup, the basis of
   random-access sources;
-* :meth:`Database.execute_spj` -- evaluate a pushed-down
-  select-project-join subexpression locally at the site and return its
-  full result sorted by intrinsic score, which is what the optimizer's
-  push-down decisions (Section 5.1) translate to.
+* :meth:`Database.ranked_producer` -- evaluate a pushed-down
+  select-project-join subexpression locally at the site, rank by rank
+  and only as deep as it is read, which is what the optimizer's
+  push-down decisions (Section 5.1) translate to and what a streaming
+  source reads;
+* :meth:`Database.execute_spj` -- the same result computed in full and
+  sorted by intrinsic score: the producer's test oracle.
 
 A :class:`Federation` bundles the per-site databases behind one facade
 and also serves the statistics (cardinalities, distinct key counts,
@@ -21,16 +24,23 @@ score maxima) that the cost model consumes.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import DataError
 from repro.data.rows import Row, Shape, STuple
 from repro.data.schema import Relation, Schema
 from repro.plan.expressions import SPJ, Selection
+
+if TYPE_CHECKING:
+    from repro.operators.ranked_join import RankedJoin
+
+
+def _provenance_order(tup: STuple) -> tuple:
+    """The batch path's order among results of equal score."""
+    return tuple(sorted(tup.provenance))
 
 
 @dataclass(frozen=True)
@@ -193,17 +203,7 @@ class Database:
         :class:`~repro.data.sources.StreamingSource` then doles out
         tuple by tuple with simulated network delays.
         """
-        for atom in expr.atoms:
-            if not self.hosts(atom.relation):
-                raise DataError(
-                    f"cannot push {expr!r} to site {self.site!r}: "
-                    f"relation {atom.relation!r} is hosted elsewhere"
-                )
-        if not expr.is_connected():
-            raise DataError(
-                f"refusing to execute disconnected expression {expr!r} "
-                "(cross products are never pushed down)"
-            )
+        self._check_pushable(expr)
         candidates: dict[str, list[Row]] = {}
         contrib_maps: dict[str, dict[int, float]] = {}
         for atom in expr.atoms:
@@ -252,16 +252,57 @@ class Database:
         partials.sort(key=lambda t: (-t.intrinsic, sorted(t.provenance)))
         return partials
 
-    def ranked_producer(self, expr: SPJ) -> "RankedSPJProducer":
+    def ranked_producer(self, expr: SPJ) -> RankedJoin:
         """Incremental, ranked evaluation of a pushed-down expression.
 
-        Returns a producer whose output sequence is *identical* to
+        Returns the ranked-join core over the expression's relations,
+        each an input read in :meth:`scan_sorted` order.  Its results,
+        read through ``result(i)``, are *identical* to
         :meth:`execute_spj`'s list, but computed lazily: streaming
         sources that read only a prefix (the common case -- top-k
         processing stops early) no longer pay for joining and sorting
-        the full result at the site.
+        the full result at the site.  Two things make them identical:
+        held results are ordered by sorted provenance, as the batch
+        path sorts ties; and every result is laid out in the batch
+        path's join order before it is scored, so its contributions
+        are summed in the same order.
         """
-        return RankedSPJProducer(self, expr)
+        # The core is the operators' (their package imports this one).
+        from repro.operators.ranked_join import ProbeTarget, RankedJoin
+
+        self._check_pushable(expr)
+        candidates = {
+            atom.alias: self.scan_sorted(
+                atom.relation, expr.selections_on(atom.alias))
+            for atom in expr.atoms
+        }
+
+        def ranked(alias: str, relation: str) -> Iterable[STuple]:
+            contributions = self._table(relation).contributions
+            for row in candidates[alias]:
+                yield STuple.single(alias, row, contributions[row.tid])
+
+        return RankedJoin(
+            expr.joins,
+            [ProbeTarget.over_prefix(atom.alias, frozenset((atom.alias,)),
+                                     ranked(atom.alias, atom.relation))
+             for atom in expr.atoms],
+            key=_provenance_order,
+            layout=Shape.of(tuple(self._join_order(expr, candidates))),
+            name=self.site)
+
+    def _check_pushable(self, expr: SPJ) -> None:
+        for atom in expr.atoms:
+            if not self.hosts(atom.relation):
+                raise DataError(
+                    f"cannot push {expr!r} to site {self.site!r}: "
+                    f"relation {atom.relation!r} is hosted elsewhere"
+                )
+        if not expr.is_connected():
+            raise DataError(
+                f"refusing to execute disconnected expression {expr!r} "
+                "(cross products are never pushed down)"
+            )
 
     def _join_order(self, expr: SPJ,
                     candidates: Mapping[str, list[Row]]) -> list[str]:
@@ -285,201 +326,6 @@ class Database:
             order.append(nxt)
             remaining.remove(nxt)
         return order
-
-
-#: Safety margin for the producer's release gate: strictly larger than
-#: accumulated float rounding on the corner bound, strictly smaller
-#: than any meaningful score gap.
-_BOUND_MARGIN = 1e-9
-
-
-class RankedSPJProducer:
-    """Rank-by-rank evaluation of one pushed-down SPJ expression.
-
-    Produces exactly the sequence ``execute_spj`` returns -- results in
-    nonincreasing intrinsic order, ties broken by sorted provenance --
-    without materializing the full join first:
-
-    * per-alias candidate rows are scanned in nonincreasing
-      contribution order (the same ``scan_sorted`` the batch path
-      uses);
-    * each *pull* takes the next row of the alias attaining the HRJN
-      corner bound, joins it against the already-pulled rows of the
-      other aliases through hash indexes, and buffers the new results;
-    * a buffered result is released only when its score strictly beats
-      the corner bound (no future result can reach it), at which point
-      every tie is already buffered and the heap's provenance ordering
-      reproduces the batch path's sort exactly.
-
-    Bit-identical scores: result tuples are canonicalized to the batch
-    path's join order before scoring, so the float accumulation order
-    (and therefore every downstream threshold comparison) is unchanged.
-    """
-
-    def __init__(self, database: Database, expr: SPJ) -> None:
-        for atom in expr.atoms:
-            if not database.hosts(atom.relation):
-                raise DataError(
-                    f"cannot push {expr!r} to site {database.site!r}: "
-                    f"relation {atom.relation!r} is hosted elsewhere"
-                )
-        if not expr.is_connected():
-            raise DataError(
-                f"refusing to execute disconnected expression {expr!r} "
-                "(cross products are never pushed down)"
-            )
-        self.expr = expr
-        self.aliases = list(expr.aliases)
-        self._cands: dict[str, list[Row]] = {}
-        self._contribs: dict[str, dict[int, float]] = {}
-        for atom in expr.atoms:
-            self._cands[atom.alias] = database.scan_sorted(
-                atom.relation, expr.selections_on(atom.alias)
-            )
-            self._contribs[atom.alias] = \
-                database._table(atom.relation).contributions
-        #: The batch path's join order; results are canonicalized to it
-        #: so intrinsic scores accumulate identically.
-        self._build_order = database._join_order(expr, self._cands)
-        self._shape = Shape.of(tuple(self._build_order))
-        self._pos = {alias: 0 for alias in self.aliases}
-        #: An alias with no candidate rows can never contribute: the
-        #: join is empty and no pull can change that.
-        self._dead = any(not rows for rows in self._cands.values())
-        if not self._dead:
-            tops = {
-                alias: self._contribs[alias][rows[0].tid]
-                for alias, rows in self._cands.items()
-            }
-            total = sum(tops.values())
-            self._others_top = {
-                alias: total - tops[alias] for alias in self.aliases
-            }
-        else:
-            self._others_top = {alias: 0.0 for alias in self.aliases}
-        self._plans = {
-            alias: self._extension_plan(alias) for alias in self.aliases
-        }
-        self._index_attrs: dict[str, set[str]] = {
-            alias: set() for alias in self.aliases
-        }
-        for steps, _perm in self._plans.values():
-            for target, (_o_pos, _o_attr, t_attr), _verify in steps:
-                self._index_attrs[target].add(t_attr)
-        self._indexes: dict[str, dict[str, dict[Any, list[Row]]]] = {
-            alias: {attr: {} for attr in attrs}
-            for alias, attrs in self._index_attrs.items()
-        }
-        #: (negated score, provenance sort key, result) min-heap.
-        self._buffer: list[tuple[float, tuple, STuple]] = []
-
-    def _extension_plan(self, start: str
-                        ) -> tuple[list[tuple[str, tuple, list[tuple]]],
-                                   tuple[int, ...]]:
-        """Connected probe order for results driven by ``start``: per
-        step the target alias, the probing predicate as ``(partial
-        position, partial_attr, target_attr)``, and the remaining
-        predicates to verify; then the permutation that takes a result's
-        rows from this probe order to the build order."""
-        bound = [start]
-        remaining = [a for a in self.aliases if a != start]
-        steps: list[tuple[str, tuple, list[tuple]]] = []
-        while remaining:
-            chosen = None
-            for target in remaining:
-                cross = []
-                for pred in self.expr.joins_on(target):
-                    other = pred.other(target)
-                    if other in bound:
-                        cross.append((bound.index(other),
-                                      pred.side_for(other)[0],
-                                      pred.side_for(target)[0]))
-                if cross:
-                    chosen = (target, cross[0], cross[1:])
-                    break
-            if chosen is None:
-                raise DataError(
-                    f"join graph of {self.expr!r} became disconnected "
-                    "during ordering; this indicates a malformed expression"
-                )
-            steps.append(chosen)
-            bound.append(chosen[0])
-            remaining.remove(chosen[0])
-        return steps, tuple(bound.index(a) for a in self._build_order)
-
-    def _preferred(self) -> tuple[str | None, float]:
-        """The alias whose next pull attains the corner bound, plus the
-        bound itself; ``(None, -inf)`` once every input is exhausted."""
-        best: str | None = None
-        best_value = float("-inf")
-        for alias in self.aliases:
-            rows = self._cands[alias]
-            position = self._pos[alias]
-            if position >= len(rows):
-                continue
-            value = self._contribs[alias][rows[position].tid] \
-                + self._others_top[alias]
-            if value > best_value:
-                best_value = value
-                best = alias
-        return best, best_value
-
-    def _pull(self, alias: str) -> None:
-        """Read one row, join it against everything already seen,
-        buffer the canonicalized results, then index the row."""
-        row = self._cands[alias][self._pos[alias]]
-        self._pos[alias] += 1
-        steps, to_build_order = self._plans[alias]
-        partials: list[tuple[Row, ...]] = [(row,)]
-        for target, (o_pos, o_attr, t_attr), verify in steps:
-            index = self._indexes[target][t_attr]
-            grown: list[tuple[Row, ...]] = []
-            for partial in partials:
-                matches = index.get(partial[o_pos].values[o_attr])
-                if not matches:
-                    continue
-                for candidate in matches:
-                    ok = True
-                    for vo_pos, vo_attr, vt_attr in verify:
-                        if candidate.values[vt_attr] \
-                                != partial[vo_pos].values[vo_attr]:
-                            ok = False
-                            break
-                    if ok:
-                        grown.append(partial + (candidate,))
-            partials = grown
-            if not partials:
-                break
-        for attr in self._index_attrs[alias]:
-            self._indexes[alias][attr].setdefault(
-                row.values[attr], []).append(row)
-        if not partials:
-            return
-        contribs_of = self._contribs
-        build_order = self._build_order
-        for partial in partials:
-            rows = tuple(partial[i] for i in to_build_order)
-            tup = STuple.of(self._shape, rows, tuple(
-                contribs_of[a][r.tid] for a, r in zip(build_order, rows)))
-            heapq.heappush(
-                self._buffer,
-                (-tup.intrinsic, tuple(sorted(tup.provenance)), tup),
-            )
-
-    def produce(self) -> STuple | None:
-        """The next result in ranked order, or ``None`` when done."""
-        if self._dead:
-            return None
-        buffer = self._buffer
-        while True:
-            preferred, corner = self._preferred()
-            if buffer:
-                if preferred is None \
-                        or -buffer[0][0] > corner + _BOUND_MARGIN:
-                    return heapq.heappop(buffer)[2]
-            elif preferred is None:
-                return None
-            self._pull(preferred)
 
 
 #: Source of :attr:`Federation.stats_epoch` stamps: unique across every

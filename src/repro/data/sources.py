@@ -27,17 +27,21 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections.abc import Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.common.clock import VirtualClock
 from repro.common.config import DelayModel
 from repro.common.errors import DataError
 from repro.common.rng import poisson_delay
-from repro.data.database import Database
 from repro.data.rows import Row, STuple
 from repro.plan.expressions import SPJ
 from repro.obs.records import Metrics
+
+if TYPE_CHECKING:
+    from repro.data.database import Database
+    from repro.operators.ranked_join import RankedJoin
 
 #: Score bound reported by an exhausted stream.
 EXHAUSTED = -math.inf
@@ -67,33 +71,20 @@ class StreamingSource:
         self.metrics = metrics
         self.delays = delays
         self._rng = rng
-        #: Produced prefix of the site's ranked result, grown on demand
-        #: by the lazy producer.  The site used to execute and sort the
-        #: *entire* join on first touch; a top-k stream typically reads
-        #: a tiny prefix, so production is now incremental (the
-        #: producer's output order is bit-identical to the full sort).
-        self._results: list[STuple] = []
-        self._producer = None
-        self._producer_done = False
+        #: The site's lazy ranked producer, made on first touch; it
+        #: memoizes what it has produced.  The site used to execute and
+        #: sort the *entire* join on first touch; a top-k stream
+        #: typically reads a tiny prefix, so production is incremental
+        #: (the producer's output order is bit-identical to the full
+        #: sort).
+        self._producer: RankedJoin | None = None
         self._position = 0
 
-    # -- lazy materialization ------------------------------------------------
-
-    def _ensure_produced(self, count: int) -> list[STuple]:
-        """Grow the produced prefix to ``count`` tuples (or exhaustion)."""
-        results = self._results
-        if self._producer_done or len(results) >= count:
-            return results
+    def _result(self, index: int) -> STuple | None:
+        """The ``index``-th tuple of the stream, ``None`` past the end."""
         if self._producer is None:
             self._producer = self.database.ranked_producer(self.expr)
-        produce = self._producer.produce
-        while len(results) < count:
-            tup = produce()
-            if tup is None:
-                self._producer_done = True
-                break
-            results.append(tup)
-        return results
+        return self._producer.result(index)
 
     # -- streaming interface -------------------------------------------------
 
@@ -103,7 +94,7 @@ class StreamingSource:
 
     @property
     def exhausted(self) -> bool:
-        return self._position >= len(self._ensure_produced(self._position + 1))
+        return self._result(self._position) is None
 
     def bound(self) -> float:
         """Upper bound on the intrinsic score of any *unread* tuple.
@@ -112,17 +103,14 @@ class StreamingSource:
         ``-inf`` once exhausted.  Before the first read this is the
         stream's maximum possible score.
         """
-        results = self._ensure_produced(self._position + 1)
-        if self._position >= len(results):
-            return EXHAUSTED
-        return results[self._position].intrinsic
+        tup = self._result(self._position)
+        return EXHAUSTED if tup is None else tup.intrinsic
 
     def read(self) -> STuple | None:
         """Pull the next tuple, paying the network delay; None when done."""
-        results = self._ensure_produced(self._position + 1)
-        if self._position >= len(results):
+        tup = self._result(self._position)
+        if tup is None:
             return None
-        tup = results[self._position]
         self._position += 1
         delay = self._delay(self.delays.stream_read_mean)
         self.clock.advance(delay)
@@ -131,8 +119,9 @@ class StreamingSource:
 
     def remaining(self) -> int:
         """Unread tuples left; forces full production (test/debug use)."""
-        import sys
-        return len(self._ensure_produced(sys.maxsize)) - self._position
+        self._result(sys.maxsize)
+        assert self._producer is not None
+        return len(self._producer.emitted) - self._position
 
     def reset(self) -> None:
         """Rewind to the start of the stream.
@@ -246,11 +235,7 @@ class ListSource:
     """
 
     def __init__(self, name: str, tuples: Sequence[STuple],
-                 charge_free: bool = True,
-                 clock: VirtualClock | None = None,
-                 metrics: Metrics | None = None,
-                 delays: DelayModel | None = None,
-                 rng: random.Random | None = None) -> None:
+                 metrics: Metrics | None = None) -> None:
         self.name = name
         self._tuples = list(tuples)
         for earlier, later in zip(self._tuples, self._tuples[1:]):
@@ -260,11 +245,7 @@ class ListSource:
                     f"got {earlier.intrinsic} before {later.intrinsic}"
                 )
         self._position = 0
-        self.charge_free = charge_free
-        self.clock = clock
         self.metrics = metrics
-        self.delays = delays
-        self._rng = rng
 
     @property
     def tuples_read(self) -> int:
@@ -284,20 +265,7 @@ class ListSource:
             return None
         tup = self._tuples[self._position]
         self._position += 1
-        if not self.charge_free and self.clock is not None:
-            mean = self.delays.stream_read_mean if self.delays else 0.0
-            delay = mean if (self.delays and self.delays.deterministic) \
-                else poisson_delay(
-                    # repro: allow[rng-discipline] -- a fresh Random(0)
-                    # per read is the pinned legacy fallback delay
-                    # stream (constant first draw) for sources built
-                    # without an rng; real sources pass a make_rng
-                    # stream and never reach it
-                    self._rng or random.Random(0), mean)
-            self.clock.advance(delay)
-            if self.metrics is not None:
-                self.metrics.record_stream_read(self.name, delay)
-        elif self.metrics is not None:
+        if self.metrics is not None:
             # Free replays of already-paid-for state are *reuse*, not
             # input consumption: they must not count toward the
             # Figure 10 work measure.

@@ -1,13 +1,9 @@
-"""Execution operators: access modules, m-joins, rank-merge."""
+"""Execution operators: access modules, the ranked join, m-joins,
+rank-merge."""
 
 from repro.operators.access import AccessModule
-from repro.operators.nodes import (
-    InputUnit,
-    MJoinNode,
-    ProbeTarget,
-    RecoveryUnit,
-    Supplier,
-)
+from repro.operators.nodes import InputUnit, MJoinNode, RecoveryUnit, Supplier
+from repro.operators.ranked_join import ProbeTarget, RankedJoin
 from repro.operators.rankmerge import CQStreamEntry, RankMerge
 
 __all__ = [
@@ -17,6 +13,7 @@ __all__ = [
     "MJoinNode",
     "ProbeTarget",
     "RankMerge",
+    "RankedJoin",
     "RecoveryUnit",
     "Supplier",
 ]

@@ -11,15 +11,14 @@ paper builds on.  A module is:
   were received from the input stream" (Section 6.2) -- which is
   nonincreasing score order, exactly what recovery needs.
 
-Recovery is a ranked stream: a new m-join's recovery join drives the
-prefix one supplier's module held at graft time, in nonincreasing
-order (:meth:`ranked_replay`), and probes the other inputs only as deep
-as the reader pulls (:class:`~repro.operators.nodes.SeedStream`).
-Modules are append-only, so that prefix is just the module's length at
-graft: no module keeps epochs.  (Postings are appended in arrival
-order too, so if a recovery join ever had to *probe* "the tuples before
-epoch e", that would be a prefix of each posting list: an index of
-epoch boundaries, not a per-probe set.)
+Recovery is a ranked stream: a new m-join's recovery join reads the
+prefix each supplier's module held at graft time, in nonincreasing
+order (:meth:`ranked_replay`), through the ranked-join core
+(:class:`~repro.operators.ranked_join.RankedJoin`): the smallest prefix
+lazily, the others indexed whole, and only as deep as the reader pulls.
+Modules are append-only, so a prefix is just the module's length at
+graft: no module keeps epochs, and tuples stored after the graft never
+enter the recovery join.
 
 Modules are *shared*: several m-joins (from different conjunctive
 queries) probe the same module, which is how subexpression sharing
@@ -53,10 +52,6 @@ class AccessModule:
         self._ranked = True
 
     # -- schema of the module -------------------------------------------------
-
-    @property
-    def index_keys(self) -> tuple[tuple[str, str], ...]:
-        return tuple(self._indexes)
 
     def ensure_index(self, alias: str, attr: str) -> None:
         """Add a hash index retroactively (new consumers may probe on

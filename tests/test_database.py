@@ -93,11 +93,9 @@ class TestRankedProducer:
 
     def drain(self, producer):
         out = []
-        while True:
-            tup = producer.produce()
-            if tup is None:
-                return out
+        while (tup := producer.result(len(out))) is not None:
             out.append(tup)
+        return out
 
     def assert_identical(self, federation, expr):
         site = federation.site_of_expression(expr)
@@ -175,12 +173,14 @@ class TestRankedProducer:
         )
         site = triple_federation.site_of_expression(expr)
         producer = triple_federation.database(site).ranked_producer(expr)
-        first = producer.produce()
+        first = producer.result(0)
         batch = triple_federation.execute_spj(expr)
         assert first.provenance == batch[0].provenance
         # The producer pulled only what the bound proof required.
-        total_rows = sum(len(rows) for rows in producer._cands.values())
-        pulled = sum(producer._pos.values())
+        database = triple_federation.database(site)
+        total_rows = sum(len(database.scan_sorted(atom.relation))
+                         for atom in expr.atoms)
+        pulled = sum(target.module.size for target in producer.inputs)
         assert pulled <= total_rows
 
 

@@ -1,10 +1,12 @@
 """Tests for the adaptive m-join node: correctness of the symmetric
 hash join, bounded release order, corner-bound validity, probing, and
-state seeding (the Algorithm 2 recovery join) -- eager with several
-stream suppliers, a ranked stream with one."""
+state seeding (the Algorithm 2 recovery join): a ranked stream over
+the suppliers' graft-time prefixes, run into the module only when a
+parent grafts."""
 
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -247,58 +249,63 @@ class TestProbeTargets:
         assert scores == sorted(scores, reverse=True)
 
 
+def seeded(node):
+    """Every result of ``node``'s pending seed, in stream order."""
+    node.seed.result(sys.maxsize)
+    return node.seed.emitted
+
+
+def second_node(node):
+    """A second m-join over ``node``'s suppliers, grafted and seeded."""
+    node2 = MJoinNode(
+        "join2", node.expr, node.suppliers, [],
+        caps={"A": 1.0, "B": 1.0},
+        clock=node.clock, metrics=Metrics(), delays=DELAYS,
+    )
+    node2.seed_from_suppliers()
+    return node2
+
+
+def nested(rows_a, rows_b):
+    return {ta.merge(tb) for ta, tb in itertools.product(
+        stuples("A", "A", rows_a), stuples("B", "B", rows_b))
+        if ta.value("A", "x") == tb.value("B", "x")}
+
+
 class TestSeeding:
     def test_seed_reproduces_existing_joins(self):
         unit_a, unit_b, node, sink = two_way_setup(ROWS_A, ROWS_B)
         drain([unit_a, unit_b], node)
-        # A second node over the same (now fully read) units: seeding
-        # must reproduce every result without any reads.
-        clock, metrics = node.clock, Metrics()
-        node2 = MJoinNode(
-            "join2", node.expr, [unit_a, unit_b], [],
-            caps={"A": 1.0, "B": 1.0},
-            clock=clock, metrics=metrics, delays=DELAYS,
-        )
-        seeded = node2.seed_from_suppliers()
-        assert seeded == len(sink.received)
-        assert set(node2.module.replay()) == set(sink.received)
+        read = node.metrics.stream_tuples_read
+        # A second node over the same (now fully read) units: its
+        # drained seed reproduces every result without any reads.
+        node2 = second_node(node)
+        assert len(seeded(node2)) == len(sink.received)
+        assert set(seeded(node2)) == set(sink.received)
+        assert node.metrics.stream_tuples_read == read
 
     def test_seed_results_sorted(self):
         unit_a, unit_b, node, _sink = two_way_setup(ROWS_A, ROWS_B)
         drain([unit_a, unit_b], node)
-        node2 = MJoinNode(
-            "join2", node.expr, [unit_a, unit_b], [],
-            caps={"A": 1.0, "B": 1.0},
-            clock=node.clock, metrics=Metrics(), delays=DELAYS,
-        )
-        node2.seed_from_suppliers()
-        scores = [t.intrinsic for t in node2.module.replay()]
+        scores = [t.intrinsic for t in seeded(second_node(node))]
         assert scores == sorted(scores, reverse=True)
 
     def test_seed_empty_supplier_produces_nothing(self):
-        unit_a, unit_b, node, _sink = two_way_setup(ROWS_A, ROWS_B)
+        unit_a, _unit_b, node, _sink = two_way_setup(ROWS_A, ROWS_B)
         unit_a.read_and_route(1)  # only A has stored tuples
-        node2 = MJoinNode(
-            "join2", node.expr, [unit_a, unit_b], [],
-            caps={"A": 1.0, "B": 1.0},
-            clock=node.clock, metrics=Metrics(), delays=DELAYS,
-        )
-        assert node2.seed_from_suppliers() == 0
+        node2 = second_node(node)
+        assert node2.seed is None
+        assert node2.materialize_seed() == 0
 
     def test_partial_seed_then_live_no_duplicates(self):
         unit_a, unit_b, node, sink = two_way_setup(ROWS_A, ROWS_B)
         # Read a prefix, then create a second consumer node that seeds,
-        # then finish the streams: combined output must equal the full
-        # join exactly once.
+        # then finish the streams: its seed and its live output together
+        # are the full join exactly once.
         unit_a.read_and_route(1)
         unit_b.read_and_route(1)
         node.release_ready()
-        node2 = MJoinNode(
-            "join2", node.expr, [unit_a, unit_b], [],
-            caps={"A": 1.0, "B": 1.0},
-            clock=node.clock, metrics=Metrics(), delays=DELAYS,
-        )
-        node2.seed_from_suppliers()
+        node2 = second_node(node)
         sink2 = Collector()
         node2.consumers.append(sink2)
         unit_a.consumers.append(node2)
@@ -311,14 +318,32 @@ class TestSeeding:
                     progressed = True
             while node2.release_ready() or node.release_ready():
                 progressed = True
-        total = set(node2.module.replay())
-        expected = set()
-        for ta, tb in itertools.product(
-                stuples("A", "A", ROWS_A), stuples("B", "B", ROWS_B)):
-            if ta.value("A", "x") == tb.value("B", "x"):
-                expected.add(ta.merge(tb))
-        assert total == expected
-        assert len(node2.module.replay()) == len(expected)
+        live, seed = node2.module.replay(), seeded(node2)
+        assert set(live) | set(seed) == nested(ROWS_A, ROWS_B)
+        assert len(live) + len(seed) == len(nested(ROWS_A, ROWS_B))
+
+    def test_two_supplier_seed_waits_for_a_parent(self):
+        """A graft over two stored suppliers puts nothing into its
+        module; tuples the suppliers receive after it arrive live and
+        never enter the seed, which runs into the module only when a
+        parent grafts (``materialize_seed``)."""
+        unit_a, unit_b, node, _sink = two_way_setup(ROWS_A, ROWS_B)
+        for _ in range(2):
+            unit_a.read_and_route(1)
+            unit_b.read_and_route(1)
+        node.release_ready()
+        node2 = second_node(node)
+        assert node2.seed is not None
+        assert node2.module.size == 0
+        unit_a.consumers.append(node2)
+        unit_b.consumers.append(node2)
+        drain([unit_a, unit_b], node2)
+        at_graft = nested(ROWS_A[:2], ROWS_B[:2])
+        assert set(seeded(node2)) == at_graft
+        live = set(node2.module.replay())
+        assert live == nested(ROWS_A, ROWS_B) - at_graft
+        assert node2.materialize_seed() == len(at_graft)
+        assert set(node2.module.replay()) == nested(ROWS_A, ROWS_B)
 
 
 #: A's rows for ranked recovery: x values collide, so several driving
@@ -369,7 +394,7 @@ class TestRankedRecovery:
 
     def test_stream_is_the_eager_multiset_in_order(self):
         _unit, node = probe_setup(4)
-        results = node.seed.drain()
+        results = seeded(node)
         assert set(results) == set(joined(ROWS_RA[:4]))
         assert len(results) == len(joined(ROWS_RA[:4]))
         scores = [t.intrinsic for t in results]
@@ -393,7 +418,7 @@ class TestRankedRecovery:
 
     def test_reads_only_as_deep_as_pulled(self):
         _unit, node = probe_setup(len(ROWS_RA))
-        assert node.seed.bound_at(0) == joined(ROWS_RA)[0].intrinsic
+        assert node.seed.result(0).intrinsic == joined(ROWS_RA)[0].intrinsic
         # The top result needs the top A tuple, and the corner of the
         # next one (0.85 + 1.0) is above it, so that one is joined too;
         # nothing below is.
@@ -406,10 +431,10 @@ class TestRankedRecovery:
         while unit_a.read_and_route(2) is not None:
             node.release_ready()
         node.release_ready()
-        seeded = node.seed.drain()
-        assert set(seeded) == set(joined(ROWS_RA[:3]))
-        assert set(seeded).isdisjoint(sink.received)
-        assert set(seeded) | set(sink.received) == set(joined(ROWS_RA))
+        results = seeded(node)
+        assert set(results) == set(joined(ROWS_RA[:3]))
+        assert set(results).isdisjoint(sink.received)
+        assert set(results) | set(sink.received) == set(joined(ROWS_RA))
 
     def test_readers_share_the_memo_from_the_top(self):
         _unit, node = probe_setup(len(ROWS_RA))

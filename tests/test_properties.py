@@ -130,7 +130,7 @@ class TestMJoinProperties:
         remaining = nested_loop(rows_a, rows_b) - set(received)
         for tup in remaining:
             # every unproduced-or-unreleased result is bounded
-            if tup in {t for _n, _s, t in node._buffer}:
+            if tup in {t for _n, _s, t in node.join._heap}:
                 continue
             assert tup.intrinsic <= corner + 1e-9
 

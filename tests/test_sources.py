@@ -81,7 +81,7 @@ class TestStreamingSource:
         source, _clock, _metrics = make_stream(triple_federation)
         a = source.read()
         b = source.read()
-        assert source._results[:source._position] == [a, b]
+        assert source._producer.emitted[:source._position] == [a, b]
 
     def test_randomized_delays_positive(self, triple_federation):
         source, clock, _m = make_stream(triple_federation,

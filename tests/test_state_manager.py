@@ -1,6 +1,7 @@
 """Tests for the QS manager: grafting, recovery, unlinking, eviction."""
 
 import itertools
+import sys
 
 import pytest
 
@@ -213,9 +214,9 @@ class TestUnlinking:
 
 
 def chain_plan(fed):
-    """A hand-built plan: ``ab`` joins stream A with B probed remotely
-    (one stream supplier, so its seed stays pending), and ``abc`` joins
-    ``ab`` with stream C (two, so its seed runs at graft)."""
+    """A hand-built plan: ``ab`` joins stream A with B probed remotely,
+    and ``abc`` joins ``ab`` with stream C.  Both seeds stay pending
+    until a parent grafts over their node."""
     ab = SPJ([Atom("A", "A"), Atom("B", "B")],
              [JoinPred.normalized("A", "x", "B", "x")])
     plan = FactorizedPlan("g")
@@ -242,11 +243,16 @@ class TestRankedRecovery:
 
     @staticmethod
     def assert_complete(fed, graph):
+        """The parent's graft ran the child's seed into the child's
+        module; the parent's own seed, over two stream suppliers, is
+        still pending and holds the whole join."""
         ab, abc = graph.nodes["c:g:ab"], graph.nodes["c:g:abc"]
         assert ab.seed is None
         assert set(ab.module.replay()) == set(evaluate_spj(fed, ab.expr))
-        assert set(abc.module.replay()) == set(evaluate_spj(fed, abc.expr))
-        assert abc.module.size == len(evaluate_spj(fed, abc.expr))
+        assert abc.module.size == 0
+        abc.seed.result(sys.maxsize)
+        assert set(abc.seed.emitted) == set(evaluate_spj(fed, abc.expr))
+        assert len(abc.seed.emitted) == len(evaluate_spj(fed, abc.expr))
 
     def test_graft_seed_pends_on_one_stream_supplier(self, qs, fed):
         graph = qs.get_or_create_graph("main")
