@@ -119,7 +119,7 @@ PINS = [
         421, 90, 4, 29),
     Pin("large", "solo", "ATC-FULL", 200, 20.0,
         "9dd5a3eab6a0caa363617ccd85c69d60b99ab51c6de1c5e8dce9170383c05a67",
-        715, 1139, 40, 495),
+        715, 1137, 40, 495),
     Pin("large", "solo", "ATC-CQ", 200, 60.0,
         "0d463dfcf4c8a6af3003a84911ca1f90e799cc0a6258172550a682570891359b",
         3103, 10715, 198, 198),
@@ -127,17 +127,17 @@ PINS = [
         "a6d07451ce79a9d55d122cfcfb38276aaf50676e5d746ddfcafd776ca3c324a2",
         3230, 1532, 199, 270),
     Pin("large", "solo", "ATC-FULL", 200, 60.0,
-        "9f3c5d85f58e576d7d9c8474bdcd0f5ae6b29d36a4384a9b759815d836c79ea4",
-        646, 733, 40, 525),
+        "3efc440ef9e5c60952d3f92dee4586c885d34b045db1cd28055cb928079f5720",
+        646, 731, 40, 525),
     Pin("large", "solo", "ATC-CL", 200, 60.0,
         "45ca9d692affe5da145b5328c59804442e0a0883d18a53a2fa0c4bb35ec66cf1",
-        503, 1089, 99, 577),
+        503, 1087, 99, 577),
     Pin("large", "solo", "ATC-FULL", 200, 180.0,
-        "f4d9d9504efa82a442496bafeb343bac20990d0a869cbbde62e0d2098b9c7388",
-        593, 243, 40, 523),
+        "6b17028d4468746db32bee970f9239ac666beedb5fdcb33b017fcdb33a53b197",
+        590, 241, 40, 523),
     Pin("large", "solo", "ATC-FULL", 80, 60.0,
         "a3df9febf055479afb7572c8366ede2ab96ab201538de06e2d060c420078de7b",
-        527, 193, 16, 192),
+        527, 191, 16, 192),
     Pin("small", "shared", "ATC-CQ", 200, 60.0,
         "49e0369fabd467a8a2fb84a2913cc0f2d2d1bbc4a6d22842066a246be15d6ccc",
         2759, 228, 16, 16),
@@ -154,11 +154,11 @@ PINS = [
         "b681bfbd317e2dcd8be703758b0ec1bf77a812a4572e4add1d0734a4bb3d8f1b",
         2202, 61, 4, 141),
     Pin("small", "solo", "ATC-FULL", 200, 60.0,
-        "e0715d0d2a08be00da4e515945efd63ad28233f87a5763cbdd1b1159457aaff6",
-        2667, 289, 40, 1378),
+        "fcb4c1f817efc7117f6d0d46ad7141bb7a50b61903f0acbe6126a5e5c38caff0",
+        2672, 289, 40, 1378),
     Pin("small", "solo/reneging", "ATC-FULL", 200, 60.0,
-        "0772acd75cf57b243b58d496fe2b8634b8060734867c2577c1d9fd3988a84291",
-        2679, 109, 40, 1441),
+        "d2a8f755f8179410a673e7635398ab48480d5837f88c2cecc75c65e6fdc3fee0",
+        2687, 173, 40, 1441),
     Pin("small", "hash/4", "ATC-FULL", 200, 60.0,
         "bbf13ed523162ae9770310b28dfe728033d632b256198331b92b61ed19de3456",
         2465, 180, 5, 113),
