@@ -289,7 +289,7 @@ class Database:
              for atom in expr.atoms],
             key=_provenance_order,
             layout=Shape.of(tuple(self._join_order(expr, candidates))),
-            name=self.site)
+            adaptive=False, name=self.site)
 
     def _check_pushable(self, expr: SPJ) -> None:
         for atom in expr.atoms:

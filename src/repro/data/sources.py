@@ -71,12 +71,10 @@ class StreamingSource:
         self.metrics = metrics
         self.delays = delays
         self._rng = rng
-        #: The site's lazy ranked producer, made on first touch; it
-        #: memoizes what it has produced.  The site used to execute and
-        #: sort the *entire* join on first touch; a top-k stream
-        #: typically reads a tiny prefix, so production is incremental
-        #: (the producer's output order is bit-identical to the full
-        #: sort).
+        #: The site's ranked producer, made on first touch; it memoizes
+        #: what it has produced.  A top-k stream typically reads a tiny
+        #: prefix, so the site joins only as deep as it is read (the
+        #: order is bit-identical to a full sort).
         self._producer: RankedJoin | None = None
         self._position = 0
 

@@ -390,6 +390,8 @@ class MJoinNode:
             self.clock.advance(self.delays.cpu_insert)
             self.metrics.record_insert(self.delays.cpu_insert)
             self.metrics.tuples_reused += 1
+        # The module grew: consumers that break ties by size recompute.
+        notify_bound_dirty(self.consumers)
         return len(seed.emitted)
 
     def release_ready(self) -> int:

@@ -164,7 +164,14 @@ class RankedJoin:
         self.name = name
         self.inputs = list(inputs)
         self.probes = list(probes)
-        self.tops = [self._stream(t).bound() for t in self.inputs] \
+        self._streams: list[Ranked] = []
+        self._modules: list[AccessModule] = []
+        for target in self.inputs:
+            assert target.stream and target.module, \
+                f"{target.name} is not an input"
+            self._streams.append(target.stream)
+            self._modules.append(target.module)
+        self.tops = [stream.bound() for stream in self._streams] \
             if tops is None else list(tops)
         self._tops_total = sum(self.tops)
         self._probe_cap = probe_cap
@@ -187,39 +194,33 @@ class RankedJoin:
             self._crossing[target.name] = preds
         #: (target, partial shape) -> :meth:`_step_plan`'s resolution.
         self._step_plans: dict[tuple[ProbeTarget, Shape], tuple] = {}
+        #: Input index -> its probe order, when that order is static.
+        self._static_orders: dict[int, list[ProbeTarget]] = {}
         #: Result shape -> positions of ``layout``'s aliases in it.
         self._layouts: dict[Shape, tuple[int, ...]] = {}
         self._heap: list[tuple[float, Any, STuple]] = []
         self._arrivals = itertools.count()
-        #: Memoized corner bound; ``None`` means dirty.
-        self._corner: float | None = None
+        #: Memoized (:meth:`preferred`, :meth:`corner`); ``None`` means
+        #: dirty.  Callers drop it whenever an input's bound or size
+        #: moves.
+        self._attained: tuple[int | None, float] | None = None
         #: Results popped through :meth:`result`, in rank order.
         self.emitted: list[STuple] = []
-
-    @staticmethod
-    def _stream(target: ProbeTarget) -> Ranked:
-        assert target.stream is not None, f"{target.name} is not an input"
-        return target.stream
 
     # -- bounds -----------------------------------------------------------
 
     def invalidate(self) -> bool:
         """An input's bound moved: drop the memoized corner.  False when
         it was dropped already."""
-        if self._corner is None:
+        if self._attained is None:
             return False
-        self._corner = None
+        self._attained = None
         return True
 
     def corner(self) -> float:
         """Bound on the score of any result not yet held: some input
         contributes its next tuple and everything else its top."""
-        corner = self._corner
-        if corner is None:
-            best = self._attaining()[1]
-            corner = best if best == EXHAUSTED else best + self._probe_cap
-            self._corner = corner
-        return corner
+        return self._attaining()[1]
 
     def bound(self) -> float:
         """Bound on the score of the next result to leave."""
@@ -234,19 +235,25 @@ class RankedJoin:
         return self._attaining()[0]
 
     def _attaining(self) -> tuple[int | None, float]:
-        """:meth:`preferred` and the corner less the probe caps."""
+        attained = self._attained
+        if attained is not None:
+            return attained
         best: int | None = None
         best_value = (EXHAUSTED, 0)
-        for index, (target, top) in enumerate(zip(self.inputs, self.tops)):
-            bound = self._stream(target).bound()
+        total, modules = self._tops_total, self._modules
+        for index, (stream, top) in enumerate(zip(self._streams, self.tops)):
+            bound = stream.bound()
             if bound == EXHAUSTED:
                 continue
-            assert target.module is not None
-            value = (bound + self._tops_total - top, -target.module.size)
+            value = (bound + total - top, -modules[index].size)
             if value > best_value:
                 best_value = value
                 best = index
-        return best, best_value[0]
+        corner = best_value[0]
+        if corner != EXHAUSTED:
+            corner += self._probe_cap
+        self._attained = best, corner
+        return self._attained
 
     @property
     def waiting(self) -> int:
@@ -290,20 +297,25 @@ class RankedJoin:
 
     def pull(self, index: int) -> None:
         """Read one tuple from prefix ``index`` and join it."""
-        prefix = self.inputs[index].stream
+        prefix = self._streams[index]
         assert isinstance(prefix, Prefix), "only a prefix is pulled"
         tup = prefix.read()
-        self._corner = None
+        self._attained = None
         self.join(index, tup)
 
     def join(self, index: int, tup: STuple) -> int:
         """Join a tuple input ``index`` delivered against what the other
         inputs hold and the probe targets, and hold the results;
         returns how many there were."""
-        targets = [t for i, t in enumerate(self.inputs) if i != index] \
-            + self.probes
+        order = self._static_orders.get(index)
+        if order is None:
+            order = self._probe_order(
+                [t for i, t in enumerate(self.inputs) if i != index]
+                + self.probes, tup.aliases)
+            if not self.adaptive:
+                self._static_orders[index] = order
         partials = [tup]
-        for target in self._probe_order(targets, tup.aliases):
+        for target in order:
             if not partials:
                 break
             partials = self._extend(partials, target)
