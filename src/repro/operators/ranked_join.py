@@ -150,6 +150,9 @@ class RankedJoin:
         The alias order results are laid out and scored in.
     charge:
         Called once per probe, by whoever pays for the join.
+    adaptive:
+        Order each tuple's probes by observed fanout; otherwise by
+        target name, once per input.
     """
 
     def __init__(self, joins: Sequence[JoinPred],
@@ -167,8 +170,8 @@ class RankedJoin:
         self._streams: list[Ranked] = []
         self._modules: list[AccessModule] = []
         for target in self.inputs:
-            assert target.stream and target.module, \
-                f"{target.name} is not an input"
+            assert target.stream is not None \
+                and target.module is not None, f"{target.name} is no input"
             self._streams.append(target.stream)
             self._modules.append(target.module)
         self.tops = [stream.bound() for stream in self._streams] \
