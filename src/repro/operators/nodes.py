@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from typing import Any, Protocol
 
 from repro.common.clock import VirtualClock
@@ -274,18 +274,15 @@ class MJoinNode:
         # through their shared modules.
         self.join = RankedJoin(
             expr.joins,
-            [ProbeTarget(self._target_name(s), frozenset(s.expr.aliases),
+            [ProbeTarget(f"{name}<-{s.value_key}", frozenset(s.expr.aliases),
                          "module", module=s.module, stream=s)
              for s in self.suppliers],
             self.probe_targets,
-            [self._top_of(frozenset(s.expr.aliases)) for s in self.suppliers],
+            [self._top_of(s.expr.aliases) for s in self.suppliers],
             self._probe_cap,
             charge=self._charge_probe, adaptive=adaptive, name=name)
 
-    def _target_name(self, supplier: Supplier) -> str:
-        return f"{self.name}<-{supplier.value_key}"
-
-    def _top_of(self, aliases: frozenset[str]) -> float:
+    def _top_of(self, aliases: Iterable[str]) -> float:
         return sum(self.caps[a] for a in aliases)
 
     # -- bounds -----------------------------------------------------------------
