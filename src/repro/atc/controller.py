@@ -51,11 +51,6 @@ class ATCController:
         several tied answers a query emits.  The score vectors do not
         depend on them -- each is the exact top-k under any cadence.
         """
-        # Anything this run reads, probes, releases, or grafts changes
-        # the graph's stored-tuple count; invalidate the QS manager's
-        # cached aggregate up front (the run may return from several
-        # points below).
-        self.qs.mark_state_dirty(self.graph.graph_id)
         steps = 0
         while True:
             if deadline is not None and self.graph.clock.now >= deadline:

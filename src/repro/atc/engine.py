@@ -477,8 +477,7 @@ class QSystemEngine:
         return self._clock_high
 
     def total_state_size(self) -> int:
-        """Tuples stored across every plan graph (the admission
-        controller's memory gauge)."""
+        """Tuples stored across every plan graph."""
         return self.qs.total_state_size()
 
     def _run_batch(self, batch: Batch) -> None:
@@ -546,7 +545,6 @@ class QSystemEngine:
             outcome.record.elapsed_wall * self.config.optimizer_time_scale)
         graph.metrics.optimizer_records.append(outcome.record)
         self.qs.register_plan(graph, outcome.plan, uqs)
-        self.qs.unpin_all(graph)
         return outcome.record
 
     def _trace_dispatch(self, graph: PlanGraph, batch: Batch,

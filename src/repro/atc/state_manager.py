@@ -91,11 +91,6 @@ class GraphReuseOracle(ReuseOracle):
             return 0
         return unit.module.size
 
-    def pin(self, expr) -> None:
-        unit = self._unit_for(expr)
-        if unit is not None:
-            unit.pinned = True
-
 
 class QueryStateManager:
     """Owns plan graphs and all dynamic plan surgery."""
@@ -117,15 +112,6 @@ class QueryStateManager:
             merge_threshold=config.cluster_jaccard,
             min_refs=config.cluster_min_refs,
         )
-        #: Cached per-graph state sizes.  ``total_state_size`` feeds the
-        #: admission controller on *every* submit, so it must not
-        #: re-walk every module of every graph ever created; instead
-        #: anything that mutates graph state (execution, grafting,
-        #: eviction) marks the graph dirty and only dirty graphs are
-        #: re-summed.
-        self._state_sizes: dict[str, int] = {}
-        self._state_dirty: set[str] = set()
-        self._total_state = 0
         #: Terminal records not yet handed over by the engine, in the
         #: order their queries reached them.
         self.outbox: list[Terminal] = []
@@ -153,12 +139,7 @@ class QueryStateManager:
             graph = PlanGraph(graph_id, self.federation, self.config)
             self.graphs[graph_id] = graph
             self.cq_plans[graph_id] = {}
-            self.mark_state_dirty(graph_id)
         return graph
-
-    def mark_state_dirty(self, graph_id: str) -> None:
-        """Note that ``graph_id``'s stored-tuple count may have changed."""
-        self._state_dirty.add(graph_id)
 
     def oracle_for(self, graph: PlanGraph) -> GraphReuseOracle:
         return GraphReuseOracle(graph)
@@ -189,11 +170,6 @@ class QueryStateManager:
                 )
             graph.rank_merges[uq.uq_id] = RankMerge(uq, clock=graph.clock)
             self.uq_graphs[uq.uq_id] = graph.graph_id
-        self.mark_state_dirty(graph.graph_id)
-
-    def unpin_all(self, graph: PlanGraph) -> None:
-        for unit in graph.units.values():
-            unit.pinned = False
 
     # -- node instantiation ------------------------------------------------------------
 
@@ -248,7 +224,6 @@ class QueryStateManager:
         for child in children:
             child.consumers.append(node)
         graph.nodes[node_id] = node
-        self.mark_state_dirty(graph.graph_id)
         return node
 
     @staticmethod
@@ -316,7 +291,6 @@ class QueryStateManager:
         rm.terminate(how)
         self.on_complete(graph, rm)
         self.finalize_uq_record(graph, rm, at=at, outcome=how)
-        self.mark_state_dirty(graph.graph_id)
 
     def finalize_uq_record(self, graph: PlanGraph, rm: RankMerge,
                            at: float | None = None,
@@ -391,8 +365,8 @@ class QueryStateManager:
     # -- eviction -----------------------------------------------------------------------
 
     def enforce_budget(self, graph: PlanGraph) -> int:
-        """Evict least-recently-used unpinned state until the graph fits
-        the memory budget; returns tuples freed."""
+        """Evict least-recently-used state no operator consumes until
+        the graph fits the memory budget; returns tuples freed."""
         budget = self.config.memory_budget_tuples
         if budget is None:
             return 0
@@ -402,7 +376,7 @@ class QueryStateManager:
             return 0
         victims: list[tuple[int, int, tuple, object]] = []
         for unit in graph.units.values():
-            if unit.pinned or unit.consumers:
+            if unit.consumers:
                 continue
             victims.append((unit.last_used_epoch, -unit.module.size,
                             ("unit", unit.value_key), unit))
@@ -420,28 +394,14 @@ class QueryStateManager:
             freed += dropped
             remaining -= dropped
             graph.metrics.evictions += 1
-        if freed:
-            self.mark_state_dirty(graph.graph_id)
         return freed
 
     # -- aggregate views ---------------------------------------------------------------------
 
     def total_state_size(self) -> int:
-        """Stored tuples across every graph (admission control's gauge).
-
-        Only graphs marked dirty since the last call are re-summed, so
-        a sustained stream of admission checks costs O(active graphs)
-        instead of O(every graph ever created).
-        """
-        if self._state_dirty:
-            sizes = self._state_sizes
-            for graph_id in self._state_dirty:
-                graph = self.graphs.get(graph_id)
-                new = graph.state_size() if graph is not None else 0
-                self._total_state += new - sizes.get(graph_id, 0)
-                sizes[graph_id] = new
-            self._state_dirty.clear()
-        return self._total_state
+        """Stored tuples across every graph (read when the
+        ``repro_state_tuples`` gauge is published)."""
+        return sum(graph.state_size() for graph in self.graphs.values())
 
     def merged_metrics(self):
         from repro.obs.records import Metrics

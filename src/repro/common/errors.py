@@ -53,5 +53,6 @@ class ExecutionError(ReproError):
 
 
 class StateError(ExecutionError):
-    """Query-state management failure: grafting onto a missing node,
-    evicting pinned state, or recovering state for an unknown epoch."""
+    """Query-state management failure: grafting onto a missing node or
+    plan, registering a user query twice, or probing a module on an
+    attribute it does not index."""

@@ -102,7 +102,6 @@ class InputUnit:
         self.clock = clock
         self.metrics = metrics
         self.delays = delays
-        self.pinned = False
         self.last_used_epoch = 0
 
     def bound(self) -> float:

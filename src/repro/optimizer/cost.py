@@ -42,17 +42,14 @@ EQ_SELECTIVITY = 0.05
 class ReuseOracle:
     """Interface the QS manager implements so the optimizer can cost
     reuse (Section 6.1: "the optimizer then adjusts the estimate of
-    using J in a plan to account for any source tuples already read",
-    and pins J against eviction)."""
+    using J in a plan to account for any source tuples already read").
+    No pin against eviction is needed: planning and grafting run in one
+    call, and the budget is enforced only after the next drive."""
 
     def tuples_already_read(self, expr: SPJ) -> int:
         """How many tuples of input ``expr`` a previous execution has
         already streamed into memory (0 when unknown)."""
         return 0
-
-    def pin(self, expr: SPJ) -> None:
-        """Protect the input's state from eviction until the batch is
-        planned and grafted."""
 
 
 class CostModel:

@@ -2,14 +2,15 @@
 
 The batch engine assumes every submitted query eventually runs; a
 continuously operating service cannot -- under sustained overload the
-plan graphs would accumulate rank-merges and state without bound.  The
+plan graphs would accumulate rank-merges without bound.  The
 admission controller is the valve: each incoming query is checked
-against two gauges, the number of user queries currently in flight
-(dispatched or queued, not yet completed) and the total tuples stored
-across all plan graphs, and is **accepted**, **rejected** (shed
-immediately -- the open-loop client gets an error), or **deferred**
-(parked in the service's retry queue until load drops), depending on
-the configured policy.
+against one gauge, the number of user queries currently in flight
+(dispatched or queued, not yet completed), and is **accepted**,
+**rejected** (shed immediately -- the open-loop client gets an error),
+or **deferred** (parked in the service's retry queue until load
+drops), depending on the configured policy.  Stored plan-graph state
+is bounded where it lives, by the engine's LRU eviction under
+``ExecutionConfig.memory_budget_tuples`` (Section 6.3), not here.
 """
 
 from __future__ import annotations
@@ -34,13 +35,12 @@ class AdmissionDecision:
 
 
 class AdmissionController:
-    """Budget gate over in-flight queries and stored plan-graph state.
+    """Budget gate over in-flight queries.
 
     ``max_in_flight`` bounds concurrently executing user queries;
-    ``max_state_tuples`` bounds the total tuples the query state
-    manager may be holding when a new query asks to enter.  ``None``
-    disables a gauge.  ``policy`` selects what happens over budget:
-    ``"reject"`` sheds the query, ``"defer"`` parks it for retry.
+    ``None`` disables the gauge.  ``policy`` selects what happens over
+    budget: ``"reject"`` sheds the query, ``"defer"`` parks it for
+    retry.
 
     The ``accepted``/``rejected``/``deferred`` counters record each
     query's *first* decision only: the service re-checks parked
@@ -50,7 +50,6 @@ class AdmissionController:
     """
 
     def __init__(self, max_in_flight: int | None = None,
-                 max_state_tuples: int | None = None,
                  policy: str = REJECT) -> None:
         if policy not in (REJECT, DEFER):
             raise ValueError(
@@ -58,35 +57,26 @@ class AdmissionController:
         if max_in_flight is not None and max_in_flight <= 0:
             raise ValueError(
                 f"max_in_flight must be positive or None, got {max_in_flight}")
-        if max_state_tuples is not None and max_state_tuples <= 0:
-            raise ValueError(
-                f"max_state_tuples must be positive or None, "
-                f"got {max_state_tuples}")
         self.max_in_flight = max_in_flight
-        self.max_state_tuples = max_state_tuples
         self.policy = policy
         self.accepted = 0
         self.rejected = 0
         self.deferred = 0
 
-    def _over_budget_reason(self, in_flight: int, state_tuples: int) -> str:
+    def _over_budget_reason(self, in_flight: int) -> str:
         if (self.max_in_flight is not None
                 and in_flight >= self.max_in_flight):
             return (f"in-flight budget exhausted "
                     f"({in_flight}/{self.max_in_flight})")
-        if (self.max_state_tuples is not None
-                and state_tuples >= self.max_state_tuples):
-            return (f"state budget exhausted "
-                    f"({state_tuples}/{self.max_state_tuples} tuples)")
         return ""
 
-    def would_admit(self, in_flight: int, state_tuples: int) -> bool:
+    def would_admit(self, in_flight: int) -> bool:
         """Gauge check with no counter side effects (retry path)."""
-        return not self._over_budget_reason(in_flight, state_tuples)
+        return not self._over_budget_reason(in_flight)
 
-    def decide(self, in_flight: int, state_tuples: int) -> AdmissionDecision:
-        """Check the gauges and record the decision."""
-        reason = self._over_budget_reason(in_flight, state_tuples)
+    def decide(self, in_flight: int) -> AdmissionDecision:
+        """Check the gauge and record the decision."""
+        reason = self._over_budget_reason(in_flight)
         if not reason:
             self.accepted += 1
             return AdmissionDecision(ACCEPT)

@@ -24,13 +24,14 @@ Lifecycle::
     PENDING -> IN_FLIGHT ----------------> DONE
         |          |                        ^
         |          +--> CANCELLED/EXPIRED   |
-        +--> DEFERRED --> (IN_FLIGHT | CANCELLED | EXPIRED | REJECTED)
+        +--> DEFERRED --> (IN_FLIGHT | CANCELLED | EXPIRED)
         +--> REJECTED
 
 Terminal-state contract (see :meth:`QueryHandle.latency`):
 
 * ``DONE`` -- the full top-k was served; ``latency`` is defined.
-* ``REJECTED`` -- shed by admission control; no answers, no latency.
+* ``REJECTED`` -- shed by admission control on arrival (a deferred
+  query is never shed); no answers, no latency.
 * ``CANCELLED`` -- the client abandoned it; ``answers`` holds whatever
   had been emitted by then, ``latency`` is ``None``.
 * ``EXPIRED`` -- its deadline fired first; like ``CANCELLED`` but
@@ -174,9 +175,9 @@ class QueryHandle:
         The iterator ends when the handle reaches a terminal state (it
         drains whatever a cancelled/expired query had emitted first).
         A deferred query is pumped -- one batch window at a time --
-        while in-flight work remains that could free the admission
-        budget; if the service provably cannot progress it (nothing
-        running, budget gauge stuck), the iterator ends early with the
+        until completions free the in-flight gauge and a retry admits
+        it (an empty shard always admits); if the service reports it
+        cannot progress the query, the iterator ends early with the
         handle still non-terminal.
         """
         cursor = 0

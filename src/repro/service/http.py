@@ -604,11 +604,11 @@ class QueryServiceHTTP:
                 progressed = self.service.pump(handle)
                 if (not progressed and not handle.terminal
                         and len(handle.answers_so_far()) == cursor):
-                    # Provably stuck right now (e.g. deferred with
-                    # nothing running).  In wall mode the passage of
-                    # real time can free it -- wait one tick; on a
-                    # virtual clock nothing moves without a caller, so
-                    # end the stream like the blocked iterator does.
+                    # Provably stuck right now (never a deferred query:
+                    # an empty shard always admits).  In wall mode the
+                    # passage of real time can free it -- wait one tick;
+                    # on a virtual clock nothing moves without a caller,
+                    # so end the stream like the blocked iterator does.
                     if self.tick is None:
                         break
                     await asyncio.sleep(self.tick)

@@ -14,8 +14,8 @@ along the virtual-time arrival stream, while earlier ones still run:
   cancelled or expired query's partial top-k never serves a later
   twin);
 * **admission control** (:mod:`repro.service.admission`) sheds or
-  defers queries when the in-flight or state budget is exhausted;
-  parked queries are retried on every step;
+  defers queries when the in-flight budget is exhausted; parked
+  queries are retried on every step, and an empty shard always admits;
 * cancellation releases the query's share of the plan graph through
   the state manager's refcounted unlink -- operator state other
   queries still ride survives.
@@ -71,7 +71,6 @@ class ServiceConfig:
     cache_ttl: float = 300.0
     cache_capacity: int = 1024
     max_in_flight: int | None = 64
-    max_state_tuples: int | None = None
     admission_policy: str = "reject"
     coalesce: bool = True
     default_deadline: float | None = None
@@ -156,7 +155,6 @@ class Shard:
         self.cache = cache
         self.admission = AdmissionController(
             max_in_flight=service.max_in_flight,
-            max_state_tuples=service.max_state_tuples,
             policy=service.admission_policy,
         )
         self.telemetry = Telemetry(self.registry)
@@ -199,10 +197,7 @@ class Shard:
         if self._coalesce(handle, at):
             return handle
 
-        decision = self.admission.decide(
-            in_flight=len(self._live),
-            state_tuples=self.engine.total_state_size(),
-        )
+        decision = self.admission.decide(in_flight=len(self._live))
         self.tracer.event(handle.kq_id, "admission", at,
                           action=decision.action,
                           **({"reason": decision.reason}
@@ -345,19 +340,6 @@ class Shard:
             if not self._deferred:
                 return
             self._retry_deferred(self.clock.now)
-            if self._deferred and not self._live:
-                # Budget still exhausted with nothing running: the
-                # state gauge alone is over budget, so deferral can
-                # never clear -- shed the stragglers rather than spin.
-                while self._deferred:
-                    kq, handle, _uq = self._deferred.popleft()
-                    handle.status = QueryStatus.REJECTED
-                    handle.reason = "deferred past drain; state budget " \
-                                    "never freed"
-                    self.telemetry.record_rejection()
-                    self.tracer.finish_query(
-                        handle.kq_id, self.clock.now, "rejected",
-                        reason=handle.reason)
 
     start_drain = drain
 
@@ -391,12 +373,11 @@ class Shard:
         if handle.terminal:
             return False
         if handle.status is QueryStatus.DEFERRED:
-            # Parked: only the passage of time (completions freeing
-            # budget) can help.  Run one batch window forward (at
-            # least one virtual second, so a zero-window batcher still
-            # makes progress) and keep reporting progress while
-            # in-flight work remains that could free the budget; with
-            # nothing running, pumping can never clear the gauge.
+            # Parked: only completions freeing the in-flight gauge can
+            # help.  Run one batch window forward (at least one
+            # virtual second, so a zero-window batcher still makes
+            # progress); the step retries the parked queue, and an
+            # empty shard always admits.
             self.step(self.clock.now + max(self.engine.batcher.window, 1.0))
             if handle.status is not QueryStatus.DEFERRED:
                 return True
@@ -657,9 +638,7 @@ class Shard:
                 continue
             if self._serve_cached(handle, at) or self._coalesce(handle, at):
                 continue
-            if not self.admission.would_admit(
-                    in_flight=len(self._live),
-                    state_tuples=self.engine.total_state_size()):
+            if not self.admission.would_admit(in_flight=len(self._live)):
                 still.append((kq, handle, uq))
                 continue
             self.tracer.event(handle.kq_id, "admission", at,

@@ -140,8 +140,7 @@ class ShardedQService:
                  tracer=None,
                  clock: Clock | None = None,
                  workers: str = "inproc",
-                 worker_spec: WorkerSpec | None = None,
-                 restart_workers: bool = True) -> None:
+                 worker_spec: WorkerSpec | None = None) -> None:
         if n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
         if workers not in ("inproc", "process"):
@@ -207,8 +206,7 @@ class ShardedQService:
                 ProcessWorker(i, spec, clock=self.clock,
                               front_telemetry=self.telemetry,
                               front_tracer=self.tracer,
-                              on_completion=self._on_worker_completion,
-                              restart=restart_workers)
+                              on_completion=self._on_worker_completion)
                 for i in range(n_shards)
             ]
         else:
@@ -407,7 +405,7 @@ class ShardedQService:
 
     def _reroute_dead(self, shard: int) -> int:
         """Routing is crash-aware: a policy pick landing on a dead
-        worker (restarts exhausted or disabled) moves to the
+        worker (its respawn failed) moves to the
         least-loaded surviving shard."""
         if self.workers[shard].alive:
             return shard

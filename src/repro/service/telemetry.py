@@ -89,8 +89,8 @@ class Telemetry:
     cancelled + expired == submitted``).  ``deferred``,
     ``served_from_cache``, ``coalesced``, and ``no_results`` are
     *event/route* counters along the way -- a deferred query later
-    completes (or is shed as rejected), so ``deferred`` overlaps the
-    terminal counts by design.
+    completes (or is cancelled or expires), so ``deferred`` overlaps
+    the terminal counts by design.
 
     ``latencies`` holds one arrival-to-answer sample per *completed*
     query; ``ttfas`` holds one arrival-to-first-answer sample per

@@ -44,9 +44,9 @@ Crash surface: a worker process dying (broken pipe, nonzero exit)
 fails that shard's in-flight queries with a ``FAILED`` disposition
 (reason names the crash) instead of hanging the harvest loop, counts
 ``worker_restarts`` in the front door's telemetry, respawns the worker
-(with a fresh plan repository, which expands on demand) when restarts
-are enabled, and the front door reroutes subsequent traffic to
-surviving shards meanwhile.
+(with a fresh plan repository, which expands on demand), and the front
+door reroutes subsequent traffic to surviving shards meanwhile.  A
+worker whose respawn fails stays dead.
 """
 
 from __future__ import annotations
@@ -535,8 +535,8 @@ class ProcessWorker:
     Crash handling: any pipe failure or process death fails the
     shard's non-terminal proxies with a ``FAILED`` disposition, counts
     each in the front door's telemetry, closes its trace in the front
-    door's tracer, and (when ``restart`` is on) respawns the worker
-    before raising :class:`WorkerCrashed` to the interrupted caller.
+    door's tracer, and respawns the worker before raising
+    :class:`WorkerCrashed` to the interrupted caller.
     """
 
     def __init__(self, shard: int, spec: WorkerSpec, *, clock: Clock,
@@ -544,15 +544,13 @@ class ProcessWorker:
                  front_tracer: Tracer | NullTracer,
                  on_completion: Callable[
                      ["ProcessWorker", CacheKey, list[RankedAnswer],
-                      float], None] | None = None,
-                 restart: bool = True) -> None:
+                      float], None] | None = None) -> None:
         self.shard = shard
         self._spec = spec
         self._clock = clock
         self._front_telemetry = front_telemetry
         self._front_tracer = front_tracer
         self._on_completion = on_completion
-        self._restart = restart
         self._config = spec.execution_config()
         #: Proxies of this shard's non-terminal queries; each leaves
         #: with its terminal event (or the crash that fails it).
@@ -608,7 +606,7 @@ class ProcessWorker:
 
     def _crash(self, reason: str) -> None:
         """The shard's process is gone: fail its in-flight queries,
-        retain its last snapshot, and respawn when allowed."""
+        retain its last snapshot, and respawn it (or stay dead)."""
         if not self._alive:
             return
         self._alive = False
@@ -633,12 +631,11 @@ class ProcessWorker:
         if self._last_snapshot is not None:
             self._retained.append(self._last_snapshot)
             self._last_snapshot = None
-        if self._restart:
-            try:
-                self._spawn()
-            except OSError:
-                return
-            self._front_telemetry.record_worker_restart()
+        try:
+            self._spawn()
+        except OSError:
+            return
+        self._front_telemetry.record_worker_restart()
 
     # -- wire plumbing -------------------------------------------------------
 

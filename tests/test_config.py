@@ -1,8 +1,17 @@
-"""Tests for execution configuration."""
+"""Tests for execution configuration, and the ratchet on every
+option the system exposes."""
+
+import argparse
+import dataclasses
+import inspect
 
 import pytest
 
+from repro.cli import _build_parser
 from repro.common.config import DelayModel, ExecutionConfig, SharingMode
+from repro.service.server import QService
+from repro.service.shard import ServiceConfig
+from repro.service.sharding import ShardedQService
 
 
 class TestDelayModel:
@@ -67,3 +76,55 @@ class TestExecutionConfig:
     def test_mode_str_matches_paper_names(self):
         assert str(SharingMode.ATC_CQ) == "ATC-CQ"
         assert str(SharingMode.ATC_FULL) == "ATC-FULL"
+
+
+class TestOptionRatchet:
+    """Every knob the system exposes, pinned by name.  A change that
+    adds or removes an option edits the pinned set in the same diff,
+    so no option arrives or leaves unnoticed."""
+
+    @pytest.mark.parametrize("cls,fields", [
+        (ExecutionConfig, {
+            "mode", "k", "batch_size", "batch_window", "max_cqs_per_uq",
+            "tau_probe_threshold", "min_sharing_queries",
+            "low_cardinality_bonus", "cluster_min_refs", "cluster_jaccard",
+            "memory_budget_tuples", "activation_band",
+            "adaptive_probe_ordering", "probe_caching",
+            "optimizer_time_scale", "scheduler", "delays", "seed"}),
+        (DelayModel, {
+            "stream_read_mean", "random_probe_mean", "cpu_probe",
+            "cpu_insert", "deterministic"}),
+        (ServiceConfig, {
+            "cache_ttl", "cache_capacity", "max_in_flight",
+            "admission_policy", "coalesce", "default_deadline"}),
+    ])
+    def test_config_fields(self, cls, fields):
+        assert {f.name for f in dataclasses.fields(cls)} == fields
+
+    @pytest.mark.parametrize("cls,keywords", [
+        (ShardedQService, {
+            "federation", "config", "n_shards", "routing", "service",
+            "generator", "index", "registry", "tracer", "clock",
+            "workers", "worker_spec"}),
+        (QService, {
+            "federation", "config", "service", "generator", "index",
+            "registry", "tracer", "clock"}),
+    ])
+    def test_service_constructor_keywords(self, cls, keywords):
+        params = inspect.signature(cls.__init__).parameters
+        assert set(params) - {"self"} == keywords
+
+    def test_serve_options(self):
+        subparsers = next(
+            action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+        serve = subparsers.choices["serve"]
+        options = {option for action in serve._actions
+                   for option in action.option_strings}
+        assert options == {
+            "-h", "--help", "--queries", "--mode", "--corpus", "--rate",
+            "-k", "--templates", "--theta", "--seed", "--batch-window",
+            "--cache-ttl", "--max-in-flight", "--policy", "--deadline",
+            "--shards", "--workers", "--routing", "--cluster-jaccard",
+            "--trace-dir", "--metrics-out", "--http", "--host", "--port",
+            "--clock", "--tick"}

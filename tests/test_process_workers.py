@@ -18,8 +18,8 @@ query's top-k is a deterministic function of data and query.)
 Also here: worker-crash semantics (satellite: robustness).  Killing a
 shard's process mid-flight must fail its in-flight queries with the
 ``failed`` disposition, reroute subsequent arrivals to survivors, and
--- when restarts are enabled -- respawn the worker, serve from it
-again, and count ``worker_restarts``.
+respawn the worker, serve from it again, and count ``worker_restarts``
+-- or, when the respawn itself fails, leave the worker dead.
 """
 
 import os
@@ -233,6 +233,18 @@ def kill_worker(fleet, shard):
     proc.wait(10.0)
 
 
+def refuse_spawn():
+    raise OSError("respawn refused")
+
+
+def without_respawn(fleet):
+    """Make every worker's respawn fail, as a failed ``Popen`` would:
+    a worker killed from here on stays dead."""
+    for worker in fleet.workers:
+        worker._spawn = refuse_spawn
+    return fleet
+
+
 #: A front door with a 2-shard process fleet serving one query; prints
 #: the query's status and how many child processes the front door has
 #: while the fleet is live (-1 where there is no ``/proc`` to scan).
@@ -308,8 +320,7 @@ def fresh_queries(fed, index):
 
 
 def test_crash_fails_inflight_and_reroutes(fed, index, load):
-    fleet = make_fleet(fed, "process", 2, "roundrobin",
-                       restart_workers=False)
+    fleet = without_respawn(make_fleet(fed, "process", 2, "roundrobin"))
     try:
         handles = [fleet.submit(kq) for kq in load[:6]]
         kill_worker(fleet, 0)
@@ -344,8 +355,7 @@ def test_crash_fails_inflight_and_reroutes(fed, index, load):
 
 
 def test_crash_restart_respawns_and_serves_again(fed, index, load):
-    fleet = make_fleet(fed, "process", 2, "roundrobin",
-                       restart_workers=True)
+    fleet = make_fleet(fed, "process", 2, "roundrobin")
     try:
         handles = [fleet.submit(kq) for kq in load[:6]]
         kill_worker(fleet, 0)
@@ -380,8 +390,8 @@ def test_crash_closes_the_traces_of_the_queries_it_fails(fed, load):
     in the trace too: ``failed``, stamped once, root closed."""
     from repro.obs.trace import TERMINAL, Tracer
 
-    fleet = make_fleet(fed, "process", 2, "roundrobin",
-                       restart_workers=False, tracer=Tracer())
+    fleet = without_respawn(make_fleet(fed, "process", 2, "roundrobin",
+                                       tracer=Tracer()))
     try:
         handles = [fleet.submit(kq) for kq in load[:6]]
         kill_worker(fleet, 0)
@@ -404,8 +414,7 @@ def test_crash_closes_the_traces_of_the_queries_it_fails(fed, load):
 def test_every_worker_dead_raises(fed, load):
     from repro.service import WorkerCrashed
 
-    fleet = make_fleet(fed, "process", 2, "roundrobin",
-                       restart_workers=False)
+    fleet = without_respawn(make_fleet(fed, "process", 2, "roundrobin"))
     try:
         kill_worker(fleet, 0)
         kill_worker(fleet, 1)

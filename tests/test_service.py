@@ -348,28 +348,23 @@ class TestPurgeCadence:
 class TestAdmissionController:
     def test_accepts_under_budget(self):
         ctl = AdmissionController(max_in_flight=2)
-        assert ctl.decide(in_flight=1, state_tuples=0).admitted
+        assert ctl.decide(in_flight=1).admitted
 
     def test_rejects_at_in_flight_budget(self):
         ctl = AdmissionController(max_in_flight=2)
-        decision = ctl.decide(in_flight=2, state_tuples=0)
+        decision = ctl.decide(in_flight=2)
         assert decision.action == "reject"
         assert "in-flight" in decision.reason
         assert ctl.rejected == 1
 
-    def test_state_budget(self):
-        ctl = AdmissionController(max_state_tuples=100)
-        assert ctl.decide(in_flight=0, state_tuples=99).admitted
-        assert ctl.decide(in_flight=0, state_tuples=100).action == "reject"
-
     def test_defer_policy(self):
         ctl = AdmissionController(max_in_flight=1, policy="defer")
-        assert ctl.decide(in_flight=5, state_tuples=0).action == "defer"
+        assert ctl.decide(in_flight=5).action == "defer"
         assert ctl.deferred == 1
 
     def test_unbounded_by_default(self):
         ctl = AdmissionController()
-        assert ctl.decide(in_flight=10**6, state_tuples=10**9).admitted
+        assert ctl.decide(in_flight=10**6).admitted
 
     def test_rejects_bad_policy(self):
         with pytest.raises(ValueError):
@@ -669,27 +664,23 @@ class TestQServiceAdmission:
         assert stats["deferred"] <= len(keywords) - 1
 
     def test_dispositions_partition_submissions(self, fed, index):
-        """After drain, completed + rejected == submitted, even when
-        deferred stragglers are shed because the state budget never
-        frees."""
+        """After drain every handle is terminal and completed +
+        rejected == submitted: parked queries are admitted as the
+        in-flight gauge frees, never left behind."""
         svc = make_service(
             fed, index,
-            service=ServiceConfig(max_state_tuples=1, coalesce=False,
+            service=ServiceConfig(max_in_flight=1, coalesce=False,
                                   admission_policy="defer"))
-        svc.submit(KeywordQuery("KQ1", ("protein", "plasma membrane"), k=K,
-                                arrival=0.0))
-        svc.drain()   # leaves retained state > budget in the FULL graph
-        later = svc.workers[0].engine.virtual_now()
-        t2 = svc.submit(KeywordQuery("KQ2", ("membrane", "gene"), k=K,
-                                     arrival=later + 1.0))
-        t3 = svc.submit(KeywordQuery("KQ3", ("plasma membrane", "gene"),
-                                     k=K, arrival=later + 2.0))
-        assert t2.status == "deferred" and t3.status == "deferred"
-        report = svc.drain()
-        tel = report.telemetry
-        assert t2.status == "rejected" and t3.status == "rejected"
-        assert tel.completed + tel.rejected == tel.submitted
-        assert tel.rejected == 2   # each shed straggler counted once
+        keywords = [("protein", "plasma membrane"), ("membrane", "gene"),
+                    ("plasma membrane", "gene")]
+        handles = [svc.submit(KeywordQuery(f"KQ{i}", kws, k=K,
+                                           arrival=0.1 * i))
+                   for i, kws in enumerate(keywords)]
+        assert [h.status for h in handles[1:]] == ["deferred", "deferred"]
+        tel = svc.drain().telemetry
+        assert all(h.terminal for h in handles)
+        assert tel.completed + tel.rejected == tel.submitted == 3
+        assert tel.deferred == 2   # each parked query counted once
 
     def test_deferred_twin_served_from_cache_on_retry(self, fed, index):
         """A deferred duplicate whose twin completes while it is parked
@@ -708,19 +699,6 @@ class TestQServiceAdmission:
         assert t1.via == "engine" and t2.via == "cache"
         assert [a.score for a in t2.answers] == \
             [a.score for a in t1.answers]
-
-    def test_state_budget_gauge(self, fed, index):
-        svc = make_service(
-            fed, index,
-            service=ServiceConfig(max_state_tuples=1, coalesce=False))
-        svc.submit(KeywordQuery("KQ1", ("protein", "plasma membrane"), k=K,
-                                arrival=0.0))
-        svc.drain()   # leaves retained state in the FULL-mode graph
-        at = svc.workers[0].engine.virtual_now() + 1.0
-        t2 = svc.submit(KeywordQuery("KQ2", ("membrane", "gene"), k=K,
-                                     arrival=at))
-        assert t2.status == "rejected"
-        assert "state budget" in t2.reason
 
 
 class TestQServiceUnderLoad:

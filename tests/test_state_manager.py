@@ -326,26 +326,6 @@ class TestEviction:
         assert qs.enforce_budget(graph) == 0
         assert graph.metrics.evictions == 0
 
-    def test_pinned_unit_survives(self, fed):
-        config = CONFIG.with_overrides(memory_budget_tuples=1)
-        qs = QueryStateManager(fed, config)
-        graph = qs.get_or_create_graph("main")
-        uq = UserQuery("u1", ("kw",),
-                       [make_cq(abc_expr(), fed, "c1", "u1")], k=3)
-        plan = build_plan(fed, uq.cqs)
-        qs.register_plan(graph, plan, [uq])
-        graph.metrics.record_uq(UQRecord("u1", 0.0, 0.0))
-        ATCController(graph, qs).run_until(None)
-        for unit in graph.units.values():
-            unit.pinned = True
-        sizes = {
-            unit_id: unit.module.size
-            for unit_id, unit in graph.units.items()
-        }
-        qs.enforce_budget(graph)
-        for unit_id, unit in graph.units.items():
-            assert unit.module.size == sizes[unit_id]
-
     def test_correctness_after_eviction(self, fed):
         """A query repeated after eviction must still return the right
         answers (state is re-streamed, not assumed)."""
@@ -380,15 +360,3 @@ class TestReuseOracle:
         graph = qs.get_or_create_graph("main")
         oracle = qs.oracle_for(graph)
         assert oracle.tuples_already_read(abc_expr()) == 0
-
-    def test_pin_marks_unit(self, qs, fed):
-        graph = qs.get_or_create_graph("main")
-        uq = UserQuery("u1", ("kw",),
-                       [make_cq(abc_expr(), fed, "c1", "u1")], k=3)
-        run_uq(qs, fed, uq, graph)
-        oracle = qs.oracle_for(graph)
-        unit = next(iter(graph.units.values()))
-        oracle.pin(unit.expr)
-        assert unit.pinned
-        qs.unpin_all(graph)
-        assert not unit.pinned
