@@ -476,10 +476,6 @@ class QSystemEngine:
         """
         return self._clock_high
 
-    def total_state_size(self) -> int:
-        """Tuples stored across every plan graph."""
-        return self.qs.total_state_size()
-
     def _run_batch(self, batch: Batch) -> None:
         """Graft one batch onto its (possibly still running) graphs.
 

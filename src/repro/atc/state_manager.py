@@ -82,11 +82,8 @@ class GraphReuseOracle(ReuseOracle):
         for unit in graph.units.values():
             self._units_by_expr.setdefault(unit.expr, unit)
 
-    def _unit_for(self, expr) -> InputUnit | None:
-        return self._units_by_expr.get(expr)
-
     def tuples_already_read(self, expr) -> int:
-        unit = self._unit_for(expr)
+        unit = self._units_by_expr.get(expr)
         if unit is None:
             return 0
         return unit.module.size

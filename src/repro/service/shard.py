@@ -727,4 +727,4 @@ class Shard:
                   ).set(metrics.evictions, mode=mode)
         r.gauge("repro_state_tuples",
                 "tuples currently stored across all plan graphs"
-                ).set(self.engine.total_state_size(), mode=mode)
+                ).set(self.engine.qs.total_state_size(), mode=mode)

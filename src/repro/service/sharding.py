@@ -405,8 +405,8 @@ class ShardedQService:
 
     def _reroute_dead(self, shard: int) -> int:
         """Routing is crash-aware: a policy pick landing on a dead
-        worker (its respawn failed) moves to the
-        least-loaded surviving shard."""
+        worker (its respawn failed) moves to the least-loaded
+        surviving shard."""
         if self.workers[shard].alive:
             return shard
         fallback = self._least_loaded()
