@@ -98,7 +98,7 @@ class WallClock:
     maintain: advancing a wall clock declares "this much time is
     already spent", exactly as on the virtual clock, and real time
     catches up on its own.  This keeps every service code path --
-    deadline sweeps, TTL grooming, arrival clamping -- valid on both
+    deadline sweeps, cache TTLs, arrival clamping -- valid on both
     clock families, and makes ``WallClock`` satisfy the same
     monotonicity properties ``VirtualClock`` is tested for.
     """

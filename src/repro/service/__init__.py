@@ -41,8 +41,7 @@ import importlib
 _EXPORTS = {
     name: f"repro.service.{module}" for module, names in {
         "admission": ("AdmissionController", "AdmissionDecision"),
-        "cache": ("CacheStats", "PurgeCadence", "ResultCache",
-                  "normalize_key"),
+        "cache": ("CacheStats", "ResultCache", "normalize_key"),
         "handle": ("QueryHandle", "QueryStatus"),
         "http": ("HttpQueryClient", "HttpServerThread", "QueryServiceHTTP",
                  "answer_payload", "answers_digest", "handles_digest"),

@@ -10,7 +10,11 @@ optimizer, or plan graphs at all.
 
 Time is the service's virtual time: entries expire ``ttl`` virtual
 seconds after they were stored, and capacity pressure evicts in LRU
-order.  Hit/miss/eviction/expiry counts feed the service telemetry's
+order.  The cache is the only owner of that rule: a stale entry leaves
+when a lookup finds it, or when an insertion over capacity purges every
+stale entry before it evicts a live one -- nothing sweeps on a
+schedule, and residency stays bounded by ``capacity`` either way.
+Hit/miss/eviction/expiry counts feed the service telemetry's
 cache-hit-rate line.
 """
 
@@ -195,37 +199,3 @@ class ResultCache:
         r.gauge("repro_answer_cache_entries",
                 "resident answer-cache entries").set(len(self))
 
-
-class PurgeCadence:
-    """A monotone grooming schedule for one :class:`ResultCache`.
-
-    The serving layer sweeps expired entries proactively every quarter
-    TTL.  The schedule is a fixed grid anchored at the clock's origin:
-    :meth:`fire` purges at most once per period no matter how often it
-    is called (repeated steps to the same instant included), and when
-    whole periods elapse between calls the anchor jumps *past* them
-    instead of re-anchoring at the observation instant -- so the
-    cadence neither double-fires nor drifts, and is clock-agnostic
-    (any monotone ``now`` works, virtual or wall).
-    """
-
-    __slots__ = ("cache", "interval", "_next")
-
-    def __init__(self, cache: ResultCache,
-                 interval: float | None = None) -> None:
-        self.cache = cache
-        self.interval = cache.ttl / 4.0 if interval is None else interval
-        if self.interval <= 0:
-            raise ValueError(
-                f"purge interval must be positive, got {self.interval}")
-        self._next = self.interval
-
-    def fire(self, now: float) -> int:
-        """Purge if a grid instant has been reached; returns how many
-        entries went (0 when the period has not elapsed)."""
-        if now < self._next:
-            return 0
-        purged = self.cache.purge_expired(now)
-        periods = math.floor((now - self._next) / self.interval) + 1
-        self._next += periods * self.interval
-        return purged

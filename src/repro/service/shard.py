@@ -125,8 +125,8 @@ class Shard:
     Every tier is handed in: the clock, answer cache, plan repository,
     candidate-network generator and tracer belong to whoever built the
     shard (the front door, or a worker process), and so do their
-    grooming and their metrics.  The shard publishes only what it
-    owns: its telemetry, admission controller, batcher and engine."""
+    metrics.  The shard publishes only what it owns: its telemetry,
+    admission controller, batcher and engine."""
 
     #: The :class:`~repro.service.workers.ShardWorker` crash surface:
     #: an in-process shard cannot die independently of its front door.
@@ -291,17 +291,20 @@ class Shard:
         return len(self._deferred)
 
     def inflight_handle(self, key: CacheKey) -> QueryHandle | None:
-        """The live handle currently leading ``key``'s in-flight
-        execution on this shard, or ``None``.  The front door consults
-        this when its own registry entry resolved -- a promotion may
-        have handed the execution to a newer handle."""
+        """The handle leading ``key``'s execution on this shard (a
+        promoted follower included), else the first parked handle with
+        that key, else ``None``.  The front door pins a twin to the
+        first shard that answers, so it coalesces here: at once onto a
+        running leader, or on the retry that admits a parked one."""
         uq_id = self._inflight_keys.get(key)
-        if uq_id is None:
-            return None
-        handle = self._live.get(uq_id)
-        if handle is None or handle.terminal:
-            return None
-        return handle
+        if uq_id is not None:
+            handle = self._live.get(uq_id)
+            if handle is not None and not handle.terminal:
+                return handle
+        return next((handle for _kq, handle, _uq in self._deferred
+                     if not handle.terminal
+                     and normalize_key(handle.keywords, handle.k) == key),
+                    None)
 
     def step(self, until: float) -> None:
         """Advance virtual time: execute (the engine enforces query

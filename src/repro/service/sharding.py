@@ -26,8 +26,9 @@ topology serves the query:
    saturated does the shard's configured policy reject or defer;
 4. **cancellation routes to the owning shard**: the handle remembers
    where it ran, and a coalesced twin -- pinned to its leader's shard
-   by the front door -- detaches from the leader's in-flight entry
-   without ever killing the leader's execution;
+   by the front door, which asks the shards in order which one holds
+   the key running or parked -- detaches from the leader's in-flight
+   entry without ever killing the leader's execution;
 5. per-shard telemetry aggregates into **fleet-level** p50/p95/p99,
    TTFA, and throughput over the union of all latency samples
    (:meth:`~repro.service.telemetry.Telemetry.merged`).
@@ -55,6 +56,13 @@ parallelism, crash isolation (a dead worker fails its queries as
 ``FAILED``, is respawned, and traffic reroutes meanwhile), with the
 front door keeping the authoritative answer cache and mirroring
 completions to the sibling workers' local caches.
+
+The front door keeps no copy of what a tier below it owns.  Which
+shard holds a key is asked of the shards themselves
+(``inflight_handle``, answered locally on both transports), and a
+stale cache entry leaves the cache on its own terms
+(:class:`~repro.service.cache.ResultCache`), with no grooming
+schedule here.
 
 Typical use::
 
@@ -88,8 +96,8 @@ from repro.keyword.queries import KeywordQuery, RankedAnswer
 from repro.obs.instruments import MetricsRegistry
 from repro.obs.trace import NO_TRACER, QueryTrace
 from repro.optimizer.repository import PlanRepository
-from repro.service.cache import PurgeCadence, ResultCache, normalize_key
-from repro.service.handle import QueryHandle, QueryStatus
+from repro.service.cache import CacheKey, ResultCache, normalize_key
+from repro.service.handle import QueryHandle
 from repro.service.reports import ServiceReport
 from repro.service.routing import RoutingPolicy, make_router
 from repro.service.shard import ServiceConfig, Shard, finish_done
@@ -231,18 +239,6 @@ class ShardedQService:
                                               routed=[0] * n_shards)
         self.registry.add_collector(self._publish_metrics)
         self.tickets: list[QueryHandle] = []
-        #: Front-door in-flight registry: cache key -> the leading
-        #: unresolved handle.  A repeat of an in-flight key is pinned to
-        #: its leader's shard, where the shard coalesces it -- without
-        #: this, content-blind policies (round robin) scatter identical
-        #: in-flight queries across shards and every copy executes the
-        #: full plan, losing the coalescing one shard guarantees.
-        self._inflight_leaders: dict[tuple, QueryHandle] = {}
-        #: The cache is the front door's tier, so the front door grooms
-        #: it: every quarter-TTL on a monotone grid, so stale entries
-        #: cannot sit resident (and push live ones out under capacity
-        #: pressure) just because nobody happened to look them up.
-        self._cadence = PurgeCadence(self.cache)
 
     # -- intake ---------------------------------------------------------------
 
@@ -284,8 +280,8 @@ class ShardedQService:
         leader_shard = self._leader_shard(key)
         uq = None
         if leader_shard is not None:
-            # An identical query is in flight on ``leader_shard``: pin
-            # this one there (skipping the policy *and* spill-over --
+            # An identical query is running or parked on
+            # ``leader_shard``: pin this one there (skipping the policy *and* spill-over --
             # coalescing happens before admission, so saturation is
             # moot) and let the shard coalesce it.
             self.routing_stats.affinity_overrides += 1
@@ -312,38 +308,18 @@ class ShardedQService:
                              if leader_shard is not None else {}))
         handle = self._hand_to(shard, kq, at, deadline, uq)
         self.routing_stats.routed[handle.shard] += 1
-        if (self.service_config.coalesce
-                and key not in self._inflight_leaders
-                and handle.status in (QueryStatus.IN_FLIGHT,
-                                      QueryStatus.DEFERRED)):
-            self._inflight_leaders[key] = handle
         return handle
 
-    def _leader_shard(self, key: tuple) -> int | None:
-        """The shard of ``key``'s in-flight leader, pruning resolved
-        leaders on the way; ``None`` when no live leader exists (or
-        coalescing is off).
-
-        A terminal registry entry does not always mean the execution
-        died: cancelling/expiring a leader with followers *promotes*
-        one of them on the shard.  Ask the shard before pruning, so
-        later twins keep coalescing onto the promoted handle instead
-        of re-executing the identical plan on another shard."""
+    def _leader_shard(self, key: CacheKey) -> int | None:
+        """The first shard, in shard order, holding an unresolved
+        query with cache key ``key`` (running or parked); ``None`` when
+        there is none or coalescing is off.  Each shard knows its own
+        queries, so a promotion or a cancellation there is seen here
+        with no bookkeeping at the front door."""
         if not self.service_config.coalesce:
             return None
-        leader = self._inflight_leaders.get(key)
-        if leader is None:
-            return None
-        if leader.terminal:
-            shard = leader.shard
-            promoted = self.workers[shard].inflight_handle(key) \
-                if shard is not None else None
-            if promoted is None:
-                del self._inflight_leaders[key]
-                return None
-            self._inflight_leaders[key] = promoted
-            leader = promoted
-        return leader.shard
+        return next((i for i, worker in enumerate(self.workers)
+                     if worker.inflight_handle(key) is not None), None)
 
     def _serve_at_front_door(self, kq: KeywordQuery, at: float,
                              deadline: float | None, via: str,
@@ -456,41 +432,18 @@ class ShardedQService:
         """Drive the owning shard until ``handle`` gains an answer,
         reaches a terminal state, or provably cannot progress right
         now; returns whether anything changed (the engine behind
-        :meth:`QueryHandle.results`).  Streaming moves the clock as
-        stepping does, so a consumer who only ever pumps still keeps
-        the cache's grooming cadence."""
+        :meth:`QueryHandle.results`)."""
         if handle.terminal or handle.shard is None:
             return False
-        progressed = self.workers[handle.shard].pump(handle)
-        self._cadence.fire(self.clock.now)
-        return progressed
+        return self.workers[handle.shard].pump(handle)
 
     # -- progress --------------------------------------------------------------
 
     def step(self, until: float) -> None:
         """Advance every shard in lockstep on the shared clock;
-        completions harvested anywhere land in the cache immediately,
-        and the front door grooms that cache on its quarter-TTL
-        cadence."""
+        completions harvested anywhere land in the cache immediately."""
         self.clock.advance_to(until)
         self._broadcast("step", self.clock.now)
-        self._cadence.fire(self.clock.now)
-        # Keep the in-flight registry proportional to what is actually
-        # in flight: resolved leaders are pruned lazily on same-key
-        # access, but keys never repeated would otherwise accumulate
-        # forever.  Amortized O(1): the sweep runs only once the dict
-        # outgrows the live count.
-        leaders = self._inflight_leaders
-        live = sum(w.in_flight_count + w.deferred_count
-                   for w in self.workers)
-        if len(leaders) > 32 + 2 * live:
-            self._inflight_leaders = {
-                key: handle for key, handle in leaders.items()
-                if not handle.terminal
-                or (handle.shard is not None
-                    and self.workers[handle.shard].inflight_handle(key)
-                    is not None)
-            }
 
     def drain(self) -> ServiceReport:
         """Finish every admitted query on every shard and return the
@@ -504,7 +457,6 @@ class ShardedQService:
         scaling lives, since drain does the bulk of the engine work
         under saturation."""
         self._broadcast("drain")
-        self._cadence.fire(self.clock.now)
         return self.report()
 
     def _broadcast(self, verb: str, *args: float) -> None:

@@ -29,16 +29,18 @@ and the shards behind it, each in this process or in its own:
 
 Cache and repository topology under process workers: the front door
 keeps the *authoritative* answer cache -- consulted before routing --
-while each worker owns, grooms and publishes a per-process cache and
-plan repository.  Engine completions ship back in each reply's
-piggy-backed :class:`~repro.service.protocol.WorkerUpdate`; the front
-door writes them into the authoritative cache and mirrors them to the
+while each worker owns and publishes a per-process cache and plan
+repository (a stale entry in either cache leaves on lookup or under
+capacity pressure, so neither side runs a purge schedule).  Engine
+completions ship back in each reply's piggy-backed
+:class:`~repro.service.protocol.WorkerUpdate`; the front door writes
+them into the authoritative cache and mirrors them to the
 *other* workers as :class:`~repro.service.protocol.CachePut` messages
 (sent one-way, ahead of each worker's next request, which the pipe
 orders after them), so deferred retries observe fleet-wide completions
 just as a shared in-process cache would.  Answers emitted so far ride
 the same events, as deltas, so the proxies answer answers-so-far and
-in-flight leadership without a round trip.
+which keys this shard holds running or parked without a round trip.
 
 Crash surface: a worker process dying (broken pipe, nonzero exit)
 fails that shard's in-flight queries with a ``FAILED`` disposition
@@ -74,12 +76,7 @@ from repro.obs.instruments import MetricsRegistry
 from repro.obs.records import Metrics
 from repro.obs.trace import NO_TRACER, NullTracer, QueryTrace, Span, Tracer
 from repro.optimizer.repository import PlanRepository
-from repro.service.cache import (
-    CacheKey,
-    PurgeCadence,
-    ResultCache,
-    normalize_key,
-)
+from repro.service.cache import CacheKey, ResultCache, normalize_key
 from repro.service.handle import QueryHandle, QueryStatus
 from repro.service.protocol import (
     Ack,
@@ -365,10 +362,10 @@ class _WorkerServer:
     """The worker-process side of the protocol: one local
     :class:`~repro.service.shard.Shard` on a private virtual clock
     (mirroring fleet instants carried by messages), with the tiers a
-    front door would own -- a per-process answer cache (groomed after
-    every request) and plan repository, both published in the shard's
-    registry -- plus the dirty-handle tracker that turns status changes
-    and new answers into piggy-backed events."""
+    front door would own -- a per-process answer cache and plan
+    repository, both published in the shard's registry -- plus the
+    dirty-handle tracker that turns status changes and new answers
+    into piggy-backed events."""
 
     def __init__(self, spec: WorkerSpec) -> None:
         federation = spec.build_federation()
@@ -386,7 +383,6 @@ class _WorkerServer:
                 repository=repository),
             index=index, cache=cache, repository=repository,
             tracer=self.tracer, clock=VirtualClock())
-        self._cadence = PurgeCadence(cache)
         registry = self.service.registry
         registry.add_collector(lambda: cache.publish_metrics(registry))
         registry.add_collector(lambda: repository.publish_metrics(registry))
@@ -434,7 +430,6 @@ class _WorkerServer:
 
     def _update(self) -> WorkerUpdate:
         svc = self.service
-        self._cadence.fire(svc.clock.now)
         events = [state for state in map(self._report,
                                          list(self._watched.values()))
                   if state is not None]
@@ -527,8 +522,8 @@ class ProcessWorker:
     real handles live in the worker.  Every reply's piggy-backed
     :class:`~repro.service.protocol.WorkerUpdate` advances the fleet
     clock and replays the worker's handle-state events onto the
-    proxies, so harvest, answers-so-far and in-flight leadership need
-    no polling.  DONE-via-engine events
+    proxies, so harvest, answers-so-far and :meth:`inflight_handle`
+    need no polling.  DONE-via-engine events
     trigger ``on_completion`` (the front door's authoritative cache
     write plus mirroring to sibling workers).
 
@@ -763,14 +758,14 @@ class ProcessWorker:
         return reply is not None and reply.value
 
     def inflight_handle(self, key: CacheKey) -> QueryHandle | None:
-        """An in-flight proxy with cache key ``key``, or ``None``.  The
-        shard has a live leader for a key exactly when some handle with
-        that key is in flight there (a leader, a promoted follower, or
-        a follower, which ends with the execution), and the proxies
-        mirror the shard's states as of the last reply."""
+        """A proxy with cache key ``key``, or ``None``, answered with
+        no round trip.  The proxies mirror the shard's states as of
+        the last reply, and only running or parked queries keep one:
+        the shard holds a key exactly when some handle with it is in
+        flight there (a leader, a promoted follower, or a follower,
+        which ends with the execution) or deferred."""
         return next((proxy for proxy in self._handles.values()
-                     if proxy.status is QueryStatus.IN_FLIGHT
-                     and normalize_key(proxy.keywords, proxy.k) == key),
+                     if normalize_key(proxy.keywords, proxy.k) == key),
                     None)
 
     # -- split-phase progress ------------------------------------------------

@@ -24,6 +24,7 @@ from repro.service import (
     LoadConfig,
     QService,
     QueryStatus,
+    ServiceConfig,
     ShardedQService,
     WorkerSpec,
     generate_load,
@@ -295,5 +296,50 @@ class TestCoalescedCancellationSharded:
             assert fleet.routing_stats.affinity_overrides == 1  # F only
             fleet.drain()
             assert t3.done and len(t3.answers) == K
+        finally:
+            fleet.close()
+
+
+class TestDeferredLeaderPinning:
+    """A twin arriving while its leader is *parked* (deferred, not yet
+    executing) is pinned to the leader's shard, waits there, and
+    coalesces onto the leader when the retry admits it."""
+
+    KWS = ("protein", "plasma membrane")
+
+    @pytest.mark.parametrize("workers", ("inproc", "process"))
+    def test_twin_of_deferred_leader_coalesces_on_retry(self, fed, index,
+                                                        workers):
+        config = config_for(SharingMode.ATC_FULL)
+        spec = WorkerSpec.figure1(config, seed=7, cardinalities=dict(CARDS),
+                                  domain_factor=0.7) \
+            if workers == "process" else None
+        fleet = ShardedQService(
+            fed, config, n_shards=2, routing="roundrobin", index=index,
+            service=ServiceConfig(max_in_flight=1, admission_policy="defer"),
+            workers=workers, worker_spec=spec)
+        try:
+            # Fill both shards' single slot, so the next arrival parks.
+            fleet.submit(KeywordQuery("A", ("membrane", "gene"), k=K,
+                                      arrival=0.0))
+            fleet.submit(KeywordQuery("B", ("protein", "gene"), k=K,
+                                      arrival=0.0))
+            leader = fleet.submit(KeywordQuery("L", self.KWS, k=K,
+                                               arrival=0.1))
+            assert leader.status is QueryStatus.DEFERRED
+            assert leader.shard == 0
+            # Round-robin alone would rotate T onto shard 1; the front
+            # door pins it to its parked leader's shard instead.
+            twin = fleet.submit(KeywordQuery("T", self.KWS, k=K,
+                                             arrival=0.2))
+            assert twin.status is QueryStatus.DEFERRED
+            assert twin.shard == leader.shard
+            assert fleet.routing_stats.affinity_overrides == 1
+            fleet.drain()
+            assert leader.done and leader.via == "engine"
+            assert twin.done and twin.via == "coalesced"
+            assert len(leader.answers) == K
+            assert [a.score for a in twin.answers] == \
+                [a.score for a in leader.answers]
         finally:
             fleet.close()

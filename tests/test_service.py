@@ -26,7 +26,6 @@ from repro.reference import topk_scores
 from repro.service import (
     AdmissionController,
     LoadConfig,
-    PurgeCadence,
     QService,
     ResultCache,
     ServiceConfig,
@@ -257,94 +256,6 @@ class TestResultCache:
         assert cache.stats.expirations == 0
 
 
-class TestPurgeCadence:
-    """The TTL-grooming schedule: a fixed grid, at most one purge per
-    period, no drift -- replacing the old next-purge bookkeeping that
-    could double-fire on repeated same-instant steps and re-anchor
-    itself into never firing."""
-
-    @staticmethod
-    def counting(cache):
-        """Wrap ``purge_expired`` to record its invocation instants."""
-        calls = []
-        orig = cache.purge_expired
-
-        def wrapped(now):
-            calls.append(now)
-            return orig(now)
-
-        cache.purge_expired = wrapped
-        return calls
-
-    def test_default_interval_is_quarter_ttl(self):
-        cadence = PurgeCadence(ResultCache(ttl=100.0))
-        assert cadence.interval == 25.0
-        assert cadence._next == 25.0
-
-    def test_rejects_non_positive_interval(self):
-        with pytest.raises(ValueError):
-            PurgeCadence(ResultCache(ttl=10.0), interval=0.0)
-
-    def test_no_fire_before_first_boundary(self):
-        cache = ResultCache(ttl=4.0)
-        cadence = PurgeCadence(cache)              # grid: 1, 2, 3, ...
-        calls = self.counting(cache)
-        assert cadence.fire(0.999) == 0
-        assert calls == []
-        assert cadence._next == 1.0
-
-    def test_fires_once_per_period(self):
-        cache = ResultCache(ttl=4.0)
-        cadence = PurgeCadence(cache)
-        calls = self.counting(cache)
-        cadence.fire(1.0)
-        assert calls == [1.0]
-        assert cadence._next == 2.0
-        cadence.fire(1.5)                          # same period: no purge
-        assert calls == [1.0]
-        cadence.fire(2.0)
-        assert calls == [1.0, 2.0]
-
-    def test_repeated_same_instant_fires_once(self):
-        """The double-fire bug: stepping the service twice to the same
-        instant must not groom the cache twice."""
-        cache = ResultCache(ttl=4.0)
-        cadence = PurgeCadence(cache)
-        calls = self.counting(cache)
-        cadence.fire(3.0)
-        cadence.fire(3.0)
-        cadence.fire(3.0)
-        assert calls == [3.0]
-
-    def test_skip_ahead_keeps_the_grid(self):
-        """Jumping many periods moves the anchor past them on the
-        original grid -- not re-anchored at the observation instant,
-        so the cadence never drifts."""
-        cache = ResultCache(ttl=4.0)
-        cadence = PurgeCadence(cache)              # grid: 1, 2, 3, ...
-        cadence.fire(10.3)
-        assert cadence._next == 11.0               # next grid point
-        assert cadence.fire(10.9) == 0             # not 10.3 + 1.0
-
-    def test_purges_expired_entries(self):
-        cache = ResultCache(ttl=4.0)
-        cache.put(normalize_key(("a",), 1), [], now=0.0)
-        cache.put(normalize_key(("b",), 1), [], now=4.5)
-        cadence = PurgeCadence(cache)
-        assert cadence.fire(5.0) == 1              # "a" lapsed at 4.0
-        assert len(cache) == 1
-
-    def test_monotone_under_wall_clock_instants(self):
-        """Clock-agnostic: irregular real-valued instants still yield
-        at most one purge per grid period."""
-        cache = ResultCache(ttl=8.0)               # grid: 2, 4, 6, ...
-        cadence = PurgeCadence(cache)
-        calls = self.counting(cache)
-        for now in (0.7, 1.9, 2.05, 2.05, 3.99, 4.0, 4.0, 5.2, 6.6):
-            cadence.fire(now)
-        assert calls == [2.05, 4.0, 6.6]
-
-
 class TestAdmissionController:
     def test_accepts_under_budget(self):
         ctl = AdmissionController(max_in_flight=2)
@@ -523,37 +434,6 @@ class TestQServiceInterleaving:
         svc.drain()
         assert t2.done and t2.via == "engine"
         assert svc.cache.stats.expirations >= 1
-
-    def test_step_purges_expired_cache_entries_on_cadence(self, fed, index):
-        """PR 3 regression: expired entries are swept proactively by
-        ``step`` (quarter-TTL cadence), not only when someone happens
-        to look the key up."""
-        svc = make_service(fed, index, service=ServiceConfig(cache_ttl=5.0))
-        svc.submit(KeywordQuery("KQ1", ("protein", "plasma membrane"), k=K,
-                                arrival=0.0))
-        svc.drain()
-        assert len(svc.cache) == 1
-        svc.step(svc.workers[0].engine.virtual_now() + 50.0)   # past the TTL
-        assert len(svc.cache) == 0                  # swept without a get
-        assert svc.cache.stats.expirations == 1
-
-    def test_streaming_alone_keeps_the_purge_cadence(self, fed, index):
-        """A consumer who only pumps moves the clock as ``step`` does,
-        so the cache is groomed on that clock too."""
-        svc = make_service(fed, index, service=ServiceConfig(cache_ttl=5.0))
-        first = svc.submit(KeywordQuery(
-            "KQ1", ("protein", "plasma membrane"), k=K, arrival=0.0))
-        svc.drain()
-        # Arrive just before KQ1's entry lapses; streaming KQ2 through
-        # its batch window carries the clock past that instant.
-        second = svc.submit(KeywordQuery(
-            "KQ2", ("membrane", "gene"), k=K,
-            arrival=first.completed_at + 4.9))
-        assert len(svc.cache) == 1
-        list(second.results())
-        assert second.done and svc.clock.now > first.completed_at + 5.0
-        assert len(svc.cache) == 1                  # KQ1 swept, KQ2 stored
-        assert svc.cache.stats.expirations == 1
 
     def test_drain_requests_engine_report_once(self, fed, index,
                                                monkeypatch):

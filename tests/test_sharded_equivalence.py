@@ -448,38 +448,3 @@ class TestSharedFleetClock:
         assert t2.arrival >= pumped_to   # clamped to the fleet instant
         fleet.drain()
         assert t2.done
-
-    def test_exactly_one_groom_per_period_fleet_wide(self, fed, index):
-        """Workers share the front door's cache and so must not groom
-        it themselves: stepping the whole fleet across one cadence
-        period purges the shared cache exactly once -- not once per
-        shard, and not once per same-instant step."""
-        fleet = self.make_fleet(fed, index)
-        calls = []
-        orig = fleet.cache.purge_expired
-
-        def wrapped(now):
-            calls.append(now)
-            return orig(now)
-
-        fleet.cache.purge_expired = wrapped
-        boundary = fleet._cadence._next
-        fleet.step(boundary)
-        fleet.step(boundary)             # same instant: no re-fire
-        fleet.step(boundary + 0.001)     # same period: no re-fire
-        assert calls == [boundary]
-
-    def test_drain_grooms_the_shared_cache(self, fed, index):
-        fleet = self.make_fleet(fed, index)
-        fleet.submit(KeywordQuery(
-            "KQ1", ("protein", "plasma membrane"), k=K, arrival=0.0))
-        calls = []
-        orig = fleet.cache.purge_expired
-
-        def wrapped(now):
-            calls.append(now)
-            return orig(now)
-
-        fleet.cache.purge_expired = wrapped
-        fleet.step(fleet._cadence._next + 1.0)
-        assert len(calls) == 1
