@@ -422,13 +422,8 @@ class QSystemEngine:
             self.step(max(batched))
         for batch in self.batcher.drain():
             self._run_batch(batch)
-        while self._deadlines:
-            boundary = min(self._deadlines.values())
-            for graph_id in sorted(self._active_graphs):
-                graph = self.qs.graphs[graph_id]
-                self._drive_graph(graph, boundary)
-                self._settle(graph)
-            self._expire_due(boundary)
+        if self._deadlines:
+            self.step(max(self._deadlines.values()))
         for graph_id in sorted(self._active_graphs):
             graph = self.qs.graphs[graph_id]
             self._drive_graph(graph, None)
