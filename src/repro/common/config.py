@@ -104,11 +104,6 @@ class ExecutionConfig:
         QS-manager cache budget, measured in stored tuples (Section 6.3).
         ``None`` means unbounded, matching the paper's expectation that
         memory pressure is rare.
-    activation_band:
-        A new CQ is activated once its score upper bound comes within
-        the top-k frontier; this widens the band slightly so that
-        near-boundary CQs start streaming early (pure paper behaviour is
-        0.0).
     adaptive_probe_ordering:
         The m-join's runtime adaptivity (Section 4.1: probe sequences
         re-ordered from monitored selectivities).  Disable for the
@@ -144,7 +139,6 @@ class ExecutionConfig:
     cluster_min_refs: int = 2
     cluster_jaccard: float = 0.5
     memory_budget_tuples: int | None = None
-    activation_band: float = 0.0
     adaptive_probe_ordering: bool = True
     probe_caching: bool = True
     optimizer_time_scale: float = 1.0

@@ -30,8 +30,6 @@ from repro.common.clock import Clock
 from repro.common.config import ExecutionConfig
 from repro.data.database import Federation
 from repro.data.inverted import InvertedIndex
-from repro.keyword.candidates import CandidateNetworkGenerator
-from repro.obs.instruments import MetricsRegistry
 from repro.service.shard import ServiceConfig
 from repro.service.sharding import ShardedQService
 
@@ -46,11 +44,8 @@ class QService(ShardedQService):
 
     def __init__(self, federation: Federation, config: ExecutionConfig,
                  service: ServiceConfig | None = None, *,
-                 generator: CandidateNetworkGenerator | None = None,
                  index: InvertedIndex | None = None,
-                 registry: MetricsRegistry | None = None,
                  tracer=None,
                  clock: Clock | None = None) -> None:
         super().__init__(federation, config, n_shards=1, service=service,
-                         generator=generator, index=index,
-                         registry=registry, tracer=tracer, clock=clock)
+                         index=index, tracer=tracer, clock=clock)

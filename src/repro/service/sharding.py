@@ -142,9 +142,7 @@ class ShardedQService:
                  n_shards: int = 2,
                  routing: str | RoutingPolicy = "cluster",
                  service: ServiceConfig | None = None,
-                 generator: CandidateNetworkGenerator | None = None,
                  index: InvertedIndex | None = None,
-                 registry: MetricsRegistry | None = None,
                  tracer=None,
                  clock: Clock | None = None,
                  workers: str = "inproc",
@@ -173,8 +171,7 @@ class ShardedQService:
         #: plan repository, router, front-door telemetry -- the tiers
         #: only it owns); shard registries are merged in by
         #: :meth:`metrics_registry`.
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.index = index if index is not None else InvertedIndex(federation)
         # One plan repository for the whole fleet: expansions derived
         # from the same federation are shard-independent, so without a
@@ -183,7 +180,7 @@ class ShardedQService:
         # One expansion pipeline for the whole fleet: the router may
         # need the candidate networks before placement, and shards
         # should not each rebuild the inverted index.
-        self.generator = generator or CandidateNetworkGenerator(
+        self.generator = CandidateNetworkGenerator(
             federation, index=self.index, max_cqs=config.max_cqs_per_uq,
             repository=self.repository)
         #: The authoritative answer cache: consulted at the front door

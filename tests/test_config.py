@@ -88,7 +88,7 @@ class TestOptionRatchet:
             "mode", "k", "batch_size", "batch_window", "max_cqs_per_uq",
             "tau_probe_threshold", "min_sharing_queries",
             "low_cardinality_bonus", "cluster_min_refs", "cluster_jaccard",
-            "memory_budget_tuples", "activation_band",
+            "memory_budget_tuples",
             "adaptive_probe_ordering", "probe_caching",
             "optimizer_time_scale", "scheduler", "delays", "seed"}),
         (DelayModel, {
@@ -104,11 +104,10 @@ class TestOptionRatchet:
     @pytest.mark.parametrize("cls,keywords", [
         (ShardedQService, {
             "federation", "config", "n_shards", "routing", "service",
-            "generator", "index", "registry", "tracer", "clock",
-            "workers", "worker_spec"}),
+            "index", "tracer", "clock", "workers", "worker_spec"}),
         (QService, {
-            "federation", "config", "service", "generator", "index",
-            "registry", "tracer", "clock"}),
+            "federation", "config", "service", "index", "tracer",
+            "clock"}),
     ])
     def test_service_constructor_keywords(self, cls, keywords):
         params = inspect.signature(cls.__init__).parameters

@@ -20,7 +20,6 @@ from repro.cli import main
 from repro.common.config import DelayModel, ExecutionConfig, SharingMode
 from repro.data.figure1 import figure1_federation
 from repro.data.inverted import InvertedIndex
-from repro.keyword.candidates import CandidateNetworkGenerator
 from repro.keyword.queries import KeywordQuery, RankedAnswer
 from repro.reference import topk_scores
 from repro.service import (
@@ -64,9 +63,8 @@ def engine_config(**overrides):
 
 
 def make_service(fed, index, service=None, **overrides):
-    generator = CandidateNetworkGenerator(fed, index=index, max_cqs=8)
-    return QService(fed, engine_config(**overrides), service=service,
-                    generator=generator, index=index)
+    return QService(fed, engine_config(max_cqs_per_uq=8, **overrides),
+                    service=service, index=index)
 
 
 def answer(score, cq="c1"):
