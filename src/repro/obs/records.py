@@ -108,7 +108,6 @@ class Metrics:
     tuples_inserted: int = 0
     tuples_output: int = 0
     tuples_reused: int = 0
-    splits_routed: int = 0
     evictions: int = 0
     recovery_queries: int = 0
 
@@ -180,7 +179,6 @@ class Metrics:
         self.tuples_inserted += other.tuples_inserted
         self.tuples_output += other.tuples_output
         self.tuples_reused += other.tuples_reused
-        self.splits_routed += other.splits_routed
         self.evictions += other.evictions
         self.recovery_queries += other.recovery_queries
         self.per_source_reads.update(other.per_source_reads)

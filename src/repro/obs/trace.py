@@ -278,16 +278,6 @@ class Tracer:
         (re-pointed when a coalesced follower is promoted to leader)."""
         self._aliases[uq_id] = qid
 
-    def qid_for(self, uq_id: str) -> str | None:
-        return self._aliases.get(uq_id)
-
-    def event_uq(self, uq_id: str, name: str, at: float,
-                 **attrs) -> Span | None:
-        qid = self._aliases.get(uq_id)
-        if qid is None:
-            return None
-        return self.event(qid, name, at, **attrs)
-
     def span_uq(self, uq_id: str, name: str, v_start: float, v_end: float,
                 wall: tuple[float, float] | None = None,
                 **attrs) -> Span | None:
@@ -366,12 +356,6 @@ class NullTracer:
         return None
 
     def adopt(self, trace):
-        return None
-
-    def qid_for(self, uq_id):
-        return None
-
-    def event_uq(self, uq_id, name, at, **attrs):
         return None
 
     def span_uq(self, uq_id, name, v_start, v_end, wall=None, **attrs):

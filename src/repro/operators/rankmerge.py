@@ -418,9 +418,6 @@ class RankMerge:
     def answers(self) -> list[RankedAnswer]:
         return [c.answer for c in self.emitted]
 
-    def answer_tuples(self) -> list[tuple[RankedAnswer, STuple]]:
-        return [(c.answer, c.tup) for c in self.emitted]
-
     def __repr__(self) -> str:
         return (f"RankMerge({self.uq.uq_id}, emitted={len(self.emitted)}/"
                 f"{self.k}, streams={len(self.entries)}, "

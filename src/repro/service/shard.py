@@ -703,9 +703,6 @@ class Shard:
         r.counter("repro_engine_tuples_inserted_total",
                   "tuples inserted into operator state"
                   ).set(metrics.tuples_inserted, mode=mode)
-        r.counter("repro_engine_splits_routed_total",
-                  "tuples routed through split operators"
-                  ).set(metrics.splits_routed, mode=mode)
         r.counter("repro_engine_recovery_queries_total",
                   "recovery queries issued after state eviction"
                   ).set(metrics.recovery_queries, mode=mode)

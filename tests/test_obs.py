@@ -211,13 +211,12 @@ class TestTracer:
         tr.start_query("LEADER", 0.0)
         tr.start_query("FOLLOWER", 0.2)
         tr.alias("UQ1", "LEADER")
-        tr.event_uq("UQ1", "execution_tick", 1.0)
+        tr.span_uq("UQ1", "execution", 1.0, 1.5)
         tr.alias("UQ1", "FOLLOWER")               # leader cancelled
-        tr.event_uq("UQ1", "execution_tick", 2.0)
-        assert len(tr.trace("LEADER").find_all("execution_tick")) == 1
-        assert len(tr.trace("FOLLOWER").find_all("execution_tick")) == 1
-        assert tr.qid_for("UQ1") == "FOLLOWER"
-        assert tr.event_uq("UNKNOWN", "x", 0.0) is None
+        tr.span_uq("UQ1", "execution", 2.0, 2.5)
+        assert len(tr.trace("LEADER").find_all("execution")) == 1
+        assert len(tr.trace("FOLLOWER").find_all("execution")) == 1
+        assert tr.span_uq("UNKNOWN", "x", 0.0, 0.0) is None
 
     def test_recording_against_unknown_query_is_a_noop(self):
         tr = Tracer()

@@ -511,7 +511,7 @@ def test_metrics_state_round_trip():
     metrics = Metrics()
     scalars = [f.name for f in fields(Metrics)
                if type(getattr(metrics, f.name)) in (int, float)]
-    assert len(scalars) >= 13
+    assert len(scalars) >= 12
     for i, name in enumerate(scalars, start=1):
         setattr(metrics, name, i if isinstance(getattr(metrics, name), int)
                 else i + 0.25)
