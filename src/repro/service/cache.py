@@ -198,4 +198,3 @@ class ResultCache:
                   ).set(cs.overwrites)
         r.gauge("repro_answer_cache_entries",
                 "resident answer-cache entries").set(len(self))
-

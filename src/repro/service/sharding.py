@@ -278,9 +278,11 @@ class ShardedQService:
         uq = None
         if leader_shard is not None:
             # An identical query is running or parked on
-            # ``leader_shard``: pin this one there (skipping the policy *and* spill-over --
-            # coalescing happens before admission, so saturation is
-            # moot) and let the shard coalesce it.
+            # ``leader_shard``: pin this one there (skipping the policy
+            # *and* spill-over -- coalescing happens before admission,
+            # so saturation is moot) and let the shard coalesce it.
+            # Otherwise a content-blind policy (round robin) scatters
+            # twins across shards, and each copy runs the full plan.
             self.routing_stats.affinity_overrides += 1
             shard = leader_shard
         else:

@@ -316,9 +316,6 @@ class ShardWorker(Protocol):
     @property
     def in_flight_count(self) -> int: ...
 
-    @property
-    def deferred_count(self) -> int: ...
-
     def report(self) -> ServiceReport: ...
 
     def registry_view(self) -> MetricsRegistry: ...
@@ -554,7 +551,6 @@ class ProcessWorker:
         self._so_far: dict[str, list[RankedAnswer]] = {}
         self._puts: deque[CachePut] = deque()
         self._in_flight = 0
-        self._deferred = 0
         self._pending: type | None = None
         #: Snapshots retained from crashed incarnations, so a respawn
         #: does not erase the fleet's history (best effort: only as
@@ -622,7 +618,6 @@ class ProcessWorker:
         self._handles.clear()
         self._so_far.clear()
         self._in_flight = 0
-        self._deferred = 0
         if self._last_snapshot is not None:
             self._retained.append(self._last_snapshot)
             self._last_snapshot = None
@@ -693,7 +688,6 @@ class ProcessWorker:
     def _apply_update(self, update: WorkerUpdate) -> None:
         self._clock.advance_to(update.now)
         self._in_flight = update.in_flight
-        self._deferred = update.deferred
         for event in update.events:
             self._apply_event(event)
 
@@ -789,10 +783,6 @@ class ProcessWorker:
     @property
     def in_flight_count(self) -> int:
         return self._in_flight
-
-    @property
-    def deferred_count(self) -> int:
-        return self._deferred
 
     def enqueue_cache_put(self, key: CacheKey,
                           answers: list[RankedAnswer],
