@@ -17,9 +17,11 @@ with the stdlib client:
    and require a valid span tree whose root's disposition is ``done``;
 3. submit one more query and cancel it, asserting the ``cancelled``
    disposition propagates to its stream and snapshot;
-4. check ``/metrics`` renders Prometheus text, and that its connection
+4. check ``/metrics`` renders Prometheus text, that its connection
    counters show the client's calls riding persistent connections
-   (more than one request per connection);
+   (more than one request per connection), and that the live scrape,
+   summed over any ``shard`` labels, counts every streamed query
+   completed and at least one optimizer invocation;
 5. ``POST /admin/shutdown`` and require a clean exit -- then, when
    ``--trace-dir`` is given, require the server wrote a validatable
    trace artifact (CI uploads it).
@@ -148,6 +150,24 @@ def check_connection_reuse(metrics: str) -> None:
     print(f"http_smoke: {requests:g} requests over {conns:g} connections")
 
 
+def check_serving_totals(metrics: str, streamed: int) -> None:
+    """The live scrape carries the serving and optimizer totals,
+    summed over any ``shard`` labels, with no report asked for."""
+    def total(name: str) -> float:
+        return sum(float(value) for value in re.findall(
+            rf"^{name}(?:\{{[^}}]*\}})? (\S+)$", metrics, re.MULTILINE))
+
+    completed = total("repro_service_completed_total")
+    invocations = total("repro_optimizer_invocations_total")
+    if completed < streamed:
+        fail(f"/metrics counts {completed:g} completed queries, "
+             f"{streamed} were streamed")
+    if invocations < 1:
+        fail("/metrics counts no optimizer invocation")
+    print(f"http_smoke: {completed:g} completed, "
+          f"{invocations:g} optimizer invocations")
+
+
 def launch(cmd: list[str]) -> tuple[subprocess.Popen, "queue.Queue"]:
     """Start the server subprocess and watch its stdout for the
     ``listening on http://host:port`` line -- with ``--port 0`` the OS
@@ -212,6 +232,7 @@ def main() -> int:
             fail("/metrics did not render Prometheus text")
         print(f"http_smoke: metrics: {len(metrics.splitlines())} lines")
         check_connection_reuse(metrics)
+        check_serving_totals(metrics, len(QUERIES))
         client.shutdown()
         if proc.wait(timeout=30.0) != 0:
             fail(f"server exited with code {proc.returncode}")

@@ -22,7 +22,8 @@ component prefixes are stable across releases:
 ``repro_service_*``
     The serving tier's per-query ledger (submitted, completed,
     cache-served, coalesced, rejected, deferred, cancelled, expired,
-    empty) plus the ``latency`` / ``ttfa`` virtual-seconds histograms.
+    empty, failed, worker restarts) plus the ``latency`` / ``ttfa``
+    virtual-seconds histograms.
 ``repro_answer_cache_*``
     Result-cache hits, misses, insertions, evictions, expirations,
     overwrites, and the resident-entry gauge.
@@ -32,7 +33,8 @@ component prefixes are stable across releases:
     Pending-queries gauge and batches-closed counter.
 ``repro_engine_*``
     Execution work: stream reads (labelled ``source=...``), probes,
-    probe-cache hits, join probes, inserts, split routes, recovery
+    probe-cache hits, join probes, inserts, reused tuples (state
+    replayed free to a query that did not pay for it), recovery
     queries, and the stream/random-access/join time totals.
 ``repro_rankmerge_*``
     Answers emitted across every rank-merge.
@@ -50,6 +52,8 @@ component prefixes are stable across releases:
 Labels: ``mode`` carries the sharing configuration on engine-side
 instruments; ``shard`` is stamped by the fleet merge
 (:meth:`MetricsRegistry.merged`); ``source`` / ``layer`` as above.
+A respawned process shard's incarnations merge unlabelled: counters
+and histograms sum, gauges come from the live one only.
 Label keys are reserved, never repurposed; a tenant label can be added
 without breaking any existing consumer.
 """

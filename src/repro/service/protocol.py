@@ -83,7 +83,7 @@ __all__ = [
 #: protocol change and MUST bump this number, then regenerate the
 #: golden snapshot (``python scripts/update_protocol_schema.py``) that
 #: ``tests/test_protocol_schema.py`` locks the schema against.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 
 class ProtocolError(ValueError):
@@ -185,7 +185,6 @@ class WorkerUpdate(Message):
 
     now: float = 0.0
     in_flight: int = 0
-    deferred: int = 0
     events: tuple[HandleState, ...] = ()
 
 
@@ -260,9 +259,8 @@ class CachePut(Message):
 @_register
 @dataclass(frozen=True)
 class TelemetrySnapshot(Message):
-    """Request the worker's full observability snapshot: telemetry
-    counters and samples, cache/admission stats, engine work counters,
-    and the metric registry's state."""
+    """Request the worker's observability snapshot
+    (:class:`SnapshotReply`)."""
 
     now: float
 
@@ -314,12 +312,14 @@ class AnswersReply(Message):
 @_register
 @dataclass(frozen=True)
 class SnapshotReply(Message):
+    """The shard's registry in :meth:`~repro.obs.instruments.
+    MetricsRegistry.state` form -- every counter it keeps crosses the
+    wire once, here -- and the :meth:`~repro.service.telemetry.
+    Telemetry.samples` that no instrument holds."""
+
     update: WorkerUpdate
-    telemetry: dict
-    cache: dict
-    admission: dict
-    engine: dict
     registry: dict
+    samples: dict
 
 
 @_register

@@ -52,10 +52,43 @@ from repro.service.reports import ServiceReport
 from repro.service.telemetry import Telemetry
 
 __all__ = [
+    "ENGINE_SERIES",
     "ServiceConfig",
     "Shard",
     "finish_done",
 ]
+
+
+#: Every int/float :class:`~repro.obs.records.Metrics` counter -> the
+#: series a shard publishes it as (labelled ``mode``) and its help.  A
+#: process worker's report reads the engine totals back through the
+#: same table, so a counter published is a counter reported.
+ENGINE_SERIES: dict[str, tuple[str, str]] = {
+    "stream_tuples_read": ("repro_engine_stream_tuples_read_total",
+                           "tuples consumed from streaming sources"),
+    "probes_performed": ("repro_engine_probes_total",
+                         "remote random-access probes performed"),
+    "probe_cache_hits": ("repro_engine_probe_cache_hits_total",
+                         "probes served from the probe cache"),
+    "join_probes": ("repro_engine_join_probes_total",
+                    "in-memory join probes performed"),
+    "tuples_inserted": ("repro_engine_tuples_inserted_total",
+                        "tuples inserted into operator state"),
+    "tuples_reused": ("repro_engine_tuples_reused_total",
+                      "free replays of state another query paid for"),
+    "recovery_queries": ("repro_engine_recovery_queries_total",
+                         "recovery queries issued after state eviction"),
+    "stream_read_time": ("repro_engine_stream_read_seconds_total",
+                         "virtual seconds spent reading streams"),
+    "random_access_time": ("repro_engine_random_access_seconds_total",
+                           "virtual seconds spent on remote probes"),
+    "join_time": ("repro_engine_join_seconds_total",
+                  "virtual seconds spent joining in memory"),
+    "tuples_output": ("repro_rankmerge_answers_emitted_total",
+                      "ranked answers emitted across all rank-merges"),
+    "evictions": ("repro_state_evictions_total",
+                  "operator-state tuples evicted by the state manager"),
+}
 
 
 @dataclass(frozen=True)
@@ -284,11 +317,6 @@ class Shard:
         """Queries admitted to the engine and not yet completed (the
         router's load gauge, and the admission controller's)."""
         return len(self._live)
-
-    @property
-    def deferred_count(self) -> int:
-        """Queries parked awaiting budget (unresolved, like in-flight)."""
-        return len(self._deferred)
 
     def inflight_handle(self, key: CacheKey) -> QueryHandle | None:
         """The handle leading ``key``'s execution on this shard (a
@@ -666,19 +694,18 @@ class Shard:
 
     def _publish_metrics(self) -> None:
         """Collector: republish the owned components' plain counters as
-        registry instruments.  Runs only at snapshot/export time, so
-        the hot paths keep their untyped attribute increments; every
-        publish is *absolute* (``set``), making the collector
-        idempotent no matter how often a snapshot is taken.
+        registry instruments, the optimizer totals of the telemetry
+        included.  Runs only at snapshot/export time, so the hot paths
+        keep their untyped attribute increments; every publish is
+        *absolute* (``set``), making the collector idempotent no matter
+        how often a snapshot is taken.
         """
         r = self.registry
-        adm = self.admission.snapshot()
-        r.counter("repro_admission_accepted_total",
-                  "queries accepted on first decision").set(adm["accepted"])
-        r.counter("repro_admission_rejected_total",
-                  "queries shed on first decision").set(adm["rejected"])
-        r.counter("repro_admission_deferred_total",
-                  "queries parked on first decision").set(adm["deferred"])
+        for decision, verb in (("accepted", "accepted"),
+                               ("rejected", "shed"), ("deferred", "parked")):
+            r.counter(f"repro_admission_{decision}_total",
+                      f"queries {verb} on first decision"
+                      ).set(getattr(self.admission, decision))
         batcher = self.engine.batcher
         r.gauge("repro_batcher_pending_queries",
                 "user queries collecting in the batch window"
@@ -687,44 +714,14 @@ class Shard:
                   "batches handed to the optimizer"
                   ).set(batcher.batches_closed)
         metrics = self.engine.report().metrics
+        self.telemetry.sync_optimizer(metrics.optimizer_records)
         mode = self.engine.config.mode.value
-        r.counter("repro_engine_stream_tuples_read_total",
-                  "tuples consumed from streaming sources"
-                  ).set(metrics.stream_tuples_read, mode=mode)
-        r.counter("repro_engine_probes_total",
-                  "remote random-access probes performed"
-                  ).set(metrics.probes_performed, mode=mode)
-        r.counter("repro_engine_probe_cache_hits_total",
-                  "probes served from the probe cache"
-                  ).set(metrics.probe_cache_hits, mode=mode)
-        r.counter("repro_engine_join_probes_total",
-                  "in-memory join probes performed"
-                  ).set(metrics.join_probes, mode=mode)
-        r.counter("repro_engine_tuples_inserted_total",
-                  "tuples inserted into operator state"
-                  ).set(metrics.tuples_inserted, mode=mode)
-        r.counter("repro_engine_recovery_queries_total",
-                  "recovery queries issued after state eviction"
-                  ).set(metrics.recovery_queries, mode=mode)
-        r.counter("repro_engine_stream_read_seconds_total",
-                  "virtual seconds spent reading streams"
-                  ).set(metrics.stream_read_time, mode=mode)
-        r.counter("repro_engine_random_access_seconds_total",
-                  "virtual seconds spent on remote probes"
-                  ).set(metrics.random_access_time, mode=mode)
-        r.counter("repro_engine_join_seconds_total",
-                  "virtual seconds spent joining in memory"
-                  ).set(metrics.join_time, mode=mode)
+        for name, (series, help) in ENGINE_SERIES.items():
+            r.counter(series, help).set(getattr(metrics, name), mode=mode)
         reads = r.counter("repro_engine_source_reads_total",
                           "stream reads per data source")
         for source, count in sorted(metrics.per_source_reads.items()):
             reads.set(count, source=source)
-        r.counter("repro_rankmerge_answers_emitted_total",
-                  "ranked answers emitted across all rank-merges"
-                  ).set(metrics.tuples_output, mode=mode)
-        r.counter("repro_state_evictions_total",
-                  "operator-state tuples evicted by the state manager"
-                  ).set(metrics.evictions, mode=mode)
         r.gauge("repro_state_tuples",
                 "tuples currently stored across all plan graphs"
                 ).set(self.engine.qs.total_state_size(), mode=mode)

@@ -54,14 +54,14 @@ class _Counter:
     ``float`` (``int`` otherwise).
 
     The attribute name is the one it is assigned to; the instrument
-    is registered per instance from this declaration, and
-    ``COUNTER_FIELDS`` -- hence :meth:`Telemetry.state`,
-    :meth:`Telemetry.from_state` and :meth:`Telemetry.merged` -- is the
-    list of these declarations, so a counter cannot exist in one of
-    them and be missing from another.  Reads return the sample value;
-    writes set the counter absolutely, so ``tel.submitted += 1`` and
-    the absolute overwrite in :meth:`Telemetry.sync_optimizer` both
-    work on top of the instruments.
+    is registered per instance from this declaration, so a
+    :class:`Telemetry` built on a registry that already holds the
+    counters (one rebuilt from a worker's wire state) reads them, and
+    ``COUNTER_FIELDS``, what :meth:`Telemetry.merged` adds, lists the
+    declarations.  Reads return the sample value; writes set the
+    counter absolutely, so ``tel.submitted += 1`` and the absolute
+    overwrite in :meth:`Telemetry.sync_optimizer` both work on top of
+    the instruments.
     """
 
     def __init__(self, metric: str, help: str,
@@ -105,7 +105,8 @@ class Telemetry:
     summary and the exported metrics can never drift apart.  The
     latency/TTFA sample lists stay plain lists -- percentile math wants
     raw samples -- and are republished into the registry's histograms
-    by a collector at snapshot time, never on the hot path.
+    by a collector at snapshot time, never on the hot path;
+    :meth:`samples` and :meth:`absorb` carry them between telemetries.
     """
 
     submitted = _Counter("repro_service_submitted_total", "queries admitted")
@@ -147,7 +148,7 @@ class Telemetry:
     _DECLARED = {name: value for name, value in list(vars().items())
                  if isinstance(value, _Counter)}
     #: Every scalar counter, in declaration order -- what
-    #: :meth:`state`, :meth:`from_state` and :meth:`merged` iterate.
+    #: :meth:`merged` adds.
     COUNTER_FIELDS = tuple(_DECLARED)
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
@@ -249,59 +250,38 @@ class Telemetry:
         self.optimizer_wall = sum(r.elapsed_wall for r in records)
         self.plans_explored = sum(r.plans_explored for r in records)
 
-    # -- wire state ----------------------------------------------------------
-
-    def state(self) -> dict:
-        """Everything :meth:`merged` consumes, as plain JSON-able data
-        -- the form a process worker ships its telemetry across the
-        wire in (:class:`~repro.service.protocol.SnapshotReply`)."""
-        return {
-            "counters": {name: getattr(self, name)
-                         for name in self.COUNTER_FIELDS},
-            "latencies": list(self.latencies),
-            "ttfas": list(self.ttfas),
-            "first_arrival": self.first_arrival,
-            "last_event": self.last_event,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict,
-                   registry: MetricsRegistry | None = None) -> "Telemetry":
-        """Rebuild a telemetry from :meth:`state` output.  Counter
-        names the state does not carry stay zero; unknown names are
-        rejected (they would silently vanish from every merge)."""
-        out = cls(registry)
-        for name, value in state.get("counters", {}).items():
-            if name not in cls.COUNTER_FIELDS:
-                raise ValueError(f"unknown telemetry counter {name!r}")
-            setattr(out, name, value)
-        out.latencies.extend(state.get("latencies", ()))
-        out.ttfas.extend(state.get("ttfas", ()))
-        out.first_arrival = state.get("first_arrival")
-        out.last_event = state.get("last_event", 0.0)
-        return out
-
     # -- merging -------------------------------------------------------------
+
+    def samples(self) -> dict:
+        """What no instrument holds, as plain data: the raw latency and
+        TTFA samples and the serving window (a process worker ships it
+        beside its registry: :class:`~repro.service.protocol.
+        SnapshotReply`)."""
+        return {"latencies": list(self.latencies), "ttfas": list(self.ttfas),
+                "first_arrival": self.first_arrival,
+                "last_event": self.last_event}
+
+    def absorb(self, samples: dict) -> None:
+        """Add another telemetry's :meth:`samples`: the sample lists
+        concatenate (percentiles over the union are the true combined
+        distribution) and the serving window spans both."""
+        self.latencies.extend(samples["latencies"])
+        self.ttfas.extend(samples["ttfas"])
+        first = samples["first_arrival"]
+        if first is not None and (self.first_arrival is None
+                                  or first < self.first_arrival):
+            self.first_arrival = first
+        self.last_event = max(self.last_event, samples["last_event"])
 
     @classmethod
     def merged(cls, parts: Iterable["Telemetry"]) -> "Telemetry":
-        """Fleet-level aggregate of several shards' telemetries.
-
-        Latency samples concatenate (percentiles over the union are the
-        true fleet distribution), counters add, and the serving window
-        spans the earliest first arrival to the latest event anywhere.
-        """
+        """Fleet-level aggregate of several shards' telemetries: the
+        samples are absorbed and the counters add."""
         out = cls()
         for part in parts:
-            out.latencies.extend(part.latencies)
-            out.ttfas.extend(part.ttfas)
+            out.absorb(part.samples())
             for name in cls.COUNTER_FIELDS:
                 setattr(out, name, getattr(out, name) + getattr(part, name))
-            if part.first_arrival is not None and (
-                    out.first_arrival is None
-                    or part.first_arrival < out.first_arrival):
-                out.first_arrival = part.first_arrival
-            out.last_event = max(out.last_event, part.last_event)
         return out
 
     # -- derived ---------------------------------------------------------------

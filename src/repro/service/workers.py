@@ -49,6 +49,12 @@ fails that shard's in-flight queries with a ``FAILED`` disposition
 (with a fresh plan repository, which expands on demand), and the front
 door reroutes subsequent traffic to surviving shards meanwhile.  A
 worker whose respawn fails stays dead.
+
+Counters cross the wire once: a snapshot is the shard's registry state
+plus its telemetry's latency samples, and :meth:`ProcessWorker.report`
+reads every number off the registry merged over the shard's
+incarnations -- a crashed one's counters and histograms still sum in,
+its gauges do not.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ import subprocess
 import sys
 from collections import deque
 from collections.abc import Callable, Iterable
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Protocol, runtime_checkable
 
 from repro.atc.engine import EngineReport
@@ -76,7 +82,12 @@ from repro.obs.instruments import MetricsRegistry
 from repro.obs.records import Metrics
 from repro.obs.trace import NO_TRACER, NullTracer, QueryTrace, Span, Tracer
 from repro.optimizer.repository import PlanRepository
-from repro.service.cache import CacheKey, ResultCache, normalize_key
+from repro.service.cache import (
+    CacheKey,
+    CacheStats,
+    ResultCache,
+    normalize_key,
+)
 from repro.service.handle import QueryHandle, QueryStatus
 from repro.service.protocol import (
     Ack,
@@ -103,7 +114,7 @@ from repro.service.protocol import (
     encode_answers,
 )
 from repro.service.reports import ServiceReport
-from repro.service.shard import ServiceConfig, Shard
+from repro.service.shard import ENGINE_SERIES, ServiceConfig, Shard
 from repro.service.telemetry import Telemetry
 
 __all__ = [
@@ -115,8 +126,6 @@ __all__ = [
     "decode_execution_config",
     "encode_service_config",
     "decode_service_config",
-    "metrics_state",
-    "metrics_from_state",
     "traces_from_jsonl",
 ]
 
@@ -225,28 +234,6 @@ class WorkerSpec:
     @classmethod
     def from_wire(cls, data: bytes) -> "WorkerSpec":
         return cls(**json.loads(data.decode("utf-8")))
-
-
-# -- engine-metrics wire state ------------------------------------------------
-
-#: Every int/float counter of :class:`Metrics`, read off the dataclass
-#: so a new engine counter cannot silently drop out of the fleet view.
-_SCALARS = tuple(f.name for f in fields(Metrics)
-                 if f.type in ("int", "float"))
-
-
-def metrics_state(metrics: Metrics) -> dict:
-    """The engine work counters as plain data (per-query records stay
-    on the worker; the fleet view needs the totals)."""
-    state = {name: getattr(metrics, name) for name in _SCALARS}
-    state["per_source_reads"] = dict(metrics.per_source_reads)
-    return state
-
-
-def metrics_from_state(state: dict) -> Metrics:
-    metrics = Metrics(**{name: state.get(name, 0) for name in _SCALARS})
-    metrics.per_source_reads.update(state.get("per_source_reads", {}))
-    return metrics
 
 
 # -- trace rebuilding ---------------------------------------------------------
@@ -432,7 +419,6 @@ class _WorkerServer:
                   if state is not None]
         return WorkerUpdate(now=svc.clock.now,
                             in_flight=svc.in_flight_count,
-                            deferred=svc.deferred_count,
                             events=tuple(events))
 
     # -- the request loop ----------------------------------------------------
@@ -484,15 +470,9 @@ class _WorkerServer:
                           decode_answers(msg.answers), now=msg.stored_at)
             return None
         if isinstance(msg, TelemetrySnapshot):
-            report = svc.report()  # syncs optimizer telemetry
-            return SnapshotReply(
-                update=self._update(),
-                telemetry=svc.telemetry.state(),
-                cache=svc.cache.stats.snapshot(),
-                admission=svc.admission.snapshot(),
-                engine=metrics_state(report.engine_report.metrics),
-                registry=svc.registry.state(),
-            )
+            return SnapshotReply(update=self._update(),
+                                 registry=svc.registry.state(),
+                                 samples=svc.telemetry.samples())
         if isinstance(msg, TraceDump):
             if msg.kq_id is None:
                 lines = self.tracer.jsonl_lines()
@@ -552,9 +532,10 @@ class ProcessWorker:
         self._puts: deque[CachePut] = deque()
         self._in_flight = 0
         self._pending: type | None = None
-        #: Snapshots retained from crashed incarnations, so a respawn
-        #: does not erase the fleet's history (best effort: only as
-        #: fresh as the last snapshot taken before the crash).
+        #: Snapshots retained from crashed incarnations (their gauges
+        #: dropped), so a respawn does not erase the fleet's history
+        #: (best effort: only as fresh as the last snapshot taken
+        #: before the crash), and the live (or closed) one's latest.
         self._retained: list[SnapshotReply] = []
         self._last_snapshot: SnapshotReply | None = None
         self._alive = False
@@ -619,7 +600,13 @@ class ProcessWorker:
         self._so_far.clear()
         self._in_flight = 0
         if self._last_snapshot is not None:
-            self._retained.append(self._last_snapshot)
+            # Counters and histograms still add to the shard's totals;
+            # gauges were levels of a process that is gone.
+            registry = {name: entry for name, entry
+                        in self._last_snapshot.registry.items()
+                        if entry["kind"] != "gauge"}
+            self._retained.append(
+                replace(self._last_snapshot, registry=registry))
             self._last_snapshot = None
         try:
             self._spawn()
@@ -798,44 +785,51 @@ class ProcessWorker:
 
     # -- observability -------------------------------------------------------
 
-    def _snapshot(self) -> SnapshotReply | None:
-        if not self._alive:
-            return None
-        reply = self._ask(
-            TelemetrySnapshot(now=self._clock.now), SnapshotReply)
-        if reply is not None:
-            self._last_snapshot = reply
-        return reply
-
-    def _snapshots(self) -> list[SnapshotReply]:
-        """One snapshot per incarnation of this shard's process: those
-        retained from crashed (or closed) ones, then the live one's."""
-        snapshot = self._snapshot()
-        return self._retained + ([snapshot] if snapshot is not None else [])
+    def _view(self) -> tuple[MetricsRegistry, list[dict]]:
+        """The registry merged over this shard's incarnations (those
+        retained from crashed ones, then the live or closed one's):
+        counters and histograms sum, gauges are the live one's.  And
+        every incarnation's telemetry samples."""
+        if self._alive:
+            reply = self._ask(
+                TelemetrySnapshot(now=self._clock.now), SnapshotReply)
+            if reply is not None:
+                self._last_snapshot = reply
+        snapshots = self._retained + (
+            [] if self._last_snapshot is None else [self._last_snapshot])
+        return (MetricsRegistry.merged(
+            (MetricsRegistry.from_state(s.registry), {}) for s in snapshots),
+            [s.samples for s in snapshots])
 
     def report(self) -> ServiceReport:
-        states = self._snapshots()
+        """Every number read off :meth:`registry_view`, plus the
+        samples."""
+        registry, samples = self._view()
+        telemetry = Telemetry(registry)
+        for part in samples:
+            telemetry.absorb(part)
         metrics = Metrics()
-        for state in states:
-            metrics.merge_from(metrics_from_state(state.engine))
-        cache_stats = _sum_stats([s.cache for s in states])
-        lookups = cache_stats.get("hits", 0.0) + cache_stats.get(
-            "misses", 0.0)
-        cache_stats["hit_rate"] = (
-            cache_stats.get("hits", 0.0) / lookups if lookups else 0.0)
+        for name, (series, _help) in ENGINE_SERIES.items():
+            setattr(metrics, name, type(getattr(metrics, name))(
+                _total(registry, series)))
+        reads = registry.get("repro_engine_source_reads_total")
+        for key, count in (reads.samples() if reads else {}).items():
+            metrics.per_source_reads[dict(key)["source"]] = int(count)
+        cache = CacheStats(**{
+            f.name: int(_total(registry, f"repro_answer_cache_{f.name}_total"))
+            for f in fields(CacheStats)})
         return ServiceReport(
-            telemetry=Telemetry.merged(
-                Telemetry.from_state(s.telemetry) for s in states),
-            cache_stats=cache_stats,
-            admission_stats=_sum_stats([s.admission for s in states]),
+            telemetry=telemetry,
+            cache_stats=cache.snapshot(),
+            admission_stats={
+                decision: _total(registry, f"repro_admission_{decision}_total")
+                for decision in ("accepted", "rejected", "deferred")},
             engine_report=EngineReport(config=self._config,
                                        metrics=metrics),
         )
 
     def registry_view(self) -> MetricsRegistry:
-        return MetricsRegistry.merged(
-            (MetricsRegistry.from_state(s.registry), {})
-            for s in self._snapshots())
+        return self._view()[0]
 
     def trace_lines(self, kq_id: str | None = None) -> tuple[str, ...]:
         if not self._alive:
@@ -846,22 +840,16 @@ class ProcessWorker:
 
     def close(self) -> None:
         if self._alive:
-            # Retain a final snapshot: report()/registry_view() keep
+            # Take a final snapshot: report()/registry_view() keep
             # working after the fleet shuts down (the CLI writes its
             # metrics export post-close).
-            snapshot = self._snapshot()
-            if snapshot is not None:
-                self._retained.append(snapshot)
-                self._last_snapshot = None
+            self._view()
             self._ask(Shutdown(now=self._clock.now), Ack)
         self._alive = False
         self._reap(timeout=2.0)
 
 
-def _sum_stats(parts: list[dict]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for part in parts:
-        for key, value in part.items():
-            if isinstance(value, (int, float)):
-                out[key] = out.get(key, 0.0) + float(value)
-    return out
+def _total(registry: MetricsRegistry, name: str) -> float:
+    """The sum of every sample of series ``name`` (0 when absent)."""
+    inst = registry.get(name)
+    return 0.0 if inst is None else sum(inst.samples().values())

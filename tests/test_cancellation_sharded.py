@@ -259,9 +259,9 @@ class TestCoalescedCancellationSharded:
     def test_twin_after_promotion_still_coalesces(self, fed, index,
                                                   workers):
         """Cancelling a leader whose follower was promoted must not
-        cost later twins their coalescing: the front-door registry
-        follows the promotion instead of pruning the key, so a third
-        identical arrival is pinned to the promoted handle's shard."""
+        cost later twins their coalescing: the shard's
+        ``inflight_handle`` answers with the promoted follower, so a
+        third identical arrival is pinned to that shard."""
         fleet, leader, follower = self._leader_and_follower(
             fed, index, workers)
         try:

@@ -26,6 +26,7 @@ from repro.service import (
     Telemetry,
     generate_abandonments,
     generate_load,
+    normalize_key,
 )
 
 CARDS = {
@@ -269,9 +270,11 @@ class TestCancellation:
         svc.step(2.1)
         h2 = svc.submit(kq("Q2", keywords=("membrane", "gene"), arrival=2.2))
         assert h2.status is QueryStatus.DEFERRED
+        key = normalize_key(h2.keywords, h2.k)
+        assert svc.workers[0].inflight_handle(key) is h2
         assert h2.cancel()
         assert h2.status is QueryStatus.CANCELLED
-        assert svc.workers[0].deferred_count == 0
+        assert svc.workers[0].inflight_handle(key) is None
         svc.drain()
         assert h1.done
 

@@ -373,6 +373,24 @@ class TestServiceObservability:
             .value(mode=mode) \
             == report.engine_report.metrics.stream_tuples_read
 
+    def test_live_scrape_carries_the_optimizer_totals(self, federation,
+                                                      index):
+        """The shard's collector syncs the optimizer totals, so a scrape
+        of a service nobody asked for a report shows them."""
+        service = QService(federation, exec_config(),
+                           ServiceConfig(max_in_flight=8), index=index)
+        for kq in small_load()[:4]:
+            service.submit(kq)
+        service.step(50.0)
+        records = service.workers[0].engine.report().metrics \
+            .optimizer_records
+        assert records
+        registry = service.metrics_registry()
+        assert registry.get("repro_optimizer_invocations_total").value() \
+            == len(records)
+        assert registry.get("repro_optimizer_plans_explored_total") \
+            .value() == sum(r.plans_explored for r in records)
+
     def test_tracing_never_changes_answers(self, federation, index):
         def run(tracer):
             service = QService(federation, exec_config(),

@@ -411,6 +411,41 @@ def test_crash_closes_the_traces_of_the_queries_it_fails(fed, load):
         fleet.close()
 
 
+def test_a_dead_incarnation_adds_counters_but_not_gauges(fed, load):
+    """Across a shard's incarnations counters sum, but a level is the
+    live process's: after a kill and respawn, shard 0's stored state
+    and cache entries read the fresh worker's, while its submissions
+    still count the dead worker's."""
+    fleet = make_fleet(fed, "process", 2, "roundrobin")
+    try:
+        for kq in load[:6]:
+            fleet.submit(kq)
+        fleet.drain()
+        # The snapshot the crash retains.
+        before = fleet.metrics_registry()
+        submitted = before.get("repro_service_submitted_total") \
+            .value(shard="0")
+        assert submitted > 0
+        assert before.get("repro_state_tuples").value(
+            mode="ATC-FULL", shard="0") > 0
+        assert before.get("repro_answer_cache_entries").value(
+            shard="0") > 0
+
+        kill_worker(fleet, 0)
+        fleet.drain()   # finds the worker dead and respawns it
+        assert fleet.workers[0].alive
+        after = fleet.metrics_registry()
+        assert after.get("repro_state_tuples").value(
+            mode="ATC-FULL", shard="0") == 0
+        assert after.get("repro_answer_cache_entries").value(
+            shard="0") == 0
+        assert after.get("repro_service_submitted_total").value(
+            shard="0") == submitted
+        assert fleet.report().telemetry.worker_restarts == 1
+    finally:
+        fleet.close()
+
+
 def test_every_worker_dead_raises(fed, load):
     from repro.service import WorkerCrashed
 
@@ -498,39 +533,51 @@ def test_worker_spec_wire_round_trip():
     assert back.execution_config() == exec_config()
 
 
-def test_metrics_state_round_trip():
-    """Every int/float counter of ``Metrics`` crosses the wire in the
-    fleet view's engine state, so a new engine counter cannot silently
-    drop out of a process fleet's report."""
-    import json
+@pytest.mark.parametrize("workers", ["inproc", "process"])
+def test_reports_read_what_the_registry_holds(fed, load, cancels, workers):
+    """The registry is the one counter store a shard ships: a fleet
+    report's telemetry counters are the summed ``repro_service_*`` /
+    ``repro_optimizer_*`` series, and each shard's engine totals are
+    its ``shard``-labelled engine series.  Every int/float ``Metrics``
+    counter has a series, so none can drop out of a process fleet's
+    report."""
     from dataclasses import fields
 
     from repro.obs.records import Metrics
-    from repro.service.workers import metrics_from_state, metrics_state
-
-    metrics = Metrics()
-    scalars = [f.name for f in fields(Metrics)
-               if type(getattr(metrics, f.name)) in (int, float)]
-    assert len(scalars) >= 12
-    for i, name in enumerate(scalars, start=1):
-        setattr(metrics, name, i if isinstance(getattr(metrics, name), int)
-                else i + 0.25)
-    metrics.per_source_reads.update({"UP": 3, "TP": 5})
-    back = metrics_from_state(json.loads(json.dumps(metrics_state(metrics))))
-    assert {name: getattr(back, name) for name in scalars} \
-        == {name: getattr(metrics, name) for name in scalars}
-    assert back.per_source_reads == metrics.per_source_reads
-
-
-def test_telemetry_state_round_trip(fed, load, cancels):
     from repro.service import Telemetry
+    from repro.service.shard import ENGINE_SERIES
 
-    fleet = make_fleet(fed, "inproc", 2, "hash")
+    blank = Metrics()
+    assert set(ENGINE_SERIES) == {
+        f.name for f in fields(Metrics)
+        if type(getattr(blank, f.name)) in (int, float)}
+
+    fleet = make_fleet(fed, workers, 2, "hash")
     try:
         drive(fleet, load, cancels)
-        original = fleet.workers[0].telemetry
-        back = Telemetry.from_state(original.state())
-        assert back.summary() == original.summary()
+        report = fleet.report()
+        registry = fleet.metrics_registry()
+
+        def series(name, **labels):
+            return sum(value for key, value
+                       in registry.get(name).samples().items()
+                       if labels.items() <= dict(key).items())
+
+        for name in Telemetry.COUNTER_FIELDS:
+            metric = getattr(Telemetry, name).metric
+            assert getattr(report.telemetry, name) \
+                == pytest.approx(series(metric), rel=1e-12), name
+        assert report.telemetry.completed > 0
+        for i, shard in enumerate(report.shard_reports):
+            metrics = shard.engine_metrics()
+            for name, (metric, _help) in ENGINE_SERIES.items():
+                assert getattr(metrics, name) \
+                    == series(metric, shard=str(i)), (i, name)
+            assert metrics.stream_tuples_read > 0
+            assert dict(metrics.per_source_reads) == {
+                source: series("repro_engine_source_reads_total",
+                               shard=str(i), source=source)
+                for source in metrics.per_source_reads}
     finally:
         fleet.close()
 

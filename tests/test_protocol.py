@@ -92,12 +92,19 @@ updates = st.builds(
     WorkerUpdate,
     now=finites,
     in_flight=counts,
-    deferred=counts,
     events=st.lists(handle_states, max_size=3).map(tuple),
 )
 
-# Flat JSON-able dicts, the shape of every snapshot section.
+# Flat JSON-able dicts, the shape of a registry entry.
 stat_dicts = st.dictionaries(ids, finites, max_size=4)
+
+# A telemetry's ``samples()``: the lists arrive as tuples.
+samples = st.fixed_dictionaries({
+    "latencies": st.lists(finites, max_size=3).map(tuple),
+    "ttfas": st.lists(finites, max_size=3).map(tuple),
+    "first_arrival": opt_finites,
+    "last_event": finites,
+})
 
 MESSAGES = {
     "HandleState": handle_states,
@@ -125,9 +132,9 @@ MESSAGES = {
     "AnswersReply": st.builds(
         AnswersReply, update=updates, answers=answer_tuples),
     "SnapshotReply": st.builds(
-        SnapshotReply, update=updates, telemetry=stat_dicts,
-        cache=stat_dicts, admission=stat_dicts, engine=stat_dicts,
-        registry=st.dictionaries(ids, stat_dicts, max_size=2)),
+        SnapshotReply, update=updates,
+        registry=st.dictionaries(ids, stat_dicts, max_size=2),
+        samples=samples),
     "TraceReply": st.builds(
         TraceReply, update=updates,
         lines=st.lists(texts, max_size=3).map(tuple)),
