@@ -568,6 +568,10 @@ def test_reports_read_what_the_registry_holds(fed, load, cancels, workers):
             assert getattr(report.telemetry, name) \
                 == pytest.approx(series(metric), rel=1e-12), name
         assert report.telemetry.completed > 0
+        # The samples cross beside the registry, one per completion.
+        latency = registry.get("repro_service_latency_virtual_seconds")
+        assert len(report.telemetry.latencies) == report.telemetry.completed \
+            == sum(n for _counts, _sum, n in latency.dists().values())
         for i, shard in enumerate(report.shard_reports):
             metrics = shard.engine_metrics()
             for name, (metric, _help) in ENGINE_SERIES.items():
