@@ -2,7 +2,8 @@
 """Where the retained heap goes after an in-process ``cold_distinct`` replay.
 
 Usage: ``python scripts/heap_census.py [--seed 7] [--seconds 18]
-[--max-bytes-per-stuple N] [--max-module-mib MODULE=N ...]``
+[--max-peak-mib N] [--max-bytes-per-stuple N]
+[--max-module-mib MODULE=N ...]``
 
 Builds the e2e benchmark's corpus and its ``cold_distinct`` op list --
 the ops ``benchmarks/e2e/run.py --workload cold_distinct --seed N
@@ -21,15 +22,20 @@ alive; after one ``gc.collect()`` the script prints
   provenance ``frozenset``s (built by ``STuple.provenance``, held by
   answers, not by tuples; printed apart), over that count,
 * the collector's per-generation collections during the replay and the
-  tracked-object count after it.
+  tracked-object count after it,
+* the plan repository's expansion table: its entry count and the traced
+  heap that clearing it frees, per entry -- what a cached expansion
+  costs beyond the objects the generator shares with it.  The table is
+  cleared last, after every figure above is taken.
 
-With ``--max-bytes-per-stuple`` it exits 1 when the per-tuple figure is
-above the limit; with ``--max-module-mib MODULE=N`` (repeatable) when
-that module retains more than N MiB -- e.g. ``optimizer/repository.py=1``,
-which holds the keyword-expansion intern table and the keyword-level
-fragment sets, or ``plan/expressions.py=6``, which a finished query's
-pinned expressions would exceed.  Both are CI perf-smoke gates.  It
-reads the benchmark's modules and changes none of them.
+With ``--max-peak-mib`` it exits 1 when the peak is above the limit;
+with ``--max-bytes-per-stuple`` when the per-tuple figure is; with
+``--max-module-mib MODULE=N`` (repeatable) when that module retains
+more than N MiB -- e.g. ``optimizer/repository.py=1``, which holds the
+keyword-expansion intern table and the keyword-level fragment sets, or
+``plan/expressions.py=6``, which a finished query's pinned expressions
+would exceed.  All three are CI perf-smoke gates.  It reads the
+benchmark's modules and changes none of them.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 from repro.data.rows import STuple  # noqa: E402
+from repro.optimizer.repository import PlanRepository  # noqa: E402
 
 ROWS_MODULE = "data/rows.py"
 TOP_MODULES = 12
@@ -84,6 +91,15 @@ def provenance_lines() -> range:
     return range(first, first + len(lines))
 
 
+def clear_expansion_tables(tables: list[dict]) -> int:
+    """Clear the expansion tables; return the traced bytes that frees."""
+    before = tracemalloc.get_traced_memory()[0]
+    for table in tables:
+        table.clear()
+    gc.collect()
+    return before - tracemalloc.get_traced_memory()[0]
+
+
 def census(seed: int, seconds: float) -> dict:
     gc.collect()
     tracemalloc.start()
@@ -100,6 +116,14 @@ def census(seed: int, seconds: float) -> dict:
     gc.collect()
     snapshot = tracemalloc.take_snapshot().filter_traces(
         [tracemalloc.Filter(False, tracemalloc.__file__)])
+    tracked = gc.get_objects()
+    stuples = sum(1 for obj in tracked if type(obj) is STuple)
+    tracked_count = len(tracked)
+    tables = [obj._expansions for obj in tracked
+              if type(obj) is PlanRepository]
+    del tracked
+    expansions = sum(len(table) for table in tables)
+    expansion_bytes = clear_expansion_tables(tables)
     tracemalloc.stop()
     by_module: dict[str, int] = {}
     for stat in snapshot.statistics("filename"):
@@ -110,8 +134,6 @@ def census(seed: int, seconds: float) -> dict:
         stat.size for stat in snapshot.statistics("lineno")
         if module_name(stat.traceback[0].filename) == ROWS_MODULE
         and stat.traceback[0].lineno in provenance)
-    tracked = gc.get_objects()
-    stuples = sum(1 for obj in tracked if type(obj) is STuple)
     rows_bytes = by_module.get(ROWS_MODULE, 0)
     tuple_bytes = rows_bytes - provenance_bytes
     return {
@@ -123,7 +145,9 @@ def census(seed: int, seconds: float) -> dict:
         "provenance_bytes": provenance_bytes,
         "bytes_per_stuple": tuple_bytes / stuples if stuples else 0.0,
         "collections": collections,
-        "tracked": len(tracked),
+        "tracked": tracked_count,
+        "expansions": expansions,
+        "expansion_bytes": expansion_bytes,
     }
 
 
@@ -134,6 +158,7 @@ def render(result: dict) -> str:
              f"retained {total / mib:.1f} MiB, "
              f"peak {result['peak_bytes'] / mib:.1f} MiB during the replay"]
     ranked = sorted(result["by_module"].items(), key=lambda kv: -kv[1])
+    per_entry = result["expansion_bytes"] / max(1, result["expansions"])
     for name, size in ranked[:TOP_MODULES]:
         lines.append(f"  {size / mib:8.1f} MiB  {name}")
     lines += [
@@ -144,6 +169,9 @@ def render(result: dict) -> str:
         "gc collections      gen0 {} / gen1 {} / gen2 {}".format(
             *result["collections"]),
         f"gc tracked objects  {result['tracked']}",
+        f"expansion table     {result['expansions']} entries, "
+        f"{per_entry / 1024:.1f} KiB per entry "
+        f"({result['expansion_bytes'] / mib:.2f} MiB freed by clearing it)",
     ]
     return "\n".join(lines)
 
@@ -154,6 +182,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="workload seed (the corpus seed stays 7)")
     parser.add_argument("--seconds", type=float, default=18.0,
                         help="run length the op count is sized for")
+    parser.add_argument("--max-peak-mib", type=float,
+                        help="exit 1 when the peak traced heap during the "
+                             "replay is above this many MiB")
     parser.add_argument("--max-bytes-per-stuple", type=float,
                         help="exit 1 above this many bytes per STuple")
     parser.add_argument("--max-module-mib", type=module_limit,
@@ -170,6 +201,9 @@ def main(argv: list[str] | None = None) -> int:
     result = census(args.seed, args.seconds)
     print(render(result))
     failures = []
+    peak = result["peak_bytes"] / (1024 * 1024)
+    if args.max_peak_mib is not None and peak > args.max_peak_mib:
+        failures.append(f"peak {peak:.1f} MiB > {args.max_peak_mib:g}")
     limit = args.max_bytes_per_stuple
     if limit is not None and result["bytes_per_stuple"] > limit:
         failures.append(f"{result['bytes_per_stuple']:.0f} B per STuple "

@@ -35,18 +35,59 @@ from repro.plan.expressions import SPJ, Atom, JoinPred, Selection
 from repro.scoring.models import qsystem_score
 
 if TYPE_CHECKING:  # avoid a runtime cycle with the optimizer package
-    from repro.optimizer.repository import PlanRepository
+    from repro.optimizer.repository import ExpansionTemplate, PlanRepository
 
-#: Signature of a scoring factory: (expr, federation) -> MonotoneScore.
+#: Signature of a scoring factory: (skeleton, federation) -> MonotoneScore.
+#: The generator calls it with a candidate network's *skeleton* -- its
+#: atoms and joins, without the keyword selections -- and hands the
+#: result to every conjunctive query with that skeleton until
+#: ``Federation.load`` moves the statistics epoch on, so a factory may
+#: read atoms, joins and the federation's statistics, never selections.
+#: The three factories of :mod:`repro.scoring.models` read no more.
 ScoreFactory = Callable[[SPJ, Federation], object]
+
+#: One skeleton memo entry: its canonical atoms and joins, and its score.
+_Skeleton = tuple[tuple[Atom, ...], tuple[JoinPred, ...], object]
+
+
+def _fifo_put(memo: dict, key: object, value: object, cap: int) -> None:
+    """Memoize ``value`` under ``key``, evicting the oldest entries
+    beyond ``cap``."""
+    memo[key] = value
+    while len(memo) > cap:
+        memo.pop(next(iter(memo)))
 
 
 class CandidateNetworkGenerator:
-    """Generates user queries (sets of CQs) from keyword queries."""
+    """Generates user queries (sets of CQs) from keyword queries.
 
-    #: Cap on memoized Steiner trees, FIFO-evicted (a miss only costs
-    #: the BFS again).
+    Every value an expansion is built from exists once per generator and
+    is shared by each expansion, and each cached expansion template,
+    that uses it:
+
+    * one ``Atom`` per relation and one ``JoinPred`` per schema edge
+      (bounded by the schema);
+    * one list of ``KeywordMatch``es per keyword (FIFO under
+      :attr:`MAX_KEYWORDS`; the inverted index is built once, so a
+      keyword's matches never change);
+    * one ``Selection`` per content match (FIFO under
+      :attr:`MAX_SELECTIONS`);
+    * per skeleton -- a candidate network without its selections -- one
+      pair of canonical ``(atoms, joins)`` tuples and one score (FIFO
+      under :attr:`MAX_SKELETONS`; the whole memo is dropped when the
+      federation's statistics epoch moves, so no score outlives the
+      statistics its caps were read from);
+    * within one expansion, one matches tuple and one selections tuple
+      per match combination.
+    """
+
+    #: Caps on the memoized Steiner trees, keyword matches, content-match
+    #: selections and skeletons, each FIFO-evicted: a miss only costs
+    #: the work again.
     MAX_STEINER_TREES = 8192
+    MAX_KEYWORDS = 8192
+    MAX_SELECTIONS = 8192
+    MAX_SKELETONS = 8192
 
     def __init__(self, federation: Federation, index: InvertedIndex | None = None,
                  score_factory: ScoreFactory | None = None,
@@ -72,71 +113,85 @@ class CandidateNetworkGenerator:
         #: is fixed: both are derived once per generator, not per query.
         self._steiner_memo: dict[tuple, tuple[SchemaEdge, ...] | None] = {}
         self._edge_order: dict[str, tuple[tuple[SchemaEdge, str], ...]] = {}
+        self._atoms = {name: Atom(name, name)
+                       for name in self.schema.relation_names}
+        self._joins: dict[SchemaEdge, JoinPred] = {}
+        self._matches: dict[str, list[KeywordMatch]] = {}
+        self._selections: dict[tuple[str, str, str], Selection] = {}
+        self._skeletons: dict[tuple, _Skeleton] = {}
+        self._skeletons_epoch = federation.stats_epoch
 
     # -- public API -----------------------------------------------------------
 
     def generate(self, kq: KeywordQuery) -> UserQuery:
-        """Expand one keyword query into its user query."""
+        """Expand one keyword query into its user query.
+
+        A fresh expansion and a cached one are instantiated alike: each
+        conjunctive query's expression is interned from its parts and
+        its score read from the skeleton memo under the federation's
+        current statistics."""
+        if self.federation.stats_epoch != self._skeletons_epoch:
+            self._skeletons.clear()
+            self._skeletons_epoch = self.federation.stats_epoch
         template = None
         if self.repository is not None:
             template = self.repository.lookup_expansion(kq.keywords)
         if template is None:
-            expansion = self._expand(kq)
+            template = self._expand(kq)
             if self.repository is not None:
-                # The template stores each expression's value, not the
-                # interned object, so a cached expansion keeps no
-                # expression (nor anything memoized on one) alive.
-                self.repository.store_expansion(kq.keywords, tuple(
-                    ((expr.atoms, expr.joins, expr.selections), score,
-                     matches)
-                    for expr, score, matches in expansion))
-        else:
-            expansion = [(SPJ._intern(*parts), score, matches)
-                         for parts, score, matches in template]
-        cqs = [
-            ConjunctiveQuery(
+                self.repository.store_expansion(kq.keywords, template)
+        cqs = []
+        for i, ((atoms, joins, selections), matches) in enumerate(template):
+            _atoms, _joins, score = self._skeleton(atoms, joins)
+            cqs.append(ConjunctiveQuery(
                 cq_id=f"{kq.kq_id}-cq{i}",
                 uq_id=kq.kq_id,
-                expr=expr,
+                expr=SPJ._intern(atoms, joins, selections),
                 score=score,  # type: ignore[arg-type]
                 matches=matches,
-            )
-            for i, (expr, score, matches) in enumerate(expansion)
-        ]
+            ))
         return UserQuery(uq_id=kq.kq_id, keywords=kq.keywords, cqs=cqs,
                          k=kq.k, arrival=kq.arrival, user=kq.user)
 
-    def _expand(self, kq: KeywordQuery
-                ) -> list[tuple[SPJ, object, tuple[KeywordMatch, ...]]]:
-        """The expensive half of :meth:`generate`: keyword matching,
-        join-tree enumeration, and scoring.  Returns the (expr, score,
-        matches) triples in enumeration order -- everything about the
-        expansion except the query ids, which is what makes the result
-        a reusable template."""
-        matches = {
-            keyword: self.index.matches(keyword,
-                                        self.max_matches_per_keyword)
-            for keyword in kq.keywords
-        }
+    def _expand(self, kq: KeywordQuery) -> "ExpansionTemplate":
+        """The expensive half of :meth:`generate`: keyword matching and
+        join-tree enumeration.  Returns each conjunctive query's
+        canonical ``(atoms, joins, selections)`` and its matches, in
+        enumeration order -- everything about the expansion except the
+        query ids and the scores, which is what makes the result a
+        reusable template."""
+        matches = {keyword: self._keyword_matches(keyword)
+                   for keyword in kq.keywords}
         empty = [kw for kw, found in matches.items() if not found]
         if empty:
             raise QueryError(
                 f"{kq.kq_id}: no relation matches keywords {empty}"
             )
-        trees = self._enumerate_trees(matches)
         expansion = []
-        for tree, combo in trees[: self.max_cqs]:
-            expr = self._tree_to_spj(tree, combo)
-            score = self.score_factory(expr, self.federation)
-            expansion.append((expr, score, tuple(combo)))
-        return expansion
+        for tree, combo, selections in \
+                self._enumerate_trees(matches)[: self.max_cqs]:
+            atoms, joins, _score = self._skeleton(
+                *self._skeleton_parts(tree, combo))
+            expansion.append(((atoms, joins, selections), combo))
+        return tuple(expansion)
+
+    def _keyword_matches(self, keyword: str) -> list[KeywordMatch]:
+        """:meth:`InvertedIndex.matches`, memoized (FIFO-bounded)."""
+        found = self._matches.get(keyword)
+        if found is None:
+            found = self.index.matches(keyword, self.max_matches_per_keyword)
+            _fifo_put(self._matches, keyword, found, self.MAX_KEYWORDS)
+        return found
 
     # -- tree enumeration -------------------------------------------------------
 
     def _enumerate_trees(
             self, matches: Mapping[str, list[KeywordMatch]]
-    ) -> list[tuple[tuple[SchemaEdge, ...], list[KeywordMatch]]]:
-        """All (tree, match-combination) pairs, best combinations first.
+    ) -> list[tuple[tuple[SchemaEdge, ...], tuple[KeywordMatch, ...],
+                    tuple[Selection, ...]]]:
+        """All (tree, match combination, selections) triples, best
+        combinations first; a combination's trees share its matches and
+        selections tuples.
 
         A tree is represented by its schema edges (none when one
         relation covers every keyword).
@@ -148,16 +203,18 @@ class CandidateNetworkGenerator:
             combos.append((-strength, combo))
         combos.sort(key=lambda pair: (pair[0],
                                       tuple(m.relation for m in pair[1])))
-        out: list[tuple[tuple[SchemaEdge, ...], list[KeywordMatch]]] = []
+        out: list[tuple[tuple[SchemaEdge, ...], tuple[KeywordMatch, ...],
+                        tuple[Selection, ...]]] = []
         seen: set[tuple] = set()
         budget = self.max_cqs * 3
         for _neg, combo in combos:
-            for tree in self._connect(list(combo)):
-                key = self._tree_key(tree, combo)
+            selections = self._combo_selections(combo)
+            for tree in self._connect(combo):
+                key = (self._edges_key(tree), selections)
                 if key in seen:
                     continue
                 seen.add(key)
-                out.append((tree, list(combo)))
+                out.append((tree, combo, selections))
                 if len(out) >= budget:
                     return out
         return out
@@ -199,9 +256,8 @@ class CandidateNetworkGenerator:
         key = (tuple(relations), banned)
         if key not in memo:
             tree = self._grow_steiner_tree(relations, banned)
-            memo[key] = None if tree is None else tuple(tree)
-            while len(memo) > self.MAX_STEINER_TREES:
-                memo.pop(next(iter(memo)))
+            _fifo_put(memo, key, None if tree is None else tuple(tree),
+                      self.MAX_STEINER_TREES)
         return memo[key]
 
     def _grow_steiner_tree(self, relations: Sequence[str],
@@ -280,24 +336,36 @@ class CandidateNetworkGenerator:
     def _edges_key(self, edges: Sequence[SchemaEdge]) -> frozenset:
         return frozenset(self._edge_key(e) for e in edges)
 
-    def _tree_key(self, tree: Sequence[SchemaEdge],
-                  combo: Sequence[KeywordMatch]) -> tuple:
-        selections = frozenset(
-            (m.relation, m.attr, m.keyword)
-            for m in combo if m.via == "content"
-        )
-        return (self._edges_key(tree), selections)
-
     # -- SPJ construction ---------------------------------------------------------
 
-    def _tree_to_spj(self, tree: Sequence[SchemaEdge],
-                     combo: Sequence[KeywordMatch]) -> SPJ:
-        """Convert a connection tree plus keyword matches into an SPJ.
+    def _combo_selections(self, combo: Sequence[KeywordMatch]
+                          ) -> tuple[Selection, ...]:
+        """The canonical (sorted, duplicate-free) ``contains``
+        selections a match combination imposes, one memoized
+        ``Selection`` per content match."""
+        selections = set()
+        for match in combo:
+            if match.via == "metadata" or match.attr is None:
+                continue
+            key = (match.relation, match.attr, match.keyword)
+            selection = self._selections.get(key)
+            if selection is None:
+                selection = match.selection(match.relation)
+                _fifo_put(self._selections, key, selection,
+                          self.MAX_SELECTIONS)
+            selections.add(selection)
+        return tuple(sorted(selections))
+
+    def _skeleton_parts(self, tree: Sequence[SchemaEdge],
+                        combo: Sequence[KeywordMatch]
+                        ) -> tuple[tuple[Atom, ...], tuple[JoinPred, ...]]:
+        """The canonical atoms and joins of a connection tree plus its
+        keyword matches.
 
         Every relation in the tree gets one atom aliased by its own
         name (trees over relation *sets* cannot repeat relations; the
         synonym-table pattern appears as distinct relations, as in the
-        paper's TS).  Content matches add ``contains`` selections.
+        paper's TS).
         """
         names: set[str] = set()
         for edge in tree:
@@ -305,15 +373,26 @@ class CandidateNetworkGenerator:
             names.add(edge.right_relation)
         for match in combo:
             names.add(match.relation)
-        atoms = [Atom(name, name) for name in sorted(names)]
-        joins = [
-            JoinPred.normalized(edge.left_relation, edge.left_attr,
-                                edge.right_relation, edge.right_attr)
-            for edge in tree
-        ]
-        selections = []
-        for match in combo:
-            selection = match.selection(match.relation)
-            if selection is not None:
-                selections.append(selection)
-        return SPJ(atoms, joins, selections)
+        joins = set()
+        for edge in tree:
+            pred = self._joins.get(edge)
+            if pred is None:
+                pred = self._joins[edge] = JoinPred.normalized(
+                    edge.left_relation, edge.left_attr,
+                    edge.right_relation, edge.right_attr)
+            joins.add(pred)
+        return (tuple(self._atoms[name] for name in sorted(names)),
+                tuple(sorted(joins)))
+
+    def _skeleton(self, atoms: tuple[Atom, ...],
+                  joins: tuple[JoinPred, ...]) -> _Skeleton:
+        """The memoized canonical parts and score of one skeleton.  The
+        score factory sees the skeleton itself, with no selections."""
+        key = (atoms, joins)
+        found = self._skeletons.get(key)
+        if found is None:
+            score = self.score_factory(SPJ._intern(atoms, joins, ()),
+                                       self.federation)
+            found = (atoms, joins, score)
+            _fifo_put(self._skeletons, key, found, self.MAX_SKELETONS)
+        return found

@@ -17,9 +17,13 @@ The repository keeps two cross-query tables, both FIFO-bounded by
   derived once per distinct keyword set (order- and duplicate-free,
   spelling-exact), and repeats are instantiated from the stored
   template under fresh query ids instead of re-enumerating join trees.
-  A template stores each expression's *value*, so it pins no
-  expression.  Nothing primes the table: a respawned process worker
-  starts it empty and fills it as it expands.
+  A template holds each expression's parts, not the expression, and no
+  score: the parts are the generator's shared ``Atom``, ``JoinPred``
+  and ``Selection`` objects and its canonical tuples, so an entry costs
+  its own tuples (about 4 KiB on the e2e corpus), and a hit reads each
+  score from the generator's skeleton memo, under the federation's
+  current statistics.  Nothing primes the table: a respawned process
+  worker starts it empty and fills it as it expands.
 * **keyword-level fragments**.  A query's expressions die when the
   engine releases it, and with them every fragment derived from
   them.  The fragments whose selections carry a single keyword are
@@ -68,13 +72,17 @@ from repro.obs.instruments import MetricsRegistry
 from repro.obs.records import OptimizerRecord
 from repro.plan.expressions import SPJ
 
-#: One cached expansion: ((atoms, joins, selections), score, matches)
-#: per conjunctive query -- the expression as its canonical value, to be
-#: re-interned on a hit -- in the generator's enumeration order (pre
+#: One cached expansion: ((atoms, joins, selections), matches) per
+#: conjunctive query, in the generator's enumeration order (pre
 #: upper-bound sort), the order that numbers the ``-cq{i}`` ids, so
 #: instantiating a template reproduces a fresh expansion's identifiers
-#: exactly.
-ExpansionTemplate = tuple[tuple[tuple, object, tuple], ...]
+#: exactly.  The parts are canonical (sorted, duplicate-free) and shared
+#: with the generator's memos and with every other template that uses
+#: them; a hit re-interns the expression from them.  No score and no
+#: ``SPJ``: a score is read off the generator's skeleton memo, which
+#: follows ``Federation.stats_epoch``, and the expression dies with the
+#: last query that uses it.
+ExpansionTemplate = tuple[tuple[tuple, tuple], ...]
 
 
 @dataclass

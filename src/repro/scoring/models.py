@@ -1,6 +1,8 @@
 """The three scoring models of Section 2.1, as MonotoneScore factories.
 
-Each factory takes a conjunctive query's expression plus the schema (for
+Each factory takes a conjunctive query's skeleton -- its atoms and
+joins; the candidate-network generator passes no selections, and shares
+the result among every query with that skeleton -- plus the schema (for
 edge/node costs) and per-relation statistics (for contribution caps) and
 returns the :class:`~repro.scoring.base.MonotoneScore` the paper's text
 describes:

@@ -12,13 +12,17 @@ Three invariants:
   every batch: prior reads can change the best plan.
 """
 
+import gc
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from repro.common.config import DelayModel, ExecutionConfig, SharingMode
 from repro.common.errors import QueryError
 from repro.data.database import Federation
+from repro.data.figure1 import figure1_federation
 from repro.data.inverted import InvertedIndex
 from repro.data.schema import Attribute, Relation, Schema, SchemaEdge
 from repro.keyword.candidates import CandidateNetworkGenerator
@@ -107,6 +111,11 @@ def chain_cq(cq_id="cq0", uq_id="uq0") -> ConjunctiveQuery:
     return ConjunctiveQuery(cq_id, uq_id, expr, score)
 
 
+def score_value(score: MonotoneScore) -> tuple:
+    """A score function as a value: weights, static, transform, caps."""
+    return (score.weights, score.static, score.transform_name, score.caps)
+
+
 class ReadingOracle(ReuseOracle):
     """A stub QS-manager oracle with scripted prior readings."""
 
@@ -156,6 +165,8 @@ class TestExpansionInterning:
             [cq.cq_id for cq in fresh.cqs]
         assert [cq.expr for cq in via_template.cqs] == \
             [cq.expr for cq in fresh.cqs]
+        assert [score_value(cq.score) for cq in via_template.cqs] == \
+            [score_value(cq.score) for cq in fresh.cqs]
 
     def test_case_variants_interned_separately(self, fed, index):
         """The intern key is case-exact: ``("Apple", "apple")`` expands
@@ -184,6 +195,167 @@ class TestExpansionInterning:
             with pytest.raises(QueryError):
                 generator.generate(KeywordQuery(kq_id, ("zzznothing",), k=K))
         assert repo.stats.expansion_hits == 0
+
+
+class TestSharedExpansionValues:
+    """One object per value: expansions share atoms, joins, selections
+    and scores, and a template holds parts, never a score."""
+
+    PAIRS = (("protein", "plasma membrane"), ("gene", "membrane"),
+             ("protein", "gene"), ("membrane", "transcription"))
+
+    def expand_all(self, generator, keyword_sets=PAIRS):
+        return [generator.generate(KeywordQuery(f"KQ{i}", keywords, k=K))
+                for i, keywords in enumerate(keyword_sets)]
+
+    def test_join_paths_share_atoms_and_joins(self, fed, index):
+        generator = CandidateNetworkGenerator(fed, index=index)
+        first, second = self.expand_all(generator, self.PAIRS[:2])
+        atoms = {}
+        joins = {}
+        for uq in (first, second):
+            for cq in uq.cqs:
+                for atom in cq.expr.atoms:
+                    assert atoms.setdefault(atom, atom) is atom
+                for join in cq.expr.joins:
+                    assert joins.setdefault(join, join) is join
+        common_atoms = {a for cq in first.cqs for a in cq.expr.atoms} & \
+            {a for cq in second.cqs for a in cq.expr.atoms}
+        common_joins = {j for cq in first.cqs for j in cq.expr.joins} & \
+            {j for cq in second.cqs for j in cq.expr.joins}
+        assert common_atoms and common_joins
+
+    def test_one_score_per_skeleton(self, fed, index):
+        generator = CandidateNetworkGenerator(fed, index=index)
+        cqs = [cq for uq in self.expand_all(generator) for cq in uq.cqs]
+        by_skeleton = {}
+        for cq in cqs:
+            by_skeleton.setdefault((cq.expr.atoms, cq.expr.joins),
+                                   []).append(cq.score)
+        assert any(len(scores) > 1 for scores in by_skeleton.values())
+        for scores in by_skeleton.values():
+            assert all(score is scores[0] for score in scores)
+        assert len({id(cq.score) for cq in cqs}) == len(by_skeleton)
+
+    def test_template_entries_carry_no_score(self, fed, index):
+        repo = PlanRepository(fed, config_for(SharingMode.ATC_FULL))
+        generator = CandidateNetworkGenerator(fed, index=index,
+                                              repository=repo)
+        uqs = self.expand_all(generator)
+        assert len(repo._expansions) == len(self.PAIRS)
+        for uq in uqs:
+            template = repo._expansions[
+                PlanRepository.expansion_key(uq.keywords)]
+            assert len(template) == len(uq.cqs)
+            for cq in uq.cqs:
+                # The template keeps enumeration order, which numbers
+                # the ids; the user query sorts by upper bound.
+                (atoms, joins, selections), matches = \
+                    template[int(cq.cq_id.rpartition("-cq")[2])]
+                assert (atoms, joins, selections) == \
+                    (cq.expr.atoms, cq.expr.joins, cq.expr.selections)
+                assert matches == cq.matches
+                parts = atoms + joins + selections + matches
+                assert not any(isinstance(part, (MonotoneScore, SPJ))
+                               for part in parts)
+
+    def test_memos_stay_under_their_caps(self, fed, index):
+        """Evicting selections and skeletons changes no expansion."""
+        warm = CandidateNetworkGenerator(fed, index=index)
+        warm.MAX_SELECTIONS = 2
+        warm.MAX_SKELETONS = 3
+        warm.MAX_KEYWORDS = 2
+        for _round in range(2):
+            for keywords in self.PAIRS:
+                kq = KeywordQuery("K", keywords, k=K)
+                fresh = CandidateNetworkGenerator(fed, index=index)
+                got, want = warm.generate(kq), fresh.generate(kq)
+                assert [cq.expr for cq in got.cqs] == \
+                    [cq.expr for cq in want.cqs]
+                assert [score_value(cq.score) for cq in got.cqs] == \
+                    [score_value(cq.score) for cq in want.cqs]
+        assert 0 < len(warm._selections) <= 2
+        assert 0 < len(warm._skeletons) <= 3
+        assert 0 < len(warm._matches) <= 2
+
+    def test_score_memo_holds_one_stats_epoch(self):
+        federation = figure1_federation(
+            seed=7, cardinalities=dict(TINY_FIG1_CARDS), domain_factor=0.7)
+        generator = CandidateNetworkGenerator(federation)
+        self.expand_all(generator)
+        federation.load("GI", [{"giId": 10_000, "gene": "zz", "relevance": 2}])
+        uq = generator.generate(KeywordQuery("KQ", ("protein",), k=K))
+        assert len(generator._skeletons) == \
+            len({(cq.expr.atoms, cq.expr.joins) for cq in uq.cqs})
+
+    def test_template_hit_after_load_reads_new_statistics(self):
+        """A cached expansion's upper bounds follow ``Federation.load``:
+        a hit scores under the statistics of the moment, exactly as a
+        fresh generator does."""
+        federation = figure1_federation(
+            seed=7, cardinalities=dict(TINY_FIG1_CARDS), domain_factor=0.7)
+        index = InvertedIndex(federation)
+        repo = PlanRepository(federation, config_for(SharingMode.ATC_FULL))
+        generator = CandidateNetworkGenerator(federation, index=index,
+                                              repository=repo)
+        keywords = ("protein", "plasma membrane")
+        before = generator.generate(KeywordQuery("KQ1", keywords, k=K))
+        assert any("UP" in cq.score.caps for cq in before.cqs)
+        federation.load("UP", [{"ac": 10_000, "nam": "zz",
+                                "relevance": 1000.0}])
+        hit = generator.generate(KeywordQuery("KQ2", keywords, k=K))
+        assert repo.stats.expansion_hits == 1
+        fresh = CandidateNetworkGenerator(federation, index=index).generate(
+            KeywordQuery("KQ2", keywords, k=K))
+        assert [score_value(cq.score) for cq in hit.cqs] == \
+            [score_value(cq.score) for cq in fresh.cqs]
+        assert {cq.score.caps["UP"] for cq in hit.cqs
+                if "UP" in cq.score.caps} == {1000.0}
+
+
+class TestExpansionTableBounded:
+    """What a cached expansion costs: its own tuples, nothing the
+    generator shares with other expansions."""
+
+    #: Bytes retained per template by the repository and generator
+    #: together (their memos included), figure-1 fixture: ~5.6 KiB with
+    #: shared values, ~37 KiB when each template kept private atoms,
+    #: joins, selections, matches and scores.
+    LIMIT = 12 * 1024
+
+    def keyword_sets(self, index):
+        vocabulary = index.vocabulary()
+        return (list(itertools.combinations(vocabulary[:9], 2))
+                + [(word,) for word in vocabulary[:4]])
+
+    def test_retained_bytes_per_template(self, fed, index):
+        keyword_sets = self.keyword_sets(index)
+        config = config_for(SharingMode.ATC_FULL)
+
+        def expand_all():
+            repo = PlanRepository(fed, config)
+            generator = CandidateNetworkGenerator(fed, index=index,
+                                                  repository=repo)
+            for i, keywords in enumerate(keyword_sets):
+                generator.generate(KeywordQuery(f"KQ{i}", keywords, k=K))
+            return repo, generator
+
+        # Once untraced, so that what the federation memoizes (relation
+        # statistics) is there before tracing starts.
+        expand_all()
+        gc.collect()
+        # Traced from before the repository exists: a block allocated
+        # before tracing began is not subtracted when it is freed.
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            repo, generator = expand_all()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(repo._expansions) == len(keyword_sets) == 40
+        assert retained / len(repo._expansions) < self.LIMIT
 
 
 # -- driving streams ----------------------------------------------------------
