@@ -209,21 +209,28 @@ class TestSharedExpansionValues:
                 for i, keywords in enumerate(keyword_sets)]
 
     def test_join_paths_share_atoms_and_joins(self, fed, index):
-        generator = CandidateNetworkGenerator(fed, index=index)
-        first, second = self.expand_all(generator, self.PAIRS[:2])
+        """Read off the templates: a live query's expression may be an
+        equal one another generator interned first."""
+        repo = PlanRepository(fed, config_for(SharingMode.ATC_FULL))
+        generator = CandidateNetworkGenerator(fed, index=index,
+                                              repository=repo)
+        self.expand_all(generator, self.PAIRS[:2])
+        first, second = repo._expansions.values()
         atoms = {}
         joins = {}
-        for uq in (first, second):
-            for cq in uq.cqs:
-                for atom in cq.expr.atoms:
+        for template in (first, second):
+            for entry in template:
+                cq_atoms, cq_joins, _selections = entry[0]
+                for atom in cq_atoms:
                     assert atoms.setdefault(atom, atom) is atom
-                for join in cq.expr.joins:
+                for join in cq_joins:
                     assert joins.setdefault(join, join) is join
-        common_atoms = {a for cq in first.cqs for a in cq.expr.atoms} & \
-            {a for cq in second.cqs for a in cq.expr.atoms}
-        common_joins = {j for cq in first.cqs for j in cq.expr.joins} & \
-            {j for cq in second.cqs for j in cq.expr.joins}
-        assert common_atoms and common_joins
+
+        def parts(template, index):
+            return {part for entry in template for part in entry[0][index]}
+
+        assert parts(first, 0) & parts(second, 0)
+        assert parts(first, 1) & parts(second, 1)
 
     def test_one_score_per_skeleton(self, fed, index):
         generator = CandidateNetworkGenerator(fed, index=index)
@@ -250,8 +257,10 @@ class TestSharedExpansionValues:
             for cq in uq.cqs:
                 # The template keeps enumeration order, which numbers
                 # the ids; the user query sorts by upper bound.
-                (atoms, joins, selections), matches = \
-                    template[int(cq.cq_id.rpartition("-cq")[2])]
+                entry = template[int(cq.cq_id.rpartition("-cq")[2])]
+                assert not any(isinstance(part, MonotoneScore)
+                               for part in entry)
+                (atoms, joins, selections), matches = entry
                 assert (atoms, joins, selections) == \
                     (cq.expr.atoms, cq.expr.joins, cq.expr.selections)
                 assert matches == cq.matches
