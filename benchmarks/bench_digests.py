@@ -5,7 +5,11 @@ that sharing shows up as less work: fewer stream reads plus fewer
 random-access probes, the cost breakdown of its Figure 8.  Each row of
 ``PINS`` is one serving cell -- a corpus, a service posture, a sharing
 mode and an open-loop load -- and running it must reproduce the row's
-answers digest and its four deterministic work counters exactly.
+answers digest and its six deterministic work counters exactly: stream
+reads and probes (the execution's input work), optimizer invocations
+and plans explored, and the optimizer's own work -- conjunctive
+queries planned and factorization ops applied -- so that an optimizer
+that does the same job twice fails a pin instead of only a clock.
 Everything runs on the virtual clock with the optimizer's wall time
 scaled to zero, so the rows are the same on every host and under every
 ``PYTHONHASHSEED``.  The tests after the table assert the paper's
@@ -90,6 +94,8 @@ class Pin(NamedTuple):
     probes: int
     invocations: int
     plans: int
+    cqs_planned: int
+    factorize_ops: int
 
     @property
     def cell(self) -> tuple:
@@ -104,67 +110,67 @@ class Pin(NamedTuple):
 PINS = [
     Pin("large", "shared", "ATC-CQ", 200, 60.0,
         "0d463dfcf4c8a6af3003a84911ca1f90e799cc0a6258172550a682570891359b",
-        298, 1938, 16, 16),
+        298, 1938, 16, 16, 319, 1373),
     Pin("large", "shared", "ATC-UQ", 200, 60.0,
         "a6d07451ce79a9d55d122cfcfb38276aaf50676e5d746ddfcafd776ca3c324a2",
-        321, 99, 16, 22),
+        321, 99, 16, 22, 319, 783),
     Pin("large", "shared", "ATC-FULL", 200, 60.0,
         "b2ebdbd41c50c9d13058c4d0fd12e3cc25c9089f5cec70cb26754152d81a5267",
-        421, 90, 4, 29),
+        421, 90, 4, 29, 319, 647),
     Pin("large", "shared", "ATC-CL", 200, 60.0,
         "b2ebdbd41c50c9d13058c4d0fd12e3cc25c9089f5cec70cb26754152d81a5267",
-        421, 90, 6, 27),
+        421, 90, 6, 27, 319, 660),
     Pin("large", "shared", "ATC-FULL", 80, 60.0,
         "0f0e61a084d2c51beb0c53b37a5b21fb3c64e6c1461b97d6627b4204cfea57e2",
-        421, 90, 4, 29),
+        421, 90, 4, 29, 319, 647),
     Pin("large", "solo", "ATC-FULL", 200, 20.0,
         "9dd5a3eab6a0caa363617ccd85c69d60b99ab51c6de1c5e8dce9170383c05a67",
-        715, 1137, 40, 495),
+        715, 1137, 40, 495, 3942, 6388),
     Pin("large", "solo", "ATC-CQ", 200, 60.0,
         "0d463dfcf4c8a6af3003a84911ca1f90e799cc0a6258172550a682570891359b",
-        3103, 10715, 198, 198),
+        3103, 10715, 198, 198, 3903, 16845),
     Pin("large", "solo", "ATC-UQ", 200, 60.0,
         "a6d07451ce79a9d55d122cfcfb38276aaf50676e5d746ddfcafd776ca3c324a2",
-        3230, 1532, 199, 270),
+        3230, 1532, 199, 270, 3922, 9545),
     Pin("large", "solo", "ATC-FULL", 200, 60.0,
         "3efc440ef9e5c60952d3f92dee4586c885d34b045db1cd28055cb928079f5720",
-        646, 731, 40, 525),
+        646, 731, 40, 525, 3922, 6324),
     Pin("large", "solo", "ATC-CL", 200, 60.0,
         "45ca9d692affe5da145b5328c59804442e0a0883d18a53a2fa0c4bb35ec66cf1",
-        503, 1087, 99, 577),
+        503, 1087, 99, 577, 3922, 6636),
     Pin("large", "solo", "ATC-FULL", 200, 180.0,
         "6b17028d4468746db32bee970f9239ac666beedb5fdcb33b017fcdb33a53b197",
-        590, 241, 40, 523),
+        590, 241, 40, 523, 3923, 6309),
     Pin("large", "solo", "ATC-FULL", 80, 60.0,
         "a3df9febf055479afb7572c8366ede2ab96ab201538de06e2d060c420078de7b",
-        527, 191, 16, 192),
+        527, 191, 16, 192, 1559, 2604),
     Pin("small", "shared", "ATC-CQ", 200, 60.0,
         "49e0369fabd467a8a2fb84a2913cc0f2d2d1bbc4a6d22842066a246be15d6ccc",
-        2759, 228, 16, 16),
+        2759, 228, 16, 16, 318, 1370),
     Pin("small", "shared", "ATC-UQ", 200, 60.0,
         "005531551c596935b014d003c24f3111bed2d175953365dc8ec8d86af4ec2012",
-        2537, 61, 16, 23),
+        2537, 61, 16, 23, 318, 722),
     Pin("small", "shared", "ATC-FULL", 200, 60.0,
         "f2a34505ea0bab1307cdeb17c42278dfa2f22fe3da1e5c23e57e9ba770da424a",
-        2202, 61, 4, 141),
+        2202, 61, 4, 141, 318, 569),
     Pin("small", "shared", "ATC-CL", 200, 60.0,
         "568680a9d23e7bb0d44d28355d4b983d1c1a07c912bfa2f204f6e8c0879236fd",
-        2277, 61, 6, 100),
+        2277, 61, 6, 100, 318, 571),
     Pin("small", "shared/reneging", "ATC-FULL", 200, 60.0,
         "b681bfbd317e2dcd8be703758b0ec1bf77a812a4572e4add1d0734a4bb3d8f1b",
-        2202, 61, 4, 141),
+        2202, 61, 4, 141, 318, 569),
     Pin("small", "solo", "ATC-FULL", 200, 60.0,
         "fcb4c1f817efc7117f6d0d46ad7141bb7a50b61903f0acbe6126a5e5c38caff0",
-        2672, 289, 40, 1378),
+        2672, 289, 40, 1378, 3971, 5844),
     Pin("small", "solo/reneging", "ATC-FULL", 200, 60.0,
         "d2a8f755f8179410a673e7635398ab48480d5837f88c2cecc75c65e6fdc3fee0",
-        2687, 173, 40, 1441),
+        2687, 173, 40, 1441, 3952, 5808),
     Pin("small", "hash/4", "ATC-FULL", 200, 60.0,
         "bbf13ed523162ae9770310b28dfe728033d632b256198331b92b61ed19de3456",
-        2465, 180, 5, 113),
+        2465, 180, 5, 113, 318, 621),
     Pin("small", "cluster/4", "ATC-FULL", 200, 60.0,
         "e7ea6a18c1768a3c63cc0e86b131b96a574b848b0d1426178e26f10b8e06b500",
-        2320, 183, 4, 88),
+        2320, 183, 4, 88, 318, 560),
 ]
 
 
@@ -250,10 +256,13 @@ def serve(cell: tuple) -> Outcome:
     print(f"\n{cell}: {time.perf_counter() - started:.2f}s wall, optimizer "
           f"{tel.optimizer_wall:.2f}s")
     metrics = report.engine_metrics()
+    records = metrics.optimizer_records
     return Outcome(
         Pin(*cell, answers_digest(report.tickets),
             metrics.stream_tuples_read, metrics.probes_performed,
-            tel.optimizer_invocations, tel.plans_explored),
+            tel.optimizer_invocations, tel.plans_explored,
+            sum(r.cqs_planned for r in records),
+            sum(r.factorize_ops for r in records)),
         published,
         # A detached copy: the live one publishes into the service.
         Telemetry.merged([tel]),

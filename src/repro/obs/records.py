@@ -85,12 +85,16 @@ class UQRecord:
 
 @dataclass
 class OptimizerRecord:
-    """One optimizer invocation: search-space size vs time spent."""
+    """One optimizer invocation: search-space size vs time spent, and
+    the work counted in units that do not depend on the host: the
+    conjunctive queries planned and the factorization ops applied."""
 
     candidate_count: int
     plans_explored: int
     elapsed_wall: float
     batch_size: int
+    cqs_planned: int = 0
+    factorize_ops: int = 0
 
 
 @dataclass

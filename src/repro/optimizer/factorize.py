@@ -114,6 +114,17 @@ class FactorizedPlan:
     cq_probe_atoms: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
+#: Join/absorb ops applied by every factorization in this process.
+_ops_applied = 0
+
+
+def ops_applied() -> int:
+    """How many join/absorb ops every factorization in this process has
+    applied so far.  The optimizer records the difference across one
+    invocation, so an invocation that factorizes twice counts both."""
+    return _ops_applied
+
+
 #: op key forms: ("join", idA, idB, combined_expr), idA's value key
 #: first, or ("absorb", idA, probe_alias, combined_expr); without sharing
 #: the owning CQ's id is appended, so no op is common to two queries.
@@ -195,6 +206,8 @@ class Factorization:
         """Apply one op for every CQ in its support and bring the op
         table up to date: the support's CQs are the only ones whose
         regions changed, so they alone leave the table and re-enter it."""
+        global _ops_applied
+        _ops_applied += 1
         support = self.ops[key]
         self._merge_regions(key, support)
         members = [cq for cq in self.cqs if cq.cq_id in support]

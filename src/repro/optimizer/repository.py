@@ -67,7 +67,7 @@ from repro.optimizer.candidates import (
     enumerate_candidates,
 )
 from repro.optimizer.cost import CostModel, ReuseOracle
-from repro.optimizer.factorize import FactorizedPlan, factorize
+from repro.optimizer.factorize import FactorizedPlan, factorize, ops_applied
 from repro.obs.instruments import MetricsRegistry
 from repro.obs.records import OptimizerRecord
 from repro.plan.expressions import SPJ
@@ -186,6 +186,7 @@ class PlanRepository:
         """Optimize one batch group: driving streams, candidates, best
         plan (Algorithm 1), factorized plan."""
         started = wall_timer()
+        applied_before = ops_applied()
         config = self.config
         sharing = config.shares_within_uq
         cqs = [cq for uq in uqs for cq in uq.cqs]
@@ -210,6 +211,8 @@ class PlanRepository:
             plans_explored=result.plans_explored,
             elapsed_wall=wall_timer() - started,
             batch_size=len(uqs),
+            cqs_planned=len(cqs),
+            factorize_ops=ops_applied() - applied_before,
         )
         return OptimizeOutcome(plan=plan, record=record)
 
