@@ -26,13 +26,15 @@ so the paper prunes:
 
 from __future__ import annotations
 
+import weakref
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.common.config import ExecutionConfig
 from repro.data.database import Federation
 from repro.keyword.queries import ConjunctiveQuery
 from repro.optimizer.cost import CostModel
-from repro.plan.expressions import SPJ
+from repro.plan.expressions import SPJ, Atom, JoinPred
 
 #: Largest push-down fragment, in atoms.
 MAX_PUSHDOWN_SIZE = 3
@@ -132,6 +134,70 @@ def _has_score(expr: SPJ, federation: Federation) -> bool:
     )
 
 
+class _PushdownSubsets:
+    """One federation's push-down alias subsets, per skeleton.
+
+    Whether the sites can evaluate a fragment and whether it carries a
+    score (:func:`_pushable`, :func:`_has_score`) read its atoms, its
+    joins and the federation's schema and site placement, never its
+    selections.  So the fragments of 2..``MAX_PUSHDOWN_SIZE`` atoms
+    that pass both are a function of the query's *skeleton* -- its
+    atoms and joins -- and are found once per skeleton, then induced
+    from every query with that skeleton.  Keyed by the parts, not by an
+    expression, the memo keeps no expression alive; FIFO under
+    :attr:`MAX_SKELETONS`, like the candidate-network generator's
+    memos.
+    """
+
+    MAX_SKELETONS = 8192
+
+    def __init__(self, federation: Federation) -> None:
+        self.federation = federation
+        self._subsets: dict[tuple, tuple[frozenset[str], ...]] = {}
+
+    def __call__(self, atoms: tuple[Atom, ...], joins: tuple[JoinPred, ...]
+                 ) -> tuple[frozenset[str], ...]:
+        key = (atoms, joins)
+        found = self._subsets.get(key)
+        if found is None:
+            found = tuple(self._passing(atoms, joins))
+            self._subsets[key] = found
+            while len(self._subsets) > self.MAX_SKELETONS:
+                self._subsets.pop(next(iter(self._subsets)))
+        return found
+
+    def _passing(self, atoms: tuple[Atom, ...], joins: tuple[JoinPred, ...]
+                 ) -> Iterator[frozenset[str]]:
+        """The skeleton's connected alias subsets whose fragment passes
+        both filters, in enumeration order.  Each fragment is interned
+        apart from any query's ``induced`` memo."""
+        skeleton = SPJ._intern(atoms, joins, ())
+        for subset in skeleton.connected_alias_subsets(
+                2, min(MAX_PUSHDOWN_SIZE, len(atoms))):
+            fragment = SPJ._intern(
+                tuple(a for a in atoms if a.alias in subset),
+                tuple(j for j in joins if j.left_alias in subset
+                      and j.right_alias in subset),
+                ())
+            if _pushable(fragment, self.federation) \
+                    and _has_score(fragment, self.federation):
+                yield subset
+
+
+#: Federation -> its push-down subsets memo; weak, so a memo dies with
+#: its federation.
+_PUSHDOWN_SUBSETS: weakref.WeakKeyDictionary[Federation, _PushdownSubsets] \
+    = weakref.WeakKeyDictionary()
+
+
+def pushdown_subsets(federation: Federation) -> _PushdownSubsets:
+    """``federation``'s memo of push-down alias subsets per skeleton."""
+    memo = _PUSHDOWN_SUBSETS.get(federation)
+    if memo is None:
+        memo = _PUSHDOWN_SUBSETS[federation] = _PushdownSubsets(federation)
+    return memo
+
+
 def enumerate_candidates(cqs: list[ConjunctiveQuery],
                          federation: Federation,
                          cost_model: CostModel,
@@ -148,16 +214,16 @@ def enumerate_candidates(cqs: list[ConjunctiveQuery],
     if not sharing:
         return []
     # The OR level of Section 5.1.2's AND-OR memo: every connected
-    # fragment of 2..MAX_PUSHDOWN_SIZE atoms, with the CQs it occurs in.
-    # Singletons are enumerated, then skipped: every enumerated
-    # fragment lands in its query's ``induced`` memo, which is what the
-    # plan repository's keyword table keeps.
+    # fragment of 2..MAX_PUSHDOWN_SIZE atoms the sites can evaluate and
+    # that carries a score, with the CQs it occurs in.  Only those
+    # fragments are induced (each lands in its query's ``induced``
+    # memo, which is what the plan repository's keyword table keeps).
+    subsets_of = pushdown_subsets(federation)
     fragments: dict[SPJ, set[str]] = {}
     for cq in cqs:
-        for fragment in cq.expr.connected_subexpressions(
-                min_size=1, max_size=min(MAX_PUSHDOWN_SIZE, cq.expr.size)):
-            if fragment.size > 1:
-                fragments.setdefault(fragment, set()).add(cq.cq_id)
+        expr = cq.expr
+        for subset in subsets_of(expr.atoms, expr.joins):
+            fragments.setdefault(expr.induced(subset), set()).add(cq.cq_id)
 
     small_result_cqs = {
         cq.cq_id for cq in cqs
@@ -166,10 +232,6 @@ def enumerate_candidates(cqs: list[ConjunctiveQuery],
 
     out: list[InputCandidate] = []
     for expr, queries in fragments.items():
-        if not _pushable(expr, federation):
-            continue
-        if not _has_score(expr, federation):
-            continue
         consumers = frozenset(queries)
         # Heuristic 1: small-result queries do not contribute their
         # subexpressions unless a larger shared set exists.

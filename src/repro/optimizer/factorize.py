@@ -17,27 +17,38 @@ diverge.  The loop ends when every query is computed by a single
 component (or directly by a source), which becomes the stream its
 rank-merge consumes.
 
-The loop is incremental (:class:`Factorization`).  Applying an op
-rewrites the regions of the queries in its support and of no one else,
-so the table of applicable ops is maintained, not rebuilt: each query
-keeps the list of ops it supports, and after an op only the queries in
-its support leave the table and are enumerated again.  An op's rank
-addends -- the cost model's cardinality estimate of the expression it
-builds and its tie-break -- are computed once, when the op enters the
-table.  The tie-break is total and reads values only (kind, the value
-keys of the nodes merged, and the combined expression's
-:attr:`~repro.plan.expressions.SPJ.order_key`), so which of two tied
-ops wins depends neither on the order of the batch nor on how node ids
-are digested.  Every node gets its value key when it is created --
-(kind, ``order_key``, owner, then its children's value keys and probe
-atoms) -- and every ordering over nodes reads it, ``stream_children``
-(the m-join's supplier order) too.  An id is only an identity: two
-equal ids are the graft.
+The loop is incremental (:class:`Factorization`): the table of
+applicable ops is maintained, not rebuilt, and the best op is read off
+a heap, not found by a scan.  Applying an op rewrites, in the queries
+of its support and in no one else, only the regions it absorbed.  So
+each query keeps the list of ops it supports; after an op, only its
+ops that touch an absorbed node (or the absorbed probe atom) leave the
+table, and only the ops that pair the new component with the query's
+other regions and pending probes enter it -- the same loop that, run
+over every region, fills the table at construction.  An op's rank is
+``(-|support|, estimate, tie-break)``; the addends -- the cost model's
+cardinality estimate of the expression it builds and its tie-break --
+are computed once, when the op enters the table.  Each change of an
+op's support pushes a heap entry carrying the new support size; an
+entry whose size no longer matches its op's support is stale and is
+dropped when it surfaces, so the top live entry is the ``min`` of the
+total order over the table.  A set of the queries not yet computed by
+one node says when the loop is done.  The tie-break is total and reads
+values only (kind, the value keys of the nodes merged, and the
+combined expression's :attr:`~repro.plan.expressions.SPJ.order_key`),
+so which of two tied ops wins depends neither on the order of the
+batch nor on how node ids are digested.  Every node gets its value key
+when it is created -- (kind, ``order_key``, owner, then its children's
+value keys and probe atoms) -- and every ordering over nodes reads it,
+``stream_children`` (the m-join's supplier order) too.  An id is only
+an identity: two equal ids are the graft.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
+import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -129,19 +140,29 @@ def ops_applied() -> int:
 #: first, or ("absorb", idA, probe_alias, combined_expr); without sharing
 #: the owning CQ's id is appended, so no op is common to two queries.
 _OpKey = tuple
+#: One op's table record: its support (the CQs it is common to), then
+#: its rank addends -- the estimated cardinality of the expression it
+#: builds and its tie-break by value.  The support set is the op's
+#: identity in the heap: it is created with the record and dropped,
+#: empty, with it.
+_OpRecord = tuple[set[str], float, tuple]
 
 
 class Factorization:
     """The region-merging state of one batch, maintained incrementally.
 
-    Per CQ: its regions (node id -> covered aliases) and pending probe
-    atoms.  Over the batch: the *op table*, every applicable
-    join/absorb op with the set of CQs it is common to (its support).
-    Applying an op rewrites the regions of the CQs in its support and
-    of nobody else, so only their ops are re-enumerated; an op's rank
-    addends -- the estimated cardinality of the expression it builds
-    and its tie-break by value -- are computed once, when the op first
-    enters the table.
+    Per CQ: its regions (node id -> covered aliases), its pending probe
+    atoms and the ops it supports.  Over the batch: the *op table*,
+    every applicable join/absorb op with its support and its rank
+    addends (computed once, when the op enters the table), a heap over
+    the ops' rank, and the set of CQs not yet computed by one node.
+    Applying an op rewrites, in the CQs of its support only, the
+    regions it absorbed: only the ops touching those (or the absorbed
+    probe) leave, and only the ops pairing the new component with the
+    CQ's other regions and pending probes enter.  Every change of an
+    op's support pushes a heap entry; an entry whose support has
+    changed size since it was pushed is stale and skipped when it
+    surfaces.
     """
 
     def __init__(self, result: BestPlanResult, cqs: list[ConjunctiveQuery],
@@ -176,54 +197,100 @@ class Factorization:
                     self.keys[source_id] = value_key
                 self.regions[cq_id][source_id] = frozenset(expr.aliases)
 
-        #: op -> the CQs it is common to.
-        self.ops: dict[_OpKey, set[str]] = {}
-        #: op -> (estimated cardinality, tie-break), fixed per op.
-        self._rank: dict[_OpKey, tuple[float, tuple]] = {}
-        #: CQ -> the ops it currently supports.
-        self._cq_ops: dict[str, list[_OpKey]] = {}
-        for cq in cqs:
-            self._enumerate(cq)
-
-    def work_left(self) -> list[str]:
-        """The CQs not yet computed by a single node."""
-        return [
-            cq.cq_id for cq in self.cqs
+        #: CQ id -> the CQ, and its position in the batch.
+        self._cq_by_id = {cq.cq_id: cq for cq in cqs}
+        self._position = {cq.cq_id: i for i, cq in enumerate(cqs)}
+        #: The CQs not yet computed by a single node.
+        self.unfinished = {
+            cq.cq_id for cq in cqs
             if len(self.regions[cq.cq_id]) > 1
             or self.pending_probes[cq.cq_id]
+        }
+        #: op -> its record.
+        self._table: dict[_OpKey, _OpRecord] = {}
+        #: CQ -> the ops it currently supports, with their records.
+        self._cq_ops: dict[str, list[tuple[_OpKey, _OpRecord]]] = {}
+        for cq in cqs:
+            self._cq_ops[cq.cq_id] = []
+            self._enter(cq, sorted(self.regions[cq.cq_id],
+                                   key=self.keys.__getitem__), [])
+        self._pushes = itertools.count()
+        #: (-|support|, estimate, tie-break, push number, op, support).
+        self._heap = [
+            (-len(support), estimate, tie, next(self._pushes), key, support)
+            for key, (support, estimate, tie) in self._table.items()
         ]
+        heapq.heapify(self._heap)
+
+    @property
+    def ops(self) -> dict[_OpKey, set[str]]:
+        """Every applicable op with its support."""
+        return {key: record[0] for key, record in self._table.items()}
+
+    @property
+    def ranks(self) -> dict[_OpKey, tuple[float, tuple]]:
+        """Every applicable op's rank addends."""
+        return {key: record[1:] for key, record in self._table.items()}
+
+    def work_left(self) -> list[str]:
+        """The CQs not yet computed by a single node, in batch order."""
+        return sorted(self.unfinished, key=self._position.__getitem__)
 
     def best_op(self) -> _OpKey | None:
         """The op common to the most queries, ties toward the most
         selective, then by a total order on the op itself -- never by
         where the op sits in the table."""
-        ops, rank = self.ops, self._rank
-        if not ops:
-            return None
-        return min(ops, key=lambda key: (-len(ops[key]), *rank[key]))
+        heap = self._heap
+        while heap:
+            top = heap[0]
+            if len(top[5]) == -top[0]:
+                return top[4]
+            heapq.heappop(heap)
+        return None
 
     def apply(self, key: _OpKey) -> None:
         """Apply one op for every CQ in its support and bring the op
-        table up to date: the support's CQs are the only ones whose
-        regions changed, so they alone leave the table and re-enter it."""
+        table up to date: in the support's CQs, the ops touching what
+        the op absorbed leave, and the ops of the new component enter."""
         global _ops_applied
         _ops_applied += 1
-        support = self.ops[key]
-        self._merge_regions(key, support)
-        members = [cq for cq in self.cqs if cq.cq_id in support]
-        for cq in members:
-            for stale in self._cq_ops[cq.cq_id]:
-                remaining = self.ops[stale]
-                remaining.discard(cq.cq_id)
-                if not remaining:
-                    del self.ops[stale]
-                    del self._rank[stale]
-        for cq in members:
-            self._enumerate(cq)
+        support = self._table[key][0]
+        members = sorted(support, key=self._position.__getitem__)
+        absorbed, comp_id = self._merge_regions(key, support)
+        probe = key[2] if key[0] == "absorb" else None
+        changed: list[tuple[_OpKey, _OpRecord]] = []
+        for cq_id in members:
+            kept = []
+            for entry in self._cq_ops[cq_id]:
+                op = entry[0]
+                if op[1] in absorbed or (
+                        op[2] in absorbed if op[0] == "join"
+                        else op[2] == probe):
+                    op_support = entry[1][0]
+                    op_support.discard(cq_id)
+                    if op_support:
+                        changed.append(entry)
+                    else:
+                        del self._table[op]
+                else:
+                    kept.append(entry)
+            self._cq_ops[cq_id] = kept
+        for cq_id in members:
+            self._enter(self._cq_by_id[cq_id], (comp_id,), changed)
+            if len(self.regions[cq_id]) == 1 \
+                    and not self.pending_probes[cq_id]:
+                self.unfinished.discard(cq_id)
+        heap, pushes = self._heap, self._pushes
+        for op, (op_support, estimate, tie) in changed:
+            if op_support:
+                heapq.heappush(heap, (-len(op_support), estimate, tie,
+                                      next(pushes), op, op_support))
 
-    def _merge_regions(self, key: _OpKey, support: set[str]) -> None:
+    def _merge_regions(self, key: _OpKey, support: set[str]
+                       ) -> tuple[list[str], str]:
         """Build (or grow) the component an op stands for and make it
-        the region of every supporting CQ."""
+        the region of every supporting CQ; return the node ids it
+        absorbed and its own."""
         plan = self.plan
         kind = key[0]
         combined: SPJ = key[3]
@@ -277,39 +344,55 @@ class Factorization:
             cq_regions[comp_id] = combined_aliases
             if kind == "absorb":
                 self.pending_probes[cq_id].discard(key[2])
+        return absorbed_ids, comp_id
 
-    def _enumerate(self, cq: ConjunctiveQuery) -> None:
-        """Enter every op applicable to ``cq``'s current regions."""
-        keys = self._cq_ops[cq.cq_id] = []
+    def _enter(self, cq: ConjunctiveQuery, fresh: Iterable[str],
+               changed: list[tuple[_OpKey, _OpRecord]]) -> None:
+        """Enter every op of ``cq`` that involves a node of ``fresh``:
+        each joins it to another region it is adjacent to, or absorbs a
+        pending probe atom into it.  At construction ``fresh`` is every
+        region; after an op, the component it made."""
+        cq_id = cq.cq_id
         expr = cq.expr
-        owner = () if self.sharing else (cq.cq_id,)
+        owner = () if self.sharing else (cq_id,)
         node_keys = self.keys
-        region_items = sorted(self.regions[cq.cq_id].items(),
-                              key=lambda item: node_keys[item[0]])
-        probes = sorted(self.pending_probes[cq.cq_id])
-        for i, (id_a, aliases_a) in enumerate(region_items):
-            for id_b, aliases_b in region_items[i + 1:]:
-                if _adjacent(expr, aliases_a, aliases_b):
-                    keys.append(("join", id_a, id_b,
-                                 expr.induced(aliases_a | aliases_b), *owner))
+        regions = self.regions[cq_id]
+        probes = sorted(self.pending_probes[cq_id])
+        table = self._table
+        cq_ops = self._cq_ops[cq_id]
+        entered: set[str] = set()
+        for id_a in fresh:
+            aliases_a = regions[id_a]
+            new: list[_OpKey] = []
+            for id_b, aliases_b in regions.items():
+                if id_b != id_a and id_b not in entered \
+                        and _adjacent(expr, aliases_a, aliases_b):
+                    pair = (id_a, id_b) \
+                        if node_keys[id_a] < node_keys[id_b] else (id_b, id_a)
+                    new.append(("join", *pair,
+                                expr.induced(aliases_a | aliases_b), *owner))
             for probe_alias in probes:
                 if _adjacent(expr, aliases_a, (probe_alias,)):
-                    keys.append(("absorb", id_a, probe_alias,
-                                 expr.induced(aliases_a | {probe_alias}),
-                                 *owner))
-        for key in keys:
-            support = self.ops.get(key)
-            if support is None:
-                self.ops[key] = {cq.cq_id}
-                combined: SPJ = key[3]
-                self._rank[key] = (
-                    self.cost_model.est_cardinality(combined),
-                    (key[0], node_keys[key[1]],
-                     node_keys[key[2]] if key[0] == "join" else key[2],
-                     combined.order_key, *owner),
-                )
-            else:
-                support.add(cq.cq_id)
+                    new.append(("absorb", id_a, probe_alias,
+                                expr.induced(aliases_a | {probe_alias}),
+                                *owner))
+            entered.add(id_a)
+            for key in new:
+                record = table.get(key)
+                if record is None:
+                    combined: SPJ = key[3]
+                    record = table[key] = (
+                        {cq_id},
+                        self.cost_model.est_cardinality(combined),
+                        (key[0], node_keys[key[1]],
+                         node_keys[key[2]] if key[0] == "join" else key[2],
+                         combined.order_key, *owner),
+                    )
+                else:
+                    record[0].add(cq_id)
+                entry = (key, record)
+                cq_ops.append(entry)
+                changed.append(entry)
 
     def finish(self) -> FactorizedPlan:
         """Record which node computes each CQ."""
@@ -338,7 +421,7 @@ def factorize(result: BestPlanResult, cqs: list[ConjunctiveQuery],
     """
     state = Factorization(result, cqs, cost_model, scope, sharing)
     guard = 0
-    while state.work_left():
+    while state.unfinished:
         guard += 1
         if guard > 10_000:
             raise OptimizationError(

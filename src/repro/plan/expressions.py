@@ -22,10 +22,10 @@ Three facilities matter for the paper's algorithms:
   cost of one sort when no relation repeats; the key is one digest.
 
 * **Connected subexpression enumeration**
-  (:meth:`SPJ.connected_subexpressions`): push-down candidate
+  (:meth:`SPJ.connected_alias_subsets`): push-down candidate
   enumeration (the fragment table that stands in for Section 5.1.2's
-  AND-OR memo) iterates over the connected induced fragments of each
-  query.
+  AND-OR memo) reads the connected alias subsets of each query's
+  skeleton and induces the ones its filters keep.
 """
 
 from __future__ import annotations
@@ -51,15 +51,34 @@ class Atom:
     ``alias`` is unique within the expression; ``relation`` names the
     schema relation.  The same relation may appear under several
     aliases (self-joins through synonym tables, etc.).
+
+    The three part classes (this one, :class:`Selection` and
+    :class:`JoinPred`) hash once, at construction, into a slot: every
+    intern-table lookup hashes an expression's parts, and the slot holds
+    exactly what the generated dataclass hash would return, so no set or
+    dict of parts iterates in another order.
     """
+
+    __slots__ = ("alias", "relation", "_hash")
 
     alias: str
     relation: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.alias, self.relation)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (Atom, (self.alias, self.relation))
 
 
 @dataclass(frozen=True, order=True)
 class Selection:
     """A predicate ``alias.attr <op> value`` applied at one atom."""
+
+    __slots__ = ("alias", "attr", "op", "value", "_hash")
 
     alias: str
     attr: str
@@ -72,6 +91,14 @@ class Selection:
                 f"unknown selection operator {self.op!r}; "
                 f"expected one of {SELECTION_OPS}"
             )
+        object.__setattr__(self, "_hash", hash(
+            (self.alias, self.attr, self.op, self.value)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (Selection, (self.alias, self.attr, self.op, self.value))
 
     def matches(self, row_values: Mapping[str, object]) -> bool:
         """Evaluate this predicate against a raw row's values."""
@@ -96,10 +123,25 @@ class JoinPred:
     equal.
     """
 
+    __slots__ = ("left_alias", "left_attr", "right_alias", "right_attr",
+                 "_hash")
+
     left_alias: str
     left_attr: str
     right_alias: str
     right_attr: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(
+            (self.left_alias, self.left_attr, self.right_alias,
+             self.right_attr)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (JoinPred, (self.left_alias, self.left_attr,
+                           self.right_alias, self.right_attr))
 
     @classmethod
     def normalized(cls, alias_a: str, attr_a: str,
@@ -134,6 +176,9 @@ class JoinPred:
 #: an expression nobody references any more leaves the table with it.
 _INTERNED: weakref.WeakValueDictionary[tuple, SPJ] = \
     weakref.WeakValueDictionary()
+#: The table's own key -> weak reference dict, read directly on a hit
+#: (``data`` is not in the typing stubs, hence ``getattr``).
+_INTERNED_REFS: dict[tuple, weakref.ref] = getattr(_INTERNED, "data")
 _INTERN_LOCK = threading.Lock()
 
 
@@ -212,9 +257,14 @@ class SPJ:
         guarantees are already canonical: sorted, duplicate-free and
         referencing only aliases of ``atoms``."""
         key = (atoms, joins, selections)
-        found = _INTERNED.get(key)
-        if found is not None:
-            return found
+        # The hit path reads the table's own dict: a live entry's weak
+        # reference answers the object, a dead one ``None``, which the
+        # locked path below settles.
+        ref = _INTERNED_REFS.get(key)
+        if ref is not None:
+            found = ref()
+            if found is not None:
+                return found
         with _INTERN_LOCK:
             found = _INTERNED.get(key)
             if found is None:
@@ -340,13 +390,19 @@ class SPJ:
         """
         if max_size is None:
             max_size = self.size
+        for subset in self.connected_alias_subsets(min_size, max_size):
+            yield self.induced(subset)
+
+    def connected_alias_subsets(self, min_size: int, max_size: int
+                                ) -> tuple[frozenset[str], ...]:
+        """The alias subsets :meth:`connected_subexpressions` induces,
+        smallest first, memoized per (min, max) window."""
         memo = self.__dict__.setdefault("_fragment_cache", {})
         subsets = memo.get((min_size, max_size))
         if subsets is None:
             subsets = tuple(self._enumerate_connected(min_size, max_size))
             memo[(min_size, max_size)] = subsets
-        for subset in subsets:
-            yield self.induced(subset)
+        return subsets
 
     def _enumerate_connected(self, min_size: int, max_size: int
                              ) -> Iterator[frozenset[str]]:

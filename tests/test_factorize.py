@@ -1,21 +1,36 @@
 """Tests for the Section 5.2 plan-graph factorization."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import ExecutionConfig
+from repro.data.database import Federation
+from repro.data.figure1 import figure1_federation
+from repro.data.inverted import InvertedIndex
 from repro.data.schema import Attribute, Relation, Schema, SchemaEdge
+from repro.keyword.candidates import CandidateNetworkGenerator
+from repro.keyword.queries import KeywordQuery
 from repro.optimizer.bestplan import BestPlanResult, BestPlanSearch
-from repro.optimizer.candidates import enumerate_candidates, streamable_aliases
+from repro.optimizer.candidates import (
+    driving_stream_aliases,
+    enumerate_candidates,
+    pushdown_subsets,
+    streamable_aliases,
+)
 from repro.optimizer.cost import CostModel
 from repro.optimizer.factorize import Factorization, factorize
 from repro.plan.expressions import SPJ, Atom, JoinPred, Selection, make_chain
 
 from tests.conftest import (
+    TINY_FIG1_CARDS,
     abc_expr,
+    e2e_corpus,
     load_triple_federation,
     make_cq,
+    make_triple_schema,
     populate_random,
 )
 
@@ -317,6 +332,35 @@ def ops_from_scratch(state):
     return ops
 
 
+def ranks_from_scratch(state, cost, ops):
+    """Every op's rank addends, computed afresh."""
+    return {
+        key: (cost.est_cardinality(key[3]),
+              (key[0], state.keys[key[1]],
+               state.keys[key[2]] if key[0] == "join" else key[2],
+               key[3].order_key, *key[4:]))
+        for key in ops
+    }
+
+
+def check_against_rescan(state, cost):
+    """Factorize ``state`` to the end, checking before every apply and
+    after the last that the maintained op table, its ranks and the op
+    the heap picks equal a from-scratch rebuild and the ``min`` over it
+    that ``best_op`` used to take; return the finished plan."""
+    while state.work_left():
+        ops = ops_from_scratch(state)
+        ranks = ranks_from_scratch(state, cost, ops)
+        assert state.ops == ops
+        assert state.ranks == ranks
+        key = min(ops, key=lambda k: (-len(ops[k]), *ranks[k]))
+        assert state.best_op() == key
+        state.apply(key)
+    assert state.ops == ops_from_scratch(state) == {}
+    assert state.best_op() is None
+    return state.finish()
+
+
 class TestIncrementalOpTable:
     @given(chain_batches())
     @settings(max_examples=60, deadline=None)
@@ -324,25 +368,108 @@ class TestIncrementalOpTable:
         batch, sharing = drawn
         cost = CostModel(chain_fed, ExecutionConfig(k=5, seed=1))
         cqs, result = build_batch(chain_fed, batch)
-
-        def rank(ops, key):
-            second = state.keys[key[2]] if key[0] == "join" else key[2]
-            return (-len(ops[key]), cost.est_cardinality(key[3]),
-                    (key[0], state.keys[key[1]], second, key[3].order_key,
-                     *key[4:]))
-
         state = Factorization(result, cqs, cost, "g", sharing)
-        while state.work_left():
-            ops = ops_from_scratch(state)
-            assert state.ops == ops
-            key = min(ops, key=lambda k: rank(ops, k))
-            assert state.best_op() == key
-            state.apply(key)
-        assert state.ops == ops_from_scratch(state)
-        reference = state.finish()
+        reference = check_against_rescan(state, cost)
         assert factorize(result, cqs, cost, "g", sharing=sharing) == reference
         for cq in cqs:
             final = reference.cq_final[cq.cq_id]
             spec = reference.components.get(final)
             covered = spec.expr if spec else reference.sources[final].expr
             assert covered == cq.expr
+
+    @pytest.mark.parametrize("sharing", [True, False])
+    def test_an_op_that_loses_part_of_its_support_stays_ranked(
+            self, chain_fed, sharing):
+        """R0 |X| R1 |X| R2 streamed atom by atom, beside R0 |X| R1 and
+        R1 |X| R2 streamed the same way: the two joins at R1 tie at
+        support 2, and whichever goes first takes R1 from the middle
+        query, so the other keeps only its second query.  Its heap entry
+        must follow, or the query it still serves never finishes."""
+        cost = CostModel(chain_fed, ExecutionConfig(k=5, seed=1))
+        cqs, result = build_batch(chain_fed, [
+            (0, 3, None, [True, True], [False] * 3),
+            (0, 2, None, [True], [False] * 2),
+            (1, 2, None, [True], [False] * 2),
+        ])
+        state = Factorization(result, cqs, cost, "g", sharing)
+        check_against_rescan(state, cost)
+
+
+@pytest.fixture(scope="module")
+def corpora():
+    """The figure-1 and e2e corpora, each with a generator and the head
+    of its vocabulary."""
+    out = {}
+    for name, federation in (
+            ("figure1", figure1_federation(
+                seed=7, cardinalities=dict(TINY_FIG1_CARDS),
+                domain_factor=0.7)),
+            ("e2e", e2e_corpus())):
+        out[name] = (federation, CandidateNetworkGenerator(federation),
+                     InvertedIndex(federation).vocabulary()[:10])
+    return out
+
+
+@st.composite
+def keyword_batches(draw):
+    """A corpus, 1-4 distinct keyword pairs from its vocabulary's head
+    (positions, resolved against the corpus), and whether the batch
+    shares."""
+    corpus = draw(st.sampled_from(["figure1", "e2e"]))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(
+            lambda p: p[0] < p[1]),
+        min_size=1, max_size=4, unique=True))
+    return corpus, pairs, draw(st.booleans())
+
+
+class TestOpTableOnTheCorpora:
+    """The generator's batches, planned by Algorithm 1: the maintained
+    op table is the rescanned one after every apply."""
+
+    @given(keyword_batches())
+    @settings(max_examples=30, deadline=None)
+    def test_table_ranks_and_choice_match_a_rescan(self, corpora, drawn):
+        corpus, pairs, sharing = drawn
+        federation, generator, vocabulary = corpora[corpus]
+        config = ExecutionConfig(k=10, seed=7)
+        cost = CostModel(federation, config)
+        cqs = [cq for number, (i, j) in enumerate(pairs)
+               for cq in generator.generate(KeywordQuery(
+                   f"q{number}", (vocabulary[i], vocabulary[j]), k=10)).cqs]
+        candidates = enumerate_candidates(cqs, federation, cost, config,
+                                          sharing=sharing)
+        result = BestPlanSearch(
+            cqs=cqs, candidates=candidates, cost_model=cost, config=config,
+            streamable={cq.cq_id: driving_stream_aliases(cq, federation,
+                                                         config)
+                        for cq in cqs},
+        ).run()
+        state = Factorization(result, cqs, cost, "g", sharing)
+        reference = check_against_rescan(state, cost)
+        assert factorize(result, cqs, cost, "g", sharing=sharing) == reference
+
+
+class TestPushdownSubsets:
+    def test_each_federation_reads_its_own_sites(self):
+        """Two federations whose queries have the same atoms and joins
+        but whose relations sit at different sites get their own
+        subsets, whichever asks first."""
+        def together() -> Federation:
+            schema = make_triple_schema()
+            return Federation(Schema(
+                [dataclasses.replace(r, site="s1") for r in schema.relations],
+                schema.edges))
+
+        expr = abc_expr()
+        split_subsets = {frozenset("AB")}
+        together_subsets = {frozenset("AB"), frozenset("BC"),
+                            frozenset("ABC")}
+        for order in ((load_triple_federation, together),
+                      (together, load_triple_federation)):
+            for build in order:
+                subsets = set(pushdown_subsets(build())(expr.atoms,
+                                                        expr.joins))
+                assert subsets == (split_subsets
+                                   if build is load_triple_federation
+                                   else together_subsets)
