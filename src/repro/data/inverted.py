@@ -47,19 +47,25 @@ class KeywordMatch:
 
 
 class InvertedIndex:
-    """Token -> relation posting lists over every site's text columns."""
+    """Token -> relation posting lists over every site's text columns.
+
+    The lists follow the federation's rows: they are built under its
+    statistics epoch, and a lookup after ``Federation.load`` has moved
+    the epoch on rebuilds them first.
+    """
 
     def __init__(self, federation: Federation) -> None:
         self.federation = federation
         self.schema = federation.schema
+        self._build()
+
+    def _build(self) -> None:
+        self._epoch = self.federation.stats_epoch
         # token -> relation -> attr -> row count
         self._postings: dict[str, dict[str, dict[str, int]]] = defaultdict(
             lambda: defaultdict(lambda: defaultdict(int))
         )
         self._row_counts: dict[str, int] = {}
-        self._build()
-
-    def _build(self) -> None:
         for relation in self.schema.relations:
             text_attrs = relation.text_attributes
             database = self.federation.database_for(relation.name)
@@ -72,6 +78,11 @@ class InvertedIndex:
                     for token in str(row[attr]).lower().split():
                         self._postings[token][relation.name][attr] += 1
 
+    def _follow_rows(self) -> None:
+        """Rebuild if rows were loaded since the last build."""
+        if self.federation.stats_epoch != self._epoch:
+            self._build()
+
     # -- lookups -----------------------------------------------------------
 
     def matches(self, keyword: str, max_matches: int = 5
@@ -82,6 +93,7 @@ class InvertedIndex:
         case-insensitively) come first with strength 1.0; content
         matches follow, ranked by selectivity (rarer is stronger).
         """
+        self._follow_rows()
         keyword = keyword.strip().lower()
         out: list[KeywordMatch] = []
         for relation in self.schema.relations:
@@ -115,6 +127,7 @@ class InvertedIndex:
     def vocabulary(self) -> tuple[str, ...]:
         """Every indexed token, most frequent first (workload generators
         draw Zipfian keyword pairs from this)."""
+        self._follow_rows()
         totals = {
             token: sum(sum(attrs.values()) for attrs in relations.values())
             for token, relations in self._postings.items()

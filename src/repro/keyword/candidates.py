@@ -68,8 +68,8 @@ class CandidateNetworkGenerator:
     * one ``Atom`` per relation and one ``JoinPred`` per schema edge
       (bounded by the schema);
     * one list of ``KeywordMatch``es per keyword (FIFO under
-      :attr:`MAX_KEYWORDS`; the inverted index is built once, so a
-      keyword's matches never change);
+      :attr:`MAX_KEYWORDS`; dropped, like the skeletons below, when the
+      federation's statistics epoch moves, since loaded rows may match);
     * one ``Selection`` per content match (FIFO under
       :attr:`MAX_SELECTIONS`);
     * per skeleton -- a candidate network without its selections -- one
@@ -119,7 +119,7 @@ class CandidateNetworkGenerator:
         self._matches: dict[str, list[KeywordMatch]] = {}
         self._selections: dict[tuple[str, str, str], Selection] = {}
         self._skeletons: dict[tuple, _Skeleton] = {}
-        self._skeletons_epoch = federation.stats_epoch
+        self._epoch = federation.stats_epoch
 
     # -- public API -----------------------------------------------------------
 
@@ -130,9 +130,11 @@ class CandidateNetworkGenerator:
         conjunctive query's expression is interned from its parts and
         its score read from the skeleton memo under the federation's
         current statistics."""
-        if self.federation.stats_epoch != self._skeletons_epoch:
+        if self.federation.stats_epoch != self._epoch:
+            # Rows were loaded: matches and scores may both have moved.
+            self._matches.clear()
             self._skeletons.clear()
-            self._skeletons_epoch = self.federation.stats_epoch
+            self._epoch = self.federation.stats_epoch
         template = None
         if self.repository is not None:
             template = self.repository.lookup_expansion(kq.keywords)

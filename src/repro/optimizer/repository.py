@@ -23,7 +23,10 @@ The repository keeps two cross-query tables, both FIFO-bounded by
   its own tuples (about 4 KiB on the e2e corpus), and a hit reads each
   score from the generator's skeleton memo, under the federation's
   current statistics.  Nothing primes the table: a respawned process
-  worker starts it empty and fills it as it expands.
+  worker starts it empty and fills it as it expands.  Loaded rows may
+  match a keyword, so the table is dropped whenever the federation's
+  statistics epoch moves (``Federation.load``), as the inverted index's
+  postings and the generator's keyword matches are.
 * **keyword-level fragments**.  A query's expressions die when the
   engine releases it, and with them every fragment derived from
   them.  The fragments whose selections carry a single keyword are
@@ -47,10 +50,17 @@ no invalidation beyond the lifetime of their owner:
   operator or the keyword table above holds it;
 * relation statistics -- on the ``Federation``, dropped by
   ``Federation.load``;
+* the push-down alias subsets of each skeleton (a query's atoms and
+  joins, without its selections): the connected 2..3-atom subsets the
+  sites can evaluate and that carry a score, found once per skeleton
+  and induced from every query with it -- per federation, since they
+  read its site placement, keyed by the parts so that no expression is
+  kept, FIFO-bounded, gone with the federation;
 * per-CQ completions, base-relation preludes and oracle readings --
   on one ``BestPlanSearch``, gone when the search returns;
-* the op table and each op's rank -- on one ``Factorization``, gone
-  when ``factorize`` returns.
+* the op table, each op's rank and the heap over them -- on one
+  ``Factorization``, maintained op by op (an apply re-enters only the
+  ops of the component it built), gone when ``factorize`` returns.
 """
 
 from __future__ import annotations
@@ -128,6 +138,7 @@ class PlanRepository:
         self.config = config
         self.stats = RepositoryStats()
         self._expansions: dict[tuple[str, ...], ExpansionTemplate] = {}
+        self._expansions_epoch = federation.stats_epoch
         #: keyword -> the fragments whose selections carry it alone;
         #: ``None`` -> those that carry no keyword.
         self._keyword_fragments: dict[object, set[SPJ]] = {}
@@ -165,6 +176,13 @@ class PlanRepository:
 
     def lookup_expansion(self, keywords: tuple[str, ...]
                          ) -> ExpansionTemplate | None:
+        """The stored expansion of ``keywords``, if one was derived
+        under the federation's current statistics epoch: loaded rows
+        may match a keyword, so ``Federation.load`` voids the table."""
+        epoch = self.federation.stats_epoch
+        if epoch != self._expansions_epoch:
+            self._expansions.clear()
+            self._expansions_epoch = epoch
         template = self._expansions.get(self.expansion_key(keywords))
         if template is None:
             self.stats.expansion_misses += 1

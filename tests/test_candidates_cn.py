@@ -161,3 +161,43 @@ class TestCandidateNetworks:
             KeywordQuery("K", ("protein", "plasma membrane"), k=5))
         shapes = {cq.expr.relations for cq in uq.cqs}
         assert len(shapes) >= 2
+
+
+class TestLoadedRows:
+    """``Federation.load`` reaches the keyword layer: the inverted
+    index, the generator's keyword-match memo and the plan repository's
+    expansion templates follow the federation's statistics epoch, so a
+    generator that served queries before the load expands as a new one
+    built after it."""
+
+    ROW = {"ac": 10000, "nam": "quokka membrane", "relevance": 0.5}
+
+    @staticmethod
+    def expansion(generator, keywords):
+        uq = generator.generate(KeywordQuery("K", keywords, k=5))
+        return [(cq.expr, cq.matches, cq.upper_bound) for cq in uq.cqs]
+
+    def test_loaded_rows_match_like_a_fresh_generator(self):
+        from repro.common.config import ExecutionConfig
+        from repro.data.figure1 import figure1_federation
+        from repro.optimizer.repository import PlanRepository
+
+        from tests.conftest import TINY_FIG1_CARDS
+
+        # A federation of its own: the load must not reach other tests.
+        federation = figure1_federation(
+            seed=7, cardinalities=dict(TINY_FIG1_CARDS), domain_factor=0.7)
+        served = CandidateNetworkGenerator(
+            federation,
+            repository=PlanRepository(federation, ExecutionConfig(k=5)))
+        before = self.expansion(served, ("membrane", "protein"))
+        with pytest.raises(QueryError):
+            served.generate(KeywordQuery("K", ("quokka",), k=5))
+        federation.load("UP", [self.ROW])
+        fresh = CandidateNetworkGenerator(federation)
+        for keywords in [("quokka",), ("membrane", "protein")]:
+            assert self.expansion(served, keywords) \
+                == self.expansion(fresh, keywords), keywords
+        # The loaded row moved the "membrane" match on UP.nam, so the
+        # expansion served before the load is not the one served now.
+        assert self.expansion(served, ("membrane", "protein")) != before

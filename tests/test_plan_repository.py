@@ -298,9 +298,12 @@ class TestSharedExpansionValues:
             len({(cq.expr.atoms, cq.expr.joins) for cq in uq.cqs})
 
     def test_template_hit_after_load_reads_new_statistics(self):
-        """A cached expansion's upper bounds follow ``Federation.load``:
-        a hit scores under the statistics of the moment, exactly as a
-        fresh generator does."""
+        """A cached expansion follows ``Federation.load``: the load voids
+        the table (loaded rows move keyword matches -- here UP's row
+        count, so the strengths of its content matches -- as well as
+        score caps), the next expansion is derived again, and a hit on
+        it scores under the statistics of the moment, exactly as a fresh
+        generator does."""
         federation = figure1_federation(
             seed=7, cardinalities=dict(TINY_FIG1_CARDS), domain_factor=0.7)
         index = InvertedIndex(federation)
@@ -312,12 +315,19 @@ class TestSharedExpansionValues:
         assert any("UP" in cq.score.caps for cq in before.cqs)
         federation.load("UP", [{"ac": 10_000, "nam": "zz",
                                 "relevance": 1000.0}])
+        derived = generator.generate(KeywordQuery("KQ2", keywords, k=K))
         hit = generator.generate(KeywordQuery("KQ2", keywords, k=K))
-        assert repo.stats.expansion_hits == 1
+        assert (repo.stats.expansion_hits, repo.stats.expansion_misses) \
+            == (1, 2)
         fresh = CandidateNetworkGenerator(federation, index=index).generate(
             KeywordQuery("KQ2", keywords, k=K))
-        assert [score_value(cq.score) for cq in hit.cqs] == \
-            [score_value(cq.score) for cq in fresh.cqs]
+        assert [cq.matches for cq in derived.cqs] != \
+            [cq.matches for cq in before.cqs]
+        for served in (derived, hit):
+            assert [(cq.expr, cq.matches, score_value(cq.score))
+                    for cq in served.cqs] == \
+                [(cq.expr, cq.matches, score_value(cq.score))
+                 for cq in fresh.cqs]
         assert {cq.score.caps["UP"] for cq in hit.cqs
                 if "UP" in cq.score.caps} == {1000.0}
 
