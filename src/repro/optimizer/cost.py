@@ -75,9 +75,6 @@ class CostModel:
 
     # -- cardinalities ------------------------------------------------------------
 
-    def base_cardinality(self, relation: str) -> int:
-        return self.federation.cardinality(relation)
-
     def est_cardinality(self, expr: SPJ) -> float:
         """System-R style estimate for a select-project-join expression.
 

@@ -209,7 +209,7 @@ class TestEnumerateCandidates:
 
 class TestCostModel:
     def test_base_cardinality(self, fed, config):
-        assert CostModel(fed, config).base_cardinality("B") == 4
+        assert CostModel(fed, config).federation.cardinality("B") == 4
 
     def test_join_estimate_reasonable(self, fed, config):
         cost = CostModel(fed, config)
