@@ -185,17 +185,19 @@ class Factorization:
                 sorted(result.probes.get(cq.cq_id, ())))
 
         for expr, consumers in result.streams.items():
+            aliases = frozenset(expr.aliases)
+            shared_id = source_node_id(scope, expr) if sharing else None
             for cq_id in consumers:
                 if cq_id not in self.regions:
                     continue
                 owner = scope if sharing else cq_id
-                source_id = source_node_id(owner, expr)
+                source_id = shared_id or source_node_id(owner, expr)
                 if source_id not in plan.sources:
                     value_key = ("src", expr.order_key, owner)
                     plan.sources[source_id] = SourceSpec(source_id, expr,
                                                          value_key)
                     self.keys[source_id] = value_key
-                self.regions[cq_id][source_id] = frozenset(expr.aliases)
+                self.regions[cq_id][source_id] = aliases
 
         #: CQ id -> the CQ, and its position in the batch.
         self._cq_by_id = {cq.cq_id: cq for cq in cqs}
@@ -358,21 +360,24 @@ class Factorization:
         node_keys = self.keys
         regions = self.regions[cq_id]
         probes = sorted(self.pending_probes[cq_id])
+        adjacency = expr.adjacency
         table = self._table
         cq_ops = self._cq_ops[cq_id]
         entered: set[str] = set()
         for id_a in fresh:
             aliases_a = regions[id_a]
+            # The aliases a join predicate links to the region.
+            near = {n for alias in aliases_a for n in adjacency[alias]}
             new: list[_OpKey] = []
             for id_b, aliases_b in regions.items():
                 if id_b != id_a and id_b not in entered \
-                        and _adjacent(expr, aliases_a, aliases_b):
+                        and not near.isdisjoint(aliases_b):
                     pair = (id_a, id_b) \
                         if node_keys[id_a] < node_keys[id_b] else (id_b, id_a)
                     new.append(("join", *pair,
                                 expr.induced(aliases_a | aliases_b), *owner))
             for probe_alias in probes:
-                if _adjacent(expr, aliases_a, (probe_alias,)):
+                if probe_alias in near:
                     new.append(("absorb", id_a, probe_alias,
                                 expr.induced(aliases_a | {probe_alias}),
                                 *owner))
@@ -437,10 +442,3 @@ def factorize(result: BestPlanResult, cqs: list[ConjunctiveQuery],
             )
         state.apply(key)
     return state.finish()
-
-
-def _adjacent(expr: SPJ, left: Iterable[str], right: Iterable[str]) -> bool:
-    """Whether a join predicate of ``expr`` links the two alias sets."""
-    adjacency = expr.adjacency
-    neighbours = {n for alias in left for n in adjacency[alias]}
-    return not neighbours.isdisjoint(right)

@@ -345,7 +345,9 @@ class SPJ:
         intern table.
         """
         keep = frozenset(aliases)
-        cache = self.__dict__.setdefault("_induced_cache", {})
+        cache = self.__dict__.get("_induced_cache")
+        if cache is None:
+            cache = self.__dict__["_induced_cache"] = {}
         cached = cache.get(keep)
         if cached is not None:
             return cached
@@ -472,6 +474,12 @@ class SPJ:
         change the key.  Equivalent expressions get renamings that
         compose into an isomorphism (see :func:`alias_isomorphism`).
         """
+        by_relation = sorted((a.relation, a.alias) for a in self.atoms)
+        if len({relation for relation, _ in by_relation}) == self.size:
+            # No relation repeats (every candidate network): the first
+            # colour's leading field already tells every atom apart.
+            return {alias: f"q{i}"
+                    for i, (_, alias) in enumerate(by_relation)}
         colour = _ranks({
             atom.alias: (atom.relation, tuple(
                 (s.attr, s.op, repr(s.value))
