@@ -266,7 +266,8 @@ class SPJ:
             if found is not None:
                 return found
         with _INTERN_LOCK:
-            found = _INTERNED.get(key)
+            ref = _INTERNED_REFS.get(key)
+            found = None if ref is None else ref()
             if found is None:
                 found = object.__new__(cls)
                 found.atoms = atoms
@@ -360,10 +361,10 @@ class SPJ:
         if not keep:
             raise QueryError("an SPJ expression needs at least one atom")
         result = SPJ._intern(
-            tuple(a for a in self.atoms if a.alias in keep),
-            tuple(j for j in self.joins
-                  if j.left_alias in keep and j.right_alias in keep),
-            tuple(s for s in self.selections if s.alias in keep),
+            tuple([a for a in self.atoms if a.alias in keep]),
+            tuple([j for j in self.joins
+                   if j.left_alias in keep and j.right_alias in keep]),
+            tuple([s for s in self.selections if s.alias in keep]),
         )
         cache[keep] = result
         return result
