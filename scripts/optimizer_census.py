@@ -123,7 +123,8 @@ def replay(workload: workloads.Workload, counting: bool) -> Ledger:
         try:
             return optimize(self, uqs, *args, **kwargs)
         finally:
-            sys.setprofile(None)
+            if counting:
+                sys.setprofile(None)
             ledger.cpu[REST] += time.process_time() - started
 
     federation = harness.corpus()
