@@ -58,14 +58,15 @@ from repro.optimizer import repository  # noqa: E402
 from repro.service import QService, ServiceConfig  # noqa: E402
 
 WORKLOADS = ("cold_distinct", "burst_shared")
-#: Stage name -> the attribute of ``repro.optimizer.repository`` that
-#: ``optimize`` calls for it.
-STAGES = {
-    "driving aliases": "driving_stream_aliases",
-    "candidates": "enumerate_candidates",
-    "Algorithm 1": "BestPlanSearch",
-    "factorize": "factorize",
-}
+#: (stage, owner, attribute): ``optimize`` calls ``owner.attribute``
+#: for the stage.
+STAGES = (
+    ("driving aliases", repository, "driving_stream_aliases"),
+    ("candidates", repository, "enumerate_candidates"),
+    ("Algorithm 1", repository.BestPlanSearch, "run"),
+    ("factorize", repository, "factorize"),
+)
+NAMES = [stage for stage, _owner, _attr in STAGES]
 REST = "rest of optimize"
 
 
@@ -73,8 +74,8 @@ class Ledger:
     """Calls and CPU seconds per stage, and the CQs planned."""
 
     def __init__(self) -> None:
-        self.calls = dict.fromkeys([*STAGES, REST], 0)
-        self.cpu = dict.fromkeys([*STAGES, REST], 0.0)
+        self.calls = dict.fromkeys([*NAMES, REST], 0)
+        self.cpu = dict.fromkeys([*NAMES, REST], 0.0)
         self.cqs = 0
         self.batches = 0
         self.stage = REST
@@ -108,11 +109,9 @@ def staged(ledger: Ledger, stage: str, function: Callable) -> Callable:
 
 def replay(workload: workloads.Workload, counting: bool) -> Ledger:
     """Serve ``workload``'s ops on a fresh corpus with the stages
-    instrumented; the module attributes are restored afterwards."""
+    instrumented; the patched attributes are restored afterwards."""
     ledger = Ledger()
-    originals = {name: getattr(repository, name) for name in STAGES.values()}
     optimize = repository.PlanRepository.optimize
-    search_run = repository.BestPlanSearch.run
 
     def optimize_wrapper(self, uqs, *args, **kwargs):
         ledger.cqs += sum(len(uq.cqs) for uq in uqs)
@@ -127,6 +126,11 @@ def replay(workload: workloads.Workload, counting: bool) -> Ledger:
                 sys.setprofile(None)
             ledger.cpu[REST] += time.process_time() - started
 
+    patches = [(owner, attr, staged(ledger, stage, getattr(owner, attr)))
+               for stage, owner, attr in STAGES]
+    patches.append((repository.PlanRepository, "optimize", optimize_wrapper))
+    saved = [(owner, attr, getattr(owner, attr))
+             for owner, attr, _patched in patches]
     federation = harness.corpus()
     service = QService(
         federation,
@@ -134,11 +138,8 @@ def replay(workload: workloads.Workload, counting: bool) -> Ledger:
                         batch_window=2.0, seed=harness.CORPUS_SEED,
                         cluster_jaccard=0.7, optimizer_time_scale=0.0),
         ServiceConfig(), clock=VirtualClock())
-    for stage, name in STAGES.items():
-        if name != "BestPlanSearch":
-            setattr(repository, name, staged(ledger, stage, originals[name]))
-    repository.BestPlanSearch.run = staged(ledger, "Algorithm 1", search_run)
-    repository.PlanRepository.optimize = optimize_wrapper
+    for owner, attr, patched in patches:
+        setattr(owner, attr, patched)
     if counting:
         gc.disable()
     try:
@@ -151,10 +152,8 @@ def replay(workload: workloads.Workload, counting: bool) -> Ledger:
                 raise RuntimeError(f"{workload.name}: an op did not finish")
     finally:
         gc.enable()
-        repository.PlanRepository.optimize = optimize
-        repository.BestPlanSearch.run = search_run
-        for name, original in originals.items():
-            setattr(repository, name, original)
+        for owner, attr, original in saved:
+            setattr(owner, attr, original)
     del service
     gc.collect()
     return ledger
@@ -188,7 +187,7 @@ def render(result: dict) -> str:
              f"{result['cqs']} CQs planned",
              f"  {'stage':<18}{'CPU ms':>9}{'ms/CQ':>8}"
              f"{'calls':>11}{'calls/CQ':>10}"]
-    for stage in [*STAGES, REST, "optimize"]:
+    for stage in [*NAMES, REST, "optimize"]:
         if stage == "optimize":
             cpu = sum(result["cpu_s"].values())
             calls = sum(result["calls"].values())
