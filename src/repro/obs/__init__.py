@@ -48,6 +48,11 @@ component prefixes are stable across releases:
 ``repro_router_*``
     Front door over two or more shards only: routed (``shard=...``),
     spill-overs, front-door cache hits, affinity overrides.
+``repro_worker_*``
+    Process-worker fleets only, published by the front door: round
+    trips (requests answered, ``shard=...``) and protocol frame bytes
+    (``shard=...``, ``direction=sent|received`` as the front door sees
+    them; one-way cache mirrors count as sent).
 
 Labels: ``mode`` carries the sharing configuration on engine-side
 instruments; ``shard`` is stamped by the fleet merge

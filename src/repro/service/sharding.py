@@ -595,12 +595,24 @@ class ShardedQService:
 
     def _publish_metrics(self) -> None:
         """Collector for the tiers only the front door owns: the
-        answer cache, the shared plan repository, and the router.
+        answer cache, the shared plan repository, the router, and the
+        process workers' seam (round trips and frame bytes).
         Shards are constructed with both tiers handed in, so they
         never publish them -- one owner per component."""
         r = self.registry
         self.cache.publish_metrics(r)
         self.repository.publish_metrics(r)
+        for i, worker in enumerate(self.workers):
+            if isinstance(worker, ProcessWorker):
+                r.counter("repro_worker_round_trips_total",
+                          "requests a process worker answered, per shard"
+                          ).set(worker.round_trips, shard=str(i))
+                wire = r.counter("repro_worker_wire_bytes_total",
+                                 "protocol frame bytes, per shard and "
+                                 "direction (as the front door sees it)")
+                wire.set(worker.bytes_sent, shard=str(i), direction="sent")
+                wire.set(worker.bytes_received, shard=str(i),
+                         direction="received")
         rs = self.routing_stats
         if rs is None:
             return

@@ -538,6 +538,12 @@ class ProcessWorker:
         #: before the crash), and the live (or closed) one's latest.
         self._retained: list[SnapshotReply] = []
         self._last_snapshot: SnapshotReply | None = None
+        #: The seam's own cost over every incarnation: requests that
+        #: got their reply, and protocol frame bytes each way (one-way
+        #: ``CachePut`` frames included, the spec frame not).
+        self.round_trips = 0
+        self.bytes_sent = 0
+        self.bytes_received = 0
         self._alive = False
         self._spawn()
 
@@ -620,12 +626,14 @@ class ProcessWorker:
         if not self._alive:
             raise WorkerCrashed(
                 f"shard {self.shard}: worker is not running")
+        data = encode(msg)
         try:
-            self._conn.send_bytes(encode(msg))
+            self._conn.send_bytes(data)
         except (BrokenPipeError, OSError) as exc:
             self._crash(f"send failed: {exc}")
             raise WorkerCrashed(
                 f"shard {self.shard}: worker pipe broke on send") from exc
+        self.bytes_sent += len(data)
 
     def _recv(self, reply_cls: type) -> Message:
         try:
@@ -640,6 +648,8 @@ class ProcessWorker:
             self._crash(f"recv failed: {exc}")
             raise WorkerCrashed(
                 f"shard {self.shard}: worker pipe broke on recv") from exc
+        self.round_trips += 1
+        self.bytes_received += len(data)
         reply = decode(data)
         if not isinstance(reply, reply_cls):
             self._crash(f"out-of-protocol reply {reply.kind!r}")

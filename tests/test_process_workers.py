@@ -26,6 +26,7 @@ import os
 import signal
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,38 @@ def test_streaming_over_the_wire_sends_only_pumps(fed, load):
             fleet.close()
     assert all(streams["inproc"])
     assert streams["process"] == streams["inproc"]
+
+
+#: Round trips one cold top-10 query streamed through an idle 2-shard
+#: process fleet costs, summed over both workers: submit, pumps, steps.
+COLD_STREAM_ROUND_TRIPS = 9
+
+
+def test_a_cold_streamed_query_costs_a_counted_number_of_round_trips(
+        fed, load):
+    """The seam counts itself: every request that got its reply is one
+    round trip, every frame's bytes count in its direction, and the
+    front door publishes both per shard."""
+    fleet = make_fleet(fed, "process", 2, "roundrobin")
+    try:
+        assert [w.round_trips for w in fleet.workers] == [0, 0]
+        handle = fleet.submit(replace(load[0], k=10))
+        assert len(list(handle.results())) == 10 and handle.done
+        trips = [w.round_trips for w in fleet.workers]
+        assert sum(trips) == COLD_STREAM_ROUND_TRIPS
+        registry = fleet.metrics_registry()
+        # The scrape asked each worker for one snapshot.
+        published = registry.get("repro_worker_round_trips_total").samples()
+        assert published == {(("shard", str(i)),): float(n + 1)
+                             for i, n in enumerate(trips)}
+        wire = registry.get("repro_worker_wire_bytes_total").samples()
+        for i, worker in enumerate(fleet.workers):
+            sent = wire[(("direction", "sent"), ("shard", str(i)))]
+            received = wire[(("direction", "received"), ("shard", str(i)))]
+            assert sent == worker.bytes_sent > 0
+            assert received == worker.bytes_received > 0
+    finally:
+        fleet.close()
 
 
 # -- crash semantics ---------------------------------------------------------
