@@ -130,12 +130,15 @@ def decode_answers(payloads) -> list[RankedAnswer] | None:
 # -- the messages -------------------------------------------------------------
 
 _KINDS: dict[str, type] = {}
+#: Each registered kind's field names, in declaration order.
+_FIELDS: dict[type, tuple[str, ...]] = {}
 
 
 def _register(cls):
     kind = cls.__name__
     cls.kind = kind
     _KINDS[kind] = cls
+    _FIELDS[cls] = tuple(f.name for f in fields(cls))
     return cls
 
 
@@ -233,8 +236,10 @@ class DrainShard(Message):
 @_register
 @dataclass(frozen=True)
 class PumpQuery(Message):
-    """Drive the worker until ``kq_id`` gains an answer or ends (the
-    streaming ``results()`` engine)."""
+    """Drive the worker on ``kq_id`` (the streaming ``results()``
+    engine) until it ends or stalls -- but no further than its first
+    answer if it had none, and one batch window if it is deferred.
+    The reply's events carry every answer emitted, often several."""
 
     now: float
     kq_id: str
@@ -362,56 +367,49 @@ def wire_schema() -> dict:
 
 # -- wire encoding ------------------------------------------------------------
 
-def _to_jsonable(value: Any) -> Any:
-    if isinstance(value, Message):
-        return {"__msg__": value.kind,
-                **{f.name: _to_jsonable(getattr(value, f.name))
-                   for f in fields(value)}}
-    if isinstance(value, (list, tuple)):
-        return [_to_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _to_jsonable(v) for k, v in value.items()}
-    return value
+def _message_fields(value: Any) -> dict:
+    """``json.dumps``'s hook for what JSON cannot hold: a message
+    becomes its kind tag, then its fields in declaration order."""
+    if type(value) not in _FIELDS:
+        raise TypeError(f"{type(value).__name__} is not wire-encodable")
+    return {"__msg__": value.kind,
+            **{name: getattr(value, name) for name in _FIELDS[type(value)]}}
 
 
-def _from_jsonable(value: Any) -> Any:
-    if isinstance(value, dict) and "__msg__" in value:
-        kind = value["__msg__"]
-        cls = _KINDS.get(kind)
-        if cls is None:
-            raise ProtocolError(f"unknown message kind {kind!r}")
-        kwargs = {}
-        names = {f.name for f in fields(cls)}
-        for key, raw in value.items():
-            if key == "__msg__":
-                continue
-            if key not in names:
-                raise ProtocolError(
-                    f"unknown field {key!r} for message kind {kind!r}")
-            kwargs[key] = _from_jsonable(raw)
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ProtocolError(
-                f"bad field set for message kind {kind!r}: {exc}") from exc
-    if isinstance(value, list):
-        return tuple(_from_jsonable(v) for v in value)
-    if isinstance(value, dict):
-        return {k: _from_jsonable(v) for k, v in value.items()}
-    return value
+def _tuples(items: list) -> tuple:
+    return tuple(_tuples(v) if type(v) is list else v for v in items)
+
+
+def _decode_object(obj: dict) -> Any:
+    """``json.loads``'s hook, called innermost object first: lists
+    become tuples, and an object tagged ``__msg__`` its message."""
+    for key, value in obj.items():
+        if type(value) is list:
+            obj[key] = _tuples(value)
+    if "__msg__" not in obj:
+        return obj
+    kind = obj.pop("__msg__")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ProtocolError(f"unknown message kind {kind!r}")
+    try:   # an unknown field is an unexpected keyword argument
+        return cls(**obj)
+    except TypeError as exc:
+        raise ProtocolError(
+            f"bad field set for message kind {kind!r}: {exc}") from exc
 
 
 def encode(msg: Message) -> bytes:
     """One message as a self-describing, versioned wire frame."""
-    frame = {"v": WIRE_VERSION, "msg": _to_jsonable(msg)}
-    return json.dumps(frame, separators=(",", ":")).encode("utf-8")
+    return json.dumps({"v": WIRE_VERSION, "msg": msg}, separators=(",", ":"),
+                      default=_message_fields).encode("utf-8")
 
 
 def decode(data: bytes) -> Message:
     """Decode one frame; :class:`ProtocolError` on anything this
     version of the protocol does not understand."""
     try:
-        frame = json.loads(data.decode("utf-8"))
+        frame = json.loads(data.decode("utf-8"), object_hook=_decode_object)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable frame: {exc}") from exc
     if not isinstance(frame, dict) or "v" not in frame or "msg" not in frame:
@@ -420,7 +418,7 @@ def decode(data: bytes) -> Message:
         raise ProtocolError(
             f"unsupported wire version {frame['v']!r} "
             f"(this build speaks {WIRE_VERSION})")
-    msg = _from_jsonable(frame["msg"])
+    msg = frame["msg"]
     if not isinstance(msg, Message):
         raise ProtocolError("frame body is not a message")
     return msg

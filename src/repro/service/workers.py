@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import socket
 import subprocess
 import sys
@@ -462,8 +463,7 @@ class _WorkerServer:
             return Ack(update=self._update())
         if isinstance(msg, PumpQuery):
             handle = self._watched.get(msg.kq_id)
-            value = bool(handle is not None and not handle.terminal
-                         and svc.pump(handle))
+            value = handle is not None and self._pump(handle)
             return BoolReply(update=self._update(), value=value)
         if isinstance(msg, CachePut):
             svc.cache.put(normalize_key(msg.keywords, msg.k),
@@ -484,6 +484,20 @@ class _WorkerServer:
             return Ack(update=self._update())
         raise ProtocolError(
             f"worker cannot serve message kind {msg.kind!r}")
+
+    def _pump(self, handle: QueryHandle) -> bool:
+        """``Shard.pump`` as a front door pumping per answer would call
+        it: until the handle ends or stalls, or the call that produced
+        its first answer returns; once for a deferred handle."""
+        svc = self.service
+        fresh = not svc.answers_so_far(handle)
+        once = handle.status is QueryStatus.DEFERRED
+        progressed = False
+        while not handle.terminal and svc.pump(handle):
+            progressed = True
+            if once or (fresh and svc.answers_so_far(handle)):
+                break
+        return progressed
 
 
 class ProcessWorker:
@@ -561,6 +575,8 @@ class ProcessWorker:
                 pass_fds=(child.fileno(),), stdin=subprocess.DEVNULL,
                 env=_child_env())
             self._conn = Connection(parent.detach())
+        self._readable = select.poll()
+        self._readable.register(self._conn.fileno(), select.POLLIN)
         self._alive = True
         self._pending = None
         self._conn.send_bytes(self._spec.to_wire())
@@ -637,9 +653,9 @@ class ProcessWorker:
 
     def _recv(self, reply_cls: type) -> Message:
         try:
-            while not self._conn.poll(0.05):
+            while not self._readable.poll(50):
                 if (self._proc.poll() is not None
-                        and not self._conn.poll(0.2)):
+                        and not self._readable.poll(200)):
                     self._crash("process died")
                     raise WorkerCrashed(
                         f"shard {self.shard}: worker process died")
@@ -762,6 +778,9 @@ class ProcessWorker:
     # -- split-phase progress ------------------------------------------------
 
     def start_step(self, until: float) -> None:
+        if not self._handles:   # idle: the next request catches it up
+            self._flush_puts()
+            return
         self._send(StepTo(now=until, until=until))
         self._pending = Ack
 

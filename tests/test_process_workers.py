@@ -190,10 +190,10 @@ def test_deferral_answers_match(fed, load):
 
 def test_streaming_over_the_wire_sends_only_pumps(fed, load):
     """``results()`` through a process fleet streams the in-process
-    fleet's answer sequences, and once a query is submitted its owning
-    worker sees nothing but ``PumpQuery`` frames: the answers emitted
-    so far ride each reply's events instead of a request of their
-    own."""
+    fleet's answer sequences, and once a cold query is submitted its
+    owning worker sees exactly two ``PumpQuery`` frames, one that ends
+    at the first answer and one that ends with the query: the answers
+    ride each reply's events instead of a request of their own."""
     keys, queries = set(), []
     for kq in load:
         key = normalize_key(kq.keywords, kq.k)
@@ -217,8 +217,7 @@ def test_streaming_over_the_wire_sends_only_pumps(fed, load):
                 streams[workers].append(list(handle.results()))
                 assert handle.done
                 if workers == "process":
-                    assert sent, "a cold query's stream must pump"
-                    assert set(sent) == {(handle.shard, "PumpQuery")}
+                    assert sent == [(handle.shard, "PumpQuery")] * 2
         finally:
             fleet.close()
     assert all(streams["inproc"])
@@ -226,8 +225,10 @@ def test_streaming_over_the_wire_sends_only_pumps(fed, load):
 
 
 #: Round trips one cold top-10 query streamed through an idle 2-shard
-#: process fleet costs, summed over both workers: submit, pumps, steps.
-COLD_STREAM_ROUND_TRIPS = 9
+#: process fleet costs, summed over both workers: a submit, a pump to
+#: the first answer and a pump to the end (idle shards are not
+#: stepped).  A pump per answer and a step of every shard read 9.
+COLD_STREAM_ROUND_TRIPS = 3
 
 
 def test_a_cold_streamed_query_costs_a_counted_number_of_round_trips(
@@ -253,6 +254,187 @@ def test_a_cold_streamed_query_costs_a_counted_number_of_round_trips(
             received = wire[(("direction", "received"), ("shard", str(i)))]
             assert sent == worker.bytes_sent > 0
             assert received == worker.bytes_received > 0
+    finally:
+        fleet.close()
+
+
+# -- the worker's pump -------------------------------------------------------
+
+
+def worker_server(service=None):
+    from repro.service.workers import _WorkerServer
+
+    return _WorkerServer(WorkerSpec.figure1(
+        exec_config(), seed=SEED, cardinalities=dict(CARDS),
+        domain_factor=DOMAIN, service=service))
+
+
+def submit_to(server, kq):
+    from repro.service.protocol import SubmitQuery
+
+    return server.dispatch(SubmitQuery(
+        now=kq.arrival, kq_id=kq.kq_id, keywords=tuple(kq.keywords),
+        k=kq.k, arrival=kq.arrival, user=kq.user, deadline=None)).handle
+
+
+def pump_state(server, kq_id):
+    """One ``PumpQuery``'s reply value and the query's reported
+    state."""
+    from repro.service.protocol import PumpQuery
+
+    reply = server.dispatch(PumpQuery(now=server.service.clock.now,
+                                      kq_id=kq_id))
+    states = [e for e in reply.update.events if e.kq_id == kq_id]
+    return reply.value, (states[0] if states else None)
+
+
+def test_first_pump_ends_at_the_first_answer_and_the_second_ends_it(load):
+    """The worker pumps after submit until the ``Shard.pump`` call that
+    produced the first answer (so time to first answer is unchanged),
+    then to the end; the first reply carries exactly what those calls
+    emitted, the second the query's final answers."""
+    from repro.service.protocol import encode_answers
+
+    kq = replace(load[0], k=10)
+    server = worker_server()
+    submit_to(server, kq)
+    value, first = pump_state(server, kq.kq_id)
+    assert value and first.status == "in-flight" and first.emitted
+
+    oracle = worker_server()
+    submit_to(oracle, kq)
+    handle = oracle._watched[kq.kq_id]
+    while not oracle.service.answers_so_far(handle):
+        assert oracle.service.pump(handle)
+    assert first.emitted == encode_answers(
+        oracle.service.answers_so_far(handle))
+    assert server.service.clock.now == oracle.service.clock.now
+
+    value, last = pump_state(server, kq.kq_id)
+    assert value and last.status == "done" and len(last.answers) == 10
+    assert last.answers[:len(first.emitted)] == first.emitted
+    # The handle is gone from the worker: a third pump changes nothing.
+    assert pump_state(server, kq.kq_id) == (False, None)
+
+
+def test_a_deadline_between_answers_expires_as_in_process(fed, load):
+    """A virtual deadline that falls while the second pump runs the
+    query to its end expires it at the in-process fleet's instant,
+    with the in-process fleet's answers."""
+    kq = replace(load[0], k=10)
+    fleet = make_fleet(fed, "inproc", 2, "roundrobin")
+    handle = fleet.submit(kq)
+    stream = handle.results()
+    next(stream)
+    first_answer_at = fleet.clock.now
+    list(stream)
+    deadline = (first_answer_at + handle.completed_at) / 2
+    assert first_answer_at < deadline < handle.completed_at
+
+    outcomes = {}
+    for workers in ("inproc", "process"):
+        fleet = make_fleet(fed, workers, 2, "roundrobin")
+        try:
+            handle = fleet.submit(kq, deadline=deadline)
+            streamed = list(handle.results())
+            outcomes[workers] = (handle.status.value, handle.completed_at,
+                                 streamed, handle.answers)
+        finally:
+            fleet.close()
+    status, completed_at, streamed, answers = outcomes["inproc"]
+    assert status == "expired" and 0 < len(answers) < 10
+    assert streamed == answers
+    assert outcomes["process"] == outcomes["inproc"]
+
+
+def test_a_deferred_pump_advances_one_batch_window(load):
+    """A parked query's pump is one ``Shard.pump`` call: one batch
+    window of virtual time, even when the retry in that window admits
+    it and more pumping could run it on."""
+    server = worker_server(ServiceConfig(max_in_flight=1,
+                                         admission_policy="defer"))
+    first, second = load[0], next(
+        kq for kq in load
+        if normalize_key(kq.keywords, kq.k)
+        != normalize_key(load[0].keywords, load[0].k))
+    submit_to(server, first)
+    assert submit_to(server, replace(
+        second, arrival=first.arrival)).status == "deferred"
+    handle = server._watched[second.kq_id]
+    window = max(exec_config().batch_window, 1.0)
+    while handle.status.value == "deferred":
+        before = server.service.clock.now
+        assert pump_state(server, second.kq_id)[0]
+        assert server.service.clock.now == before + window
+    assert handle.status.value == "in-flight"
+
+
+# -- idle shards --------------------------------------------------------------
+
+
+class ToShardZero:
+    """A routing policy that sends every query to shard 0."""
+
+    name = "zero"
+    needs_expansion = False
+
+    def route(self, kq, uq, n_shards):
+        return 0
+
+
+def record_frames(fleet):
+    """Every frame the front door sends, as ``(shard, kind)``."""
+    sent = []
+    for worker in fleet.workers:
+        def record(msg, worker=worker, send=worker._send_raw):
+            sent.append((worker.shard, msg.kind))
+            send(msg)
+        worker._send_raw = record
+    return sent
+
+
+def test_a_step_with_nothing_in_flight_sends_no_frame(fed, load):
+    fleet = make_fleet(fed, "process", 2, "roundrobin")
+    try:
+        sent = record_frames(fleet)
+        fleet.step(5.0)
+        assert sent == []
+        handle = fleet.submit(replace(load[0], arrival=6.0))
+        sent.clear()
+        fleet.step(6.5)
+        # Only the shard holding the query is stepped.
+        assert sent == [(handle.shard, "StepTo")]
+        fleet.drain()
+        sent.clear()
+        fleet.step(fleet.clock.now + 1.0)
+        assert sent == []
+        assert [w.round_trips for w in fleet.workers] != [0, 0]
+    finally:
+        fleet.close()
+
+
+def test_a_sibling_without_queries_still_holds_every_mirrored_entry(
+        fed, load):
+    """Completions on shard 0 are mirrored to shard 1, which never
+    receives a query and so is never stepped: its queued mirrors still
+    go down the pipe on every step."""
+    fleet = make_fleet(fed, "process", 2, ToShardZero())
+    sibling = fleet.workers[1]
+    try:
+        sent = record_frames(fleet)
+        keys = set()
+        for kq in load:
+            handle = fleet.submit(kq)
+            list(handle.results())
+            if handle.via == "engine":
+                keys.add(normalize_key(kq.keywords, kq.k))
+            fleet.step(fleet.clock.now)
+            assert not sibling._puts
+        assert {shard for shard, kind in sent if kind != "CachePut"} == {0}
+        assert sent.count((1, "CachePut")) == len(keys) > 1
+        view = sibling.registry_view()
+        assert view.get("repro_answer_cache_entries").samples() \
+            == {(): float(len(keys))}
     finally:
         fleet.close()
 
