@@ -17,6 +17,9 @@ with the stdlib client:
    and require a valid span tree whose root's disposition is ``done``;
 3. submit one more query and cancel it, asserting the ``cancelled``
    disposition propagates to its stream and snapshot;
+   over a process fleet, the workers' round-trip counter read before
+   and after the streams must show at most
+   ``MAX_ROUND_TRIPS_PER_STREAM`` round trips per streamed query;
 4. check ``/metrics`` renders Prometheus text, that its connection
    counters show the client's calls riding persistent connections
    (more than one request per connection), and that the live scrape,
@@ -54,6 +57,10 @@ QUERIES = [
     ["protein", "gene"],
 ]
 K = 6
+#: Worker round trips one streamed cold query may cost over a process
+#: fleet: a submit, a pump to the first answer, a pump to the end, and
+#: one step of the owning shard on a housekeeping tick.
+MAX_ROUND_TRIPS_PER_STREAM = 4
 
 
 def fail(msg: str) -> None:
@@ -131,6 +138,28 @@ def check_cancel(client: HttpQueryClient, qid: str) -> None:
     if end is None or end["disposition"] != "cancelled":
         fail(f"{qid}: stream after cancel ended with {end}")
     print(f"http_smoke: {qid}: cancelled cleanly")
+
+
+def worker_round_trips(client: HttpQueryClient) -> tuple[float, int]:
+    """The fleet's ``repro_worker_round_trips_total`` summed over its
+    shards, and the number of shards publishing it (0 when the server
+    runs no process workers).  The scrape itself asks each worker for
+    one snapshot, counted in the total it reads."""
+    values = re.findall(r"^repro_worker_round_trips_total\{[^}]*\} (\S+)$",
+                        client.metrics(), re.MULTILINE)
+    return sum(float(v) for v in values), len(values)
+
+
+def check_round_trips(before: float, after: float, shards: int,
+                      streamed: int) -> None:
+    """Fail when streaming cost the workers more round trips per query
+    than the bound (the later scrape's own snapshots left out)."""
+    per_query = (after - before - shards) / streamed
+    if per_query > MAX_ROUND_TRIPS_PER_STREAM:
+        fail(f"{per_query:g} worker round trips per streamed query, "
+             f"more than {MAX_ROUND_TRIPS_PER_STREAM}")
+    print(f"http_smoke: {per_query:g} worker round trips per streamed "
+          f"query over {shards} shards")
 
 
 def check_connection_reuse(metrics: str) -> None:
@@ -222,9 +251,14 @@ def main() -> int:
         health = wait_healthy(client, proc)
         print(f"http_smoke: healthy on port {port} "
               f"({health['clock']}, now={health['now']:.3f})")
+        trips_before, shards = worker_round_trips(client)
         for i, keywords in enumerate(QUERIES, start=1):
             check_stream(client, f"smoke-{i}", keywords)
-            if args.trace_dir:
+        if shards:
+            check_round_trips(trips_before, worker_round_trips(client)[0],
+                              shards, len(QUERIES))
+        if args.trace_dir:
+            for i in range(1, len(QUERIES) + 1):
                 check_trace(client, f"smoke-{i}")
         check_cancel(client, "smoke-cancel")
         metrics = client.metrics()
