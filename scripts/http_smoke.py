@@ -15,11 +15,11 @@ with the stdlib client:
    with a ``done`` disposition and the right answer count); with
    ``--trace-dir``, also fetch each one's ``GET /query/<id>/trace``
    and require a valid span tree whose root's disposition is ``done``;
-3. submit one more query and cancel it, asserting the ``cancelled``
-   disposition propagates to its stream and snapshot;
    over a process fleet, the workers' round-trip counter read before
    and after the streams must show at most
    ``MAX_ROUND_TRIPS_PER_STREAM`` round trips per streamed query;
+3. submit one more query and cancel it, asserting the ``cancelled``
+   disposition propagates to its stream and snapshot;
 4. check ``/metrics`` renders Prometheus text, that its connection
    counters show the client's calls riding persistent connections
    (more than one request per connection), and that the live scrape,

@@ -188,6 +188,17 @@ def test_deferral_answers_match(fed, load):
     assert digests["process"] == digests["inproc"]
 
 
+def record_frames(fleet):
+    """Every frame the front door sends, as ``(shard, kind)``."""
+    sent = []
+    for worker in fleet.workers:
+        def record(msg, worker=worker, send=worker._send_raw):
+            sent.append((worker.shard, msg.kind))
+            send(msg)
+        worker._send_raw = record
+    return sent
+
+
 def test_streaming_over_the_wire_sends_only_pumps(fed, load):
     """``results()`` through a process fleet streams the in-process
     fleet's answer sequences, and once a cold query is submitted its
@@ -203,12 +214,7 @@ def test_streaming_over_the_wire_sends_only_pumps(fed, load):
     streams = {}
     for workers in ("inproc", "process"):
         fleet = make_fleet(fed, workers, 2, "roundrobin")
-        sent = []
-        for worker in fleet.workers if workers == "process" else ():
-            def record(msg, worker=worker, send=worker._send_raw):
-                sent.append((worker.shard, msg.kind))
-                send(msg)
-            worker._send_raw = record
+        sent = record_frames(fleet) if workers == "process" else []
         try:
             streams[workers] = []
             for kq in queries:
@@ -341,7 +347,7 @@ def test_a_deadline_between_answers_expires_as_in_process(fed, load):
                                  streamed, handle.answers)
         finally:
             fleet.close()
-    status, completed_at, streamed, answers = outcomes["inproc"]
+    status, _completed_at, streamed, answers = outcomes["inproc"]
     assert status == "expired" and 0 < len(answers) < 10
     assert streamed == answers
     assert outcomes["process"] == outcomes["inproc"]
@@ -382,17 +388,6 @@ class ToShardZero:
         return 0
 
 
-def record_frames(fleet):
-    """Every frame the front door sends, as ``(shard, kind)``."""
-    sent = []
-    for worker in fleet.workers:
-        def record(msg, worker=worker, send=worker._send_raw):
-            sent.append((worker.shard, msg.kind))
-            send(msg)
-        worker._send_raw = record
-    return sent
-
-
 def test_a_step_with_nothing_in_flight_sends_no_frame(fed, load):
     fleet = make_fleet(fed, "process", 2, "roundrobin")
     try:
@@ -408,7 +403,6 @@ def test_a_step_with_nothing_in_flight_sends_no_frame(fed, load):
         sent.clear()
         fleet.step(fleet.clock.now + 1.0)
         assert sent == []
-        assert [w.round_trips for w in fleet.workers] != [0, 0]
     finally:
         fleet.close()
 
