@@ -289,7 +289,11 @@ class ShardWorker(Protocol):
 
     def answers_so_far(self, handle: QueryHandle) -> list[RankedAnswer]: ...
 
-    def pump(self, handle: QueryHandle) -> bool: ...
+    def pump(self, handle: QueryHandle) -> bool:
+        """Drive the shard on ``handle``; whether its observable state
+        changed.  A transport may deliver several answers per pump:
+        the in-process shard stops at each new answer, a process
+        worker at the first answer and then at the end."""
 
     def inflight_handle(self, key: CacheKey) -> QueryHandle | None: ...
 
@@ -517,6 +521,13 @@ class ProcessWorker:
     need no polling.  DONE-via-engine events
     trigger ``on_completion`` (the front door's authoritative cache
     write plus mirroring to sibling workers).
+
+    Round trips: :meth:`pump` is one per phase of a query (to its
+    first answer, then to its end; one batch window while it is
+    deferred), not one per answer, and :meth:`start_step` sends
+    nothing to a worker holding no proxy, only its queued cache
+    mirrors.  ``round_trips``, ``bytes_sent`` and ``bytes_received``
+    count the seam.
 
     Crash handling: any pipe failure or process death fails the
     shard's non-terminal proxies with a ``FAILED`` disposition, counts
